@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError
 from .fem import (
@@ -304,7 +304,7 @@ def fit_rate(pairs) -> RateFit:
     sxx = float(np.sum((x - x.mean()) ** 2))
     if dof > 0 and sxx > 0:
         se = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-        t = float(stats.t.ppf(0.975, dof))
+        t = float(special.stdtrit(dof, 0.975))
         ci = (slope - t * se, slope + t * se)
     else:
         se = 0.0

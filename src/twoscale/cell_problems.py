@@ -426,7 +426,7 @@ def solve_first_correctors(
             diagnostics.max_rhs_defect = max(
                 diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
             )
-        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), opts)
+        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
         if diagnostics is not None:
             diagnostics.max_corrector_mean = max(
                 diagnostics.max_corrector_mean, abs(float(sol.mean()))
@@ -533,7 +533,7 @@ def solve_hessian_correctors(
                 diagnostics.max_rhs_defect = max(
                     diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
                 )
-            raw[(k, l)] = solve_periodic_zero_mean(SparseSystem(mat, rhs), opts)
+            raw[(k, l)] = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
 
     out = {}
     for k in range(dim):
@@ -570,7 +570,7 @@ def solve_source_corrector(
         diagnostics.max_rhs_defect = max(
             diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
         )
-    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), opts)
+    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
     if diagnostics is not None:
         diagnostics.max_corrector_mean = max(
             diagnostics.max_corrector_mean, abs(float(sol.mean()))
@@ -758,7 +758,7 @@ def solve_slow_correctors(
             diagnostics.max_rhs_defect = max(
                 diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
             )
-        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), opts)
+        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
         if diagnostics is not None:
             diagnostics.max_corrector_mean = max(
                 diagnostics.max_corrector_mean, abs(float(sol.mean()))
@@ -878,7 +878,7 @@ def build_corrector_tables(
                 diag.max_rhs_defect = max(
                     diag.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
                 )
-                return solve_periodic_zero_mean(SparseSystem(mat, rhs), opts)
+                return solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
 
             q0 = solve_context(zero)
             base.append(q0)

@@ -216,8 +216,8 @@ def write_field_csv(path: Path, grid, values, header_lines=()):
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(cols))
-    for row, val in zip(coords, np.asarray(values)):
-        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
+    table = np.column_stack([coords, np.asarray(values, dtype=float)]).tolist()
+    lines.extend(",".join(map(repr, row)) for row in table)
     path.write_text("\n".join(lines) + "\n")
     return path
 

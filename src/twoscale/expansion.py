@@ -28,7 +28,7 @@ from .grids import (
     fd_hessian,
     interpolate_values,
 )
-from .macro import PicardOptions, _initial_values, picard_solve
+from .macro import PicardOptions, solve_nonlinear
 
 
 def cells_per_period(fine_grid: MacroGrid, eps: float) -> int:
@@ -259,15 +259,7 @@ def solve_fine(
         rhs = assemble_load(fine_grid, quad, scalar_fn=source_fn)
         return mat, rhs
 
-    def frozen_solve():
-        from .fem import SparseSystem, solve_dirichlet
-
-        u_mid = 0.5 * (model.u_lo + model.u_hi)
-        mat, rhs = assemble_at(np.full(fine_grid.ndof, u_mid))
-        return solve_dirichlet(SparseSystem(mat, rhs), fine_grid, 0.0, cg_opts)
-
-    start = _initial_values(opts, fine_grid, frozen_solve)
-    values, result = picard_solve(assemble_at, fine_grid, opts, cg_opts, start)
+    values, result = solve_nonlinear(model, fine_grid, assemble_at, opts, cg_opts)
     return ScalarField(fine_grid, values), result
 
 

@@ -1,11 +1,15 @@
 """Multilinear (Q1) finite elements on structured grids.
 
 Assembly of variable-coefficient stiffness matrices and load vectors with
-tensor Gauss quadrature, plus a Jacobi-preconditioned conjugate-gradient
-solver in two constraint flavours: Dirichlet elimination on the box, and
-zero-mean projection on the periodic cell (the singular periodic system is
-solved by projecting the right-hand side and every iterate onto the
-mean-zero subspace, which keeps CG on an SPD restriction).
+tensor Gauss quadrature, plus linear solvers in two constraint flavours:
+Dirichlet elimination on the box, and zero-mean projection on the periodic
+cell.  The solver depends only on the grid's dimension.  In 1-D the
+(cyclic) tridiagonal systems are factored exactly by sparse LU; the
+singular periodic one is made nonsingular by pinning one node, and the
+solution is then projected to mean zero.  In 2-D a Jacobi-preconditioned
+conjugate gradient runs, on the periodic cell with the right-hand side and
+every iterate projected onto the mean-zero subspace, which keeps CG on an
+SPD restriction.
 
 Element contributions are accumulated in a fixed element order so repeated
 runs are bitwise reproducible regardless of how callers parallelize around
@@ -18,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import MacroGrid, corner_offsets
+from .grids import CellGrid, MacroGrid, corner_offsets
 
 
 @dataclass(frozen=True)
@@ -235,10 +240,12 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Conjugate-gradient controls.
+    """Linear-solver controls.
 
-    ``max_iter`` defaults to 10x the DOF count; ``compat_tol`` is the relative
-    bound on the rhs functional applied to constants before a periodic solve.
+    ``tol`` and ``max_iter`` (default 10x the DOF count) steer the 2-D
+    conjugate gradient; the 1-D direct solves are exact and ignore them.
+    ``compat_tol`` is the relative bound on the rhs functional applied to
+    constants before a periodic solve.
     """
 
     tol: float = 1e-10
@@ -297,6 +304,11 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, project=None):
     )
 
 
+def _direct_solve(mat, rhs):
+    """Exact solve of a nonsingular sparse system by one sparse LU factorization."""
+    return spla.splu(sp.csc_matrix(mat)).solve(rhs)
+
+
 def solve_dirichlet(
     system: SparseSystem,
     grid: MacroGrid,
@@ -307,7 +319,8 @@ def solve_dirichlet(
 
     ``boundary_values`` may be a scalar (applied to every boundary node) or a
     mapping node-id -> value.  Returns the full nodal vector with boundary
-    entries set exactly to the data.
+    entries set exactly to the data.  A 1-D grid's reduced system is solved
+    directly, a 2-D one by Jacobi-PCG.
     """
     bnd = grid.boundary_dofs()
     free = grid.interior_dofs()
@@ -321,8 +334,11 @@ def solve_dirichlet(
     mat = system.matrix
     rhs = system.rhs[free] - mat[free][:, bnd] @ vals[bnd]
     reduced = mat[free][:, free].tocsr()
-    max_iter = opts.max_iter or 10 * max(len(free), 1)
-    x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter)
+    if grid.dim == 1:
+        x_free = _direct_solve(reduced, rhs)
+    else:
+        max_iter = opts.max_iter or 10 * max(len(free), 1)
+        x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter)
     out = vals
     out[free] = x_free
     return out
@@ -346,13 +362,15 @@ def rhs_constant_defect(rhs: np.ndarray, matrix_scale: float = 0.0) -> float:
 
 
 def solve_periodic_zero_mean(
-    system: SparseSystem, opts: SolverOptions = SolverOptions()
+    system: SparseSystem, grid: CellGrid, opts: SolverOptions = SolverOptions()
 ) -> np.ndarray:
     """Solve the singular periodic system on the zero-mean subspace.
 
-    The rhs must annihilate constants (solvability); it is projected, CG runs
-    with the iterate re-projected each step, and the result has zero discrete
-    mean (uniform lumped masses make that the plain average).
+    The rhs must annihilate constants (solvability) and is projected.  On a
+    1-D cell node 0 is pinned to zero and the nonsingular remainder is
+    solved directly; on a 2-D cell CG runs with the iterate re-projected
+    each step.  The result has zero discrete mean (uniform
+    lumped masses make that the plain average).
     """
     scale = abs(system.matrix).max()
     if np.linalg.norm(system.rhs) <= _zero_load_floor(system.ndof, scale):
@@ -368,8 +386,12 @@ def solve_periodic_zero_mean(
         return v - v.mean()
 
     rhs = project(system.rhs)
-    max_iter = opts.max_iter or 10 * system.ndof
-    x, _, _ = _jacobi_pcg(system.matrix, rhs, opts.tol, max_iter, project=project)
+    if grid.dim == 1:
+        x = np.zeros(system.ndof)
+        x[1:] = _direct_solve(system.matrix[1:, 1:], rhs[1:])
+    else:
+        max_iter = opts.max_iter or 10 * system.ndof
+        x, _, _ = _jacobi_pcg(system.matrix, rhs, opts.tol, max_iter, project=project)
     return project(x)
 
 

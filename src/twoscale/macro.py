@@ -1,11 +1,15 @@
-"""Damped Picard solve of the nonlinear homogenized problem.
+"""Anderson-accelerated Picard solve of the nonlinear homogenized problem.
 
 The homogenized operator evaluates the effective tensor at the previous
 iterate, so the natural linearization is the frozen-coefficient fixed point
-u_next = (1 - theta) u + theta * LinSolve(a0(u, x), F(u, x)); no tensor
-derivative is needed.  The initial guess is one extra linear solve with the
-tensor frozen at the midpoint of the admissible range, which starts the
-iteration basin-adjacent for the shipped problems.
+G(u) = (1 - theta) u + theta * LinSolve(a0(u, x), F(u, x)); no tensor
+derivative is needed.  Anderson mixing over the last few evaluations of G
+(Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735) extrapolates the
+next iterate, so theta acts as the mixing weight.  The initial guess is one
+extra linear solve with the tensor frozen at the midpoint of the admissible
+range, which starts the iteration basin-adjacent for the shipped problems;
+when neither the coefficient nor the source depends on u, that solve is
+already the solution.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .fem import (
     solve_dirichlet,
 )
 from .grids import CellGrid, MacroGrid, ScalarField, interpolate_values
+
+# Anderson depth: each step mixes the last ANDERSON_DEPTH + 1 evaluations of G
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -72,22 +79,36 @@ def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
                  cg_opts: SolverOptions, initial_values: np.ndarray):
     """Shared fixed-point driver: ``assemble_fn(u_values) -> (matrix, rhs)``.
 
-    Returns the first iterate whose sup-norm increment drops below the
-    tolerance, together with the increment history.
+    Each step evaluates the damped map G at the current iterate; its
+    sup-norm increment |G(u) - u| is the convergence measure, and the first
+    G(u) whose increment drops below the tolerance is returned together with
+    the increment history.  Otherwise the next iterate is the Anderson
+    combination of the last ``ANDERSON_DEPTH`` + 1 evaluations of G.
     """
-    u_prev = np.asarray(initial_values, dtype=float).copy()
+    u = np.asarray(initial_values, dtype=float).copy()
     result = PicardResult(iterations=0)
+    g_hist, f_hist = [], []
     for it in range(1, opts.max_iter + 1):
-        mat, rhs = assemble_fn(u_prev)
+        mat, rhs = assemble_fn(u)
         u_lin = solve_dirichlet(SparseSystem(mat, rhs), grid, 0.0, cg_opts)
-        u_new = (1.0 - opts.damping) * u_prev + opts.damping * u_lin
-        inc = float(np.max(np.abs(u_new - u_prev)))
+        g = (1.0 - opts.damping) * u + opts.damping * u_lin
+        f = g - u
+        inc = float(np.max(np.abs(f)))
         result.increments.append(inc)
         result.iterations = it
-        u_prev = u_new
         if inc <= opts.tol:
+            u = g
             result.converged = True
             break
+        g_hist = (g_hist + [g])[-(ANDERSON_DEPTH + 1):]
+        f_hist = (f_hist + [f])[-(ANDERSON_DEPTH + 1):]
+        if len(f_hist) > 1:
+            d_f = np.diff(np.stack(f_hist, axis=1), axis=1)
+            d_g = np.diff(np.stack(g_hist, axis=1), axis=1)
+            gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            u = g - d_g @ gamma
+        else:
+            u = g
     if not result.converged:
         raise NonConvergenceError(
             f"Picard iteration did not converge in {opts.max_iter} steps "
@@ -96,23 +117,34 @@ def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
             iterations=result.iterations,
             history=result.increments,
         )
-    tail = result.increments[1:]
-    if any(b > a for a, b in zip(tail, tail[1:])):
-        warnings.warn("Picard increments not monotone after the first iteration")
-    return u_prev, result
+    return u, result
 
 
-def _initial_values(opts: PicardOptions, grid: MacroGrid, frozen_solve):
+def solve_nonlinear(model, grid: MacroGrid, assemble_fn, opts: PicardOptions,
+                    cg_opts: SolverOptions):
+    """Frozen-midpoint start, then ``picard_solve`` (shared by the macro and
+    fine solves).
+
+    Without an initial guess the start is one linear solve with the state
+    frozen at the middle of the admissible range.  When neither the
+    coefficient nor the source depends on u, that solve is the fixed point
+    and is returned as converged in one iteration with increment 0.
+    """
     if opts.initial is None:
-        return frozen_solve()
-    if np.isscalar(opts.initial):
-        vals = np.full(grid.ndof, float(opts.initial))
-        vals[grid.boundary_dofs()] = 0.0
-        return vals
-    vals = np.asarray(opts.initial, dtype=float)
-    if vals.shape != (grid.ndof,):
-        raise ValueError("initial guess length does not match the macro grid")
-    return vals.copy()
+        u_mid = 0.5 * (model.u_lo + model.u_hi)
+        mat, rhs = assemble_fn(np.full(grid.ndof, u_mid))
+        start = solve_dirichlet(SparseSystem(mat, rhs), grid, 0.0, cg_opts)
+        if not (model.u_dependent or model.source.u_dependent):
+            return start, PicardResult(iterations=1, increments=[0.0], converged=True)
+    elif np.isscalar(opts.initial):
+        start = np.full(grid.ndof, float(opts.initial))
+        start[grid.boundary_dofs()] = 0.0
+    else:
+        start = np.asarray(opts.initial, dtype=float)
+        if start.shape != (grid.ndof,):
+            raise ValueError("initial guess length does not match the macro grid")
+        start = start.copy()
+    return picard_solve(assemble_fn, grid, opts, cg_opts, start)
 
 
 def solve_homogenized(
@@ -144,13 +176,7 @@ def solve_homogenized(
         rhs = assemble_load(macro_grid, quad, scalar_fn=source_fn)
         return mat, rhs
 
-    def frozen_solve():
-        u_mid = 0.5 * (model.u_lo + model.u_hi)
-        mat, rhs = assemble_at(np.full(macro_grid.ndof, u_mid))
-        return solve_dirichlet(SparseSystem(mat, rhs), macro_grid, 0.0, cg_opts)
-
-    start = _initial_values(opts, macro_grid, frozen_solve)
-    values, result = picard_solve(assemble_at, macro_grid, opts, cg_opts, start)
+    values, result = solve_nonlinear(model, macro_grid, assemble_at, opts, cg_opts)
 
     interior = values[macro_grid.interior_dofs()]
     eps_range = 1e-12 * (model.u_hi - model.u_lo)

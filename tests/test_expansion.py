@@ -195,3 +195,21 @@ def test_order_monotonicity_at_small_eps():
     # so the second-order layer is only required not to make things worse
     assert errs[1] <= errs[0]
     assert errs[2] <= 1.05 * errs[1]
+
+
+def test_u_independent_fine_solve_assembles_once(monkeypatch):
+    import twoscale.expansion as expansion
+
+    calls = []
+    original = expansion.assemble_stiffness
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "assemble_stiffness", counting)
+    model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
+    u_eps, result = solve_fine(model, 0.125, fine_grid_for(0.125, 16, 1))
+    assert len(calls) == 1
+    assert result.converged and result.iterations == 1
+    assert result.increments == [0.0]

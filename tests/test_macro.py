@@ -177,3 +177,36 @@ def test_range_warning_when_solution_leaves_admissible_interval():
     grid = MacroGrid(1, 16)
     with pytest.warns(UserWarning, match="admissible range"):
         solve_homogenized(table, model, grid)
+
+
+def test_anderson_beats_plain_picard_on_strong_rosseland(monkeypatch):
+    import twoscale.macro as macro
+    from twoscale.cli import build_setup, tables_and_macro_solution
+    from twoscale.config import load_config
+    from twoscale.fem import gauss_rule
+
+    cfg = load_config(base={
+        "problem": {
+            "dim": 1,
+            "coefficient": {"family": "ROSSELAND", "k_base": 2.0,
+                            "k_amplitude": 1.0, "b": 1.0},
+            "source": {"family": "CONSTANT", "value": 20.0},
+            "u_range": [0.0, 2.0],
+        },
+        "discretization": {"m_x": 64, "m_c": 128, "cells_per_period": 16,
+                           "table_u_samples": 9},
+        "nonlinear": {"damping": 0.5},
+        "study": {"eps": ["1/8", "1/16", "1/32"]},
+    })
+    setup = build_setup(cfg)
+    tol = setup.picard_opts.tol
+    _, tensors, u_anderson, res_anderson = tables_and_macro_solution(setup)
+
+    monkeypatch.setattr(macro, "ANDERSON_DEPTH", 0)
+    u_plain, res_plain = solve_homogenized(
+        tensors, setup.model, setup.macro_grid, setup.picard_opts,
+        gauss_rule(setup.solve_quad_points, 1), setup.cg_opts,
+    )
+    assert res_anderson.converged and res_plain.converged
+    assert res_anderson.iterations < res_plain.iterations
+    assert np.max(np.abs(u_anderson.values - u_plain.values)) <= 10.0 * tol
