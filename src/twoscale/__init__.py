@@ -22,6 +22,7 @@ from .analysis import (
 )
 from .cell_problems import (
     BuildDiagnostics,
+    CellSample,
     CorrectorSample,
     CorrectorTable,
     EffectiveTensorTable,
@@ -29,7 +30,6 @@ from .cell_problems import (
     TranslationReport,
     build_corrector_tables,
     check_translation_invariance,
-    default_cell_quadrature,
     default_parameter_grid,
     effective_tensor,
     solve_first_correctors,
@@ -74,7 +74,6 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     gauss_rule,
-    periodic_kernel_defect,
     solve_dirichlet,
     solve_periodic_zero_mean,
 )

@@ -18,6 +18,11 @@ correctors are affine in the macro gradient; the table stores the constant
 piece and one field per gradient component so any macro gradient can be
 recombined exactly at evaluation time.
 
+Every family at one sample reads the same :class:`CellSample`: the
+coefficient, its u-derivative and the source are evaluated at the
+quadrature points once, and the periodic operator is assembled once.  The
+table build makes one such object per sample in each of its two passes.
+
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
 effective coefficient becomes a harmonic mean over point samples, i.e. a
@@ -32,6 +37,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,19 +49,15 @@ from .fem import (
     SparseSystem,
     assemble_load_from_samples,
     assemble_stiffness,
+    default_quadrature,
     element_quad_points,
     field_gradients_at_quad,
     field_values_at_quad,
+    integrate,
     rhs_constant_defect,
     solve_periodic_zero_mean,
 )
 from .grids import CellGrid, _cell_weights_and_corners
-
-
-def default_cell_quadrature(dim: int, n_points: int | None = None) -> QuadratureRule:
-    from .fem import default_quadrature
-
-    return default_quadrature(dim, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,17 @@ def _param_corner_iter(pgrid: ParameterGrid, u: np.ndarray, x: np.ndarray):
         yield flat, weight
 
 
+def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x) -> np.ndarray:
+    """Multilinear blend of per-sample data ``stack`` (n_samples, ...) at the
+    queries (u, x) over the parameter lattice, shape (K, ...)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros((len(u),) + stack.shape[1:])
+    for flat, weight in _param_corner_iter(pgrid, u, x):
+        out += weight.reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[flat]
+    return out
+
+
 @dataclass
 class BuildDiagnostics:
     """Aggregated solve health across a table build."""
@@ -283,12 +296,9 @@ class CorrectorTable:
         if key not in self._derived:
             stack = self.fields[name]
             out = np.zeros_like(stack)
-            samples_axis = self.param_grid.axes[axis]
             for flat, multi in enumerate(self.param_grid.indices()):
-                for j, wgt in _fd_stencil(samples_axis, multi[axis]):
-                    idx = list(multi)
-                    idx[axis] = j
-                    out[flat] += wgt * stack[self.param_grid.ravel(tuple(idx))]
+                for j, wgt in _stencil_samples(self.param_grid, multi, axis):
+                    out[flat] += wgt * stack[j]
             self._derived[key] = out
         return self._derived[key]
 
@@ -296,31 +306,14 @@ class CorrectorTable:
         self, stack: np.ndarray, u: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
         """Interpolate one (n_samples, ndof) stack at many (u, x, y) triples."""
-        ids, wts = _cell_weights_and_corners(self.cell_grid, y)
-        out = np.zeros(len(ids))
-        for flat, weight in _param_corner_iter(self.param_grid, u, x):
-            acc = np.zeros(len(ids))
-            for c in range(ids.shape[1]):
-                acc += wts[:, c] * stack[flat, ids[:, c]]
-            out += weight * acc
-        return out
-
-    def nodal(self, name: str, multi) -> np.ndarray:
-        return self.fields[name][self.param_grid.ravel(multi)]
+        return self._interp_stacks([stack], u, x, y)[0]
 
     def lookup(self, u: float, x) -> CorrectorSample:
         """Multilinear blend of the stored nodal fields at one (u, x)."""
-        x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-        blended = {name: np.zeros(self.cell_grid.ndof) for name in self.fields}
-        for flat, weight in _param_corner_iter(
-            self.param_grid, np.array([u]), x_arr
-        ):
-            w = float(weight[0])
-            s = int(flat[0])
-            if w == 0.0:
-                continue
-            for name, stack in self.fields.items():
-                blended[name] += w * stack[s]
+        blended = {
+            name: _blend(self.param_grid, stack, [u], x)[0]
+            for name, stack in self.fields.items()
+        }
         return CorrectorSample(grid=self.cell_grid, fields=blended)
 
     def interp_at(self, names, u: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
@@ -330,15 +323,18 @@ class CorrectorTable:
         within the cell; the cost per field is a handful of vectorized
         gathers.  Returns name -> (K,).
         """
+        stacks = [self.fields[name] for name in names]
+        return dict(zip(names, self._interp_stacks(stacks, u, x, y)))
+
+    def _interp_stacks(self, stacks, u, x, y) -> list:
         ids, wts = _cell_weights_and_corners(self.cell_grid, y)
-        out = {name: np.zeros(len(ids)) for name in names}
+        out = [np.zeros(len(ids)) for _ in stacks]
         for flat, weight in _param_corner_iter(self.param_grid, u, x):
-            for name in names:
-                stack = self.fields[name]
+            for total, stack in zip(out, stacks):
                 acc = np.zeros(len(ids))
                 for c in range(ids.shape[1]):
                     acc += wts[:, c] * stack[flat, ids[:, c]]
-                out[name] += weight * acc
+                total += weight * acc
         return out
 
 
@@ -358,20 +354,10 @@ class EffectiveTensorTable:
         return self.values[self.param_grid.ravel(multi)]
 
     def interp(self, u, x) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((len(u), self.dim, self.dim))
-        for flat, weight in _param_corner_iter(self.param_grid, u, x):
-            out += weight[:, None, None] * self.values[flat]
-        return out
+        return _blend(self.param_grid, self.values, u, x)
 
     def interp_source(self, u, x) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(len(u))
-        for flat, weight in _param_corner_iter(self.param_grid, u, x):
-            out += weight * self.source_means[flat]
-        return out
+        return _blend(self.param_grid, self.source_means, u, x)
 
     def ellipticity(self) -> tuple:
         from .coefficients import _sym2_eigs
@@ -385,54 +371,239 @@ class EffectiveTensorTable:
 # ---------------------------------------------------------------------------
 
 
-def _cell_operator(model, u, x, grid, quad):
-    return assemble_stiffness(grid, lambda pts: model.eval_a(u, x, pts), quad)
+class CellSample:
+    """The cell data at one parameter sample (u, x), each piece computed once.
 
+    The quadrature-point samples of ``a``, ``da/du`` and ``f``, the periodic
+    operator (assembled through :func:`assemble_stiffness`) and its scale for
+    the compatibility check are computed on first use and then shared by
+    every corrector family at this sample.  ``shift`` translates the cell
+    data periodically (translation-invariance checks).  A table build keeps
+    one sample alive at a time, so no operator outlives its sample.
+    """
 
-def _coeff_at_quad(model, u, x, grid, quad):
-    pts = element_quad_points(grid, quad)
-    flat = pts.reshape(-1, grid.dim)
-    a = model.eval_a(u, x, flat)
-    return pts, a.reshape(pts.shape[0], pts.shape[1], grid.dim, grid.dim)
+    def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None):
+        self.model, self.u, self.x, self.grid = model, u, x, grid
+        self.quad = quad or default_quadrature(grid.dim)
+        pts = element_quad_points(grid, self.quad)
+        self.quad_shape = pts.shape[:2]  # (E, Q)
+        pts = pts.reshape(-1, grid.dim)
+        if shift is not None:
+            pts = pts + shift
+            pts = np.where(pts >= 1.0, pts - 1.0, pts)
+        self.points = pts
+
+    def mean(self, samples) -> float:
+        """Cell average of quad-point samples (E, Q)."""
+        return integrate(self.grid, self.quad, samples)
+
+    @cached_property
+    def a_q(self) -> np.ndarray:
+        """Coefficient at the quadrature points, (E, Q, dim, dim)."""
+        a = self.model.eval_a(self.u, self.x, self.points)
+        return a.reshape(self.quad_shape + a.shape[1:])
+
+    @cached_property
+    def da_q(self) -> np.ndarray:
+        """u-derivative of the coefficient at the quadrature points."""
+        da = self.model.eval_da_du(self.u, self.x, self.points)
+        return da.reshape(self.quad_shape + da.shape[1:])
+
+    @cached_property
+    def f_q(self) -> np.ndarray:
+        """Source at the quadrature points, (E, Q)."""
+        f = self.model.eval_f(self.u, self.x, self.points)
+        return np.asarray(f, dtype=float).reshape(self.quad_shape)
+
+    @cached_property
+    def source_mean(self) -> float:
+        return self.mean(self.f_q)
+
+    @cached_property
+    def matrix(self):
+        return assemble_stiffness(self.grid, self.a_q, self.quad)
+
+    @cached_property
+    def scale(self) -> float:
+        return abs(self.matrix).max()
+
+    def solve(self, rhs, opts, diagnostics=None) -> np.ndarray:
+        """Zero-mean periodic solve against this sample's operator."""
+        if diagnostics is not None:
+            diagnostics.max_rhs_defect = max(
+                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, self.scale)
+            )
+        sol = solve_periodic_zero_mean(SparseSystem(self.matrix, rhs), self.grid, opts)
+        if diagnostics is not None:
+            diagnostics.max_corrector_mean = max(
+                diagnostics.max_corrector_mean, abs(float(sol.mean()))
+            )
+        return sol
+
+    def first_correctors(self, opts=SolverOptions(), diagnostics=None) -> list:
+        """First-order correctors, one zero-mean periodic field per direction.
+
+        Direction m solves the periodic problem whose flux load is minus the
+        m-th coefficient column, so that the corrected gradient
+        e_m + grad(N_m) carries a divergence-free flux.
+        """
+        return [
+            self.solve(
+                assemble_load_from_samples(
+                    self.grid, self.quad, flux_samples=-self.a_q[:, :, m, :]
+                ),
+                opts, diagnostics,
+            )
+            for m in range(self.grid.dim)
+        ]
+
+    def effective_tensor(self, first_fields, diagnostics=None) -> np.ndarray:
+        """Cell average of the corrected flux: a0[:, j] = int A (e_j + grad N_j).
+
+        The result is symmetrized (the deviation is a solve-quality
+        diagnostic) and checked against the arithmetic/harmonic-mean bounds
+        in a few probe directions; a violation means a broken corrector
+        solve, not a rounding issue, so it raises.
+        """
+        grid, quad, a_q, model = self.grid, self.quad, self.a_q, self.model
+        dim = grid.dim
+        a0 = np.zeros((dim, dim))
+        for j in range(dim):
+            corrected = field_gradients_at_quad(grid, first_fields[j], quad)  # (E,Q,n)
+            corrected[:, :, j] += 1.0
+            flux = np.einsum("eqij,eqj->eqi", a_q, corrected)
+            a0[:, j] = np.einsum("eqi,q->i", flux, quad.weights) * grid.spacing**dim
+
+        asym = float(np.max(np.abs(a0 - a0.T)))
+        a0 = 0.5 * (a0 + a0.T)
+        if diagnostics is not None:
+            diagnostics.max_tensor_asymmetry = max(diagnostics.max_tensor_asymmetry, asym)
+
+        tol = 1e-10 * max(1.0, float(np.abs(a_q).max()))
+        for xi in _voigt_reuss_directions(dim):
+            quad_form = np.einsum("i,eqij,j->eq", xi, a_q, xi)
+            voigt = self.mean(quad_form)
+            reuss = 1.0 / self.mean(1.0 / quad_form)
+            val = float(xi @ a0 @ xi)
+            if diagnostics is not None:
+                diagnostics.min_voigt_slack = min(diagnostics.min_voigt_slack, voigt - val)
+                diagnostics.min_reuss_slack = min(diagnostics.min_reuss_slack, val - reuss)
+            if val > voigt + tol or val < reuss - tol:
+                raise PropertyViolationError(
+                    f"effective tensor escapes mean bounds in direction {xi}: "
+                    f"{reuss:.12g} <= {val:.12g} <= {voigt:.12g} fails"
+                )
+
+        from .coefficients import _sym2_eigs
+
+        eigs = _sym2_eigs(a0[None])
+        lo, hi = model.ellipticity_lower, model.ellipticity_upper
+        slack = 1e-6 * (hi - lo + 1.0)
+        if eigs.min() < lo - slack or eigs.max() > hi + slack:
+            raise PropertyViolationError(
+                f"effective tensor eigenvalues {eigs.ravel()} escape [{lo}, {hi}]"
+            )
+        return a0
+
+    def hessian_correctors(self, first_fields, opts=SolverOptions(), diagnostics=None) -> dict:
+        """Second-order correctors contracted against the macro Hessian.
+
+        The raw problem is not symmetric in its two indices, but the pair
+        only ever multiplies the symmetric Hessian, so the (k,l)/(l,k)
+        solutions are averaged and stored once per unordered pair.
+        """
+        grid, quad, a_q = self.grid, self.quad, self.a_q
+        dim = grid.dim
+        n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
+        gradn_at_q = [field_gradients_at_quad(grid, f, quad) for f in first_fields]
+
+        raw = {}
+        for k in range(dim):
+            for l in range(dim):
+                scal = a_q[:, :, k, l] + np.einsum(
+                    "eqm,eqm->eq", a_q[:, :, k, :], gradn_at_q[l]
+                )
+                scal = scal - self.mean(scal)
+                flux = -n_at_q[l][:, :, None] * a_q[:, :, k, :]
+                rhs = assemble_load_from_samples(
+                    grid, quad, scalar_samples=scal, flux_samples=flux
+                )
+                raw[(k, l)] = self.solve(rhs, opts, diagnostics)
+
+        out = {}
+        for k in range(dim):
+            for l in range(k, dim):
+                sym = 0.5 * (raw[(k, l)] + raw[(l, k)])
+                sym -= sym.mean()
+                if diagnostics is not None:
+                    diagnostics.max_corrector_mean = max(
+                        diagnostics.max_corrector_mean, abs(float(sym.mean()))
+                    )
+                out[(k, l)] = sym
+        return out
+
+    def source_corrector(self, opts=SolverOptions(), diagnostics=None):
+        """Zero-mean periodic field driven by the mean-free part of the source.
+
+        Returns (field, source_mean); the mean is reused as the homogenized
+        right-hand side at this parameter sample.
+        """
+        fbar = self.source_mean
+        rhs = assemble_load_from_samples(self.grid, self.quad, scalar_samples=self.f_q - fbar)
+        return self.solve(rhs, opts, diagnostics), fbar
+
+    def h_loads(self, first_fields) -> np.ndarray:
+        """Loads from the mean-free corrected flux h_ik = a_ik + (A grad N_k)_i.
+
+        Returns a (dim_i, dim_k, ndof) array, one scalar-source load per
+        pair.  Subtracting the quadrature mean keeps each load orthogonal to
+        constants to rounding.
+        """
+        grid, quad, a_q = self.grid, self.quad, self.a_q
+        out = np.zeros((grid.dim, grid.dim, grid.ndof))
+        for k in range(grid.dim):
+            gradn = field_gradients_at_quad(grid, first_fields[k], quad)
+            for i in range(grid.dim):
+                h_iq = a_q[:, :, i, k] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], gradn)
+                out[i, k] = assemble_load_from_samples(
+                    grid, quad, scalar_samples=h_iq - self.mean(h_iq)
+                )
+        return out
 
 
 def solve_first_correctors(
     model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(), _shift=None,
     diagnostics: BuildDiagnostics | None = None,
 ):
-    """First-order correctors, one zero-mean periodic field per direction.
+    """First-order correctors at (u, x); see :meth:`CellSample.first_correctors`."""
+    return CellSample(model, u, x, grid, quad, _shift).first_correctors(opts, diagnostics)
 
-    Direction m solves the periodic problem whose flux load is minus the
-    m-th coefficient column, so that the corrected gradient e_m + grad(N_m)
-    carries a divergence-free flux.
-    """
-    quad = quad or default_cell_quadrature(grid.dim)
 
-    def wrap(pts):
-        if _shift is None:
-            return pts
-        t = pts + _shift
-        return np.where(t >= 1.0, t - 1.0, t)
+def effective_tensor(
+    model, u, x, first_fields, grid: CellGrid, quad=None,
+    diagnostics: BuildDiagnostics | None = None,
+) -> np.ndarray:
+    """Effective tensor at (u, x); see :meth:`CellSample.effective_tensor`."""
+    return CellSample(model, u, x, grid, quad).effective_tensor(first_fields, diagnostics)
 
-    mat = assemble_stiffness(grid, lambda pts: model.eval_a(u, x, wrap(pts)), quad)
-    pts = element_quad_points(grid, quad)
-    flat = wrap(pts.reshape(-1, grid.dim))
-    a_q = model.eval_a(u, x, flat).reshape(pts.shape[0], pts.shape[1], grid.dim, grid.dim)
 
-    out = []
-    for m in range(grid.dim):
-        rhs = assemble_load_from_samples(grid, quad, flux_samples=-a_q[:, :, m, :])
-        if diagnostics is not None:
-            diagnostics.max_rhs_defect = max(
-                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
-            )
-        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
-        if diagnostics is not None:
-            diagnostics.max_corrector_mean = max(
-                diagnostics.max_corrector_mean, abs(float(sol.mean()))
-            )
-        out.append(sol)
-    return out
+def solve_hessian_correctors(
+    model, u, x, first_fields, grid: CellGrid, quad=None, opts=SolverOptions(),
+    diagnostics: BuildDiagnostics | None = None,
+) -> dict:
+    """Hessian correctors at (u, x); see :meth:`CellSample.hessian_correctors`."""
+    return CellSample(model, u, x, grid, quad).hessian_correctors(
+        first_fields, opts, diagnostics
+    )
+
+
+def solve_source_corrector(
+    model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(),
+    diagnostics: BuildDiagnostics | None = None,
+):
+    """Source corrector and source mean at (u, x); see
+    :meth:`CellSample.source_corrector`."""
+    return CellSample(model, u, x, grid, quad).source_corrector(opts, diagnostics)
 
 
 def _voigt_reuss_directions(dim):
@@ -441,141 +612,6 @@ def _voigt_reuss_directions(dim):
         dirs.append(np.array([1.0, 1.0]) / np.sqrt(2.0))
         dirs.append(np.array([1.0, -1.0]) / np.sqrt(2.0))
     return dirs
-
-
-def effective_tensor(
-    model, u, x, first_fields, grid: CellGrid, quad=None,
-    diagnostics: BuildDiagnostics | None = None,
-) -> np.ndarray:
-    """Cell average of the corrected flux: a0[:, j] = int A (e_j + grad N_j).
-
-    The result is symmetrized (the deviation is a solve-quality diagnostic)
-    and checked against the arithmetic/harmonic-mean bounds in a few probe
-    directions; a violation means a broken corrector solve, not a rounding
-    issue, so it raises.
-    """
-    quad = quad or default_cell_quadrature(grid.dim)
-    pts, a_q = _coeff_at_quad(model, u, x, grid, quad)
-    w = quad.weights
-    measure = grid.spacing**grid.dim
-    dim = grid.dim
-
-    a0 = np.zeros((dim, dim))
-    for j in range(dim):
-        grad_n = field_gradients_at_quad(grid, first_fields[j], quad)  # (E,Q,n)
-        corrected = grad_n.copy()
-        corrected[:, :, j] += 1.0
-        flux = np.einsum("eqij,eqj->eqi", a_q, corrected)
-        a0[:, j] = np.einsum("eqi,q->i", flux, w) * measure
-
-    asym = float(np.max(np.abs(a0 - a0.T)))
-    a0 = 0.5 * (a0 + a0.T)
-    if diagnostics is not None:
-        diagnostics.max_tensor_asymmetry = max(diagnostics.max_tensor_asymmetry, asym)
-
-    tol = 1e-10 * max(1.0, float(np.abs(a_q).max()))
-    for xi in _voigt_reuss_directions(dim):
-        quad_form = np.einsum("i,eqij,j->eq", xi, a_q, xi)
-        voigt = float(np.einsum("eq,q->", quad_form, w) * measure)
-        reuss = 1.0 / float(np.einsum("eq,q->", 1.0 / quad_form, w) * measure)
-        val = float(xi @ a0 @ xi)
-        if diagnostics is not None:
-            diagnostics.min_voigt_slack = min(diagnostics.min_voigt_slack, voigt - val)
-            diagnostics.min_reuss_slack = min(diagnostics.min_reuss_slack, val - reuss)
-        if val > voigt + tol or val < reuss - tol:
-            raise PropertyViolationError(
-                f"effective tensor escapes mean bounds in direction {xi}: "
-                f"{reuss:.12g} <= {val:.12g} <= {voigt:.12g} fails"
-            )
-
-    from .coefficients import _sym2_eigs
-
-    eigs = _sym2_eigs(a0[None])
-    slack = 1e-6 * (model.ellipticity_upper - model.ellipticity_lower + 1.0)
-    if eigs.min() < model.ellipticity_lower - slack or eigs.max() > model.ellipticity_upper + slack:
-        raise PropertyViolationError(
-            f"effective tensor eigenvalues {eigs.ravel()} escape "
-            f"[{model.ellipticity_lower}, {model.ellipticity_upper}]"
-        )
-    return a0
-
-
-def solve_hessian_correctors(
-    model, u, x, first_fields, grid: CellGrid, quad=None, opts=SolverOptions(),
-    diagnostics: BuildDiagnostics | None = None,
-) -> dict:
-    """Second-order correctors contracted against the macro Hessian.
-
-    The raw problem is not symmetric in its two indices, but the pair only
-    ever multiplies the symmetric Hessian, so the (k,l)/(l,k) solutions are
-    averaged and stored once per unordered pair.
-    """
-    quad = quad or default_cell_quadrature(grid.dim)
-    pts, a_q = _coeff_at_quad(model, u, x, grid, quad)
-    w = quad.weights
-    measure = grid.spacing**grid.dim
-    dim = grid.dim
-    mat = _cell_operator(model, u, x, grid, quad)
-
-    n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
-    gradn_at_q = [field_gradients_at_quad(grid, f, quad) for f in first_fields]
-
-    raw = {}
-    for k in range(dim):
-        for l in range(dim):
-            scal = a_q[:, :, k, l] + np.einsum(
-                "eqm,eqm->eq", a_q[:, :, k, :], gradn_at_q[l]
-            )
-            scal = scal - np.einsum("eq,q->", scal, w) * measure
-            flux = -n_at_q[l][:, :, None] * a_q[:, :, k, :]
-            rhs = assemble_load_from_samples(grid, quad, scalar_samples=scal, flux_samples=flux)
-            if diagnostics is not None:
-                diagnostics.max_rhs_defect = max(
-                    diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
-                )
-            raw[(k, l)] = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
-
-    out = {}
-    for k in range(dim):
-        for l in range(k, dim):
-            sym = 0.5 * (raw[(k, l)] + raw[(l, k)])
-            sym -= sym.mean()
-            if diagnostics is not None:
-                diagnostics.max_corrector_mean = max(
-                    diagnostics.max_corrector_mean, abs(float(sym.mean()))
-                )
-            out[(k, l)] = sym
-    return out
-
-
-def solve_source_corrector(
-    model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(),
-    diagnostics: BuildDiagnostics | None = None,
-):
-    """Zero-mean periodic field driven by the mean-free part of the source.
-
-    Returns (field, source_mean); the mean is reused as the homogenized
-    right-hand side at this parameter sample.
-    """
-    quad = quad or default_cell_quadrature(grid.dim)
-    pts = element_quad_points(grid, quad)
-    f_q = np.asarray(
-        model.eval_f(u, x, pts.reshape(-1, grid.dim)), dtype=float
-    ).reshape(pts.shape[0], pts.shape[1])
-    measure = grid.spacing**grid.dim
-    fbar = float(np.einsum("eq,q->", f_q, quad.weights) * measure)
-    mat = _cell_operator(model, u, x, grid, quad)
-    rhs = assemble_load_from_samples(grid, quad, scalar_samples=f_q - fbar)
-    if diagnostics is not None:
-        diagnostics.max_rhs_defect = max(
-            diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
-        )
-    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
-    if diagnostics is not None:
-        diagnostics.max_corrector_mean = max(
-            diagnostics.max_corrector_mean, abs(float(sol.mean()))
-        )
-    return sol, fbar
 
 
 def _fd_stencil(samples: np.ndarray, i: int):
@@ -593,97 +629,14 @@ def _fd_stencil(samples: np.ndarray, i: int):
     return [(i - 1, -0.5 / h), (i + 1, 0.5 / h)]
 
 
-def _h_load(model, u, x, first_k, k, grid, quad):
-    """Loads from the mean-free corrected flux h_ik = a_ik + (A grad N_k)_i.
-
-    Returns an (dim, ndof) array, one scalar-source load per direction i.
-    Subtracting the quadrature mean keeps each load orthogonal to constants
-    to rounding.
-    """
-    pts, a_q = _coeff_at_quad(model, u, x, grid, quad)
-    gradn = field_gradients_at_quad(grid, first_k, quad)
-    measure = grid.spacing**grid.dim
-    out = np.zeros((grid.dim, grid.ndof))
-    for i in range(grid.dim):
-        h_iq = a_q[:, :, i, k] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], gradn)
-        h_iq = h_iq - np.einsum("eq,q->", h_iq, quad.weights) * measure
-        out[i] = assemble_load_from_samples(grid, quad, scalar_samples=h_iq)
+def _stencil_samples(pgrid: ParameterGrid, multi, axis: int):
+    """[(flat index, weight)] of the d/d(parameter axis) stencil at ``multi``."""
+    out = []
+    for j, wgt in _fd_stencil(pgrid.axes[axis], multi[axis]):
+        idx = list(multi)
+        idx[axis] = j
+        out.append((pgrid.ravel(tuple(idx)), wgt))
     return out
-
-
-def _slow_rhs_pieces(model, pgrid, multi, first_stack, h_load_stack, grid, quad):
-    """Per-sample ingredients for the slow-corrector right-hand sides.
-
-    ``first_stack``: (n_samples, dim, ndof) first correctors at every sample;
-    ``h_load_stack``: (n_samples, dim, dim, ndof) mean-free flux loads.
-    Returns (mat, base_loads, grad_loads, flux_builder) where the rhs for a
-    macro gradient g is base + sum_m g_m * grad_piece_m per direction k.
-    """
-    u, x = pgrid.coords(multi)
-    dim = grid.dim
-    quad = quad or default_cell_quadrature(dim)
-    flat_center = pgrid.ravel(multi)
-    mat = _cell_operator(model, u, x, grid, quad)
-    pts, a_q = _coeff_at_quad(model, u, x, grid, quad)
-    flat_pts = pts.reshape(-1, dim)
-    da_q = model.eval_da_du(u, x, flat_pts).reshape(
-        pts.shape[0], pts.shape[1], dim, dim
-    )
-
-    u_sten = _fd_stencil(pgrid.u_samples, multi[0])
-    x_stens = [
-        _fd_stencil(pgrid.x_axes[d], multi[1 + d]) for d in range(dim)
-    ]
-
-    def stacked_fd(stack, axis, stencil):
-        out = np.zeros(stack.shape[1:])
-        for j, wgt in stencil:
-            idx = list(multi)
-            idx[axis] = j
-            out += wgt * stack[pgrid.ravel(tuple(idx))]
-        return out
-
-    dn_du = stacked_fd(first_stack, 0, u_sten)  # (dim, ndof)
-    dn_dx = [stacked_fd(first_stack, 1 + d, x_stens[d]) for d in range(dim)]
-    dload_dx = [stacked_fd(h_load_stack, 1 + d, x_stens[d]) for d in range(dim)]
-    dload_du = stacked_fd(h_load_stack, 0, u_sten)  # (dim, dim, ndof)
-
-    n_at_q = [
-        field_values_at_quad(grid, first_stack[flat_center, m], quad) for m in range(dim)
-    ]
-    gradn_at_q = [
-        field_gradients_at_quad(grid, first_stack[flat_center, m], quad)
-        for m in range(dim)
-    ]
-    dn_du_at_q = [field_values_at_quad(grid, dn_du[m], quad) for m in range(dim)]
-    dn_dx_at_q = [
-        [field_values_at_quad(grid, dn_dx[d][m], quad) for m in range(dim)]
-        for d in range(dim)
-    ]
-
-    def rhs_for(k, grad_u0):
-        grad = np.asarray(grad_u0, dtype=float)
-        # total macro derivative of the corrector: explicit part + chain rule
-        v = np.stack(
-            [
-                dn_dx_at_q[l][k] + grad[l] * dn_du_at_q[k]
-                for l in range(dim)
-            ],
-            axis=-1,
-        )  # (E,Q,dim)
-        u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
-        a1_q = u1_q[:, :, None, None] * da_q
-        flux = -(
-            np.einsum("eqil,eql->eqi", a_q, v)
-            + a1_q[:, :, :, k]
-            + np.einsum("eqil,eql->eqi", a1_q, gradn_at_q[k])
-        )
-        rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
-        for i in range(dim):
-            rhs += dload_dx[i][i, k] + grad[i] * dload_du[i, k]
-        return rhs
-
-    return mat, rhs_for
 
 
 def _negligible_load(rhs: np.ndarray, grid: CellGrid, model) -> bool:
@@ -699,6 +652,74 @@ def _negligible_load(rhs: np.ndarray, grid: CellGrid, model) -> bool:
     return float(np.linalg.norm(rhs)) <= 1e-6 * reference
 
 
+def _slow_pass(sample: CellSample, pgrid, multi, first_stack, h_load_stack, opts):
+    """Slow-variation correctors at one sample, as affine pieces.
+
+    ``first_stack``: (n_samples, dim, ndof) first correctors and
+    ``h_load_stack``: (n_samples, dim, dim, ndof) mean-free flux loads;
+    finite differences of both along the parameter axes supply the macro
+    derivatives of the cell data (only the stencil samples are read).  The
+    corrector for direction k and macro gradient g is
+    ``slow0_k + sum_m g_m slowg_km``; returns those fields by name and the
+    solve diagnostics.
+    """
+    grid, quad, a_q, model = sample.grid, sample.quad, sample.a_q, sample.model
+    dim = grid.dim
+    first = first_stack[pgrid.ravel(multi)]
+
+    def stacked_fd(stack, axis):
+        out = np.zeros(stack.shape[1:])
+        for flat, wgt in _stencil_samples(pgrid, multi, axis):
+            out += wgt * stack[flat]
+        return out
+
+    dn_du = stacked_fd(first_stack, 0)  # (dim, ndof)
+    dn_dx = [stacked_fd(first_stack, 1 + d) for d in range(dim)]
+    dload_dx = [stacked_fd(h_load_stack, 1 + d) for d in range(dim)]
+    dload_du = stacked_fd(h_load_stack, 0)  # (dim, dim, ndof)
+
+    n_at_q = [field_values_at_quad(grid, first[m], quad) for m in range(dim)]
+    gradn_at_q = [field_gradients_at_quad(grid, first[m], quad) for m in range(dim)]
+    dn_du_at_q = [field_values_at_quad(grid, dn_du[m], quad) for m in range(dim)]
+    dn_dx_at_q = [
+        [field_values_at_quad(grid, dn_dx[d][m], quad) for m in range(dim)]
+        for d in range(dim)
+    ]
+
+    def rhs_for(k, grad):
+        # total macro derivative of the corrector: explicit part + chain rule
+        v = np.stack(
+            [dn_dx_at_q[l][k] + grad[l] * dn_du_at_q[k] for l in range(dim)], axis=-1
+        )  # (E,Q,dim)
+        u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
+        a1_q = u1_q[:, :, None, None] * sample.da_q
+        flux = -(
+            np.einsum("eqil,eql->eqi", a_q, v)
+            + a1_q[:, :, :, k]
+            + np.einsum("eqil,eql->eqi", a1_q, gradn_at_q[k])
+        )
+        rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
+        for i in range(dim):
+            rhs += dload_dx[i][i, k] + grad[i] * dload_du[i, k]
+        return rhs
+
+    diag = BuildDiagnostics()
+
+    def solve_context(k, grad):
+        rhs = rhs_for(k, grad)
+        if _negligible_load(rhs, grid, model):
+            return np.zeros(grid.ndof)
+        return sample.solve(rhs, opts, diag)
+
+    fields = {}
+    for k in range(dim):
+        q0 = solve_context(k, np.zeros(dim))
+        fields[f"slow0_{k}"] = q0
+        for m in range(dim):
+            fields[f"slowg_{k}{m}"] = solve_context(k, np.eye(dim)[m]) - q0
+    return fields, diag
+
+
 def solve_slow_correctors(
     model,
     u,
@@ -712,59 +733,28 @@ def solve_slow_correctors(
 ):
     """Slow-variation correctors at one parameter sample and macro gradient.
 
-    Requires the first correctors at neighboring samples (finite differences
-    along the parameter axes supply the macro derivatives of the cell data).
+    Runs the table build's slow pass at this sample, so it needs the first
+    correctors at the neighboring samples (read from ``table``), and
+    recombines the affine pieces for ``grad_u0``.
     """
-    quad = quad or default_cell_quadrature(grid.dim)
+    quad = quad or default_quadrature(grid.dim)
     pgrid = table.param_grid
+    _check_lattice(model, pgrid, grid)
     multi = pgrid.index_of(u, x)
     dim = grid.dim
-    if (model.u_dependent or model.source.u_dependent) and len(pgrid.u_samples) < 3:
-        raise ConfigurationError("u-dependent model needs >= 3 u samples for FD")
-    if model.x_dependent and any(len(ax) < 3 for ax in pgrid.x_axes):
-        raise ConfigurationError("x-dependent model needs >= 3 x samples per axis")
 
-    n_samples = pgrid.size
-    first_stack = np.stack(
-        [table.fields[f"first_{m}"] for m in range(dim)], axis=1
-    )  # (S, dim, ndof)
+    first_stack = np.stack([table.fields[f"first_{m}"] for m in range(dim)], axis=1)
+    h_load_stack = np.zeros((pgrid.size, dim, dim, grid.ndof))
+    for flat in {f for axis in range(1 + dim) for f, _ in _stencil_samples(pgrid, multi, axis)}:
+        u_n, x_n = pgrid.coords(np.unravel_index(flat, pgrid.shape))
+        h_load_stack[flat] = CellSample(model, u_n, x_n, grid, quad).h_loads(first_stack[flat])
 
-    h_load_stack = np.zeros((n_samples, dim, dim, grid.ndof))
-    needed = {pgrid.ravel(multi)}
-    for axis in range(1 + dim):
-        samples_axis = pgrid.axes[axis]
-        for j, _ in _fd_stencil(samples_axis, multi[axis]):
-            idx = list(multi)
-            idx[axis] = j
-            needed.add(pgrid.ravel(tuple(idx)))
-    for flat in needed:
-        m_idx = np.unravel_index(flat, pgrid.shape)
-        uu, xx = pgrid.coords(m_idx)
-        for k in range(dim):
-            h_load_stack[flat, :, k, :] = _h_load(
-                model, uu, xx, first_stack[flat, k], k, grid, quad
-            )
-
-    mat, rhs_for = _slow_rhs_pieces(
-        model, pgrid, multi, first_stack, h_load_stack, grid, quad
-    )
-    out = []
-    for k in range(dim):
-        rhs = rhs_for(k, grad_u0)
-        if _negligible_load(rhs, grid, model):
-            out.append(np.zeros(grid.ndof))
-            continue
-        if diagnostics is not None:
-            diagnostics.max_rhs_defect = max(
-                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
-            )
-        sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
-        if diagnostics is not None:
-            diagnostics.max_corrector_mean = max(
-                diagnostics.max_corrector_mean, abs(float(sol.mean()))
-            )
-        out.append(sol)
-    return out
+    sample = CellSample(model, *pgrid.coords(multi), grid, quad)
+    fields, diag = _slow_pass(sample, pgrid, multi, first_stack, h_load_stack, opts)
+    if diagnostics is not None:
+        diagnostics.absorb(diag)
+    slow = CorrectorSample(grid=grid, fields=fields)
+    return [slow.slow(k, grad_u0) for k in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -772,23 +762,9 @@ def solve_slow_correctors(
 # ---------------------------------------------------------------------------
 
 
-def build_corrector_tables(
-    model: CoefficientModel,
-    pgrid: ParameterGrid,
-    grid: CellGrid,
-    quad: QuadratureRule | None = None,
-    opts: SolverOptions = SolverOptions(),
-    threads: int = 1,
-):
-    """Solve every cell problem at every parameter sample.
-
-    Sample solves are independent and written to disjoint slots, so the
-    result is bitwise identical for any thread count.  Returns the corrector
-    table and the effective-tensor table (which also carries the cell mean
-    of the source per sample).
-    """
-    dim = grid.dim
-    quad = quad or default_cell_quadrature(dim)
+def _check_lattice(model, pgrid: ParameterGrid, grid: CellGrid):
+    """The lattice must sample exactly the slow arguments the model has,
+    with enough samples per axis for the parameter finite differences."""
     u_dep = model.u_dependent or model.source.u_dependent
     if u_dep and len(pgrid.u_samples) < 3:
         raise ConfigurationError(
@@ -801,9 +777,41 @@ def build_corrector_tables(
         raise ConfigurationError("x-dependent model needs >= 3 x samples per axis")
     if not model.x_dependent and any(len(ax) != 1 for ax in pgrid.x_axes):
         raise ConfigurationError("x-independent model must use single x samples")
-    if pgrid.dim != dim:
+    if pgrid.dim != grid.dim:
         raise ConfigurationError("parameter grid dimension mismatch")
 
+
+def _map_samples(fn, multis, threads):
+    """``[fn(multi) for multi in multis]``, over a thread pool if asked."""
+    if threads > 1 and len(multis) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, multis))
+    return [fn(multi) for multi in multis]
+
+
+def build_corrector_tables(
+    model: CoefficientModel,
+    pgrid: ParameterGrid,
+    grid: CellGrid,
+    quad: QuadratureRule | None = None,
+    opts: SolverOptions = SolverOptions(),
+    threads: int = 1,
+):
+    """Solve every cell problem at every parameter sample.
+
+    Two passes each build one :class:`CellSample` per parameter sample and
+    drop it when the sample is done, so the cell operator is assembled at
+    most twice per sample and never kept across samples.  Pass 1 solves the
+    first, hessian and source correctors and the effective tensor; pass 2
+    the slow correctors, which difference pass-1 results across samples.
+    Sample solves are independent and written to disjoint slots, so the
+    result is bitwise identical for any thread count.  Returns the corrector
+    table and the effective-tensor table (which also carries the cell mean
+    of the source per sample).
+    """
+    dim = grid.dim
+    quad = quad or default_quadrature(dim)
+    _check_lattice(model, pgrid, grid)
     n_samples = pgrid.size
     multis = list(pgrid.indices())
 
@@ -811,98 +819,44 @@ def build_corrector_tables(
         diag = BuildDiagnostics()
         u, x = pgrid.coords(multi)
         try:
-            first = solve_first_correctors(
-                model, u, x, grid, quad, opts, diagnostics=diag
-            )
-            a0 = effective_tensor(model, u, x, first, grid, quad, diagnostics=diag)
-            hess = solve_hessian_correctors(
-                model, u, x, first, grid, quad, opts, diagnostics=diag
-            )
-            source, fbar = solve_source_corrector(
-                model, u, x, grid, quad, opts, diagnostics=diag
-            )
-            h_loads = np.stack(
-                [_h_load(model, u, x, first[k], k, grid, quad) for k in range(dim)],
-                axis=1,
-            )  # (dim_i, dim_k, ndof)
+            sample = CellSample(model, u, x, grid, quad)
+            first = sample.first_correctors(opts, diag)
+            a0 = sample.effective_tensor(first, diag)
+            hess = sample.hessian_correctors(first, opts, diag)
+            source, fbar = sample.source_corrector(opts, diag)
+            h_loads = sample.h_loads(first)
         except Exception as exc:  # annotate with the failing sample
             raise type(exc)(f"sample (u={u:.6g}, x={x}) failed: {exc}") from exc
-        return dict(
-            first=first, a0=a0, hess=hess, source=source, fbar=fbar,
-            h_loads=h_loads, diag=diag,
-        )
+        fields = {f"first_{m}": first[m] for m in range(dim)}
+        fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
+        fields["source"] = source
+        return fields, a0, fbar, h_loads, diag
 
-    results = [None] * n_samples
-    if threads > 1 and n_samples > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for flat, res in enumerate(pool.map(sample_pass, multis)):
-                results[flat] = res
-    else:
-        for flat, multi in enumerate(multis):
-            results[flat] = sample_pass(multi)
+    results = _map_samples(sample_pass, multis, threads)
 
-    ndof = grid.ndof
-    fields = {name: np.zeros((n_samples, ndof)) for name in corrector_field_names(dim)}
+    fields = {name: np.zeros((n_samples, grid.ndof)) for name in corrector_field_names(dim)}
     tensor_vals = np.zeros((n_samples, dim, dim))
     source_means = np.zeros(n_samples)
     diagnostics = BuildDiagnostics()
-    for flat, res in enumerate(results):
-        for m in range(dim):
-            fields[f"first_{m}"][flat] = res["first"][m]
-        for (k, l), v in res["hess"].items():
-            fields[f"hess_{k}{l}"][flat] = v
-        fields["source"][flat] = res["source"]
-        tensor_vals[flat] = res["a0"]
-        source_means[flat] = res["fbar"]
-        diagnostics.absorb(res["diag"])
+    for flat, (sample_fields, a0, fbar, _, diag) in enumerate(results):
+        for name, v in sample_fields.items():
+            fields[name][flat] = v
+        tensor_vals[flat] = a0
+        source_means[flat] = fbar
+        diagnostics.absorb(diag)
 
     # slow correctors: affine in the macro gradient, solved per unit context
-    first_stack = np.stack(
-        [fields[f"first_{m}"] for m in range(dim)], axis=1
-    )
-    h_load_stack = np.stack([res["h_loads"] for res in results], axis=0)
+    first_stack = np.stack([fields[f"first_{m}"] for m in range(dim)], axis=1)
+    h_load_stack = np.stack([res[3] for res in results], axis=0)
+    del results
 
     def slow_pass(multi):
-        diag = BuildDiagnostics()
-        mat, rhs_for = _slow_rhs_pieces(
-            model, pgrid, multi, first_stack, h_load_stack, grid, quad
-        )
-        zero = np.zeros(dim)
-        base = []
-        grad_pieces = []
-        for k in range(dim):
-            def solve_context(grad):
-                rhs = rhs_for(k, grad)
-                if _negligible_load(rhs, grid, model):
-                    return np.zeros(grid.ndof)
-                diag.max_rhs_defect = max(
-                    diag.max_rhs_defect, rhs_constant_defect(rhs, abs(mat).max())
-                )
-                return solve_periodic_zero_mean(SparseSystem(mat, rhs), grid, opts)
+        sample = CellSample(model, *pgrid.coords(multi), grid, quad)
+        return _slow_pass(sample, pgrid, multi, first_stack, h_load_stack, opts)
 
-            q0 = solve_context(zero)
-            base.append(q0)
-            pieces = []
-            for m in range(dim):
-                qm = solve_context(np.eye(dim)[m])
-                pieces.append(qm - q0)
-            grad_pieces.append(pieces)
-        return base, grad_pieces, diag
-
-    slow_results = [None] * n_samples
-    if threads > 1 and n_samples > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for flat, res in enumerate(pool.map(slow_pass, multis)):
-                slow_results[flat] = res
-    else:
-        for flat, multi in enumerate(multis):
-            slow_results[flat] = slow_pass(multi)
-
-    for flat, (base, grad_pieces, diag) in enumerate(slow_results):
-        for k in range(dim):
-            fields[f"slow0_{k}"][flat] = base[k]
-            for m in range(dim):
-                fields[f"slowg_{k}{m}"][flat] = grad_pieces[k][m]
+    for flat, (slow_fields, diag) in enumerate(_map_samples(slow_pass, multis, threads)):
+        for name, v in slow_fields.items():
+            fields[name][flat] = v
         diagnostics.absorb(diag)
 
     for name, stack in fields.items():
@@ -944,7 +898,7 @@ def check_translation_invariance(
     discrepancy is solver noise; other shifts incur O(h) interpolation
     error, reflected in the tolerance hint.
     """
-    quad = quad or default_cell_quadrature(grid.dim)
+    quad = quad or default_quadrature(grid.dim)
     z = np.atleast_1d(np.asarray(shift, dtype=float))
     if z.shape != (grid.dim,):
         raise ValueError(f"shift must have {grid.dim} components")

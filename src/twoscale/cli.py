@@ -18,7 +18,9 @@ to the MANIFEST, which is bookkeeping, not a result).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -41,14 +43,12 @@ from .analysis import (
     norm_linf,
 )
 from .cell_problems import (
+    CellSample,
     CorrectorTable,
     build_corrector_tables,
     check_translation_invariance,
     corrector_field_names,
-    default_cell_quadrature,
     default_parameter_grid,
-    effective_tensor,
-    solve_first_correctors,
 )
 from .coefficients import RosselandCoefficient
 from .config import ExperimentConfig, load_config
@@ -58,9 +58,12 @@ from .errors import (
     PropertyViolationError,
 )
 from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, remainder, solve_fine
-from .fem import SolverOptions, SparseSystem, assemble_load, assemble_stiffness, gauss_rule, solve_dirichlet
+from .fem import (
+    SolverOptions, SparseSystem, assemble_load, assemble_stiffness, default_quadrature,
+    gauss_rule, solve_dirichlet,
+)
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
-from .macro import PicardOptions, homogenized_source, solve_homogenized
+from .macro import PicardOptions, solve_homogenized
 
 
 @dataclass
@@ -84,7 +87,7 @@ def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
         solve_points = int(explicit)
         cell_quad = gauss_rule(int(explicit), cfg.dim)
     else:
-        cell_quad = default_cell_quadrature(cfg.dim)
+        cell_quad = default_quadrature(cfg.dim)
         if cfg.dim == 1:
             solve_points = 1  # periodic midpoint superconvergence
         else:
@@ -122,13 +125,9 @@ def estimate_u_span(setup: ProblemSetup):
     quad = gauss_rule(2, setup.macro_grid.dim)
     lo, hi = np.inf, -np.inf
     for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):
-        first = solve_first_correctors(
-            model, u_frozen, x_c, setup.cell_grid, setup.cell_quad, setup.cg_opts
-        )
-        a0 = effective_tensor(
-            model, u_frozen, x_c, first, setup.cell_grid, setup.cell_quad
-        )
-        fbar = homogenized_source(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad)
+        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad)
+        a0 = cell.effective_tensor(cell.first_correctors(setup.cg_opts))
+        fbar = cell.source_mean
         mat = assemble_stiffness(
             setup.macro_grid,
             lambda pts: np.broadcast_to(a0, (len(pts), model.dim, model.dim)),
@@ -211,13 +210,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_field_csv(path: Path, grid, values, header_lines=()):
+@functools.lru_cache(maxsize=1)
+def _coordinate_prefixes(grid) -> list:
+    """The ``"x0,x1,"`` prefix of every node's CSV row.  Only the last grid is
+    cached: the writers emit runs of field files on one grid."""
     coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+    return [",".join(map(repr, row)) + "," for row in coords.tolist()]
+
+
+def write_field_csv(path: Path, grid, values, header_lines=()):
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(cols))
-    table = np.column_stack([coords, np.asarray(values, dtype=float)]).tolist()
-    lines.extend(",".join(map(repr, row)) for row in table)
+    prefixes = _coordinate_prefixes(grid)
+    values = np.asarray(values, dtype=float).tolist()
+    if len(values) != len(prefixes):
+        raise ValueError(f"{len(values)} values for a grid of {len(prefixes)} nodes")
+    lines.extend(map(operator.add, prefixes, map(repr, values)))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -11,9 +11,14 @@ conjugate gradient runs, on the periodic cell with the right-hand side and
 every iterate projected onto the mean-zero subspace, which keeps CG on an
 SPD restriction.
 
-Element contributions are accumulated in a fixed element order so repeated
-runs are bitwise reproducible regardless of how callers parallelize around
-this module.
+Assembly is a matrix-product kernel.  The coefficient samples at the
+quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
+tensor of weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving
+every element matrix at once; load vectors are the same kind of product
+with weighted basis values or gradients.  The element connectivity comes
+from the grid, which computes it once.  Element contributions are
+accumulated in a fixed element order so repeated runs are bitwise
+reproducible regardless of how callers parallelize around this module.
 """
 
 from __future__ import annotations
@@ -128,30 +133,59 @@ def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
     return float(np.einsum("eq,q->", samples, quad.weights) * cell_measure)
 
 
-def assemble_stiffness(grid, coeff_fn, quad: QuadratureRule) -> sp.csr_matrix:
+def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple) -> np.ndarray:
+    """``fn(points)`` at every quadrature point, shape (E, Q, *tail).
+
+    ``fn`` is called once per quadrature point with one point per element,
+    which bounds the size of its temporaries on large grids.
+    """
+    pts = element_quad_points(grid, quad)
+    out = np.empty(pts.shape[:2] + tail)
+    for q in range(pts.shape[1]):
+        vals = np.asarray(fn(pts[:, q, :]), dtype=float)
+        if vals.shape != out.shape[:1] + tail:
+            raise AssemblyError(f"evaluator returned shape {vals.shape}")
+        out[:, q] = vals
+    return out
+
+
+def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
+    """Reference tensor R, shape (Q*dim*dim, C*C), of the stiffness kernel.
+
+    R[(q, i, j), (b, c)] = w_q |K| d_i phi_b(x_q) d_j phi_c(x_q), so the
+    element matrices of coefficient samples a (E, Q, dim, dim) are the rows
+    of one matrix product a.reshape(E, -1) @ R.
+    """
+    grads = q1_gradients(quad.points) / grid.spacing  # (Q, C, dim)
+    ref = np.einsum("q,qbi,qcj->qijbc", quad.weights * grid.spacing**grid.dim, grads, grads)
+    n_q, n_loc, dim = grads.shape
+    return ref.reshape(n_q * dim * dim, n_loc * n_loc)
+
+
+def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
     """Assemble the variable-coefficient stiffness matrix.
 
-    ``coeff_fn(points)`` maps physical points (K, dim) to symmetric matrices
-    (K, dim, dim).  On a cell grid the element corner indices wrap, which
-    realizes the periodic identification.
+    ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
+    points (K, dim) to symmetric matrices (K, dim, dim), called once per
+    quadrature point with one point per element, or the samples themselves,
+    shape (E, Q, dim, dim).  All element matrices come from one matrix
+    product with :func:`_stiffness_reference`.  On a cell grid the element
+    corner indices wrap, which realizes the periodic identification.
     """
     dofs = grid.element_dofs()
     n_el, n_loc = dofs.shape
-    h = grid.spacing
-    pts = element_quad_points(grid, quad)
-    grads = q1_gradients(quad.points) / h  # (Q, C, dim)
-    cell_measure = h**grid.dim
-
-    local = np.zeros((n_el, n_loc, n_loc))
-    for q in range(len(quad.weights)):
-        a_q = np.asarray(coeff_fn(pts[:, q, :]), dtype=float)
-        if a_q.shape != (n_el, grid.dim, grid.dim):
-            raise AssemblyError(f"coefficient evaluator returned shape {a_q.shape}")
-        if not np.all(np.isfinite(a_q)):
-            bad = int(np.nonzero(~np.isfinite(a_q).all(axis=(1, 2)))[0][0])
-            raise AssemblyError(f"non-finite coefficient at element {bad}")
-        flux = np.einsum("eij,cj->eci", a_q, grads[q])  # A grad(phi_c)
-        local += quad.weights[q] * cell_measure * np.einsum("eci,bi->ebc", flux, grads[q])
+    tail = (grid.dim, grid.dim)
+    if callable(coeff):
+        a = _eval_at_quad(grid, quad, coeff, tail)
+    else:
+        a = np.asarray(coeff, dtype=float)
+        if a.shape != (n_el, len(quad.weights)) + tail:
+            raise AssemblyError(f"coefficient samples have shape {a.shape}")
+    finite = np.isfinite(a).reshape(n_el, -1).all(axis=1)
+    if not finite.all():
+        raise AssemblyError(f"non-finite coefficient at element {int(np.argmin(finite))}")
+    local = a.reshape(n_el, -1) @ _stiffness_reference(grid, quad)  # (E, C*C)
+    del a  # evaluated samples are not needed while the scatter arrays exist
 
     rows = np.repeat(dofs, n_loc, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, n_loc)).reshape(-1)
@@ -175,30 +209,28 @@ def assemble_load_from_samples(
     """Load vector from precomputed quad-point data.
 
     ``scalar_samples`` (E, Q) contributes ``\\int s \\phi_p``; ``flux_samples``
-    (E, Q, dim) contributes ``\\int B . grad(phi_p)``.
+    (E, Q, dim) contributes ``\\int B . grad(phi_p)``.  Each form is one
+    matrix product of the samples with a (Q, C) or (Q*dim, C) reference
+    matrix of weighted basis values or gradients.
     """
     dofs = grid.element_dofs()
     n_el, n_loc = dofs.shape
     h = grid.spacing
-    cell_measure = h**grid.dim
-    basis = q1_values(quad.points)
-    grads = q1_gradients(quad.points) / h
+    weights = quad.weights * h**grid.dim
 
     local = np.zeros((n_el, n_loc))
     if scalar_samples is not None:
         s = np.asarray(scalar_samples, dtype=float)
         if not np.all(np.isfinite(s)):
             raise AssemblyError("non-finite scalar source sample")
-        local += cell_measure * np.einsum("eq,q,qc->ec", s, quad.weights, basis)
+        local += s @ (weights[:, None] * q1_values(quad.points))
     if flux_samples is not None:
         b = np.asarray(flux_samples, dtype=float)
         if not np.all(np.isfinite(b)):
             raise AssemblyError("non-finite flux source sample")
-        local += cell_measure * np.einsum("eqd,q,qcd->ec", b, quad.weights, grads)
-
-    out = np.zeros(grid.ndof)
-    np.add.at(out, dofs.reshape(-1), local.reshape(-1))
-    return out
+        ref = weights[:, None, None] * np.swapaxes(q1_gradients(quad.points) / h, 1, 2)
+        local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)  # (Q*dim, C)
+    return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
 
 
 def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> np.ndarray:
@@ -207,15 +239,12 @@ def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> n
     ``scalar_fn(points) -> (K,)`` gives the \\int s phi form, ``flux_fn(points)
     -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.
     """
-    pts = element_quad_points(grid, quad)
-    n_el, n_q, _ = pts.shape
-    flat = pts.reshape(-1, grid.dim)
     scalar_samples = None
     flux_samples = None
     if scalar_fn is not None:
-        scalar_samples = np.asarray(scalar_fn(flat), dtype=float).reshape(n_el, n_q)
+        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, ())
     if flux_fn is not None:
-        flux_samples = np.asarray(flux_fn(flat), dtype=float).reshape(n_el, n_q, grid.dim)
+        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,))
     return assemble_load_from_samples(grid, quad, scalar_samples, flux_samples)
 
 
@@ -393,10 +422,3 @@ def solve_periodic_zero_mean(
         max_iter = opts.max_iter or 10 * system.ndof
         x, _, _ = _jacobi_pcg(system.matrix, rhs, opts.tol, max_iter, project=project)
     return project(x)
-
-
-def periodic_kernel_defect(mat: sp.csr_matrix) -> float:
-    """max |A 1| relative to the matrix scale (constants should be in the kernel)."""
-    ones = np.ones(mat.shape[0])
-    scale = max(abs(mat).max(), 1.0)
-    return float(np.max(np.abs(mat @ ones)) / scale)

@@ -11,10 +11,13 @@ Two mesh types cover everything the solvers need:
 
 Grids are uniform, so interpolation and finite-difference derivative
 recovery reduce to index arithmetic; everything here is pure and immutable.
+The element connectivity is computed once per grid object and handed out
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -31,6 +34,22 @@ def corner_offsets(dim: int) -> np.ndarray:
     ``corner_offsets(dim)[c]``.
     """
     return np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
+
+
+def _once_per_grid(method):
+    """Cache an array-valued grid method on the instance, read-only; grids
+    are frozen, so the result never goes stale and dies with its grid."""
+    key = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def cached(self):
+        if key not in self.__dict__:
+            out = method(self)
+            out.flags.writeable = False
+            self.__dict__[key] = out  # frozen dataclass: bypass __setattr__
+        return self.__dict__[key]
+
+    return cached
 
 
 def _check_dim(dim):
@@ -74,6 +93,7 @@ class CellGrid:
         wrapped = np.mod(multi, m)
         return _ravel(wrapped, (m,) * self.dim)
 
+    @_once_per_grid
     def element_dofs(self) -> np.ndarray:
         """Global DOF ids of each element's corners, shape (E, 2^dim).
 
@@ -137,6 +157,7 @@ class MacroGrid:
     def interior_dofs(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask())[0]
 
+    @_once_per_grid
     def element_dofs(self) -> np.ndarray:
         k = self.nodes_per_side
         origins = _element_multi_indices(self.dim, self.cells_per_side)

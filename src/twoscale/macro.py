@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell_problems import EffectiveTensorTable, default_cell_quadrature
+from .cell_problems import CellSample, EffectiveTensorTable
 from .errors import NonConvergenceError
 from .fem import (
     SolverOptions,
@@ -27,7 +27,6 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     default_quadrature,
-    element_quad_points,
     solve_dirichlet,
 )
 from .grids import CellGrid, MacroGrid, ScalarField, interpolate_values
@@ -67,12 +66,7 @@ class PicardResult:
 
 def homogenized_source(model, u, x, cell_grid: CellGrid, quad=None) -> float:
     """Cell average of the source at a frozen macro state."""
-    quad = quad or default_cell_quadrature(cell_grid.dim)
-    pts = element_quad_points(cell_grid, quad)
-    f_q = np.asarray(
-        model.eval_f(u, x, pts.reshape(-1, cell_grid.dim)), dtype=float
-    ).reshape(pts.shape[0], pts.shape[1])
-    return float(np.einsum("eq,q->", f_q, quad.weights) * cell_grid.spacing**cell_grid.dim)
+    return CellSample(model, u, x, cell_grid, quad).source_mean
 
 
 def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from twoscale import cell_problems
 from twoscale.cell_problems import (
     ParameterGrid,
     build_corrector_tables,
@@ -152,6 +153,50 @@ def test_hessian_corrector_2d_swap_equivariance():
     m12 = hess[(0, 1)].reshape(m, m)
     assert np.max(np.abs(m22 - m11.T)) < 1e-8
     assert np.max(np.abs(m12 - m12.T)) < 1e-8
+
+
+def separated_2d_table(threads=1, monkeypatch=None):
+    """Table of an x- and u-dependent 2-D SEPARATED model on 27 samples,
+    with the stiffness assemblies counted when ``monkeypatch`` is given."""
+    model = SeparatedCoefficient(2, mu0=1.0, mu_u=0.0, mu_u2=1.0, mu_x=0.5)
+    grid = CellGrid(2, 8)
+    pgrid = default_parameter_grid(model, n_u=3, n_x=3)
+    calls = []
+    if monkeypatch is not None:
+        original = cell_problems.assemble_stiffness
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cell_problems, "assemble_stiffness", counting)
+    table, tensors = build_corrector_tables(model, pgrid, grid, threads=threads)
+    return model, grid, table, tensors, len(calls)
+
+
+def test_table_build_assembles_at_most_twice_per_sample(monkeypatch):
+    _, _, table, _, n_assemblies = separated_2d_table(monkeypatch=monkeypatch)
+    assert table.param_grid.size == 27
+    assert 0 < n_assemblies <= 2 * table.param_grid.size
+
+
+def test_slow_corrector_solve_matches_table_and_threads_agree():
+    model, grid, table, tensors, _ = separated_2d_table()
+    pgrid = table.param_grid
+    for multi in [(1, 1, 1), (2, 2, 0)]:
+        u, x = pgrid.coords(multi)
+        stored = table.lookup(u, x)
+        assert np.max(np.abs(stored.fields["slowg_00"])) > 1e-4  # not vacuous
+        for grad in ([0.0, 0.0], [0.3, -0.2]):
+            q = solve_slow_correctors(model, u, x, table, grad, grid)
+            for k in range(2):
+                assert np.array_equal(q[k], stored.slow(k, grad))
+
+    t2, e2 = separated_2d_table(threads=2)[2:4]
+    for name in table.fields:
+        assert np.array_equal(table.fields[name], t2.fields[name]), name
+    assert np.array_equal(tensors.values, e2.values)
+    assert np.array_equal(tensors.source_means, e2.source_means)
 
 
 def test_slow_corrector_2d_separated_scaling():

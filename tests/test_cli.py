@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from twoscale.cli import main, run_study
+from twoscale.cli import main, run_study, write_field_csv
 from twoscale.config import DEFAULT_CONFIG, apply_override, load_config, parse_eps_list
 from twoscale.errors import ConfigurationError
+from twoscale.grids import CellGrid, MacroGrid
 
 
 BASE_1D = {
@@ -338,3 +340,27 @@ def test_nonconvergence_exit_code_and_manifest(tmp_path):
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "failed"
     assert "failed_stage" in manifest
+
+
+def column_stack_csv(grid, values, header_lines=()):
+    """The writer's former formatting: every row of column_stack through repr."""
+    coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join([f"x{d}" for d in range(grid.dim)] + ["value"]))
+    table = np.column_stack([coords, np.asarray(values, dtype=float)]).tolist()
+    lines.extend(",".join(map(repr, row)) for row in table)
+    return "\n".join(lines) + "\n"
+
+
+def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    cell, macro = CellGrid(2, 12), MacroGrid(2, 10)
+    header = ["field=first_0", "u=0.5", "x=0.25 0.75", "m_c=12 dim=2"]
+    # alternate grids so the one-grid prefix cache is rebuilt and reused
+    for grid, lines in [(cell, header), (macro, ()), (cell, header), (MacroGrid(1, 7), ())]:
+        values = rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-30, 30, grid.ndof)
+        values[:4] = [-0.0, 1e-300, -1e-300, 0.1]
+        path = write_field_csv(tmp_path / "field.csv", grid, values, header_lines=lines)
+        assert path.read_text() == column_stack_csv(grid, values, lines)
+    with pytest.raises(ValueError):
+        write_field_csv(tmp_path / "short.csv", cell, np.zeros(cell.ndof - 1))
