@@ -139,6 +139,12 @@ def _interior_elements(grid: MacroGrid, box) -> np.ndarray:
     return mask
 
 
+def interior_element_centers(grid: MacroGrid, box) -> np.ndarray:
+    """Centers of the elements inside the box, (K, dim), in element order."""
+    center = gauss_rule(1, grid.dim)  # single midpoint
+    return element_quad_points(grid, center)[_interior_elements(grid, box), 0, :]
+
+
 def interior_gradient_sup(
     fld: ScalarField,
     box,
@@ -154,23 +160,21 @@ def interior_gradient_sup(
     is premultiplied by the oscillating coefficient evaluated at the center
     with the supplied state field (the resolved solution).
 
-    ``base_gradient`` is subtracted after evaluation at the element centers;
-    it is either a callable points -> (K, dim) or a (grid, nodal_gradient)
-    pair interpolated multilinearly.  Remainders against a reconstructed
-    layer need this: differencing that layer's nodal values would leak O(h)
-    interpolant kinks and difference-quotient consistency errors into the
-    measurement, whereas recovered/chain-rule gradients are pointwise
-    second-order accurate.
+    ``base_gradient`` is subtracted at the element centers; it is either an
+    array (K, dim) of its values at :func:`interior_element_centers`, or a
+    (grid, nodal_gradient) pair interpolated multilinearly.  Remainders
+    against a reconstructed layer need this: differencing that layer's
+    nodal values would leak O(h) interpolant kinks and difference-quotient
+    consistency errors into the measurement, whereas recovered/chain-rule
+    gradients are pointwise second-order accurate.
     """
     grid = fld.grid
     mask = _interior_elements(grid, box)
     center = gauss_rule(1, grid.dim)  # single midpoint
     grads = field_gradients_at_quad(grid, fld.values, center)[mask, 0, :]
-    centers = element_quad_points(grid, center)[mask, 0, :]
+    centers = interior_element_centers(grid, box)
     if base_gradient is not None:
-        if callable(base_gradient):
-            base_at = np.asarray(base_gradient(centers), dtype=float)
-        else:
+        if isinstance(base_gradient, tuple):
             base_grid, base_nodal = base_gradient
             base_nodal = np.asarray(base_nodal, dtype=float)
             base_at = np.stack(
@@ -180,6 +184,13 @@ def interior_gradient_sup(
                 ],
                 axis=-1,
             )
+        else:
+            base_at = np.asarray(base_gradient, dtype=float)
+            if base_at.shape != grads.shape:
+                raise ValueError(
+                    f"base gradient has shape {base_at.shape}, interior centers need "
+                    f"{grads.shape}"
+                )
         grads = grads - base_at
     if flux_mode:
         if model is None or eps is None or state is None:
@@ -200,9 +211,10 @@ def holder_seminorm(
 ) -> float:
     """sup |u(p) - u(q)| / |p - q|^beta over node pairs in the box.
 
-    1-D uses all pairs.  2-D samples ``n_random`` seeded random pairs and
-    adds every pair within ``near_radius`` grid steps: the near field
-    dominates the seminorm for the oscillatory remainders measured here.
+    1-D uses all pairs, one offset at a time.  2-D samples ``n_random``
+    seeded random pairs and adds every pair within ``near_radius`` grid
+    steps: the near field dominates the seminorm for the oscillatory
+    remainders measured here.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -215,10 +227,13 @@ def holder_seminorm(
     vals = fld.values[idx]
 
     if grid.dim == 1:
-        dv = np.abs(vals[:, None] - vals[None, :])
-        dx = np.abs(coords[:, 0:1] - coords[None, :, 0])
-        off = ~np.eye(len(idx), dtype=bool)
-        return float(np.max(dv[off] / dx[off] ** beta))
+        # running max over pair offsets d: O(n) memory instead of n x n
+        x = coords[:, 0]
+        best = 0.0
+        for d in range(1, len(idx)):
+            quot = np.abs(vals[d:] - vals[:-d]) / np.abs(x[d:] - x[:-d]) ** beta
+            best = max(best, float(np.max(quot)))
+        return best
 
     k = grid.nodes_per_side
     grid_mask = mask.reshape(k, k)

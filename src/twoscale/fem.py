@@ -6,10 +6,16 @@ Dirichlet elimination on the box, and zero-mean projection on the periodic
 cell.  The solver depends only on the grid's dimension.  In 1-D the
 (cyclic) tridiagonal systems are factored exactly by sparse LU; the
 singular periodic one is made nonsingular by pinning one node, and the
-solution is then projected to mean zero.  In 2-D a Jacobi-preconditioned
-conjugate gradient runs, on the periodic cell with the right-hand side and
-every iterate projected onto the mean-zero subspace, which keeps CG on an
-SPD restriction.
+solution is then projected to mean zero.  In 2-D one preconditioned
+conjugate gradient loop serves both flavours.  On the box its
+preconditioner is a geometric multigrid V-cycle built once per solve:
+bilinear prolongation on the interior nodes, Galerkin coarse operators
+P^T A P, damped-Jacobi smoothing weighted to contract on every level and
+a sparse-LU coarsest level, which keeps the iteration count flat as the
+grid is refined (Jacobi instead, when that level would be too large to
+factor).  On the periodic cell it is Jacobi, with the right-hand side
+and every preconditioned residual projected onto the mean-zero subspace,
+which keeps CG on an SPD restriction.
 
 Assembly is a matrix-product kernel.  The coefficient samples at the
 quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
@@ -23,6 +29,7 @@ reproducible regardless of how callers parallelize around this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,10 +278,12 @@ class SparseSystem:
 class SolverOptions:
     """Linear-solver controls.
 
-    ``tol`` and ``max_iter`` (default 10x the DOF count) steer the 2-D
-    conjugate gradient; the 1-D direct solves are exact and ignore them.
-    ``compat_tol`` is the relative bound on the rhs functional applied to
-    constants before a periodic solve.
+    ``tol`` (relative residual) and ``max_iter`` (default 10x the DOF
+    count) steer the 2-D preconditioned conjugate gradient: multigrid
+    preconditioned on the box, Jacobi preconditioned on the periodic cell.
+    The 1-D direct solves are exact and ignore them.  ``compat_tol`` is the
+    relative bound on the rhs functional applied to constants before a
+    periodic solve.
     """
 
     tol: float = 1e-10
@@ -282,20 +291,22 @@ class SolverOptions:
     compat_tol: float = 1e-8
 
 
-def _jacobi_pcg(mat, rhs, tol, max_iter, project=None):
+def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
+    """Preconditioned CG on ``mat x = rhs``; returns (x, rel. residual, iterations).
+
+    ``precond`` maps a residual to a search direction and must be symmetric
+    positive definite on the subspace the residuals live in.  The name
+    predates the preconditioner argument and is kept because
+    ``benchmarks/tracing.py`` wraps this attribute by name to count CG
+    iterations.
+    """
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
         return np.zeros_like(rhs), 0.0, 0
-    diag = mat.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("matrix diagonal must be positive for Jacobi PCG")
-    inv_diag = 1.0 / diag
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = inv_diag * r
-    if project is not None:
-        z = project(z)
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
@@ -312,16 +323,11 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, project=None):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if project is not None:
-            x = project(x)
-            r = project(r)
-        rel = float(np.linalg.norm(r) / norm_b)
+        rel = math.sqrt(r @ r) / norm_b  # np.linalg.norm, without its call overhead
         history.append(rel)
         if rel <= tol:
             return x, rel, it
-        z = inv_diag * r
-        if project is not None:
-            z = project(z)
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -333,9 +339,109 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, project=None):
     )
 
 
-def _direct_solve(mat, rhs):
-    """Exact solve of a nonsingular sparse system by one sparse LU factorization."""
-    return spla.splu(sp.csc_matrix(mat)).solve(rhs)
+def _inverse_diagonal(mat) -> np.ndarray:
+    diag = mat.diagonal()
+    if np.any(diag <= 0.0):
+        raise ValueError("matrix diagonal must be positive for Jacobi preconditioning")
+    return 1.0 / diag
+
+
+def _lu(mat):
+    """One sparse LU factorization of a nonsingular sparse matrix."""
+    return spla.splu(sp.csc_matrix(mat))
+
+
+# largest damped-Jacobi weight and the sweep count of the V-cycle smoother;
+# the same count before and after the coarse correction keeps the V-cycle
+# symmetric
+_MG_OMEGA = 0.8
+_MG_SWEEPS = 2
+# largest coarsest level, in unknowns, that is factored exactly; a grid
+# whose coarsest level is larger (a large odd cell count) falls back to Jacobi
+_MG_MAX_COARSEST = 4096
+
+
+def _interior_prolongation(cells: int) -> sp.csr_matrix:
+    """Bilinear interpolation from the interior nodes of the ``cells // 2``
+    box grid to those of the ``cells`` box grid, both in the "ij" order of
+    :meth:`MacroGrid.interior_dofs` (first index slowest)."""
+    coarse = np.arange(cells // 2 - 1)
+    fine = 2 * coarse + 1  # fine interior index of each coarse node
+    p1 = sp.csr_matrix(
+        (
+            np.tile([0.5, 1.0, 0.5], len(coarse)),
+            (np.stack([fine - 1, fine, fine + 1], axis=1).reshape(-1), np.repeat(coarse, 3)),
+        ),
+        shape=(cells - 1, len(coarse)),
+    )
+    return sp.kron(p1, p1, format="csr")
+
+
+def _smoother_weights(mat) -> np.ndarray:
+    """omega / diag(A) for one level's damped-Jacobi smoother.
+
+    A sweep contracts the error in the A-norm only while omega times
+    lambda_max(D^-1 A) stays below 2.  Gershgorin bounds lambda_max by the
+    largest absolute row sum of D^-1 A, so omega is capped at
+    2 * ``_MG_OMEGA`` over that bound.  Q1 stencils of a scalar coefficient have bound 2 and keep
+    omega = 0.8; anisotropic or full tensors, whose stencils carry positive
+    off-diagonals, get a smaller weight instead of an amplifying smoother.
+    """
+    inv_diag = _inverse_diagonal(mat)
+    bound = float(np.max(inv_diag * np.asarray(abs(mat).sum(axis=1)).ravel()))
+    return _MG_OMEGA * min(1.0, 2.0 / bound) * inv_diag
+
+
+def _multigrid(mat, cells: int):
+    """V-cycle preconditioner for the reduced Dirichlet matrix of a 2-D box
+    grid with ``cells`` cells per side.
+
+    Levels halve the cell count while it is even and at least 8; coarse
+    operators are Galerkin products P^T A P, which stay robust under
+    oscillating coefficients.  The smoother is damped Jacobi with a weight
+    that contracts on each level (:func:`_smoother_weights`) and as many
+    sweeps after the coarse correction as before, and the coarsest level is
+    factored once, so the V-cycle is symmetric positive definite.  A grid
+    that cannot coarsen is solved exactly.  If the coarsest level would
+    exceed ``_MG_MAX_COARSEST`` unknowns, its factorization would cost
+    far more than the O(n) CG it serves, and the preconditioner is plain
+    Jacobi instead.
+    """
+    coarsest_cells = cells
+    while coarsest_cells % 2 == 0 and coarsest_cells >= 8:
+        coarsest_cells //= 2
+    if (coarsest_cells - 1) ** 2 > _MG_MAX_COARSEST:
+        inv_diag = _inverse_diagonal(mat)
+        return lambda r: inv_diag * r
+
+    levels = []  # (operator, weighted inverse diagonal, prolongation)
+    while cells > coarsest_cells:
+        prol = _interior_prolongation(cells)
+        levels.append((mat, _smoother_weights(mat), prol))
+        mat = (prol.T @ mat @ prol).tocsr()
+        cells //= 2
+    coarsest = _lu(mat)
+
+    # a loop, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep the hierarchy (and the fine
+    # operator) alive after the solve until the cyclic collector runs
+    def vcycle(r):
+        down = []
+        for a, w_inv_diag, prol in levels:
+            x = w_inv_diag * r
+            for _ in range(_MG_SWEEPS - 1):
+                x += w_inv_diag * (r - a @ x)
+            down.append((x, r))
+            r = prol.T @ (r - a @ x)
+        x_coarse = coarsest.solve(r)
+        for (a, w_inv_diag, prol), (x, r) in zip(reversed(levels), reversed(down)):
+            x += prol @ x_coarse
+            for _ in range(_MG_SWEEPS):
+                x += w_inv_diag * (r - a @ x)
+            x_coarse = x
+        return x_coarse
+
+    return vcycle
 
 
 def solve_dirichlet(
@@ -349,7 +455,7 @@ def solve_dirichlet(
     ``boundary_values`` may be a scalar (applied to every boundary node) or a
     mapping node-id -> value.  Returns the full nodal vector with boundary
     entries set exactly to the data.  A 1-D grid's reduced system is solved
-    directly, a 2-D one by Jacobi-PCG.
+    directly, a 2-D one by CG preconditioned with a multigrid V-cycle.
     """
     bnd = grid.boundary_dofs()
     free = grid.interior_dofs()
@@ -364,10 +470,11 @@ def solve_dirichlet(
     rhs = system.rhs[free] - mat[free][:, bnd] @ vals[bnd]
     reduced = mat[free][:, free].tocsr()
     if grid.dim == 1:
-        x_free = _direct_solve(reduced, rhs)
+        x_free = _lu(reduced).solve(rhs)
     else:
         max_iter = opts.max_iter or 10 * max(len(free), 1)
-        x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter)
+        precond = _multigrid(reduced, grid.cells_per_side)
+        x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter, precond)
     out = vals
     out[free] = x_free
     return out
@@ -397,9 +504,10 @@ def solve_periodic_zero_mean(
 
     The rhs must annihilate constants (solvability) and is projected.  On a
     1-D cell node 0 is pinned to zero and the nonsingular remainder is
-    solved directly; on a 2-D cell CG runs with the iterate re-projected
-    each step.  The result has zero discrete mean (uniform
-    lumped masses make that the plain average).
+    solved directly; on a 2-D cell Jacobi-preconditioned CG runs with each
+    preconditioned residual projected.  The result is projected once at the
+    end and has zero discrete mean (uniform lumped masses make that the
+    plain average).
     """
     scale = abs(system.matrix).max()
     if np.linalg.norm(system.rhs) <= _zero_load_floor(system.ndof, scale):
@@ -412,13 +520,20 @@ def solve_periodic_zero_mean(
         )
 
     def project(v):
-        return v - v.mean()
+        return v - v.sum() / len(v)  # v.mean(), without its call overhead
 
     rhs = project(system.rhs)
     if grid.dim == 1:
         x = np.zeros(system.ndof)
-        x[1:] = _direct_solve(system.matrix[1:, 1:], rhs[1:])
+        x[1:] = _lu(system.matrix[1:, 1:]).solve(rhs[1:])
     else:
+        # A annihilates constants and is symmetric, so A p sums to zero:
+        # with the rhs and each preconditioned residual projected, every
+        # residual and search direction stays mean-zero without further
+        # projection
+        inv_diag = _inverse_diagonal(system.matrix)
         max_iter = opts.max_iter or 10 * system.ndof
-        x, _, _ = _jacobi_pcg(system.matrix, rhs, opts.tol, max_iter, project=project)
+        x, _, _ = _jacobi_pcg(
+            system.matrix, rhs, opts.tol, max_iter, lambda r: project(inv_diag * r)
+        )
     return project(x)

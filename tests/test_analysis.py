@@ -7,6 +7,7 @@ from twoscale.analysis import (
     energy_difference,
     fit_rate,
     holder_seminorm,
+    interior_element_centers,
     interior_gradient_sup,
     norm_l2,
     norm_linf,
@@ -138,6 +139,12 @@ def test_interior_gradient_sup_with_baseline():
     base = (fld.grid, fd_gradient(fld))
     val = interior_gradient_sup(fld, [0.25, 0.75], base_gradient=base)
     assert val < 1e-12
+    # the same baseline as values at the interior element centers
+    centers = interior_element_centers(fld.grid, [0.25, 0.75])
+    at_centers = 1.0 - 2.0 * centers
+    assert interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers) < 1e-12
+    with pytest.raises(ValueError, match="base gradient has shape"):
+        interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers[1:])
 
 
 def test_holder_seminorm_1d_cases():
@@ -154,6 +161,24 @@ def test_holder_seminorm_1d_cases():
     vals[3] = 1.0  # nodes 0.5 and 0.75 carry values 0 and 1
     two = ScalarField(grid, vals)
     assert holder_seminorm(two, [0.5, 0.75], 0.5) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_holder_seminorm_1d_equals_all_pairs_reference():
+    # the former dense n x n evaluation, kept as the reference: the
+    # offset-by-offset running max forms the same quotients, so the
+    # result is bitwise equal
+    grid = MacroGrid(1, 128)
+    x = grid.node_coords()[:, 0]
+    fld = ScalarField(grid, np.sin(40.0 * x) + 0.1 * np.cos(317.0 * x**2))
+    box = [0.2, 0.7]
+    inside = (x >= 0.2 - 1e-12) & (x <= 0.7 + 1e-12)
+    vals, pts = fld.values[inside], x[inside]
+    dv = np.abs(vals[:, None] - vals[None, :])
+    dx = np.abs(pts[:, None] - pts[None, :])
+    off = ~np.eye(len(pts), dtype=bool)
+    for beta in (0.3, 0.5, 0.9):
+        reference = float(np.max(dv[off] / dx[off] ** beta))
+        assert holder_seminorm(fld, box, beta) == reference
 
 
 def test_holder_seminorm_beta_near_one_vs_lipschitz():

@@ -120,6 +120,22 @@ def test_study_reports_thread_invariant_and_rerun_identical(tmp_path):
     assert jsons[1] == jsons[4]
 
 
+def test_reconstruction_gradient_evaluated_once_per_eps(tmp_path, monkeypatch):
+    import twoscale.cli as cli
+
+    calls = []
+    original = cli.reconstruction_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruction_gradient", counted)
+    report = run_study(load_config(write_config(tmp_path, BASE_1D)))
+    assert calls == [0.25, 0.125, 0.0625]
+    assert all(row["flux_sup_order1"] > 0.0 for row in report.rows)
+
+
 def test_constant_coefficient_study_flags_noise_floor(tmp_path):
     payload = json.loads(json.dumps(BASE_1D))
     payload["problem"]["coefficient"] = {"family": "CONSTANT", "matrix": [[2.0]]}

@@ -7,7 +7,9 @@ from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceErr
 from twoscale.fem import (
     SolverOptions,
     SparseSystem,
+    _inverse_diagonal,
     _jacobi_pcg,
+    _multigrid,
     assemble_load,
     assemble_load_from_samples,
     assemble_stiffness,
@@ -141,7 +143,10 @@ def test_pcg_small_spd_system():
     import scipy.sparse as sp
 
     mat = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    x, rel, its = _jacobi_pcg(mat, np.array([1.0, 2.0]), 1e-12, 50)
+    inv_diag = _inverse_diagonal(mat)
+    x, rel, its = _jacobi_pcg(
+        mat, np.array([1.0, 2.0]), 1e-12, 50, lambda r: inv_diag * r
+    )
     assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], abs=1e-10)
 
 
@@ -237,7 +242,10 @@ def test_direct_1d_solves_match_pcg():
     direct = solve_dirichlet(SparseSystem(mat, rhs), grid)
     free = grid.interior_dofs()
     reduced = mat[free][:, free].tocsr()
-    x_free, _, _ = _jacobi_pcg(reduced, rhs[free], 1e-14, 10 * len(free))
+    inv_diag = _inverse_diagonal(reduced)
+    x_free, _, _ = _jacobi_pcg(
+        reduced, rhs[free], 1e-14, 10 * len(free), lambda r: inv_diag * r
+    )
     assert np.max(np.abs(direct[free] - x_free)) <= 1e-9 * np.max(np.abs(x_free))
     assert np.all(direct[grid.boundary_dofs()] == 0.0)
 
@@ -249,7 +257,10 @@ def test_direct_1d_solves_match_pcg():
     def project(v):
         return v - v.mean()
 
-    x, _, _ = _jacobi_pcg(mat, project(rhs), 1e-14, 10 * cell.ndof, project=project)
+    inv_diag = _inverse_diagonal(mat)
+    x, _, _ = _jacobi_pcg(
+        mat, project(rhs), 1e-14, 10 * cell.ndof, lambda r: project(inv_diag * r)
+    )
     assert np.max(np.abs(direct - x)) <= 1e-9 * np.max(np.abs(x))
 
 
@@ -361,3 +372,88 @@ def test_element_dofs_computed_once_and_read_only():
         assert grid.element_dofs() is dofs
         assert not dofs.flags.writeable
         assert grid == type(grid)(2, 4)  # the cache takes no part in equality
+
+
+def checkerboard_coeff(pts):
+    # contrast 5 between the extremes, eight periods per side
+    sig = 1.5 + np.sin(16.0 * np.pi * pts[:, 0]) * np.sin(16.0 * np.pi * pts[:, 1])
+    return sig[:, None, None] * np.eye(2)
+
+
+# anisotropic and full tensors: their Q1 stencils have positive
+# off-diagonals, where a fixed smoother weight of 0.8 amplifies
+DIAGONAL_10_1 = const_coeff([[10.0, 0.0], [0.0, 1.0]], 2)
+FULL_TENSOR = const_coeff([[3.0, 1.4], [1.4, 1.0]], 2)
+COEFF_IDS = ["checkerboard", "diagonal_10_1", "full_tensor"]
+
+
+def reduced_dirichlet_system(cells, coeff=checkerboard_coeff):
+    grid = MacroGrid(dim=2, cells_per_side=cells)
+    quad = gauss_rule(2, 2)
+    mat = assemble_stiffness(grid, coeff, quad)
+    rhs = assemble_load(grid, quad, scalar_fn=lambda pts: 1.0 + pts[:, 0] * pts[:, 1])
+    free = grid.interior_dofs()
+    return mat[free][:, free].tocsr(), rhs[free]
+
+
+@pytest.mark.parametrize("cells", [32, 64, 128, 256])
+def test_multigrid_pcg_iterations_flat_and_match_lu(cells):
+    reduced, rhs = reduced_dirichlet_system(cells)
+    x, rel, its = _jacobi_pcg(reduced, rhs, 1e-10, 100, _multigrid(reduced, cells))
+    assert rel <= 1e-10
+    assert its <= 12
+    exact = sp.linalg.spsolve(reduced.tocsc(), rhs)
+    assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("cells", [24, 40, 15])
+def test_multigrid_on_grids_that_stop_coarsening_early(cells):
+    # 24 cells stop at a 6-cell coarsest level (too small to halve), 40 at
+    # an odd 5-cell one; 15 cells never coarsen, so the preconditioner is
+    # the exact solve and CG stops after one step
+    reduced, rhs = reduced_dirichlet_system(cells)
+    x, rel, its = _jacobi_pcg(reduced, rhs, 1e-10, 100, _multigrid(reduced, cells))
+    assert its <= (1 if cells == 15 else 12)
+    exact = sp.linalg.spsolve(reduced.tocsc(), rhs)
+    assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize(
+    "coeff", [checkerboard_coeff, DIAGONAL_10_1, FULL_TENSOR], ids=COEFF_IDS
+)
+def test_multigrid_preconditioner_symmetric_positive(coeff):
+    # 16 cells coarsen twice; the preconditioner as a dense 225 x 225 matrix
+    reduced, _ = reduced_dirichlet_system(16, coeff)
+    precond = _multigrid(reduced, 16)
+    dense = np.column_stack([precond(e) for e in np.eye(reduced.shape[0])])
+    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+# measured 8, 20 and 17 steps; Jacobi-PCG takes 123, 210 and 234
+@pytest.mark.parametrize(
+    "coeff, max_iter",
+    [(checkerboard_coeff, 12), (DIAGONAL_10_1, 40), (FULL_TENSOR, 40)],
+    ids=COEFF_IDS,
+)
+def test_dirichlet_2d_solve_uses_multigrid_iterations(coeff, max_iter):
+    grid = MacroGrid(dim=2, cells_per_side=64)
+    quad = gauss_rule(2, 2)
+    mat = assemble_stiffness(grid, coeff, quad)
+    rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
+    sol = solve_dirichlet(SparseSystem(mat, rhs), grid, 0.0, SolverOptions(max_iter=max_iter))
+    free = grid.interior_dofs()
+    assert np.linalg.norm(mat[free] @ sol - rhs[free]) <= 1e-10 * np.linalg.norm(rhs[free])
+
+
+def test_multigrid_falls_back_to_jacobi_on_a_large_odd_grid():
+    # 67 cells cannot coarsen, and its 66 x 66 interior is too large to
+    # factor as a coarsest level
+    reduced, rhs = reduced_dirichlet_system(67)
+    precond = _multigrid(reduced, 67)
+    r = np.random.default_rng(5).standard_normal(reduced.shape[0])
+    np.testing.assert_array_equal(precond(r), _inverse_diagonal(reduced) * r)
+    x, rel, _ = _jacobi_pcg(reduced, rhs, 1e-10, 2000, precond)
+    assert rel <= 1e-10
+    exact = sp.linalg.spsolve(reduced.tocsc(), rhs)
+    assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
