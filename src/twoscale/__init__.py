@@ -33,9 +33,6 @@ from .cell_problems import (
     default_parameter_grid,
     effective_tensor,
     solve_first_correctors,
-    solve_hessian_correctors,
-    solve_slow_correctors,
-    solve_source_corrector,
 )
 from .coefficients import (
     CoefficientModel,
@@ -46,7 +43,6 @@ from .coefficients import (
     SmoothPeriodicCoefficient,
     SourceModel,
     coefficient_from_config,
-    eval_A1,
     source_from_config,
 )
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config
@@ -89,8 +85,6 @@ from .grids import (
 from .macro import (
     PicardOptions,
     PicardResult,
-    homogenized_source,
-    manufactured_residual,
     solve_homogenized,
 )
 

@@ -160,9 +160,8 @@ def interior_gradient_sup(
     is premultiplied by the oscillating coefficient evaluated at the center
     with the supplied state field (the resolved solution).
 
-    ``base_gradient`` is subtracted at the element centers; it is either an
-    array (K, dim) of its values at :func:`interior_element_centers`, or a
-    (grid, nodal_gradient) pair interpolated multilinearly.  Remainders
+    ``base_gradient``, an array (K, dim) of values at
+    :func:`interior_element_centers`, is subtracted there.  Remainders
     against a reconstructed layer need this: differencing that layer's
     nodal values would leak O(h) interpolant kinks and difference-quotient
     consistency errors into the measurement, whereas recovered/chain-rule
@@ -172,29 +171,18 @@ def interior_gradient_sup(
     mask = _interior_elements(grid, box)
     center = gauss_rule(1, grid.dim)  # single midpoint
     grads = field_gradients_at_quad(grid, fld.values, center)[mask, 0, :]
-    centers = interior_element_centers(grid, box)
     if base_gradient is not None:
-        if isinstance(base_gradient, tuple):
-            base_grid, base_nodal = base_gradient
-            base_nodal = np.asarray(base_nodal, dtype=float)
-            base_at = np.stack(
-                [
-                    interpolate_values(base_grid, base_nodal[:, d], centers)
-                    for d in range(grid.dim)
-                ],
-                axis=-1,
+        base_at = np.asarray(base_gradient, dtype=float)
+        if base_at.shape != grads.shape:
+            raise ValueError(
+                f"base gradient has shape {base_at.shape}, interior centers need "
+                f"{grads.shape}"
             )
-        else:
-            base_at = np.asarray(base_gradient, dtype=float)
-            if base_at.shape != grads.shape:
-                raise ValueError(
-                    f"base gradient has shape {base_at.shape}, interior centers need "
-                    f"{grads.shape}"
-                )
         grads = grads - base_at
     if flux_mode:
         if model is None or eps is None or state is None:
             raise ValueError("flux mode needs model, eps, and the state field")
+        centers = interior_element_centers(grid, box)
         u_at = interpolate_values(grid, state.values, centers)
         a_q = model.eval_a(u_at, centers, np.mod(centers / eps, 1.0))
         grads = np.einsum("kij,kj->ki", a_q, grads)

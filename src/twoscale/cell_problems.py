@@ -111,17 +111,6 @@ class ParameterGrid:
         x = np.array([ax[i] for ax, i in zip(self.x_axes, multi[1:])])
         return u, x
 
-    def index_of(self, u: float, x, tol: float = 1e-9):
-        """Multi-index of an exact sample; raises when (u, x) is off-lattice."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        multi = []
-        for ax, q in zip(self.axes, (u, *x)):
-            hits = np.nonzero(np.abs(ax - q) <= tol)[0]
-            if len(hits) == 0:
-                raise ConfigurationError(f"value {q} is not a parameter sample")
-            multi.append(int(hits[0]))
-        return tuple(multi)
-
 
 def default_parameter_grid(
     model: CoefficientModel,
@@ -302,12 +291,6 @@ class CorrectorTable:
             self._derived[key] = out
         return self._derived[key]
 
-    def interp_stack_at(
-        self, stack: np.ndarray, u: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """Interpolate one (n_samples, ndof) stack at many (u, x, y) triples."""
-        return self._interp_stacks([stack], u, x, y)[0]
-
     def lookup(self, u: float, x) -> CorrectorSample:
         """Multilinear blend of the stored nodal fields at one (u, x)."""
         blended = {
@@ -324,9 +307,14 @@ class CorrectorTable:
         gathers.  Returns name -> (K,).
         """
         stacks = [self.fields[name] for name in names]
-        return dict(zip(names, self._interp_stacks(stacks, u, x, y)))
+        return dict(zip(names, self.interp_stacks(stacks, u, x, y)))
 
-    def _interp_stacks(self, stacks, u, x, y) -> list:
+    def interp_stacks(self, stacks, u, x, y) -> list:
+        """Interpolate (n_samples, ndof) stacks at many (u, x, y) triples.
+
+        The cell weights and parameter brackets are computed once and shared
+        by every stack; returns one (K,) array per stack.
+        """
         ids, wts = _cell_weights_and_corners(self.cell_grid, y)
         out = [np.zeros(len(ids)) for _ in stacks]
         for flat, weight in _param_corner_iter(self.param_grid, u, x):
@@ -571,39 +559,14 @@ class CellSample:
         return out
 
 
-def solve_first_correctors(
-    model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(), _shift=None,
-    diagnostics: BuildDiagnostics | None = None,
-):
+def solve_first_correctors(model, u, x, grid: CellGrid, quad=None, opts=SolverOptions()):
     """First-order correctors at (u, x); see :meth:`CellSample.first_correctors`."""
-    return CellSample(model, u, x, grid, quad, _shift).first_correctors(opts, diagnostics)
+    return CellSample(model, u, x, grid, quad).first_correctors(opts)
 
 
-def effective_tensor(
-    model, u, x, first_fields, grid: CellGrid, quad=None,
-    diagnostics: BuildDiagnostics | None = None,
-) -> np.ndarray:
+def effective_tensor(model, u, x, first_fields, grid: CellGrid, quad=None) -> np.ndarray:
     """Effective tensor at (u, x); see :meth:`CellSample.effective_tensor`."""
-    return CellSample(model, u, x, grid, quad).effective_tensor(first_fields, diagnostics)
-
-
-def solve_hessian_correctors(
-    model, u, x, first_fields, grid: CellGrid, quad=None, opts=SolverOptions(),
-    diagnostics: BuildDiagnostics | None = None,
-) -> dict:
-    """Hessian correctors at (u, x); see :meth:`CellSample.hessian_correctors`."""
-    return CellSample(model, u, x, grid, quad).hessian_correctors(
-        first_fields, opts, diagnostics
-    )
-
-
-def solve_source_corrector(
-    model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(),
-    diagnostics: BuildDiagnostics | None = None,
-):
-    """Source corrector and source mean at (u, x); see
-    :meth:`CellSample.source_corrector`."""
-    return CellSample(model, u, x, grid, quad).source_corrector(opts, diagnostics)
+    return CellSample(model, u, x, grid, quad).effective_tensor(first_fields)
 
 
 def _voigt_reuss_directions(dim):
@@ -691,6 +654,7 @@ def _slow_pass(sample: CellSample, pgrid, multi, first_stack, h_load_stack, opts
         v = np.stack(
             [dn_dx_at_q[l][k] + grad[l] * dn_du_at_q[k] for l in range(dim)], axis=-1
         )  # (E,Q,dim)
+        # order-eps coefficient of a(u0 + eps u1): u1 da/du, u1 = N_m d_m u0
         u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
         a1_q = u1_q[:, :, None, None] * sample.da_q
         flux = -(
@@ -718,43 +682,6 @@ def _slow_pass(sample: CellSample, pgrid, multi, first_stack, h_load_stack, opts
         for m in range(dim):
             fields[f"slowg_{k}{m}"] = solve_context(k, np.eye(dim)[m]) - q0
     return fields, diag
-
-
-def solve_slow_correctors(
-    model,
-    u,
-    x,
-    table: CorrectorTable,
-    grad_u0,
-    grid: CellGrid,
-    quad=None,
-    opts=SolverOptions(),
-    diagnostics: BuildDiagnostics | None = None,
-):
-    """Slow-variation correctors at one parameter sample and macro gradient.
-
-    Runs the table build's slow pass at this sample, so it needs the first
-    correctors at the neighboring samples (read from ``table``), and
-    recombines the affine pieces for ``grad_u0``.
-    """
-    quad = quad or default_quadrature(grid.dim)
-    pgrid = table.param_grid
-    _check_lattice(model, pgrid, grid)
-    multi = pgrid.index_of(u, x)
-    dim = grid.dim
-
-    first_stack = np.stack([table.fields[f"first_{m}"] for m in range(dim)], axis=1)
-    h_load_stack = np.zeros((pgrid.size, dim, dim, grid.ndof))
-    for flat in {f for axis in range(1 + dim) for f, _ in _stencil_samples(pgrid, multi, axis)}:
-        u_n, x_n = pgrid.coords(np.unravel_index(flat, pgrid.shape))
-        h_load_stack[flat] = CellSample(model, u_n, x_n, grid, quad).h_loads(first_stack[flat])
-
-    sample = CellSample(model, *pgrid.coords(multi), grid, quad)
-    fields, diag = _slow_pass(sample, pgrid, multi, first_stack, h_load_stack, opts)
-    if diagnostics is not None:
-        diagnostics.absorb(diag)
-    slow = CorrectorSample(grid=grid, fields=fields)
-    return [slow.slow(k, grad_u0) for k in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +839,7 @@ def check_translation_invariance(
         )
         return TranslationReport(z, z_red, True, disc, 10.0 * opts.tol)
 
-    shifted = solve_first_correctors(
-        model, u, x, grid, quad, opts, _shift=z_red
-    )
+    shifted = CellSample(model, u, x, grid, quad, shift=z_red).first_correctors(opts)
     query = grid.dof_coords() + z_red
     query = np.where(query >= 1.0, query - 1.0, query)
     from .grids import interpolate_values

@@ -137,9 +137,7 @@ def estimate_u_span(setup: ProblemSetup):
         rhs = assemble_load(
             setup.macro_grid, quad, scalar_fn=lambda pts: np.full(len(pts), fbar)
         )
-        provisional = solve_dirichlet(
-            SparseSystem(mat, rhs), setup.macro_grid, 0.0, setup.cg_opts
-        )
+        provisional = solve_dirichlet(SparseSystem(mat, rhs), setup.macro_grid, setup.cg_opts)
         lo = min(lo, float(provisional.min()))
         hi = max(hi, float(provisional.max()))
     pad = 0.25 * max(hi - lo, 1e-6)

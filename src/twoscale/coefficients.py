@@ -352,22 +352,6 @@ class SeparatedCoefficient(CoefficientModel):
         return np.einsum("k,ij->kij", dmu * self.g_scalar(y), np.eye(self.dim))
 
 
-def eval_A1(model: CoefficientModel, u0, grad_u0, corrector_values, x, y):
-    """First-order coefficient expansion term.
-
-    With the unknown expanded as u0 + eps * u1 + ..., Taylor expansion of
-    a(u, x, y) in u forces the order-eps coefficient u1 * da/du(u0, x, y),
-    where u1 = sum_l N_l(u0, x, y) * du0/dx_l at the same fast point.
-    """
-    grad = np.asarray(grad_u0, dtype=float)
-    corr = np.asarray(corrector_values, dtype=float)
-    u1 = corr @ grad if corr.ndim == 1 else np.einsum("kl,...l->k", corr, grad)
-    da = model.eval_da_du(u0, x, y)
-    if np.ndim(da) == 2:
-        return float(np.atleast_1d(u1)[0]) * da
-    return np.asarray(u1)[:, None, None] * da
-
-
 _FAMILIES = {
     "CONSTANT": ConstantCoefficient,
     "SMOOTH_PERIODIC": SmoothPeriodicCoefficient,

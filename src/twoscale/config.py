@@ -28,7 +28,9 @@ DEFAULT_CONFIG = {
         "m_x": 64,
         "m_c": 256,
         "cells_per_period": 16,
-        "quad_points": None,  # None -> 2, or 3 for u-composed (Rosseland) assembly
+        # None -> 1 (midpoint) in 1-D; in 2-D 2, or 3 for the macro and fine
+        # assemblies of a u-dependent Rosseland coefficient
+        "quad_points": None,
         "max_fine_dofs": 2_000_000,
         "table_u_samples": 5,
         "table_x_samples": 5,

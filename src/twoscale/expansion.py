@@ -105,6 +105,26 @@ class RemainderField:
     boundary_trace_max: float = 0.0
 
 
+def _macro_fields_at(u0_field: ScalarField, points: np.ndarray):
+    """u0, its recovered gradient (K, dim) and Hessian (K, dim, dim) at the
+    points, each interpolated multilinearly from the macro nodes."""
+    macro_grid = u0_field.grid
+    dim = macro_grid.dim
+    u0 = interpolate_values(macro_grid, u0_field.values, points)
+    grad_nodal = fd_gradient(u0_field)  # (macro ndof, dim)
+    grad = np.stack(
+        [interpolate_values(macro_grid, grad_nodal[:, d], points) for d in range(dim)],
+        axis=-1,
+    )
+    hess_nodal = fd_hessian(u0_field)  # (macro ndof, dim, dim), symmetric
+    hess = np.zeros((len(points), dim, dim))
+    for k in range(dim):
+        for l in range(k, dim):
+            hess[:, k, l] = interpolate_values(macro_grid, hess_nodal[:, k, l], points)
+            hess[:, l, k] = hess[:, k, l]
+    return u0, grad, hess
+
+
 def reconstruct(
     u0_field: ScalarField,
     table: CorrectorTable,
@@ -118,26 +138,12 @@ def reconstruct(
     finite-difference gradient/Hessian; fast quantities from the corrector
     table interpolated in (u, x) and within the cell at y = x/eps mod 1.
     """
-    macro_grid = u0_field.grid
-    if not isinstance(macro_grid, MacroGrid):
+    if not isinstance(u0_field.grid, MacroGrid):
         raise TypeError("u0 must live on a macro grid")
     x = fine_grid.node_coords()
     y = fast_coordinates(fine_grid, eps)
     dim = fine_grid.dim
-
-    u0_f = interpolate_values(macro_grid, u0_field.values, x)
-    grad_nodal = fd_gradient(u0_field)  # (macro ndof, dim)
-    grad_f = np.stack(
-        [interpolate_values(macro_grid, grad_nodal[:, d], x) for d in range(dim)],
-        axis=-1,
-    )
-    hess_nodal = fd_hessian(u0_field)  # (macro ndof, dim, dim)
-    hess_f = {}
-    for k in range(dim):
-        for l in range(k, dim):
-            hess_f[(k, l)] = interpolate_values(
-                macro_grid, hess_nodal[:, k, l], x
-            )
+    u0_f, grad_f, hess_f = _macro_fields_at(u0_field, x)
 
     vals = table.interp_at(corrector_field_names(dim), u0_f, x, y)
 
@@ -149,7 +155,7 @@ def reconstruct(
     for k in range(dim):
         for l in range(k, dim):
             fac = 1.0 if k == l else 2.0
-            u2 += fac * vals[f"hess_{k}{l}"] * hess_f[(k, l)]
+            u2 += fac * vals[f"hess_{k}{l}"] * hess_f[:, k, l]
     for k in range(dim):
         slow_k = vals[f"slow0_{k}"].copy()
         for m in range(dim):
@@ -176,47 +182,23 @@ def reconstruction_gradient(
         grad_k = d_k u0 + dN_l/dy_k d_l u0
                + eps * [ (dN_l/du d_k u0 + dN_l/dx_k) d_l u0 + N_l d2_kl u0 ]
     """
-    macro_grid = u0_field.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = macro_grid.dim
+    dim = u0_field.grid.dim
     y = np.mod(points / eps, 1.0)
-
-    u0_at = interpolate_values(macro_grid, u0_field.values, points)
-    grad_nodal = fd_gradient(u0_field)
-    g = np.stack(
-        [interpolate_values(macro_grid, grad_nodal[:, d], points) for d in range(dim)],
-        axis=-1,
-    )
-    hess_nodal = fd_hessian(u0_field)
-    h = np.stack(
-        [
-            np.stack(
-                [
-                    interpolate_values(macro_grid, hess_nodal[:, k, l], points)
-                    for l in range(dim)
-                ],
-                axis=-1,
-            )
-            for k in range(dim)
-        ],
-        axis=1,
-    )  # (K, dim, dim)
+    u0_at, g, h = _macro_fields_at(u0_field, points)
 
     out = g.copy()
     for l in range(dim):
         name = f"first_{l}"
-        n_l = table.interp_stack_at(table.fields[name], u0_at, points, y)
         dn_dy = table.gradient_stack(name)
-        dn_du = table.interp_stack_at(
-            table.parameter_derivative_stack(name, 0), u0_at, points, y
-        )
+        stacks = [table.fields[name], table.parameter_derivative_stack(name, 0)]
+        stacks += [dn_dy[:, :, k] for k in range(dim)]
+        stacks += [table.parameter_derivative_stack(name, 1 + k) for k in range(dim)]
+        n_l, dn_du, *rest = table.interp_stacks(stacks, u0_at, points, y)
+        dy, dx = rest[:dim], rest[dim:]
         for k in range(dim):
-            dy_k = table.interp_stack_at(dn_dy[:, :, k], u0_at, points, y)
-            dx_k = table.interp_stack_at(
-                table.parameter_derivative_stack(name, 1 + k), u0_at, points, y
-            )
-            out[:, k] += dy_k * g[:, l]
-            out[:, k] += eps * ((dn_du * g[:, k] + dx_k) * g[:, l] + n_l * h[:, k, l])
+            out[:, k] += dy[k] * g[:, l]
+            out[:, k] += eps * ((dn_du * g[:, k] + dx[k]) * g[:, l] + n_l * h[:, k, l])
     return out
 
 

@@ -445,37 +445,24 @@ def _multigrid(mat, cells: int):
 
 
 def solve_dirichlet(
-    system: SparseSystem,
-    grid: MacroGrid,
-    boundary_values=0.0,
-    opts: SolverOptions = SolverOptions(),
+    system: SparseSystem, grid: MacroGrid, opts: SolverOptions = SolverOptions()
 ) -> np.ndarray:
-    """Solve with Dirichlet data eliminated exactly.
+    """Solve with homogeneous Dirichlet data eliminated exactly.
 
-    ``boundary_values`` may be a scalar (applied to every boundary node) or a
-    mapping node-id -> value.  Returns the full nodal vector with boundary
-    entries set exactly to the data.  A 1-D grid's reduced system is solved
+    Only the interior equations are solved; the returned full nodal vector
+    is exactly zero on the boundary.  A 1-D grid's reduced system is solved
     directly, a 2-D one by CG preconditioned with a multigrid V-cycle.
     """
-    bnd = grid.boundary_dofs()
     free = grid.interior_dofs()
-    vals = np.zeros(grid.ndof)
-    if np.isscalar(boundary_values):
-        vals[bnd] = float(boundary_values)
-    else:
-        for node, v in boundary_values.items():
-            vals[node] = float(v)
-
-    mat = system.matrix
-    rhs = system.rhs[free] - mat[free][:, bnd] @ vals[bnd]
-    reduced = mat[free][:, free].tocsr()
+    rhs = system.rhs[free]
+    reduced = system.matrix[free][:, free].tocsr()
     if grid.dim == 1:
         x_free = _lu(reduced).solve(rhs)
     else:
         max_iter = opts.max_iter or 10 * max(len(free), 1)
         precond = _multigrid(reduced, grid.cells_per_side)
         x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter, precond)
-    out = vals
+    out = np.zeros(grid.ndof)
     out[free] = x_free
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell_problems import CellSample, EffectiveTensorTable
+from .cell_problems import EffectiveTensorTable
 from .errors import NonConvergenceError
 from .fem import (
     SolverOptions,
@@ -29,7 +29,7 @@ from .fem import (
     default_quadrature,
     solve_dirichlet,
 )
-from .grids import CellGrid, MacroGrid, ScalarField, interpolate_values
+from .grids import MacroGrid, ScalarField, interpolate_values
 
 # Anderson depth: each step mixes the last ANDERSON_DEPTH + 1 evaluations of G
 ANDERSON_DEPTH = 5
@@ -42,7 +42,6 @@ class PicardOptions:
     tol: float = 1e-10
     max_iter: int = 100
     damping: float = 1.0
-    initial: object = None  # None -> frozen-midpoint solve; scalar or nodal array
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -64,11 +63,6 @@ class PicardResult:
         return self.increments[-1] if self.increments else 0.0
 
 
-def homogenized_source(model, u, x, cell_grid: CellGrid, quad=None) -> float:
-    """Cell average of the source at a frozen macro state."""
-    return CellSample(model, u, x, cell_grid, quad).source_mean
-
-
 def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
                  cg_opts: SolverOptions, initial_values: np.ndarray):
     """Shared fixed-point driver: ``assemble_fn(u_values) -> (matrix, rhs)``.
@@ -84,7 +78,7 @@ def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
     g_hist, f_hist = [], []
     for it in range(1, opts.max_iter + 1):
         mat, rhs = assemble_fn(u)
-        u_lin = solve_dirichlet(SparseSystem(mat, rhs), grid, 0.0, cg_opts)
+        u_lin = solve_dirichlet(SparseSystem(mat, rhs), grid, cg_opts)
         g = (1.0 - opts.damping) * u + opts.damping * u_lin
         f = g - u
         inc = float(np.max(np.abs(f)))
@@ -119,25 +113,16 @@ def solve_nonlinear(model, grid: MacroGrid, assemble_fn, opts: PicardOptions,
     """Frozen-midpoint start, then ``picard_solve`` (shared by the macro and
     fine solves).
 
-    Without an initial guess the start is one linear solve with the state
-    frozen at the middle of the admissible range.  When neither the
-    coefficient nor the source depends on u, that solve is the fixed point
-    and is returned as converged in one iteration with increment 0.
+    The start is one linear solve with the state frozen at the middle of the
+    admissible range.  When neither the coefficient nor the source depends
+    on u, that solve is the fixed point and is returned as converged in one
+    iteration with increment 0.
     """
-    if opts.initial is None:
-        u_mid = 0.5 * (model.u_lo + model.u_hi)
-        mat, rhs = assemble_fn(np.full(grid.ndof, u_mid))
-        start = solve_dirichlet(SparseSystem(mat, rhs), grid, 0.0, cg_opts)
-        if not (model.u_dependent or model.source.u_dependent):
-            return start, PicardResult(iterations=1, increments=[0.0], converged=True)
-    elif np.isscalar(opts.initial):
-        start = np.full(grid.ndof, float(opts.initial))
-        start[grid.boundary_dofs()] = 0.0
-    else:
-        start = np.asarray(opts.initial, dtype=float)
-        if start.shape != (grid.ndof,):
-            raise ValueError("initial guess length does not match the macro grid")
-        start = start.copy()
+    u_mid = 0.5 * (model.u_lo + model.u_hi)
+    mat, rhs = assemble_fn(np.full(grid.ndof, u_mid))
+    start = solve_dirichlet(SparseSystem(mat, rhs), grid, cg_opts)
+    if not (model.u_dependent or model.source.u_dependent):
+        return start, PicardResult(iterations=1, increments=[0.0], converged=True)
     return picard_solve(assemble_fn, grid, opts, cg_opts, start)
 
 
@@ -183,32 +168,3 @@ def solve_homogenized(
         )
     return ScalarField(macro_grid, values), result
 
-
-def manufactured_residual(
-    tensor_table: EffectiveTensorTable,
-    candidate: ScalarField,
-    source: ScalarField,
-    quad=None,
-    cg_opts: SolverOptions = SolverOptions(),
-) -> float:
-    """Euclidean norm of the interior weak residual at a candidate field.
-
-    The operator is assembled with the tensor frozen at the candidate, the
-    load comes from the supplied source field, and the residual is measured
-    on the free (interior) equations only.
-    """
-    grid = candidate.grid
-    if source.grid != grid:
-        raise ValueError("candidate and source live on different grids")
-    quad = quad or default_quadrature(grid.dim)
-
-    def coeff_fn(pts):
-        u_at = interpolate_values(grid, candidate.values, pts)
-        return tensor_table.interp(u_at, pts)
-
-    mat = assemble_stiffness(grid, coeff_fn, quad)
-    rhs = assemble_load(
-        grid, quad, scalar_fn=lambda pts: interpolate_values(grid, source.values, pts)
-    )
-    res = mat @ candidate.values - rhs
-    return float(np.linalg.norm(res[grid.interior_dofs()]))

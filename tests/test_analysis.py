@@ -131,15 +131,9 @@ def test_interior_gradient_sup_flux_mode():
 
 
 def test_interior_gradient_sup_with_baseline():
-    # subtracting the recovered nodal gradient of the same smooth field
-    # cancels the measurement to rounding
-    from twoscale.grids import fd_gradient
-
+    # subtracting the exact gradient of a quadratic at the interior element
+    # centers cancels the measurement to rounding
     fld = field_1d(16, lambda x: x * (1.0 - x))
-    base = (fld.grid, fd_gradient(fld))
-    val = interior_gradient_sup(fld, [0.25, 0.75], base_gradient=base)
-    assert val < 1e-12
-    # the same baseline as values at the interior element centers
     centers = interior_element_centers(fld.grid, [0.25, 0.75])
     at_centers = 1.0 - 2.0 * centers
     assert interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers) < 1e-12

@@ -4,15 +4,13 @@ from scipy.integrate import quad
 
 from twoscale import cell_problems
 from twoscale.cell_problems import (
+    CellSample,
     ParameterGrid,
     build_corrector_tables,
     check_translation_invariance,
     default_parameter_grid,
     effective_tensor,
     solve_first_correctors,
-    solve_hessian_correctors,
-    solve_slow_correctors,
-    solve_source_corrector,
 )
 from twoscale.coefficients import (
     ConstantCoefficient,
@@ -118,7 +116,7 @@ def test_hessian_corrector_zero_for_constant():
     model = ConstantCoefficient(1, matrix=[[2.0]])
     grid = CellGrid(1, 16)
     first = solve_first_correctors(model, 0.5, [0.5], grid)
-    hess = solve_hessian_correctors(model, 0.5, [0.5], first, grid)
+    hess = CellSample(model, 0.5, [0.5], grid).hessian_correctors(first)
     assert np.max(np.abs(hess[(0, 0)])) < 1e-12
 
 
@@ -128,7 +126,7 @@ def test_hessian_corrector_1d_two_pass_oracle():
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     grid = CellGrid(1, 64)
     first = solve_first_correctors(model, 0.5, [0.5], grid)
-    hess = solve_hessian_correctors(model, 0.5, [0.5], first, grid)
+    hess = CellSample(model, 0.5, [0.5], grid).hessian_correctors(first)
 
     y_dense, n_exact, _ = dense_first_corrector(a_osc)
     m_dense = np.concatenate(
@@ -146,7 +144,7 @@ def test_hessian_corrector_2d_swap_equivariance():
     model = SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0)
     grid = CellGrid(2, 16)
     first = solve_first_correctors(model, 0.5, [0.5, 0.5], grid)
-    hess = solve_hessian_correctors(model, 0.5, [0.5, 0.5], first, grid)
+    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian_correctors(first)
     m = grid.cells_per_side
     m11 = hess[(0, 0)].reshape(m, m)
     m22 = hess[(1, 1)].reshape(m, m)
@@ -180,17 +178,27 @@ def test_table_build_assembles_at_most_twice_per_sample(monkeypatch):
     assert 0 < n_assemblies <= 2 * table.param_grid.size
 
 
+def slow_at(table, u, x, grad):
+    """Slow correctors for the macro gradient ``grad``, one per direction,
+    read from the table (exact at a lattice sample)."""
+    sample = table.lookup(u, x)
+    return [sample.slow(k, grad) for k in range(table.dim)]
+
+
 def test_slow_corrector_solve_matches_table_and_threads_agree():
-    model, grid, table, tensors, _ = separated_2d_table()
+    # at a lattice sample the lookup reads the stored affine pieces bitwise
+    _, _, table, tensors, _ = separated_2d_table()
     pgrid = table.param_grid
     for multi in [(1, 1, 1), (2, 2, 0)]:
-        u, x = pgrid.coords(multi)
-        stored = table.lookup(u, x)
-        assert np.max(np.abs(stored.fields["slowg_00"])) > 1e-4  # not vacuous
+        flat = pgrid.ravel(multi)
+        assert np.max(np.abs(table.fields["slowg_00"][flat])) > 1e-4  # not vacuous
         for grad in ([0.0, 0.0], [0.3, -0.2]):
-            q = solve_slow_correctors(model, u, x, table, grad, grid)
+            q = slow_at(table, *pgrid.coords(multi), grad)
             for k in range(2):
-                assert np.array_equal(q[k], stored.slow(k, grad))
+                stored = table.fields[f"slow0_{k}"][flat].copy()
+                for m in range(2):
+                    stored += grad[m] * table.fields[f"slowg_{k}{m}"][flat]
+                assert np.array_equal(q[k], stored)
 
     t2, e2 = separated_2d_table(threads=2)[2:4]
     for name in table.fields:
@@ -209,8 +217,8 @@ def test_slow_corrector_2d_separated_scaling():
     table, _ = build_corrector_tables(model, pgrid, grid)
     u_a, u_b = float(pgrid.u_samples[1]), float(pgrid.u_samples[3])
     grad = [0.3, -0.2]
-    q_a = solve_slow_correctors(model, u_a, [0.5, 0.5], table, grad, grid)
-    q_b = solve_slow_correctors(model, u_b, [0.5, 0.5], table, grad, grid)
+    q_a = slow_at(table, u_a, [0.5, 0.5], grad)
+    q_b = slow_at(table, u_b, [0.5, 0.5], grad)
     # load scales with dmu/du = 2u, operator with mu = 1 + u^2
     factor = (2.0 * u_b / (1.0 + u_b**2)) / (2.0 * u_a / (1.0 + u_a**2))
     for k in range(2):
@@ -221,7 +229,7 @@ def test_hessian_corrector_zero_mean():
     model = SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0)
     grid = CellGrid(2, 8)
     first = solve_first_correctors(model, 0.5, [0.5, 0.5], grid)
-    hess = solve_hessian_correctors(model, 0.5, [0.5, 0.5], first, grid)
+    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian_correctors(first)
     for f in hess.values():
         assert abs(f.mean()) < 1e-12
 
@@ -229,7 +237,7 @@ def test_hessian_corrector_zero_mean():
 def test_source_corrector_y_independent_source():
     model = ConstantCoefficient(1, matrix=[[1.0]], source=SourceModel(base=2.0))
     grid = CellGrid(1, 16)
-    r, fbar = solve_source_corrector(model, 0.5, [0.5], grid)
+    r, fbar = CellSample(model, 0.5, [0.5], grid).source_corrector()
     assert np.max(np.abs(r)) < 1e-12
     assert fbar == pytest.approx(2.0, abs=1e-12)
 
@@ -240,7 +248,7 @@ def test_source_corrector_sine_closed_form():
         1, matrix=[[1.0]], source=SourceModel(amplitude=1.0, frequency=1)
     )
     grid = CellGrid(1, 64)
-    r, fbar = solve_source_corrector(model, 0.5, [0.5], grid)
+    r, fbar = CellSample(model, 0.5, [0.5], grid).source_corrector()
     y = grid.dof_coords()[:, 0]
     exact = np.sin(2.0 * np.pi * y) / (4.0 * np.pi**2)
     assert abs(fbar) < 1e-12
@@ -391,15 +399,10 @@ def test_slow_corrector_separated_model_oracle():
 
     u = pgrid.u_samples[2]
     grad = 0.7
-    q = solve_slow_correctors(model, u, [0.5], table, [grad], grid)[0]
+    q = slow_at(table, u, [0.5], [grad])[0]
     y_dense, q_exact = dense_slow_corrector_oracle(u, grad)
     at_nodes = np.interp(grid.dof_coords()[:, 0], y_dense, q_exact)
     assert np.max(np.abs(q - at_nodes)) < 5.0 * grid.spacing**2
-
-    # affine recombination from the stored pieces matches the direct solve
-    sample = table.lookup(u, [0.5])
-    recombined = sample.slow(0, [grad])
-    assert np.max(np.abs(recombined - q)) < 1e-9
 
 
 def rosseland_slow_oracle(u, gam, du_step, n_dense=1 << 16):
@@ -442,7 +445,7 @@ def test_slow_corrector_u_chain_oracle():
         table, _ = build_corrector_tables(model, pgrid, grid)
         u = float(pgrid.u_samples[n_u // 2])
         du = float(pgrid.u_samples[1] - pgrid.u_samples[0])
-        q_h = solve_slow_correctors(model, u, [0.5], table, [gam], grid)[0]
+        q_h = slow_at(table, u, [0.5], [gam])[0]
 
         # against the table-matched stencil: only cell discretization remains
         y_d, q_matched = rosseland_slow_oracle(u, gam, du)
@@ -460,7 +463,7 @@ def test_slow_corrector_zero_gradient_context():
     grid = CellGrid(1, 32)
     pgrid = default_parameter_grid(model)
     table, _ = build_corrector_tables(model, pgrid, grid)
-    q = solve_slow_correctors(model, pgrid.u_samples[0], [0.5], table, [0.0], grid)[0]
+    q = slow_at(table, pgrid.u_samples[0], [0.5], [0.0])[0]
     assert np.max(np.abs(q)) < 1e-10  # no gradient, no u1, no x drift
     assert np.max(np.abs(table.fields["slow0_0"])) < 1e-10
 
@@ -477,11 +480,12 @@ def test_slow_corrector_x_dependent_scaling():
     assert pgrid.shape == (5, 5)
     table, tensors = build_corrector_tables(model, pgrid, grid)
 
+    multi_a, multi_b = (2, 1), (2, 3)
     u = float(pgrid.u_samples[2])
     x_a, x_b = float(pgrid.x_axes[0][1]), float(pgrid.x_axes[0][3])
     grad = 0.4
-    q_a = solve_slow_correctors(model, u, [x_a], table, [grad], grid)[0]
-    q_b = solve_slow_correctors(model, u, [x_b], table, [grad], grid)[0]
+    q_a = slow_at(table, u, [x_a], [grad])[0]
+    q_b = slow_at(table, u, [x_b], [grad])[0]
 
     def mu(xx):
         return 1.0 + u**2 + 0.5 * xx
@@ -489,13 +493,12 @@ def test_slow_corrector_x_dependent_scaling():
     assert np.max(np.abs(q_b - q_a * mu(x_a) / mu(x_b))) < 1e-8
 
     # the effective tensor inherits the same multiplicative structure
-    a_a = tensors.at(pgrid.index_of(u, [x_a]))[0, 0]
-    a_b = tensors.at(pgrid.index_of(u, [x_b]))[0, 0]
+    a_a = tensors.at(multi_a)[0, 0]
+    a_b = tensors.at(multi_b)[0, 0]
     assert a_b / a_a == pytest.approx(mu(x_b) / mu(x_a), rel=1e-10)
 
     # first correctors do not depend on the slow variables at all
-    flat_a = pgrid.ravel(pgrid.index_of(u, [x_a]))
-    flat_b = pgrid.ravel(pgrid.index_of(u, [x_b]))
+    flat_a, flat_b = pgrid.ravel(multi_a), pgrid.ravel(multi_b)
     assert np.max(np.abs(
         table.fields["first_0"][flat_a] - table.fields["first_0"][flat_b]
     )) < 1e-12

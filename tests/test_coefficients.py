@@ -9,7 +9,6 @@ from twoscale.coefficients import (
     SmoothPeriodicCoefficient,
     SourceModel,
     coefficient_from_config,
-    eval_A1,
     source_from_config,
 )
 from twoscale.errors import PropertyViolationError
@@ -137,18 +136,6 @@ def test_layered_smooth_profile_is_c1_at_patch_joints():
         left = smooth.eval_a(0.0, [0.0], [edge - h])[0, 0]
         right = smooth.eval_a(0.0, [0.0], [edge + h])[0, 0]
         assert abs(left - right) < 1e-6  # continuous with bounded slope
-
-
-def test_eval_A1_cases():
-    lin = SmoothPeriodicCoefficient(1)
-    assert np.all(eval_A1(lin, 0.3, [0.5], [0.2], [0.5], [0.3]) == 0.0)
-
-    ros = RosselandCoefficient(1, k_base=1.0, k_amplitude=0.0, b=1.0, u_range=(0.0, 2.0))
-    # u1 = N * grad = 0.5, da/du = 12 at u = 1
-    a1 = eval_A1(ros, 1.0, [1.0], [0.5], [0.0], [0.0])
-    assert a1[0, 0] == pytest.approx(6.0, abs=1e-12)
-    zero = eval_A1(ros, 1.0, [0.0], [0.5], [0.0], [0.0])
-    assert np.all(zero == 0.0)
 
 
 def test_source_models():

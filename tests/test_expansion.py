@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from twoscale.cell_problems import build_corrector_tables, default_parameter_grid
+from twoscale.cell_problems import (
+    CorrectorTable,
+    ParameterGrid,
+    build_corrector_tables,
+    default_parameter_grid,
+)
 from twoscale.coefficients import (
     ConstantCoefficient,
     SmoothPeriodicCoefficient,
@@ -13,10 +18,18 @@ from twoscale.expansion import (
     fast_coordinates,
     fine_grid_for,
     reconstruct,
+    reconstruction_gradient,
     remainder,
     solve_fine,
 )
-from twoscale.grids import CellGrid, MacroGrid, ScalarField
+from twoscale.grids import (
+    CellGrid,
+    MacroGrid,
+    ScalarField,
+    fd_gradient,
+    fd_hessian,
+    interpolate_values,
+)
 from twoscale.macro import solve_homogenized
 
 
@@ -93,6 +106,61 @@ def test_reconstruct_linear_in_macro_gradient():
     one = reconstruct(ScalarField(macro, 0.3 * x), table, 0.25, fine)
     two = reconstruct(ScalarField(macro, 0.6 * x), table, 0.25, fine)
     assert np.max(np.abs(two.u1 - 2.0 * one.u1)) < 1e-12
+
+
+def per_stack_reconstruction_gradient(u0_field, table, eps, points):
+    """reconstruction_gradient with every table stack interpolated alone."""
+    grid, dim = u0_field.grid, u0_field.grid.dim
+    y = np.mod(points / eps, 1.0)
+
+    def at(values):
+        return interpolate_values(grid, values, points)
+
+    u0_at = at(u0_field.values)
+    grad_nodal, hess_nodal = fd_gradient(u0_field), fd_hessian(u0_field)
+    g = np.stack([at(grad_nodal[:, d]) for d in range(dim)], axis=-1)
+
+    def stack_at(stack):
+        return table.interp_stacks([stack], u0_at, points, y)[0]
+
+    out = g.copy()
+    for l in range(dim):
+        name = f"first_{l}"
+        n_l = stack_at(table.fields[name])
+        dn_du = stack_at(table.parameter_derivative_stack(name, 0))
+        for k in range(dim):
+            dy_k = stack_at(table.gradient_stack(name)[:, :, k])
+            dx_k = stack_at(table.parameter_derivative_stack(name, 1 + k))
+            out[:, k] += dy_k * g[:, l]
+            out[:, k] += eps * (
+                (dn_du * g[:, k] + dx_k) * g[:, l] + n_l * at(hess_nodal[:, k, l])
+            )
+    return out
+
+
+def test_reconstruction_gradient_matches_per_stack_reference():
+    # seeded random first correctors on a 3x3x3 (u, x1, x2) lattice, so every
+    # parameter-derivative stack is far from zero (the correctors of the
+    # shipped x-dependent family, SEPARATED, do not depend on u or x)
+    rng = np.random.default_rng(5)
+    cell = CellGrid(2, 8)
+    axis = np.linspace(0.0, 1.0, 3)
+    pgrid = ParameterGrid(axis, (axis, axis))
+    table = CorrectorTable(
+        cell_grid=cell,
+        param_grid=pgrid,
+        fields={f"first_{l}": rng.standard_normal((pgrid.size, cell.ndof)) for l in range(2)},
+    )
+    for l in range(2):
+        for ax in range(3):
+            assert np.abs(table.parameter_derivative_stack(f"first_{l}", ax)).max() > 0.1
+
+    macro = MacroGrid(2, 8)
+    x = macro.node_coords()
+    u0 = ScalarField(macro, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]) + 0.1 * x[:, 0])
+    points = rng.uniform(0.05, 0.95, size=(40, 2))
+    got = reconstruction_gradient(u0, table, 0.25, points)
+    assert np.array_equal(got, per_stack_reconstruction_gradient(u0, table, 0.25, points))
 
 
 def test_truncation_order_validation():

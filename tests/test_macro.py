@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twoscale.cell_problems import (
+    CellSample,
     EffectiveTensorTable,
     ParameterGrid,
     build_corrector_tables,
@@ -14,13 +15,9 @@ from twoscale.coefficients import (
     SourceModel,
 )
 from twoscale.errors import NonConvergenceError
-from twoscale.grids import CellGrid, MacroGrid, ScalarField
-from twoscale.macro import (
-    PicardOptions,
-    homogenized_source,
-    manufactured_residual,
-    solve_homogenized,
-)
+from twoscale.fem import assemble_load, assemble_stiffness, default_quadrature
+from twoscale.grids import CellGrid, MacroGrid, interpolate_values
+from twoscale.macro import PicardOptions, solve_homogenized
 
 
 def constant_tensor_table(value, source_mean=1.0, dim=1):
@@ -89,84 +86,61 @@ def test_rosseland_nonlinear_picard_converges():
 
 
 def test_picard_budget_exhaustion_raises_with_history():
-    table = constant_tensor_table(1.0)
-    model = ConstantCoefficient(1, matrix=[[1.0]], source=SourceModel(base=1.0))
+    # a u-dependent model: a u-independent one is solved by the frozen start
+    model = RosselandCoefficient(1, k_base=2.0, k_amplitude=1.0, b=0.1)
+    _, tensors = build_corrector_tables(
+        model, default_parameter_grid(model), CellGrid(1, 32)
+    )
     grid = MacroGrid(1, 16)
     with pytest.raises(NonConvergenceError) as err:
-        solve_homogenized(
-            table, model, grid,
-            PicardOptions(tol=1e-16, max_iter=1, damping=0.5, initial=0.0),
-        )
+        solve_homogenized(tensors, model, grid, PicardOptions(max_iter=1))
     assert len(err.value.history) == 1
-
-
-def test_initial_guess_variants():
-    table = constant_tensor_table(2.0)
-    model = ConstantCoefficient(1, matrix=[[2.0]], source=SourceModel(base=1.0))
-    grid = MacroGrid(1, 16)
-    u_ref, _ = solve_homogenized(table, model, grid)
-
-    u_const, _ = solve_homogenized(
-        table, model, grid, PicardOptions(initial=0.25, max_iter=5)
-    )
-    assert np.max(np.abs(u_const.values - u_ref.values)) < 1e-9
-
-    u_field, _ = solve_homogenized(
-        table, model, grid, PicardOptions(initial=u_ref.values, max_iter=5)
-    )
-    assert np.array_equal(u_field.values[grid.boundary_dofs()], np.zeros(2))
-    assert np.max(np.abs(u_field.values - u_ref.values)) < 1e-9
-
-    with pytest.raises(ValueError):
-        solve_homogenized(
-            table, model, grid, PicardOptions(initial=np.zeros(3))
-        )
 
 
 def test_homogenized_source_values():
     grid = CellGrid(1, 32)
+
+    def source_mean(model, u):
+        return CellSample(model, u, [0.5], grid).source_mean
+
     const = ConstantCoefficient(1, matrix=[[1.0]], source=SourceModel(base=2.5))
-    assert homogenized_source(const, 0.1, [0.5], grid) == pytest.approx(2.5, abs=1e-12)
+    assert source_mean(const, 0.1) == pytest.approx(2.5, abs=1e-12)
 
     osc = ConstantCoefficient(
         1, matrix=[[1.0]], source=SourceModel(amplitude=1.0, frequency=1)
     )
-    assert abs(homogenized_source(osc, 0.1, [0.5], grid)) < 1e-10
+    assert abs(source_mean(osc, 0.1)) < 1e-10
 
     mixed = ConstantCoefficient(
         1, matrix=[[1.0]], u_range=(0.0, 4.0),
         source=SourceModel(u_coeff=1.0, amplitude=1.0, frequency=1),
     )
-    assert homogenized_source(mixed, 2.0, [0.5], grid) == pytest.approx(2.0, abs=1e-10)
+    assert source_mean(mixed, 2.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_manufactured_residual_behaviour():
+    # the interior weak residual of the homogenized solution, with the
+    # tensor and the source mean frozen at that solution
     table = constant_tensor_table(1.0)
     model = ConstantCoefficient(1, matrix=[[1.0]], source=SourceModel(base=1.0))
     grid = MacroGrid(1, 16)
+    quad = default_quadrature(1)
     u0, _ = solve_homogenized(table, model, grid)
-    source = ScalarField(grid, np.ones(grid.ndof))
 
-    at_solution = manufactured_residual(table, u0, source)
-    assert at_solution < 1e-9
+    def residual(values):
+        def u_at(pts):
+            return interpolate_values(grid, values, pts)
 
-    zero = ScalarField(grid, np.zeros(grid.ndof))
-    from twoscale.fem import assemble_load, gauss_rule
+        mat = assemble_stiffness(grid, lambda pts: table.interp(u_at(pts), pts), quad)
+        rhs = assemble_load(
+            grid, quad, scalar_fn=lambda pts: table.interp_source(u_at(pts), pts)
+        )
+        return float(np.linalg.norm((mat @ values - rhs)[grid.interior_dofs()]))
 
-    load = assemble_load(
-        grid, gauss_rule(2, 1), scalar_fn=lambda pts: np.ones(len(pts))
-    )
+    assert residual(u0.values) < 1e-9
+    load = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
     expected = np.linalg.norm(load[grid.interior_dofs()])
-    assert manufactured_residual(table, zero, source) == pytest.approx(expected, rel=1e-12)
-
-    # residual responds linearly to one-node perturbations (linear tensor)
-    ratios = []
-    for delta in (1e-3, 1e-6):
-        vals = u0.values.copy()
-        vals[grid.ndof // 2] += delta
-        r = manufactured_residual(table, ScalarField(grid, vals), source)
-        ratios.append(r / delta)
-    assert ratios[0] == pytest.approx(ratios[1], rel=1e-3)
+    assert residual(np.zeros(grid.ndof)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_range_warning_when_solution_leaves_admissible_interval():
