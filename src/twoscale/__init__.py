@@ -23,7 +23,6 @@ from .analysis import (
 from .cell_problems import (
     BuildDiagnostics,
     CellSample,
-    CorrectorSample,
     CorrectorTable,
     EffectiveTensorTable,
     ParameterGrid,

@@ -20,8 +20,10 @@ recombined exactly at evaluation time.
 
 Every family at one sample reads the same :class:`CellSample`: the
 coefficient, its u-derivative and the source are evaluated at the
-quadrature points once, and the periodic operator is assembled once.  The
-table build makes one such object per sample in each of its two passes.
+quadrature points once, and the periodic operator is assembled and factored
+once.  The table build makes one such object per sample in each of its two
+passes, and solves the first and hessian correctors of a separable
+coefficient a = mu(u, x) g(y), from whose equations mu cancels, only once.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -41,9 +43,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import CoefficientModel, _sym2_eigs
 from .errors import ConfigurationError, PropertyViolationError
 from .fem import (
+    PeriodicFactor,
     QuadratureRule,
     SolverOptions,
     SparseSystem,
@@ -57,7 +60,7 @@ from .fem import (
     rhs_constant_defect,
     solve_periodic_zero_mean,
 )
-from .grids import CellGrid, _cell_weights_and_corners
+from .grids import CellGrid, _cell_weights_and_corners, interpolate_values, periodic_fd_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +231,6 @@ def corrector_field_names(dim: int) -> list:
 
 
 @dataclass
-class CorrectorSample:
-    """Nodal corrector fields at (or interpolated between) parameter samples."""
-
-    grid: CellGrid
-    fields: dict
-
-    def first(self, m: int) -> np.ndarray:
-        return self.fields[f"first_{m}"]
-
-    def hessian(self, k: int, l: int) -> np.ndarray:
-        k, l = min(k, l), max(k, l)
-        return self.fields[f"hess_{k}{l}"]
-
-    def slow(self, k: int, grad_u0) -> np.ndarray:
-        grad = np.asarray(grad_u0, dtype=float)
-        out = self.fields[f"slow0_{k}"].copy()
-        for m in range(self.grid.dim):
-            out += grad[m] * self.fields[f"slowg_{k}{m}"]
-        return out
-
-    @property
-    def source(self) -> np.ndarray:
-        return self.fields["source"]
-
-
-@dataclass
 class CorrectorTable:
     """All corrector fields tabulated over the parameter lattice."""
 
@@ -271,8 +248,6 @@ class CorrectorTable:
         """(n_samples, ndof, dim) of recovered fast-variable nodal gradients."""
         key = ("grad", name)
         if key not in self._derived:
-            from .grids import periodic_fd_gradient
-
             stack = self.fields[name]
             self._derived[key] = np.stack(
                 [periodic_fd_gradient(self.cell_grid, row) for row in stack], axis=0
@@ -290,14 +265,6 @@ class CorrectorTable:
                     out[flat] += wgt * stack[j]
             self._derived[key] = out
         return self._derived[key]
-
-    def lookup(self, u: float, x) -> CorrectorSample:
-        """Multilinear blend of the stored nodal fields at one (u, x)."""
-        blended = {
-            name: _blend(self.param_grid, stack, [u], x)[0]
-            for name, stack in self.fields.items()
-        }
-        return CorrectorSample(grid=self.cell_grid, fields=blended)
 
     def interp_at(self, names, u: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
         """Evaluate chosen fields at many (u, x, y) triples at once.
@@ -348,8 +315,6 @@ class EffectiveTensorTable:
         return _blend(self.param_grid, self.source_means, u, x)
 
     def ellipticity(self) -> tuple:
-        from .coefficients import _sym2_eigs
-
         eigs = _sym2_eigs(self.values)
         return float(eigs.min()), float(eigs.max())
 
@@ -363,9 +328,10 @@ class CellSample:
     """The cell data at one parameter sample (u, x), each piece computed once.
 
     The quadrature-point samples of ``a``, ``da/du`` and ``f``, the periodic
-    operator (assembled through :func:`assemble_stiffness`) and its scale for
-    the compatibility check are computed on first use and then shared by
-    every corrector family at this sample.  ``shift`` translates the cell
+    operator (assembled through :func:`assemble_stiffness`) and its
+    :class:`PeriodicFactor` (scale and sparse LU, made on the first nonzero
+    solve) are computed on first use and then shared by every corrector
+    family at this sample.  ``shift`` translates the cell
     data periodically (translation-invariance checks).  A table build keeps
     one sample alive at a time, so no operator outlives its sample.
     """
@@ -412,16 +378,16 @@ class CellSample:
         return assemble_stiffness(self.grid, self.a_q, self.quad)
 
     @cached_property
-    def scale(self) -> float:
-        return abs(self.matrix).max()
+    def factor(self) -> PeriodicFactor:
+        return PeriodicFactor(self.matrix)
 
     def solve(self, rhs, opts, diagnostics=None) -> np.ndarray:
         """Zero-mean periodic solve against this sample's operator."""
         if diagnostics is not None:
             diagnostics.max_rhs_defect = max(
-                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, self.scale)
+                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, self.factor.scale)
             )
-        sol = solve_periodic_zero_mean(SparseSystem(self.matrix, rhs), self.grid, opts)
+        sol = solve_periodic_zero_mean(SparseSystem(self.matrix, rhs), opts, self.factor)
         if diagnostics is not None:
             diagnostics.max_corrector_mean = max(
                 diagnostics.max_corrector_mean, abs(float(sol.mean()))
@@ -481,8 +447,6 @@ class CellSample:
                     f"effective tensor escapes mean bounds in direction {xi}: "
                     f"{reuss:.12g} <= {val:.12g} <= {voigt:.12g} fails"
                 )
-
-        from .coefficients import _sym2_eigs
 
         eigs = _sym2_eigs(a0[None])
         lo, hi = model.ellipticity_lower, model.ellipticity_upper
@@ -731,6 +695,8 @@ def build_corrector_tables(
     most twice per sample and never kept across samples.  Pass 1 solves the
     first, hessian and source correctors and the effective tensor; pass 2
     the slow correctors, which difference pass-1 results across samples.
+    For a ``separable`` model the first and hessian correctors are solved
+    at the first sample only and shared by every other one.
     Sample solves are independent and written to disjoint slots, so the
     result is bitwise identical for any thread count.  Returns the corrector
     table and the effective-tensor table (which also carries the cell mean
@@ -742,14 +708,17 @@ def build_corrector_tables(
     n_samples = pgrid.size
     multis = list(pgrid.indices())
 
-    def sample_pass(multi):
+    def sample_pass(multi, shared=None):
         diag = BuildDiagnostics()
         u, x = pgrid.coords(multi)
         try:
             sample = CellSample(model, u, x, grid, quad)
-            first = sample.first_correctors(opts, diag)
+            if shared is None:
+                first = sample.first_correctors(opts, diag)
+                hess = sample.hessian_correctors(first, opts, diag)
+            else:
+                first, hess = shared
             a0 = sample.effective_tensor(first, diag)
-            hess = sample.hessian_correctors(first, opts, diag)
             source, fbar = sample.source_corrector(opts, diag)
             h_loads = sample.h_loads(first)
         except Exception as exc:  # annotate with the failing sample
@@ -757,15 +726,17 @@ def build_corrector_tables(
         fields = {f"first_{m}": first[m] for m in range(dim)}
         fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
         fields["source"] = source
-        return fields, a0, fbar, h_loads, diag
+        return fields, a0, fbar, h_loads, diag, (first, hess)
 
-    results = _map_samples(sample_pass, multis, threads)
+    results = [sample_pass(multis[0])]
+    shared = results[0][-1] if model.separable else None
+    results += _map_samples(lambda multi: sample_pass(multi, shared), multis[1:], threads)
 
     fields = {name: np.zeros((n_samples, grid.ndof)) for name in corrector_field_names(dim)}
     tensor_vals = np.zeros((n_samples, dim, dim))
     source_means = np.zeros(n_samples)
     diagnostics = BuildDiagnostics()
-    for flat, (sample_fields, a0, fbar, _, diag) in enumerate(results):
+    for flat, (sample_fields, a0, fbar, _, diag, _) in enumerate(results):
         for name, v in sample_fields.items():
             fields[name][flat] = v
         tensor_vals[flat] = a0
@@ -832,18 +803,12 @@ def check_translation_invariance(
     z_red = z - np.floor(z)
 
     reference = solve_first_correctors(model, u, x, grid, quad, opts)
-    if np.all(z_red == 0.0):
-        shifted = solve_first_correctors(model, u, x, grid, quad, opts)
-        disc = max(
-            float(np.max(np.abs(s - r))) for s, r in zip(shifted, reference)
-        )
-        return TranslationReport(z, z_red, True, disc, 10.0 * opts.tol)
+    if np.all(z_red == 0.0):  # the shifted problem is the problem itself
+        return TranslationReport(z, z_red, True, 0.0, 10.0 * opts.tol)
 
     shifted = CellSample(model, u, x, grid, quad, shift=z_red).first_correctors(opts)
     query = grid.dof_coords() + z_red
     query = np.where(query >= 1.0, query - 1.0, query)
-    from .grids import interpolate_values
-
     disc = 0.0
     for s, r in zip(shifted, reference):
         ref_shifted = interpolate_values(grid, r, query)

@@ -217,15 +217,25 @@ def _coordinate_prefixes(grid) -> list:
     return [",".join(map(repr, row)) + "," for row in coords.tolist()]
 
 
-def write_field_csv(path: Path, grid, values, header_lines=()):
+def write_field_csv(path: Path, grid, values, header_lines=(), memo=None):
+    """Write nodal ``values``, one ``x0,...,value`` row per node.  ``memo``, a
+    dict the caller keeps over a run of files on ``grid``, holds the last
+    values and their rows: values bitwise equal to them reuse the rows."""
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(cols))
-    prefixes = _coordinate_prefixes(grid)
-    values = np.asarray(values, dtype=float).tolist()
-    if len(values) != len(prefixes):
-        raise ValueError(f"{len(values)} values for a grid of {len(prefixes)} nodes")
-    lines.extend(map(operator.add, prefixes, map(repr, values)))
+    values = np.asarray(values, dtype=float)
+    key = None if memo is None else values.tobytes()
+    if key is not None and memo.get("key") == key:
+        rows = memo["rows"]
+    else:
+        prefixes = _coordinate_prefixes(grid)
+        if len(values) != len(prefixes):
+            raise ValueError(f"{len(values)} values for a grid of {len(prefixes)} nodes")
+        rows = "\n".join(map(operator.add, prefixes, map(repr, values.tolist())))
+        if memo is not None:
+            memo.update(key=key, rows=rows)
+    lines.append(rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -434,6 +444,7 @@ def run_cell(cfg: ExperimentConfig, threads: int, out_dir: Path):
     index = {"fields": {}, "samples": [], "grid": {
         "dim": cfg.dim, "cells_per_side": setup.cell_grid.cells_per_side,
     }}
+    memos = {}  # per field name and call: a row that does not vary is formatted once
     for flat, multi in enumerate(pgrid.indices()):
         u, x = pgrid.coords(multi)
         index["samples"].append({"index": flat, "u": u, "x": list(x)})
@@ -443,6 +454,7 @@ def run_cell(cfg: ExperimentConfig, threads: int, out_dir: Path):
                 out_dir / fname,
                 setup.cell_grid,
                 table.fields[name][flat],
+                memo=memos.setdefault(name, {}),
                 header_lines=[
                     f"field={name}",
                     f"u={_fmt(u)}",

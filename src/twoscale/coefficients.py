@@ -154,6 +154,12 @@ class CoefficientModel:
     def x_dependent(self) -> bool:
         return False
 
+    @property
+    def separable(self) -> bool:
+        """a = mu(u, x) g(y) with scalar mu > 0: mu cancels from the first and
+        hessian cell problems, so their correctors do not depend on (u, x)."""
+        return False
+
     # -- public evaluators -------------------------------------------------
     def eval_a(self, u, x, y):
         u, x, y, scalar = _normalize_args(u, x, y, self.dim)
@@ -339,6 +345,10 @@ class SeparatedCoefficient(CoefficientModel):
     @property
     def x_dependent(self) -> bool:
         return self.mu_x != 0.0
+
+    @property
+    def separable(self) -> bool:
+        return True
 
     def _mu(self, u, x):
         return self.mu0 + self.mu_u * u + self.mu_u2 * u**2 + self.mu_x * x.mean(axis=1)

@@ -3,19 +3,17 @@
 Assembly of variable-coefficient stiffness matrices and load vectors with
 tensor Gauss quadrature, plus linear solvers in two constraint flavours:
 Dirichlet elimination on the box, and zero-mean projection on the periodic
-cell.  The solver depends only on the grid's dimension.  In 1-D the
-(cyclic) tridiagonal systems are factored exactly by sparse LU; the
-singular periodic one is made nonsingular by pinning one node, and the
-solution is then projected to mean zero.  In 2-D one preconditioned
-conjugate gradient loop serves both flavours.  On the box its
-preconditioner is a geometric multigrid V-cycle built once per solve:
-bilinear prolongation on the interior nodes, Galerkin coarse operators
-P^T A P, damped-Jacobi smoothing weighted to contract on every level and
-a sparse-LU coarsest level, which keeps the iteration count flat as the
-grid is refined (Jacobi instead, when that level would be too large to
-factor).  On the periodic cell it is Jacobi, with the right-hand side
-and every preconditioned residual projected onto the mean-zero subspace,
-which keeps CG on an SPD restriction.
+cell.  Every periodic cell system, and every 1-D box system, is factored
+exactly by sparse LU; the singular periodic one is made nonsingular by
+pinning one node, and the solution is then projected to mean zero.  A
+:class:`PeriodicFactor` carries that factor from one solve to the next, so
+the solves against one cell operator share one factorization.  The 2-D box
+is solved by conjugate gradients preconditioned with a geometric multigrid
+V-cycle built once per solve: bilinear prolongation on the interior nodes,
+Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
+contract on every level and a sparse-LU coarsest level, which keeps the
+iteration count flat as the grid is refined (Jacobi instead, when that
+level would be too large to factor).
 
 Assembly is a matrix-product kernel.  The coefficient samples at the
 quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
@@ -29,6 +27,7 @@ reproducible regardless of how callers parallelize around this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import CellGrid, MacroGrid, corner_offsets
+from .grids import MacroGrid, corner_offsets
 
 
 @dataclass(frozen=True)
@@ -279,11 +278,11 @@ class SolverOptions:
     """Linear-solver controls.
 
     ``tol`` (relative residual) and ``max_iter`` (default 10x the DOF
-    count) steer the 2-D preconditioned conjugate gradient: multigrid
-    preconditioned on the box, Jacobi preconditioned on the periodic cell.
-    The 1-D direct solves are exact and ignore them.  ``compat_tol`` is the
-    relative bound on the rhs functional applied to constants before a
-    periodic solve.
+    count) steer only the multigrid-preconditioned conjugate gradient of
+    the 2-D box solves; the direct solves (every periodic cell and every
+    1-D box) are exact and ignore them.  ``compat_tol`` is the relative
+    bound on the rhs functional applied to constants before a periodic
+    solve.
     """
 
     tol: float = 1e-10
@@ -347,8 +346,10 @@ def _inverse_diagonal(mat) -> np.ndarray:
 
 
 def _lu(mat):
-    """One sparse LU factorization of a nonsingular sparse matrix."""
-    return spla.splu(sp.csc_matrix(mat))
+    """Sparse LU of a symmetric positive definite matrix (every matrix factored
+    here is one): minimum degree ordering on A^T + A, diagonal pivots."""
+    return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 # largest damped-Jacobi weight and the sweep count of the V-cycle smoother;
@@ -361,10 +362,12 @@ _MG_SWEEPS = 2
 _MG_MAX_COARSEST = 4096
 
 
+@functools.lru_cache(maxsize=16)
 def _interior_prolongation(cells: int) -> sp.csr_matrix:
     """Bilinear interpolation from the interior nodes of the ``cells // 2``
     box grid to those of the ``cells`` box grid, both in the "ij" order of
-    :meth:`MacroGrid.interior_dofs` (first index slowest)."""
+    :meth:`MacroGrid.interior_dofs` (first index slowest).  Cached, as building
+    it costs more than a small grid's whole solve, so shared and read-only."""
     coarse = np.arange(cells // 2 - 1)
     fine = 2 * coarse + 1  # fine interior index of each coarse node
     p1 = sp.csr_matrix(
@@ -374,7 +377,10 @@ def _interior_prolongation(cells: int) -> sp.csr_matrix:
         ),
         shape=(cells - 1, len(coarse)),
     )
-    return sp.kron(p1, p1, format="csr")
+    prol = sp.kron(p1, p1, format="csr")
+    for arr in (prol.data, prol.indices, prol.indptr):
+        arr.flags.writeable = False  # the cached matrix is shared
+    return prol
 
 
 def _smoother_weights(mat) -> np.ndarray:
@@ -484,43 +490,50 @@ def rhs_constant_defect(rhs: np.ndarray, matrix_scale: float = 0.0) -> float:
     return float(abs(rhs.sum())) / norm
 
 
+class PeriodicFactor:
+    """What the solves against one singular periodic matrix share: ``scale``
+    (its largest entry, for the zero-load floor and the compatibility check)
+    and ``lu`` (its sparse LU with node 0 pinned), each made on first use, so
+    the matrix is factored at most once, and never if every load is zero."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @functools.cached_property
+    def scale(self) -> float:
+        return abs(self.matrix).max()
+
+    @functools.cached_property
+    def lu(self):
+        return _lu(self.matrix[1:, 1:])
+
+
 def solve_periodic_zero_mean(
-    system: SparseSystem, grid: CellGrid, opts: SolverOptions = SolverOptions()
+    system: SparseSystem, opts: SolverOptions = SolverOptions(), factor=None
 ) -> np.ndarray:
     """Solve the singular periodic system on the zero-mean subspace.
 
-    The rhs must annihilate constants (solvability) and is projected.  On a
-    1-D cell node 0 is pinned to zero and the nonsingular remainder is
-    solved directly; on a 2-D cell Jacobi-preconditioned CG runs with each
-    preconditioned residual projected.  The result is projected once at the
-    end and has zero discrete mean (uniform lumped masses make that the
-    plain average).
+    The rhs must annihilate constants (solvability) and is projected.  Node
+    0 is pinned to zero and the nonsingular remainder is solved directly,
+    in 1-D and 2-D alike, so ``opts.tol`` and ``opts.max_iter`` play no
+    part; the result is projected to zero discrete mean (uniform lumped
+    masses make that the plain average).  ``factor``, when given, must be
+    the :class:`PeriodicFactor` of ``system.matrix``; passing the same one
+    to every solve against that matrix factors it once.
     """
-    scale = abs(system.matrix).max()
-    if np.linalg.norm(system.rhs) <= _zero_load_floor(system.ndof, scale):
+    if factor is None:
+        factor = PeriodicFactor(system.matrix)
+    elif factor.matrix is not system.matrix:
+        raise ValueError("factor belongs to another matrix")
+    if np.linalg.norm(system.rhs) <= _zero_load_floor(system.ndof, factor.scale):
         return np.zeros(system.ndof)
-    defect = rhs_constant_defect(system.rhs, scale)
+    defect = rhs_constant_defect(system.rhs, factor.scale)
     if defect > opts.compat_tol:
         raise CompatibilityError(
             f"rhs does not annihilate constants: relative defect {defect:.3e} "
             f"> compat_tol {opts.compat_tol:g}"
         )
 
-    def project(v):
-        return v - v.sum() / len(v)  # v.mean(), without its call overhead
-
-    rhs = project(system.rhs)
-    if grid.dim == 1:
-        x = np.zeros(system.ndof)
-        x[1:] = _lu(system.matrix[1:, 1:]).solve(rhs[1:])
-    else:
-        # A annihilates constants and is symmetric, so A p sums to zero:
-        # with the rhs and each preconditioned residual projected, every
-        # residual and search direction stays mean-zero without further
-        # projection
-        inv_diag = _inverse_diagonal(system.matrix)
-        max_iter = opts.max_iter or 10 * system.ndof
-        x, _, _ = _jacobi_pcg(
-            system.matrix, rhs, opts.tol, max_iter, lambda r: project(inv_diag * r)
-        )
-    return project(x)
+    x = np.zeros(system.ndof)
+    x[1:] = factor.lu.solve(system.rhs[1:] - system.rhs.sum() / system.ndof)
+    return x - x.sum() / system.ndof  # x.mean(), without its call overhead

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twoscale import cell_problems
+from twoscale import cell_problems, fem
 from twoscale.cell_problems import (
     CellSample,
     ParameterGrid,
@@ -178,15 +178,74 @@ def test_table_build_assembles_at_most_twice_per_sample(monkeypatch):
     assert 0 < n_assemblies <= 2 * table.param_grid.size
 
 
+def test_separated_table_solves_first_and_hessian_correctors_once():
+    model, grid, table, tensors, _ = separated_2d_table()
+    pgrid = table.param_grid
+    assert model.separable and not SmoothPeriodicCoefficient(2).separable
+    for name, stack in table.fields.items():
+        if name.startswith(("first_", "hess_")):
+            assert np.max(np.abs(stack[0])) > 1e-3, name  # not vacuous
+            assert all(np.array_equal(row, stack[0]) for row in stack), name
+
+    # the shared rows are those of a solve at any sample, here the far corner
+    far = tuple(n - 1 for n in pgrid.shape)
+    fresh = CellSample(model, *pgrid.coords(far), grid).first_correctors()
+    for m, field in enumerate(fresh):
+        stored = table.fields[f"first_{m}"][pgrid.ravel(far)]
+        assert np.max(np.abs(stored - field)) <= 1e-12 * np.max(np.abs(field))
+
+    # a0 = mu(u, x) A_g at every sample
+    ratios = []
+    for flat, multi in enumerate(pgrid.indices()):
+        u, x = pgrid.coords(multi)
+        mu = model.mu0 + model.mu_u * u + model.mu_u2 * u**2 + model.mu_x * x.mean()
+        ratios.append(tensors.values[flat] / mu)
+    assert np.max(np.abs(np.array(ratios) - ratios[0])) <= 1e-13 * np.max(np.abs(ratios[0]))
+
+
+def test_cell_sample_factors_its_operator_at_most_once(monkeypatch):
+    calls = []
+    original = fem._lu
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(fem, "_lu", counting)
+    model = SmoothPeriodicCoefficient(
+        2, base=2.0, amplitude=1.0, source=SourceModel(base=1.0, amplitude=0.5)
+    )
+    grid = CellGrid(2, 8)
+    sample = CellSample(model, 0.5, [0.5, 0.5], grid)
+    first = sample.first_correctors()
+    sample.hessian_correctors(first)
+    field, _ = sample.source_corrector()
+    assert np.max(np.abs(field)) > 1e-3  # seven nonzero solves, one factor
+    assert calls == [(grid.ndof - 1, grid.ndof - 1)]
+
+    # a sample whose every load is zero never factors
+    const = CellSample(ConstantCoefficient(2, np.eye(2)), 0.5, [0.5, 0.5], grid)
+    assert all(np.all(f == 0.0) for f in const.first_correctors())
+    assert len(calls) == 1
+
+
 def slow_at(table, u, x, grad):
     """Slow correctors for the macro gradient ``grad``, one per direction,
-    read from the table (exact at a lattice sample)."""
-    sample = table.lookup(u, x)
-    return [sample.slow(k, grad) for k in range(table.dim)]
+    recombined from the stored affine pieces at the lattice sample (u, x)."""
+    pgrid = table.param_grid
+    multi = [int(np.flatnonzero(ax == c)[0]) for ax, c in zip(pgrid.axes, [u, *x])]
+    flat = pgrid.ravel(multi)
+    out = []
+    for k in range(table.dim):
+        q = table.fields[f"slow0_{k}"][flat].copy()
+        for m in range(table.dim):
+            q += grad[m] * table.fields[f"slowg_{k}{m}"][flat]
+        out.append(q)
+    return out
 
 
 def test_slow_corrector_solve_matches_table_and_threads_agree():
-    # at a lattice sample the lookup reads the stored affine pieces bitwise
+    # at a lattice sample the recombination reads the stored affine pieces
     _, _, table, tensors, _ = separated_2d_table()
     pgrid = table.param_grid
     for multi in [(1, 1, 1), (2, 2, 0)]:
@@ -342,12 +401,16 @@ def test_lookup_at_sample_and_midpoint():
     table, tensors = build_corrector_tables(model, pgrid, grid)
     u0, u1 = pgrid.u_samples[0], pgrid.u_samples[1]
 
-    at_sample = table.lookup(u0, [0.5])
-    assert np.array_equal(at_sample.fields["first_0"], table.fields["first_0"][0])
+    nodes = grid.dof_coords()
+    x = np.full((len(nodes), 1), 0.5)
 
-    mid = table.lookup(0.5 * (u0 + u1), [0.5])
+    def first_at(u):
+        return table.interp_at(["first_0"], np.full(len(nodes), u), x, nodes)["first_0"]
+
+    assert np.array_equal(first_at(u0), table.fields["first_0"][0])
+
     expected = 0.5 * (table.fields["first_0"][0] + table.fields["first_0"][1])
-    assert np.max(np.abs(mid.fields["first_0"] - expected)) < 1e-14
+    assert np.max(np.abs(first_at(0.5 * (u0 + u1)) - expected)) < 1e-14
 
     a_mid = tensors.interp(np.array([0.5 * (u0 + u1)]), np.array([[0.5]]))[0]
     assert a_mid[0, 0] == pytest.approx(
@@ -359,8 +422,12 @@ def test_lookup_u_independent_table_ignores_u():
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     grid = CellGrid(1, 16)
     table, _ = build_tables_for(model, grid)
-    lo = table.lookup(0.0, [0.5]).fields["first_0"]
-    hi = table.lookup(1.0, [0.5]).fields["first_0"]
+    nodes = grid.dof_coords()
+    x = np.full((len(nodes), 1), 0.5)
+    lo, hi = (
+        table.interp_at(["first_0"], np.full(len(nodes), u), x, nodes)["first_0"]
+        for u in (0.0, 1.0)
+    )
     assert np.array_equal(lo, hi)
 
 

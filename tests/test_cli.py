@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twoscale.cli import main, run_study, write_field_csv
+from twoscale.cli import main, run_cell, run_study, write_field_csv
 from twoscale.config import DEFAULT_CONFIG, apply_override, load_config, parse_eps_list
 from twoscale.errors import ConfigurationError
 from twoscale.grids import CellGrid, MacroGrid
@@ -245,6 +245,28 @@ def test_cell_subcommand_writes_tables(tmp_path):
     assert main(["cell", "--config", write_config(tmp_path, const), "--out", str(out2)]) == 0
     row = (out2 / "a0.csv").read_text().splitlines()[1].split(",")
     assert float(row[-1]) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_cell_subcommand_csv_bytes_match_direct_writer(tmp_path):
+    # a field that does not vary over the lattice (first, hessian) is
+    # formatted once per call; every file must still be what the writer
+    # gives for its row alone
+    payload = {
+        "problem": {"dim": 2, "coefficient": {"family": "SEPARATED", "mu_u2": 1.0, "mu_x": 0.5}},
+        "discretization": {"m_c": 8, "table_u_samples": 3, "table_x_samples": 3},
+    }
+    out = tmp_path / "cell"
+    out.mkdir()
+    table, _ = run_cell(load_config(write_config(tmp_path, payload)), 1, out)
+    assert np.array_equal(table.fields["first_0"][0], table.fields["first_0"][26])
+    for name in ("first_0", "hess_01", "slow0_1", "slowg_10", "source"):
+        for flat in (0, 1, 13, 26):
+            path = out / f"{name}_s{flat:03d}.csv"
+            header = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+            direct = write_field_csv(
+                tmp_path / "direct.csv", table.cell_grid, table.fields[name][flat], header
+            )
+            assert path.read_bytes() == direct.read_bytes(), path.name
 
 
 def test_homogenize_and_reference_subcommands(tmp_path):

@@ -7,6 +7,7 @@ from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceErr
 from twoscale.fem import (
     SolverOptions,
     SparseSystem,
+    _interior_prolongation,
     _inverse_diagonal,
     _jacobi_pcg,
     _multigrid,
@@ -149,7 +150,7 @@ def test_pcg_iteration_cap():
 def test_periodic_zero_rhs():
     grid = CellGrid(dim=1, cells_per_side=8)
     mat = assemble_stiffness(grid, const_coeff(1.0, 1), gauss_rule(2, 1))
-    sol = solve_periodic_zero_mean(SparseSystem(mat, np.zeros(grid.ndof)), grid)
+    sol = solve_periodic_zero_mean(SparseSystem(mat, np.zeros(grid.ndof)))
     assert np.all(sol == 0.0)
 
 
@@ -159,7 +160,7 @@ def test_periodic_incompatible_rhs_raises():
     mat = assemble_stiffness(grid, const_coeff(1.0, 1), quad)
     rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
     with pytest.raises(CompatibilityError):
-        solve_periodic_zero_mean(SparseSystem(mat, rhs), grid)
+        solve_periodic_zero_mean(SparseSystem(mat, rhs))
 
 
 def test_periodic_flux_solve_against_antiderivative():
@@ -171,7 +172,7 @@ def test_periodic_flux_solve_against_antiderivative():
     rhs = assemble_load(
         grid, quad, flux_fn=lambda pts: np.sin(2.0 * np.pi * pts)
     )
-    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid)
+    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs))
     y = grid.dof_coords()[:, 0]
     exact = -np.cos(2.0 * np.pi * y) / (2.0 * np.pi)
     assert np.max(np.abs(sol - exact)) < 2.0 * grid.spacing**2
@@ -193,7 +194,7 @@ def test_periodic_solution_mean_zero():
     quad = gauss_rule(1, 1)
     mat = assemble_stiffness(grid, const_coeff(1.0, 1), quad)
     rhs = assemble_load(grid, quad, flux_fn=lambda pts: np.cos(2.0 * np.pi * pts))
-    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), grid)
+    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs))
     assert abs(sol.mean()) < 1e-12
 
 
@@ -237,7 +238,7 @@ def test_direct_1d_solves_match_pcg():
     cell = CellGrid(dim=1, cells_per_side=64)
     mat = assemble_stiffness(cell, oscillating_coeff, quad)
     rhs = assemble_load(cell, quad, flux_fn=lambda pts: np.sin(2.0 * np.pi * pts))
-    direct = solve_periodic_zero_mean(SparseSystem(mat, rhs), cell)
+    direct = solve_periodic_zero_mean(SparseSystem(mat, rhs))
 
     def project(v):
         return v - v.mean()
@@ -258,9 +259,45 @@ def test_pinned_periodic_solve_mean_zero_and_residual():
         scalar_fn=lambda pts: np.cos(4.0 * np.pi * pts[:, 0]),
         flux_fn=lambda pts: np.sin(2.0 * np.pi * pts),
     )
-    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs), cell)
+    sol = solve_periodic_zero_mean(SparseSystem(mat, rhs))
     assert abs(sol.mean()) <= 1e-15 * np.max(np.abs(sol))
     residual = np.abs(mat @ sol - (rhs - rhs.mean()))
+    # every row, the pinned node 0 included
+    assert np.max(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_direct_2d_periodic_solve_matches_pcg():
+    cell = CellGrid(dim=2, cells_per_side=16)
+    quad = gauss_rule(2, 2)
+
+    def osc(pts):
+        sig = (
+            2.0 + np.sin(2.0 * np.pi * pts[:, 0]) * np.sin(2.0 * np.pi * pts[:, 1])
+            + 0.5 * np.cos(6.0 * np.pi * pts[:, 0])
+        )
+        return sig[:, None, None] * np.eye(2)
+
+    mat = assemble_stiffness(cell, osc, quad)
+    rhs = assemble_load(
+        cell, quad,
+        scalar_fn=lambda pts: np.cos(4.0 * np.pi * pts[:, 1]),
+        flux_fn=lambda pts: np.stack(
+            [np.sin(2.0 * np.pi * pts[:, 0]), np.cos(2.0 * np.pi * pts[:, 0] + pts[:, 1])],
+            axis=1,
+        ),
+    )
+    direct = solve_periodic_zero_mean(SparseSystem(mat, rhs))
+
+    def project(v):
+        return v - v.mean()
+
+    inv_diag = _inverse_diagonal(mat)
+    x, _, _ = _jacobi_pcg(
+        mat, project(rhs), 1e-14, 10 * cell.ndof, lambda r: project(inv_diag * r)
+    )
+    assert np.max(np.abs(direct - x)) <= 1e-9 * np.max(np.abs(x))
+    assert abs(direct.mean()) <= 1e-15 * np.max(np.abs(direct))
+    residual = np.abs(mat @ direct - project(rhs))
     # every row, the pinned node 0 included
     assert np.max(residual) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -389,6 +426,18 @@ def test_multigrid_pcg_iterations_flat_and_match_lu(cells):
     assert its <= 12
     exact = sp.linalg.spsolve(reduced.tocsc(), rhs)
     assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def test_cached_prolongation_is_read_only_and_keeps_solve_bytes():
+    _interior_prolongation.cache_clear()
+    reduced, rhs = reduced_dirichlet_system(32)
+    fresh = _jacobi_pcg(reduced, rhs, 1e-10, 100, _multigrid(reduced, 32))[0]
+    prol = _interior_prolongation(32)
+    assert _interior_prolongation(32) is prol  # one per cell count
+    with pytest.raises(ValueError):
+        prol.data[0] = 2.0  # shared by every later hierarchy
+    cached = _jacobi_pcg(reduced, rhs, 1e-10, 100, _multigrid(reduced, 32))[0]
+    assert np.array_equal(fresh, cached)
 
 
 @pytest.mark.parametrize("cells", [24, 40, 15])
