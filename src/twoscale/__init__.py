@@ -78,7 +78,6 @@ from .grids import (
     ScalarField,
     fd_gradient,
     fd_hessian,
-    interpolate,
     interpolate_values,
 )
 from .macro import (

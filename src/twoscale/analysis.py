@@ -22,7 +22,7 @@ from .fem import (
     field_values_at_quad,
     gauss_rule,
 )
-from .grids import MacroGrid, ScalarField, fd_gradient, interpolate_values
+from .grids import MacroGrid, ScalarField, fd_gradient
 
 
 def resolve_box(box, dim) -> np.ndarray:
@@ -97,7 +97,7 @@ def energy_difference(
     macro_quad = macro_quad or gauss_rule(2, macro_grid.dim)
 
     pts = element_quad_points(fine_grid, fine_quad).reshape(-1, fine_grid.dim)
-    u_at = interpolate_values(fine_grid, u_eps.values, pts)
+    u_at = field_values_at_quad(fine_grid, u_eps.values, fine_quad).reshape(-1)
     a_q = model.eval_a(u_at, pts, np.mod(pts / eps, 1.0)).reshape(
         fine_grid.n_elements, len(fine_quad.weights), fine_grid.dim, fine_grid.dim
     )
@@ -106,18 +106,16 @@ def energy_difference(
     e_fine = np.einsum("eq,q->", dens, fine_quad.weights) * fine_grid.spacing**fine_grid.dim
 
     pts0 = element_quad_points(macro_grid, macro_quad).reshape(-1, macro_grid.dim)
-    u0_at = interpolate_values(macro_grid, u0.values, pts0)
+    u0_at = field_values_at_quad(macro_grid, u0.values, macro_quad).reshape(-1)
     a0_q = tensor_table.interp(u0_at, pts0).reshape(
         macro_grid.n_elements, len(macro_quad.weights), macro_grid.dim, macro_grid.dim
     )
     grad_nodal = fd_gradient(u0)
     grads0 = np.stack(
-        [
-            interpolate_values(macro_grid, grad_nodal[:, d], pts0)
-            for d in range(macro_grid.dim)
-        ],
+        [field_values_at_quad(macro_grid, grad_nodal[:, d], macro_quad)
+         for d in range(macro_grid.dim)],
         axis=-1,
-    ).reshape(macro_grid.n_elements, len(macro_quad.weights), macro_grid.dim)
+    )
     dens0 = np.einsum("eqij,eqi,eqj->eq", a0_q, grads0, grads0)
     e_macro = np.einsum("eq,q->", dens0, macro_quad.weights) * macro_grid.spacing**macro_grid.dim
 
@@ -183,7 +181,7 @@ def interior_gradient_sup(
         if model is None or eps is None or state is None:
             raise ValueError("flux mode needs model, eps, and the state field")
         centers = interior_element_centers(grid, box)
-        u_at = interpolate_values(grid, state.values, centers)
+        u_at = field_values_at_quad(grid, state.values, center)[mask, 0]
         a_q = model.eval_a(u_at, centers, np.mod(centers / eps, 1.0))
         grads = np.einsum("kij,kj->ki", a_q, grads)
     return float(np.max(np.linalg.norm(grads, axis=1)))

@@ -793,8 +793,9 @@ def check_translation_invariance(
     shifted solution must coincide with the periodic extension of the
     unshifted one.  For shifts that are whole multiples of the grid spacing
     the discrete problems are exact relabelings of each other, so the
-    discrepancy is solver noise; other shifts incur O(h) interpolation
-    error, reflected in the tolerance hint.
+    discrepancy is the rounding of the direct cell solves, and the
+    tolerance hint is that rounding scale, ndof * machine eps * max(1, |N|);
+    other shifts incur O(h) interpolation error, and the hint is h.
     """
     quad = quad or default_quadrature(grid.dim)
     z = np.atleast_1d(np.asarray(shift, dtype=float))
@@ -803,8 +804,9 @@ def check_translation_invariance(
     z_red = z - np.floor(z)
 
     reference = solve_first_correctors(model, u, x, grid, quad, opts)
+    rounding = grid.ndof * np.finfo(float).eps * max(1.0, float(np.max(np.abs(reference))))
     if np.all(z_red == 0.0):  # the shifted problem is the problem itself
-        return TranslationReport(z, z_red, True, 0.0, 10.0 * opts.tol)
+        return TranslationReport(z, z_red, True, 0.0, rounding)
 
     shifted = CellSample(model, u, x, grid, quad, shift=z_red).first_correctors(opts)
     query = grid.dof_coords() + z_red
@@ -817,5 +819,5 @@ def check_translation_invariance(
 
     steps = z_red * grid.cells_per_side
     aligned = bool(np.all(np.abs(steps - np.round(steps)) < 1e-12))
-    hint = 10.0 * opts.tol if aligned else grid.spacing
+    hint = rounding if aligned else grid.spacing
     return TranslationReport(z, z_red, aligned, disc, hint)

@@ -60,8 +60,8 @@ from .errors import (
 )
 from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, remainder, solve_fine
 from .fem import (
-    SolverOptions, SparseSystem, assemble_load, assemble_stiffness, default_quadrature,
-    gauss_rule, solve_dirichlet,
+    SolverOptions, SparseSystem, assemble_load_from_samples, assemble_stiffness,
+    default_quadrature, gauss_rule, solve_dirichlet,
 )
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
 from .macro import PicardOptions, solve_homogenized
@@ -74,7 +74,7 @@ class ProblemSetup:
     cell_grid: CellGrid
     macro_grid: MacroGrid
     cell_quad: object
-    solve_quad_points: int
+    solve_quad: object  # the macro and fine solves' rule, also the fine energy's
     cg_opts: SolverOptions
     picard_opts: PicardOptions
 
@@ -102,7 +102,7 @@ def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
         cell_grid=CellGrid(cfg.dim, disc["m_c"]),
         macro_grid=MacroGrid(cfg.dim, disc["m_x"]),
         cell_quad=cell_quad,
-        solve_quad_points=solve_points,
+        solve_quad=gauss_rule(solve_points, cfg.dim),
         cg_opts=SolverOptions(),
         picard_opts=PicardOptions(
             tol=nl["tol"], max_iter=nl["max_iter"], damping=nl["damping"]
@@ -124,19 +124,14 @@ def estimate_u_span(setup: ProblemSetup):
         return None
     x_c = np.full(model.dim, 0.5)
     quad = gauss_rule(2, setup.macro_grid.dim)
+    shape = (setup.macro_grid.n_elements, len(quad.weights))  # (E, Q)
     lo, hi = np.inf, -np.inf
     for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):
         cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad)
         a0 = cell.effective_tensor(cell.first_correctors(setup.cg_opts))
         fbar = cell.source_mean
-        mat = assemble_stiffness(
-            setup.macro_grid,
-            lambda pts: np.broadcast_to(a0, (len(pts), model.dim, model.dim)),
-            quad,
-        )
-        rhs = assemble_load(
-            setup.macro_grid, quad, scalar_fn=lambda pts: np.full(len(pts), fbar)
-        )
+        mat = assemble_stiffness(setup.macro_grid, np.broadcast_to(a0, shape + a0.shape), quad)
+        rhs = assemble_load_from_samples(setup.macro_grid, quad, np.broadcast_to(fbar, shape))
         provisional = solve_dirichlet(SparseSystem(mat, rhs), setup.macro_grid, setup.cg_opts)
         lo = min(lo, float(provisional.min()))
         hi = max(hi, float(provisional.max()))
@@ -167,9 +162,8 @@ def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
     leave a non-decaying error against the resolved solution.
     """
     table, tensors = build_tables(setup, threads)
-    macro_quad = gauss_rule(setup.solve_quad_points, setup.cfg.dim)
     u0, pic = solve_homogenized(
-        tensors, setup.model, setup.macro_grid, setup.picard_opts, macro_quad,
+        tensors, setup.model, setup.macro_grid, setup.picard_opts, setup.solve_quad,
         setup.cg_opts,
     )
     u_samples = table.param_grid.u_samples
@@ -186,7 +180,7 @@ def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
             table, tensors = build_tables(setup, threads, u_span=span)
             u0, pic = solve_homogenized(
                 tensors, setup.model, setup.macro_grid, setup.picard_opts,
-                macro_quad, setup.cg_opts,
+                setup.solve_quad, setup.cg_opts,
             )
             u_samples = table.param_grid.u_samples
             if (
@@ -319,7 +313,7 @@ def run_study(
                 eps,
                 fine_grid,
                 setup.picard_opts,
-                gauss_rule(setup.solve_quad_points, cfg.dim),
+                setup.solve_quad,
                 setup.cg_opts,
                 disc["max_fine_dofs"],
             )
@@ -345,7 +339,7 @@ def run_study(
                 "linf_order2": norm_linf(z2),
                 "energy_diff": energy_difference(
                     setup.model, u_eps, eps, tensors, u0,
-                    fine_quad=gauss_rule(setup.solve_quad_points, cfg.dim),
+                    fine_quad=setup.solve_quad,
                 ),
                 "h1_order1": norm_h1(z1),
                 "grad_sup_order1": interior_gradient_sup(
@@ -498,7 +492,7 @@ def run_reference(cfg: ExperimentConfig, threads: int, out_dir: Path):
     fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
     u_eps, pic = solve_fine(
         setup.model, eps, fine_grid, setup.picard_opts,
-        gauss_rule(setup.solve_quad_points, cfg.dim), setup.cg_opts,
+        setup.solve_quad, setup.cg_opts,
         disc["max_fine_dofs"],
     )
     tag = f"1over{round(1 / eps)}"

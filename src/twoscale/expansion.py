@@ -20,14 +20,8 @@ import numpy as np
 
 from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
-from .fem import SolverOptions, assemble_load, assemble_stiffness, default_quadrature
-from .grids import (
-    MacroGrid,
-    ScalarField,
-    fd_gradient,
-    fd_hessian,
-    interpolate_values,
-)
+from .fem import SolverOptions, default_quadrature
+from .grids import MacroGrid, ScalarField, _cell_weights_and_corners, fd_gradient, fd_hessian
 from .macro import PicardOptions, solve_nonlinear
 
 
@@ -107,20 +101,22 @@ class RemainderField:
 
 def _macro_fields_at(u0_field: ScalarField, points: np.ndarray):
     """u0, its recovered gradient (K, dim) and Hessian (K, dim, dim) at the
-    points, each interpolated multilinearly from the macro nodes."""
-    macro_grid = u0_field.grid
-    dim = macro_grid.dim
-    u0 = interpolate_values(macro_grid, u0_field.values, points)
+    points, each interpolated multilinearly from the macro nodes, with one
+    point location shared by every column."""
+    dim = u0_field.grid.dim
+    ids, wts = _cell_weights_and_corners(u0_field.grid, points)
+
+    def at(nodal):
+        return np.sum(nodal[ids] * wts, axis=1)
+
+    u0 = at(u0_field.values)
     grad_nodal = fd_gradient(u0_field)  # (macro ndof, dim)
-    grad = np.stack(
-        [interpolate_values(macro_grid, grad_nodal[:, d], points) for d in range(dim)],
-        axis=-1,
-    )
+    grad = np.stack([at(grad_nodal[:, d]) for d in range(dim)], axis=-1)
     hess_nodal = fd_hessian(u0_field)  # (macro ndof, dim, dim), symmetric
     hess = np.zeros((len(points), dim, dim))
     for k in range(dim):
         for l in range(k, dim):
-            hess[:, k, l] = interpolate_values(macro_grid, hess_nodal[:, k, l], points)
+            hess[:, k, l] = at(hess_nodal[:, k, l])
             hess[:, l, k] = hess[:, k, l]
     return u0, grad, hess
 
@@ -223,25 +219,17 @@ def solve_fine(
             f"fine grid has {fine_grid.ndof} DOFs > cap {max_dofs}; "
             "reduce cells_per_period or use larger eps"
         )
-    quad = quad or default_quadrature(fine_grid.dim)
 
-    def wrap_fast(pts):
-        return np.mod(pts / eps, 1.0)
+    def coeff(u, pts):
+        return model.eval_a(u, pts, np.mod(pts / eps, 1.0))
 
-    def assemble_at(u_values):
-        def coeff_fn(pts):
-            u_at = interpolate_values(fine_grid, u_values, pts)
-            return model.eval_a(u_at, pts, wrap_fast(pts))
+    def source(u, pts):
+        return model.eval_f(u, pts, np.mod(pts / eps, 1.0))
 
-        def source_fn(pts):
-            u_at = interpolate_values(fine_grid, u_values, pts)
-            return model.eval_f(u_at, pts, wrap_fast(pts))
-
-        mat = assemble_stiffness(fine_grid, coeff_fn, quad)
-        rhs = assemble_load(fine_grid, quad, scalar_fn=source_fn)
-        return mat, rhs
-
-    values, result = solve_nonlinear(model, fine_grid, assemble_at, opts, cg_opts)
+    values, result = solve_nonlinear(
+        model, fine_grid, quad or default_quadrature(fine_grid.dim), coeff, source, opts,
+        cg_opts,
+    )
     return ScalarField(fine_grid, values), result
 
 

@@ -20,9 +20,14 @@ quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
 tensor of weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving
 every element matrix at once; load vectors are the same kind of product
 with weighted basis values or gradients.  The element connectivity comes
-from the grid, which computes it once.  Element contributions are
-accumulated in a fixed element order so repeated runs are bitwise
-reproducible regardless of how callers parallelize around this module.
+from the grid, which computes it once.  Coefficient evaluators are called
+once per quadrature point, with one point per element; a state-dependent
+evaluator also receives a nodal state read at those points through the
+element connectivity (a gather, since the element of every quadrature
+point is known), so no point location runs on a grid's own quadrature
+points.  Element contributions are accumulated in a fixed element order
+so repeated runs are bitwise reproducible regardless of how callers
+parallelize around this module.
 """
 
 from __future__ import annotations
@@ -139,16 +144,21 @@ def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
     return float(np.einsum("eq,q->", samples, quad.weights) * cell_measure)
 
 
-def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple) -> np.ndarray:
-    """``fn(points)`` at every quadrature point, shape (E, Q, *tail).
+def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple, state=None) -> np.ndarray:
+    """``fn`` at every quadrature point, shape (E, Q, *tail).
 
     ``fn`` is called once per quadrature point with one point per element,
-    which bounds the size of its temporaries on large grids.
+    which bounds the size of its temporaries on large grids: as
+    ``fn(points)``, or, given nodal ``state`` values on ``grid``, as
+    ``fn(u, points)`` with ``u`` the state's Q1 interpolant at those points,
+    read by :func:`field_values_at_quad` (a gather, no point location).
     """
     pts = element_quad_points(grid, quad)
+    u_q = None if state is None else field_values_at_quad(grid, state, quad)
     out = np.empty(pts.shape[:2] + tail)
     for q in range(pts.shape[1]):
-        vals = np.asarray(fn(pts[:, q, :]), dtype=float)
+        args = (pts[:, q, :],) if u_q is None else (u_q[:, q], pts[:, q, :])
+        vals = np.asarray(fn(*args), dtype=float)
         if vals.shape != out.shape[:1] + tail:
             raise AssemblyError(f"evaluator returned shape {vals.shape}")
         out[:, q] = vals
@@ -168,21 +178,24 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     return ref.reshape(n_q * dim * dim, n_loc * n_loc)
 
 
-def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
+def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_matrix:
     """Assemble the variable-coefficient stiffness matrix.
 
     ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
     points (K, dim) to symmetric matrices (K, dim, dim), called once per
     quadrature point with one point per element, or the samples themselves,
-    shape (E, Q, dim, dim).  All element matrices come from one matrix
-    product with :func:`_stiffness_reference`.  On a cell grid the element
-    corner indices wrap, which realizes the periodic identification.
+    shape (E, Q, dim, dim).  With nodal ``state`` values on ``grid``, the
+    evaluator is called as ``coeff(u, points)`` instead, ``u`` (K,) being
+    the state at those points (see :func:`_eval_at_quad`).  All element
+    matrices come from one matrix product with :func:`_stiffness_reference`.
+    On a cell grid the element corner indices wrap, which realizes the
+    periodic identification.
     """
     dofs = grid.element_dofs()
     n_el, n_loc = dofs.shape
     tail = (grid.dim, grid.dim)
     if callable(coeff):
-        a = _eval_at_quad(grid, quad, coeff, tail)
+        a = _eval_at_quad(grid, quad, coeff, tail, state)
     else:
         a = np.asarray(coeff, dtype=float)
         if a.shape != (n_el, len(quad.weights)) + tail:
@@ -239,18 +252,21 @@ def assemble_load_from_samples(
     return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
 
 
-def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> np.ndarray:
+def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None,
+                  state=None) -> np.ndarray:
     """Load vector from point evaluators.
 
     ``scalar_fn(points) -> (K,)`` gives the \\int s phi form, ``flux_fn(points)
-    -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.
+    -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.  With
+    nodal ``state`` values on ``grid``, both are called as ``fn(u, points)``,
+    as in :func:`assemble_stiffness`.
     """
     scalar_samples = None
     flux_samples = None
     if scalar_fn is not None:
-        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, ())
+        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, (), state)
     if flux_fn is not None:
-        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,))
+        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,), state)
     return assemble_load_from_samples(grid, quad, scalar_samples, flux_samples)
 
 

@@ -258,15 +258,6 @@ def interpolate_values(grid, values: np.ndarray, points) -> np.ndarray:
     return np.sum(np.asarray(values)[ids] * wts, axis=1)
 
 
-def interpolate(fld: ScalarField, point) -> float:
-    """Evaluate a field at one point.
-
-    Cell-grid fields are extended periodically (the point is reduced modulo
-    one); macro-grid points must lie inside the box.
-    """
-    return float(interpolate_values(fld.grid, fld.values, np.atleast_2d(point))[0])
-
-
 def periodic_fd_gradient(grid: CellGrid, values: np.ndarray) -> np.ndarray:
     """Nodal gradient of a cell-grid field by wrapped central differences.
 

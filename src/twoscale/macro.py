@@ -29,7 +29,7 @@ from .fem import (
     default_quadrature,
     solve_dirichlet,
 )
-from .grids import MacroGrid, ScalarField, interpolate_values
+from .grids import MacroGrid, ScalarField
 
 # Anderson depth: each step mixes the last ANDERSON_DEPTH + 1 evaluations of G
 ANDERSON_DEPTH = 5
@@ -108,22 +108,31 @@ def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
     return u, result
 
 
-def solve_nonlinear(model, grid: MacroGrid, assemble_fn, opts: PicardOptions,
+def solve_nonlinear(model, grid: MacroGrid, quad, coeff, source, opts: PicardOptions,
                     cg_opts: SolverOptions):
     """Frozen-midpoint start, then ``picard_solve`` (shared by the macro and
     fine solves).
 
-    The start is one linear solve with the state frozen at the middle of the
+    Each step assembles ``coeff(u, points)`` (tensors (K, dim, dim)) and
+    ``source(u, points)`` (scalars (K,)) on ``grid`` with ``quad``, the
+    state ``u`` being the current iterate at the quadrature points.  The
+    start is one linear solve with the state frozen at the middle of the
     admissible range.  When neither the coefficient nor the source depends
     on u, that solve is the fixed point and is returned as converged in one
     iteration with increment 0.
     """
+
+    def assemble_at(u_values):
+        mat = assemble_stiffness(grid, coeff, quad, state=u_values)
+        rhs = assemble_load(grid, quad, scalar_fn=source, state=u_values)
+        return mat, rhs
+
     u_mid = 0.5 * (model.u_lo + model.u_hi)
-    mat, rhs = assemble_fn(np.full(grid.ndof, u_mid))
+    mat, rhs = assemble_at(np.full(grid.ndof, u_mid))
     start = solve_dirichlet(SparseSystem(mat, rhs), grid, cg_opts)
     if not (model.u_dependent or model.source.u_dependent):
         return start, PicardResult(iterations=1, increments=[0.0], converged=True)
-    return picard_solve(assemble_fn, grid, opts, cg_opts, start)
+    return picard_solve(assemble_at, grid, opts, cg_opts, start)
 
 
 def solve_homogenized(
@@ -140,22 +149,10 @@ def solve_homogenized(
     their parameter tables at every quadrature point of the current iterate.
     Emits a warning when the converged solution leaves the admissible range.
     """
-    quad = quad or default_quadrature(macro_grid.dim)
-
-    def assemble_at(u_values):
-        def coeff_fn(pts):
-            u_at = interpolate_values(macro_grid, u_values, pts)
-            return tensor_table.interp(u_at, pts)
-
-        def source_fn(pts):
-            u_at = interpolate_values(macro_grid, u_values, pts)
-            return tensor_table.interp_source(u_at, pts)
-
-        mat = assemble_stiffness(macro_grid, coeff_fn, quad)
-        rhs = assemble_load(macro_grid, quad, scalar_fn=source_fn)
-        return mat, rhs
-
-    values, result = solve_nonlinear(model, macro_grid, assemble_at, opts, cg_opts)
+    values, result = solve_nonlinear(
+        model, macro_grid, quad or default_quadrature(macro_grid.dim),
+        tensor_table.interp, tensor_table.interp_source, opts, cg_opts,
+    )
 
     interior = values[macro_grid.interior_dofs()]
     eps_range = 1e-12 * (model.u_hi - model.u_lo)

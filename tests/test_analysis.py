@@ -3,6 +3,7 @@ import pytest
 
 from twoscale.analysis import (
     ErrorReport,
+    _interior_elements,
     antiderivative_lemma_1d,
     energy_difference,
     fit_rate,
@@ -14,10 +15,16 @@ from twoscale.analysis import (
     seminorm_h1,
 )
 from twoscale.cell_problems import ParameterGrid, EffectiveTensorTable
-from twoscale.coefficients import ConstantCoefficient, SourceModel
+from twoscale.coefficients import ConstantCoefficient, RosselandCoefficient, SourceModel
 from twoscale.errors import ConfigurationError
 from twoscale.expansion import fine_grid_for, solve_fine
-from twoscale.grids import MacroGrid, ScalarField
+from twoscale.fem import (
+    default_quadrature,
+    element_quad_points,
+    field_gradients_at_quad,
+    gauss_rule,
+)
+from twoscale.grids import MacroGrid, ScalarField, fd_gradient, interpolate_values
 
 
 def field_1d(m, fn):
@@ -139,6 +146,57 @@ def test_interior_gradient_sup_with_baseline():
     assert interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers) < 1e-12
     with pytest.raises(ValueError, match="base gradient has shape"):
         interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers[1:])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_own_grid_reads_match_point_location_reference(dim):
+    # energy_difference and flux mode read the state at their own grid's
+    # quadrature points by gather; locating those points gives the same
+    eps, box = 0.25, [0.25, 0.75]
+    k_matrix = [[2.0]] if dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
+    model = RosselandCoefficient(dim, k_matrix=k_matrix, b=0.5)
+    fine, macro = fine_grid_for(eps, 8, dim), MacroGrid(dim, 8)
+
+    def bump(grid, scale):
+        x = grid.node_coords()
+        return ScalarField(grid, scale * np.prod(np.sin(np.pi * x), axis=1) + 0.1 * x[:, 0])
+
+    u_eps, u0 = bump(fine, 0.8), bump(macro, 0.7)
+    u_axis = np.linspace(0.0, 1.0, 5)
+    shape = np.asarray(k_matrix)
+    table = EffectiveTensorTable(
+        param_grid=ParameterGrid(u_axis, tuple(np.array([0.5]) for _ in range(dim))),
+        values=(1.0 + u_axis**3)[:, None, None] * shape,
+        source_means=np.ones(len(u_axis)),
+    )
+
+    def energy(grid, quad, coeff, grads):
+        weights = np.tile(quad.weights, grid.n_elements) * grid.spacing**dim
+        return np.einsum("kij,ki,kj,k->", coeff, grads, grads, weights)
+
+    fine_quad, macro_quad = default_quadrature(dim), gauss_rule(2, dim)
+    pts = element_quad_points(fine, fine_quad).reshape(-1, dim)
+    a_q = model.eval_a(interpolate_values(fine, u_eps.values, pts), pts, np.mod(pts / eps, 1.0))
+    grads = field_gradients_at_quad(fine, u_eps.values, fine_quad).reshape(-1, dim)
+    pts0 = element_quad_points(macro, macro_quad).reshape(-1, dim)
+    a0_q = table.interp(interpolate_values(macro, u0.values, pts0), pts0)
+    grad_nodal = fd_gradient(u0)
+    grads0 = np.stack(
+        [interpolate_values(macro, grad_nodal[:, d], pts0) for d in range(dim)], axis=-1
+    )
+    ref = abs(energy(fine, fine_quad, a_q, grads) - energy(macro, macro_quad, a0_q, grads0))
+    got = energy_difference(model, u_eps, eps, table, u0)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    centers = interior_element_centers(fine, box)
+    a_c = model.eval_a(interpolate_values(fine, u_eps.values, centers), centers,
+                       np.mod(centers / eps, 1.0))
+    fld = bump(fine, -0.3)  # the measured field need not be the state
+    grads_c = field_gradients_at_quad(fine, fld.values, gauss_rule(1, dim))
+    flux = np.einsum("kij,kj->ki", a_c, grads_c[_interior_elements(fine, box), 0])
+    ref = np.max(np.linalg.norm(flux, axis=1))
+    got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=u_eps)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_holder_seminorm_1d_cases():

@@ -603,6 +603,18 @@ def test_translation_invariance_negative_shift_reduced():
     assert rep.discrepancy <= 1e-9
 
 
+@pytest.mark.parametrize("dim, m_c, shift", [
+    (1, 32, [0.5]), (1, 64, [3.0 / 64.0]), (1, 256, [0.5]), (2, 32, [0.5, 0.25]),
+])
+def test_translation_invariance_aligned_hint_is_the_rounding_scale(dim, m_c, shift):
+    # aligned shifts relabel the discrete problem, so the hint is the
+    # rounding scale of the direct cell solves, not a CG tolerance
+    model = SmoothPeriodicCoefficient(dim, base=2.0, amplitude=1.0)
+    rep = check_translation_invariance(model, 0.5, [0.5] * dim, shift, CellGrid(dim, m_c))
+    assert rep.grid_aligned
+    assert rep.discrepancy <= rep.tolerance_hint < 1e-10
+
+
 def test_translation_invariance_unaligned_reports_spacing_tolerance():
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     grid = CellGrid(1, 64)

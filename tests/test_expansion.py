@@ -9,6 +9,7 @@ from twoscale.cell_problems import (
 )
 from twoscale.coefficients import (
     ConstantCoefficient,
+    RosselandCoefficient,
     SmoothPeriodicCoefficient,
     SourceModel,
 )
@@ -22,6 +23,14 @@ from twoscale.expansion import (
     remainder,
     solve_fine,
 )
+from twoscale.fem import (
+    SolverOptions,
+    SparseSystem,
+    assemble_load,
+    assemble_stiffness,
+    gauss_rule,
+    solve_dirichlet,
+)
 from twoscale.grids import (
     CellGrid,
     MacroGrid,
@@ -30,7 +39,7 @@ from twoscale.grids import (
     fd_hessian,
     interpolate_values,
 )
-from twoscale.macro import solve_homogenized
+from twoscale.macro import PicardOptions, picard_solve, solve_homogenized
 
 
 def tables_for(model, m_c=64):
@@ -266,18 +275,51 @@ def test_order_monotonicity_at_small_eps():
 
 
 def test_u_independent_fine_solve_assembles_once(monkeypatch):
-    import twoscale.expansion as expansion
+    import twoscale.macro as macro
 
     calls = []
-    original = expansion.assemble_stiffness
+    original = macro.assemble_stiffness
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(expansion, "assemble_stiffness", counting)
+    monkeypatch.setattr(macro, "assemble_stiffness", counting)
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     u_eps, result = solve_fine(model, 0.125, fine_grid_for(0.125, 16, 1))
     assert len(calls) == 1
     assert result.converged and result.iterations == 1
     assert result.increments == [0.0]
+
+
+def test_u_dependent_2d_fine_solve_matches_point_location_reference():
+    # the fine Picard solve with the iterate gathered at the quadrature
+    # points against the same fixed point with every quadrature point
+    # located in the grid (frozen-midpoint start, then Picard)
+    eps = 0.25
+    model = RosselandCoefficient(
+        2, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=0.5)
+    )
+    fine = fine_grid_for(eps, 8, 2)
+    quad = gauss_rule(3, 2)
+    opts, cg_opts = PicardOptions(), SolverOptions()
+    u_eps, result = solve_fine(model, eps, fine, opts, quad, cg_opts)
+    assert result.converged and result.iterations > 1
+
+    def assemble_at(u_values):
+        def u_at(pts):
+            return interpolate_values(fine, u_values, pts)
+
+        mat = assemble_stiffness(
+            fine, lambda pts: model.eval_a(u_at(pts), pts, np.mod(pts / eps, 1.0)), quad
+        )
+        rhs = assemble_load(
+            fine, quad,
+            scalar_fn=lambda pts: model.eval_f(u_at(pts), pts, np.mod(pts / eps, 1.0)),
+        )
+        return mat, rhs
+
+    start = solve_dirichlet(SparseSystem(*assemble_at(np.full(fine.ndof, 0.5))), fine, cg_opts)
+    ref, ref_result = picard_solve(assemble_at, fine, opts, cg_opts, start)
+    assert ref_result.iterations == result.iterations
+    assert np.max(np.abs(u_eps.values - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from twoscale.coefficients import RosselandCoefficient
+from twoscale.coefficients import RosselandCoefficient, SourceModel
 from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceError
 from twoscale.fem import (
     SolverOptions,
@@ -21,7 +21,7 @@ from twoscale.fem import (
     solve_dirichlet,
     solve_periodic_zero_mean,
 )
-from twoscale.grids import CellGrid, MacroGrid
+from twoscale.grids import CellGrid, MacroGrid, interpolate_values
 
 
 def const_coeff(value, dim):
@@ -364,6 +364,40 @@ def test_matrix_product_kernels_match_einsum_reference(grid, n_points):
     load = assemble_load_from_samples(grid, quad, scal, flux)
     ref = reference_load(grid, quad, scal, flux)
     assert np.max(np.abs(load - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [MacroGrid(1, 16), MacroGrid(2, 8)], ids=repr)
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_state_assembly_matches_point_location_reference(grid, n_points):
+    # a nodal state read at the quadrature points by gather gives the same
+    # matrix and load as locating every quadrature point in the grid
+    k_matrix = [[2.0]] if grid.dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
+    model = RosselandCoefficient(
+        grid.dim, k_matrix=k_matrix, b=0.3, source=SourceModel(base=1.0, u_coeff=0.5)
+    )
+    x = grid.node_coords()
+    state = 0.5 + 0.4 * np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, -1])
+    quad = gauss_rule(n_points, grid.dim)
+    calls = []
+
+    def coeff(u, pts):
+        calls.append(len(pts))
+        return model.eval_a(u, pts, np.mod(4.0 * pts, 1.0))
+
+    def source(u, pts):
+        return model.eval_f(u, pts, np.mod(4.0 * pts, 1.0))
+
+    mat = assemble_stiffness(grid, coeff, quad, state=state).toarray()
+    assert calls == [grid.n_elements] * len(quad.weights)
+    load = assemble_load(grid, quad, scalar_fn=source, state=state)
+
+    def located(fn):
+        return lambda pts: fn(interpolate_values(grid, state, pts), pts)
+
+    ref = assemble_stiffness(grid, located(coeff), quad).toarray()
+    assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref = assemble_load(grid, quad, scalar_fn=located(source))
+    assert np.max(np.abs(load - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_assembly_rejects_bad_shape_and_names_non_finite_element():

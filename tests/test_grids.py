@@ -8,7 +8,6 @@ from twoscale.grids import (
     ScalarField,
     fd_gradient,
     fd_hessian,
-    interpolate,
     interpolate_values,
 )
 
@@ -50,19 +49,22 @@ def test_scalar_field_validation():
 def test_interpolate_reproduces_constants():
     grid = MacroGrid(dim=2, cells_per_side=4)
     fld = ScalarField(grid, np.full(grid.ndof, 3.7))
-    assert interpolate(fld, [0.31, 0.77]) == pytest.approx(3.7, abs=1e-14)
+    value = interpolate_values(fld.grid, fld.values, [[0.31, 0.77]])[0]
+    assert value == pytest.approx(3.7, abs=1e-14)
 
 
 def test_interpolate_linear_reproduction_1d():
     grid = MacroGrid(dim=1, cells_per_side=2)
     fld = ScalarField(grid, grid.node_coords()[:, 0])
-    assert interpolate(fld, [0.25]) == pytest.approx(0.25, abs=1e-15)
+    assert interpolate_values(fld.grid, fld.values, [[0.25]])[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_interpolate_periodic_reduction():
     grid = CellGrid(dim=1, cells_per_side=4)
     fld = ScalarField(grid, grid.dof_coords()[:, 0])  # f(y) = y on [0,1), wrapped
-    assert interpolate(fld, [1.25]) == pytest.approx(interpolate(fld, [0.25]), abs=1e-14)
+    assert interpolate_values(fld.grid, fld.values, [[1.25]])[0] == pytest.approx(
+        interpolate_values(fld.grid, fld.values, [[0.25]])[0], abs=1e-14
+    )
 
 
 def test_interpolate_exact_for_multilinear_fields():
@@ -101,7 +103,7 @@ def test_macro_out_of_domain():
     grid = MacroGrid(dim=1, cells_per_side=4)
     fld = ScalarField(grid, np.zeros(grid.ndof))
     with pytest.raises(OutOfDomainError):
-        interpolate(fld, [1.2])
+        interpolate_values(fld.grid, fld.values, [[1.2]])
 
 
 def test_fd_gradient_constant_and_affine():

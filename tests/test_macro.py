@@ -157,7 +157,6 @@ def test_anderson_beats_plain_picard_on_strong_rosseland(monkeypatch):
     import twoscale.macro as macro
     from twoscale.cli import build_setup, tables_and_macro_solution
     from twoscale.config import load_config
-    from twoscale.fem import gauss_rule
 
     cfg = load_config(base={
         "problem": {
@@ -179,7 +178,7 @@ def test_anderson_beats_plain_picard_on_strong_rosseland(monkeypatch):
     monkeypatch.setattr(macro, "ANDERSON_DEPTH", 0)
     u_plain, res_plain = solve_homogenized(
         tensors, setup.model, setup.macro_grid, setup.picard_opts,
-        gauss_rule(setup.solve_quad_points, 1), setup.cg_opts,
+        setup.solve_quad, setup.cg_opts,
     )
     assert res_anderson.converged and res_plain.converged
     assert res_anderson.iterations < res_plain.iterations
