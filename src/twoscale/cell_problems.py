@@ -22,8 +22,12 @@ Every family at one sample reads the same :class:`CellSample`: the
 coefficient, its u-derivative and the source are evaluated at the
 quadrature points once, and the periodic operator is assembled and factored
 once.  The table build makes one such object per sample in each of its two
-passes, and solves the first and hessian correctors of a separable
-coefficient a = mu(u, x) g(y), from whose equations mu cancels, only once.
+passes.  For a separable coefficient a = mu(u, x) g(y) the operator at
+every sample is a multiple of the operator at the first one, so that first
+sample is the ``base`` of all the others: the whole table assembles and
+factors one operator, each sample solving with the base's LU divided by
+its mu ratio, and solves the first and hessian correctors, from whose
+equations mu cancels, once.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -327,17 +331,28 @@ class EffectiveTensorTable:
 class CellSample:
     """The cell data at one parameter sample (u, x), each piece computed once.
 
-    The quadrature-point samples of ``a``, ``da/du`` and ``f``, the periodic
-    operator (assembled through :func:`assemble_stiffness`) and its
-    :class:`PeriodicFactor` (scale and sparse LU, made on the first nonzero
-    solve) are computed on first use and then shared by every corrector
-    family at this sample.  ``shift`` translates the cell
-    data periodically (translation-invariance checks).  A table build keeps
-    one sample alive at a time, so no operator outlives its sample.
+    The quadrature-point samples of ``a``, ``da/du`` and ``f``, the factor of
+    the periodic operator (assembled through :func:`assemble_stiffness`; its
+    scale and sparse LU are made on the first nonzero solve) and the first
+    and hessian correctors are computed on first use and then shared by
+    every corrector family at this sample.  ``shift`` translates the cell
+    data periodically (translation-invariance checks).
+
+    ``base`` is another sample of the same separable model
+    (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
+    sample's operator is then c = mu(u, x) / mu(base) times the base's, so
+    it assembles nothing: it solves with the base's factor scaled by c
+    (:meth:`PeriodicFactor.scaled`, the base's LU), and, mu cancelling from
+    the first and hessian problems, it returns the base's correctors.  Its
+    own coefficient samples still drive the effective tensor, the source
+    and the loads of the slow correctors.
     """
 
-    def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None):
-        self.model, self.u, self.x, self.grid = model, u, x, grid
+    def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None, base=None):
+        if base is not None and not (model.separable and base.model is model
+                                     and base.grid == grid):
+            raise ValueError("a base sample needs the same separable model and cell grid")
+        self.model, self.u, self.x, self.grid, self.base = model, u, x, grid, base
         self.quad = quad or default_quadrature(grid.dim)
         pts = element_quad_points(grid, self.quad)
         self.quad_shape = pts.shape[:2]  # (E, Q)
@@ -346,6 +361,7 @@ class CellSample:
             pts = pts + shift
             pts = np.where(pts >= 1.0, pts - 1.0, pts)
         self.points = pts
+        self._first = self._hessian = None
 
     def mean(self, samples) -> float:
         """Cell average of quad-point samples (E, Q)."""
@@ -374,20 +390,20 @@ class CellSample:
         return self.mean(self.f_q)
 
     @cached_property
-    def matrix(self):
-        return assemble_stiffness(self.grid, self.a_q, self.quad)
-
-    @cached_property
     def factor(self) -> PeriodicFactor:
-        return PeriodicFactor(self.matrix)
+        if self.base is not None:
+            c = self.model.mu(self.u, self.x) / self.model.mu(self.base.u, self.base.x)
+            return self.base.factor.scaled(c)
+        return PeriodicFactor(assemble_stiffness(self.grid, self.a_q, self.quad))
 
     def solve(self, rhs, opts, diagnostics=None) -> np.ndarray:
         """Zero-mean periodic solve against this sample's operator."""
+        factor = self.factor
         if diagnostics is not None:
             diagnostics.max_rhs_defect = max(
-                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, self.factor.scale)
+                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, factor.scale)
             )
-        sol = solve_periodic_zero_mean(SparseSystem(self.matrix, rhs), opts, self.factor)
+        sol = solve_periodic_zero_mean(SparseSystem(factor.matrix, rhs), opts, factor)
         if diagnostics is not None:
             diagnostics.max_corrector_mean = max(
                 diagnostics.max_corrector_mean, abs(float(sol.mean()))
@@ -399,17 +415,22 @@ class CellSample:
 
         Direction m solves the periodic problem whose flux load is minus the
         m-th coefficient column, so that the corrected gradient
-        e_m + grad(N_m) carries a divergence-free flux.
+        e_m + grad(N_m) carries a divergence-free flux.  Solved on the first
+        call and kept; a sample with a base returns the base's.
         """
-        return [
-            self.solve(
-                assemble_load_from_samples(
-                    self.grid, self.quad, flux_samples=-self.a_q[:, :, m, :]
-                ),
-                opts, diagnostics,
-            )
-            for m in range(self.grid.dim)
-        ]
+        if self.base is not None:
+            return self.base.first_correctors(opts, diagnostics)
+        if self._first is None:
+            self._first = [
+                self.solve(
+                    assemble_load_from_samples(
+                        self.grid, self.quad, flux_samples=-self.a_q[:, :, m, :]
+                    ),
+                    opts, diagnostics,
+                )
+                for m in range(self.grid.dim)
+            ]
+        return self._first
 
     def effective_tensor(self, first_fields, diagnostics=None) -> np.ndarray:
         """Cell average of the corrected flux: a0[:, j] = int A (e_j + grad N_j).
@@ -462,8 +483,13 @@ class CellSample:
 
         The raw problem is not symmetric in its two indices, but the pair
         only ever multiplies the symmetric Hessian, so the (k,l)/(l,k)
-        solutions are averaged and stored once per unordered pair.
+        solutions are averaged and stored once per unordered pair.  Solved
+        on the first call and kept; a sample with a base returns the base's.
         """
+        if self.base is not None:
+            return self.base.hessian_correctors(first_fields, opts, diagnostics)
+        if self._hessian is not None:
+            return self._hessian
         grid, quad, a_q = self.grid, self.quad, self.a_q
         dim = grid.dim
         n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
@@ -492,6 +518,7 @@ class CellSample:
                         diagnostics.max_corrector_mean, abs(float(sym.mean()))
                     )
                 out[(k, l)] = sym
+        self._hessian = out
         return out
 
     def source_corrector(self, opts=SolverOptions(), diagnostics=None):
@@ -690,13 +717,15 @@ def build_corrector_tables(
 ):
     """Solve every cell problem at every parameter sample.
 
-    Two passes each build one :class:`CellSample` per parameter sample and
-    drop it when the sample is done, so the cell operator is assembled at
-    most twice per sample and never kept across samples.  Pass 1 solves the
-    first, hessian and source correctors and the effective tensor; pass 2
-    the slow correctors, which difference pass-1 results across samples.
-    For a ``separable`` model the first and hessian correctors are solved
-    at the first sample only and shared by every other one.
+    Two passes each take one :class:`CellSample` per parameter sample.
+    Pass 1 solves the first, hessian and source correctors and the
+    effective tensor; pass 2 the slow correctors, which difference pass-1
+    results across samples.  For a ``separable`` model the sample at the
+    first lattice point is the ``base`` of every other one in both passes
+    and is kept for the whole build: the table assembles and factors one
+    operator, and solves the first and hessian correctors once.  Otherwise
+    each sample assembles and factors its own operator, once per pass, and
+    is dropped when it is done, so no operator is kept across samples.
     Sample solves are independent and written to disjoint slots, so the
     result is bitwise identical for any thread count.  Returns the corrector
     table and the effective-tensor table (which also carries the cell mean
@@ -707,17 +736,20 @@ def build_corrector_tables(
     _check_lattice(model, pgrid, grid)
     n_samples = pgrid.size
     multis = list(pgrid.indices())
+    base = CellSample(model, *pgrid.coords(multis[0]), grid, quad) if model.separable else None
 
-    def sample_pass(multi, shared=None):
+    def sample_at(multi):
+        if base is not None and multi == multis[0]:
+            return base
+        return CellSample(model, *pgrid.coords(multi), grid, quad, base=base)
+
+    def sample_pass(multi):
         diag = BuildDiagnostics()
         u, x = pgrid.coords(multi)
         try:
-            sample = CellSample(model, u, x, grid, quad)
-            if shared is None:
-                first = sample.first_correctors(opts, diag)
-                hess = sample.hessian_correctors(first, opts, diag)
-            else:
-                first, hess = shared
+            sample = sample_at(multi)
+            first = sample.first_correctors(opts, diag)
+            hess = sample.hessian_correctors(first, opts, diag)
             a0 = sample.effective_tensor(first, diag)
             source, fbar = sample.source_corrector(opts, diag)
             h_loads = sample.h_loads(first)
@@ -726,17 +758,18 @@ def build_corrector_tables(
         fields = {f"first_{m}": first[m] for m in range(dim)}
         fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
         fields["source"] = source
-        return fields, a0, fbar, h_loads, diag, (first, hess)
+        return fields, a0, fbar, h_loads, diag
 
+    # the first sample runs alone, so a base has its correctors and its
+    # factor before the samples based on it read them from other threads
     results = [sample_pass(multis[0])]
-    shared = results[0][-1] if model.separable else None
-    results += _map_samples(lambda multi: sample_pass(multi, shared), multis[1:], threads)
+    results += _map_samples(sample_pass, multis[1:], threads)
 
     fields = {name: np.zeros((n_samples, grid.ndof)) for name in corrector_field_names(dim)}
     tensor_vals = np.zeros((n_samples, dim, dim))
     source_means = np.zeros(n_samples)
     diagnostics = BuildDiagnostics()
-    for flat, (sample_fields, a0, fbar, _, diag, _) in enumerate(results):
+    for flat, (sample_fields, a0, fbar, _, diag) in enumerate(results):
         for name, v in sample_fields.items():
             fields[name][flat] = v
         tensor_vals[flat] = a0
@@ -749,8 +782,7 @@ def build_corrector_tables(
     del results
 
     def slow_pass(multi):
-        sample = CellSample(model, *pgrid.coords(multi), grid, quad)
-        return _slow_pass(sample, pgrid, multi, first_stack, h_load_stack, opts)
+        return _slow_pass(sample_at(multi), pgrid, multi, first_stack, h_load_stack, opts)
 
     for flat, (slow_fields, diag) in enumerate(_map_samples(slow_pass, multis, threads)):
         for name, v in slow_fields.items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import operator
 import os
@@ -126,8 +127,11 @@ def estimate_u_span(setup: ProblemSetup):
     quad = gauss_rule(2, setup.macro_grid.dim)
     shape = (setup.macro_grid.n_elements, len(quad.weights))  # (E, Q)
     lo, hi = np.inf, -np.inf
+    base = None  # a separable model's first frozen sample serves the other two
     for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):
-        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad)
+        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad, base=base)
+        if model.separable and base is None:
+            base = cell
         a0 = cell.effective_tensor(cell.first_correctors(setup.cg_opts))
         fbar = cell.source_mean
         mat = assemble_stiffness(setup.macro_grid, np.broadcast_to(a0, shape + a0.shape), quad)
@@ -205,10 +209,11 @@ def _fmt(value: float) -> str:
 
 @functools.lru_cache(maxsize=1)
 def _coordinate_prefixes(grid) -> list:
-    """The ``"x0,x1,"`` prefix of every node's CSV row.  Only the last grid is
+    """The ``"x0,x1,"`` prefix of every node's CSV row, formatted once per
+    axis value and joined in the grid's node order.  Only the last grid is
     cached: the writers emit runs of field files on one grid."""
-    coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
-    return [",".join(map(repr, row)) + "," for row in coords.tolist()]
+    axes = [list(map(repr, axis.tolist())) for axis in grid.axes()]
+    return [",".join(row) + "," for row in itertools.product(*axes)]
 
 
 def write_field_csv(path: Path, grid, values, header_lines=(), memo=None):

@@ -350,6 +350,11 @@ class SeparatedCoefficient(CoefficientModel):
     def separable(self) -> bool:
         return True
 
+    def mu(self, u, x) -> float:
+        """The slow factor mu at one (u, x), u clamped as :meth:`eval_a` clamps it."""
+        u = np.clip(float(u), self.u_lo, self.u_hi)
+        return float(self._mu(u, _as_points(x, self.dim))[0])
+
     def _mu(self, u, x):
         return self.mu0 + self.mu_u * u + self.mu_u2 * u**2 + self.mu_x * x.mean(axis=1)
 

@@ -19,8 +19,10 @@ Assembly is a matrix-product kernel.  The coefficient samples at the
 quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
 tensor of weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving
 every element matrix at once; load vectors are the same kind of product
-with weighted basis values or gradients.  The element connectivity comes
-from the grid, which computes it once.  Coefficient evaluators are called
+with weighted basis values or gradients, and the values or gradients of a
+nodal field at the quadrature points are its element values (E, C) times
+the basis values or gradients, which each rule tabulates once.  The element
+connectivity comes from the grid, which computes it once.  Coefficient evaluators are called
 once per quadrature point, with one point per element; a state-dependent
 evaluator also receives a nodal state read at those points through the
 element connectivity (a gather, since the element of every quadrature
@@ -46,7 +48,11 @@ from .grids import MacroGrid, corner_offsets
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor Gauss rule on the reference element [0,1]^dim."""
+    """Tensor Gauss rule on the reference element [0,1]^dim.
+
+    The Q1 basis values and reference gradients at the points are tabulated
+    on first use and kept, read-only, for every kernel that reads them.
+    """
 
     points: np.ndarray  # (Q, dim)
     weights: np.ndarray  # (Q,)
@@ -57,6 +63,21 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to the element measure")
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """:func:`q1_values` at the points, (Q, 2^dim)."""
+        return _read_only(q1_values(self.points))
+
+    @functools.cached_property
+    def basis_gradients(self) -> np.ndarray:
+        """:func:`q1_gradients` at the points, (Q, 2^dim, dim)."""
+        return _read_only(q1_gradients(self.points))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def default_quadrature(dim: int, n_points: int | None = None) -> QuadratureRule:
@@ -126,16 +147,16 @@ def element_quad_points(grid, quad: QuadratureRule) -> np.ndarray:
 
 def field_values_at_quad(grid, values: np.ndarray, quad: QuadratureRule) -> np.ndarray:
     """Q1 interpolant of nodal ``values`` at the quadrature points, (E, Q)."""
-    dofs = grid.element_dofs()
-    basis = q1_values(quad.points)  # (Q, C)
-    return np.asarray(values)[dofs] @ basis.T
+    return np.asarray(values)[grid.element_dofs()] @ quad.basis.T
 
 
 def field_gradients_at_quad(grid, values: np.ndarray, quad: QuadratureRule) -> np.ndarray:
-    """Q1 gradient of nodal ``values`` at the quadrature points, (E, Q, dim)."""
-    dofs = grid.element_dofs()
-    grads = q1_gradients(quad.points) / grid.spacing  # (Q, C, dim)
-    return np.einsum("ec,qcd->eqd", np.asarray(values)[dofs], grads)
+    """Q1 gradient of nodal ``values`` at the quadrature points, (E, Q, dim):
+    one matrix product of the element values (E, C) with the physical basis
+    gradients laid out as (C, Q*dim)."""
+    n_q, n_loc, dim = quad.basis_gradients.shape
+    ref = np.swapaxes(quad.basis_gradients, 0, 1).reshape(n_loc, n_q * dim) / grid.spacing
+    return (np.asarray(values)[grid.element_dofs()] @ ref).reshape(-1, n_q, dim)
 
 
 def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
@@ -172,7 +193,7 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     element matrices of coefficient samples a (E, Q, dim, dim) are the rows
     of one matrix product a.reshape(E, -1) @ R.
     """
-    grads = q1_gradients(quad.points) / grid.spacing  # (Q, C, dim)
+    grads = quad.basis_gradients / grid.spacing  # (Q, C, dim)
     ref = np.einsum("q,qbi,qcj->qijbc", quad.weights * grid.spacing**grid.dim, grads, grads)
     n_q, n_loc, dim = grads.shape
     return ref.reshape(n_q * dim * dim, n_loc * n_loc)
@@ -242,12 +263,12 @@ def assemble_load_from_samples(
         s = np.asarray(scalar_samples, dtype=float)
         if not np.all(np.isfinite(s)):
             raise AssemblyError("non-finite scalar source sample")
-        local += s @ (weights[:, None] * q1_values(quad.points))
+        local += s @ (weights[:, None] * quad.basis)
     if flux_samples is not None:
         b = np.asarray(flux_samples, dtype=float)
         if not np.all(np.isfinite(b)):
             raise AssemblyError("non-finite flux source sample")
-        ref = weights[:, None, None] * np.swapaxes(q1_gradients(quad.points) / h, 1, 2)
+        ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
         local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)  # (Q*dim, C)
     return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
 
@@ -507,21 +528,37 @@ def rhs_constant_defect(rhs: np.ndarray, matrix_scale: float = 0.0) -> float:
 
 
 class PeriodicFactor:
-    """What the solves against one singular periodic matrix share: ``scale``
+    """What the solves against one singular periodic operator share: ``scale``
     (its largest entry, for the zero-load floor and the compatibility check)
-    and ``lu`` (its sparse LU with node 0 pinned), each made on first use, so
-    the matrix is factored at most once, and never if every load is zero."""
+    and ``lu`` (the sparse LU of ``matrix`` with node 0 pinned), each made on
+    first use, so the matrix is factored at most once, and never if every
+    load is zero.
+
+    The operator is ``multiple`` times ``matrix``.  :meth:`scaled` gives the
+    factor of a multiple of the same operator; it keeps a reference to the
+    factor of ``matrix`` itself (``unit``) and shares that factor's LU and
+    largest entry, so every multiple of one matrix is factored once.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.multiple = 1.0
+        self.unit = None
+
+    def scaled(self, c: float) -> "PeriodicFactor":
+        """The factor of ``c`` times this operator."""
+        out = PeriodicFactor(self.matrix)
+        out.multiple = c * self.multiple
+        out.unit = self if self.unit is None else self.unit
+        return out
 
     @functools.cached_property
     def scale(self) -> float:
-        return abs(self.matrix).max()
+        return abs(self.matrix).max() if self.unit is None else self.multiple * self.unit.scale
 
     @functools.cached_property
     def lu(self):
-        return _lu(self.matrix[1:, 1:])
+        return _lu(self.matrix[1:, 1:]) if self.unit is None else self.unit.lu
 
 
 def solve_periodic_zero_mean(
@@ -534,8 +571,11 @@ def solve_periodic_zero_mean(
     in 1-D and 2-D alike, so ``opts.tol`` and ``opts.max_iter`` play no
     part; the result is projected to zero discrete mean (uniform lumped
     masses make that the plain average).  ``factor``, when given, must be
-    the :class:`PeriodicFactor` of ``system.matrix``; passing the same one
-    to every solve against that matrix factors it once.
+    a :class:`PeriodicFactor` of ``system.matrix``; passing the same one
+    to every solve against that matrix factors it once.  The operator solved
+    is the factor's, ``factor.multiple`` times ``system.matrix``, so a
+    :meth:`PeriodicFactor.scaled` factor solves a multiple of the matrix
+    with the LU of the matrix itself.
     """
     if factor is None:
         factor = PeriodicFactor(system.matrix)
@@ -551,5 +591,5 @@ def solve_periodic_zero_mean(
         )
 
     x = np.zeros(system.ndof)
-    x[1:] = factor.lu.solve(system.rhs[1:] - system.rhs.sum() / system.ndof)
+    x[1:] = factor.lu.solve(system.rhs[1:] - system.rhs.sum() / system.ndof) / factor.multiple
     return x - x.sum() / system.ndof  # x.mean(), without its call overhead

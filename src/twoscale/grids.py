@@ -81,11 +81,14 @@ class CellGrid:
     def n_elements(self) -> int:
         return self.cells_per_side**self.dim
 
+    def axes(self) -> list:
+        """The node coordinates along each axis; the nodes are their product,
+        first axis slowest."""
+        return [np.arange(self.cells_per_side) * self.spacing] * self.dim
+
     def dof_coords(self) -> np.ndarray:
         """Coordinates of the representative nodes, shape (ndof, dim)."""
-        m = self.cells_per_side
-        axes = [np.arange(m) * self.spacing] * self.dim
-        return _lattice_coords(axes)
+        return _lattice_coords(self.axes())
 
     def wrap_multi_index(self, multi: np.ndarray) -> np.ndarray:
         """Map lattice multi-indices to representative DOF ids (faces folded)."""
@@ -138,9 +141,13 @@ class MacroGrid:
     def n_elements(self) -> int:
         return self.cells_per_side**self.dim
 
+    def axes(self) -> list:
+        """The node coordinates along each axis; the nodes are their product,
+        first axis slowest."""
+        return [np.linspace(0.0, 1.0, self.nodes_per_side)] * self.dim
+
     def node_coords(self) -> np.ndarray:
-        axes = [np.linspace(0.0, 1.0, self.nodes_per_side)] * self.dim
-        return _lattice_coords(axes)
+        return _lattice_coords(self.axes())
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask over nodes: True where any coordinate index is 0 or m."""

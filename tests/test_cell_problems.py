@@ -1,3 +1,7 @@
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,6 +25,7 @@ from twoscale.coefficients import (
     SourceModel,
 )
 from twoscale.errors import ConfigurationError
+from twoscale.fem import SolverOptions
 from twoscale.grids import CellGrid
 
 
@@ -172,10 +177,102 @@ def separated_2d_table(threads=1, monkeypatch=None):
     return model, grid, table, tensors, len(calls)
 
 
-def test_table_build_assembles_at_most_twice_per_sample(monkeypatch):
-    _, _, table, _, n_assemblies = separated_2d_table(monkeypatch=monkeypatch)
+def test_separable_table_assembles_and_factors_one_operator(monkeypatch):
+    factors = []
+    original = fem._lu
+
+    def counting(mat):
+        factors.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(fem, "_lu", counting)
+    _, grid, table, _, n_assemblies = separated_2d_table(monkeypatch=monkeypatch)
     assert table.param_grid.size == 27
-    assert 0 < n_assemblies <= 2 * table.param_grid.size
+    assert n_assemblies == 1
+    assert factors == [(grid.ndof - 1, grid.ndof - 1)]
+
+
+def test_separable_table_matches_samples_that_factor_their_own_operator():
+    # the reference solves every sample against its own assembly and factor
+    model = SeparatedCoefficient(
+        2, mu0=1.0, mu_u2=1.0, mu_x=0.5, source=SourceModel(base=1.0, amplitude=0.5)
+    )
+    grid = CellGrid(2, 8)
+    pgrid = default_parameter_grid(model, n_u=3, n_x=3)
+    table, _ = build_corrector_tables(model, pgrid, grid)
+    opts = SolverOptions()
+    own = [CellSample(model, *pgrid.coords(multi), grid) for multi in pgrid.indices()]
+    first_stack = np.stack([table.fields[f"first_{m}"] for m in range(2)], axis=1)
+    h_load_stack = np.stack([s.h_loads(first_stack[0]) for s in own], axis=0)
+    reference = {name: np.zeros_like(table.fields[name]) for name in table.fields}
+    for flat, (multi, sample) in enumerate(zip(pgrid.indices(), own)):
+        reference["source"][flat] = sample.source_corrector(opts)[0]
+        slow, _ = cell_problems._slow_pass(
+            sample, pgrid, multi, first_stack, h_load_stack, opts
+        )
+        for name, v in slow.items():
+            reference[name][flat] = v
+    for name, ref in reference.items():
+        if name.startswith(("slow", "source")):
+            scale = np.max(np.abs(ref))
+            assert scale > 1e-6, name  # not vacuous
+            assert np.max(np.abs(table.fields[name] - ref)) <= 1e-13 * scale, name
+
+
+def test_separable_table_is_bitwise_independent_of_threads(monkeypatch):
+    # four threads on the samples that share one base, switching often
+    factors = []
+    original = fem._lu
+
+    def counting(mat):
+        factors.append(mat.shape)
+        return original(mat)
+
+    _, _, table, tensors, _ = separated_2d_table(threads=1)
+    monkeypatch.setattr(fem, "_lu", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, _, t4, e4, _ = separated_2d_table(threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(factors) == 1
+    for name in table.fields:
+        assert np.array_equal(table.fields[name], t4.fields[name]), name
+    assert np.array_equal(tensors.values, e4.values)
+    assert np.array_equal(tensors.source_means, e4.source_means)
+    assert table.diagnostics == t4.diagnostics
+
+
+def test_based_sample_is_freed_by_reference_counting():
+    model = SeparatedCoefficient(
+        2, mu_u2=1.0, mu_x=0.5, source=SourceModel(base=1.0, amplitude=0.5)
+    )
+    grid = CellGrid(2, 8)
+    base = CellSample(model, 0.0, [0.5, 0.5], grid)
+    gc.disable()
+    try:
+        sample = CellSample(model, 1.0, [0.25, 0.5], grid, base=base)
+        sample.effective_tensor(sample.first_correctors())
+        assert np.max(np.abs(sample.source_corrector()[0])) > 1e-3  # a scaled solve
+        assert sample.factor.unit is base.factor
+        alive = weakref.ref(sample)
+        factor = weakref.ref(sample.factor)
+        del sample
+        assert alive() is None and factor() is None
+    finally:
+        gc.enable()
+    assert base.factor.multiple == 1.0  # the base outlives what was based on it
+
+
+def test_base_sample_needs_the_same_separable_model_and_grid():
+    model = SeparatedCoefficient(2, mu_u2=1.0)
+    base = CellSample(model, 0.0, [0.5, 0.5], CellGrid(2, 8))
+    for other, grid in [(SmoothPeriodicCoefficient(2), CellGrid(2, 8)),
+                        (SeparatedCoefficient(2, mu_u2=1.0), CellGrid(2, 8)),
+                        (model, CellGrid(2, 4))]:
+        with pytest.raises(ValueError, match="base sample"):
+            CellSample(other, 0.5, [0.5, 0.5], grid, base=base)
 
 
 def test_separated_table_solves_first_and_hessian_correctors_once():

@@ -395,7 +395,9 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
     cell, macro = CellGrid(2, 12), MacroGrid(2, 10)
     header = ["field=first_0", "u=0.5", "x=0.25 0.75", "m_c=12 dim=2"]
     # alternate grids so the one-grid prefix cache is rebuilt and reused
-    for grid, lines in [(cell, header), (macro, ()), (cell, header), (MacroGrid(1, 7), ())]:
+    for grid, lines in [
+        (cell, header), (macro, ()), (cell, header), (MacroGrid(1, 7), ()), (CellGrid(1, 9), ()),
+    ]:
         values = rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-30, 30, grid.ndof)
         values[:4] = [-0.0, 1e-300, -1e-300, 0.1]
         path = write_field_csv(tmp_path / "field.csv", grid, values, header_lines=lines)

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from twoscale.coefficients import RosselandCoefficient, SourceModel
 from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceError
 from twoscale.fem import (
+    PeriodicFactor,
     SolverOptions,
     SparseSystem,
     _interior_prolongation,
@@ -15,6 +16,7 @@ from twoscale.fem import (
     assemble_load_from_samples,
     assemble_stiffness,
     element_quad_points,
+    field_gradients_at_quad,
     gauss_rule,
     q1_gradients,
     q1_values,
@@ -364,6 +366,54 @@ def test_matrix_product_kernels_match_einsum_reference(grid, n_points):
     load = assemble_load_from_samples(grid, quad, scal, flux)
     ref = reference_load(grid, quad, scal, flux)
     assert np.max(np.abs(load - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=repr)
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_quadrature_gradients_match_einsum_reference(grid, n_points):
+    quad = gauss_rule(n_points, grid.dim)
+    coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+    values = np.sin(2.0 * np.pi * coords[:, 0]) * np.cos(2.0 * np.pi * coords[:, -1]) + coords[:, 0]
+    ref = np.einsum(
+        "ec,qcd->eqd", values[grid.element_dofs()], q1_gradients(quad.points) / grid.spacing
+    )
+    got = field_gradients_at_quad(grid, values, quad)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_rule_caches_read_only_basis_tables(dim):
+    quad = gauss_rule(3, dim)
+    assert np.array_equal(quad.basis, q1_values(quad.points))
+    assert np.array_equal(quad.basis_gradients, q1_gradients(quad.points))
+    assert quad.basis is quad.basis and quad.basis_gradients is quad.basis_gradients
+    for table in (quad.basis, quad.basis_gradients):
+        assert not table.flags.writeable
+
+
+def test_scaled_periodic_factor_solves_the_multiple():
+    cell = CellGrid(dim=2, cells_per_side=8)
+    quad = gauss_rule(2, 2)
+    mat = assemble_stiffness(
+        cell, lambda pts: (2.0 + np.sin(2.0 * np.pi * pts[:, 0]))[:, None, None] * np.eye(2), quad
+    )
+    rhs = assemble_load(cell, quad, flux_fn=lambda pts: np.cos(2.0 * np.pi * pts))
+    c = 3.7
+    factor = PeriodicFactor(mat)
+    scaled = factor.scaled(c)
+    assert scaled.unit is factor and scaled.scale == c * factor.scale
+    got = solve_periodic_zero_mean(SparseSystem(mat, rhs), factor=scaled)
+    fresh = solve_periodic_zero_mean(SparseSystem((c * mat).tocsr(), rhs))
+    assert np.max(np.abs(fresh)) > 1e-3
+    assert np.max(np.abs(got - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    assert scaled.lu is factor.lu  # the multiple was not factored again
+
+    incompatible = assemble_load(cell, quad, scalar_fn=lambda pts: np.ones(len(pts)))
+    with pytest.raises(CompatibilityError):
+        solve_periodic_zero_mean(SparseSystem((c * mat).tocsr(), incompatible))
+    with pytest.raises(CompatibilityError):
+        solve_periodic_zero_mean(SparseSystem(mat, incompatible), factor=scaled)
 
 
 @pytest.mark.parametrize("grid", [MacroGrid(1, 16), MacroGrid(2, 8)], ids=repr)
