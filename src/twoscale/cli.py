@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import operator
 import os
+import resource
 import sys
 import time
 import traceback
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floatfmt
 from .analysis import (
     REPORT_COLUMNS,
     ErrorReport,
@@ -208,35 +208,85 @@ def _fmt(value: float) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _coordinate_prefixes(grid) -> list:
-    """The ``"x0,x1,"`` prefix of every node's CSV row, formatted once per
-    axis value and joined in the grid's node order.  Only the last grid is
-    cached: the writers emit runs of field files on one grid."""
-    axes = [list(map(repr, axis.tolist())) for axis in grid.axes()]
-    return [",".join(row) + "," for row in itertools.product(*axes)]
+def _coordinate_prefixes(grid) -> np.ndarray:
+    """The ``x0,x1,`` prefix of every node's CSV row, in the grid's node
+    order, as a (ndof, width) uint8 matrix padded with NUL; each axis value
+    is formatted once.  Only the last grid is cached: the writers emit runs
+    of field files on one grid."""
+    axes = grid.axes()
+    shape = tuple(len(axis) for axis in axes)
+    blocks = []
+    for d, axis in enumerate(axes):
+        text = np.array([t + b"," for t in _floatfmt.texts(axis)], dtype=bytes)
+        block = text.view(np.uint8).reshape(len(axis), -1)
+        along = [1] * grid.dim
+        along[d] = len(axis)
+        blocks.append(np.broadcast_to(block.reshape(*along, -1), shape + block.shape[-1:]))
+    prefixes = np.concatenate(blocks, axis=-1)
+    prefixes = prefixes.reshape(-1, prefixes.shape[-1])
+    prefixes.flags.writeable = False
+    return prefixes
 
 
-def write_field_csv(path: Path, grid, values, header_lines=(), memo=None):
-    """Write nodal ``values``, one ``x0,...,value`` row per node.  ``memo``, a
-    dict the caller keeps over a run of files on ``grid``, holds the last
-    values and their rows: values bitwise equal to them reuse the rows."""
-    cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(cols))
-    values = np.asarray(values, dtype=float)
-    key = None if memo is None else values.tobytes()
-    if key is not None and memo.get("key") == key:
-        rows = memo["rows"]
-    else:
-        prefixes = _coordinate_prefixes(grid)
-        if len(values) != len(prefixes):
-            raise ValueError(f"{len(values)} values for a grid of {len(prefixes)} nodes")
-        rows = "\n".join(map(operator.add, prefixes, map(repr, values.tolist())))
-        if memo is not None:
-            memo.update(key=key, rows=rows)
-    lines.append(rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_rows(grid, stack):
+    """Yield ``(i, lines)`` for each row i of ``stack`` (one row of nodal
+    values per file): the ``x0,...,value`` CSV lines of the grid's nodes as
+    bytes.  The values are formatted in passes of about ``_floatfmt.CHUNK``
+    over the stack, and a row bitwise equal to an earlier row reuses its
+    bytes."""
+    prefix = _coordinate_prefixes(grid)
+    ndof = stack.shape[1]
+    if ndof != len(prefix):
+        raise ValueError(f"{ndof} values for a grid of {len(prefix)} nodes")
+    equal = {}
+    for i, row in enumerate(stack):
+        equal.setdefault(row.tobytes(), []).append(i)
+    groups = list(equal.values())  # rows bitwise equal to each other
+    rows_per_pass = max(1, _floatfmt.CHUNK // ndof)
+    nodes_per_pass = min(ndof, _floatfmt.CHUNK)
+    width = prefix.shape[1]
+    for start in range(0, len(groups), rows_per_pass):
+        batch = groups[start : start + rows_per_pass]
+        rows = [group[0] for group in batch]
+        parts = [[] for _ in rows]
+        for lo in range(0, ndof, nodes_per_pass):
+            block = stack[rows, lo : lo + nodes_per_pass]
+            # [coordinate prefix | value slots | newline], NUL where unused
+            lines = np.empty(block.shape + (width + _floatfmt.WIDTH + 1,), dtype=np.uint8)
+            lines[..., :width] = prefix[lo : lo + block.shape[1]]
+            _floatfmt.format_into(block.reshape(-1), lines.reshape(block.size, -1)[:, width:-1])
+            lines[..., -1] = ord("\n")
+            for part, row_lines in zip(parts, lines):
+                part.append(row_lines.tobytes().translate(None, b"\0"))
+        for group, part in zip(batch, parts):
+            text = b"".join(part)
+            for i in group:
+                yield i, text
+
+
+def write_field_csv(path, grid, values, header_lines=()):
+    """Write nodal ``values``, one ``x0,...,value`` row per node, each
+    number as its shortest round-trip ``repr``.  Given a list of paths
+    instead, ``values`` is a stack with one row of nodal values per path and
+    ``header_lines`` one list of lines per path; the stack is formatted
+    together.  Returns ``path``."""
+    single = isinstance(path, (str, os.PathLike))
+    paths = [path] if single else list(path)
+    headers = [header_lines] if single else list(header_lines)
+    if len(headers) != len(paths):
+        raise ValueError(f"{len(headers)} header lists for {len(paths)} files")
+    stack = np.asarray(values, dtype=float).reshape(len(paths), -1)
+    cols = ",".join([f"x{d}" for d in range(grid.dim)] + ["value"])
+    for i, body in _csv_rows(grid, stack):
+        head = "".join(f"# {line}\n" for line in headers[i]) + cols + "\n"
+        Path(paths[i]).write_bytes(head.encode() + body)
     return path
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 def write_json(path: Path, payload: dict):
@@ -266,10 +316,28 @@ def run_study(
     out_dir: Path | None = None,
     check: bool = False,
 ):
-    """Full pipeline; returns the ErrorReport (artifacts written if out_dir)."""
-    stages = []
+    """Full pipeline; returns the ErrorReport (artifacts written if out_dir).
+    The MANIFEST records, per finished stage, its wall time and the peak RSS
+    so far, and the time spent in the field and JSON writers."""
+    stages, stage_seconds, stage_peak_rss_mb = [], [], []
     outputs = []
-    t_start = time.time()
+    write_seconds = 0.0
+    t_start = t_stage = time.perf_counter()
+
+    def done(name):
+        nonlocal t_stage
+        now = time.perf_counter()
+        stages.append(name)
+        stage_seconds.append(now - t_stage)
+        stage_peak_rss_mb.append(_peak_rss_mb())
+        t_stage = now
+
+    def emit(writer, path, *args):
+        nonlocal write_seconds
+        t0 = time.perf_counter()
+        writer(path, *args)
+        write_seconds += time.perf_counter() - t0
+        outputs.extend(path if isinstance(path, list) else [path])
 
     def finish_manifest(status, failed_stage=None, error=None):
         if out_dir is None:
@@ -277,8 +345,11 @@ def run_study(
         payload = {
             "status": status,
             "stages": stages,
+            "stage_seconds": stage_seconds,
+            "stage_peak_rss_mb": stage_peak_rss_mb,
+            "write_seconds": write_seconds,
             "outputs": [str(p.name) for p in outputs],
-            "runtime_seconds": time.time() - t_start,
+            "runtime_seconds": time.perf_counter() - t_start,
             "threads": threads,
         }
         if failed_stage is not None:
@@ -297,16 +368,16 @@ def run_study(
         beta = float(study["beta"])
         orders = sorted(set(study["orders"]))
         disc = cfg.raw["discretization"]
-        stages.append(stage)
+        done(stage)
 
         stage = "cell_tables_and_macro_solve"
         table, tensors, u0, pic0 = tables_and_macro_solution(setup, threads)
         grad0_nodal = fd_gradient(u0)
         hess0_max = float(np.max(np.abs(fd_hessian(u0))))
-        stages.append(stage)
+        done(stage)
 
         if out_dir is not None:
-            outputs.append(write_field_csv(out_dir / "u0.csv", u0.grid, u0.values))
+            emit(write_field_csv, out_dir / "u0.csv", u0.grid, u0.values)
 
         rows = []
         picard_iters = {}
@@ -323,7 +394,7 @@ def run_study(
                 disc["max_fine_dofs"],
             )
             picard_iters[f"1/{round(1 / eps)}"] = pic.iterations
-            stages.append(stage)
+            done(stage)
 
             stage = f"errors eps=1/{round(1 / eps)}"
             exp = reconstruct(u0, table, eps, fine_grid, order=2)
@@ -358,22 +429,18 @@ def run_study(
             }
             rows.append(row)
             if out_dir is not None:
+                # the files on one fine grid are formatted as one stack
                 tag = f"1over{round(1 / eps)}"
-                outputs.append(
-                    write_field_csv(out_dir / f"u_eps_{tag}.csv", fine_grid, u_eps.values)
+                names = [f"u_eps_{tag}.csv"]
+                names += [f"reconstruction_order{order}_{tag}.csv" for order in orders]
+                names.append(f"remainder_{tag}.csv")
+                fields = [u_eps.values] + [exp.truncated(order) for order in orders]
+                fields.append(rem2.values)
+                emit(
+                    write_field_csv, [out_dir / name for name in names], fine_grid, fields,
+                    [()] * len(names),
                 )
-                for order in orders:
-                    outputs.append(
-                        write_field_csv(
-                            out_dir / f"reconstruction_order{order}_{tag}.csv",
-                            fine_grid,
-                            exp.truncated(order),
-                        )
-                    )
-                outputs.append(
-                    write_field_csv(out_dir / f"remainder_{tag}.csv", fine_grid, rem2.values)
-                )
-            stages.append(stage)
+            done(stage)
 
         stage = "rate_fit"
         # interpolating the macro solution to fine nodes leaves an
@@ -395,7 +462,7 @@ def run_study(
             # fewer than three resolvable values means the column is
             # discretization noise and its slope carries no information
             fits[col] = fit_rate(pairs) if len(pairs) >= 3 else None
-        stages.append(stage)
+        done(stage)
 
         report = ErrorReport(
             rows=rows,
@@ -418,8 +485,8 @@ def run_study(
                 path.write_text(report.to_csv_text())
                 outputs.append(path)
             if "json" in formats:
-                outputs.append(write_json(out_dir / "report.json", report.to_json_dict()))
-        stages.append(stage)
+                emit(write_json, out_dir / "report.json", report.to_json_dict())
+        done(stage)
 
         if check:
             stage = "property_checks"
@@ -427,7 +494,7 @@ def run_study(
             failed = [name for name, ok in checks.items() if not ok]
             if failed:
                 raise PropertyViolationError(f"acceptance properties violated: {failed}")
-            stages.append(stage)
+            done(stage)
 
         finish_manifest("ok")
         return report
@@ -443,30 +510,30 @@ def run_cell(cfg: ExperimentConfig, threads: int, out_dir: Path):
     index = {"fields": {}, "samples": [], "grid": {
         "dim": cfg.dim, "cells_per_side": setup.cell_grid.cells_per_side,
     }}
-    memos = {}  # per field name and call: a row that does not vary is formatted once
-    for flat, multi in enumerate(pgrid.indices()):
-        u, x = pgrid.coords(multi)
+    samples = [pgrid.coords(multi) for multi in pgrid.indices()]
+    for flat, (u, x) in enumerate(samples):
         index["samples"].append({"index": flat, "u": u, "x": list(x)})
-        for name in corrector_field_names(cfg.dim):
-            fname = f"{name}_s{flat:03d}.csv"
-            write_field_csv(
-                out_dir / fname,
-                setup.cell_grid,
-                table.fields[name][flat],
-                memo=memos.setdefault(name, {}),
-                header_lines=[
+    for name in corrector_field_names(cfg.dim):
+        fnames = [f"{name}_s{flat:03d}.csv" for flat in range(len(samples))]
+        write_field_csv(
+            [out_dir / fname for fname in fnames],
+            setup.cell_grid,
+            table.fields[name],
+            [
+                [
                     f"field={name}",
                     f"u={_fmt(u)}",
                     "x=" + " ".join(_fmt(c) for c in x),
                     f"m_c={setup.cell_grid.cells_per_side} dim={cfg.dim}",
-                ],
-            )
-            index["fields"].setdefault(name, []).append(fname)
+                ]
+                for u, x in samples
+            ],
+        )
+        index["fields"][name] = fnames
 
     lines = ["sample,u," + ",".join(f"x{d}" for d in range(cfg.dim)) + ","
              + ",".join(f"a0_{i}{j}" for i in range(cfg.dim) for j in range(cfg.dim))]
-    for flat, multi in enumerate(pgrid.indices()):
-        u, x = pgrid.coords(multi)
+    for flat, (u, x) in enumerate(samples):
         a0 = tensors.values[flat]
         lines.append(
             f"{flat}," + _fmt(u) + "," + ",".join(_fmt(c) for c in x) + ","

@@ -248,9 +248,9 @@ def test_cell_subcommand_writes_tables(tmp_path):
 
 
 def test_cell_subcommand_csv_bytes_match_direct_writer(tmp_path):
-    # a field that does not vary over the lattice (first, hessian) is
-    # formatted once per call; every file must still be what the writer
-    # gives for its row alone
+    # run_cell formats each field's stack in one call, and a row bitwise
+    # equal to an earlier row (first, hessian) reuses its text; every file
+    # must still be what the writer gives for its row alone
     payload = {
         "problem": {"dim": 2, "coefficient": {"family": "SEPARATED", "mu_u2": 1.0, "mu_x": 0.5}},
         "discretization": {"m_c": 8, "table_u_samples": 3, "table_x_samples": 3},
@@ -366,6 +366,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["study", "--config", write_config(tmp_path, payload)]) == 2
 
 
+def test_study_manifest_records_stage_telemetry(tmp_path):
+    out = tmp_path / "out"
+    assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out)]) == 0
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    stages = manifest["stages"]
+    assert stages[0] == "setup" and stages[-1] == "write_report"
+    assert len(manifest["stage_seconds"]) == len(stages)
+    assert len(manifest["stage_peak_rss_mb"]) == len(stages)
+    assert min(manifest["stage_seconds"]) >= 0.0
+    assert sum(manifest["stage_seconds"]) <= manifest["runtime_seconds"]
+    assert 0.0 < manifest["write_seconds"] <= manifest["runtime_seconds"]
+    rss = manifest["stage_peak_rss_mb"]
+    assert rss[0] > 0.0 and rss == sorted(rss)
+    # timings stay out of the report
+    assert "seconds" not in (out / "report.json").read_text()
+
+
 def test_nonconvergence_exit_code_and_manifest(tmp_path):
     payload = json.loads(json.dumps(BASE_1D))
     payload["problem"]["coefficient"] = {
@@ -394,13 +411,27 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
     rng = np.random.default_rng(3)
     cell, macro = CellGrid(2, 12), MacroGrid(2, 10)
     header = ["field=first_0", "u=0.5", "x=0.25 0.75", "m_c=12 dim=2"]
-    # alternate grids so the one-grid prefix cache is rebuilt and reused
+    # alternate grids so the one-grid prefix cache is rebuilt and reused;
+    # MacroGrid(2, 100) has 10,201 nodes, more than one formatting pass
     for grid, lines in [
         (cell, header), (macro, ()), (cell, header), (MacroGrid(1, 7), ()), (CellGrid(1, 9), ()),
+        (MacroGrid(2, 100), header),
     ]:
         values = rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-30, 30, grid.ndof)
         values[:4] = [-0.0, 1e-300, -1e-300, 0.1]
+        special = [np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e16, 1e-5]
+        values[-len(special) :] = special
+        if grid.ndof > 8200:  # either side of the seam between two passes
+            values[8188:8196] = special + [9999999999999998.0]
         path = write_field_csv(tmp_path / "field.csv", grid, values, header_lines=lines)
         assert path.read_text() == column_stack_csv(grid, values, lines)
+    # a stack of files on one grid, rows 0 and 2 bitwise equal
+    stack = np.stack([values, 2.0 * values, values])
+    paths = [tmp_path / f"stack{i}.csv" for i in range(3)]
+    assert write_field_csv(paths, grid, stack, [header, (), header]) == paths
+    for path, row, lines in zip(paths, stack, [header, (), header]):
+        assert path.read_text() == column_stack_csv(grid, row, lines)
+    with pytest.raises(ValueError):
+        write_field_csv(paths, grid, stack)
     with pytest.raises(ValueError):
         write_field_csv(tmp_path / "short.csv", cell, np.zeros(cell.ndof - 1))
