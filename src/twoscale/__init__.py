@@ -65,7 +65,6 @@ from .expansion import (
 from .fem import (
     QuadratureRule,
     SolverOptions,
-    SparseSystem,
     assemble_load,
     assemble_stiffness,
     gauss_rule,

@@ -25,9 +25,9 @@ once.  The table build makes one such object per sample in each of its two
 passes.  For a separable coefficient a = mu(u, x) g(y) the operator at
 every sample is a multiple of the operator at the first one, so that first
 sample is the ``base`` of all the others: the whole table assembles and
-factors one operator, each sample solving with the base's LU divided by
-its mu ratio, and solves the first and hessian correctors, from whose
-equations mu cancels, once.
+factors one operator, each sample solving with the base's LU after
+dividing its load by its mu ratio, and solves the first and hessian
+correctors, from whose equations mu cancels, once.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -53,7 +53,6 @@ from .fem import (
     PeriodicFactor,
     QuadratureRule,
     SolverOptions,
-    SparseSystem,
     assemble_load_from_samples,
     assemble_stiffness,
     default_quadrature,
@@ -341,9 +340,9 @@ class CellSample:
     ``base`` is another sample of the same separable model
     (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
     sample's operator is then c = mu(u, x) / mu(base) times the base's, so
-    it assembles nothing: it solves with the base's factor scaled by c
-    (:meth:`PeriodicFactor.scaled`, the base's LU), and, mu cancelling from
-    the first and hessian problems, it returns the base's correctors.  Its
+    it assembles nothing: it shares the base's factor and divides each load
+    by c before it solves, and, mu cancelling from the first and hessian
+    problems, it returns the base's correctors.  Its
     own coefficient samples still drive the effective tensor, the source
     and the loads of the slow correctors.
     """
@@ -392,18 +391,21 @@ class CellSample:
     @cached_property
     def factor(self) -> PeriodicFactor:
         if self.base is not None:
-            c = self.model.mu(self.u, self.x) / self.model.mu(self.base.u, self.base.x)
-            return self.base.factor.scaled(c)
+            return self.base.factor
         return PeriodicFactor(assemble_stiffness(self.grid, self.a_q, self.quad))
 
     def solve(self, rhs, opts, diagnostics=None) -> np.ndarray:
         """Zero-mean periodic solve against this sample's operator."""
+        if self.base is not None:
+            # the zero-load floor and the compatibility check read the load
+            # against the operator scale, so both survive the division
+            rhs = rhs / (self.model.mu(self.u, self.x) / self.model.mu(self.base.u, self.base.x))
         factor = self.factor
         if diagnostics is not None:
             diagnostics.max_rhs_defect = max(
                 diagnostics.max_rhs_defect, rhs_constant_defect(rhs, factor.scale)
             )
-        sol = solve_periodic_zero_mean(SparseSystem(factor.matrix, rhs), opts, factor)
+        sol = solve_periodic_zero_mean(factor, rhs, opts)
         if diagnostics is not None:
             diagnostics.max_corrector_mean = max(
                 diagnostics.max_corrector_mean, abs(float(sol.mean()))

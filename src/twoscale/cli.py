@@ -61,7 +61,7 @@ from .errors import (
 )
 from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, remainder, solve_fine
 from .fem import (
-    SolverOptions, SparseSystem, assemble_load_from_samples, assemble_stiffness,
+    SolverOptions, assemble_load_from_samples, assemble_stiffness,
     default_quadrature, gauss_rule, solve_dirichlet,
 )
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
@@ -136,7 +136,7 @@ def estimate_u_span(setup: ProblemSetup):
         fbar = cell.source_mean
         mat = assemble_stiffness(setup.macro_grid, np.broadcast_to(a0, shape + a0.shape), quad)
         rhs = assemble_load_from_samples(setup.macro_grid, quad, np.broadcast_to(fbar, shape))
-        provisional = solve_dirichlet(SparseSystem(mat, rhs), setup.macro_grid, setup.cg_opts)
+        provisional = solve_dirichlet(mat, rhs, setup.macro_grid, setup.cg_opts)
         lo = min(lo, float(provisional.min()))
         hi = max(hi, float(provisional.max()))
     pad = 0.25 * max(hi - lo, 1e-6)
@@ -165,11 +165,16 @@ def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
     the solve repeated; clamped lookups would otherwise bias the tensor and
     leave a non-decaying error against the resolved solution.
     """
-    table, tensors = build_tables(setup, threads)
-    u0, pic = solve_homogenized(
-        tensors, setup.model, setup.macro_grid, setup.picard_opts, setup.solve_quad,
-        setup.cg_opts,
-    )
+
+    def tables_and_solve(u_span=None):
+        table, tensors = build_tables(setup, threads, u_span)
+        u0, pic = solve_homogenized(
+            tensors, setup.model, setup.macro_grid, setup.picard_opts, setup.solve_quad,
+            setup.cg_opts,
+        )
+        return table, tensors, u0, pic
+
+    table, tensors, u0, pic = tables_and_solve()
     u_samples = table.param_grid.u_samples
     if len(u_samples) > 1:
         span_lo, span_hi = float(u_samples[0]), float(u_samples[-1])
@@ -181,11 +186,7 @@ def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
                 max(setup.model.u_lo, min(vals_lo, span_lo) - pad),
                 min(setup.model.u_hi, max(vals_hi, span_hi) + pad),
             )
-            table, tensors = build_tables(setup, threads, u_span=span)
-            u0, pic = solve_homogenized(
-                tensors, setup.model, setup.macro_grid, setup.picard_opts,
-                setup.solve_quad, setup.cg_opts,
-            )
+            table, tensors, u0, pic = tables_and_solve(span)
             u_samples = table.param_grid.u_samples
             if (
                 u0.values.min() < u_samples[0] - 0.02 * width
@@ -666,10 +667,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TWOSCALE_THREADS", "1"))
     try:
+        raw = os.environ.get("TWOSCALE_THREADS", "1") if args.threads is None else args.threads
+        try:
+            threads = int(raw)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ConfigurationError(f"thread count must be an integer >= 1, got {raw!r}")
         cfg = load_config(args.config, overrides=args.override)
         out_dir = Path(args.out or cfg.raw["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,7 @@ is solved by conjugate gradients preconditioned with a geometric multigrid
 V-cycle built once per solve: bilinear prolongation on the interior nodes,
 Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
 contract on every level and a sparse-LU coarsest level, which keeps the
-iteration count flat as the grid is refined (Jacobi instead, when that
-level would be too large to factor).
+iteration count flat as the grid is refined.
 
 Assembly is a matrix-product kernel.  The coefficient samples at the
 quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -291,25 +290,6 @@ def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None,
     return assemble_load_from_samples(grid, quad, scalar_samples, flux_samples)
 
 
-@dataclass
-class SparseSystem:
-    """A symmetric sparse operator with its right-hand side."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("matrix must be square")
-        if self.rhs.shape != (self.matrix.shape[0],):
-            raise ValueError("rhs length does not match matrix dimension")
-
-    @property
-    def ndof(self) -> int:
-        return self.matrix.shape[0]
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Linear-solver controls.
@@ -394,9 +374,6 @@ def _lu(mat):
 # symmetric
 _MG_OMEGA = 0.8
 _MG_SWEEPS = 2
-# largest coarsest level, in unknowns, that is factored exactly; a grid
-# whose coarsest level is larger (a large odd cell count) falls back to Jacobi
-_MG_MAX_COARSEST = 4096
 
 
 @functools.lru_cache(maxsize=16)
@@ -445,20 +422,10 @@ def _multigrid(mat, cells: int):
     that contracts on each level (:func:`_smoother_weights`) and as many
     sweeps after the coarse correction as before, and the coarsest level is
     factored once, so the V-cycle is symmetric positive definite.  A grid
-    that cannot coarsen is solved exactly.  If the coarsest level would
-    exceed ``_MG_MAX_COARSEST`` unknowns, its factorization would cost
-    far more than the O(n) CG it serves, and the preconditioner is plain
-    Jacobi instead.
+    that cannot coarsen is solved exactly.
     """
-    coarsest_cells = cells
-    while coarsest_cells % 2 == 0 and coarsest_cells >= 8:
-        coarsest_cells //= 2
-    if (coarsest_cells - 1) ** 2 > _MG_MAX_COARSEST:
-        inv_diag = _inverse_diagonal(mat)
-        return lambda r: inv_diag * r
-
     levels = []  # (operator, weighted inverse diagonal, prolongation)
-    while cells > coarsest_cells:
+    while cells % 2 == 0 and cells >= 8:
         prol = _interior_prolongation(cells)
         levels.append((mat, _smoother_weights(mat), prol))
         mat = (prol.T @ mat @ prol).tocsr()
@@ -488,17 +455,18 @@ def _multigrid(mat, cells: int):
 
 
 def solve_dirichlet(
-    system: SparseSystem, grid: MacroGrid, opts: SolverOptions = SolverOptions()
+    matrix, rhs: np.ndarray, grid: MacroGrid, opts: SolverOptions = SolverOptions()
 ) -> np.ndarray:
-    """Solve with homogeneous Dirichlet data eliminated exactly.
+    """Solve ``matrix x = rhs`` with homogeneous Dirichlet data eliminated
+    exactly.
 
     Only the interior equations are solved; the returned full nodal vector
     is exactly zero on the boundary.  A 1-D grid's reduced system is solved
     directly, a 2-D one by CG preconditioned with a multigrid V-cycle.
     """
     free = grid.interior_dofs()
-    rhs = system.rhs[free]
-    reduced = system.matrix[free][:, free].tocsr()
+    rhs = rhs[free]
+    reduced = matrix[free][:, free].tocsr()
     if grid.dim == 1:
         x_free = _lu(reduced).solve(rhs)
     else:
@@ -533,63 +501,42 @@ class PeriodicFactor:
     and ``lu`` (the sparse LU of ``matrix`` with node 0 pinned), each made on
     first use, so the matrix is factored at most once, and never if every
     load is zero.
-
-    The operator is ``multiple`` times ``matrix``.  :meth:`scaled` gives the
-    factor of a multiple of the same operator; it keeps a reference to the
-    factor of ``matrix`` itself (``unit``) and shares that factor's LU and
-    largest entry, so every multiple of one matrix is factored once.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self.multiple = 1.0
-        self.unit = None
-
-    def scaled(self, c: float) -> "PeriodicFactor":
-        """The factor of ``c`` times this operator."""
-        out = PeriodicFactor(self.matrix)
-        out.multiple = c * self.multiple
-        out.unit = self if self.unit is None else self.unit
-        return out
 
     @functools.cached_property
     def scale(self) -> float:
-        return abs(self.matrix).max() if self.unit is None else self.multiple * self.unit.scale
+        return abs(self.matrix).max()
 
     @functools.cached_property
     def lu(self):
-        return _lu(self.matrix[1:, 1:]) if self.unit is None else self.unit.lu
+        return _lu(self.matrix[1:, 1:])
 
 
 def solve_periodic_zero_mean(
-    system: SparseSystem, opts: SolverOptions = SolverOptions(), factor=None
+    factor: PeriodicFactor, rhs: np.ndarray, opts: SolverOptions = SolverOptions()
 ) -> np.ndarray:
-    """Solve the singular periodic system on the zero-mean subspace.
+    """Solve ``factor.matrix x = rhs`` on the zero-mean subspace.
 
     The rhs must annihilate constants (solvability) and is projected.  Node
     0 is pinned to zero and the nonsingular remainder is solved directly,
     in 1-D and 2-D alike, so ``opts.tol`` and ``opts.max_iter`` play no
     part; the result is projected to zero discrete mean (uniform lumped
-    masses make that the plain average).  ``factor``, when given, must be
-    a :class:`PeriodicFactor` of ``system.matrix``; passing the same one
-    to every solve against that matrix factors it once.  The operator solved
-    is the factor's, ``factor.multiple`` times ``system.matrix``, so a
-    :meth:`PeriodicFactor.scaled` factor solves a multiple of the matrix
-    with the LU of the matrix itself.
+    masses make that the plain average).  Passing the same ``factor`` to
+    every solve against its matrix factors that matrix once.
     """
-    if factor is None:
-        factor = PeriodicFactor(system.matrix)
-    elif factor.matrix is not system.matrix:
-        raise ValueError("factor belongs to another matrix")
-    if np.linalg.norm(system.rhs) <= _zero_load_floor(system.ndof, factor.scale):
-        return np.zeros(system.ndof)
-    defect = rhs_constant_defect(system.rhs, factor.scale)
+    ndof = len(rhs)
+    if np.linalg.norm(rhs) <= _zero_load_floor(ndof, factor.scale):
+        return np.zeros(ndof)
+    defect = rhs_constant_defect(rhs, factor.scale)
     if defect > opts.compat_tol:
         raise CompatibilityError(
             f"rhs does not annihilate constants: relative defect {defect:.3e} "
             f"> compat_tol {opts.compat_tol:g}"
         )
 
-    x = np.zeros(system.ndof)
-    x[1:] = factor.lu.solve(system.rhs[1:] - system.rhs.sum() / system.ndof) / factor.multiple
-    return x - x.sum() / system.ndof  # x.mean(), without its call overhead
+    x = np.zeros(ndof)
+    x[1:] = factor.lu.solve(rhs[1:] - rhs.sum() / ndof)
+    return x - x.sum() / ndof  # x.mean(), without its call overhead

@@ -23,7 +23,6 @@ from .cell_problems import EffectiveTensorTable
 from .errors import NonConvergenceError
 from .fem import (
     SolverOptions,
-    SparseSystem,
     assemble_load,
     assemble_stiffness,
     default_quadrature,
@@ -78,7 +77,7 @@ def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
     g_hist, f_hist = [], []
     for it in range(1, opts.max_iter + 1):
         mat, rhs = assemble_fn(u)
-        u_lin = solve_dirichlet(SparseSystem(mat, rhs), grid, cg_opts)
+        u_lin = solve_dirichlet(mat, rhs, grid, cg_opts)
         g = (1.0 - opts.damping) * u + opts.damping * u_lin
         f = g - u
         inc = float(np.max(np.abs(f)))
@@ -129,7 +128,7 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, source, opts: PicardOpt
 
     u_mid = 0.5 * (model.u_lo + model.u_hi)
     mat, rhs = assemble_at(np.full(grid.ndof, u_mid))
-    start = solve_dirichlet(SparseSystem(mat, rhs), grid, cg_opts)
+    start = solve_dirichlet(mat, rhs, grid, cg_opts)
     if not (model.u_dependent or model.source.u_dependent):
         return start, PicardResult(iterations=1, increments=[0.0], converged=True)
     return picard_solve(assemble_at, grid, opts, cg_opts, start)

@@ -24,8 +24,8 @@ from twoscale.coefficients import (
     LayeredCoefficient,
     SourceModel,
 )
-from twoscale.errors import ConfigurationError
-from twoscale.fem import SolverOptions
+from twoscale.errors import CompatibilityError, ConfigurationError
+from twoscale.fem import SolverOptions, assemble_load
 from twoscale.grids import CellGrid
 
 
@@ -254,15 +254,37 @@ def test_based_sample_is_freed_by_reference_counting():
     try:
         sample = CellSample(model, 1.0, [0.25, 0.5], grid, base=base)
         sample.effective_tensor(sample.first_correctors())
-        assert np.max(np.abs(sample.source_corrector()[0])) > 1e-3  # a scaled solve
-        assert sample.factor.unit is base.factor
+        assert np.max(np.abs(sample.source_corrector()[0])) > 1e-3  # a based solve
+        assert sample.factor is base.factor
         alive = weakref.ref(sample)
-        factor = weakref.ref(sample.factor)
         del sample
-        assert alive() is None and factor() is None
+        assert alive() is None
     finally:
         gc.enable()
-    assert base.factor.multiple == 1.0  # the base outlives what was based on it
+
+
+def test_based_sample_solves_like_a_sample_that_factors_its_own_operator():
+    model = SeparatedCoefficient(2, mu_u2=1.0, mu_x=0.5)
+    grid = CellGrid(2, 8)
+    opts = SolverOptions()
+    base = CellSample(model, 0.0, [0.5, 0.5], grid)
+    based = CellSample(model, 1.0, [0.25, 0.5], grid, base=base)
+    own = CellSample(model, 1.0, [0.25, 0.5], grid)
+    assert model.mu(based.u, based.x) != model.mu(base.u, base.x)
+
+    # a zero load returns zeros before anything is factored
+    assert np.all(based.solve(np.zeros(grid.ndof), opts) == 0.0)
+    assert "lu" not in base.factor.__dict__
+
+    rhs = assemble_load(grid, own.quad, flux_fn=lambda pts: np.cos(2.0 * np.pi * pts))
+    got, fresh = based.solve(rhs, opts), own.solve(rhs, opts)
+    assert np.max(np.abs(fresh)) > 1e-3
+    assert np.max(np.abs(got - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    assert based.factor is base.factor and own.factor is not base.factor
+
+    incompatible = assemble_load(grid, own.quad, scalar_fn=lambda pts: np.ones(len(pts)))
+    with pytest.raises(CompatibilityError):
+        based.solve(incompatible, opts)
 
 
 def test_base_sample_needs_the_same_separable_model_and_grid():

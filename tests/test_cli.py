@@ -332,6 +332,19 @@ def test_threads_env_default(tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "abc"), (None, "0")])
+def test_bad_thread_count_is_a_configuration_error(tmp_path, monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("TWOSCALE_THREADS", env)
+    out = tmp_path / "threads"
+    argv = ["cell", "--config", write_config(tmp_path, BASE_1D), "--out", str(out)]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: thread count")
+    assert not out.exists()
+
+
 def test_layered_config_defaults_to_smoothed_width(tmp_path):
     payload = json.loads(json.dumps(BASE_1D))
     payload["problem"]["coefficient"] = {"family": "LAYERED", "low": 1.0, "high": 4.0}
