@@ -63,7 +63,13 @@ from .fem import (
     rhs_constant_defect,
     solve_periodic_zero_mean,
 )
-from .grids import CellGrid, _cell_weights_and_corners, interpolate_values, periodic_fd_gradient
+from .grids import (
+    CellGrid,
+    grid_corners,
+    interpolate_values,
+    lattice_corners,
+    periodic_fd_gradient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,13 @@ class ParameterGrid:
         x = np.array([ax[i] for ax, i in zip(self.x_axes, multi[1:])])
         return u, x
 
+    def corners(self, u, x):
+        """:func:`lattice_corners` of the queries u (K,), x (K, dim) on the
+        lattice, clamped to it on every axis."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return lattice_corners(self.axes, np.column_stack((u, x)))
+
 
 def default_parameter_grid(
     model: CoefficientModel,
@@ -150,48 +163,13 @@ def default_parameter_grid(
     return ParameterGrid(u_samples=u_samples, x_axes=x_axes)
 
 
-def _axis_bracket(samples: np.ndarray, q: np.ndarray):
-    """Per-query lower index and upper weight for 1-D linear interpolation."""
-    if len(samples) == 1:
-        zeros = np.zeros(len(q), dtype=int)
-        return zeros, np.zeros(len(q))
-    qc = np.clip(q, samples[0], samples[-1])
-    i0 = np.clip(np.searchsorted(samples, qc, side="right") - 1, 0, len(samples) - 2)
-    w1 = (qc - samples[i0]) / (samples[i0 + 1] - samples[i0])
-    return i0, w1
-
-
-def _param_corner_iter(pgrid: ParameterGrid, u: np.ndarray, x: np.ndarray):
-    """Yield (flat_sample_index_array, weight_array) over parameter corners."""
-    queries = [np.asarray(u, dtype=float)] + [x[:, d] for d in range(pgrid.dim)]
-    brackets = [_axis_bracket(ax, q) for ax, q in zip(pgrid.axes, queries)]
-    shape = pgrid.shape
-    n_axes = len(shape)
-    for combo in itertools.product((0, 1), repeat=n_axes):
-        weight = np.ones(len(queries[0]))
-        flat = np.zeros(len(queries[0]), dtype=int)
-        skip = False
-        for d, hi in enumerate(combo):
-            i0, w1 = brackets[d]
-            if hi and shape[d] == 1:
-                skip = True
-                break
-            idx = i0 + hi
-            weight = weight * (w1 if hi else 1.0 - w1)
-            flat = flat * shape[d] + idx
-        if skip or not np.any(weight):
-            continue
-        yield flat, weight
-
-
 def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x) -> np.ndarray:
     """Multilinear blend of per-sample data ``stack`` (n_samples, ...) at the
     queries (u, x) over the parameter lattice, shape (K, ...)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.zeros((len(u),) + stack.shape[1:])
-    for flat, weight in _param_corner_iter(pgrid, u, x):
-        out += weight.reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[flat]
+    ids, wts = pgrid.corners(u, x)
+    out = np.zeros((len(ids),) + stack.shape[1:])
+    for c in range(ids.shape[1]):
+        out += wts[:, c].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ids[:, c]]
     return out
 
 
@@ -282,17 +260,18 @@ class CorrectorTable:
     def interp_stacks(self, stacks, u, x, y) -> list:
         """Interpolate (n_samples, ndof) stacks at many (u, x, y) triples.
 
-        The cell weights and parameter brackets are computed once and shared
-        by every stack; returns one (K,) array per stack.
+        The cell and parameter corners are computed once and shared by every
+        stack; returns one (K,) array per stack.
         """
-        ids, wts = _cell_weights_and_corners(self.cell_grid, y)
+        ids, wts = grid_corners(self.cell_grid, y)
+        pids, pwts = self.param_grid.corners(u, x)
         out = [np.zeros(len(ids)) for _ in stacks]
-        for flat, weight in _param_corner_iter(self.param_grid, u, x):
+        for p in range(pids.shape[1]):
             for total, stack in zip(out, stacks):
                 acc = np.zeros(len(ids))
                 for c in range(ids.shape[1]):
-                    acc += wts[:, c] * stack[flat, ids[:, c]]
-                total += weight * acc
+                    acc += wts[:, c] * stack[pids[:, p], ids[:, c]]
+                total += pwts[:, p] * acc
         return out
 
 
@@ -598,11 +577,11 @@ def _stencil_samples(pgrid: ParameterGrid, multi, axis: int):
 def _negligible_load(rhs: np.ndarray, grid: CellGrid, model) -> bool:
     """Loads far below the physical load scale are zero, not data.
 
-    Slow-corrector right-hand sides are finite differences of fields that
-    are only known to solver tolerance; when the analytic load vanishes
-    (parameter-independent correctors) the numeric residue is solver noise
-    amplified by the sample spacing and must not be solved against or fed
-    to the compatibility check.
+    Slow-corrector right-hand sides are finite differences of fields from
+    direct cell solves, so they are known to rounding; when the analytic
+    load vanishes (parameter-independent correctors) the numeric residue is
+    that rounding amplified by the sample spacing and must not be solved
+    against or fed to the compatibility check.
     """
     reference = grid.spacing**grid.dim * np.sqrt(grid.ndof) * model.ellipticity_upper
     return float(np.linalg.norm(rhs)) <= 1e-6 * reference

@@ -21,7 +21,7 @@ import numpy as np
 from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
 from .fem import SolverOptions, default_quadrature
-from .grids import MacroGrid, ScalarField, _cell_weights_and_corners, fd_gradient, fd_hessian
+from .grids import MacroGrid, ScalarField, fd_gradient, fd_hessian, grid_corners
 from .macro import PicardOptions, solve_nonlinear
 
 
@@ -104,7 +104,7 @@ def _macro_fields_at(u0_field: ScalarField, points: np.ndarray):
     points, each interpolated multilinearly from the macro nodes, with one
     point location shared by every column."""
     dim = u0_field.grid.dim
-    ids, wts = _cell_weights_and_corners(u0_field.grid, points)
+    ids, wts = grid_corners(u0_field.grid, points)
 
     def at(nodal):
         return np.sum(nodal[ids] * wts, axis=1)

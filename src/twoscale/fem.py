@@ -42,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import MacroGrid, corner_offsets
+from .grids import MacroGrid, corner_offsets, lattice_corners
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,10 @@ def gauss_rule(n_points: int, dim: int) -> QuadratureRule:
 
 
 def q1_values(xi: np.ndarray) -> np.ndarray:
-    """Q1 basis values at reference points ``xi`` (Q, dim) -> (Q, 2^dim)."""
+    """Q1 basis values at reference points ``xi`` (Q, dim) in [0,1]^dim ->
+    (Q, 2^dim): the multilinear weights of the element's corners."""
     xi = np.atleast_2d(xi)
-    offs = corner_offsets(xi.shape[1])
-    vals = np.ones((xi.shape[0], offs.shape[0]))
-    for c, off in enumerate(offs):
-        for d, bit in enumerate(off):
-            vals[:, c] *= xi[:, d] if bit else 1.0 - xi[:, d]
-    return vals
+    return lattice_corners([np.array([0.0, 1.0])] * xi.shape[1], xi)[1]
 
 
 def q1_gradients(xi: np.ndarray) -> np.ndarray:
@@ -310,6 +306,10 @@ class SolverOptions:
 def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
     """Preconditioned CG on ``mat x = rhs``; returns (x, rel. residual, iterations).
 
+    The iteration stops on the true residual ||rhs - mat x|| / ||rhs||: once
+    the recursively updated one passes ``tol``, the true one is computed, and
+    if it is still above ``tol``, CG restarts from it.
+
     ``precond`` maps a residual to a search direction and must be symmetric
     positive definite on the subspace the residuals live in.  The name
     predates the preconditioner argument and is kept because
@@ -340,12 +340,16 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
         x += alpha * p
         r -= alpha * ap
         rel = math.sqrt(r @ r) / norm_b  # np.linalg.norm, without its call overhead
+        restart = rel <= tol
+        if restart:  # the updated residual drifts from b - A x: stop on the true one
+            r = rhs - mat @ x
+            rel = math.sqrt(r @ r) / norm_b
         history.append(rel)
         if rel <= tol:
             return x, rel, it
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p = z if restart else z + (rz_new / rz) * p
         rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations",
@@ -358,7 +362,7 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
 def _inverse_diagonal(mat) -> np.ndarray:
     diag = mat.diagonal()
     if np.any(diag <= 0.0):
-        raise ValueError("matrix diagonal must be positive for Jacobi preconditioning")
+        raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
     return 1.0 / diag
 
 

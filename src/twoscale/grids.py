@@ -9,8 +9,10 @@ Two mesh types cover everything the solvers need:
   marked on the boundary.  Both the homogenized solve and the resolved
   fine-scale solve use this type (the fine grid is just a finer instance).
 
-Grids are uniform, so interpolation and finite-difference derivative
-recovery reduce to index arithmetic; everything here is pure and immutable.
+Grids are uniform, so finite-difference derivative recovery reduces to
+index arithmetic, and every multilinear read off a lattice -- a grid's
+nodes or the parameter lattice of the cell tables -- goes through one
+kernel, :func:`lattice_corners`; everything here is pure and immutable.
 The element connectivity is computed once per grid object and handed out
 read-only.
 """
@@ -211,57 +213,68 @@ def _ravel(multi: np.ndarray, shape) -> np.ndarray:
     return flat
 
 
-def _cell_weights_and_corners(grid, points):
-    """Shared bi/multilinear interpolation kernel.
+def lattice_corners(axes, queries, periodic=False):
+    """Multilinear interpolation on the tensor lattice of ``axes``: the one
+    kernel behind every grid, cell and parameter-table read.
 
-    Returns (corner_ids, weights): integer array (K, 2^dim) of global DOF ids
-    and matching weights summing to one per point.
+    Each axis brackets the queries' column along it: a clamped axis holds
+    increasing samples, brackets by ``searchsorted`` and clamps queries
+    beyond its ends to them; a ``periodic`` axis is the uniform lattice
+    k / n, k < n, of period 1, and wraps queries by ``floor``.  A
+    one-sample axis adds no corner.  Returns (ids, weights), each
+    (K, 2^axes): lattice ids flattened with the first axis slowest, corners
+    in :func:`corner_offsets` order over the axes that have them, and
+    weights multiplied in axis order, summing to one per query.
     """
+    queries = np.asarray(queries, dtype=float)
+    brackets = []  # (sample count, (lower, upper) ids, their weights) per axis
+    for d, samples in enumerate(axes):
+        n = len(samples)
+        if n == 1:
+            continue
+        q = queries[:, d]
+        if periodic:
+            t = np.mod(q, 1.0) * n
+            lo = np.minimum(np.floor(t).astype(int), n - 1)  # guards t == n from rounding
+            upper = t - lo
+            hi = (lo + 1) % n
+        else:
+            q = np.clip(q, samples[0], samples[-1])
+            lo = np.clip(np.searchsorted(samples, q, side="right") - 1, 0, n - 2)
+            upper = (q - samples[lo]) / np.diff(samples)[lo]
+            hi = lo + 1
+        brackets.append((n, (lo, hi), (1.0 - upper, upper)))
+    offsets = corner_offsets(len(brackets))
+    # built corner by corner, so each returned column is contiguous
+    ids = np.zeros((len(offsets), len(queries)), dtype=int)
+    wts = np.ones((len(offsets), len(queries)))
+    for c, off in enumerate(offsets):
+        for (n, idx, w), bit in zip(brackets, off):
+            ids[c] *= n
+            ids[c] += idx[bit]
+            wts[c] *= w[bit]
+    return ids.T, wts.T
+
+
+def grid_corners(grid, points):
+    """:func:`lattice_corners` of ``points`` (K, dim) on a grid's nodes:
+    periodic on a cell grid, clamped on a macro grid, which refuses points
+    outside [0,1]^dim by more than rounding."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, grid dim {grid.dim}")
-
-    if isinstance(grid, CellGrid):
-        m = grid.cells_per_side
-        y = np.mod(pts, 1.0)
-        t = y * m
-        base = np.floor(t).astype(int)
-        base = np.minimum(base, m - 1)  # guards t == m from rounding
-        frac = t - base
-        shape = (m,) * grid.dim
-        wrap = True
-    else:
-        m = grid.cells_per_side
-        tol = 1e-12
-        if np.any(pts < -tol) or np.any(pts > 1.0 + tol):
-            bad = pts[np.any((pts < -tol) | (pts > 1.0 + tol), axis=1)][0]
+    periodic = isinstance(grid, CellGrid)
+    if not periodic:
+        outside = (pts < -1e-12) | (pts > 1.0 + 1e-12)
+        if outside.any():
+            bad = pts[outside.any(axis=1)][0]
             raise OutOfDomainError(f"point {bad} outside [0,1]^{grid.dim}")
-        t = np.clip(pts, 0.0, 1.0) * m
-        base = np.minimum(np.floor(t).astype(int), m - 1)
-        frac = t - base
-        shape = (grid.nodes_per_side,) * grid.dim
-        wrap = False
-
-    offs = corner_offsets(grid.dim)
-    n_corners = offs.shape[0]
-    K = pts.shape[0]
-    ids = np.empty((K, n_corners), dtype=int)
-    wts = np.empty((K, n_corners), dtype=float)
-    for c in range(n_corners):
-        multi = base + offs[c]
-        if wrap:
-            multi = np.mod(multi, grid.cells_per_side)
-        ids[:, c] = _ravel(multi, shape)
-        w = np.ones(K)
-        for d in range(grid.dim):
-            w = w * (frac[:, d] if offs[c, d] else 1.0 - frac[:, d])
-        wts[:, c] = w
-    return ids, wts
+    return lattice_corners(grid.axes(), pts, periodic)
 
 
 def interpolate_values(grid, values: np.ndarray, points) -> np.ndarray:
     """Multilinear interpolation of nodal ``values`` at ``points`` (K, dim)."""
-    ids, wts = _cell_weights_and_corners(grid, points)
+    ids, wts = grid_corners(grid, points)
     return np.sum(np.asarray(values)[ids] * wts, axis=1)
 
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from twoscale.errors import OutOfDomainError
+from twoscale.fem import gauss_rule, q1_values
 from twoscale.grids import (
     CellGrid,
     MacroGrid,
     ScalarField,
+    corner_offsets,
     fd_gradient,
     fd_hessian,
     interpolate_values,
+    lattice_corners,
 )
 
 
@@ -172,3 +176,81 @@ def test_fd_preconditions():
     grid3 = MacroGrid(dim=1, cells_per_side=3)
     with pytest.raises(ValueError):
         fd_hessian(ScalarField(grid3, np.zeros(grid3.ndof)))
+
+
+# -- the multilinear kernel --------------------------------------------------
+
+# non-uniform clamped axes with a one-sample axis between them
+CLAMPED_AXES = [np.array([-1.0, -0.2, 0.1, 0.7, 2.0]), np.array([0.3]),
+                np.array([0.0, 0.05, 0.5, 1.0])]
+
+
+def test_lattice_corners_match_regular_grid_interpolator_with_clamping():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(tuple(len(ax) for ax in CLAMPED_AXES))
+    # queries reach beyond both ends of every axis, where the kernel clamps
+    queries = rng.uniform(-3.0, 3.0, (500, 3))
+    ids, wts = lattice_corners(CLAMPED_AXES, queries)
+    assert ids.shape == wts.shape == (500, 4)  # the one-sample axis adds no corner
+    got = np.sum(values.reshape(-1)[ids] * wts, axis=1)
+    outer = [CLAMPED_AXES[0], CLAMPED_AXES[2]]
+    clamped = np.stack(
+        [np.clip(queries[:, d], ax[0], ax[-1]) for d, ax in zip((0, 2), outer)], axis=-1
+    )
+    expected = RegularGridInterpolator(outer, values[:, 0, :])(clamped)
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def test_lattice_corners_periodic_wrap():
+    rng = np.random.default_rng(9)
+    axes = CellGrid(dim=2, cells_per_side=8).axes()
+    # multiples of 2^-20, so q + 1 and q - 1 are exact and wrap back to q
+    queries = rng.integers(0, 2**20, (400, 2)) / 2.0**20
+    ids, wts = lattice_corners(axes, queries, periodic=True)
+    for shift in (1.0, -1.0, np.array([1.0, -2.0])):
+        ids_s, wts_s = lattice_corners(axes, queries + shift, periodic=True)
+        assert np.array_equal(ids, ids_s)
+        assert np.array_equal(wts, wts_s)
+    assert ids.min() >= 0 and ids.max() < 64
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_lattice_corners_weights_sum_to_one(periodic):
+    rng = np.random.default_rng(13)
+    axes = CellGrid(2, 5).axes() if periodic else CLAMPED_AXES
+    queries = rng.uniform(-2.5, 2.5, (300, len(axes)))
+    _, wts = lattice_corners(axes, queries, periodic=periodic)
+    assert np.all(wts >= 0.0)
+    assert np.max(np.abs(wts.sum(axis=1) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_lattice_corners_follow_corner_offsets(periodic):
+    if periodic:
+        axes = CellGrid(dim=2, cells_per_side=4).axes()
+    else:
+        axes = [np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.25, 0.5, 1.0])]
+    ids, wts = lattice_corners(axes, np.array([[0.4, 0.3]]), periodic=periodic)
+    multi = np.stack(np.unravel_index(ids[0], tuple(len(ax) for ax in axes)), axis=-1)
+    assert np.array_equal(multi - multi[0], corner_offsets(2))
+    # the weight of each corner is the product of its per-axis factors
+    lo = np.array([ax[i] for ax, i in zip(axes, multi[0])])
+    hi = np.array([ax[i] for ax, i in zip(axes, multi[-1])])
+    upper = (np.array([0.4, 0.3]) - lo) / (hi - lo)
+    expected = np.prod(np.where(corner_offsets(2) == 1, upper, 1.0 - upper), axis=1)
+    assert np.max(np.abs(wts[0] - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_q1_values_are_the_kernel_weights_on_the_unit_element(dim):
+    points = [gauss_rule(n, dim).points for n in (1, 2, 3)]
+    points.append(np.random.default_rng(17).random((10_000, dim)))
+    for xi in points:
+        _, wts = lattice_corners([np.array([0.0, 1.0])] * dim, xi)
+        assert np.array_equal(q1_values(xi), wts)
+        # the Q1 basis as a product of per-axis hats, multiplied in axis order
+        reference = np.ones_like(wts)
+        for c, off in enumerate(corner_offsets(dim)):
+            for d, bit in enumerate(off):
+                reference[:, c] *= xi[:, d] if bit else 1.0 - xi[:, d]
+        assert np.array_equal(wts, reference)
