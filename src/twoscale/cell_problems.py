@@ -9,7 +9,9 @@ families of zero-mean periodic fields on the unit cell:
   derivatives of the macro solution in the second-order reconstruction;
 * slow-variation correctors (one per direction) -- capture the drift of the
   cell data along the macro variables, including the nonlinear coupling
-  through the u-derivative of the coefficient;
+  through the u-derivative of the coefficient; that drift is read off the
+  tangent cell problems, the first-corrector problem differentiated along
+  each parameter axis at the sample itself;
 * a source corrector      -- driven by the mean-free part of the source.
 
 Because the macro state is continuous, all of them are tabulated over a
@@ -19,15 +21,15 @@ piece and one field per gradient component so any macro gradient can be
 recombined exactly at evaluation time.
 
 Every family at one sample reads the same :class:`CellSample`: the
-coefficient, its u-derivative and the source are evaluated at the
+coefficient, its parameter derivatives and the source are evaluated at the
 quadrature points once, and the periodic operator is assembled and factored
-once.  The table build makes one such object per sample in each of its two
-passes.  For a separable coefficient a = mu(u, x) g(y) the operator at
-every sample is a multiple of the operator at the first one, so that first
-sample is the ``base`` of all the others: the whole table assembles and
-factors one operator, each sample solving with the base's LU after
-dividing its load by its mu ratio, and solves the first and hessian
-correctors, from whose equations mu cancels, once.
+once.  The table build makes one such object per sample, in one pass.  For
+a separable coefficient a = mu(u, x) g(y) the operator at every sample is a
+multiple of the operator at the first one, so that first sample is the
+``base`` of all the others: the whole table assembles and factors one
+operator, each sample solving with the base's LU after dividing its load by
+its mu ratio, and solves the first, hessian and tangent correctors, from
+whose equations mu cancels, once.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -218,8 +220,10 @@ class CorrectorTable:
     cell_grid: CellGrid
     param_grid: ParameterGrid
     fields: dict = field(repr=False)  # name -> (n_samples, ndof)
+    # first-corrector name -> (n_axes, n_samples, ndof), d/d(parameter axis)
+    tangents: dict = field(default_factory=dict, repr=False)
     diagnostics: BuildDiagnostics = field(default_factory=BuildDiagnostics)
-    _derived: dict = field(default_factory=dict, repr=False)
+    _gradients: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -227,25 +231,16 @@ class CorrectorTable:
 
     def gradient_stack(self, name: str) -> np.ndarray:
         """(n_samples, ndof, dim) of recovered fast-variable nodal gradients."""
-        key = ("grad", name)
-        if key not in self._derived:
-            stack = self.fields[name]
-            self._derived[key] = np.stack(
-                [periodic_fd_gradient(self.cell_grid, row) for row in stack], axis=0
+        if name not in self._gradients:
+            self._gradients[name] = np.stack(
+                [periodic_fd_gradient(self.cell_grid, row) for row in self.fields[name]], axis=0
             )
-        return self._derived[key]
+        return self._gradients[name]
 
     def parameter_derivative_stack(self, name: str, axis: int) -> np.ndarray:
-        """(n_samples, ndof) of d(field)/d(parameter axis) at every sample."""
-        key = ("param", name, axis)
-        if key not in self._derived:
-            stack = self.fields[name]
-            out = np.zeros_like(stack)
-            for flat, multi in enumerate(self.param_grid.indices()):
-                for j, wgt in _stencil_samples(self.param_grid, multi, axis):
-                    out[flat] += wgt * stack[j]
-            self._derived[key] = out
-        return self._derived[key]
+        """(n_samples, ndof) of d(first corrector)/d(parameter axis) at every
+        sample, from the tangent cell problems (:meth:`CellSample.tangents`)."""
+        return self.tangents[name][axis]
 
     def interp_at(self, names, u: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
         """Evaluate chosen fields at many (u, x, y) triples at once.
@@ -309,21 +304,22 @@ class EffectiveTensorTable:
 class CellSample:
     """The cell data at one parameter sample (u, x), each piece computed once.
 
-    The quadrature-point samples of ``a``, ``da/du`` and ``f``, the factor of
-    the periodic operator (assembled through :func:`assemble_stiffness`; its
-    scale and sparse LU are made on the first nonzero solve) and the first
-    and hessian correctors are computed on first use and then shared by
-    every corrector family at this sample.  ``shift`` translates the cell
-    data periodically (translation-invariance checks).
+    The quadrature-point samples of ``a``, its parameter derivatives and
+    ``f``, the factor of the periodic operator (assembled through
+    :func:`assemble_stiffness`; its scale and sparse LU are made on the first
+    nonzero solve) and the first, hessian and tangent correctors are
+    computed on first use and then shared by every corrector family at this
+    sample.  ``shift`` translates the cell data periodically
+    (translation-invariance checks).
 
     ``base`` is another sample of the same separable model
     (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
     sample's operator is then c = mu(u, x) / mu(base) times the base's, so
     it assembles nothing: it shares the base's factor and divides each load
-    by c before it solves, and, mu cancelling from the first and hessian
-    problems, it returns the base's correctors.  Its
-    own coefficient samples still drive the effective tensor, the source
-    and the loads of the slow correctors.
+    by c before it solves, and, mu cancelling from the first, hessian and
+    tangent problems, it returns the base's correctors.  Its own
+    coefficient samples still drive the effective tensor, the source and
+    the loads of the slow correctors.
     """
 
     def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None, base=None):
@@ -339,7 +335,7 @@ class CellSample:
             pts = pts + shift
             pts = np.where(pts >= 1.0, pts - 1.0, pts)
         self.points = pts
-        self._first = self._hessian = None
+        self._first = self._hessian = self._tangents = None
 
     def mean(self, samples) -> float:
         """Cell average of quad-point samples (E, Q)."""
@@ -353,9 +349,11 @@ class CellSample:
 
     @cached_property
     def da_q(self) -> np.ndarray:
-        """u-derivative of the coefficient at the quadrature points."""
-        da = self.model.eval_da_du(self.u, self.x, self.points)
-        return da.reshape(self.quad_shape + da.shape[1:])
+        """Parameter derivatives of the coefficient at the quadrature points,
+        (1 + dim, E, Q, dim, dim): d/du, then d/dx_d for every axis d."""
+        da = self.model.eval_da_du(self.u, self.x, self.points)[:, None]
+        da = np.concatenate([da, self.model.eval_da_dx(self.u, self.x, self.points)], axis=1)
+        return np.moveaxis(da.reshape(self.quad_shape + da.shape[1:]), 2, 0)
 
     @cached_property
     def f_q(self) -> np.ndarray:
@@ -512,23 +510,95 @@ class CellSample:
         rhs = assemble_load_from_samples(self.grid, self.quad, scalar_samples=self.f_q - fbar)
         return self.solve(rhs, opts, diagnostics), fbar
 
-    def h_loads(self, first_fields) -> np.ndarray:
-        """Loads from the mean-free corrected flux h_ik = a_ik + (A grad N_k)_i.
+    def tangents(self, first_fields, opts=SolverOptions(), diagnostics=None) -> np.ndarray:
+        """Derivatives of the first correctors along the parameter axes,
+        (1 + dim, dim, ndof): d/du, then d/dx_d for every axis d.
 
-        Returns a (dim_i, dim_k, ndof) array, one scalar-source load per
-        pair.  Subtracting the quadrature mean keeps each load orthogonal to
-        constants to rounding.
+        Differentiating the discrete problem K(a) N_m = L(-a e_m) along an
+        axis p gives K(a) d_pN_m = L(-d_pa (e_m + grad N_m)), solved with
+        this sample's own factor.  An axis along which the coefficient does
+        not vary at this sample gets exact zeros and no solve.  Solved on
+        the first call and kept; a sample with a base returns the base's.
+        """
+        if self.base is not None:
+            return self.base.tangents(first_fields, opts, diagnostics)
+        if self._tangents is None:
+            grid, quad = self.grid, self.quad
+            out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
+            for m in range(grid.dim):
+                corrected = field_gradients_at_quad(grid, first_fields[m], quad)
+                corrected[:, :, m] += 1.0
+                for p, da in enumerate(self.da_q):
+                    if np.any(da):
+                        flux = -np.einsum("eqij,eqj->eqi", da, corrected)
+                        out[p, m] = self.solve(
+                            assemble_load_from_samples(grid, quad, flux_samples=flux),
+                            opts, diagnostics,
+                        )
+            self._tangents = out
+        return self._tangents
+
+    def slow_correctors(self, first_fields, tangents, opts=SolverOptions(),
+                        diagnostics=None) -> dict:
+        """Slow-variation correctors at this sample, as affine pieces.
+
+        The macro derivatives of the cell data are local: the ``tangents``
+        d_pN of the first correctors and, from them, the derivatives of the
+        mean-free corrected flux h_ik = a_ik + (A grad N_k)_i,
+        d_p h_ik = d_pa_ik + (d_pa grad N_k)_i + (A grad d_pN_k)_i, whose
+        loads subtract their quadrature mean to stay orthogonal to
+        constants.  The corrector for direction k and macro gradient g is
+        ``slow0_k + sum_m g_m slowg_km``; returns those fields by name.
         """
         grid, quad, a_q = self.grid, self.quad, self.a_q
-        out = np.zeros((grid.dim, grid.dim, grid.ndof))
-        for k in range(grid.dim):
-            gradn = field_gradients_at_quad(grid, first_fields[k], quad)
-            for i in range(grid.dim):
-                h_iq = a_q[:, :, i, k] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], gradn)
-                out[i, k] = assemble_load_from_samples(
-                    grid, quad, scalar_samples=h_iq - self.mean(h_iq)
-                )
-        return out
+        dim = grid.dim
+        da_du = self.da_q[0]
+        n_at_q = [field_values_at_quad(grid, first_fields[m], quad) for m in range(dim)]
+        gradn_at_q = [field_gradients_at_quad(grid, first_fields[m], quad) for m in range(dim)]
+        # (1 + dim) axes of per-direction values and gradients of d_pN
+        dn_at_q = [[field_values_at_quad(grid, t, quad) for t in axis] for axis in tangents]
+        dgradn_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis] for axis in tangents]
+
+        def dh_load(p, i, k):
+            # load of d_p h_ik; exactly zero along an axis the cell data ignores
+            da = self.da_q[p]
+            if not np.any(da):
+                return np.zeros(grid.ndof)
+            dh = (
+                da[:, :, i, k]
+                + np.einsum("eqm,eqm->eq", da[:, :, i, :], gradn_at_q[k])
+                + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dgradn_at_q[p][k])
+            )
+            return assemble_load_from_samples(grid, quad, scalar_samples=dh - self.mean(dh))
+
+        def rhs_for(k, grad, dload_du, dload_dx):
+            # total macro derivative of the corrector: explicit part + chain rule
+            v = np.stack(
+                [dn_at_q[1 + l][k] + grad[l] * dn_at_q[0][k] for l in range(dim)], axis=-1
+            )  # (E,Q,dim)
+            # order-eps coefficient of a(u0 + eps u1): u1 da/du, u1 = N_m d_m u0
+            u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
+            a1_q = u1_q[:, :, None, None] * da_du
+            flux = -(
+                np.einsum("eqil,eql->eqi", a_q, v)
+                + a1_q[:, :, :, k]
+                + np.einsum("eqil,eql->eqi", a1_q, gradn_at_q[k])
+            )
+            rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
+            for i in range(dim):
+                rhs += dload_dx[i] + grad[i] * dload_du[i]
+            return rhs
+
+        fields = {}
+        for k in range(dim):
+            dload_du = [dh_load(0, i, k) for i in range(dim)]
+            dload_dx = [dh_load(1 + i, i, k) for i in range(dim)]
+            q0 = self.solve(rhs_for(k, np.zeros(dim), dload_du, dload_dx), opts, diagnostics)
+            fields[f"slow0_{k}"] = q0
+            for m in range(dim):
+                rhs = rhs_for(k, np.eye(dim)[m], dload_du, dload_dx)
+                fields[f"slowg_{k}{m}"] = self.solve(rhs, opts, diagnostics) - q0
+        return fields
 
 
 def solve_first_correctors(model, u, x, grid: CellGrid, quad=None, opts=SolverOptions()):
@@ -549,121 +619,15 @@ def _voigt_reuss_directions(dim):
     return dirs
 
 
-def _fd_stencil(samples: np.ndarray, i: int):
-    """Second-order d/ds stencil on a uniform sample axis: [(index, weight)]."""
-    n = len(samples)
-    if n == 1:
-        return []
-    if n < 3:
-        raise ConfigurationError("parameter axis needs 1 or >= 3 samples for FD")
-    h = samples[1] - samples[0]
-    if i == 0:
-        return [(0, -1.5 / h), (1, 2.0 / h), (2, -0.5 / h)]
-    if i == n - 1:
-        return [(n - 3, 0.5 / h), (n - 2, -2.0 / h), (n - 1, 1.5 / h)]
-    return [(i - 1, -0.5 / h), (i + 1, 0.5 / h)]
-
-
-def _stencil_samples(pgrid: ParameterGrid, multi, axis: int):
-    """[(flat index, weight)] of the d/d(parameter axis) stencil at ``multi``."""
-    out = []
-    for j, wgt in _fd_stencil(pgrid.axes[axis], multi[axis]):
-        idx = list(multi)
-        idx[axis] = j
-        out.append((pgrid.ravel(tuple(idx)), wgt))
-    return out
-
-
-def _negligible_load(rhs: np.ndarray, grid: CellGrid, model) -> bool:
-    """Loads far below the physical load scale are zero, not data.
-
-    Slow-corrector right-hand sides are finite differences of fields from
-    direct cell solves, so they are known to rounding; when the analytic
-    load vanishes (parameter-independent correctors) the numeric residue is
-    that rounding amplified by the sample spacing and must not be solved
-    against or fed to the compatibility check.
-    """
-    reference = grid.spacing**grid.dim * np.sqrt(grid.ndof) * model.ellipticity_upper
-    return float(np.linalg.norm(rhs)) <= 1e-6 * reference
-
-
-def _slow_pass(sample: CellSample, pgrid, multi, first_stack, h_load_stack, opts):
-    """Slow-variation correctors at one sample, as affine pieces.
-
-    ``first_stack``: (n_samples, dim, ndof) first correctors and
-    ``h_load_stack``: (n_samples, dim, dim, ndof) mean-free flux loads;
-    finite differences of both along the parameter axes supply the macro
-    derivatives of the cell data (only the stencil samples are read).  The
-    corrector for direction k and macro gradient g is
-    ``slow0_k + sum_m g_m slowg_km``; returns those fields by name and the
-    solve diagnostics.
-    """
-    grid, quad, a_q, model = sample.grid, sample.quad, sample.a_q, sample.model
-    dim = grid.dim
-    first = first_stack[pgrid.ravel(multi)]
-
-    def stacked_fd(stack, axis):
-        out = np.zeros(stack.shape[1:])
-        for flat, wgt in _stencil_samples(pgrid, multi, axis):
-            out += wgt * stack[flat]
-        return out
-
-    dn_du = stacked_fd(first_stack, 0)  # (dim, ndof)
-    dn_dx = [stacked_fd(first_stack, 1 + d) for d in range(dim)]
-    dload_dx = [stacked_fd(h_load_stack, 1 + d) for d in range(dim)]
-    dload_du = stacked_fd(h_load_stack, 0)  # (dim, dim, ndof)
-
-    n_at_q = [field_values_at_quad(grid, first[m], quad) for m in range(dim)]
-    gradn_at_q = [field_gradients_at_quad(grid, first[m], quad) for m in range(dim)]
-    dn_du_at_q = [field_values_at_quad(grid, dn_du[m], quad) for m in range(dim)]
-    dn_dx_at_q = [
-        [field_values_at_quad(grid, dn_dx[d][m], quad) for m in range(dim)]
-        for d in range(dim)
-    ]
-
-    def rhs_for(k, grad):
-        # total macro derivative of the corrector: explicit part + chain rule
-        v = np.stack(
-            [dn_dx_at_q[l][k] + grad[l] * dn_du_at_q[k] for l in range(dim)], axis=-1
-        )  # (E,Q,dim)
-        # order-eps coefficient of a(u0 + eps u1): u1 da/du, u1 = N_m d_m u0
-        u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
-        a1_q = u1_q[:, :, None, None] * sample.da_q
-        flux = -(
-            np.einsum("eqil,eql->eqi", a_q, v)
-            + a1_q[:, :, :, k]
-            + np.einsum("eqil,eql->eqi", a1_q, gradn_at_q[k])
-        )
-        rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
-        for i in range(dim):
-            rhs += dload_dx[i][i, k] + grad[i] * dload_du[i, k]
-        return rhs
-
-    diag = BuildDiagnostics()
-
-    def solve_context(k, grad):
-        rhs = rhs_for(k, grad)
-        if _negligible_load(rhs, grid, model):
-            return np.zeros(grid.ndof)
-        return sample.solve(rhs, opts, diag)
-
-    fields = {}
-    for k in range(dim):
-        q0 = solve_context(k, np.zeros(dim))
-        fields[f"slow0_{k}"] = q0
-        for m in range(dim):
-            fields[f"slowg_{k}{m}"] = solve_context(k, np.eye(dim)[m]) - q0
-    return fields, diag
-
-
 # ---------------------------------------------------------------------------
 # table build
 # ---------------------------------------------------------------------------
 
 
 def _check_lattice(model, pgrid: ParameterGrid, grid: CellGrid):
-    """The lattice must sample exactly the slow arguments the model has,
-    with enough samples per axis for the parameter finite differences."""
+    """The lattice must sample exactly the slow arguments the model has, each
+    at 3 or more points: the tables are blended linearly between samples,
+    and 2 points would reduce the blend to one chord of the cell data."""
     u_dep = model.u_dependent or model.source.u_dependent
     if u_dep and len(pgrid.u_samples) < 3:
         raise ConfigurationError(
@@ -698,19 +662,19 @@ def build_corrector_tables(
 ):
     """Solve every cell problem at every parameter sample.
 
-    Two passes each take one :class:`CellSample` per parameter sample.
-    Pass 1 solves the first, hessian and source correctors and the
-    effective tensor; pass 2 the slow correctors, which difference pass-1
-    results across samples.  For a ``separable`` model the sample at the
-    first lattice point is the ``base`` of every other one in both passes
-    and is kept for the whole build: the table assembles and factors one
-    operator, and solves the first and hessian correctors once.  Otherwise
-    each sample assembles and factors its own operator, once per pass, and
-    is dropped when it is done, so no operator is kept across samples.
-    Sample solves are independent and written to disjoint slots, so the
-    result is bitwise identical for any thread count.  Returns the corrector
-    table and the effective-tensor table (which also carries the cell mean
-    of the source per sample).
+    One pass takes one :class:`CellSample` per parameter sample and solves
+    its first, hessian, source, tangent and slow correctors and its
+    effective tensor; the slow correctors read the sample's own tangents,
+    so no sample needs another.  For a ``separable`` model the sample at
+    the first lattice point is the ``base`` of every other one and is kept
+    for the whole build: the table assembles and factors one operator, and
+    solves the first, hessian and tangent correctors once.  Otherwise each
+    sample assembles and factors its own operator once and is dropped when
+    it is done, so no operator is kept across samples.  Sample solves are
+    independent and written to disjoint slots, so the result is bitwise
+    identical for any thread count.  Returns the corrector table (with the
+    tangent stacks of the first correctors) and the effective-tensor table
+    (which also carries the cell mean of the source per sample).
     """
     dim = grid.dim
     quad = quad or default_quadrature(dim)
@@ -719,27 +683,26 @@ def build_corrector_tables(
     multis = list(pgrid.indices())
     base = CellSample(model, *pgrid.coords(multis[0]), grid, quad) if model.separable else None
 
-    def sample_at(multi):
-        if base is not None and multi == multis[0]:
-            return base
-        return CellSample(model, *pgrid.coords(multi), grid, quad, base=base)
-
     def sample_pass(multi):
         diag = BuildDiagnostics()
         u, x = pgrid.coords(multi)
         try:
-            sample = sample_at(multi)
+            if base is not None and multi == multis[0]:
+                sample = base
+            else:
+                sample = CellSample(model, u, x, grid, quad, base=base)
             first = sample.first_correctors(opts, diag)
             hess = sample.hessian_correctors(first, opts, diag)
             a0 = sample.effective_tensor(first, diag)
             source, fbar = sample.source_corrector(opts, diag)
-            h_loads = sample.h_loads(first)
+            tangents = sample.tangents(first, opts, diag)
+            fields = sample.slow_correctors(first, tangents, opts, diag)
         except Exception as exc:  # annotate with the failing sample
             raise type(exc)(f"sample (u={u:.6g}, x={x}) failed: {exc}") from exc
-        fields = {f"first_{m}": first[m] for m in range(dim)}
+        fields.update({f"first_{m}": first[m] for m in range(dim)})
         fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
         fields["source"] = source
-        return fields, a0, fbar, h_loads, diag
+        return fields, tangents, a0, fbar, diag
 
     # the first sample runs alone, so a base has its correctors and its
     # factor before the samples based on it read them from other threads
@@ -747,27 +710,17 @@ def build_corrector_tables(
     results += _map_samples(sample_pass, multis[1:], threads)
 
     fields = {name: np.zeros((n_samples, grid.ndof)) for name in corrector_field_names(dim)}
+    tangents = {f"first_{m}": np.zeros((1 + dim, n_samples, grid.ndof)) for m in range(dim)}
     tensor_vals = np.zeros((n_samples, dim, dim))
     source_means = np.zeros(n_samples)
     diagnostics = BuildDiagnostics()
-    for flat, (sample_fields, a0, fbar, _, diag) in enumerate(results):
+    for flat, (sample_fields, sample_tangents, a0, fbar, diag) in enumerate(results):
         for name, v in sample_fields.items():
             fields[name][flat] = v
+        for m in range(dim):
+            tangents[f"first_{m}"][:, flat] = sample_tangents[:, m]
         tensor_vals[flat] = a0
         source_means[flat] = fbar
-        diagnostics.absorb(diag)
-
-    # slow correctors: affine in the macro gradient, solved per unit context
-    first_stack = np.stack([fields[f"first_{m}"] for m in range(dim)], axis=1)
-    h_load_stack = np.stack([res[3] for res in results], axis=0)
-    del results
-
-    def slow_pass(multi):
-        return _slow_pass(sample_at(multi), pgrid, multi, first_stack, h_load_stack, opts)
-
-    for flat, (slow_fields, diag) in enumerate(_map_samples(slow_pass, multis, threads)):
-        for name, v in slow_fields.items():
-            fields[name][flat] = v
         diagnostics.absorb(diag)
 
     for name, stack in fields.items():
@@ -775,7 +728,8 @@ def build_corrector_tables(
         diagnostics.max_corrector_mean = max(diagnostics.max_corrector_mean, mean)
 
     table = CorrectorTable(
-        cell_grid=grid, param_grid=pgrid, fields=fields, diagnostics=diagnostics
+        cell_grid=grid, param_grid=pgrid, fields=fields, tangents=tangents,
+        diagnostics=diagnostics,
     )
     tensors = EffectiveTensorTable(
         param_grid=pgrid, values=tensor_vals, source_means=source_means

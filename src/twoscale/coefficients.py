@@ -2,9 +2,10 @@
 
 Every family produces a symmetric, uniformly elliptic matrix that is
 1-periodic in the fast variable y, together with its closed-form derivative
-in the unknown u.  The evaluator contract is deliberately small -- anything
-returning symmetric matrices from (u, x, y) plus a u-derivative can act as a
-coefficient -- and the built-in families are data-configured instances of
+in the unknown u and, for the one x-dependent family, in the slow variable
+x.  The evaluator contract is deliberately small -- anything returning
+symmetric matrices from (u, x, y) plus their u- and x-derivatives can act as
+a coefficient -- and the built-in families are data-configured instances of
 that contract:
 
 * CONSTANT          fixed matrix, no dependence on (u, x, y)
@@ -116,11 +117,12 @@ class SourceModel:
 
 
 class CoefficientModel:
-    """Base contract: symmetric elliptic a(u, x, y) with a u-derivative.
+    """Base contract: symmetric elliptic a(u, x, y) with its u- and x-derivatives.
 
-    Subclasses implement ``_matrix`` and ``_matrix_du`` on normalized arrays;
-    this class handles clamping, broadcasting, the source, and the sampled
-    ellipticity validation run at construction.
+    Subclasses implement ``_matrix`` and ``_matrix_du`` on normalized arrays,
+    and ``_matrix_dx`` if they declare ``x_dependent``; this class handles
+    clamping, broadcasting, the source, and the sampled ellipticity
+    validation run at construction.
     """
 
     family = "BASE"
@@ -146,6 +148,12 @@ class CoefficientModel:
         dn = np.clip(u - step, self.u_lo, self.u_hi)
         return (self._matrix(up, x, y) - self._matrix(dn, x, y)) / (up - dn)[:, None, None]
 
+    def _matrix_dx(self, u, x, y):
+        # (K, dim_x, dim, dim); zero is only right for an x-independent family
+        if self.x_dependent:
+            raise NotImplementedError(f"{self.family}: an x-dependent family needs _matrix_dx")
+        return np.zeros((len(u), self.dim, self.dim, self.dim))
+
     @property
     def u_dependent(self) -> bool:
         return False
@@ -169,6 +177,12 @@ class CoefficientModel:
     def eval_da_du(self, u, x, y):
         u, x, y, scalar = _normalize_args(u, x, y, self.dim)
         out = self._matrix_du(np.clip(u, self.u_lo, self.u_hi), x, y)
+        return out[0] if scalar else out
+
+    def eval_da_dx(self, u, x, y):
+        """x-derivative of the coefficient, (K, dim_x, dim, dim): entry d is da/dx_d."""
+        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
+        out = self._matrix_dx(np.clip(u, self.u_lo, self.u_hi), x, y)
         return out[0] if scalar else out
 
     def eval_f(self, u, x, y):
@@ -365,6 +379,11 @@ class SeparatedCoefficient(CoefficientModel):
     def _matrix_du(self, u, x, y):
         dmu = self.mu_u + 2.0 * self.mu_u2 * u
         return np.einsum("k,ij->kij", dmu * self.g_scalar(y), np.eye(self.dim))
+
+    def _matrix_dx(self, u, x, y):
+        # d mu / dx_d = mu_x / dim on every axis d
+        sig = self.mu_x / self.dim * self.g_scalar(y)
+        return np.einsum("k,d,ij->kdij", sig, np.ones(self.dim), np.eye(self.dim))
 
 
 _FAMILIES = {

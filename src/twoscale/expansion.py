@@ -170,10 +170,11 @@ def reconstruction_gradient(
     """Pointwise gradient of the first-order reconstruction u0 + eps*u1.
 
     Evaluated from the chain rule rather than by differencing nodal values:
-    the fast derivative of the correctors is recovered on the periodic cell
-    and the slow derivatives come from the macro finite-difference recovery,
-    so no O(h) interpolant kinks or difference-quotient consistency errors
-    of the oscillating layer leak into gradient-level error measurements.
+    the fast derivative of the correctors is recovered on the periodic cell,
+    their parameter derivatives are the table's tangent stacks, and the
+    macro derivatives come from the finite-difference recovery, so no O(h)
+    interpolant kinks or difference-quotient consistency errors of the
+    oscillating layer leak into gradient-level error measurements.
 
         grad_k = d_k u0 + dN_l/dy_k d_l u0
                + eps * [ (dN_l/du d_k u0 + dN_l/dx_k) d_l u0 + N_l d2_kl u0 ]

@@ -308,7 +308,9 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
 
     The iteration stops on the true residual ||rhs - mat x|| / ||rhs||: once
     the recursively updated one passes ``tol``, the true one is computed, and
-    if it is still above ``tol``, CG restarts from it.
+    if it is still above ``tol``, CG restarts from it.  A restart whose true
+    residual is no smaller than that of every earlier restart has stagnated
+    at the rounding floor, and raises at once.
 
     ``precond`` maps a residual to a search direction and must be symmetric
     positive definite on the subspace the residuals live in.  The name
@@ -326,6 +328,7 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
     p = z.copy()
     rz = float(r @ z)
     history = []
+    best_true = math.inf  # smallest true residual of the restarts so far
     for it in range(1, max_iter + 1):
         ap = mat @ p
         pap = float(p @ ap)
@@ -347,6 +350,15 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
         history.append(rel)
         if rel <= tol:
             return x, rel, it
+        if restart:
+            if rel >= best_true:
+                raise NonConvergenceError(
+                    f"CG stagnated at a true residual of {rel:.3g} above tol={tol:g}",
+                    residual=rel,
+                    iterations=it,
+                    history=history,
+                )
+            best_true = rel
         z = precond(r)
         rz_new = float(r @ z)
         p = z if restart else z + (rz_new / rz) * p

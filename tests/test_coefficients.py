@@ -75,6 +75,32 @@ def test_da_du_matches_finite_difference():
             assert np.max(np.abs(an - fd)) <= 1e-5 * scale
 
 
+def test_da_dx_matches_finite_difference():
+    rng = np.random.default_rng(11)
+    for model in all_models():
+        n = model.dim
+        for _ in range(10):
+            u = rng.uniform(model.u_lo, model.u_hi)
+            x = rng.uniform(0.1, 0.9, n)
+            y = rng.random(n)
+            an = model.eval_da_dx(u, x, y)
+            assert an.shape == (n, n, n)
+            for d in range(n):
+                step = 1e-6 * np.eye(n)[d]
+                fd = (model.eval_a(u, x + step, y) - model.eval_a(u, x - step, y)) / 2e-6
+                assert np.max(np.abs(an[d] - fd)) <= 1e-8 * max(1.0, np.abs(fd).max())
+    sep = SeparatedCoefficient(2, mu_x=0.5)
+    assert np.abs(sep.eval_da_dx(0.3, [0.2, 0.7], [0.1, 0.4])).max() > 0.1  # not vacuous
+
+
+def test_x_dependent_family_must_define_its_x_derivative():
+    class Drifting(SmoothPeriodicCoefficient):
+        x_dependent = True
+
+    with pytest.raises(NotImplementedError, match="_matrix_dx"):
+        Drifting(1).eval_da_dx(0.5, [0.5], [0.5])
+
+
 def test_symmetry_and_periodicity_properties():
     rng = np.random.default_rng(17)
     for model in all_models():

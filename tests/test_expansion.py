@@ -147,17 +147,20 @@ def per_stack_reconstruction_gradient(u0_field, table, eps, points):
 
 
 def test_reconstruction_gradient_matches_per_stack_reference():
-    # seeded random first correctors on a 3x3x3 (u, x1, x2) lattice, so every
-    # parameter-derivative stack is far from zero (the correctors of the
-    # shipped x-dependent family, SEPARATED, do not depend on u or x)
+    # seeded random first correctors and tangent stacks on a 3x3x3 (u, x1, x2)
+    # lattice, so every parameter-derivative stack is far from zero (the
+    # correctors of the shipped x-dependent family, SEPARATED, do not depend
+    # on u or x)
     rng = np.random.default_rng(5)
     cell = CellGrid(2, 8)
     axis = np.linspace(0.0, 1.0, 3)
     pgrid = ParameterGrid(axis, (axis, axis))
+    names = [f"first_{l}" for l in range(2)]
     table = CorrectorTable(
         cell_grid=cell,
         param_grid=pgrid,
-        fields={f"first_{l}": rng.standard_normal((pgrid.size, cell.ndof)) for l in range(2)},
+        fields={name: rng.standard_normal((pgrid.size, cell.ndof)) for name in names},
+        tangents={name: rng.standard_normal((3, pgrid.size, cell.ndof)) for name in names},
     )
     for l in range(2):
         for ax in range(3):

@@ -153,6 +153,22 @@ def test_pcg_stops_on_the_true_residual(tol):
     assert true <= tol and rel == pytest.approx(true, rel=1e-12)
 
 
+def test_pcg_stops_when_the_true_residual_stagnates():
+    # below the rounding floor of ||b - A x|| every restart lands on it again;
+    # the first restart that does not improve ends the solve, long before the
+    # 10n iteration budget
+    n = 100
+    mat = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                   format="csr")
+    rhs = np.random.default_rng(0).standard_normal(n)
+    with pytest.raises(NonConvergenceError, match="stagnated") as err:
+        _jacobi_pcg(mat, rhs, 1e-14, 10 * n, lambda r: r.copy())
+    assert err.value.iterations <= 2 * n
+    assert err.value.residual > 1e-14
+    assert err.value.history[-1] == err.value.residual
+    assert len(err.value.history) == err.value.iterations
+
+
 def test_pcg_iteration_cap():
     # 1-D systems are solved directly; the CG budget applies in 2-D
     grid = MacroGrid(dim=2, cells_per_side=16)
