@@ -307,10 +307,10 @@ class CellSample:
     The quadrature-point samples of ``a``, its parameter derivatives and
     ``f``, the factor of the periodic operator (assembled through
     :func:`assemble_stiffness`; its scale and sparse LU are made on the first
-    nonzero solve) and the first, hessian and tangent correctors are
-    computed on first use and then shared by every corrector family at this
-    sample.  ``shift`` translates the cell data periodically
-    (translation-invariance checks).
+    nonzero solve), the first, hessian and tangent correctors and the
+    corrected flux are computed on first use and then shared by every
+    corrector family at this sample.  ``shift`` translates the cell data
+    periodically (translation-invariance checks).
 
     ``base`` is another sample of the same separable model
     (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
@@ -318,8 +318,8 @@ class CellSample:
     it assembles nothing: it shares the base's factor and divides each load
     by c before it solves, and, mu cancelling from the first, hessian and
     tangent problems, it returns the base's correctors.  Its own
-    coefficient samples still drive the effective tensor, the source and
-    the loads of the slow correctors.
+    coefficient samples, and so its own corrected flux, still drive the
+    effective tensor, the source and the loads of the slow correctors.
     """
 
     def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None, base=None):
@@ -335,7 +335,7 @@ class CellSample:
             pts = pts + shift
             pts = np.where(pts >= 1.0, pts - 1.0, pts)
         self.points = pts
-        self._first = self._hessian = self._tangents = None
+        self._first = self._hessian = self._tangents = self._flux = None
 
     def mean(self, samples) -> float:
         """Cell average of quad-point samples (E, Q)."""
@@ -411,6 +411,26 @@ class CellSample:
             ]
         return self._first
 
+    def corrected_flux(self, first_fields) -> np.ndarray:
+        """F[0, m] = A (e_m + grad N_m) and F[1 + p, m] = d_pA (e_m + grad N_m)
+        for p = u, x_0, ... at the quadrature points, (2 + dim, dim, E, Q,
+        dim): every corrector load past the first reads it.  An axis along
+        which the coefficient does not vary gets zeros.  Computed on the
+        first call and kept.
+        """
+        if self._flux is None:
+            grid, quad = self.grid, self.quad
+            self._flux = np.zeros((2 + grid.dim, grid.dim) + self.quad_shape + (grid.dim,))
+            coefficients = [self.a_q, *self.da_q]
+            live = [np.any(c) for c in coefficients]
+            for m in range(grid.dim):
+                corrected = field_gradients_at_quad(grid, first_fields[m], quad)  # (E,Q,n)
+                corrected[:, :, m] += 1.0
+                for p, c in enumerate(coefficients):
+                    if live[p]:
+                        self._flux[p, m] = np.einsum("eqij,eqj->eqi", c, corrected)
+        return self._flux
+
     def effective_tensor(self, first_fields, diagnostics=None) -> np.ndarray:
         """Cell average of the corrected flux: a0[:, j] = int A (e_j + grad N_j).
 
@@ -421,12 +441,10 @@ class CellSample:
         """
         grid, quad, a_q, model = self.grid, self.quad, self.a_q, self.model
         dim = grid.dim
+        flux = self.corrected_flux(first_fields)[0]
         a0 = np.zeros((dim, dim))
         for j in range(dim):
-            corrected = field_gradients_at_quad(grid, first_fields[j], quad)  # (E,Q,n)
-            corrected[:, :, j] += 1.0
-            flux = np.einsum("eqij,eqj->eqi", a_q, corrected)
-            a0[:, j] = np.einsum("eqi,q->i", flux, quad.weights) * grid.spacing**dim
+            a0[:, j] = np.einsum("eqi,q->i", flux[j], quad.weights) * grid.spacing**dim
 
         asym = float(np.max(np.abs(a0 - a0.T)))
         a0 = 0.5 * (a0 + a0.T)
@@ -460,45 +478,33 @@ class CellSample:
     def hessian_correctors(self, first_fields, opts=SolverOptions(), diagnostics=None) -> dict:
         """Second-order correctors contracted against the macro Hessian.
 
-        The raw problem is not symmetric in its two indices, but the pair
-        only ever multiplies the symmetric Hessian, so the (k,l)/(l,k)
-        solutions are averaged and stored once per unordered pair.  Solved
-        on the first call and kept; a sample with a base returns the base's.
+        The load of the pair (k, l) has the mean-free scalar part
+        (A (e_l + grad N_l))_k and the flux part -N_l A_k.  It is not
+        symmetric in its two indices, but the pair only ever multiplies the
+        symmetric Hessian, so the symmetrized load is solved once per
+        unordered pair.  Solved on the first call and kept; a sample with a
+        base returns the base's.
         """
         if self.base is not None:
             return self.base.hessian_correctors(first_fields, opts, diagnostics)
-        if self._hessian is not None:
-            return self._hessian
-        grid, quad, a_q = self.grid, self.quad, self.a_q
-        dim = grid.dim
-        n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
-        gradn_at_q = [field_gradients_at_quad(grid, f, quad) for f in first_fields]
+        if self._hessian is None:
+            grid, quad, a_q = self.grid, self.quad, self.a_q
+            flux = self.corrected_flux(first_fields)[0]
+            n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
 
-        raw = {}
-        for k in range(dim):
-            for l in range(dim):
-                scal = a_q[:, :, k, l] + np.einsum(
-                    "eqm,eqm->eq", a_q[:, :, k, :], gradn_at_q[l]
+            def load(k, l):
+                scal = flux[l, :, :, k] - self.mean(flux[l, :, :, k])
+                return assemble_load_from_samples(
+                    grid, quad, scal, -n_at_q[l][:, :, None] * a_q[:, :, k, :]
                 )
-                scal = scal - self.mean(scal)
-                flux = -n_at_q[l][:, :, None] * a_q[:, :, k, :]
-                rhs = assemble_load_from_samples(
-                    grid, quad, scalar_samples=scal, flux_samples=flux
-                )
-                raw[(k, l)] = self.solve(rhs, opts, diagnostics)
 
-        out = {}
-        for k in range(dim):
-            for l in range(k, dim):
-                sym = 0.5 * (raw[(k, l)] + raw[(l, k)])
-                sym -= sym.mean()
-                if diagnostics is not None:
-                    diagnostics.max_corrector_mean = max(
-                        diagnostics.max_corrector_mean, abs(float(sym.mean()))
-                    )
-                out[(k, l)] = sym
-        self._hessian = out
-        return out
+            self._hessian = {
+                (k, l): self.solve(
+                    load(k, l) if k == l else 0.5 * (load(k, l) + load(l, k)), opts, diagnostics
+                )
+                for k in range(grid.dim) for l in range(k, grid.dim)
+            }
+        return self._hessian
 
     def source_corrector(self, opts=SolverOptions(), diagnostics=None):
         """Zero-mean periodic field driven by the mean-free part of the source.
@@ -524,18 +530,15 @@ class CellSample:
             return self.base.tangents(first_fields, opts, diagnostics)
         if self._tangents is None:
             grid, quad = self.grid, self.quad
-            out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
-            for m in range(grid.dim):
-                corrected = field_gradients_at_quad(grid, first_fields[m], quad)
-                corrected[:, :, m] += 1.0
-                for p, da in enumerate(self.da_q):
-                    if np.any(da):
-                        flux = -np.einsum("eqij,eqj->eqi", da, corrected)
-                        out[p, m] = self.solve(
-                            assemble_load_from_samples(grid, quad, flux_samples=flux),
+            flux = self.corrected_flux(first_fields)
+            self._tangents = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
+            for p, da in enumerate(self.da_q):
+                if np.any(da):
+                    for m in range(grid.dim):
+                        self._tangents[p, m] = self.solve(
+                            assemble_load_from_samples(grid, quad, flux_samples=-flux[1 + p, m]),
                             opts, diagnostics,
                         )
-            self._tangents = out
         return self._tangents
 
     def slow_correctors(self, first_fields, tangents, opts=SolverOptions(),
@@ -543,61 +546,42 @@ class CellSample:
         """Slow-variation correctors at this sample, as affine pieces.
 
         The macro derivatives of the cell data are local: the ``tangents``
-        d_pN of the first correctors and, from them, the derivatives of the
-        mean-free corrected flux h_ik = a_ik + (A grad N_k)_i,
-        d_p h_ik = d_pa_ik + (d_pa grad N_k)_i + (A grad d_pN_k)_i, whose
-        loads subtract their quadrature mean to stay orthogonal to
-        constants.  The corrector for direction k and macro gradient g is
-        ``slow0_k + sum_m g_m slowg_km``; returns those fields by name.
+        T_p = d_pN and, from them, those of the corrected flux, less their
+        quadrature mean: dh(p; i, k) = F[1 + p, k]_i + (A grad T_pk)_i.  The
+        corrector for direction k and macro gradient g is
+        ``slow0_k + sum_m g_m slowg_km``; its load is affine in g, so each
+        piece solves its own: slow0_k the scalar sum_i dh(x_i; i, k) and the
+        flux -sum_l A_:l T_{x_l}k, slowg_km the scalar dh(u; m, k) and the
+        flux -(A_:m T_uk + N_m F[1, k]), whose last term is the order-eps
+        coefficient a(u0 + eps N_m d_m u0).  Returns those fields by name.
         """
         grid, quad, a_q = self.grid, self.quad, self.a_q
         dim = grid.dim
-        da_du = self.da_q[0]
-        n_at_q = [field_values_at_quad(grid, first_fields[m], quad) for m in range(dim)]
-        gradn_at_q = [field_gradients_at_quad(grid, first_fields[m], quad) for m in range(dim)]
-        # (1 + dim) axes of per-direction values and gradients of d_pN
-        dn_at_q = [[field_values_at_quad(grid, t, quad) for t in axis] for axis in tangents]
-        dgradn_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis] for axis in tangents]
+        flux = self.corrected_flux(first_fields)
+        n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in first_fields]
+        # (1 + dim) axes of per-direction values and gradients of the tangents
+        t_at_q = [[field_values_at_quad(grid, t, quad)[:, :, None] for t in axis]
+                  for axis in tangents]
+        dt_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis] for axis in tangents]
 
-        def dh_load(p, i, k):
-            # load of d_p h_ik; exactly zero along an axis the cell data ignores
-            da = self.da_q[p]
-            if not np.any(da):
-                return np.zeros(grid.ndof)
-            dh = (
-                da[:, :, i, k]
-                + np.einsum("eqm,eqm->eq", da[:, :, i, :], gradn_at_q[k])
-                + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dgradn_at_q[p][k])
-            )
-            return assemble_load_from_samples(grid, quad, scalar_samples=dh - self.mean(dh))
+        def dh(p, i, k):
+            v = flux[1 + p, k, :, :, i] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dt_at_q[p][k])
+            return v - self.mean(v)
 
-        def rhs_for(k, grad, dload_du, dload_dx):
-            # total macro derivative of the corrector: explicit part + chain rule
-            v = np.stack(
-                [dn_at_q[1 + l][k] + grad[l] * dn_at_q[0][k] for l in range(dim)], axis=-1
-            )  # (E,Q,dim)
-            # order-eps coefficient of a(u0 + eps u1): u1 da/du, u1 = N_m d_m u0
-            u1_q = sum(grad[m] * n_at_q[m] for m in range(dim))
-            a1_q = u1_q[:, :, None, None] * da_du
-            flux = -(
-                np.einsum("eqil,eql->eqi", a_q, v)
-                + a1_q[:, :, :, k]
-                + np.einsum("eqil,eql->eqi", a1_q, gradn_at_q[k])
-            )
-            rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
-            for i in range(dim):
-                rhs += dload_dx[i] + grad[i] * dload_du[i]
-            return rhs
+        def solve(scalar, flux_samples):
+            rhs = assemble_load_from_samples(grid, quad, scalar, flux_samples)
+            return self.solve(rhs, opts, diagnostics)
 
         fields = {}
         for k in range(dim):
-            dload_du = [dh_load(0, i, k) for i in range(dim)]
-            dload_dx = [dh_load(1 + i, i, k) for i in range(dim)]
-            q0 = self.solve(rhs_for(k, np.zeros(dim), dload_du, dload_dx), opts, diagnostics)
-            fields[f"slow0_{k}"] = q0
+            fields[f"slow0_{k}"] = solve(
+                sum(dh(1 + i, i, k) for i in range(dim)),
+                -sum(a_q[:, :, :, l] * t_at_q[1 + l][k] for l in range(dim)),
+            )
             for m in range(dim):
-                rhs = rhs_for(k, np.eye(dim)[m], dload_du, dload_dx)
-                fields[f"slowg_{k}{m}"] = self.solve(rhs, opts, diagnostics) - q0
+                fields[f"slowg_{k}{m}"] = solve(
+                    dh(0, m, k), -(a_q[:, :, :, m] * t_at_q[0][k] + n_at_q[m] * flux[1, k])
+                )
         return fields
 
 

@@ -104,18 +104,21 @@ def _is_power_of_two(n) -> bool:
 
 def parse_eps_list(raw) -> list:
     """Accept numbers or "1/k" strings; values must be reciprocals of integers."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigurationError(f"eps must be a nonempty list, got {raw!r}")
     out = []
     for item in raw:
-        if isinstance(item, str):
-            if "/" in item:
+        try:
+            if isinstance(item, str) and "/" in item:
                 num, den = item.split("/")
                 val = float(num) / float(den)
             else:
                 val = float(item)
-        else:
-            val = float(item)
-        k = 1.0 / val
-        if not 0.0 < val < 1.0 or abs(k - round(k)) > 1e-9:
+            k = 1.0 / val
+            valid = 0.0 < val < 1.0 and abs(k - round(k)) <= 1e-9
+        except (TypeError, ValueError, ArithmeticError):
+            valid = False
+        if not valid:
             raise ConfigurationError(f"eps values must be 1/k for integer k, got {item}")
         out.append(1.0 / round(k))
     if sorted(out, reverse=True) != out:
@@ -174,12 +177,18 @@ class ExperimentConfig:
             raise ConfigurationError("bad nonlinear section")
 
         cfg["study"]["eps"] = parse_eps_list(cfg["study"]["eps"])
-        box = np.asarray(cfg["study"]["interior_box"], dtype=float)
+        try:
+            box = np.asarray(cfg["study"]["interior_box"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError("interior_box must hold numbers") from None
         if box.ndim == 1:
             if box.shape != (2,):
                 raise ConfigurationError("interior_box must be [lo, hi] or per-axis")
         elif box.shape != (dim, 2):
             raise ConfigurationError("interior_box per-axis shape mismatch")
+        lo, hi = np.broadcast_to(box, (dim, 2)).T
+        if not np.all((0.0 < lo) & (lo < hi) & (hi < 1.0)):
+            raise ConfigurationError("interior_box must satisfy 0 < lo < hi < 1 on every axis")
         if not 0.0 < cfg["study"]["beta"] < 1.0:
             raise ConfigurationError("beta must lie in (0, 1)")
         if any(o not in (0, 1, 2) for o in cfg["study"]["orders"]):

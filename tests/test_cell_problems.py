@@ -25,7 +25,13 @@ from twoscale.coefficients import (
     SourceModel,
 )
 from twoscale.errors import CompatibilityError, ConfigurationError
-from twoscale.fem import SolverOptions, assemble_load
+from twoscale.fem import (
+    SolverOptions,
+    assemble_load,
+    assemble_load_from_samples,
+    field_gradients_at_quad,
+    field_values_at_quad,
+)
 from twoscale.grids import CellGrid
 
 
@@ -417,26 +423,85 @@ def slow_at(table, u, x, grad):
     return out
 
 
-def test_slow_corrector_solve_matches_table_and_threads_agree():
-    # at a lattice sample the recombination reads the stored affine pieces
-    _, _, table, tensors, _ = separated_2d_table()
-    pgrid = table.param_grid
-    for multi in [(1, 1, 1), (2, 2, 0)]:
-        flat = pgrid.ravel(multi)
-        assert np.max(np.abs(table.fields["slowg_00"][flat])) > 1e-4  # not vacuous
-        for grad in ([0.0, 0.0], [0.3, -0.2]):
-            q = slow_at(table, *pgrid.coords(multi), grad)
-            for k in range(2):
-                stored = table.fields[f"slow0_{k}"][flat].copy()
-                for m in range(2):
-                    stored += grad[m] * table.fields[f"slowg_{k}{m}"][flat]
-                assert np.array_equal(q[k], stored)
+def full_slow_load(sample, first, tangents, k, grad):
+    """The load of the slow corrector for direction k and macro gradient
+    ``grad`` in one piece, before its affine split: the flux
+    -(A v + a1 (e_k + grad N_k)) with v_l = d_{x_l}N_k + g_l d_uN_k and
+    a1 = (sum_m g_m N_m) dA/du, plus the mean-free scalars
+    d_{x_i}h_ik + g_i d_uh_ik of h_ik = (A (e_k + grad N_k))_i."""
+    grid, quad, a_q, da_q = sample.grid, sample.quad, sample.a_q, sample.da_q
+    dim = grid.dim
+    values = lambda f: field_values_at_quad(grid, f, quad)
+    gradients = lambda f: field_gradients_at_quad(grid, f, quad)
+    v = np.stack(
+        [values(tangents[1 + l, k]) + grad[l] * values(tangents[0, k]) for l in range(dim)],
+        axis=-1,
+    )
+    a1 = sum(grad[m] * values(first[m]) for m in range(dim))[:, :, None, None] * da_q[0]
+    flux = -(
+        np.einsum("eqil,eql->eqi", a_q, v)
+        + a1[:, :, :, k]
+        + np.einsum("eqil,eql->eqi", a1, gradients(first[k]))
+    )
+    rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
+    for i in range(dim):
+        for p, weight in ((1 + i, 1.0), (0, grad[i])):
+            dh = (
+                da_q[p][:, :, i, k]
+                + np.einsum("eqm,eqm->eq", da_q[p][:, :, i, :], gradients(first[k]))
+                + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], gradients(tangents[p, k]))
+            )
+            rhs += weight * assemble_load_from_samples(
+                grid, quad, scalar_samples=dh - sample.mean(dh)
+            )
+    return rhs
 
+
+def test_slow_corrector_solve_matches_table_and_threads_agree():
+    # the stored affine pieces recombine to the solve of the whole load
+    model = RosselandCoefficient(
+        2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0, u_range=(0.2, 1.0)
+    )
+    grid = CellGrid(2, 16)
+    pgrid = default_parameter_grid(model, n_u=3)
+    table, _ = build_corrector_tables(model, pgrid, grid)
+    u, x = pgrid.coords((1, 0, 0))
+    sample = CellSample(model, u, x, grid)
+    first = sample.first_correctors()
+    tangents = sample.tangents(first)
+    grad = [0.3, -1.7]
+    q = slow_at(table, u, x, grad)
+    for k in range(2):
+        oracle = sample.solve(full_slow_load(sample, first, tangents, k, grad), SolverOptions())
+        sup = np.max(np.abs(oracle))
+        assert sup > 1e-4  # not vacuous
+        assert np.max(np.abs(q[k] - oracle)) <= 1e-12 * sup, k
+
+    _, _, t1, e1, _ = separated_2d_table()
     t2, e2 = separated_2d_table(threads=2)[2:4]
-    for name in table.fields:
-        assert np.array_equal(table.fields[name], t2.fields[name]), name
-    assert np.array_equal(tensors.values, e2.values)
-    assert np.array_equal(tensors.source_means, e2.source_means)
+    for name in t1.fields:
+        assert np.array_equal(t1.fields[name], t2.fields[name]), name
+    assert np.array_equal(e1.values, e2.values)
+    assert np.array_equal(e1.source_means, e2.source_means)
+
+
+def test_hessian_solves_one_symmetrized_load_per_pair(monkeypatch):
+    model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
+    sample = CellSample(model, 0.6, [0.5, 0.5], CellGrid(2, 8))
+    first = sample.first_correctors()
+    calls = []
+    original = cell_problems.solve_periodic_zero_mean
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean", counting)
+    hess = sample.hessian_correctors(first)
+    assert not model.separable
+    assert sorted(hess) == [(0, 0), (0, 1), (1, 1)]
+    assert np.max(np.abs(hess[(0, 1)])) > 1e-4
+    assert len(calls) == 3
 
 
 def test_slow_corrector_2d_separated_scaling():

@@ -379,6 +379,30 @@ def test_config_error_exit_code(tmp_path):
     assert main(["study", "--config", write_config(tmp_path, payload)]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    "study.eps=[0]",
+    'study.eps=["1/0"]',
+    'study.eps=["abc"]',
+    "study.eps=[]",
+    "study.eps=5",
+    "study.interior_box=[[0.25,0.75],[0.5,1.0]]",  # touches the boundary
+    "study.interior_box=[[0.75,0.25],[0.25,0.75]]",  # reversed
+    "study.interior_box=[0.0,0.5]",
+    'study.interior_box=["a",0.5]',
+    "study.interior_box=[[0.25,0.75],[0.25]]",
+])
+def test_bad_eps_and_interior_box_rejected_at_load(tmp_path, capsys, override):
+    payload = json.loads(json.dumps(BASE_1D))
+    payload["problem"]["dim"] = 2
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigurationError):
+        load_config(path, overrides=[override])
+    out = tmp_path / "bad"
+    assert main(["study", "--config", path, "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_study_manifest_records_stage_telemetry(tmp_path):
     out = tmp_path / "out"
     assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out)]) == 0
