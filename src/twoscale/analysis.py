@@ -8,11 +8,11 @@ concern the gradient itself and smoothing would flatter the rates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 from .fem import (
@@ -282,6 +282,44 @@ class RateFit:
         }
 
 
+def student_t_quantile(dof: int, p: float) -> float:
+    """The ``p`` quantile, 0.5 < p < 1, of Student's t with integer ``dof``.
+
+    The two-sided probability A(t | dof) = P(|T| <= t) has a closed form
+    (Abramowitz & Stegun 26.7.3-4) in theta = arctan(t / sqrt(dof)): a
+    series in c2 = cos(theta)^2, which A falls with.  Bisection runs on c2
+    itself, so the powers of c2 carry no rounding of a cosine, and finds
+    A = 2p - 1 to the last bit of c2.
+    """
+    target = 2.0 * p - 1.0
+
+    def two_sided(c2):
+        s = math.sqrt(1.0 - c2)
+        total = term = 1.0
+        if dof % 2 == 0:
+            for k in range(1, dof // 2):
+                term *= c2 * (2 * k - 1) / (2 * k)
+                total += term
+            return s * total
+        if dof == 1:
+            total = 0.0
+        for k in range(1, (dof - 1) // 2):
+            term *= c2 * (2 * k) / (2 * k + 1)
+            total += term
+        c = math.sqrt(c2)
+        return 2.0 / math.pi * (math.atan2(s, c) + s * c * total)
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.sqrt(dof * (1.0 - mid) / mid)
+        if two_sided(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def fit_rate(pairs) -> RateFit:
     """Fit the convergence order from (eps, error) pairs.
 
@@ -305,7 +343,7 @@ def fit_rate(pairs) -> RateFit:
     sxx = float(np.sum((x - x.mean()) ** 2))
     if dof > 0 and sxx > 0:
         se = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-        t = float(special.stdtrit(dof, 0.975))
+        t = student_t_quantile(dof, 0.975)
         ci = (slope - t * se, slope + t * se)
     else:
         se = 0.0

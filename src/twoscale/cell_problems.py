@@ -230,11 +230,13 @@ class CorrectorTable:
         return self.cell_grid.dim
 
     def gradient_stack(self, name: str) -> np.ndarray:
-        """(n_samples, ndof, dim) of recovered fast-variable nodal gradients."""
+        """(n_samples, ndof, dim) of recovered fast-variable nodal gradients;
+        a stack stored once for every sample gets its gradient the same way."""
         if name not in self._gradients:
-            self._gradients[name] = np.stack(
-                [periodic_fd_gradient(self.cell_grid, row) for row in self.fields[name]], axis=0
-            )
+            stack = self.fields[name]
+            rows = stack[:1] if stack.strides[0] == 0 else stack
+            grads = np.stack([periodic_fd_gradient(self.cell_grid, row) for row in rows], axis=0)
+            self._gradients[name] = np.broadcast_to(grads, stack.shape + (self.dim,))
         return self._gradients[name]
 
     def parameter_derivative_stack(self, name: str, axis: int) -> np.ndarray:
@@ -336,6 +338,7 @@ class CellSample:
             pts = np.where(pts >= 1.0, pts - 1.0, pts)
         self.points = pts
         self._first = self._hessian = self._tangents = self._flux = None
+        self._flux_derivatives = False
 
     def mean(self, samples) -> float:
         """Cell average of quad-point samples (E, Q)."""
@@ -411,24 +414,29 @@ class CellSample:
             ]
         return self._first
 
-    def corrected_flux(self, first_fields) -> np.ndarray:
+    def corrected_flux(self, first_fields, derivatives=True) -> np.ndarray:
         """F[0, m] = A (e_m + grad N_m) and F[1 + p, m] = d_pA (e_m + grad N_m)
         for p = u, x_0, ... at the quadrature points, (2 + dim, dim, E, Q,
         dim): every corrector load past the first reads it.  An axis along
-        which the coefficient does not vary gets zeros.  Computed on the
-        first call and kept.
+        which the coefficient does not vary gets zeros.  F[0] is computed on
+        the first call and the derivative rows on the first call that asks
+        for them, so a caller that reads only F[0] (``derivatives=False``)
+        never evaluates the parameter derivatives of A; both are kept.
         """
+        grid, quad = self.grid, self.quad
+        rows = []  # (row of F, coefficient) filled by this call
         if self._flux is None:
-            grid, quad = self.grid, self.quad
             self._flux = np.zeros((2 + grid.dim, grid.dim) + self.quad_shape + (grid.dim,))
-            coefficients = [self.a_q, *self.da_q]
-            live = [np.any(c) for c in coefficients]
-            for m in range(grid.dim):
-                corrected = field_gradients_at_quad(grid, first_fields[m], quad)  # (E,Q,n)
-                corrected[:, :, m] += 1.0
-                for p, c in enumerate(coefficients):
-                    if live[p]:
-                        self._flux[p, m] = np.einsum("eqij,eqj->eqi", c, corrected)
+            rows.append((0, self.a_q))
+        if derivatives and not self._flux_derivatives:
+            rows += [(1 + p, da) for p, da in enumerate(self.da_q)]
+            self._flux_derivatives = True
+        rows = [(p, c) for p, c in rows if np.any(c)]
+        for m in range(grid.dim if rows else 0):
+            corrected = field_gradients_at_quad(grid, first_fields[m], quad)  # (E,Q,n)
+            corrected[:, :, m] += 1.0
+            for p, c in rows:
+                self._flux[p, m] = np.einsum("eqij,eqj->eqi", c, corrected)
         return self._flux
 
     def effective_tensor(self, first_fields, diagnostics=None) -> np.ndarray:
@@ -441,7 +449,7 @@ class CellSample:
         """
         grid, quad, a_q, model = self.grid, self.quad, self.a_q, self.model
         dim = grid.dim
-        flux = self.corrected_flux(first_fields)[0]
+        flux = self.corrected_flux(first_fields, derivatives=False)[0]
         a0 = np.zeros((dim, dim))
         for j in range(dim):
             a0[:, j] = np.einsum("eqi,q->i", flux[j], quad.weights) * grid.spacing**dim
@@ -489,7 +497,7 @@ class CellSample:
             return self.base.hessian_correctors(first_fields, opts, diagnostics)
         if self._hessian is None:
             grid, quad, a_q = self.grid, self.quad, self.a_q
-            flux = self.corrected_flux(first_fields)[0]
+            flux = self.corrected_flux(first_fields, derivatives=False)[0]
             n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
 
             def load(k, l):
@@ -693,16 +701,32 @@ def build_corrector_tables(
     results = [sample_pass(multis[0])]
     results += _map_samples(sample_pass, multis[1:], threads)
 
-    fields = {name: np.zeros((n_samples, grid.ndof)) for name in corrector_field_names(dim)}
-    tangents = {f"first_{m}": np.zeros((1 + dim, n_samples, grid.ndof)) for m in range(dim)}
+    # a separable table's first, hessian and tangent stacks are its base's
+    # rows, stored once and broadcast, read-only, over the samples
+    base_fields, base_tangents = results[0][:2]
+    shared = set() if base is None else {
+        name for name in base_fields if name.startswith(("first_", "hess_"))
+    }
+    fields = {
+        name: np.broadcast_to(base_fields[name], (n_samples, grid.ndof)) if name in shared
+        else np.zeros((n_samples, grid.ndof))
+        for name in corrector_field_names(dim)
+    }
+    tangents = {
+        f"first_{m}": np.zeros((1 + dim, n_samples, grid.ndof)) if base is None
+        else np.broadcast_to(base_tangents[:, m, None], (1 + dim, n_samples, grid.ndof))
+        for m in range(dim)
+    }
     tensor_vals = np.zeros((n_samples, dim, dim))
     source_means = np.zeros(n_samples)
     diagnostics = BuildDiagnostics()
     for flat, (sample_fields, sample_tangents, a0, fbar, diag) in enumerate(results):
         for name, v in sample_fields.items():
-            fields[name][flat] = v
-        for m in range(dim):
-            tangents[f"first_{m}"][:, flat] = sample_tangents[:, m]
+            if name not in shared:
+                fields[name][flat] = v
+        if base is None:
+            for m in range(dim):
+                tangents[f"first_{m}"][:, flat] = sample_tangents[:, m]
         tensor_vals[flat] = a0
         source_means[flat] = fbar
         diagnostics.absorb(diag)

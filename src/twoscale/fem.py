@@ -3,46 +3,54 @@
 Assembly of variable-coefficient stiffness matrices and load vectors with
 tensor Gauss quadrature, plus linear solvers in two constraint flavours:
 Dirichlet elimination on the box, and zero-mean projection on the periodic
-cell.  Every periodic cell system, and every 1-D box system, is factored
-exactly by sparse LU; the singular periodic one is made nonsingular by
-pinning one node, and the solution is then projected to mean zero.  A
-:class:`PeriodicFactor` carries that factor from one solve to the next, so
-the solves against one cell operator share one factorization.  The 2-D box
-is solved by conjugate gradients preconditioned with a geometric multigrid
-V-cycle built once per solve: bilinear prolongation on the interior nodes,
-Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
-contract on every level and a sparse-LU coarsest level, which keeps the
-iteration count flat as the grid is refined.
+cell.  Every periodic cell system is factored exactly by sparse LU; the
+singular periodic one is made nonsingular by pinning one node, and the
+solution is then projected to mean zero.  A :class:`PeriodicFactor`
+carries that factor from one solve to the next, so the solves against one
+cell operator share one factorization.  Every 1-D box system is SPD
+tridiagonal and goes to LAPACK's ``dptsv`` (LDL^T, O(n)) as its interior
+diagonal and super-diagonal.  The 2-D box is solved by conjugate gradients
+preconditioned with a geometric multigrid V-cycle built once per solve:
+bilinear prolongation on the interior nodes, Galerkin coarse operators
+P^T A P, damped-Jacobi smoothing weighted to contract on every level and a
+sparse-LU coarsest level, which keeps the iteration count flat as the grid
+is refined.
 
-Assembly is a matrix-product kernel.  The coefficient samples at the
-quadrature points, reshaped to (E, Q*dim*dim), multiply one reference
-tensor of weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving
-every element matrix at once; load vectors are the same kind of product
-with weighted basis values or gradients, and the values or gradients of a
-nodal field at the quadrature points are its element values (E, C) times
-the basis values or gradients, which each rule tabulates once.  The element
-connectivity comes from the grid, which computes it once.  Coefficient evaluators are called
-once per quadrature point, with one point per element; a state-dependent
-evaluator also receives a nodal state read at those points through the
-element connectivity (a gather, since the element of every quadrature
-point is known), so no point location runs on a grid's own quadrature
-points.  Element contributions are accumulated in a fixed element order
-so repeated runs are bitwise reproducible regardless of how callers
+Every stiffness matrix comes from one stencil kernel.  Over chunks of
+element rows, the coefficient samples at the quadrature points, reshaped
+to (E, Q*dim*dim), multiply one reference tensor of weighted Q1 gradient
+products, shape (Q*dim*dim, C*C), giving the element matrices, which are
+added by shifted slices into the 3^dim-point stencil of every node; the
+CSR matrix then takes its values from the stencil through the int32
+pattern the grid computes once, so the peak memory is the matrix, its
+stencil and one chunk.  Load vectors are the same kind of product with
+weighted basis values or gradients, scattered by ``bincount``, and the
+values or gradients of a nodal field at the quadrature points are its
+element values (E, C) times the basis values or gradients, which each
+rule tabulates once.  Coefficient evaluators are called once per
+quadrature point, with one point per element; a state-dependent evaluator
+also receives a nodal state read at those points through the element
+connectivity (a gather, since the element of every quadrature point is
+known), so no point location runs on a grid's own quadrature points.
+Element contributions are accumulated in a fixed element order so
+repeated runs are bitwise reproducible regardless of how callers
 parallelize around this module.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import MacroGrid, corner_offsets, lattice_corners
+from .grids import CellGrid, MacroGrid, corner_offsets, lattice_corners
 
 
 @dataclass(frozen=True)
@@ -134,9 +142,13 @@ def q1_gradients(xi: np.ndarray) -> np.ndarray:
     return grads
 
 
-def element_quad_points(grid, quad: QuadratureRule) -> np.ndarray:
-    """Physical coordinates of all quadrature points, shape (E, Q, dim)."""
-    origins = grid.element_origins()
+def element_quad_points(grid, quad: QuadratureRule, elements=slice(None)) -> np.ndarray:
+    """Physical coordinates of the quadrature points of ``elements``, a slice
+    of the element order (all of them by default), shape (E, Q, dim)."""
+    ids = range(grid.n_elements)[elements]
+    ids = np.arange(ids.start, ids.stop, ids.step)
+    origins = np.stack(np.unravel_index(ids, (grid.cells_per_side,) * grid.dim), axis=-1)
+    origins = origins * grid.spacing
     return origins[:, None, :] + quad.points[None, :, :] * grid.spacing
 
 
@@ -160,17 +172,19 @@ def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
     return float(np.einsum("eq,q->", samples, quad.weights) * cell_measure)
 
 
-def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple, state=None) -> np.ndarray:
-    """``fn`` at every quadrature point, shape (E, Q, *tail).
+def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple, state=None,
+                  elements=slice(None)) -> np.ndarray:
+    """``fn`` at the quadrature points of ``elements`` (a slice of the element
+    order, all of them by default), shape (E, Q, *tail).
 
     ``fn`` is called once per quadrature point with one point per element,
     which bounds the size of its temporaries on large grids: as
     ``fn(points)``, or, given nodal ``state`` values on ``grid``, as
     ``fn(u, points)`` with ``u`` the state's Q1 interpolant at those points,
-    read by :func:`field_values_at_quad` (a gather, no point location).
+    read through the element connectivity (a gather, no point location).
     """
-    pts = element_quad_points(grid, quad)
-    u_q = None if state is None else field_values_at_quad(grid, state, quad)
+    pts = element_quad_points(grid, quad, elements)
+    u_q = None if state is None else np.asarray(state)[grid.element_dofs()[elements]] @ quad.basis.T
     out = np.empty(pts.shape[:2] + tail)
     for q in range(pts.shape[1]):
         args = (pts[:, q, :],) if u_q is None else (u_q[:, q], pts[:, q, :])
@@ -194,6 +208,11 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     return ref.reshape(n_q * dim * dim, n_loc * n_loc)
 
 
+# elements per pass of the stiffness kernel: bounds the coefficient samples
+# and element matrices alive at once
+_CHUNK_ELEMENTS = 1 << 15
+
+
 def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_matrix:
     """Assemble the variable-coefficient stiffness matrix.
 
@@ -202,34 +221,84 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_
     quadrature point with one point per element, or the samples themselves,
     shape (E, Q, dim, dim).  With nodal ``state`` values on ``grid``, the
     evaluator is called as ``coeff(u, points)`` instead, ``u`` (K,) being
-    the state at those points (see :func:`_eval_at_quad`).  All element
-    matrices come from one matrix product with :func:`_stiffness_reference`.
-    On a cell grid the element corner indices wrap, which realizes the
-    periodic identification.
-    """
-    dofs = grid.element_dofs()
-    n_el, n_loc = dofs.shape
-    tail = (grid.dim, grid.dim)
-    if callable(coeff):
-        a = _eval_at_quad(grid, quad, coeff, tail, state)
-    else:
-        a = np.asarray(coeff, dtype=float)
-        if a.shape != (n_el, len(quad.weights)) + tail:
-            raise AssemblyError(f"coefficient samples have shape {a.shape}")
-    finite = np.isfinite(a).reshape(n_el, -1).all(axis=1)
-    if not finite.all():
-        raise AssemblyError(f"non-finite coefficient at element {int(np.argmin(finite))}")
-    local = a.reshape(n_el, -1) @ _stiffness_reference(grid, quad)  # (E, C*C)
-    del a  # evaluated samples are not needed while the scatter arrays exist
+    the state at those points (see :func:`_eval_at_quad`).
 
-    rows = np.repeat(dofs, n_loc, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, n_loc)).reshape(-1)
-    mat = sp.coo_matrix(
-        (local.reshape(-1), (rows, cols)), shape=(grid.ndof, grid.ndof)
-    ).tocsr()
+    The kernel runs over chunks of whole element rows: it evaluates the
+    coefficient there, makes the element matrices by one matrix product
+    with :func:`_stiffness_reference`, and adds them into the stencil of
+    every node of the element corner lattice (see
+    :func:`~twoscale.grids._stencil_pattern`) by shifted-slice adds.  The
+    elements of a node, in increasing order, are those at which it is
+    corner b for b decreasing, so every entry sums its element terms in
+    element order, as a scatter would.  A cell grid then folds its corner
+    lattice's far faces onto the near ones, which is the periodic
+    identification, and the CSR matrix takes its values from the stencil
+    through the grid's cached pattern.
+    """
+    dim, m = grid.dim, grid.cells_per_side
+    n_q = len(quad.weights)
+    tail = (dim, dim)
+    if not callable(coeff):
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (grid.n_elements, n_q) + tail:
+            raise AssemblyError(f"coefficient samples have shape {coeff.shape}")
+    ref = _stiffness_reference(grid, quad)
+    offs = corner_offsets(dim)
+    n_loc = len(offs)
+    # offsets first, so that every shifted-slice add runs over contiguous rows
+    stencil = np.zeros((3,) * dim + (m + 1,) * dim)
+    row = m ** (dim - 1)  # elements per element row
+    # balanced chunks: none is a lone 1-D element, which an evaluator would
+    # take for a single point
+    n_chunks = -(-m // max(1, _CHUNK_ELEMENTS // row))
+    lo, hi = np.zeros(dim, dtype=int), np.full(dim, m)  # a chunk's element range per axis
+    for i in range(n_chunks):
+        r0, r1 = m * i // n_chunks, m * (i + 1) // n_chunks
+        lo[0], hi[0] = r0, r1
+        elements = slice(r0 * row, r1 * row)
+        if callable(coeff):
+            a = _eval_at_quad(grid, quad, coeff, tail, state, elements)
+        else:
+            a = coeff[elements]
+        finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+        if not finite.all():
+            raise AssemblyError(
+                f"non-finite coefficient at element {elements.start + int(np.argmin(finite))}"
+            )
+        local = np.empty((n_loc * n_loc, len(a)))  # one row per element-matrix entry
+        np.matmul(a.reshape(len(a), -1), ref, out=local.T)
+        local = local.reshape((n_loc, n_loc, r1 - r0) + (m,) * (dim - 1))
+        for b in reversed(range(n_loc)):
+            nodes = tuple(map(slice, lo + offs[b], hi + offs[b]))
+            for c in range(n_loc):
+                stencil[tuple(1 + offs[c] - offs[b]) + nodes] += local[b, c]
+    periodic = isinstance(grid, CellGrid)
+    n = m if periodic else m + 1  # nodes per side
+    if periodic:
+        for d in range(dim):
+            stencil[(slice(None),) * (dim + d) + (0,)] += stencil[(slice(None),) * (dim + d) + (m,)]
     if __debug__:
-        asym = abs(mat - mat.T).max()
-        scale = max(abs(mat).max(), 1.0)
+        # entry [o, x] against [-o, x + o], wrapped, in blocks of node rows;
+        # off the box grid both are zero
+        nodes = stencil[(Ellipsis,) + (slice(0, n),) * dim]
+        asym = 0.0
+        for o in np.array(list(itertools.product((-1, 0, 1), repeat=dim))):
+            for r in range(0, n, 256):
+                rows = np.arange(r, min(n, r + 256))
+                diff = nodes[tuple(1 - o)].take(rows + o[0], axis=0, mode="wrap")
+                diff = np.roll(diff, tuple(-o[1:]), tuple(range(1, dim)))
+                diff -= nodes[tuple(1 + o)][rows]
+                asym = max(asym, float(np.abs(diff).max()))
+
+    indptr, indices, keep = grid.stencil_pattern()
+    data = np.moveaxis(stencil, tuple(range(dim)), tuple(range(dim, 2 * dim)))[keep]
+    if periodic:  # wrapped columns come out of order, and may repeat
+        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.ndof, grid.ndof))
+        mat.sum_duplicates()
+    else:
+        mat = sp.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
+    if __debug__:
+        scale = max(float(mat.data.max()), -float(mat.data.min()), 1.0)
         if asym > 1e-12 * scale:
             raise AssemblyError(f"assembled matrix asymmetry {asym:.3e}")
     return mat
@@ -293,7 +362,7 @@ class SolverOptions:
     ``tol`` (relative residual) and ``max_iter`` (default 10x the DOF
     count) steer only the multigrid-preconditioned conjugate gradient of
     the 2-D box solves; the direct solves (every periodic cell and every
-    1-D box) are exact and ignore them.  ``compat_tol`` is the relative
+    1-D box) ignore them.  ``compat_tol`` is the relative
     bound on the rhs functional applied to constants before a periodic
     solve.
     """
@@ -477,20 +546,26 @@ def solve_dirichlet(
     exactly.
 
     Only the interior equations are solved; the returned full nodal vector
-    is exactly zero on the boundary.  A 1-D grid's reduced system is solved
-    directly, a 2-D one by CG preconditioned with a multigrid V-cycle.
+    is exactly zero on the boundary.  A 1-D grid's reduced system is
+    tridiagonal and solved directly from its two bands (``matrix`` must be
+    symmetric: its super-diagonal stands for both), raising
+    :class:`NonConvergenceError` unless it is positive definite; a 2-D one
+    is solved by CG preconditioned with a multigrid V-cycle.
     """
-    free = grid.interior_dofs()
-    rhs = rhs[free]
-    reduced = matrix[free][:, free].tocsr()
-    if grid.dim == 1:
-        x_free = _lu(reduced).solve(rhs)
-    else:
-        max_iter = opts.max_iter or 10 * max(len(free), 1)
-        precond = _multigrid(reduced, grid.cells_per_side)
-        x_free, _, _ = _jacobi_pcg(reduced, rhs, opts.tol, max_iter, precond)
     out = np.zeros(grid.ndof)
-    out[free] = x_free
+    if grid.dim == 1:  # tridiagonal: LDL^T of the interior diagonal and super-diagonal
+        _, _, out[1:-1], info = lapack.dptsv(matrix.diagonal(0)[1:-1], matrix.diagonal(1)[1:-1],
+                                             rhs[1:-1])
+        if info != 0:
+            raise NonConvergenceError(
+                f"1-D Dirichlet system is not positive definite (pivot {info} of {len(out) - 2})"
+            )
+        return out
+    free = grid.interior_dofs()
+    reduced = matrix[free][:, free].tocsr()
+    max_iter = opts.max_iter or 10 * max(len(free), 1)
+    precond = _multigrid(reduced, grid.cells_per_side)
+    out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)
     return out
 
 

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special
 
 from twoscale.analysis import (
     ErrorReport,
@@ -13,6 +17,7 @@ from twoscale.analysis import (
     norm_l2,
     norm_linf,
     seminorm_h1,
+    student_t_quantile,
 )
 from twoscale.cell_problems import ParameterGrid, EffectiveTensorTable
 from twoscale.coefficients import ConstantCoefficient, RosselandCoefficient, SourceModel
@@ -262,6 +267,20 @@ def test_fit_rate_exact_lines():
 
     flat = fit_rate([(0.4, 0.3), (0.2, 0.3), (0.1, 0.3)])
     assert flat.slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_student_t_quantile_matches_scipy():
+    for dof in range(1, 201):
+        want = special.stdtrit(dof, 0.975)
+        assert abs(student_t_quantile(dof, 0.975) - want) <= 1e-14 * want, dof
+    for dof, p in [(1, 0.75), (2, 0.9), (7, 0.995), (30, 0.6)]:
+        want = special.stdtrit(dof, p)
+        assert abs(student_t_quantile(dof, p) - want) <= 1e-13 * want, (dof, p)
+
+
+def test_the_package_does_not_load_scipy_special():
+    code = "import sys, twoscale.cli; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_fit_rate_exclusions_and_scaling():

@@ -308,6 +308,15 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
         if name.startswith(("first_", "hess_")):
             assert np.max(np.abs(stack[0])) > 1e-3, name  # not vacuous
             assert all(np.array_equal(row, stack[0]) for row in stack), name
+            # the base row, stored once and broadcast read-only
+            assert stack.strides[0] == 0 and not stack.flags.writeable, name
+        else:
+            assert stack.strides[0] != 0, name
+    for name, stack in table.tangents.items():
+        assert stack.shape == (3, pgrid.size, grid.ndof)
+        assert stack.strides[1] == 0 and not stack.flags.writeable, name
+    gradients = table.gradient_stack("first_0")
+    assert gradients.shape == (pgrid.size, grid.ndof, 2) and gradients.strides[0] == 0
 
     # the shared rows are those of a solve at any sample, here the far corner
     far = tuple(n - 1 for n in pgrid.shape)
@@ -384,6 +393,29 @@ def test_tangents_are_exact_zeros_without_parameter_dependence(monkeypatch):
         assert np.max(np.abs(first[0])) > 1e-3
         assert np.all(sample.tangents(first) == 0.0)
     assert len(calls) == 2  # the first-corrector factors, nothing for the tangents
+
+
+def test_effective_tensor_and_hessian_read_no_coefficient_derivative(monkeypatch):
+    model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
+    grid = CellGrid(2, 8)
+    calls = []
+    for name in ("eval_da_du", "eval_da_dx"):
+        original = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, _f=original: calls.append(1) or _f(*args))
+    sample = CellSample(model, 0.6, [0.5, 0.5], grid)
+    first = sample.first_correctors()
+    a0 = sample.effective_tensor(first)
+    sample.hessian_correctors(first)
+    assert calls == []
+    tangents = sample.tangents(first)
+    assert len(calls) == 2 and np.max(np.abs(tangents[0])) > 1e-3
+    sample.slow_correctors(first, tangents)
+    assert len(calls) == 2  # the derivative rows are made once
+
+    # the full flux first gives the same tensor, bit for bit
+    full = CellSample(model, 0.6, [0.5, 0.5], grid)
+    full.corrected_flux(full.first_correctors())
+    assert np.array_equal(full.effective_tensor(full.first_correctors()), a0)
 
 
 def test_non_separable_table_assembles_and_factors_one_operator_per_sample(monkeypatch):

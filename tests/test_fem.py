@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from twoscale import fem
 from twoscale.coefficients import RosselandCoefficient, SourceModel
 from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceError
 from twoscale.fem import (
@@ -11,6 +12,7 @@ from twoscale.fem import (
     _inverse_diagonal,
     _jacobi_pcg,
     _multigrid,
+    _stiffness_reference,
     assemble_load,
     assemble_load_from_samples,
     assemble_stiffness,
@@ -587,3 +589,136 @@ def test_multigrid_factors_the_coarsest_level_of_an_odd_grid():
     # minimum degree ordering factors this grid in half the time of COLAMD
     exact = sp.linalg.spsolve(reduced.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def coo_stiffness(grid, samples, quad):
+    """The scatter assembly the stencil kernel replaced: element matrices
+    from one matrix product, scattered through COO rows and columns and
+    summed by the CSR conversion."""
+    dofs = grid.element_dofs()
+    n_el, n_loc = dofs.shape
+    local = samples.reshape(n_el, -1) @ _stiffness_reference(grid, quad)
+    rows = np.repeat(dofs, n_loc, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, n_loc)).reshape(-1)
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(grid.ndof, grid.ndof)).tocsr()
+
+
+def rosseland_coeff(dim):
+    k_matrix = [[2.0]] if dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
+    model = RosselandCoefficient(dim, k_matrix=k_matrix, b=0.3)
+    return lambda pts: model.eval_a(0.7, np.full(dim, 0.5), pts)
+
+
+def rosseland_samples(grid, quad):
+    pts = element_quad_points(grid, quad)
+    a = rosseland_coeff(grid.dim)(pts.reshape(-1, grid.dim))
+    return a.reshape(pts.shape[:2] + a.shape[1:])
+
+
+def same_pattern(mat, ref):
+    return (np.array_equal(mat.indptr, ref.indptr) and np.array_equal(mat.indices, ref.indices)
+            and mat.has_canonical_format)
+
+
+BOX_GRIDS = [MacroGrid(1, 2), MacroGrid(1, 64), MacroGrid(1, 101), MacroGrid(2, 2),
+             MacroGrid(2, 7), MacroGrid(2, 16), MacroGrid(2, 64), MacroGrid(2, 256)]
+
+
+@pytest.mark.parametrize("grid", BOX_GRIDS, ids=repr)
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_stencil_kernel_equals_coo_scatter_bitwise_on_box_grids(grid, n_points):
+    quad = gauss_rule(n_points, grid.dim)
+    samples = rosseland_samples(grid, quad)
+    mat, ref = assemble_stiffness(grid, samples, quad), coo_stiffness(grid, samples, quad)
+    assert same_pattern(mat, ref)
+    assert np.array_equal(mat.data, ref.data)
+
+
+@pytest.mark.parametrize("grid, chunk", [(MacroGrid(1, 101), 20), (MacroGrid(2, 13), 50)], ids=repr)
+def test_stencil_kernel_chunks_change_no_bit(monkeypatch, grid, chunk):
+    # 101 rows in chunks of at most 20, 13 rows of 13 in chunks of at most 3
+    # rows: several chunks, none a multiple of the other
+    quad = gauss_rule(2, grid.dim)
+    samples = rosseland_samples(grid, quad)
+    ref = coo_stiffness(grid, samples, quad)
+    assert np.array_equal(assemble_stiffness(grid, samples, quad).data, ref.data)  # one chunk
+    monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
+    calls = []
+
+    def coeff(pts):
+        calls.append(len(pts))
+        return rosseland_coeff(grid.dim)(pts)
+
+    for chunked in (assemble_stiffness(grid, samples, quad), assemble_stiffness(grid, coeff, quad)):
+        assert same_pattern(chunked, ref)
+        assert np.array_equal(chunked.data, ref.data)
+    # every point evaluated once, in several chunks, none of a lone point
+    assert len(calls) > len(quad.weights) and sum(calls) == grid.n_elements * len(quad.weights)
+    assert min(calls) > 1
+
+
+def test_stencil_kernel_bitwise_on_a_box_larger_than_one_chunk():
+    grid = MacroGrid(1, 3 * fem._CHUNK_ELEMENTS + 7)
+    quad = gauss_rule(1, 1)
+    samples = rosseland_samples(grid, quad)
+    mat, ref = assemble_stiffness(grid, samples, quad), coo_stiffness(grid, samples, quad)
+    assert same_pattern(mat, ref)
+    assert np.array_equal(mat.data, ref.data)
+
+
+@pytest.mark.parametrize("grid", [CellGrid(1, 2), CellGrid(1, 3), CellGrid(1, 64), CellGrid(2, 2),
+                                  CellGrid(2, 3), CellGrid(2, 16), CellGrid(2, 64)], ids=repr)
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_stencil_kernel_matches_coo_scatter_on_cell_grids(grid, n_points):
+    # with 2 cells per side the wrapped columns of offsets -1 and 1 repeat;
+    # the fold of the far faces may sum a wrapped entry in another order
+    quad = gauss_rule(n_points, grid.dim)
+    samples = rosseland_samples(grid, quad)
+    mat, ref = assemble_stiffness(grid, samples, quad), coo_stiffness(grid, samples, quad)
+    assert same_pattern(mat, ref)
+    assert np.max(np.abs(mat.data - ref.data)) <= 2 * np.spacing(np.max(np.abs(ref.data)))
+
+
+def test_stencil_pattern_is_cached_on_the_grid_and_read_only():
+    for grid in (CellGrid(2, 4), MacroGrid(2, 4)):
+        pattern = grid.stencil_pattern()
+        assert grid.stencil_pattern() is pattern
+        assert all(not arr.flags.writeable for arr in pattern)
+        assert pattern[0].dtype == pattern[1].dtype == np.int32
+        assert grid == type(grid)(2, 4)
+
+
+def skewed_coeff(pts):
+    # a skew part that varies: a constant one assembles to a symmetric
+    # matrix on the periodic cell, where its form integrates to zero
+    out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+    out[:, 0, 1] = 0.3 + 0.2 * np.sin(2.0 * np.pi * pts[:, 0])
+    return out
+
+
+@pytest.mark.parametrize("grid", [MacroGrid(2, 8), CellGrid(2, 8)], ids=repr)
+def test_assembly_rejects_an_asymmetric_coefficient(grid):
+    with pytest.raises(AssemblyError, match="asymmetry"):
+        assemble_stiffness(grid, skewed_coeff, gauss_rule(2, 2))
+
+
+def test_1d_dirichlet_solve_matches_sparse_lu():
+    grid = MacroGrid(1, 200)
+    quad = gauss_rule(1, 1)
+    mat = assemble_stiffness(grid, oscillating_coeff, quad)
+    rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.cos(3.0 * pts[:, 0]) + 2.0)
+    free = grid.interior_dofs()
+    ref = sp.linalg.spsolve(mat[free][:, free].tocsc(), rhs[free])
+    sol = solve_dirichlet(mat, rhs, grid)
+    assert np.max(np.abs(sol[free] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert sol[0] == sol[-1] == 0.0
+
+
+def test_1d_dirichlet_solve_rejects_an_indefinite_system():
+    grid = MacroGrid(1, 8)
+    mat = assemble_stiffness(grid, const_coeff(1.0, 1), gauss_rule(1, 1))
+    with pytest.raises(NonConvergenceError, match="not positive definite"):
+        solve_dirichlet(-mat, np.ones(grid.ndof), grid)
+    shifted = (mat - sp.identity(grid.ndof) * 30.0).tocsr()  # past the lowest eigenvalue
+    with pytest.raises(NonConvergenceError, match="not positive definite"):
+        solve_dirichlet(shifted, np.ones(grid.ndof), grid)
