@@ -126,12 +126,13 @@ def _interior_elements(grid: MacroGrid, box) -> np.ndarray:
     b = resolve_box(box, grid.dim)
     if np.any(b[:, 0] <= 0.0) or np.any(b[:, 1] >= 1.0):
         raise ValueError("interior subdomain must not touch the boundary")
-    origins = grid.element_origins()
     h = grid.spacing
+    origins = np.arange(grid.cells_per_side) * h  # of the elements along an axis
     tol = 1e-12
-    mask = np.ones(len(origins), dtype=bool)
-    for d in range(grid.dim):
-        mask &= (origins[:, d] >= b[d, 0] - tol) & (origins[:, d] + h <= b[d, 1] + tol)
+    mask = np.ones((), dtype=bool)  # elements in lattice order, first axis slowest
+    for lo, hi in b:
+        mask = np.logical_and.outer(mask, (origins >= lo - tol) & (origins + h <= hi + tol))
+    mask = mask.reshape(-1)
     if not np.any(mask):
         raise ValueError("subdomain contains no whole elements")
     return mask

@@ -20,16 +20,17 @@ correctors are affine in the macro gradient; the table stores the constant
 piece and one field per gradient component so any macro gradient can be
 recombined exactly at evaluation time.
 
-Every family at one sample reads the same :class:`CellSample`: the
-coefficient, its parameter derivatives and the source are evaluated at the
-quadrature points once, and the periodic operator is assembled and factored
-once.  The table build makes one such object per sample, in one pass.  For
-a separable coefficient a = mu(u, x) g(y) the operator at every sample is a
-multiple of the operator at the first one, so that first sample is the
-``base`` of all the others: the whole table assembles and factors one
-operator, each sample solving with the base's LU after dividing its load by
-its mu ratio, and solves the first, hessian and tangent correctors, from
-whose equations mu cancels, once.
+Every family at one sample is a cached attribute of the same
+:class:`CellSample`, which reads the others it needs: the coefficient, its
+parameter derivatives and the source are evaluated at the quadrature points
+once, and the periodic operator is assembled and factored once.  The table
+build makes one such object per sample, in one pass.  For a separable
+coefficient a = mu(u, x) g(y) the operator at every sample is a multiple of
+the operator at the first one, so that first sample is the ``base`` of all
+the others: the whole table assembles and factors one operator, each sample
+solving with the base's LU after dividing its load by its mu ratio, and
+solves the first, hessian and tangent correctors, from whose equations mu
+cancels, once.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -220,7 +221,8 @@ class CorrectorTable:
     cell_grid: CellGrid
     param_grid: ParameterGrid
     fields: dict = field(repr=False)  # name -> (n_samples, ndof)
-    # first-corrector name -> (n_axes, n_samples, ndof), d/d(parameter axis)
+    # first-corrector name -> (1 + dim, n_samples, ndof): its derivative
+    # along each parameter axis (:attr:`CellSample.tangents`)
     tangents: dict = field(default_factory=dict, repr=False)
     diagnostics: BuildDiagnostics = field(default_factory=BuildDiagnostics)
     _gradients: dict = field(default_factory=dict, repr=False)
@@ -238,21 +240,6 @@ class CorrectorTable:
             grads = np.stack([periodic_fd_gradient(self.cell_grid, row) for row in rows], axis=0)
             self._gradients[name] = np.broadcast_to(grads, stack.shape + (self.dim,))
         return self._gradients[name]
-
-    def parameter_derivative_stack(self, name: str, axis: int) -> np.ndarray:
-        """(n_samples, ndof) of d(first corrector)/d(parameter axis) at every
-        sample, from the tangent cell problems (:meth:`CellSample.tangents`)."""
-        return self.tangents[name][axis]
-
-    def interp_at(self, names, u: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
-        """Evaluate chosen fields at many (u, x, y) triples at once.
-
-        Interpolates multilinearly both across the parameter lattice and
-        within the cell; the cost per field is a handful of vectorized
-        gathers.  Returns name -> (K,).
-        """
-        stacks = [self.fields[name] for name in names]
-        return dict(zip(names, self.interp_stacks(stacks, u, x, y)))
 
     def interp_stacks(self, stacks, u, x, y) -> list:
         """Interpolate (n_samples, ndof) stacks at many (u, x, y) triples.
@@ -306,30 +293,37 @@ class EffectiveTensorTable:
 class CellSample:
     """The cell data at one parameter sample (u, x), each piece computed once.
 
-    The quadrature-point samples of ``a``, its parameter derivatives and
-    ``f``, the factor of the periodic operator (assembled through
-    :func:`assemble_stiffness`; its scale and sparse LU are made on the first
-    nonzero solve), the first, hessian and tangent correctors and the
-    corrected flux are computed on first use and then shared by every
-    corrector family at this sample.  ``shift`` translates the cell data
-    periodically (translation-invariance checks).
+    Every quantity is a cached attribute, computed on first read from the
+    attributes it needs and then shared: the quadrature-point samples
+    ``a_q``, ``da_q`` (parameter derivatives) and ``f_q`` of the data, the
+    ``factor`` of the periodic operator (assembled through
+    :func:`assemble_stiffness`; its scale and sparse LU are made on the
+    first nonzero solve), the correctors ``first``, ``hessian``, ``source``,
+    ``tangents`` and ``slow``, the corrected ``flux`` and its
+    ``flux_derivatives``, and the effective tensor ``a0``.  Every solve uses
+    ``opts`` and records its health in the sample's own ``diagnostics``.
+    ``shift`` translates the cell data periodically (translation-invariance
+    checks).
 
     ``base`` is another sample of the same separable model
     (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
     sample's operator is then c = mu(u, x) / mu(base) times the base's, so
     it assembles nothing: it shares the base's factor and divides each load
     by c before it solves, and, mu cancelling from the first, hessian and
-    tangent problems, it returns the base's correctors.  Its own
-    coefficient samples, and so its own corrected flux, still drive the
-    effective tensor, the source and the loads of the slow correctors.
+    tangent problems, it reads the base's correctors.  Its own coefficient
+    samples, and so its own corrected flux, still drive the effective
+    tensor, the source and the loads of the slow correctors.
     """
 
-    def __init__(self, model, u, x, grid: CellGrid, quad=None, shift=None, base=None):
+    def __init__(self, model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(),
+                 shift=None, base=None):
         if base is not None and not (model.separable and base.model is model
                                      and base.grid == grid):
             raise ValueError("a base sample needs the same separable model and cell grid")
         self.model, self.u, self.x, self.grid, self.base = model, u, x, grid, base
         self.quad = quad or default_quadrature(grid.dim)
+        self.opts = opts
+        self.diagnostics = BuildDiagnostics()
         pts = element_quad_points(grid, self.quad)
         self.quad_shape = pts.shape[:2]  # (E, Q)
         pts = pts.reshape(-1, grid.dim)
@@ -337,8 +331,6 @@ class CellSample:
             pts = pts + shift
             pts = np.where(pts >= 1.0, pts - 1.0, pts)
         self.points = pts
-        self._first = self._hessian = self._tangents = self._flux = None
-        self._flux_derivatives = False
 
     def mean(self, samples) -> float:
         """Cell average of quad-point samples (E, Q)."""
@@ -366,6 +358,7 @@ class CellSample:
 
     @cached_property
     def source_mean(self) -> float:
+        """Cell mean of the source: the homogenized right-hand side here."""
         return self.mean(self.f_q)
 
     @cached_property
@@ -374,72 +367,64 @@ class CellSample:
             return self.base.factor
         return PeriodicFactor(assemble_stiffness(self.grid, self.a_q, self.quad))
 
-    def solve(self, rhs, opts, diagnostics=None) -> np.ndarray:
+    def solve(self, rhs) -> np.ndarray:
         """Zero-mean periodic solve against this sample's operator."""
         if self.base is not None:
             # the zero-load floor and the compatibility check read the load
             # against the operator scale, so both survive the division
             rhs = rhs / (self.model.mu(self.u, self.x) / self.model.mu(self.base.u, self.base.x))
-        factor = self.factor
-        if diagnostics is not None:
-            diagnostics.max_rhs_defect = max(
-                diagnostics.max_rhs_defect, rhs_constant_defect(rhs, factor.scale)
-            )
-        sol = solve_periodic_zero_mean(factor, rhs, opts)
-        if diagnostics is not None:
-            diagnostics.max_corrector_mean = max(
-                diagnostics.max_corrector_mean, abs(float(sol.mean()))
-            )
+        factor, diag = self.factor, self.diagnostics
+        diag.max_rhs_defect = max(diag.max_rhs_defect, rhs_constant_defect(rhs, factor.scale))
+        sol = solve_periodic_zero_mean(factor, rhs, self.opts)
+        diag.max_corrector_mean = max(diag.max_corrector_mean, abs(float(sol.mean())))
         return sol
 
-    def first_correctors(self, opts=SolverOptions(), diagnostics=None) -> list:
+    def _load(self, scalar=None, flux=None) -> np.ndarray:
+        return assemble_load_from_samples(self.grid, self.quad, scalar, flux)
+
+    @cached_property
+    def first(self) -> list:
         """First-order correctors, one zero-mean periodic field per direction.
 
         Direction m solves the periodic problem whose flux load is minus the
         m-th coefficient column, so that the corrected gradient
-        e_m + grad(N_m) carries a divergence-free flux.  Solved on the first
-        call and kept; a sample with a base returns the base's.
+        e_m + grad(N_m) carries a divergence-free flux.  A sample with a
+        base reads the base's.
         """
         if self.base is not None:
-            return self.base.first_correctors(opts, diagnostics)
-        if self._first is None:
-            self._first = [
-                self.solve(
-                    assemble_load_from_samples(
-                        self.grid, self.quad, flux_samples=-self.a_q[:, :, m, :]
-                    ),
-                    opts, diagnostics,
-                )
-                for m in range(self.grid.dim)
-            ]
-        return self._first
+            return self.base.first
+        return [self.solve(self._load(flux=-self.a_q[:, :, m, :])) for m in range(self.grid.dim)]
 
-    def corrected_flux(self, first_fields, derivatives=True) -> np.ndarray:
-        """F[0, m] = A (e_m + grad N_m) and F[1 + p, m] = d_pA (e_m + grad N_m)
-        for p = u, x_0, ... at the quadrature points, (2 + dim, dim, E, Q,
-        dim): every corrector load past the first reads it.  An axis along
-        which the coefficient does not vary gets zeros.  F[0] is computed on
-        the first call and the derivative rows on the first call that asks
-        for them, so a caller that reads only F[0] (``derivatives=False``)
-        never evaluates the parameter derivatives of A; both are kept.
-        """
-        grid, quad = self.grid, self.quad
-        rows = []  # (row of F, coefficient) filled by this call
-        if self._flux is None:
-            self._flux = np.zeros((2 + grid.dim, grid.dim) + self.quad_shape + (grid.dim,))
-            rows.append((0, self.a_q))
-        if derivatives and not self._flux_derivatives:
-            rows += [(1 + p, da) for p, da in enumerate(self.da_q)]
-            self._flux_derivatives = True
-        rows = [(p, c) for p, c in rows if np.any(c)]
+    def _corrected(self, coefficients) -> np.ndarray:
+        """c (e_m + grad N_m) at the quadrature points for each c of
+        ``coefficients`` (n, E, Q, dim, dim), as (n, dim, E, Q, dim).  An
+        identically zero c gets zeros and no product."""
+        grid = self.grid
+        out = np.zeros((len(coefficients), grid.dim) + self.quad_shape + (grid.dim,))
+        rows = [p for p, c in enumerate(coefficients) if np.any(c)]
         for m in range(grid.dim if rows else 0):
-            corrected = field_gradients_at_quad(grid, first_fields[m], quad)  # (E,Q,n)
+            corrected = field_gradients_at_quad(grid, self.first[m], self.quad)  # (E,Q,n)
             corrected[:, :, m] += 1.0
-            for p, c in rows:
-                self._flux[p, m] = np.einsum("eqij,eqj->eqi", c, corrected)
-        return self._flux
+            for p in rows:
+                out[p, m] = np.einsum("eqij,eqj->eqi", coefficients[p], corrected)
+        return out
 
-    def effective_tensor(self, first_fields, diagnostics=None) -> np.ndarray:
+    @cached_property
+    def flux(self) -> np.ndarray:
+        """F[m] = A (e_m + grad N_m) at the quadrature points, (dim, E, Q,
+        dim): the effective tensor and the hessian loads read it.
+        It evaluates no parameter derivative of A."""
+        return self._corrected(self.a_q[None])[0]
+
+    @cached_property
+    def flux_derivatives(self) -> np.ndarray:
+        """dF[p, m] = d_pA (e_m + grad N_m) for p = u, x_0, ..., (1 + dim,
+        dim, E, Q, dim): the loads of the tangents and the slow correctors.
+        An axis along which the coefficient does not vary gets zeros."""
+        return self._corrected(self.da_q)
+
+    @cached_property
+    def a0(self) -> np.ndarray:
         """Cell average of the corrected flux: a0[:, j] = int A (e_j + grad N_j).
 
         The result is symmetrized (the deviation is a solve-quality
@@ -447,17 +432,15 @@ class CellSample:
         in a few probe directions; a violation means a broken corrector
         solve, not a rounding issue, so it raises.
         """
-        grid, quad, a_q, model = self.grid, self.quad, self.a_q, self.model
+        grid, quad, a_q, diag = self.grid, self.quad, self.a_q, self.diagnostics
         dim = grid.dim
-        flux = self.corrected_flux(first_fields, derivatives=False)[0]
         a0 = np.zeros((dim, dim))
         for j in range(dim):
-            a0[:, j] = np.einsum("eqi,q->i", flux[j], quad.weights) * grid.spacing**dim
+            a0[:, j] = np.einsum("eqi,q->i", self.flux[j], quad.weights) * grid.spacing**dim
 
         asym = float(np.max(np.abs(a0 - a0.T)))
         a0 = 0.5 * (a0 + a0.T)
-        if diagnostics is not None:
-            diagnostics.max_tensor_asymmetry = max(diagnostics.max_tensor_asymmetry, asym)
+        diag.max_tensor_asymmetry = max(diag.max_tensor_asymmetry, asym)
 
         tol = 1e-10 * max(1.0, float(np.abs(a_q).max()))
         for xi in _voigt_reuss_directions(dim):
@@ -465,9 +448,8 @@ class CellSample:
             voigt = self.mean(quad_form)
             reuss = 1.0 / self.mean(1.0 / quad_form)
             val = float(xi @ a0 @ xi)
-            if diagnostics is not None:
-                diagnostics.min_voigt_slack = min(diagnostics.min_voigt_slack, voigt - val)
-                diagnostics.min_reuss_slack = min(diagnostics.min_reuss_slack, val - reuss)
+            diag.min_voigt_slack = min(diag.min_voigt_slack, voigt - val)
+            diag.min_reuss_slack = min(diag.min_reuss_slack, val - reuss)
             if val > voigt + tol or val < reuss - tol:
                 raise PropertyViolationError(
                     f"effective tensor escapes mean bounds in direction {xi}: "
@@ -475,7 +457,7 @@ class CellSample:
                 )
 
         eigs = _sym2_eigs(a0[None])
-        lo, hi = model.ellipticity_lower, model.ellipticity_upper
+        lo, hi = self.model.ellipticity_lower, self.model.ellipticity_upper
         slack = 1e-6 * (hi - lo + 1.0)
         if eigs.min() < lo - slack or eigs.max() > hi + slack:
             raise PropertyViolationError(
@@ -483,124 +465,107 @@ class CellSample:
             )
         return a0
 
-    def hessian_correctors(self, first_fields, opts=SolverOptions(), diagnostics=None) -> dict:
+    @cached_property
+    def hessian(self) -> dict:
         """Second-order correctors contracted against the macro Hessian.
 
         The load of the pair (k, l) has the mean-free scalar part
         (A (e_l + grad N_l))_k and the flux part -N_l A_k.  It is not
         symmetric in its two indices, but the pair only ever multiplies the
         symmetric Hessian, so the symmetrized load is solved once per
-        unordered pair.  Solved on the first call and kept; a sample with a
-        base returns the base's.
+        unordered pair.  A sample with a base reads the base's.
         """
         if self.base is not None:
-            return self.base.hessian_correctors(first_fields, opts, diagnostics)
-        if self._hessian is None:
-            grid, quad, a_q = self.grid, self.quad, self.a_q
-            flux = self.corrected_flux(first_fields, derivatives=False)[0]
-            n_at_q = [field_values_at_quad(grid, f, quad) for f in first_fields]
+            return self.base.hessian
+        grid, quad, a_q, flux = self.grid, self.quad, self.a_q, self.flux
+        n_at_q = [field_values_at_quad(grid, f, quad) for f in self.first]
 
-            def load(k, l):
-                scal = flux[l, :, :, k] - self.mean(flux[l, :, :, k])
-                return assemble_load_from_samples(
-                    grid, quad, scal, -n_at_q[l][:, :, None] * a_q[:, :, k, :]
-                )
+        def load(k, l):
+            scal = flux[l, :, :, k] - self.mean(flux[l, :, :, k])
+            return self._load(scal, -n_at_q[l][:, :, None] * a_q[:, :, k, :])
 
-            self._hessian = {
-                (k, l): self.solve(
-                    load(k, l) if k == l else 0.5 * (load(k, l) + load(l, k)), opts, diagnostics
-                )
-                for k in range(grid.dim) for l in range(k, grid.dim)
-            }
-        return self._hessian
+        return {
+            (k, l): self.solve(load(k, l) if k == l else 0.5 * (load(k, l) + load(l, k)))
+            for k in range(grid.dim) for l in range(k, grid.dim)
+        }
 
-    def source_corrector(self, opts=SolverOptions(), diagnostics=None):
-        """Zero-mean periodic field driven by the mean-free part of the source.
+    @cached_property
+    def source(self) -> np.ndarray:
+        """Zero-mean periodic field driven by the mean-free part of the source."""
+        return self.solve(self._load(self.f_q - self.source_mean))
 
-        Returns (field, source_mean); the mean is reused as the homogenized
-        right-hand side at this parameter sample.
-        """
-        fbar = self.source_mean
-        rhs = assemble_load_from_samples(self.grid, self.quad, scalar_samples=self.f_q - fbar)
-        return self.solve(rhs, opts, diagnostics), fbar
-
-    def tangents(self, first_fields, opts=SolverOptions(), diagnostics=None) -> np.ndarray:
+    @cached_property
+    def tangents(self) -> np.ndarray:
         """Derivatives of the first correctors along the parameter axes,
         (1 + dim, dim, ndof): d/du, then d/dx_d for every axis d.
 
         Differentiating the discrete problem K(a) N_m = L(-a e_m) along an
         axis p gives K(a) d_pN_m = L(-d_pa (e_m + grad N_m)), solved with
         this sample's own factor.  An axis along which the coefficient does
-        not vary at this sample gets exact zeros and no solve.  Solved on
-        the first call and kept; a sample with a base returns the base's.
+        not vary at this sample gets exact zeros and no solve.  A sample
+        with a base reads the base's.
         """
         if self.base is not None:
-            return self.base.tangents(first_fields, opts, diagnostics)
-        if self._tangents is None:
-            grid, quad = self.grid, self.quad
-            flux = self.corrected_flux(first_fields)
-            self._tangents = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
-            for p, da in enumerate(self.da_q):
-                if np.any(da):
-                    for m in range(grid.dim):
-                        self._tangents[p, m] = self.solve(
-                            assemble_load_from_samples(grid, quad, flux_samples=-flux[1 + p, m]),
-                            opts, diagnostics,
-                        )
-        return self._tangents
+            return self.base.tangents
+        grid = self.grid
+        out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
+        for p, da in enumerate(self.da_q):
+            if np.any(da):
+                for m in range(grid.dim):
+                    out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
+        return out
 
-    def slow_correctors(self, first_fields, tangents, opts=SolverOptions(),
-                        diagnostics=None) -> dict:
+    @cached_property
+    def slow(self) -> dict:
         """Slow-variation correctors at this sample, as affine pieces.
 
         The macro derivatives of the cell data are local: the ``tangents``
         T_p = d_pN and, from them, those of the corrected flux, less their
-        quadrature mean: dh(p; i, k) = F[1 + p, k]_i + (A grad T_pk)_i.  The
+        quadrature mean: dh(p; i, k) = dF[p, k]_i + (A grad T_pk)_i.  The
         corrector for direction k and macro gradient g is
         ``slow0_k + sum_m g_m slowg_km``; its load is affine in g, so each
         piece solves its own: slow0_k the scalar sum_i dh(x_i; i, k) and the
         flux -sum_l A_:l T_{x_l}k, slowg_km the scalar dh(u; m, k) and the
-        flux -(A_:m T_uk + N_m F[1, k]), whose last term is the order-eps
+        flux -(A_:m T_uk + N_m dF[u, k]), whose last term is the order-eps
         coefficient a(u0 + eps N_m d_m u0).  Returns those fields by name.
         """
-        grid, quad, a_q = self.grid, self.quad, self.a_q
+        grid, quad, a_q, dflux = self.grid, self.quad, self.a_q, self.flux_derivatives
         dim = grid.dim
-        flux = self.corrected_flux(first_fields)
-        n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in first_fields]
+        n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in self.first]
         # (1 + dim) axes of per-direction values and gradients of the tangents
         t_at_q = [[field_values_at_quad(grid, t, quad)[:, :, None] for t in axis]
-                  for axis in tangents]
-        dt_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis] for axis in tangents]
+                  for axis in self.tangents]
+        dt_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis]
+                   for axis in self.tangents]
 
         def dh(p, i, k):
-            v = flux[1 + p, k, :, :, i] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dt_at_q[p][k])
+            v = dflux[p, k, :, :, i] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dt_at_q[p][k])
             return v - self.mean(v)
-
-        def solve(scalar, flux_samples):
-            rhs = assemble_load_from_samples(grid, quad, scalar, flux_samples)
-            return self.solve(rhs, opts, diagnostics)
 
         fields = {}
         for k in range(dim):
-            fields[f"slow0_{k}"] = solve(
+            fields[f"slow0_{k}"] = self.solve(self._load(
                 sum(dh(1 + i, i, k) for i in range(dim)),
                 -sum(a_q[:, :, :, l] * t_at_q[1 + l][k] for l in range(dim)),
-            )
+            ))
             for m in range(dim):
-                fields[f"slowg_{k}{m}"] = solve(
-                    dh(0, m, k), -(a_q[:, :, :, m] * t_at_q[0][k] + n_at_q[m] * flux[1, k])
-                )
+                fields[f"slowg_{k}{m}"] = self.solve(self._load(
+                    dh(0, m, k), -(a_q[:, :, :, m] * t_at_q[0][k] + n_at_q[m] * dflux[0, k])
+                ))
         return fields
 
 
 def solve_first_correctors(model, u, x, grid: CellGrid, quad=None, opts=SolverOptions()):
-    """First-order correctors at (u, x); see :meth:`CellSample.first_correctors`."""
-    return CellSample(model, u, x, grid, quad).first_correctors(opts)
+    """First-order correctors at (u, x); see :attr:`CellSample.first`."""
+    return CellSample(model, u, x, grid, quad, opts).first
 
 
 def effective_tensor(model, u, x, first_fields, grid: CellGrid, quad=None) -> np.ndarray:
-    """Effective tensor at (u, x); see :meth:`CellSample.effective_tensor`."""
-    return CellSample(model, u, x, grid, quad).effective_tensor(first_fields)
+    """Effective tensor at (u, x) from the given first correctors; see
+    :attr:`CellSample.a0`."""
+    sample = CellSample(model, u, x, grid, quad)
+    sample.first = list(first_fields)  # the instance attribute is the cache
+    return sample.a0
 
 
 def _voigt_reuss_directions(dim):
@@ -654,47 +619,46 @@ def build_corrector_tables(
 ):
     """Solve every cell problem at every parameter sample.
 
-    One pass takes one :class:`CellSample` per parameter sample and solves
-    its first, hessian, source, tangent and slow correctors and its
-    effective tensor; the slow correctors read the sample's own tangents,
-    so no sample needs another.  For a ``separable`` model the sample at
-    the first lattice point is the ``base`` of every other one and is kept
-    for the whole build: the table assembles and factors one operator, and
-    solves the first, hessian and tangent correctors once.  Otherwise each
-    sample assembles and factors its own operator once and is dropped when
-    it is done, so no operator is kept across samples.  Sample solves are
-    independent and written to disjoint slots, so the result is bitwise
-    identical for any thread count.  Returns the corrector table (with the
-    tangent stacks of the first correctors) and the effective-tensor table
-    (which also carries the cell mean of the source per sample).
+    One pass takes one :class:`CellSample` per parameter sample and reads
+    its first, hessian, source, tangent and slow correctors, its effective
+    tensor and its diagnostics; the slow correctors read the sample's own
+    tangents, so no sample needs another.  For a ``separable`` model the
+    sample at the first lattice point is the ``base`` of every other one and
+    is kept for the whole build: the table assembles and factors one
+    operator, and solves the first, hessian and tangent correctors once.
+    Otherwise each sample assembles and factors its own operator once and
+    is dropped when it is done, so no operator is kept across samples.
+    Sample solves are independent and written to disjoint slots, so the
+    result is bitwise identical for any thread count.  Returns the
+    corrector table (with the tangent stacks of the first correctors) and
+    the effective-tensor table (which also carries the cell mean of the
+    source per sample).
     """
     dim = grid.dim
     quad = quad or default_quadrature(dim)
     _check_lattice(model, pgrid, grid)
     n_samples = pgrid.size
     multis = list(pgrid.indices())
-    base = CellSample(model, *pgrid.coords(multis[0]), grid, quad) if model.separable else None
+    base = None
+    if model.separable:
+        base = CellSample(model, *pgrid.coords(multis[0]), grid, quad, opts)
 
     def sample_pass(multi):
-        diag = BuildDiagnostics()
         u, x = pgrid.coords(multi)
         try:
             if base is not None and multi == multis[0]:
                 sample = base
             else:
-                sample = CellSample(model, u, x, grid, quad, base=base)
-            first = sample.first_correctors(opts, diag)
-            hess = sample.hessian_correctors(first, opts, diag)
-            a0 = sample.effective_tensor(first, diag)
-            source, fbar = sample.source_corrector(opts, diag)
-            tangents = sample.tangents(first, opts, diag)
-            fields = sample.slow_correctors(first, tangents, opts, diag)
+                sample = CellSample(model, u, x, grid, quad, opts, base=base)
+            first, hess, a0, source, slow = (
+                sample.first, sample.hessian, sample.a0, sample.source, sample.slow
+            )
         except Exception as exc:  # annotate with the failing sample
             raise type(exc)(f"sample (u={u:.6g}, x={x}) failed: {exc}") from exc
-        fields.update({f"first_{m}": first[m] for m in range(dim)})
+        fields = {f"first_{m}": first[m] for m in range(dim)}
         fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
-        fields["source"] = source
-        return fields, tangents, a0, fbar, diag
+        fields.update(slow, source=source)
+        return fields, sample.tangents, a0, sample.source_mean, sample.diagnostics
 
     # the first sample runs alone, so a base has its correctors and its
     # factor before the samples based on it read them from other threads
@@ -783,7 +747,7 @@ def check_translation_invariance(
     if np.all(z_red == 0.0):  # the shifted problem is the problem itself
         return TranslationReport(z, z_red, True, 0.0, rounding)
 
-    shifted = CellSample(model, u, x, grid, quad, shift=z_red).first_correctors(opts)
+    shifted = CellSample(model, u, x, grid, quad, opts, shift=z_red).first
     query = grid.dof_coords() + z_red
     query = np.where(query >= 1.0, query - 1.0, query)
     disc = 0.0

@@ -129,11 +129,11 @@ def estimate_u_span(setup: ProblemSetup):
     lo, hi = np.inf, -np.inf
     base = None  # a separable model's first frozen sample serves the other two
     for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):
-        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad, base=base)
+        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad,
+                          setup.cg_opts, base=base)
         if model.separable and base is None:
             base = cell
-        a0 = cell.effective_tensor(cell.first_correctors(setup.cg_opts))
-        fbar = cell.source_mean
+        a0, fbar = cell.a0, cell.source_mean
         mat = assemble_stiffness(setup.macro_grid, np.broadcast_to(a0, shape + a0.shape), quad)
         rhs = assemble_load_from_samples(setup.macro_grid, quad, np.broadcast_to(fbar, shape))
         provisional = solve_dirichlet(mat, rhs, setup.macro_grid, setup.cg_opts)

@@ -36,12 +36,14 @@ def _as_points(p, dim):
 
 
 def _normalize_args(u, x, y, dim):
-    """Broadcast (u, x, y) to (K,), (K, dim), (K, dim); report scalar calls."""
+    """Broadcast (u, x, y) to (K,), (K, dim), (K, dim); report scalar calls,
+    those that pass both points as single vectors (a one-row (1, dim) array
+    is a batch of one)."""
+    scalar = max(np.ndim(u), np.ndim(x), np.ndim(y)) <= 1 and np.size(u) == 1
     x = _as_points(x, dim)
     y = _as_points(y, dim)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     k = max(len(u), len(x), len(y))
-    scalar = k == 1 and np.ndim(u) <= 1 and len(u) == 1
     if len(u) == 1:
         u = np.full(k, u[0])
     if len(x) == 1:
@@ -119,10 +121,10 @@ class SourceModel:
 class CoefficientModel:
     """Base contract: symmetric elliptic a(u, x, y) with its u- and x-derivatives.
 
-    Subclasses implement ``_matrix`` and ``_matrix_du`` on normalized arrays,
-    and ``_matrix_dx`` if they declare ``x_dependent``; this class handles
-    clamping, broadcasting, the source, and the sampled ellipticity
-    validation run at construction.
+    Subclasses implement ``_matrix`` on normalized arrays, ``_matrix_du``
+    if they declare ``u_dependent`` and ``_matrix_dx`` if they declare
+    ``x_dependent``; this class handles clamping, broadcasting, the source,
+    and the sampled ellipticity validation run at construction.
     """
 
     family = "BASE"
@@ -142,11 +144,10 @@ class CoefficientModel:
         raise NotImplementedError
 
     def _matrix_du(self, u, x, y):
-        # central finite difference in u for families without a closed form
-        step = 1e-6 * (self.u_hi - self.u_lo)
-        up = np.clip(u + step, self.u_lo, self.u_hi)
-        dn = np.clip(u - step, self.u_lo, self.u_hi)
-        return (self._matrix(up, x, y) - self._matrix(dn, x, y)) / (up - dn)[:, None, None]
+        # (K, dim, dim); zero is only right for a u-independent family
+        if self.u_dependent:
+            raise NotImplementedError(f"{self.family}: a u-dependent family needs _matrix_du")
+        return np.zeros((len(u), self.dim, self.dim))
 
     def _matrix_dx(self, u, x, y):
         # (K, dim_x, dim, dim); zero is only right for an x-independent family
@@ -231,9 +232,6 @@ class ConstantCoefficient(CoefficientModel):
     def _matrix(self, u, x, y):
         return np.broadcast_to(self.matrix, (len(u), self.dim, self.dim)).copy()
 
-    def _matrix_du(self, u, x, y):
-        return np.zeros((len(u), self.dim, self.dim))
-
 
 class SmoothPeriodicCoefficient(CoefficientModel):
     family = "SMOOTH_PERIODIC"
@@ -249,9 +247,6 @@ class SmoothPeriodicCoefficient(CoefficientModel):
     def _matrix(self, u, x, y):
         sig = self.scalar(y)
         return np.einsum("k,ij->kij", sig, np.eye(self.dim))
-
-    def _matrix_du(self, u, x, y):
-        return np.zeros((len(u), self.dim, self.dim))
 
 
 class LayeredCoefficient(CoefficientModel):
@@ -298,9 +293,6 @@ class LayeredCoefficient(CoefficientModel):
     def _matrix(self, u, x, y):
         sig = self._profile(y[:, self.axis])
         return np.einsum("k,ij->kij", sig, np.eye(self.dim))
-
-    def _matrix_du(self, u, x, y):
-        return np.zeros((len(u), self.dim, self.dim))
 
 
 class RosselandCoefficient(CoefficientModel):

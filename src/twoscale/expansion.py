@@ -141,7 +141,8 @@ def reconstruct(
     dim = fine_grid.dim
     u0_f, grad_f, hess_f = _macro_fields_at(u0_field, x)
 
-    vals = table.interp_at(corrector_field_names(dim), u0_f, x, y)
+    names = corrector_field_names(dim)
+    vals = dict(zip(names, table.interp_stacks([table.fields[n] for n in names], u0_f, x, y)))
 
     u1 = np.zeros_like(u0_f)
     for m in range(dim):
@@ -187,10 +188,10 @@ def reconstruction_gradient(
     out = g.copy()
     for l in range(dim):
         name = f"first_{l}"
-        dn_dy = table.gradient_stack(name)
-        stacks = [table.fields[name], table.parameter_derivative_stack(name, 0)]
+        dn_dy, tangents = table.gradient_stack(name), table.tangents[name]
+        stacks = [table.fields[name], tangents[0]]
         stacks += [dn_dy[:, :, k] for k in range(dim)]
-        stacks += [table.parameter_derivative_stack(name, 1 + k) for k in range(dim)]
+        stacks += [tangents[1 + k] for k in range(dim)]
         n_l, dn_du, *rest = table.interp_stacks(stacks, u0_at, points, y)
         dy, dx = rest[:dim], rest[dim:]
         for k in range(dim):

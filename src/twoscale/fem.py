@@ -248,8 +248,7 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_
     # offsets first, so that every shifted-slice add runs over contiguous rows
     stencil = np.zeros((3,) * dim + (m + 1,) * dim)
     row = m ** (dim - 1)  # elements per element row
-    # balanced chunks: none is a lone 1-D element, which an evaluator would
-    # take for a single point
+    # balanced chunks of whole element rows
     n_chunks = -(-m // max(1, _CHUNK_ELEMENTS // row))
     lo, hi = np.zeros(dim, dtype=int), np.full(dim, m)  # a chunk's element range per axis
     for i in range(n_chunks):

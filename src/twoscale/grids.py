@@ -150,9 +150,6 @@ class CellGrid:
         couples to its 3^dim wrapped neighbours (see :func:`_stencil_pattern`)."""
         return _stencil_pattern(self.dim, self.cells_per_side, periodic=True)
 
-    def element_origins(self) -> np.ndarray:
-        return _element_multi_indices(self.dim, self.cells_per_side) * self.spacing
-
 
 @dataclass(frozen=True)
 class MacroGrid:
@@ -219,9 +216,6 @@ class MacroGrid:
         couples to those of its 3^dim neighbours that lie on the grid (see
         :func:`_stencil_pattern`)."""
         return _stencil_pattern(self.dim, self.cells_per_side, periodic=False)
-
-    def element_origins(self) -> np.ndarray:
-        return _element_multi_indices(self.dim, self.cells_per_side) * self.spacing
 
 
 @dataclass(frozen=True)

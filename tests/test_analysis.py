@@ -16,6 +16,7 @@ from twoscale.analysis import (
     interior_gradient_sup,
     norm_l2,
     norm_linf,
+    resolve_box,
     seminorm_h1,
     student_t_quantile,
 )
@@ -202,6 +203,46 @@ def test_own_grid_reads_match_point_location_reference(dim):
     ref = np.max(np.linalg.norm(flux, axis=1))
     got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=u_eps)
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_flux_mode_gradient_sup_on_a_box_of_one_element():
+    # [0.45, 0.57] holds only the element [0.5, 0.5625] of a 16-cell grid
+    grid = MacroGrid(1, 16)
+    model = RosselandCoefficient(1, b=1.0)
+    fld = field_1d(16, lambda x: np.sin(np.pi * x))
+    state = field_1d(16, lambda x: 0.5 * x)
+    box, eps = [0.45, 0.57], 0.5
+    assert np.count_nonzero(_interior_elements(grid, box)) == 1
+    center = 0.53125
+    a_c = model.eval_a(0.5 * center, [center], [np.mod(center / eps, 1.0)])[0, 0]
+    slope = (np.sin(np.pi * 0.5625) - np.sin(np.pi * 0.5)) * 16
+    got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=state)
+    assert got == pytest.approx(abs(a_c * slope), rel=1e-14)
+
+
+def reference_interior_elements(grid, box):
+    """The element mask from the element origins, element by element."""
+    b = resolve_box(box, grid.dim)
+    m, h = grid.cells_per_side, grid.spacing
+    multi = np.stack(np.meshgrid(*[np.arange(m)] * grid.dim, indexing="ij"), -1)
+    origins = multi.reshape(-1, grid.dim) * h
+    mask = np.ones(len(origins), dtype=bool)
+    for d in range(grid.dim):
+        mask &= (origins[:, d] >= b[d, 0] - 1e-12) & (origins[:, d] + h <= b[d, 1] + 1e-12)
+    return mask
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [16, 67, 536])
+def test_interior_element_mask_matches_element_origins(dim, m):
+    grid = MacroGrid(dim, m)
+    boxes = [[0.25, 0.75], [0.1, 0.9], [0.3141, 0.5]]
+    if dim == 2:
+        boxes.append([[0.25, 0.75], [0.125, 0.6]])
+    for box in boxes:
+        got = _interior_elements(grid, box)
+        assert got.shape == (grid.n_elements,) and got.any()
+        assert np.array_equal(got, reference_interior_elements(grid, box)), box
 
 
 def test_holder_seminorm_1d_cases():

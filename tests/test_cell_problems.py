@@ -96,6 +96,9 @@ def test_effective_tensor_harmonic_mean_1d():
     fields = solve_first_correctors(model, 0.5, [0.5], grid)
     a0 = effective_tensor(model, 0.5, [0.5], fields, grid)
     assert abs(a0[0, 0] - oracle) <= 1e-6
+    # the given correctors are the ones averaged: zeros give the arithmetic mean
+    voigt = effective_tensor(model, 0.5, [0.5], [np.zeros(grid.ndof)], grid)
+    assert voigt[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_effective_tensor_2d_sharp_laminate():
@@ -126,8 +129,7 @@ def test_effective_tensor_refinement_order():
 def test_hessian_corrector_zero_for_constant():
     model = ConstantCoefficient(1, matrix=[[2.0]])
     grid = CellGrid(1, 16)
-    first = solve_first_correctors(model, 0.5, [0.5], grid)
-    hess = CellSample(model, 0.5, [0.5], grid).hessian_correctors(first)
+    hess = CellSample(model, 0.5, [0.5], grid).hessian
     assert np.max(np.abs(hess[(0, 0)])) < 1e-12
 
 
@@ -136,8 +138,7 @@ def test_hessian_corrector_1d_two_pass_oracle():
     # the oracle is a second cumulative integration of the dense corrector
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     grid = CellGrid(1, 64)
-    first = solve_first_correctors(model, 0.5, [0.5], grid)
-    hess = CellSample(model, 0.5, [0.5], grid).hessian_correctors(first)
+    hess = CellSample(model, 0.5, [0.5], grid).hessian
 
     y_dense, n_exact, _ = dense_first_corrector(a_osc)
     m_dense = np.concatenate(
@@ -154,8 +155,7 @@ def test_hessian_corrector_2d_swap_equivariance():
     # itself swap-invariant
     model = SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0)
     grid = CellGrid(2, 16)
-    first = solve_first_correctors(model, 0.5, [0.5, 0.5], grid)
-    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian_correctors(first)
+    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian
     m = grid.cells_per_side
     m11 = hess[(0, 0)].reshape(m, m)
     m22 = hess[(1, 1)].reshape(m, m)
@@ -206,14 +206,11 @@ def test_separable_table_matches_samples_that_factor_their_own_operator():
     grid = CellGrid(2, 8)
     pgrid = default_parameter_grid(model, n_u=3, n_x=3)
     table, _ = build_corrector_tables(model, pgrid, grid)
-    opts = SolverOptions()
     reference = {name: np.zeros_like(table.fields[name]) for name in table.fields}
     for flat, multi in enumerate(pgrid.indices()):
-        sample = CellSample(model, *pgrid.coords(multi), grid)
-        first = sample.first_correctors(opts)
-        reference["source"][flat] = sample.source_corrector(opts)[0]
-        slow = sample.slow_correctors(first, sample.tangents(first, opts), opts)
-        for name, v in slow.items():
+        sample = CellSample(model, *pgrid.coords(multi), grid, opts=SolverOptions())
+        reference["source"][flat] = sample.source
+        for name, v in sample.slow.items():
             reference[name][flat] = v
     for name, ref in reference.items():
         if name.startswith(("slow", "source")):
@@ -256,8 +253,8 @@ def test_based_sample_is_freed_by_reference_counting():
     gc.disable()
     try:
         sample = CellSample(model, 1.0, [0.25, 0.5], grid, base=base)
-        sample.effective_tensor(sample.first_correctors())
-        assert np.max(np.abs(sample.source_corrector()[0])) > 1e-3  # a based solve
+        sample.a0
+        assert np.max(np.abs(sample.source)) > 1e-3  # a based solve
         assert sample.factor is base.factor
         alive = weakref.ref(sample)
         del sample
@@ -269,25 +266,24 @@ def test_based_sample_is_freed_by_reference_counting():
 def test_based_sample_solves_like_a_sample_that_factors_its_own_operator():
     model = SeparatedCoefficient(2, mu_u2=1.0, mu_x=0.5)
     grid = CellGrid(2, 8)
-    opts = SolverOptions()
     base = CellSample(model, 0.0, [0.5, 0.5], grid)
     based = CellSample(model, 1.0, [0.25, 0.5], grid, base=base)
     own = CellSample(model, 1.0, [0.25, 0.5], grid)
     assert model.mu(based.u, based.x) != model.mu(base.u, base.x)
 
     # a zero load returns zeros before anything is factored
-    assert np.all(based.solve(np.zeros(grid.ndof), opts) == 0.0)
+    assert np.all(based.solve(np.zeros(grid.ndof)) == 0.0)
     assert "lu" not in base.factor.__dict__
 
     rhs = assemble_load(grid, own.quad, flux_fn=lambda pts: np.cos(2.0 * np.pi * pts))
-    got, fresh = based.solve(rhs, opts), own.solve(rhs, opts)
+    got, fresh = based.solve(rhs), own.solve(rhs)
     assert np.max(np.abs(fresh)) > 1e-3
     assert np.max(np.abs(got - fresh)) <= 1e-13 * np.max(np.abs(fresh))
     assert based.factor is base.factor and own.factor is not base.factor
 
     incompatible = assemble_load(grid, own.quad, scalar_fn=lambda pts: np.ones(len(pts)))
     with pytest.raises(CompatibilityError):
-        based.solve(incompatible, opts)
+        based.solve(incompatible)
 
 
 def test_base_sample_needs_the_same_separable_model_and_grid():
@@ -320,7 +316,7 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
 
     # the shared rows are those of a solve at any sample, here the far corner
     far = tuple(n - 1 for n in pgrid.shape)
-    fresh = CellSample(model, *pgrid.coords(far), grid).first_correctors()
+    fresh = CellSample(model, *pgrid.coords(far), grid).first
     for m, field in enumerate(fresh):
         stored = table.fields[f"first_{m}"][pgrid.ravel(far)]
         assert np.max(np.abs(stored - field)) <= 1e-12 * np.max(np.abs(field))
@@ -348,15 +344,13 @@ def test_cell_sample_factors_its_operator_at_most_once(monkeypatch):
     )
     grid = CellGrid(2, 8)
     sample = CellSample(model, 0.5, [0.5, 0.5], grid)
-    first = sample.first_correctors()
-    sample.hessian_correctors(first)
-    field, _ = sample.source_corrector()
-    assert np.max(np.abs(field)) > 1e-3  # seven nonzero solves, one factor
+    sample.hessian
+    assert np.max(np.abs(sample.source)) > 1e-3  # seven nonzero solves, one factor
     assert calls == [(grid.ndof - 1, grid.ndof - 1)]
 
     # a sample whose every load is zero never factors
     const = CellSample(ConstantCoefficient(2, np.eye(2)), 0.5, [0.5, 0.5], grid)
-    assert all(np.all(f == 0.0) for f in const.first_correctors())
+    assert all(np.all(f == 0.0) for f in const.first)
     assert len(calls) == 1
 
 
@@ -366,7 +360,7 @@ def test_tangents_match_a_central_difference_of_first_correctors():
     grid = CellGrid(2, 16)
     u, x, step = 0.6, [0.5, 0.5], 1e-4
     sample = CellSample(model, u, x, grid)
-    tangents = sample.tangents(sample.first_correctors())
+    tangents = sample.tangents
     hi = solve_first_correctors(model, u + step, x, grid)
     lo = solve_first_correctors(model, u - step, x, grid)
     for m in range(2):
@@ -389,9 +383,8 @@ def test_tangents_are_exact_zeros_without_parameter_dependence(monkeypatch):
     for model, u in [(SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0), 0.5),
                      (RosselandCoefficient(2, b=1.0), 0.0)]:  # da/du = 12 u^2 b = 0
         sample = CellSample(model, u, [0.5, 0.5], grid)
-        first = sample.first_correctors()
-        assert np.max(np.abs(first[0])) > 1e-3
-        assert np.all(sample.tangents(first) == 0.0)
+        assert np.max(np.abs(sample.first[0])) > 1e-3
+        assert np.all(sample.tangents == 0.0)
     assert len(calls) == 2  # the first-corrector factors, nothing for the tangents
 
 
@@ -403,19 +396,19 @@ def test_effective_tensor_and_hessian_read_no_coefficient_derivative(monkeypatch
         original = getattr(model, name)
         monkeypatch.setattr(model, name, lambda *args, _f=original: calls.append(1) or _f(*args))
     sample = CellSample(model, 0.6, [0.5, 0.5], grid)
-    first = sample.first_correctors()
-    a0 = sample.effective_tensor(first)
-    sample.hessian_correctors(first)
+    a0 = sample.a0
+    sample.hessian
     assert calls == []
-    tangents = sample.tangents(first)
-    assert len(calls) == 2 and np.max(np.abs(tangents[0])) > 1e-3
-    sample.slow_correctors(first, tangents)
-    assert len(calls) == 2  # the derivative rows are made once
+    assert np.max(np.abs(sample.tangents[0])) > 1e-3
+    assert len(calls) == 2
+    rows = sample.flux_derivatives
+    sample.slow
+    assert len(calls) == 2 and sample.flux_derivatives is rows  # the rows are made once
 
-    # the full flux first gives the same tensor, bit for bit
+    # the derivative rows first give the same tensor, bit for bit
     full = CellSample(model, 0.6, [0.5, 0.5], grid)
-    full.corrected_flux(full.first_correctors())
-    assert np.array_equal(full.effective_tensor(full.first_correctors()), a0)
+    full.flux_derivatives
+    assert np.array_equal(full.a0, a0)
 
 
 def test_non_separable_table_assembles_and_factors_one_operator_per_sample(monkeypatch):
@@ -455,14 +448,14 @@ def slow_at(table, u, x, grad):
     return out
 
 
-def full_slow_load(sample, first, tangents, k, grad):
+def full_slow_load(sample, k, grad):
     """The load of the slow corrector for direction k and macro gradient
     ``grad`` in one piece, before its affine split: the flux
     -(A v + a1 (e_k + grad N_k)) with v_l = d_{x_l}N_k + g_l d_uN_k and
     a1 = (sum_m g_m N_m) dA/du, plus the mean-free scalars
     d_{x_i}h_ik + g_i d_uh_ik of h_ik = (A (e_k + grad N_k))_i."""
     grid, quad, a_q, da_q = sample.grid, sample.quad, sample.a_q, sample.da_q
-    dim = grid.dim
+    first, tangents, dim = sample.first, sample.tangents, grid.dim
     values = lambda f: field_values_at_quad(grid, f, quad)
     gradients = lambda f: field_gradients_at_quad(grid, f, quad)
     v = np.stack(
@@ -499,12 +492,10 @@ def test_slow_corrector_solve_matches_table_and_threads_agree():
     table, _ = build_corrector_tables(model, pgrid, grid)
     u, x = pgrid.coords((1, 0, 0))
     sample = CellSample(model, u, x, grid)
-    first = sample.first_correctors()
-    tangents = sample.tangents(first)
     grad = [0.3, -1.7]
     q = slow_at(table, u, x, grad)
     for k in range(2):
-        oracle = sample.solve(full_slow_load(sample, first, tangents, k, grad), SolverOptions())
+        oracle = sample.solve(full_slow_load(sample, k, grad))
         sup = np.max(np.abs(oracle))
         assert sup > 1e-4  # not vacuous
         assert np.max(np.abs(q[k] - oracle)) <= 1e-12 * sup, k
@@ -520,7 +511,7 @@ def test_slow_corrector_solve_matches_table_and_threads_agree():
 def test_hessian_solves_one_symmetrized_load_per_pair(monkeypatch):
     model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
     sample = CellSample(model, 0.6, [0.5, 0.5], CellGrid(2, 8))
-    first = sample.first_correctors()
+    sample.first
     calls = []
     original = cell_problems.solve_periodic_zero_mean
 
@@ -529,7 +520,7 @@ def test_hessian_solves_one_symmetrized_load_per_pair(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean", counting)
-    hess = sample.hessian_correctors(first)
+    hess = sample.hessian
     assert not model.separable
     assert sorted(hess) == [(0, 0), (0, 1), (1, 1)]
     assert np.max(np.abs(hess[(0, 1)])) > 1e-4
@@ -557,8 +548,7 @@ def test_slow_corrector_2d_separated_scaling():
 def test_hessian_corrector_zero_mean():
     model = SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0)
     grid = CellGrid(2, 8)
-    first = solve_first_correctors(model, 0.5, [0.5, 0.5], grid)
-    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian_correctors(first)
+    hess = CellSample(model, 0.5, [0.5, 0.5], grid).hessian
     for f in hess.values():
         assert abs(f.mean()) < 1e-12
 
@@ -566,7 +556,8 @@ def test_hessian_corrector_zero_mean():
 def test_source_corrector_y_independent_source():
     model = ConstantCoefficient(1, matrix=[[1.0]], source=SourceModel(base=2.0))
     grid = CellGrid(1, 16)
-    r, fbar = CellSample(model, 0.5, [0.5], grid).source_corrector()
+    sample = CellSample(model, 0.5, [0.5], grid)
+    r, fbar = sample.source, sample.source_mean
     assert np.max(np.abs(r)) < 1e-12
     assert fbar == pytest.approx(2.0, abs=1e-12)
 
@@ -577,7 +568,8 @@ def test_source_corrector_sine_closed_form():
         1, matrix=[[1.0]], source=SourceModel(amplitude=1.0, frequency=1)
     )
     grid = CellGrid(1, 64)
-    r, fbar = CellSample(model, 0.5, [0.5], grid).source_corrector()
+    sample = CellSample(model, 0.5, [0.5], grid)
+    r, fbar = sample.source, sample.source_mean
     y = grid.dof_coords()[:, 0]
     exact = np.sin(2.0 * np.pi * y) / (4.0 * np.pi**2)
     assert abs(fbar) < 1e-12
@@ -677,7 +669,7 @@ def test_lookup_at_sample_and_midpoint():
     x = np.full((len(nodes), 1), 0.5)
 
     def first_at(u):
-        return table.interp_at(["first_0"], np.full(len(nodes), u), x, nodes)["first_0"]
+        return table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u), x, nodes)[0]
 
     assert np.array_equal(first_at(u0), table.fields["first_0"][0])
 
@@ -697,7 +689,7 @@ def test_lookup_u_independent_table_ignores_u():
     nodes = grid.dof_coords()
     x = np.full((len(nodes), 1), 0.5)
     lo, hi = (
-        table.interp_at(["first_0"], np.full(len(nodes), u), x, nodes)["first_0"]
+        table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u), x, nodes)[0]
         for u in (0.0, 1.0)
     )
     assert np.array_equal(lo, hi)

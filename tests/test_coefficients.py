@@ -101,6 +101,34 @@ def test_x_dependent_family_must_define_its_x_derivative():
         Drifting(1).eval_da_dx(0.5, [0.5], [0.5])
 
 
+def test_u_dependent_family_must_define_its_u_derivative():
+    class Heating(SmoothPeriodicCoefficient):
+        u_dependent = True
+
+    with pytest.raises(NotImplementedError, match="_matrix_du"):
+        Heating(1).eval_da_du(0.5, [0.5], [0.5])
+    assert np.all(SmoothPeriodicCoefficient(2).eval_da_du(0.5, [0.5, 0.5], [0.1, 0.2]) == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_point_batch_keeps_its_batch_axis(dim):
+    # a point passed as a (1, dim) array is a batch of one; only single
+    # vectors make a scalar call
+    model = RosselandCoefficient(dim, b=1.0)
+    vec, row = [0.3] * dim, [[0.3] * dim]
+    assert model.eval_a(0.7, [0.5] * dim, row).shape == (1, dim, dim)
+    assert model.eval_a(0.7, row, vec).shape == (1, dim, dim)
+    assert model.eval_a([0.7], row, row).shape == (1, dim, dim)
+    assert model.eval_da_du(0.7, [0.5] * dim, row).shape == (1, dim, dim)
+    assert model.eval_da_dx(0.7, [0.5] * dim, row).shape == (1, dim, dim, dim)
+    assert model.eval_f(0.7, [0.5] * dim, row).shape == (1,)
+    assert model.eval_a(0.7, [0.5] * dim, vec).shape == (dim, dim)
+    assert model.eval_a([0.7], [0.5] * dim, vec).shape == (dim, dim)
+    assert isinstance(model.eval_f(0.7, [0.5] * dim, vec), float)
+    assert np.array_equal(model.eval_a(0.7, [0.5] * dim, row)[0],
+                          model.eval_a(0.7, [0.5] * dim, vec))
+
+
 def test_symmetry_and_periodicity_properties():
     rng = np.random.default_rng(17)
     for model in all_models():

@@ -135,10 +135,10 @@ def per_stack_reconstruction_gradient(u0_field, table, eps, points):
     for l in range(dim):
         name = f"first_{l}"
         n_l = stack_at(table.fields[name])
-        dn_du = stack_at(table.parameter_derivative_stack(name, 0))
+        dn_du = stack_at(table.tangents[name][0])
         for k in range(dim):
             dy_k = stack_at(table.gradient_stack(name)[:, :, k])
-            dx_k = stack_at(table.parameter_derivative_stack(name, 1 + k))
+            dx_k = stack_at(table.tangents[name][1 + k])
             out[:, k] += dy_k * g[:, l]
             out[:, k] += eps * (
                 (dn_du * g[:, k] + dx_k) * g[:, l] + n_l * at(hess_nodal[:, k, l])
@@ -164,7 +164,7 @@ def test_reconstruction_gradient_matches_per_stack_reference():
     )
     for l in range(2):
         for ax in range(3):
-            assert np.abs(table.parameter_derivative_stack(f"first_{l}", ax)).max() > 0.1
+            assert np.abs(table.tangents[f"first_{l}"][ax]).max() > 0.1
 
     macro = MacroGrid(2, 8)
     x = macro.node_coords()
