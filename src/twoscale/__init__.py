@@ -1,9 +1,9 @@
 """Two-scale homogenization toolkit for quasilinear elliptic problems.
 
-Periodic cell problems feed an effective tensor and corrector tables; an
-Anderson-accelerated Picard macro solve plus a resolved fine-scale reference
-solve produce remainders whose norms are fitted against eps to verify the
-expected decay rates.
+Periodic cell problems feed an effective tensor and corrector tables; a
+Newton macro solve plus a resolved fine-scale Newton reference solve produce
+remainders whose norms are fitted against eps to verify the expected decay
+rates.
 """
 
 from .analysis import (

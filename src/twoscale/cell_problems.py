@@ -126,12 +126,12 @@ class ParameterGrid:
         x = np.array([ax[i] for ax, i in zip(self.x_axes, multi[1:])])
         return u, x
 
-    def corners(self, u, x):
+    def corners(self, u, x, derivative=None):
         """:func:`lattice_corners` of the queries u (K,), x (K, dim) on the
         lattice, clamped to it on every axis."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return lattice_corners(self.axes, np.column_stack((u, x)))
+        return lattice_corners(self.axes, np.column_stack((u, x)), derivative=derivative)
 
 
 def default_parameter_grid(
@@ -166,10 +166,11 @@ def default_parameter_grid(
     return ParameterGrid(u_samples=u_samples, x_axes=x_axes)
 
 
-def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x) -> np.ndarray:
+def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x, derivative=None) -> np.ndarray:
     """Multilinear blend of per-sample data ``stack`` (n_samples, ...) at the
-    queries (u, x) over the parameter lattice, shape (K, ...)."""
-    ids, wts = pgrid.corners(u, x)
+    queries (u, x) over the parameter lattice, shape (K, ...), or its
+    derivative along a lattice axis (0 is u)."""
+    ids, wts = pgrid.corners(u, x, derivative)
     out = np.zeros((len(ids),) + stack.shape[1:])
     for c in range(ids.shape[1]):
         out += wts[:, c].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ids[:, c]]
@@ -279,6 +280,12 @@ class EffectiveTensorTable:
 
     def interp_source(self, u, x) -> np.ndarray:
         return _blend(self.param_grid, self.source_means, u, x)
+
+    def interp_du(self, u, x) -> np.ndarray:  # zero where the blend clamps
+        return _blend(self.param_grid, self.values, u, x, derivative=0)
+
+    def interp_source_du(self, u, x) -> np.ndarray:
+        return _blend(self.param_grid, self.source_means, u, x, derivative=0)
 
     def ellipticity(self) -> tuple:
         eigs = _sym2_eigs(self.values)

@@ -385,6 +385,7 @@ def run_study(
         for eps in cfg.eps_list:
             stage = f"fine_solve eps=1/{round(1 / eps)}"
             fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
+            exp = reconstruct(u0, table, eps, fine_grid, order=2)
             u_eps, pic = solve_fine(
                 setup.model,
                 eps,
@@ -393,12 +394,12 @@ def run_study(
                 setup.solve_quad,
                 setup.cg_opts,
                 disc["max_fine_dofs"],
+                initial=exp.u0,  # the macro solution at the fine nodes
             )
             picard_iters[f"1/{round(1 / eps)}"] = pic.iterations
             done(stage)
 
             stage = f"errors eps=1/{round(1 / eps)}"
-            exp = reconstruct(u0, table, eps, fine_grid, order=2)
             rem2 = remainder(u_eps, exp)
             z0 = ScalarField(fine_grid, u_eps.values - exp.truncated(0))
             z1 = ScalarField(fine_grid, u_eps.values - exp.truncated(1))

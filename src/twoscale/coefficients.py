@@ -14,9 +14,10 @@ that contract:
 * ROSSELAND         radiative-conductive form k(y) + 4 u^3 b
 * SEPARATED         mu(u, x) * g(y), a multiplicative split
 
-Evaluators clamp u to the admissible range: fixed-point iterations may step
+Evaluators clamp u to the admissible range: nonlinear iterations may step
 transiently outside it, and clamping keeps ellipticity (hence SPD assembly)
-intact.  Ellipticity limits are measured by sampling at construction.
+intact; the u-derivatives, those of the clamped evaluators, vanish outside
+it.  Ellipticity limits are measured by sampling at construction.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ class CoefficientModel:
 
     def eval_da_du(self, u, x, y):
         u, x, y, scalar = _normalize_args(u, x, y, self.dim)
-        out = self._matrix_du(np.clip(u, self.u_lo, self.u_hi), x, y)
+        inside = (u >= self.u_lo) & (u <= self.u_hi)  # beyond, the clamped a is flat
+        out = self._matrix_du(np.clip(u, self.u_lo, self.u_hi), x, y) * inside[:, None, None]
         return out[0] if scalar else out
 
     def eval_da_dx(self, u, x, y):
@@ -190,7 +192,10 @@ class CoefficientModel:
         return self.source.eval(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim)
 
     def eval_df_du(self, u, x, y):
-        return self.source.eval_du(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim)
+        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
+        inside = (u >= self.u_lo) & (u <= self.u_hi)
+        out = self.source.eval_du(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim) * inside
+        return float(out[0]) if scalar else out
 
     # -- construction-time validation ---------------------------------------
     def _validate(self):

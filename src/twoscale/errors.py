@@ -21,7 +21,7 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget.
 
     Carries the final residual (or increment) and the history so callers can
-    report or adapt (e.g. suggest stronger damping).
+    report or adapt (e.g. restart a Newton solve from a better state).
     """
 
     def __init__(self, message, residual=None, iterations=None, history=None):

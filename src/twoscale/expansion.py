@@ -208,12 +208,13 @@ def solve_fine(
     quad=None,
     cg_opts: SolverOptions = SolverOptions(),
     max_dofs: int = 2_000_000,
+    initial=None,
 ):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
-    Same fixed-point contract as the homogenized solve; refuses fine grids
-    beyond ``max_dofs`` (refine eps or lower the period resolution instead
-    of swapping).
+    Same Newton contract as the homogenized solve, from the nodal
+    ``initial`` values when given; refuses fine grids beyond ``max_dofs``
+    (refine eps or lower the period resolution instead of swapping).
     """
     cells_per_period(fine_grid, eps)
     if fine_grid.ndof > max_dofs:
@@ -222,15 +223,13 @@ def solve_fine(
             "reduce cells_per_period or use larger eps"
         )
 
-    def coeff(u, pts):
-        return model.eval_a(u, pts, np.mod(pts / eps, 1.0))
-
-    def source(u, pts):
-        return model.eval_f(u, pts, np.mod(pts / eps, 1.0))
+    def fast(evaluator):
+        return lambda u, pts: evaluator(u, pts, np.mod(pts / eps, 1.0))
 
     values, result = solve_nonlinear(
-        model, fine_grid, quad or default_quadrature(fine_grid.dim), coeff, source, opts,
-        cg_opts,
+        model, fine_grid, quad or default_quadrature(fine_grid.dim),
+        fast(model.eval_a), fast(model.eval_da_du), fast(model.eval_f), fast(model.eval_df_du),
+        opts, cg_opts, initial,
     )
     return ScalarField(fine_grid, values), result
 

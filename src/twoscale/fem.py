@@ -7,16 +7,18 @@ cell.  Every periodic cell system is factored exactly by sparse LU; the
 singular periodic one is made nonsingular by pinning one node, and the
 solution is then projected to mean zero.  A :class:`PeriodicFactor`
 carries that factor from one solve to the next, so the solves against one
-cell operator share one factorization.  Every 1-D box system is SPD
-tridiagonal and goes to LAPACK's ``dptsv`` (LDL^T, O(n)) as its interior
-diagonal and super-diagonal.  The 2-D box is solved by conjugate gradients
-preconditioned with a geometric multigrid V-cycle built once per solve:
-bilinear prolongation on the interior nodes, Galerkin coarse operators
-P^T A P, damped-Jacobi smoothing weighted to contract on every level and a
-sparse-LU coarsest level, which keeps the iteration count flat as the grid
-is refined.
+cell operator share one factorization.  Every symmetric 1-D box system is
+SPD tridiagonal and goes to LAPACK's ``dptsv`` (LDL^T, O(n)) as its
+interior diagonal and super-diagonal; a Newton Jacobian goes to ``dgtsv``
+as its three bands.  The 2-D box is solved by conjugate gradients (GMRES
+for a Newton Jacobian) preconditioned with a geometric multigrid V-cycle
+built once per solve: bilinear prolongation on the interior nodes,
+Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
+contract on every level and a sparse-LU coarsest level, which keeps the
+iteration count flat as the grid is refined.
 
-Every stiffness matrix comes from one stencil kernel.  Over chunks of
+Every stiffness matrix and Newton Jacobian comes from one stencil
+kernel.  Over chunks of
 element rows, the coefficient samples at the quadrature points, reshaped
 to (E, Q*dim*dim), multiply one reference tensor of weighted Q1 gradient
 products, shape (Q*dim*dim, C*C), giving the element matrices, which are
@@ -28,8 +30,8 @@ weighted basis values or gradients, scattered by ``bincount``, and the
 values or gradients of a nodal field at the quadrature points are its
 element values (E, C) times the basis values or gradients, which each
 rule tabulates once.  Coefficient evaluators are called once per
-quadrature point, with one point per element; a state-dependent evaluator
-also receives a nodal state read at those points through the element
+quadrature point, with one point per element; the Newton linearization
+also passes them its nodal state read at those points through the element
 connectivity (a gather, since the element of every quadrature point is
 known), so no point location runs on a grid's own quadrature points.
 Element contributions are accumulated in a fixed element order so
@@ -172,23 +174,17 @@ def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
     return float(np.einsum("eq,q->", samples, quad.weights) * cell_measure)
 
 
-def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple, state=None,
+def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple,
                   elements=slice(None)) -> np.ndarray:
-    """``fn`` at the quadrature points of ``elements`` (a slice of the element
-    order, all of them by default), shape (E, Q, *tail).
-
-    ``fn`` is called once per quadrature point with one point per element,
-    which bounds the size of its temporaries on large grids: as
-    ``fn(points)``, or, given nodal ``state`` values on ``grid``, as
-    ``fn(u, points)`` with ``u`` the state's Q1 interpolant at those points,
-    read through the element connectivity (a gather, no point location).
+    """``fn(points)`` at the quadrature points of ``elements`` (a slice of the
+    element order, all of them by default), shape (E, Q, *tail).  ``fn`` is
+    called once per quadrature point with one point per element, which
+    bounds the size of its temporaries on large grids.
     """
     pts = element_quad_points(grid, quad, elements)
-    u_q = None if state is None else np.asarray(state)[grid.element_dofs()[elements]] @ quad.basis.T
     out = np.empty(pts.shape[:2] + tail)
     for q in range(pts.shape[1]):
-        args = (pts[:, q, :],) if u_q is None else (u_q[:, q], pts[:, q, :])
-        vals = np.asarray(fn(*args), dtype=float)
+        vals = np.asarray(fn(pts[:, q, :]), dtype=float)
         if vals.shape != out.shape[:1] + tail:
             raise AssemblyError(f"evaluator returned shape {vals.shape}")
         out[:, q] = vals
@@ -213,36 +209,21 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_matrix:
-    """Assemble the variable-coefficient stiffness matrix.
+def _stencil_operator(grid, ref: np.ndarray, samples):
+    """(CSR matrix, 3^dim-point stencil) of the operator whose element
+    matrices are ``samples(elements) @ ref``: rows (E, K) for a slice of the
+    element order, against the reference tensor ``ref`` (K, C*C).
 
-    ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
-    points (K, dim) to symmetric matrices (K, dim, dim), called once per
-    quadrature point with one point per element, or the samples themselves,
-    shape (E, Q, dim, dim).  With nodal ``state`` values on ``grid``, the
-    evaluator is called as ``coeff(u, points)`` instead, ``u`` (K,) being
-    the state at those points (see :func:`_eval_at_quad`).
-
-    The kernel runs over chunks of whole element rows: it evaluates the
-    coefficient there, makes the element matrices by one matrix product
-    with :func:`_stiffness_reference`, and adds them into the stencil of
-    every node of the element corner lattice (see
+    Over chunks of whole element rows, the element matrices are added into
+    the stencil of every node of the element corner lattice (see
     :func:`~twoscale.grids._stencil_pattern`) by shifted-slice adds.  The
     elements of a node, in increasing order, are those at which it is
     corner b for b decreasing, so every entry sums its element terms in
-    element order, as a scatter would.  A cell grid then folds its corner
-    lattice's far faces onto the near ones, which is the periodic
-    identification, and the CSR matrix takes its values from the stencil
-    through the grid's cached pattern.
+    element order, as a scatter would.  A cell grid then folds its far
+    faces onto the near ones (the periodic identification), and the CSR
+    matrix reads the stencil through the grid's cached pattern.
     """
     dim, m = grid.dim, grid.cells_per_side
-    n_q = len(quad.weights)
-    tail = (dim, dim)
-    if not callable(coeff):
-        coeff = np.asarray(coeff, dtype=float)
-        if coeff.shape != (grid.n_elements, n_q) + tail:
-            raise AssemblyError(f"coefficient samples have shape {coeff.shape}")
-    ref = _stiffness_reference(grid, quad)
     offs = corner_offsets(dim)
     n_loc = len(offs)
     # offsets first, so that every shifted-slice add runs over contiguous rows
@@ -254,31 +235,65 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_
     for i in range(n_chunks):
         r0, r1 = m * i // n_chunks, m * (i + 1) // n_chunks
         lo[0], hi[0] = r0, r1
-        elements = slice(r0 * row, r1 * row)
-        if callable(coeff):
-            a = _eval_at_quad(grid, quad, coeff, tail, state, elements)
-        else:
-            a = coeff[elements]
-        finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
-        if not finite.all():
-            raise AssemblyError(
-                f"non-finite coefficient at element {elements.start + int(np.argmin(finite))}"
-            )
-        local = np.empty((n_loc * n_loc, len(a)))  # one row per element-matrix entry
-        np.matmul(a.reshape(len(a), -1), ref, out=local.T)
+        rows = samples(slice(r0 * row, r1 * row))
+        local = np.empty((n_loc * n_loc, len(rows)))  # one row per element-matrix entry
+        np.matmul(rows, ref, out=local.T)
         local = local.reshape((n_loc, n_loc, r1 - r0) + (m,) * (dim - 1))
         for b in reversed(range(n_loc)):
             nodes = tuple(map(slice, lo + offs[b], hi + offs[b]))
             for c in range(n_loc):
                 stencil[tuple(1 + offs[c] - offs[b]) + nodes] += local[b, c]
     periodic = isinstance(grid, CellGrid)
-    n = m if periodic else m + 1  # nodes per side
     if periodic:
         for d in range(dim):
             stencil[(slice(None),) * (dim + d) + (0,)] += stencil[(slice(None),) * (dim + d) + (m,)]
+    indptr, indices, keep = grid.stencil_pattern()
+    data = np.moveaxis(stencil, tuple(range(dim)), tuple(range(dim, 2 * dim)))[keep]
+    if periodic:  # wrapped columns come out of order, and may repeat
+        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.ndof, grid.ndof))
+        mat.sum_duplicates()
+    else:
+        mat = sp.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
+    return mat, stencil
+
+
+def _check_finite(samples: np.ndarray, first: int, what: str) -> None:
+    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
+    if not finite.all():
+        raise AssemblyError(f"non-finite {what} at element {first + int(np.argmin(finite))}")
+
+
+def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
+    """Assemble the variable-coefficient stiffness matrix.
+
+    ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
+    points (K, dim) to symmetric matrices (K, dim, dim), called once per
+    quadrature point with one point per element, or the samples themselves,
+    shape (E, Q, dim, dim).  The kernel (:func:`_stencil_operator`)
+    evaluates the coefficient chunk by chunk, against
+    :func:`_stiffness_reference`; under ``__debug__`` the stencil must be
+    symmetric.
+    """
+    dim = grid.dim
+    tail = (dim, dim)
+    if not callable(coeff):
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (grid.n_elements, len(quad.weights)) + tail:
+            raise AssemblyError(f"coefficient samples have shape {coeff.shape}")
+
+    def samples(elements):
+        if callable(coeff):
+            a = _eval_at_quad(grid, quad, coeff, tail, elements)
+        else:
+            a = coeff[elements]
+        _check_finite(a, elements.start, "coefficient")
+        return a.reshape(len(a), -1)
+
+    mat, stencil = _stencil_operator(grid, _stiffness_reference(grid, quad), samples)
     if __debug__:
         # entry [o, x] against [-o, x + o], wrapped, in blocks of node rows;
         # off the box grid both are zero
+        n = grid.cells_per_side if isinstance(grid, CellGrid) else grid.cells_per_side + 1
         nodes = stencil[(Ellipsis,) + (slice(0, n),) * dim]
         asym = 0.0
         for o in np.array(list(itertools.product((-1, 0, 1), repeat=dim))):
@@ -288,19 +303,44 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule, state=None) -> sp.csr_
                 diff = np.roll(diff, tuple(-o[1:]), tuple(range(1, dim)))
                 diff -= nodes[tuple(1 + o)][rows]
                 asym = max(asym, float(np.abs(diff).max()))
-
-    indptr, indices, keep = grid.stencil_pattern()
-    data = np.moveaxis(stencil, tuple(range(dim)), tuple(range(dim, 2 * dim)))[keep]
-    if periodic:  # wrapped columns come out of order, and may repeat
-        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.ndof, grid.ndof))
-        mat.sum_duplicates()
-    else:
-        mat = sp.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
-    if __debug__:
         scale = max(float(mat.data.max()), -float(mat.data.min()), 1.0)
         if asym > 1e-12 * scale:
             raise AssemblyError(f"assembled matrix asymmetry {asym:.3e}")
     return mat
+
+
+def linearize(grid, quad: QuadratureRule, state, coeff, coeff_du, source, source_du):
+    """Residual R and Jacobian J of -div(a(u) grad u) = f(u) at nodal
+    ``state`` u on a box grid, returned as (J, R):
+
+        R_i = int a grad u . grad phi_i - f phi_i,
+        J_ij = int a grad phi_j . grad phi_i + (da/du grad u) . grad phi_i phi_j
+               - df/du phi_i phi_j.
+
+    The evaluators map (u (K,), points (K, dim)) to a and da/du (K, dim,
+    dim), f and df/du (K,), once per quadrature point, u being the state
+    gathered there.  R is one load vector; J is one stencil-kernel pass of
+    the rows a, -df/du and da/du grad u against the stiffness, mass and
+    advection reference tensors, with no symmetry check.
+    """
+    pts = element_quad_points(grid, quad)
+    u_q = field_values_at_quad(grid, state, quad)
+    a, da, f, df = (np.stack([fn(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])], axis=1)
+                    for fn in (coeff, coeff_du, source, source_du))
+    grad = field_gradients_at_quad(grid, state, quad)  # (E, Q, dim)
+    residual = assemble_load_from_samples(grid, quad, -f, np.einsum("eqij,eqj->eqi", a, grad))
+    rows = np.concatenate([x.reshape(len(a), -1)
+                           for x in (a, -df, np.einsum("eqij,eqj->eqi", da, grad))], axis=1)
+    _check_finite(rows, 0, "Jacobian sample")
+    weights = quad.weights * grid.spacing**grid.dim
+    grads = quad.basis_gradients / grid.spacing  # (Q, C, dim)
+    n_q, _, dim = grads.shape
+    ref = np.concatenate([
+        _stiffness_reference(grid, quad),
+        np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
+        np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
+    ])
+    return _stencil_operator(grid, ref, lambda elements: rows[elements])[0], residual
 
 
 def assemble_load_from_samples(
@@ -336,21 +376,18 @@ def assemble_load_from_samples(
     return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
 
 
-def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None,
-                  state=None) -> np.ndarray:
+def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> np.ndarray:
     """Load vector from point evaluators.
 
     ``scalar_fn(points) -> (K,)`` gives the \\int s phi form, ``flux_fn(points)
-    -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.  With
-    nodal ``state`` values on ``grid``, both are called as ``fn(u, points)``,
-    as in :func:`assemble_stiffness`.
+    -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.
     """
     scalar_samples = None
     flux_samples = None
     if scalar_fn is not None:
-        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, (), state)
+        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, ())
     if flux_fn is not None:
-        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,), state)
+        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,))
     return assemble_load_from_samples(grid, quad, scalar_samples, flux_samples)
 
 
@@ -359,9 +396,9 @@ class SolverOptions:
     """Linear-solver controls.
 
     ``tol`` (relative residual) and ``max_iter`` (default 10x the DOF
-    count) steer only the multigrid-preconditioned conjugate gradient of
-    the 2-D box solves; the direct solves (every periodic cell and every
-    1-D box) ignore them.  ``compat_tol`` is the relative
+    count) steer only the multigrid-preconditioned conjugate gradient and
+    GMRES of the 2-D box solves; the direct solves (every periodic cell and
+    every 1-D box) ignore them.  ``compat_tol`` is the relative
     bound on the rhs functional applied to constants before a periodic
     solve.
     """
@@ -448,7 +485,9 @@ def _inverse_diagonal(mat) -> np.ndarray:
 
 def _lu(mat):
     """Sparse LU of a symmetric positive definite matrix (every matrix factored
-    here is one): minimum degree ordering on A^T + A, diagonal pivots."""
+    here is one, or a Newton Jacobian's coarsest multigrid level, which
+    differs from one by the small u-derivative terms): minimum degree
+    ordering on A^T + A, diagonal pivots."""
     return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -505,7 +544,7 @@ def _multigrid(mat, cells: int):
     oscillating coefficients.  The smoother is damped Jacobi with a weight
     that contracts on each level (:func:`_smoother_weights`) and as many
     sweeps after the coarse correction as before, and the coarsest level is
-    factored once, so the V-cycle is symmetric positive definite.  A grid
+    factored once, so the V-cycle of an SPD matrix is SPD.  A grid
     that cannot coarsen is solved exactly.
     """
     levels = []  # (operator, weighted inverse diagonal, prolongation)
@@ -539,32 +578,44 @@ def _multigrid(mat, cells: int):
 
 
 def solve_dirichlet(
-    matrix, rhs: np.ndarray, grid: MacroGrid, opts: SolverOptions = SolverOptions()
+    matrix, rhs: np.ndarray, grid: MacroGrid, opts: SolverOptions = SolverOptions(),
+    symmetric: bool = True,
 ) -> np.ndarray:
     """Solve ``matrix x = rhs`` with homogeneous Dirichlet data eliminated
     exactly.
 
     Only the interior equations are solved; the returned full nodal vector
     is exactly zero on the boundary.  A 1-D grid's reduced system is
-    tridiagonal and solved directly from its two bands (``matrix`` must be
-    symmetric: its super-diagonal stands for both), raising
-    :class:`NonConvergenceError` unless it is positive definite; a 2-D one
-    is solved by CG preconditioned with a multigrid V-cycle.
+    tridiagonal and solved directly: a ``symmetric`` one from two bands,
+    raising :class:`NonConvergenceError` unless it is positive definite,
+    any other (a Newton Jacobian) from three, with partial pivoting.  A 2-D
+    one is solved by CG (GMRES unless ``symmetric``) preconditioned with a
+    multigrid V-cycle of the same matrix.
     """
     out = np.zeros(grid.ndof)
-    if grid.dim == 1:  # tridiagonal: LDL^T of the interior diagonal and super-diagonal
-        _, _, out[1:-1], info = lapack.dptsv(matrix.diagonal(0)[1:-1], matrix.diagonal(1)[1:-1],
-                                             rhs[1:-1])
+    if grid.dim == 1:  # the interior sub-, main and super-diagonal
+        lower, diag, upper = (matrix.diagonal(k)[1:-1] for k in (-1, 0, 1))
+        if symmetric:  # LDL^T
+            _, _, out[1:-1], info = lapack.dptsv(diag, upper, rhs[1:-1])
+        else:
+            out[1:-1], info = lapack.dgtsv(lower, diag, upper, rhs[1:-1])[3:]
         if info != 0:
+            kind = "positive definite" if symmetric else "nonsingular"
             raise NonConvergenceError(
-                f"1-D Dirichlet system is not positive definite (pivot {info} of {len(out) - 2})"
+                f"1-D Dirichlet system is not {kind} (pivot {info} of {len(out) - 2})"
             )
         return out
     free = grid.interior_dofs()
     reduced = matrix[free][:, free].tocsr()
     max_iter = opts.max_iter or 10 * max(len(free), 1)
     precond = _multigrid(reduced, grid.cells_per_side)
-    out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)
+    if symmetric:
+        out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)
+        return out
+    out[free], info = spla.gmres(reduced, rhs[free], rtol=opts.tol, maxiter=max_iter,
+                                 M=spla.LinearOperator(reduced.shape, precond))
+    if info != 0:
+        raise NonConvergenceError(f"GMRES did not reach tol={opts.tol:g}", iterations=info)
     return out
 
 

@@ -253,7 +253,7 @@ def _ravel(multi: np.ndarray, shape) -> np.ndarray:
     return flat
 
 
-def lattice_corners(axes, queries, periodic=False):
+def lattice_corners(axes, queries, periodic=False, derivative=None):
     """Multilinear interpolation on the tensor lattice of ``axes``: the one
     kernel behind every grid, cell and parameter-table read.
 
@@ -265,6 +265,10 @@ def lattice_corners(axes, queries, periodic=False):
     (K, 2^axes): lattice ids flattened with the first axis slowest, corners
     in :func:`corner_offsets` order over the axes that have them, and
     weights multiplied in axis order, summing to one per query.
+
+    With ``derivative`` = d, a clamped axis, the weights are the blend's exact
+    derivative along it: -1/h and 1/h on a bracket of width h (one-sided at a
+    sample), 0 beyond the axis' ends or on one sample, where it is flat.
     """
     queries = np.asarray(queries, dtype=float)
     brackets = []  # (sample count, (lower, upper) ids, their weights) per axis
@@ -279,11 +283,16 @@ def lattice_corners(axes, queries, periodic=False):
             upper = t - lo
             hi = (lo + 1) % n
         else:
+            inside = (q >= samples[0]) & (q <= samples[-1])
             q = np.clip(q, samples[0], samples[-1])
             lo = np.clip(np.searchsorted(samples, q, side="right") - 1, 0, n - 2)
             upper = (q - samples[lo]) / np.diff(samples)[lo]
             hi = lo + 1
-        brackets.append((n, (lo, hi), (1.0 - upper, upper)))
+        w = (1.0 - upper, upper)
+        if d == derivative:
+            slope = np.where(inside, 1.0 / np.diff(samples)[lo], 0.0)
+            w = (-slope, slope)
+        brackets.append((n, (lo, hi), w))
     offsets = corner_offsets(len(brackets))
     # built corner by corner, so each returned column is contiguous
     ids = np.zeros((len(offsets), len(queries)), dtype=int)
@@ -293,6 +302,8 @@ def lattice_corners(axes, queries, periodic=False):
             ids[c] *= n
             ids[c] += idx[bit]
             wts[c] *= w[bit]
+    if derivative is not None and len(axes[derivative]) == 1:
+        wts[:] = 0.0
     return ids.T, wts.T
 
 

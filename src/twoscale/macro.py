@@ -1,15 +1,13 @@
-"""Anderson-accelerated Picard solve of the nonlinear homogenized problem.
+"""Newton solve of the nonlinear homogenized and resolved problems.
 
-The homogenized operator evaluates the effective tensor at the previous
-iterate, so the natural linearization is the frozen-coefficient fixed point
-G(u) = (1 - theta) u + theta * LinSolve(a0(u, x), F(u, x)); no tensor
-derivative is needed.  Anderson mixing over the last few evaluations of G
-(Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735) extrapolates the
-next iterate, so theta acts as the mixing weight.  The initial guess is one
-extra linear solve with the tensor frozen at the midpoint of the admissible
-range, which starts the iteration basin-adjacent for the shipped problems;
-when neither the coefficient nor the source depends on u, that solve is
-already the solution.
+Both solves find the zero of the weak residual
+R(u)_i = int a(u) grad u . grad phi_i - f(u) phi_i by undamped Newton steps
+J(u) du = -R(u) (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357-397), a
+step that does not decrease the residual norm being halved until it does
+(backtracking; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004),
+so no damping is tuned by hand.  The default start is one linear solve with
+the data frozen at the midpoint of the admissible range, which is already
+the solution when neither the coefficient nor the source depends on u.
 """
 
 from __future__ import annotations
@@ -26,17 +24,19 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     default_quadrature,
+    linearize,
     solve_dirichlet,
 )
 from .grids import MacroGrid, ScalarField
 
-# Anderson depth: each step mixes the last ANDERSON_DEPTH + 1 evaluations of G
-ANDERSON_DEPTH = 5
+# smallest step fraction the backtracking tries before it gives up
+_MIN_STEP = 2.0**-10
 
 
 @dataclass(frozen=True)
 class PicardOptions:
-    """Fixed-point controls: sup-norm increment tolerance, budget, damping."""
+    """Nonlinear-solve controls: sup-norm increment tolerance and step budget.
+    ``damping`` is validated but has no effect (the Newton steps are undamped)."""
 
     tol: float = 1e-10
     max_iter: int = 100
@@ -62,76 +62,60 @@ class PicardResult:
         return self.increments[-1] if self.increments else 0.0
 
 
-def picard_solve(assemble_fn, grid: MacroGrid, opts: PicardOptions,
-                 cg_opts: SolverOptions, initial_values: np.ndarray):
-    """Shared fixed-point driver: ``assemble_fn(u_values) -> (matrix, rhs)``.
+def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, source_du,
+                    opts: PicardOptions, cg_opts: SolverOptions, initial=None):
+    """Newton solve of -div(a(u) grad u) = f(u), u = 0 on the boundary of
+    ``grid``, for the macro and fine solves; the evaluators give a, da/du, f
+    and df/du to :func:`~twoscale.fem.linearize`.
 
-    Each step evaluates the damped map G at the current iterate; its
-    sup-norm increment |G(u) - u| is the convergence measure, and the first
-    G(u) whose increment drops below the tolerance is returned together with
-    the increment history.  Otherwise the next iterate is the Anderson
-    combination of the last ``ANDERSON_DEPTH`` + 1 evaluations of G.
+    The start is the nodal ``initial`` (boundary zeroed) or the frozen-
+    midpoint solve, returned as converged in one iteration with increment 0
+    when nothing depends on u.  The iteration stops once a step's sup norm
+    is at most ``opts.tol``, returning the stepped state; a longer step is
+    halved until the interior residual norm falls by the Armijo fraction
+    1e-4, and the increment recorded is that of the step taken.
     """
-    u = np.asarray(initial_values, dtype=float).copy()
+    dependent = model.u_dependent or model.source.u_dependent
+    if initial is None or not dependent:
+        u_mid = 0.5 * (model.u_lo + model.u_hi)
+        mat = assemble_stiffness(grid, lambda pts: coeff(np.full(len(pts), u_mid), pts), quad)
+        rhs = assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts))
+        u = solve_dirichlet(mat, rhs, grid, cg_opts)
+        if not dependent:
+            return u, PicardResult(iterations=1, increments=[0.0], converged=True)
+    else:
+        u = np.array(initial, dtype=float)
+        u[grid.boundary_dofs()] = 0.0
+
+    free, evaluators = grid.interior_dofs(), (coeff, coeff_du, source, source_du)
+    jac, res = linearize(grid, quad, u, *evaluators)
+    norm = np.linalg.norm(res[free])
     result = PicardResult(iterations=0)
-    g_hist, f_hist = [], []
-    for it in range(1, opts.max_iter + 1):
-        mat, rhs = assemble_fn(u)
-        u_lin = solve_dirichlet(mat, rhs, grid, cg_opts)
-        g = (1.0 - opts.damping) * u + opts.damping * u_lin
-        f = g - u
-        inc = float(np.max(np.abs(f)))
-        result.increments.append(inc)
-        result.iterations = it
+    while result.iterations < opts.max_iter:
+        step = solve_dirichlet(jac, -res, grid, cg_opts, symmetric=False)
+        inc = float(np.max(np.abs(step)))
+        result.iterations += 1
+        frac = 1.0
+        while inc > opts.tol:  # backtracking
+            jac, res = linearize(grid, quad, u + frac * step, *evaluators)
+            trial_norm = np.linalg.norm(res[free])
+            if trial_norm <= (1.0 - 1e-4 * frac) * norm:
+                break
+            frac *= 0.5
+            if frac < _MIN_STEP:
+                raise NonConvergenceError(f"Newton step {result.iterations} found no residual "
+                                          "decrease", residual=inc, iterations=result.iterations,
+                                          history=result.increments)
+        u = u + frac * step
+        result.increments.append(frac * inc)
         if inc <= opts.tol:
-            u = g
             result.converged = True
-            break
-        g_hist = (g_hist + [g])[-(ANDERSON_DEPTH + 1):]
-        f_hist = (f_hist + [f])[-(ANDERSON_DEPTH + 1):]
-        if len(f_hist) > 1:
-            d_f = np.diff(np.stack(f_hist, axis=1), axis=1)
-            d_g = np.diff(np.stack(g_hist, axis=1), axis=1)
-            gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
-            u = g - d_g @ gamma
-        else:
-            u = g
-    if not result.converged:
-        raise NonConvergenceError(
-            f"Picard iteration did not converge in {opts.max_iter} steps "
-            f"(last increment {result.final_increment:.3e}); consider smaller damping",
-            residual=result.final_increment,
-            iterations=result.iterations,
-            history=result.increments,
-        )
-    return u, result
-
-
-def solve_nonlinear(model, grid: MacroGrid, quad, coeff, source, opts: PicardOptions,
-                    cg_opts: SolverOptions):
-    """Frozen-midpoint start, then ``picard_solve`` (shared by the macro and
-    fine solves).
-
-    Each step assembles ``coeff(u, points)`` (tensors (K, dim, dim)) and
-    ``source(u, points)`` (scalars (K,)) on ``grid`` with ``quad``, the
-    state ``u`` being the current iterate at the quadrature points.  The
-    start is one linear solve with the state frozen at the middle of the
-    admissible range.  When neither the coefficient nor the source depends
-    on u, that solve is the fixed point and is returned as converged in one
-    iteration with increment 0.
-    """
-
-    def assemble_at(u_values):
-        mat = assemble_stiffness(grid, coeff, quad, state=u_values)
-        rhs = assemble_load(grid, quad, scalar_fn=source, state=u_values)
-        return mat, rhs
-
-    u_mid = 0.5 * (model.u_lo + model.u_hi)
-    mat, rhs = assemble_at(np.full(grid.ndof, u_mid))
-    start = solve_dirichlet(mat, rhs, grid, cg_opts)
-    if not (model.u_dependent or model.source.u_dependent):
-        return start, PicardResult(iterations=1, increments=[0.0], converged=True)
-    return picard_solve(assemble_at, grid, opts, cg_opts, start)
+            return u, result
+        norm = trial_norm
+    raise NonConvergenceError(
+        f"Newton iteration did not converge in {opts.max_iter} steps (last increment "
+        f"{result.final_increment:.3e})", residual=result.final_increment,
+        iterations=result.iterations, history=result.increments)
 
 
 def solve_homogenized(
@@ -144,13 +128,15 @@ def solve_homogenized(
 ):
     """Solve the homogenized problem with homogeneous Dirichlet data.
 
-    The effective tensor and the cell-averaged source are interpolated from
-    their parameter tables at every quadrature point of the current iterate.
+    The effective tensor and the cell-averaged source, and their exact
+    u-derivatives for the Newton Jacobian, are interpolated from their
+    parameter tables at every quadrature point of the current iterate.
     Emits a warning when the converged solution leaves the admissible range.
     """
     values, result = solve_nonlinear(
         model, macro_grid, quad or default_quadrature(macro_grid.dim),
-        tensor_table.interp, tensor_table.interp_source, opts, cg_opts,
+        tensor_table.interp, tensor_table.interp_du,
+        tensor_table.interp_source, tensor_table.interp_source_du, opts, cg_opts,
     )
 
     interior = values[macro_grid.interior_dofs()]

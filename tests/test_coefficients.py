@@ -164,6 +164,35 @@ def test_u_clamped_to_admissible_range():
     assert np.allclose(model.eval_a(7.0, [0.0], [0.3]), model.eval_a(1.0, [0.0], [0.3]))
 
 
+@pytest.mark.parametrize("u", [-0.5, 0.4, 1.6])
+def test_u_derivatives_are_those_of_the_clamped_evaluators(u):
+    # below, inside and above u_range: central differences of what eval_a and
+    # eval_f return against eval_da_du and eval_df_du (zero outside)
+    model = RosselandCoefficient(
+        1, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=0.5)
+    )
+    x, y, h = [0.2], [0.3], 1e-6
+    fd_a = (model.eval_a(u + h, x, y) - model.eval_a(u - h, x, y)) / (2 * h)
+    fd_f = (model.eval_f(u + h, x, y) - model.eval_f(u - h, x, y)) / (2 * h)
+    assert np.allclose(model.eval_da_du(u, x, y), fd_a, rtol=1e-6, atol=1e-9)
+    assert model.eval_df_du(u, x, y) == pytest.approx(fd_f, rel=1e-6, abs=1e-9)
+    assert isinstance(model.eval_df_du(u, x, y), float)
+    inside = 0.0 <= u <= 1.0
+    assert (model.eval_da_du(u, x, y)[0, 0] != 0.0) == inside
+    assert (model.eval_df_du(u, x, y) != 0.0) == inside
+
+
+def test_u_derivatives_keep_their_one_sided_value_at_the_range_ends():
+    model = RosselandCoefficient(
+        1, b=1.0, u_range=(0.0, 2.0), source=SourceModel(base=1.0, u_coeff=0.5)
+    )
+    u = np.array([-1e-9, 0.0, 2.0, 2.0 + 1e-9])
+    x = np.zeros((4, 1))
+    y = np.full((4, 1), 0.3)
+    assert np.array_equal(model.eval_da_du(u, x, y)[:, 0, 0], [0.0, 0.0, 48.0, 0.0])
+    assert np.array_equal(model.eval_df_du(u, x, y), [0.0, 0.5, 0.5, 0.0])
+
+
 def test_non_finite_inputs_rejected():
     model = SmoothPeriodicCoefficient(1)
     with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from twoscale.grids import (
     fd_hessian,
     interpolate_values,
 )
-from twoscale.macro import PicardOptions, picard_solve, solve_homogenized
+from twoscale.macro import PicardOptions, solve_homogenized
 
 
 def tables_for(model, m_c=64):
@@ -295,20 +295,24 @@ def test_u_independent_fine_solve_assembles_once(monkeypatch):
 
 
 def test_u_dependent_2d_fine_solve_matches_point_location_reference():
-    # the fine Picard solve with the iterate gathered at the quadrature
-    # points against the same fixed point with every quadrature point
-    # located in the grid (frozen-midpoint start, then Picard)
+    # the 2-D Newton solve (GMRES steps, a u-dependent source) against the
+    # same discrete problem with every quadrature point located in the grid:
+    # its residual, and a plain frozen-coefficient fixed-point loop with
+    # direct solves, run to 1e-14
+    import scipy.sparse.linalg as spla
+
     eps = 0.25
     model = RosselandCoefficient(
         2, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=0.5)
     )
     fine = fine_grid_for(eps, 8, 2)
     quad = gauss_rule(3, 2)
-    opts, cg_opts = PicardOptions(), SolverOptions()
-    u_eps, result = solve_fine(model, eps, fine, opts, quad, cg_opts)
-    assert result.converged and result.iterations > 1
+    u_eps, result = solve_fine(model, eps, fine, PicardOptions(), quad, SolverOptions())
+    assert result.converged and 1 < result.iterations <= 8
 
-    def assemble_at(u_values):
+    free = fine.interior_dofs()
+
+    def frozen_system(u_values):
         def u_at(pts):
             return interpolate_values(fine, u_values, pts)
 
@@ -321,7 +325,18 @@ def test_u_dependent_2d_fine_solve_matches_point_location_reference():
         )
         return mat, rhs
 
-    start = solve_dirichlet(*assemble_at(np.full(fine.ndof, 0.5)), fine, cg_opts)
-    ref, ref_result = picard_solve(assemble_at, fine, opts, cg_opts, start)
-    assert ref_result.iterations == result.iterations
+    mat, rhs = frozen_system(u_eps.values)
+    residual = (mat @ u_eps.values - rhs)[free]
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs[free])
+
+    ref = np.zeros(fine.ndof)
+    for _ in range(200):
+        mat, rhs = frozen_system(ref)
+        update = np.zeros(fine.ndof)
+        update[free] = spla.spsolve(mat[free][:, free].tocsc(), rhs[free]) - ref[free]
+        ref += update
+        if np.max(np.abs(update)) <= 1e-14:
+            break
+    else:
+        pytest.fail("the fixed-point loop did not reach 1e-14")
     assert np.max(np.abs(u_eps.values - ref)) <= 1e-12 * np.max(np.abs(ref))

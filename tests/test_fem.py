@@ -19,6 +19,7 @@ from twoscale.fem import (
     element_quad_points,
     field_gradients_at_quad,
     gauss_rule,
+    linearize,
     q1_gradients,
     q1_values,
     solve_dirichlet,
@@ -430,8 +431,10 @@ def test_quadrature_rule_caches_read_only_basis_tables(dim):
 @pytest.mark.parametrize("grid", [MacroGrid(1, 16), MacroGrid(2, 8)], ids=repr)
 @pytest.mark.parametrize("n_points", [1, 2, 3])
 def test_state_assembly_matches_point_location_reference(grid, n_points):
-    # a nodal state read at the quadrature points by gather gives the same
-    # matrix and load as locating every quadrature point in the grid
+    # the Newton linearization reads its nodal state at the quadrature points
+    # by gather: its residual, and its Jacobian with the u-derivatives zeroed
+    # (the stiffness matrix), match assembling with every quadrature point
+    # located in the grid
     k_matrix = [[2.0]] if grid.dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
     model = RosselandCoefficient(
         grid.dim, k_matrix=k_matrix, b=0.3, source=SourceModel(base=1.0, u_coeff=0.5)
@@ -448,17 +451,19 @@ def test_state_assembly_matches_point_location_reference(grid, n_points):
     def source(u, pts):
         return model.eval_f(u, pts, np.mod(4.0 * pts, 1.0))
 
-    mat = assemble_stiffness(grid, coeff, quad, state=state).toarray()
+    jac, res = linearize(grid, quad, state, coeff,
+                         lambda u, pts: np.zeros((len(pts), grid.dim, grid.dim)),
+                         source, lambda u, pts: np.zeros(len(pts)))
     assert calls == [grid.n_elements] * len(quad.weights)
-    load = assemble_load(grid, quad, scalar_fn=source, state=state)
 
     def located(fn):
         return lambda pts: fn(interpolate_values(grid, state, pts), pts)
 
-    ref = assemble_stiffness(grid, located(coeff), quad).toarray()
-    assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
-    ref = assemble_load(grid, quad, scalar_fn=located(source))
-    assert np.max(np.abs(load - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref = assemble_stiffness(grid, located(coeff), quad)
+    assert abs(jac - ref).max() <= 1e-14 * abs(ref).max()
+    flux_part = ref @ state
+    load = assemble_load(grid, quad, scalar_fn=located(source))
+    assert np.max(np.abs(res - (flux_part - load))) <= 1e-13 * np.max(np.abs(flux_part))
 
 
 def test_assembly_rejects_bad_shape_and_names_non_finite_element():
@@ -722,3 +727,54 @@ def test_1d_dirichlet_solve_rejects_an_indefinite_system():
     shifted = (mat - sp.identity(grid.ndof) * 30.0).tocsr()  # past the lowest eigenvalue
     with pytest.raises(NonConvergenceError, match="not positive definite"):
         solve_dirichlet(shifted, np.ones(grid.ndof), grid)
+
+
+def newton_data(dim):
+    model = RosselandCoefficient(
+        dim, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=-2.0)
+    )
+
+    def fast(evaluator):
+        return lambda u, pts: evaluator(u, pts, np.mod(4.0 * pts, 1.0))
+
+    return [fast(f) for f in (model.eval_a, model.eval_da_du, model.eval_f, model.eval_df_du)]
+
+
+@pytest.mark.parametrize("grid, n_points", [(MacroGrid(1, 12), 1), (MacroGrid(1, 12), 2),
+                                             (MacroGrid(2, 6), 2), (MacroGrid(2, 6), 3)], ids=repr)
+def test_linearize_jacobian_matches_residual_differences(grid, n_points):
+    # each Jacobian column against central differences of the residual
+    quad = gauss_rule(n_points, grid.dim)
+    coeff, coeff_du, source, source_du = newton_data(grid.dim)
+    x = grid.node_coords()
+    state = 0.5 + 0.3 * np.prod(np.sin(np.pi * x), axis=1) + 0.05 * np.cos(7.0 * x[:, 0])
+    jac, res = linearize(grid, quad, state, coeff, coeff_du, source, source_du)
+    h = 1e-6
+    dense = jac.toarray()
+    for j in range(grid.ndof):
+        bump = np.zeros(grid.ndof)
+        bump[j] = h
+        up = linearize(grid, quad, state + bump, coeff, coeff_du, source, source_du)[1]
+        down = linearize(grid, quad, state - bump, coeff, coeff_du, source, source_du)[1]
+        assert np.allclose(dense[:, j], (up - down) / (2 * h), rtol=0, atol=1e-6)
+    assert np.max(np.abs(dense - dense.T)) > 1e-3  # the u-derivative terms are not symmetric
+
+
+@pytest.mark.parametrize("grid", [MacroGrid(1, 40), MacroGrid(2, 16)], ids=repr)
+def test_nonsymmetric_dirichlet_solve_matches_sparse_lu(grid):
+    quad = gauss_rule(2, grid.dim)
+    x = grid.node_coords()
+    state = 0.5 + 0.4 * np.prod(np.sin(np.pi * x), axis=1)
+    jac, res = linearize(grid, quad, state, *newton_data(grid.dim))
+    free = grid.interior_dofs()
+    ref = sp.linalg.spsolve(jac[free][:, free].tocsc(), res[free])
+    sol = solve_dirichlet(jac, res, grid, symmetric=False)
+    assert np.max(np.abs(sol[free] - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.all(sol[grid.boundary_dofs()] == 0.0)
+
+
+def test_nonsymmetric_1d_dirichlet_solve_rejects_a_singular_system():
+    grid = MacroGrid(1, 8)
+    mat = sp.csr_matrix((grid.ndof, grid.ndof))
+    with pytest.raises(NonConvergenceError, match="not nonsingular"):
+        solve_dirichlet(mat, np.ones(grid.ndof), grid, symmetric=False)

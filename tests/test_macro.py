@@ -15,7 +15,7 @@ from twoscale.coefficients import (
     SourceModel,
 )
 from twoscale.errors import NonConvergenceError
-from twoscale.fem import assemble_load, assemble_stiffness, default_quadrature
+from twoscale.fem import assemble_load, assemble_stiffness, default_quadrature, solve_dirichlet
 from twoscale.grids import CellGrid, MacroGrid, interpolate_values
 from twoscale.macro import PicardOptions, solve_homogenized
 
@@ -83,6 +83,9 @@ def test_rosseland_nonlinear_picard_converges():
     # monotone decreasing increments after the first step
     tail = result.increments[1:]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
+    # damping is accepted but has no effect on the Newton steps
+    undamped, _ = solve_homogenized(tensors, model, macro)
+    assert np.array_equal(undamped.values, u0.values)
 
 
 def test_picard_budget_exhaustion_raises_with_history():
@@ -153,12 +156,11 @@ def test_range_warning_when_solution_leaves_admissible_interval():
         solve_homogenized(table, model, grid)
 
 
-def test_anderson_beats_plain_picard_on_strong_rosseland(monkeypatch):
-    import twoscale.macro as macro
-    from twoscale.cli import build_setup, tables_and_macro_solution
+def strong_rosseland_setup():
+    from twoscale.cli import build_setup
     from twoscale.config import load_config
 
-    cfg = load_config(base={
+    return build_setup(load_config(base={
         "problem": {
             "dim": 1,
             "coefficient": {"family": "ROSSELAND", "k_base": 2.0,
@@ -168,18 +170,122 @@ def test_anderson_beats_plain_picard_on_strong_rosseland(monkeypatch):
         },
         "discretization": {"m_x": 64, "m_c": 128, "cells_per_period": 16,
                            "table_u_samples": 9},
-        "nonlinear": {"damping": 0.5},
         "study": {"eps": ["1/8", "1/16", "1/32"]},
-    })
-    setup = build_setup(cfg)
-    tol = setup.picard_opts.tol
-    _, tensors, u_anderson, res_anderson = tables_and_macro_solution(setup)
+    }))
 
-    monkeypatch.setattr(macro, "ANDERSON_DEPTH", 0)
-    u_plain, res_plain = solve_homogenized(
-        tensors, setup.model, setup.macro_grid, setup.picard_opts,
-        setup.solve_quad, setup.cg_opts,
-    )
-    assert res_anderson.converged and res_plain.converged
-    assert res_anderson.iterations < res_plain.iterations
-    assert np.max(np.abs(u_anderson.values - u_plain.values)) <= 10.0 * tol
+
+def assert_quadratic(increments, c=10.0, floor=1e-14):
+    # below ``floor`` (rounding of states of size ~1) an increment squares no more
+    pairs = [(a, b) for a, b in zip(increments, increments[1:]) if a < 1e-2]
+    assert len(pairs) >= 2
+    for a, b in pairs:
+        assert b <= max(c * a * a, floor)
+
+
+def test_newton_converges_quadratically_on_strong_rosseland():
+    # no damping set: the macro and fine solves converge from the
+    # frozen-midpoint start, increments squaring once below 1e-2
+    from twoscale.cli import tables_and_macro_solution
+    from twoscale.expansion import fine_grid_for, solve_fine
+
+    setup = strong_rosseland_setup()
+    assert setup.picard_opts.damping == 1.0
+    _, _, u0, macro_result = tables_and_macro_solution(setup)
+    eps = 0.125
+    fine = fine_grid_for(eps, 16, 1)
+    args = (setup.model, eps, fine, setup.picard_opts, setup.solve_quad, setup.cg_opts)
+    _, fine_result = solve_fine(*args)
+    for result in (macro_result, fine_result):
+        assert result.converged and result.iterations <= 8
+        assert_quadratic(result.increments)
+    # the macro solution at the fine nodes is a closer start
+    start = interpolate_values(u0.grid, u0.values, fine.node_coords())
+    _, warm_result = solve_fine(*args, initial=start)
+    assert warm_result.converged and warm_result.iterations <= 6
+
+
+def test_newton_solution_is_the_discrete_fixed_point():
+    # the Newton state against a residual assembled independently (every
+    # quadrature point located in the grid) and against a plain
+    # frozen-coefficient fixed-point loop run to 1e-14
+    from twoscale.cli import tables_and_macro_solution
+
+    setup = strong_rosseland_setup()
+    _, tensors, u0, _ = tables_and_macro_solution(setup)
+    grid, quad = setup.macro_grid, setup.solve_quad
+    free = grid.interior_dofs()
+
+    def frozen_system(values):
+        def u_at(pts):
+            return interpolate_values(grid, values, pts)
+
+        mat = assemble_stiffness(grid, lambda pts: tensors.interp(u_at(pts), pts), quad)
+        rhs = assemble_load(grid, quad, scalar_fn=lambda pts: tensors.interp_source(u_at(pts), pts))
+        return mat, rhs
+
+    mat, rhs = frozen_system(u0.values)
+    residual = (mat @ u0.values - rhs)[free]
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs[free])
+
+    values, theta = np.zeros(grid.ndof), 0.5
+    for _ in range(500):
+        update = theta * (solve_dirichlet(*frozen_system(values), grid) - values)
+        values = values + update
+        if np.max(np.abs(update)) <= 1e-14:
+            break
+    else:
+        pytest.fail("the fixed-point loop did not reach 1e-14")
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(u0.values - values)) <= 1e-12 * scale
+
+
+def test_table_u_derivative_is_exact_and_zero_where_the_blend_clamps():
+    u_samples = np.array([0.0, 0.5, 2.0])
+    pgrid = ParameterGrid(u_samples, (np.array([0.5]),))
+    values = np.array([1.0, 2.0, 5.0]).reshape(3, 1, 1)
+    table = EffectiveTensorTable(pgrid, values, source_means=np.array([3.0, 1.0, 0.0]))
+    u = np.array([-0.1, 0.0, 0.25, 0.5, 1.0, 2.0, 2.5])
+    x = np.full((len(u), 1), 0.5)
+    assert np.allclose(table.interp_du(u, x)[:, 0, 0], [0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(table.interp_source_du(u, x), [0.0, -4.0, -4.0, -2 / 3, -2 / 3, -2 / 3, 0.0],
+                       rtol=0, atol=1e-14)
+    # central differences inside each bracket
+    h = 1e-6
+    for uu in (0.1, 0.3, 1.2):
+        fd = (table.interp(uu + h, [0.5]) - table.interp(uu - h, [0.5])) / (2 * h)
+        assert np.allclose(table.interp_du(uu, [0.5]), fd, rtol=1e-8)
+    one = constant_tensor_table(2.0)
+    assert np.array_equal(one.interp_du(u, x), np.zeros((len(u), 1, 1)))
+
+
+def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeypatch):
+    import twoscale.macro as macro
+    from twoscale.cli import tables_and_macro_solution
+    from twoscale.fem import SolverOptions, gauss_rule
+    from twoscale.macro import solve_nonlinear
+
+    # the strong macro solve halves some steps: more linearizations than the
+    # one per step (plus the start's, less the converged step's) a full step takes
+    calls = []
+    original = macro.linearize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(macro, "linearize", counting)
+    _, _, _, result = tables_and_macro_solution(strong_rosseland_setup())
+    assert result.converged and len(calls) > result.iterations
+
+    # a Jacobian with the u-derivative of the wrong sign gives a step along
+    # which the residual does not fall
+    model = RosselandCoefficient(1, b=1.0, u_range=(0.0, 2.0), source=SourceModel(base=20.0))
+
+    def fast(fn, scale=1.0):
+        return lambda u, pts: scale * fn(u, pts, np.mod(8.0 * pts, 1.0))
+
+    with pytest.raises(NonConvergenceError, match="no residual decrease"):
+        solve_nonlinear(model, MacroGrid(1, 32), gauss_rule(1, 1), fast(model.eval_a),
+                        fast(model.eval_da_du, -1.0), fast(model.eval_f), fast(model.eval_df_du),
+                        PicardOptions(), SolverOptions())
