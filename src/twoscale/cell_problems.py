@@ -56,6 +56,7 @@ from .fem import (
     PeriodicFactor,
     QuadratureRule,
     SolverOptions,
+    as_period,
     assemble_load_from_samples,
     assemble_stiffness,
     default_quadrature,
@@ -249,12 +250,13 @@ class CorrectorTable:
         stack; returns one (K,) array per stack.
         """
         ids, wts = grid_corners(self.cell_grid, y)
+        live = [c for c in range(ids.shape[1]) if wts[:, c].any()]  # on the lattice: one corner
         pids, pwts = self.param_grid.corners(u, x)
         out = [np.zeros(len(ids)) for _ in stacks]
         for p in range(pids.shape[1]):
             for total, stack in zip(out, stacks):
                 acc = np.zeros(len(ids))
-                for c in range(ids.shape[1]):
+                for c in live:
                     acc += wts[:, c] * stack[pids[:, p], ids[:, c]]
                 total += pwts[:, p] * acc
         return out
@@ -372,7 +374,7 @@ class CellSample:
     def factor(self) -> PeriodicFactor:
         if self.base is not None:
             return self.base.factor
-        return PeriodicFactor(assemble_stiffness(self.grid, self.a_q, self.quad))
+        return PeriodicFactor(assemble_stiffness(self.grid, as_period(self.grid, self.a_q), self.quad))
 
     def solve(self, rhs) -> np.ndarray:
         """Zero-mean periodic solve against this sample's operator."""
@@ -387,7 +389,8 @@ class CellSample:
         return sol
 
     def _load(self, scalar=None, flux=None) -> np.ndarray:
-        return assemble_load_from_samples(self.grid, self.quad, scalar, flux)
+        return assemble_load_from_samples(self.grid, self.quad, as_period(self.grid, scalar),
+                                          as_period(self.grid, flux))
 
     @cached_property
     def first(self) -> list:

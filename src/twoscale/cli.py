@@ -125,7 +125,7 @@ def estimate_u_span(setup: ProblemSetup):
         return None
     x_c = np.full(model.dim, 0.5)
     quad = gauss_rule(2, setup.macro_grid.dim)
-    shape = (setup.macro_grid.n_elements, len(quad.weights))  # (E, Q)
+    shape = (1,) * model.dim + (len(quad.weights),)  # one period of one element: P = 1
     lo, hi = np.inf, -np.inf
     base = None  # a separable model's first frozen sample serves the other two
     for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):

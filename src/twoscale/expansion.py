@@ -6,10 +6,10 @@ fields at y = x / eps mod 1, and stacks them into
 
     u0(x)  +  eps * N_l(y) d_l u0  +  eps^2 * (M_kl d2_kl u0 + Q_k d_k u0 + R)
 
-The fine grid always resolves the period: its spacing is eps / P with an
-integer P >= 8, so the fast coordinate of a node is the exact rational
-(i mod P) / P -- computed from indices, not by floating division, which
-keeps corrector evaluation bias-free on lattices that share the cell grid.
+The fine grid always resolves the period: its spacing is eps / P, P >= 8 an
+integer, so the fast coordinates of its nodes, (i mod P) / P, and of the
+solve's quadrature points, ((i mod P) + xi_q) / P, come from indices, not
+floating division: exact, and bias-free on lattices shared with the cell grid.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import numpy as np
 
 from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
-from .fem import SolverOptions, default_quadrature
-from .grids import MacroGrid, ScalarField, fd_gradient, fd_hessian, grid_corners
-from .macro import PicardOptions, solve_nonlinear
+from .fem import (SolverOptions, assemble_load_from_samples, assemble_stiffness,
+                  default_quadrature, element_quad_points, solve_dirichlet)
+from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, grid_corners
+from .macro import PicardOptions, PicardResult, solve_nonlinear
 
 
 def cells_per_period(fine_grid: MacroGrid, eps: float) -> int:
@@ -57,6 +58,16 @@ def fast_coordinates(fine_grid: MacroGrid, eps: float) -> np.ndarray:
     grids = np.meshgrid(*idx_axes, indexing="ij")
     cols = [(g.reshape(-1) % p) / p for g in grids]
     return np.stack(cols, axis=-1)
+
+
+def period_samples(model, eps: float, fine_grid: MacroGrid, quad, *evaluators):
+    """``evaluators`` (u, x, y) on one period, (P,)*dim + (Q, ...); None for data of u or x."""
+    if model.u_dependent or model.x_dependent or model.source.u_dependent:
+        return None
+    p, dim = cells_per_period(fine_grid, eps), fine_grid.dim
+    y = element_quad_points(CellGrid(dim, p), quad).reshape(-1, dim)
+    out = (np.asarray(fn(model.u_lo, eps * y, y), dtype=float) for fn in evaluators)
+    return [v.reshape((p,) * dim + (len(quad.weights),) + v.shape[1:]) for v in out]
 
 
 @dataclass
@@ -212,9 +223,9 @@ def solve_fine(
 ):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
-    Same Newton contract as the homogenized solve, from the nodal
-    ``initial`` values when given; refuses fine grids beyond ``max_dofs``
-    (refine eps or lower the period resolution instead of swapping).
+    One solve from :func:`period_samples` for data of y alone, else Newton as in
+    the homogenized solve, from the nodal ``initial`` values when given; refuses
+    fine grids beyond ``max_dofs`` (refine eps or lower the period resolution).
     """
     cells_per_period(fine_grid, eps)
     if fine_grid.ndof > max_dofs:
@@ -223,11 +234,19 @@ def solve_fine(
             "reduce cells_per_period or use larger eps"
         )
 
+    quad = quad or default_quadrature(fine_grid.dim)
+    samples = period_samples(model, eps, fine_grid, quad, model.eval_a, model.eval_f)
+    if samples is not None:  # one linear solve
+        mat = assemble_stiffness(fine_grid, samples[0], quad)
+        rhs = assemble_load_from_samples(fine_grid, quad, samples[1])
+        values = solve_dirichlet(mat, rhs, fine_grid, cg_opts)
+        return ScalarField(fine_grid, values), PicardResult(1, [0.0], converged=True)
+
     def fast(evaluator):
         return lambda u, pts: evaluator(u, pts, np.mod(pts / eps, 1.0))
 
     values, result = solve_nonlinear(
-        model, fine_grid, quad or default_quadrature(fine_grid.dim),
+        model, fine_grid, quad,
         fast(model.eval_a), fast(model.eval_da_du), fast(model.eval_f), fast(model.eval_df_du),
         opts, cg_opts, initial,
     )

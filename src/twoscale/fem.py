@@ -17,25 +17,25 @@ Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
 contract on every level and a sparse-LU coarsest level, which keeps the
 iteration count flat as the grid is refined.
 
-Every stiffness matrix and Newton Jacobian comes from one stencil
-kernel.  Over chunks of
-element rows, the coefficient samples at the quadrature points, reshaped
-to (E, Q*dim*dim), multiply one reference tensor of weighted Q1 gradient
-products, shape (Q*dim*dim, C*C), giving the element matrices, which are
-added by shifted slices into the 3^dim-point stencil of every node; the
-CSR matrix then takes its values from the stencil through the int32
-pattern the grid computes once, so the peak memory is the matrix, its
-stencil and one chunk.  Load vectors are the same kind of product with
+Every stiffness matrix and Newton Jacobian comes from one stencil kernel.
+Over chunks of element rows, the coefficient samples at the quadrature
+points, reshaped to (E, Q*dim*dim), multiply one reference tensor of
+weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving the element
+matrices, which are added by shifted slices into the 3^dim-point stencil of
+every node; the CSR matrix then takes its values from the stencil through
+the int32 pattern the grid computes once, so the peak memory is the matrix,
+its stencil and one chunk.  Load vectors are the same kind of product with
 weighted basis values or gradients, scattered by ``bincount``, and the
 values or gradients of a nodal field at the quadrature points are its
-element values (E, C) times the basis values or gradients, which each
-rule tabulates once.  Coefficient evaluators are called once per
-quadrature point, with one point per element; the Newton linearization
-also passes them its nodal state read at those points through the element
-connectivity (a gather, since the element of every quadrature point is
-known), so no point location runs on a grid's own quadrature points.
-Element contributions are accumulated in a fixed element order so
-repeated runs are bitwise reproducible regardless of how callers
+element values (E, C) times the basis values or gradients, which each rule
+tabulates once.  Precomputed samples are one period, (P,)*dim + (Q, ...)
+with P dividing the cells per side, tiled a chunk at a time.  Coefficient
+evaluators are called once per quadrature point, with one point per element;
+the Newton linearization also passes them its nodal state read at those
+points through the element connectivity (a gather, since the element of
+every quadrature point is known), so no point location runs on a grid's own
+quadrature points.  Element contributions are accumulated in a fixed element
+order so repeated runs are bitwise reproducible regardless of how callers
 parallelize around this module.
 """
 
@@ -191,6 +191,24 @@ def _eval_at_quad(grid, quad: QuadratureRule, fn, tail: tuple,
     return out
 
 
+def as_period(grid, s):
+    """Samples (E, Q, ...) of every element as one period, P = cells per side."""
+    return None if s is None else s.reshape((grid.cells_per_side,) * grid.dim + s.shape[1:])
+
+
+def _tile(grid, quad: QuadratureRule, samples, tail: tuple, what: str, elements=slice(None)):
+    """Samples (E, Q) + ``tail`` of ``elements`` (element rows): element i reads class i mod P."""
+    dim, m, samples = grid.dim, grid.cells_per_side, np.atleast_1d(np.asarray(samples, float))
+    p, row = len(samples), m ** (dim - 1)  # row: elements per element row
+    if not p or m % p or samples.shape != (p,) * dim + (len(quad.weights),) + tail:
+        raise AssemblyError(f"{what} samples have shape {samples.shape}, not one period")
+    lo, hi = (i // row for i in elements.indices(m * row)[:2])
+    if p == m:  # every element: a view
+        return samples[lo:hi].reshape((-1, len(quad.weights)) + tail)
+    rows = samples.take(np.arange(lo, hi), axis=0, mode="wrap").reshape(hi - lo, 1, -1)
+    return np.tile(rows, (1, (m // p) ** (dim - 1), 1)).reshape((-1, len(quad.weights)) + tail)
+
+
 def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """Reference tensor R, shape (Q*dim*dim, C*C), of the stiffness kernel.
 
@@ -258,8 +276,8 @@ def _stencil_operator(grid, ref: np.ndarray, samples):
 
 
 def _check_finite(samples: np.ndarray, first: int, what: str) -> None:
-    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(samples).all():  # then find the first bad element
+        finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
         raise AssemblyError(f"non-finite {what} at element {first + int(np.argmin(finite))}")
 
 
@@ -268,24 +286,18 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
 
     ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
     points (K, dim) to symmetric matrices (K, dim, dim), called once per
-    quadrature point with one point per element, or the samples themselves,
-    shape (E, Q, dim, dim).  The kernel (:func:`_stencil_operator`)
-    evaluates the coefficient chunk by chunk, against
+    quadrature point with one point per element, or one period of samples,
+    (P,)*dim + (Q, dim, dim) with P dividing the cells per side.  The kernel
+    (:func:`_stencil_operator`) evaluates or tiles it chunk by chunk, against
     :func:`_stiffness_reference`; under ``__debug__`` the stencil must be
     symmetric.
     """
     dim = grid.dim
     tail = (dim, dim)
-    if not callable(coeff):
-        coeff = np.asarray(coeff, dtype=float)
-        if coeff.shape != (grid.n_elements, len(quad.weights)) + tail:
-            raise AssemblyError(f"coefficient samples have shape {coeff.shape}")
 
     def samples(elements):
-        if callable(coeff):
-            a = _eval_at_quad(grid, quad, coeff, tail, elements)
-        else:
-            a = coeff[elements]
+        a = (_eval_at_quad(grid, quad, coeff, tail, elements) if callable(coeff)
+             else _tile(grid, quad, coeff, tail, "coefficient", elements))
         _check_finite(a, elements.start, "coefficient")
         return a.reshape(len(a), -1)
 
@@ -328,7 +340,8 @@ def linearize(grid, quad: QuadratureRule, state, coeff, coeff_du, source, source
     a, da, f, df = (np.stack([fn(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])], axis=1)
                     for fn in (coeff, coeff_du, source, source_du))
     grad = field_gradients_at_quad(grid, state, quad)  # (E, Q, dim)
-    residual = assemble_load_from_samples(grid, quad, -f, np.einsum("eqij,eqj->eqi", a, grad))
+    residual = assemble_load_from_samples(
+        grid, quad, as_period(grid, -f), as_period(grid, np.einsum("eqij,eqj->eqi", a, grad)))
     rows = np.concatenate([x.reshape(len(a), -1)
                            for x in (a, -df, np.einsum("eqij,eqj->eqi", da, grad))], axis=1)
     _check_finite(rows, 0, "Jacobian sample")
@@ -349,12 +362,12 @@ def assemble_load_from_samples(
     scalar_samples: np.ndarray | None = None,
     flux_samples: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Load vector from precomputed quad-point data.
+    """Load vector from precomputed quad-point data, one period each.
 
-    ``scalar_samples`` (E, Q) contributes ``\\int s \\phi_p``; ``flux_samples``
-    (E, Q, dim) contributes ``\\int B . grad(phi_p)``.  Each form is one
-    matrix product of the samples with a (Q, C) or (Q*dim, C) reference
-    matrix of weighted basis values or gradients.
+    ``scalar_samples`` (P,)*dim + (Q,) contributes ``\\int s \\phi_p``;
+    ``flux_samples`` (P,)*dim + (Q, dim) ``\\int B . grad(phi_p)``.  Each
+    form is one matrix product of the samples, tiled over the grid, with a
+    (Q, C) or (Q*dim, C) reference matrix of weighted basis values or gradients.
     """
     dofs = grid.element_dofs()
     n_el, n_loc = dofs.shape
@@ -363,14 +376,12 @@ def assemble_load_from_samples(
 
     local = np.zeros((n_el, n_loc))
     if scalar_samples is not None:
-        s = np.asarray(scalar_samples, dtype=float)
-        if not np.all(np.isfinite(s)):
-            raise AssemblyError("non-finite scalar source sample")
+        s = _tile(grid, quad, scalar_samples, (), "scalar source")
+        _check_finite(s, 0, "scalar source")
         local += s @ (weights[:, None] * quad.basis)
     if flux_samples is not None:
-        b = np.asarray(flux_samples, dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise AssemblyError("non-finite flux source sample")
+        b = _tile(grid, quad, flux_samples, (grid.dim,), "flux source")
+        _check_finite(b, 0, "flux source")
         ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
         local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)  # (Q*dim, C)
     return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
@@ -382,13 +393,9 @@ def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> n
     ``scalar_fn(points) -> (K,)`` gives the \\int s phi form, ``flux_fn(points)
     -> (K, dim)`` the \\int B . grad(phi) form; they may be combined.
     """
-    scalar_samples = None
-    flux_samples = None
-    if scalar_fn is not None:
-        scalar_samples = _eval_at_quad(grid, quad, scalar_fn, ())
-    if flux_fn is not None:
-        flux_samples = _eval_at_quad(grid, quad, flux_fn, (grid.dim,))
-    return assemble_load_from_samples(grid, quad, scalar_samples, flux_samples)
+    scalar = None if scalar_fn is None else _eval_at_quad(grid, quad, scalar_fn, ())
+    flux = None if flux_fn is None else _eval_at_quad(grid, quad, flux_fn, (grid.dim,))
+    return assemble_load_from_samples(grid, quad, as_period(grid, scalar), as_period(grid, flux))
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,29 @@ from twoscale.analysis import (
     student_t_quantile,
 )
 from twoscale.cell_problems import ParameterGrid, EffectiveTensorTable
-from twoscale.coefficients import ConstantCoefficient, RosselandCoefficient, SourceModel
+from twoscale.coefficients import (
+    ConstantCoefficient,
+    LayeredCoefficient,
+    RosselandCoefficient,
+    SeparatedCoefficient,
+    SmoothPeriodicCoefficient,
+    SourceModel,
+)
 from twoscale.errors import ConfigurationError
-from twoscale.expansion import fine_grid_for, solve_fine
+from twoscale.expansion import fine_grid_for, period_samples, solve_fine
 from twoscale.fem import (
+    SolverOptions,
+    assemble_load,
+    assemble_load_from_samples,
+    assemble_stiffness,
     default_quadrature,
     element_quad_points,
     field_gradients_at_quad,
+    field_values_at_quad,
     gauss_rule,
+    solve_dirichlet,
 )
+from twoscale.macro import PicardOptions, solve_nonlinear
 from twoscale.grids import MacroGrid, ScalarField, fd_gradient, interpolate_values
 
 
@@ -154,6 +168,13 @@ def test_interior_gradient_sup_with_baseline():
         interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers[1:])
 
 
+def energy(grid, quad, coeff, grads):
+    """Quadrature sum of the positive terms w a grad . grad over every point
+    (K = E Q, element order)."""
+    weights = np.tile(quad.weights, grid.n_elements) * grid.spacing**grid.dim
+    return np.einsum("kij,ki,kj,k->", coeff, grads, grads, weights)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_own_grid_reads_match_point_location_reference(dim):
     # energy_difference and flux mode read the state at their own grid's
@@ -175,10 +196,6 @@ def test_own_grid_reads_match_point_location_reference(dim):
         values=(1.0 + u_axis**3)[:, None, None] * shape,
         source_means=np.ones(len(u_axis)),
     )
-
-    def energy(grid, quad, coeff, grads):
-        weights = np.tile(quad.weights, grid.n_elements) * grid.spacing**dim
-        return np.einsum("kij,ki,kj,k->", coeff, grads, grads, weights)
 
     fine_quad, macro_quad = default_quadrature(dim), gauss_rule(2, dim)
     pts = element_quad_points(fine, fine_quad).reshape(-1, dim)
@@ -203,6 +220,120 @@ def test_own_grid_reads_match_point_location_reference(dim):
     ref = np.max(np.linalg.norm(flux, axis=1))
     got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=u_eps)
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def y_only_model(dim, family):
+    source = SourceModel(base=1.0, amplitude=0.5, frequency=2, axis=dim - 1)
+    if family == "SMOOTH_PERIODIC":
+        return SmoothPeriodicCoefficient(dim, base=2.0, amplitude=1.0, source=source)
+    if family == "LAYERED":
+        return LayeredCoefficient(dim, low=1.0, high=4.0, axis=dim - 1, width=0.2, source=source)
+    return ConstantCoefficient(dim, [[2.0]] if dim == 1 else [[2.0, 0.6], [0.6, 1.5]])
+
+
+def zero_macro_side(dim):
+    """A homogenized side of zero energy: energy_difference is then the
+    fine energy alone."""
+    u_axis = np.array([0.5])
+    table = EffectiveTensorTable(
+        param_grid=ParameterGrid(u_axis, tuple(np.array([0.5]) for _ in range(dim))),
+        values=np.eye(dim)[None], source_means=np.ones(1),
+    )
+    return table, ScalarField(MacroGrid(dim, 8), np.zeros(9**dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["SMOOTH_PERIODIC", "LAYERED", "CONSTANT"])
+def test_one_period_of_samples_equals_every_point(dim, family):
+    # data of y alone: the fine stiffness, load, solve and energy read one
+    # period of samples; assembling from the evaluators at every quadrature
+    # point at y = mod(x / eps, 1) gives the same numbers
+    eps, periods = 0.25, 8
+    model = y_only_model(dim, family)
+    fine, quad = fine_grid_for(eps, periods, dim), default_quadrature(dim)
+    a, f = period_samples(model, eps, fine, quad, model.eval_a, model.eval_f)
+    assert a.shape == (periods,) * dim + (len(quad.weights), dim, dim)
+    assert f.shape == a.shape[:-2]
+
+    def at_points(fn):
+        return lambda pts: fn(0.5, pts, np.mod(pts / eps, 1.0))
+
+    ref_mat = assemble_stiffness(fine, at_points(model.eval_a), quad)
+    ref_rhs = assemble_load(fine, quad, scalar_fn=at_points(model.eval_f))
+    mat, rhs = assemble_stiffness(fine, a, quad), assemble_load_from_samples(fine, quad, f)
+    assert np.array_equal(mat.indptr, ref_mat.indptr)
+    assert np.array_equal(mat.indices, ref_mat.indices)
+    assert np.all(np.abs(mat.data - ref_mat.data) <= 1e-14 * np.abs(ref_mat.data))
+    assert np.all(np.abs(rhs - ref_rhs) <= 1e-14 * np.abs(ref_rhs))
+
+    # the period tiled over the grid, P = cells per side, reads the same
+    reps = (fine.cells_per_side // periods,) * dim
+    assert np.array_equal(
+        assemble_stiffness(fine, np.tile(a, reps + (1, 1, 1)), quad).data, mat.data)
+    whole_rhs = assemble_load_from_samples(fine, quad, np.tile(f, reps + (1,)))
+    assert np.max(np.abs(whole_rhs - rhs)) <= 1e-15 * np.max(np.abs(rhs))
+
+    u_eps, result = solve_fine(model, eps, fine, quad=quad)
+    ref = solve_dirichlet(ref_mat, ref_rhs, fine)
+    assert result.converged and result.iterations == 1
+    assert np.max(np.abs(u_eps.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    pts = element_quad_points(fine, quad).reshape(-1, dim)
+    grads = field_gradients_at_quad(fine, u_eps.values, quad).reshape(-1, dim)
+    want = energy(fine, quad, at_points(model.eval_a)(pts), grads)
+    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim), fine_quad=quad)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["ROSSELAND", "SEPARATED", "SMOOTH_PERIODIC"])
+def test_dependent_models_keep_point_evaluation(dim, family):
+    # a coefficient of u (ROSSELAND, b = 1) or of x alone (SEPARATED, mu_x =
+    # 0.5) is evaluated at every fine quadrature point, by the Newton solve
+    # and the energy alike, with the results of the point-evaluation path
+    # bit for bit; data of y alone are evaluated on one period
+    eps, periods = 0.25, 8
+    if family == "ROSSELAND":
+        model = RosselandCoefficient(dim, b=1.0, source=SourceModel(base=1.0, u_coeff=0.5))
+    elif family == "SEPARATED":
+        model = SeparatedCoefficient(dim, mu_u2=0.0, mu_x=0.5)
+    else:
+        model = y_only_model(dim, family)
+    fine, quad = fine_grid_for(eps, periods, dim), default_quadrature(dim)
+    n_q = len(quad.weights)
+    original, sizes = model.eval_a, []
+
+    def counting(u, x, y):
+        sizes.append(len(y))
+        return original(u, x, y)
+
+    model.eval_a = counting
+    u_eps, result = solve_fine(model, eps, fine, PicardOptions(), quad, SolverOptions())
+    solve_sizes, sizes[:] = list(sizes), []
+    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim), fine_quad=quad)
+    if family == "SMOOTH_PERIODIC":
+        assert solve_sizes == sizes == [periods**dim * n_q]
+        return
+    # every fine quadrature point, one point per element a call
+    assert set(solve_sizes) == {fine.n_elements} and len(solve_sizes) % n_q == 0
+    assert sizes == [fine.n_elements * n_q]
+
+    def fast(fn):
+        return lambda u, pts: fn(u, pts, np.mod(pts / eps, 1.0))
+
+    ref, ref_result = solve_nonlinear(
+        model, fine, quad, fast(original), fast(model.eval_da_du), fast(model.eval_f),
+        fast(model.eval_df_du), PicardOptions(), SolverOptions())
+    assert np.array_equal(u_eps.values, ref)
+    assert result.increments == ref_result.increments
+
+    # the fine energy as every point evaluated it before the period form
+    pts = element_quad_points(fine, quad).reshape(-1, dim)
+    u_at = field_values_at_quad(fine, u_eps.values, quad).reshape(-1)
+    a_q = original(u_at, pts, np.mod(pts / eps, 1.0)).reshape(fine.n_elements, n_q, dim, dim)
+    grads = field_gradients_at_quad(fine, u_eps.values, quad)
+    dens = np.einsum("eqij,eqi,eqj->eq", a_q, grads, grads)
+    assert got == np.einsum("eq,q->", dens, quad.weights) * fine.spacing**dim
 
 
 def test_flux_mode_gradient_sup_on_a_box_of_one_element():

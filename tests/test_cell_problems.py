@@ -27,6 +27,7 @@ from twoscale.coefficients import (
 from twoscale.errors import CompatibilityError, ConfigurationError
 from twoscale.fem import (
     SolverOptions,
+    as_period,
     assemble_load,
     assemble_load_from_samples,
     field_gradients_at_quad,
@@ -468,7 +469,7 @@ def full_slow_load(sample, k, grad):
         + a1[:, :, :, k]
         + np.einsum("eqil,eql->eqi", a1, gradients(first[k]))
     )
-    rhs = assemble_load_from_samples(grid, quad, flux_samples=flux)
+    rhs = assemble_load_from_samples(grid, quad, flux_samples=as_period(grid, flux))
     for i in range(dim):
         for p, weight in ((1 + i, 1.0), (0, grad[i])):
             dh = (
@@ -477,7 +478,7 @@ def full_slow_load(sample, k, grad):
                 + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], gradients(tangents[p, k]))
             )
             rhs += weight * assemble_load_from_samples(
-                grid, quad, scalar_samples=dh - sample.mean(dh)
+                grid, quad, scalar_samples=as_period(grid, dh - sample.mean(dh))
             )
     return rhs
 

@@ -5,6 +5,7 @@ from twoscale.cell_problems import (
     CorrectorTable,
     ParameterGrid,
     build_corrector_tables,
+    corrector_field_names,
     default_parameter_grid,
 )
 from twoscale.coefficients import (
@@ -27,6 +28,7 @@ from twoscale.fem import (
     SolverOptions,
     assemble_load,
     assemble_stiffness,
+    element_quad_points,
     gauss_rule,
     solve_dirichlet,
 )
@@ -36,6 +38,7 @@ from twoscale.grids import (
     ScalarField,
     fd_gradient,
     fd_hessian,
+    grid_corners,
     interpolate_values,
 )
 from twoscale.macro import PicardOptions, solve_homogenized
@@ -277,6 +280,7 @@ def test_order_monotonicity_at_small_eps():
 
 
 def test_u_independent_fine_solve_assembles_once(monkeypatch):
+    import twoscale.expansion as expansion
     import twoscale.macro as macro
 
     calls = []
@@ -286,7 +290,8 @@ def test_u_independent_fine_solve_assembles_once(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(macro, "assemble_stiffness", counting)
+    for module in (macro, expansion):  # the Newton start, the one-period solve
+        monkeypatch.setattr(module, "assemble_stiffness", counting)
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     u_eps, result = solve_fine(model, 0.125, fine_grid_for(0.125, 16, 1))
     assert len(calls) == 1
@@ -340,3 +345,47 @@ def test_u_dependent_2d_fine_solve_matches_point_location_reference():
     else:
         pytest.fail("the fixed-point loop did not reach 1e-14")
     assert np.max(np.abs(u_eps.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def four_corner_blend(table, stacks, u, x, y):
+    """The table read over every cell corner, zero weights included."""
+    ids, wts = grid_corners(table.cell_grid, y)
+    pids, pwts = table.param_grid.corners(u, x)
+    out = [np.zeros(len(ids)) for _ in stacks]
+    for p in range(pids.shape[1]):
+        for total, stack in zip(out, stacks):
+            acc = np.zeros(len(ids))
+            for c in range(ids.shape[1]):
+                acc += wts[:, c] * stack[pids[:, p], ids[:, c]]
+            total += pwts[:, p] * acc
+    return out
+
+
+@pytest.fixture(scope="module")
+def rosseland_table_2d():
+    model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
+    return build_corrector_tables(model, default_parameter_grid(model, n_u=3), CellGrid(2, 16))[0]
+
+
+@pytest.mark.parametrize("periods, at, on_lattice", [
+    (8, "nodes", True), (16, "nodes", True), (8, "centers", True),
+    (32, "nodes", False), (16, "centers", False),
+])
+def test_on_lattice_corrector_reads_are_the_four_corner_blend(rosseland_table_2d, periods, at,
+                                                              on_lattice):
+    # fine nodes with cells_per_period <= m_c = 16, and element centers with
+    # 2 cells_per_period <= m_c, fall on the cell lattice and read one corner
+    table, eps = rosseland_table_2d, 0.25
+    fine = fine_grid_for(eps, periods, 2)
+    if at == "nodes":
+        x, y = fine.node_coords(), fast_coordinates(fine, eps)
+    else:
+        x = element_quad_points(fine, gauss_rule(1, 2))[:, 0]
+        y = np.mod(x / eps, 1.0)
+    u = 0.5 + 0.3 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    live = np.any(grid_corners(table.cell_grid, y)[1] != 0.0, axis=0)
+    assert np.count_nonzero(live) == (1 if on_lattice else 4)
+    stacks = [table.fields[name] for name in corrector_field_names(2)]
+    got = table.interp_stacks(stacks, u, x, y)
+    for g, want in zip(got, four_corner_blend(table, stacks, u, x, y)):
+        assert np.array_equal(g, want)

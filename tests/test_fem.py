@@ -13,6 +13,7 @@ from twoscale.fem import (
     _jacobi_pcg,
     _multigrid,
     _stiffness_reference,
+    as_period,
     assemble_load,
     assemble_load_from_samples,
     assemble_stiffness,
@@ -392,14 +393,14 @@ def test_matrix_product_kernels_match_einsum_reference(grid, n_points):
     ref = reference_stiffness(grid, coeff, quad)
     assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    # precomputed samples take the same kernel as the evaluator
+    # precomputed samples of every element take the same kernel as the evaluator
     pts = element_quad_points(grid, quad)
     samples = coeff(pts.reshape(-1, grid.dim)).reshape(pts.shape[:2] + (grid.dim, grid.dim))
-    assert np.array_equal(assemble_stiffness(grid, samples, quad).toarray(), mat)
+    assert np.array_equal(assemble_stiffness(grid, as_period(grid, samples), quad).toarray(), mat)
 
     scal = np.sin(2.0 * np.pi * pts.sum(axis=-1)) + 0.25
     flux = np.cos(2.0 * np.pi * pts) * np.arange(1.0, grid.dim + 1.0)
-    load = assemble_load_from_samples(grid, quad, scal, flux)
+    load = assemble_load_from_samples(grid, quad, as_period(grid, scal), as_period(grid, flux))
     ref = reference_load(grid, quad, scal, flux)
     assert np.max(np.abs(load - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -471,13 +472,26 @@ def test_assembly_rejects_bad_shape_and_names_non_finite_element():
     quad = gauss_rule(2, 2)
     with pytest.raises(AssemblyError, match="shape"):
         assemble_stiffness(grid, lambda pts: np.ones((len(pts), 2, 3)), quad)
+    # not one period: the wrong point count, every element in one axis (the
+    # retired (E, Q, ...) form), a period that does not divide 4 cells
+    for shape in ((4, 4, 3, 2, 2), (grid.n_elements, 4, 2, 2), (3, 3, 4, 2, 2)):
+        with pytest.raises(AssemblyError, match="shape"):
+            assemble_stiffness(grid, np.ones(shape), quad)
+        with pytest.raises(AssemblyError, match="shape"):
+            assemble_load_from_samples(grid, quad, np.ones(shape[:-2]))
     with pytest.raises(AssemblyError, match="shape"):
-        assemble_stiffness(grid, np.ones((grid.n_elements, 3, 2, 2)), quad)
+        assemble_load_from_samples(grid, quad, flux_samples=np.ones((4, 4, 4, 3)))
 
-    samples = np.broadcast_to(np.eye(2), (grid.n_elements, 4, 2, 2)).copy()
-    samples[5, 3, 0, 1] = np.inf
+    samples = np.broadcast_to(np.eye(2), (4, 4, 4, 2, 2)).copy()
+    samples[1, 1, 3, 0, 1] = np.inf  # element 5 = (1, 1)
     with pytest.raises(AssemblyError, match="element 5"):
         assemble_stiffness(grid, samples, quad)
+    period = np.broadcast_to(np.eye(2), (2, 2, 4, 2, 2)).copy()
+    period[1, 0, 2, 1, 1] = np.nan  # class (1, 0) first at element (1, 0) = 4
+    with pytest.raises(AssemblyError, match="element 4"):
+        assemble_stiffness(grid, period, quad)
+    with pytest.raises(AssemblyError, match="non-finite scalar"):
+        assemble_load_from_samples(grid, quad, period[..., 1, 1])
 
     def bad(pts):
         out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
@@ -615,9 +629,10 @@ def rosseland_coeff(dim):
 
 
 def rosseland_samples(grid, quad):
+    """Samples of every element, in the period form with P = cells per side."""
     pts = element_quad_points(grid, quad)
     a = rosseland_coeff(grid.dim)(pts.reshape(-1, grid.dim))
-    return a.reshape(pts.shape[:2] + a.shape[1:])
+    return as_period(grid, a.reshape(pts.shape[:2] + a.shape[1:]))
 
 
 def same_pattern(mat, ref):
