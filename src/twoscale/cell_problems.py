@@ -29,8 +29,8 @@ coefficient a = mu(u, x) g(y) the operator at every sample is a multiple of
 the operator at the first one, so that first sample is the ``base`` of all
 the others: the whole table assembles and factors one operator, each sample
 solving with the base's LU after dividing its load by its mu ratio, and
-solves the first, hessian and tangent correctors, from whose equations mu
-cancels, once.
+solves once the first and hessian correctors, from whose equations mu
+cancels, and 2 dim^2 pieces that d mu / mu scales into every slow corrector.
 
 The default cell quadrature is one midpoint per direction in 1-D and a
 2x2 Gauss rule in 2-D.  Midpoint sampling matters in 1-D: the assembled
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -198,13 +198,7 @@ class BuildDiagnostics:
         self.min_reuss_slack = min(self.min_reuss_slack, other.min_reuss_slack)
 
     def as_dict(self) -> dict:
-        return {
-            "max_corrector_mean": self.max_corrector_mean,
-            "max_rhs_defect": self.max_rhs_defect,
-            "max_tensor_asymmetry": self.max_tensor_asymmetry,
-            "min_voigt_slack": self.min_voigt_slack,
-            "min_reuss_slack": self.min_reuss_slack,
-        }
+        return asdict(self)
 
 
 def corrector_field_names(dim: int) -> list:
@@ -319,9 +313,9 @@ class CellSample:
     sample's operator is then c = mu(u, x) / mu(base) times the base's, so
     it assembles nothing: it shares the base's factor and divides each load
     by c before it solves, and, mu cancelling from the first, hessian and
-    tangent problems, it reads the base's correctors.  Its own coefficient
-    samples, and so its own corrected flux, still drive the effective
-    tensor, the source and the loads of the slow correctors.
+    tangent problems, it reads the base's correctors, and its slow ones are
+    the base's ``slow_pieces`` scaled by its d mu / mu.  Its own corrected
+    flux still drives the effective tensor, and its own f the source.
     """
 
     def __init__(self, model, u, x, grid: CellGrid, quad=None, opts=SolverOptions(),
@@ -512,18 +506,38 @@ class CellSample:
         Differentiating the discrete problem K(a) N_m = L(-a e_m) along an
         axis p gives K(a) d_pN_m = L(-d_pa (e_m + grad N_m)), solved with
         this sample's own factor.  An axis along which the coefficient does
-        not vary at this sample gets exact zeros and no solve.  A sample
-        with a base reads the base's.
+        not vary at this sample, or any axis of a separable model (whose load
+        is d_p mu / mu times L(-a (e_m + grad N_m)) = 0), gets exact zeros
+        and no solve.  A sample with a base reads the base's.
         """
         if self.base is not None:
             return self.base.tangents
         grid = self.grid
         out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
-        for p, da in enumerate(self.da_q):
+        for p, da in enumerate([] if self.model.separable else self.da_q):
             if np.any(da):
                 for m in range(grid.dim):
                     out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
         return out
+
+    @cached_property
+    def slow_pieces(self) -> np.ndarray:
+        """A separable model's slow pieces [W, V], (2, dim, dim, ndof), solved
+        once on the base from its corrected flux F and first correctors N:
+        W_ik for the scalar F[k]_i less its mean if a varies in x, V_mk for
+        that scalar (i = m) and the flux -N_m F[k] if a varies in u."""
+        if self.base is not None:
+            return self.base.slow_pieces
+        grid, flux, dim = self.grid, self.flux, self.grid.dim
+        n_at_q = [field_values_at_quad(grid, f, self.quad)[:, :, None] for f in self.first]
+        pieces = np.zeros((2, dim, dim, grid.ndof))
+        for i, k in itertools.product(range(dim), repeat=2):
+            scalar = flux[k, :, :, i] - self.mean(flux[k, :, :, i])
+            if self.model.x_dependent:
+                pieces[0, i, k] = self.solve(self._load(scalar))
+            if self.model.u_dependent:
+                pieces[1, i, k] = self.solve(self._load(scalar, -n_at_q[i] * flux[k]))
+        return pieces
 
     @cached_property
     def slow(self) -> dict:
@@ -538,9 +552,25 @@ class CellSample:
         flux -sum_l A_:l T_{x_l}k, slowg_km the scalar dh(u; m, k) and the
         flux -(A_:m T_uk + N_m dF[u, k]), whose last term is the order-eps
         coefficient a(u0 + eps N_m d_m u0).  Returns those fields by name.
+
+        A separable model has T_p = 0 and dF[p] = r_p F, r_p = d_p mu / mu,
+        so with its solves' division by mu / mu(base) its loads make
+        slow0_k = sum_i r_{x_i} W_ik and slowg_km = r_u V_mk from the base's
+        ``slow_pieces``, solving nothing and evaluating no derivative of a.
         """
-        grid, quad, a_q, dflux = self.grid, self.quad, self.a_q, self.flux_derivatives
-        dim = grid.dim
+        grid, dim = self.grid, self.grid.dim
+        if self.model.separable:
+            r = self.model.mu_gradient(self.u, self.x) / self.model.mu(self.u, self.x)
+            w, v = self.slow_pieces
+            zero = np.zeros(grid.ndof)  # summing from +0 turns r * piece = -0 into 0
+            fields = {f"slowg_{k}{m}": zero + r[0] * v[m, k]
+                      for k, m in itertools.product(range(dim), repeat=2)}
+            for k in range(dim):
+                fields[f"slow0_{k}"] = sum((r[1 + i] * w[i, k] for i in range(dim)), zero)
+            means = [abs(float(f.mean())) for f in fields.values()]
+            self.diagnostics.max_corrector_mean = max(self.diagnostics.max_corrector_mean, *means)
+            return fields
+        quad, a_q, dflux = self.quad, self.a_q, self.flux_derivatives
         n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in self.first]
         # (1 + dim) axes of per-direction values and gradients of the tangents
         t_at_q = [[field_values_at_quad(grid, t, quad)[:, :, None] for t in axis]
@@ -635,7 +665,8 @@ def build_corrector_tables(
     tangents, so no sample needs another.  For a ``separable`` model the
     sample at the first lattice point is the ``base`` of every other one and
     is kept for the whole build: the table assembles and factors one
-    operator, and solves the first, hessian and tangent correctors once.
+    operator, solves the first and hessian correctors and the slow pieces
+    once, and then one source load per sample.
     Otherwise each sample assembles and factors its own operator once and
     is dropped when it is done, so no operator is kept across samples.
     Sample solves are independent and written to disjoint slots, so the
@@ -670,8 +701,8 @@ def build_corrector_tables(
         fields.update(slow, source=source)
         return fields, sample.tangents, a0, sample.source_mean, sample.diagnostics
 
-    # the first sample runs alone, so a base has its correctors and its
-    # factor before the samples based on it read them from other threads
+    # the first sample runs alone, so a base has its correctors, slow pieces
+    # and factor before the samples based on it read them from other threads
     results = [sample_pass(multis[0])]
     results += _map_samples(sample_pass, multis[1:], threads)
 

@@ -337,6 +337,7 @@ class SeparatedCoefficient(CoefficientModel):
     mu(u, x) = mu0 + mu_u * u + mu_u2 * u^2 + mu_x * mean(x); the fast part
     g is a scalar oscillation times the identity, so the first-order cell
     correctors are independent of (u, x) -- mu cancels from their equation.
+    Every d_p a is (d_p mu / mu) a; the cell problems read :meth:`mu_gradient`.
     """
 
     family = "SEPARATED"
@@ -365,6 +366,12 @@ class SeparatedCoefficient(CoefficientModel):
         """The slow factor mu at one (u, x), u clamped as :meth:`eval_a` clamps it."""
         u = np.clip(float(u), self.u_lo, self.u_hi)
         return float(self._mu(u, _as_points(x, self.dim))[0])
+
+    def mu_gradient(self, u, x) -> np.ndarray:
+        """(d mu/du, d mu/dx_0, ...) at one (u, x); d mu/du is 0 strictly
+        outside ``u_range``, where :meth:`eval_da_du` is."""
+        du = self.mu_u + 2.0 * self.mu_u2 * u if self.u_lo <= u <= self.u_hi else 0.0
+        return np.array([du] + [self.mu_x / self.dim] * self.dim)
 
     def _mu(self, u, x):
         return self.mu0 + self.mu_u * u + self.mu_u2 * u**2 + self.mu_x * x.mean(axis=1)

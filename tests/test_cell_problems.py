@@ -199,25 +199,37 @@ def test_separable_table_assembles_and_factors_one_operator(monkeypatch):
     assert factors == [(grid.ndof - 1, grid.ndof - 1)]
 
 
-def test_separable_table_matches_samples_that_factor_their_own_operator():
-    # the reference solves every sample against its own assembly and factor
-    model = SeparatedCoefficient(
-        2, mu0=1.0, mu_u2=1.0, mu_x=0.5, source=SourceModel(base=1.0, amplitude=0.5)
-    )
-    grid = CellGrid(2, 8)
+class GeneralSeparated(SeparatedCoefficient):
+    """The SEPARATED coefficient without its separable shortcut: every sample
+    assembles and factors its own operator and solves its own tangents and
+    slow loads from its own coefficient derivatives."""
+
+    separable = False
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_separable_table_matches_the_general_path(dim, monkeypatch):
+    # the table scales the base's slow pieces by d mu / mu; the reference
+    # runs each sample through the general path, which knows nothing of mu
+    params = dict(mu0=1.0, mu_u=0.5, mu_u2=1.0, mu_x=0.5,
+                  source=SourceModel(base=1.0, amplitude=0.5))
+    model, twin = SeparatedCoefficient(dim, **params), GeneralSeparated(dim, **params)
+    grid = CellGrid(dim, 8)
     pgrid = default_parameter_grid(model, n_u=3, n_x=3)
+    assert pgrid.size == 3 ** (1 + dim) and not twin.separable
     table, _ = build_corrector_tables(model, pgrid, grid)
-    reference = {name: np.zeros_like(table.fields[name]) for name in table.fields}
+    factors = []
+    original = fem._lu
+    monkeypatch.setattr(fem, "_lu", lambda mat: factors.append(1) or original(mat))
     for flat, multi in enumerate(pgrid.indices()):
-        sample = CellSample(model, *pgrid.coords(multi), grid, opts=SolverOptions())
-        reference["source"][flat] = sample.source
-        for name, v in sample.slow.items():
-            reference[name][flat] = v
-    for name, ref in reference.items():
-        if name.startswith(("slow", "source")):
-            scale = np.max(np.abs(ref))
-            assert scale > 1e-6, name  # not vacuous
-            assert np.max(np.abs(table.fields[name] - ref)) <= 1e-13 * scale, name
+        sample = CellSample(twin, *pgrid.coords(multi), grid)
+        for name, ref in dict(sample.slow, source=sample.source).items():
+            sup = np.max(np.abs(ref))
+            # not vacuous (mu_u keeps r_u > 0), but for 1-D slow0: the 1-D
+            # corrected flux is the constant a0, so its load is zero
+            assert sup > 1e-6 or (dim, name) == (1, "slow0_0"), (name, flat)
+            assert np.max(np.abs(table.fields[name][flat] - ref)) <= 1e-13 * sup, (name, flat)
+    assert len(factors) == pgrid.size  # each reference sample its own operator
 
 
 def test_separable_table_is_bitwise_independent_of_threads(monkeypatch):
@@ -331,6 +343,45 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
     assert np.max(np.abs(np.array(ratios) - ratios[0])) <= 1e-13 * np.max(np.abs(ratios[0]))
 
 
+def test_separable_table_solves_its_slow_pieces_once(monkeypatch):
+    # one u sample more adds its source solve, never a slow solve
+    model = SeparatedCoefficient(
+        2, mu_u=0.5, mu_u2=1.0, mu_x=0.5, source=SourceModel(base=1.0, amplitude=0.5)
+    )
+    grid = CellGrid(2, 8)
+    calls = []
+    original = cell_problems.solve_periodic_zero_mean
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean",
+                        lambda *args: calls.append(1) or original(*args))
+    counts = {}
+    for n_u in (3, 5):
+        pgrid = default_parameter_grid(model, n_u=n_u, n_x=3)
+        calls.clear()
+        table, _ = build_corrector_tables(model, pgrid, grid)
+        assert np.max(np.abs(table.fields["slowg_01"])) > 1e-6  # the pieces solved
+        counts[pgrid.size] = len(calls)
+    (small, n_small), (big, n_big) = sorted(counts.items())
+    # first 2 + hessian 3 + slow pieces 2 dim^2 = 8 once, then one source each
+    assert n_small == 2 + 3 + 8 + small
+    assert n_big - n_small == big - small
+
+
+def test_based_samples_read_no_coefficient_derivative(monkeypatch):
+    model = SeparatedCoefficient(2, mu_u2=1.0, mu_x=0.5)
+    calls = []
+    for name in ("eval_da_du", "eval_da_dx"):
+        original = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, _f=original: calls.append(1) or _f(*args))
+    base = CellSample(model, 0.0, [0.5, 0.5], CellGrid(2, 8))
+    based = CellSample(model, 1.0, [0.25, 0.5], base.grid, base=base)
+    assert np.max(np.abs(based.slow["slowg_00"])) > 1e-6
+    assert np.max(np.abs(base.slow["slow0_1"])) > 1e-6
+    assert calls == [] and "flux_derivatives" not in based.__dict__
+    assert based.diagnostics.max_corrector_mean <= 1e-14
+    assert based.diagnostics.max_rhs_defect == 0.0  # the pieces' solves are the base's
+    assert base.diagnostics.max_rhs_defect > 0.0
+
+
 def test_cell_sample_factors_its_operator_at_most_once(monkeypatch):
     calls = []
     original = fem._lu
@@ -372,21 +423,27 @@ def test_tangents_match_a_central_difference_of_first_correctors():
 
 
 def test_tangents_are_exact_zeros_without_parameter_dependence(monkeypatch):
-    calls = []
-    original = fem._lu
+    calls, solves = [], []
+    original_lu, original_solve = fem._lu, cell_problems.solve_periodic_zero_mean
 
     def counting(mat):
         calls.append(mat.shape)
-        return original(mat)
+        return original_lu(mat)
 
     monkeypatch.setattr(fem, "_lu", counting)
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean",
+                        lambda *args: solves.append(1) or original_solve(*args))
     grid = CellGrid(2, 8)
     for model, u in [(SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0), 0.5),
-                     (RosselandCoefficient(2, b=1.0), 0.0)]:  # da/du = 12 u^2 b = 0
+                     (RosselandCoefficient(2, b=1.0), 0.0),  # da/du = 12 u^2 b = 0
+                     (SeparatedCoefficient(2, mu_u2=1.0, mu_x=0.5), 0.6)]:  # mu cancels
         sample = CellSample(model, u, [0.5, 0.5], grid)
         assert np.max(np.abs(sample.first[0])) > 1e-3
+        n_solves = len(solves)
         assert np.all(sample.tangents == 0.0)
-    assert len(calls) == 2  # the first-corrector factors, nothing for the tangents
+        assert len(solves) == n_solves, model.family
+    assert "da_q" not in sample.__dict__  # the separable sample evaluated no d_pa
+    assert len(calls) == 3  # the first-corrector factors, nothing for the tangents
 
 
 def test_effective_tensor_and_hessian_read_no_coefficient_derivative(monkeypatch):

@@ -193,6 +193,22 @@ def test_u_derivatives_keep_their_one_sided_value_at_the_range_ends():
     assert np.array_equal(model.eval_df_du(u, x, y), [0.0, 0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("u", [-0.5, 0.2, 0.4, 0.7, 1.0, 1.6])
+def test_mu_gradient_is_the_log_derivative_of_the_evaluators(dim, u):
+    # below, at both ends of, inside and above u_range = (0.2, 1.0)
+    model = SeparatedCoefficient(dim, mu0=1.0, mu_u=0.5, mu_u2=1.0, mu_x=0.5,
+                                 u_range=(0.2, 1.0))
+    x, y = np.linspace(0.1, 0.7, dim), np.full(dim, 0.3)
+    a = model.eval_a(u, x, y)[0, 0]
+    want = np.array([model.eval_da_du(u, x, y)[0, 0] / a]
+                    + [model.eval_da_dx(u, x, y)[d, 0, 0] / a for d in range(dim)])
+    got = model.mu_gradient(u, x) / model.mu(u, x)
+    assert got.shape == (1 + dim,)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert (got[0] != 0.0) == (0.2 <= u <= 1.0)  # exactly 0 outside, as eval_da_du
+
+
 def test_non_finite_inputs_rejected():
     model = SmoothPeriodicCoefficient(1)
     with pytest.raises(ValueError):
