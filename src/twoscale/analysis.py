@@ -36,24 +36,31 @@ def resolve_box(box, dim) -> np.ndarray:
     return arr
 
 
-def _nodes_in_box(grid: MacroGrid, box) -> np.ndarray:
-    b = resolve_box(box, grid.dim)
-    coords = grid.node_coords()
-    tol = 1e-12
-    mask = np.ones(grid.ndof, dtype=bool)
-    for d in range(grid.dim):
-        mask &= (coords[:, d] >= b[d, 0] - tol) & (coords[:, d] <= b[d, 1] + tol)
-    return mask
+def _nodes_in_box(fld: ScalarField, box) -> tuple:
+    """(values, axes) on the rectangle the box cuts from the node lattice of
+    ``fld``: the nodal values and each axis's node coordinates."""
+    grid, cut = fld.grid, []
+    for (lo, hi), ax in zip(resolve_box(box, grid.dim), grid.axes()):
+        inside = np.nonzero((ax >= lo - 1e-12) & (ax <= hi + 1e-12))[0]
+        cut.append(slice(inside[0], inside[-1] + 1) if len(inside) else slice(0))
+    values = fld.values.reshape((grid.nodes_per_side,) * grid.dim)[tuple(cut)]
+    return values, [ax[c] for ax, c in zip(grid.axes(), cut)]
+
+
+def _shifted_pairs(n: int, shift: int) -> tuple:
+    """Slices of the nodes p and p + ``shift`` of a row of ``n`` with both in the row."""
+    lo, hi = max(0, -shift), max(0, -shift, n - max(0, shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
 def norm_linf(fld: ScalarField, box=None) -> float:
     """Max nodal magnitude, optionally over a sub-box."""
     if box is None:
         return float(np.max(np.abs(fld.values)))
-    mask = _nodes_in_box(fld.grid, box)
-    if not np.any(mask):
+    values = _nodes_in_box(fld, box)[0]
+    if not values.size:
         raise ValueError("subdomain contains no nodes")
-    return float(np.max(np.abs(fld.values[mask])))
+    return float(np.max(np.abs(values)))
 
 
 def norm_l2(fld: ScalarField, quad=None) -> float:
@@ -207,55 +214,42 @@ def holder_seminorm(
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     grid = fld.grid
-    mask = _nodes_in_box(grid, box)
-    idx = np.nonzero(mask)[0]
-    if len(idx) < 2:
+    rect, axes = _nodes_in_box(fld, box)
+    if rect.size < 2:
         raise ValueError("need at least two nodes in the subdomain")
-    coords = grid.node_coords()[idx]
-    vals = fld.values[idx]
 
     if grid.dim == 1:
         # running max over pair offsets d: O(n) memory instead of n x n
-        x = coords[:, 0]
+        x = axes[0]
         best = 0.0
-        for d in range(1, len(idx)):
-            quot = np.abs(vals[d:] - vals[:-d]) / np.abs(x[d:] - x[:-d]) ** beta
+        for d in range(1, len(x)):
+            quot = np.abs(rect[d:] - rect[:-d]) / np.abs(x[d:] - x[:-d]) ** beta
             best = max(best, float(np.max(quot)))
         return best
 
-    k = grid.nodes_per_side
-    grid_mask = mask.reshape(k, k)
-    field2 = fld.values.reshape(k, k)
     h = grid.spacing
     best = 0.0
     for di in range(0, near_radius + 1):
         for dj in range(-near_radius, near_radius + 1):
-            if di == 0 and dj <= 0:
+            if (di == 0 and dj <= 0) or di * di + dj * dj > near_radius * near_radius:
                 continue
-            if di * di + dj * dj > near_radius * near_radius:
-                continue
-            a = field2[: k - di, :] if di else field2
-            b = field2[di:, :] if di else field2
-            ma = grid_mask[: k - di, :] if di else grid_mask
-            mb = grid_mask[di:, :] if di else grid_mask
-            if dj > 0:
-                a, b = a[:, : k - dj], b[:, dj:]
-                ma, mb = ma[:, : k - dj], mb[:, dj:]
-            elif dj < 0:
-                a, b = a[:, -dj:], b[:, : k + dj]
-                ma, mb = ma[:, -dj:], mb[:, : k + dj]
-            both = ma & mb
-            if not np.any(both):
-                continue
-            dist = h * np.hypot(di, dj)
-            best = max(best, float(np.max(np.abs(a[both] - b[both])) / dist**beta))
+            (ra, rb), (ca, cb) = _shifted_pairs(len(rect), di), _shifted_pairs(len(rect[0]), dj)
+            a, b = rect[ra, ca], rect[rb, cb]
+            if a.size:
+                dist = h * np.hypot(di, dj)
+                best = max(best, float(np.max(np.abs(a - b)) / dist**beta))
 
     rng = np.random.default_rng(seed)
-    ia = rng.integers(0, len(idx), size=n_random)
-    ib = rng.integers(0, len(idx), size=n_random)
+    ia = rng.integers(0, rect.size, size=n_random)
+    ib = rng.integers(0, rect.size, size=n_random)
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
-    dist = np.linalg.norm(coords[ia] - coords[ib], axis=1)
+    # node k of the rectangle is (x[k // n_y], y[k % n_y]), read from contiguous
+    # columns; dx^2 + dy^2 is the sum np.linalg.norm takes, bit for bit
+    x, y = np.repeat(axes[0], len(axes[1])), np.tile(axes[1], len(axes[0]))
+    dx, dy = x[ia] - x[ib], y[ia] - y[ib]
+    vals = rect.reshape(-1)
+    dist = np.sqrt(dx * dx + dy * dy)
     best = max(best, float(np.max(np.abs(vals[ia] - vals[ib]) / dist**beta)))
     return best
 

@@ -1,30 +1,28 @@
 """Multilinear (Q1) finite elements on structured grids.
 
-Assembly of variable-coefficient stiffness matrices and load vectors with
+Assembly of variable-coefficient stiffness operators and load vectors with
 tensor Gauss quadrature, plus linear solvers in two constraint flavours:
 Dirichlet elimination on the box, and zero-mean projection on the periodic
-cell.  Every periodic cell system is factored exactly by sparse LU; the
-singular periodic one is made nonsingular by pinning one node, and the
-solution is then projected to mean zero.  A :class:`PeriodicFactor`
-carries that factor from one solve to the next, so the solves against one
-cell operator share one factorization.  Every symmetric 1-D box system is
-SPD tridiagonal and goes to LAPACK's ``dptsv`` (LDL^T, O(n)) as its
-interior diagonal and super-diagonal; a Newton Jacobian goes to ``dgtsv``
-as its three bands.  The 2-D box is solved by conjugate gradients (GMRES
-for a Newton Jacobian) preconditioned with a geometric multigrid V-cycle
-built once per solve: bilinear prolongation on the interior nodes,
-Galerkin coarse operators P^T A P, damped-Jacobi smoothing weighted to
-contract on every level and a sparse-LU coarsest level, which keeps the
-iteration count flat as the grid is refined.
+cell.  A cell operator is a CSR matrix, factored exactly by sparse LU with
+one node pinned, the solution then projected to mean zero; a
+:class:`PeriodicFactor` carries that factor from one solve to the next.  A
+box operator is its 3^dim-point stencil, off which a box solve reads its
+interior equations, so no full-grid matrix is built.  In 1-D they are
+tridiagonal and go to LAPACK's ``dptsv`` (LDL^T, O(n)), or to ``dgtsv`` for
+a Newton Jacobian.  In 2-D conjugate gradients (GMRES for a Newton
+Jacobian) solve them on their CSR matrix, preconditioned with a geometric
+multigrid V-cycle built from the stencil once per solve: Galerkin coarse
+stencils P^T A P under bilinear prolongation, formed by strided slices,
+damped-Jacobi smoothing weighted to contract on every level and a
+sparse-LU coarsest level, which keeps the iteration count flat as the grid
+is refined.
 
-Every stiffness matrix and Newton Jacobian comes from one stencil kernel.
+Every stiffness operator and Newton Jacobian comes from one stencil kernel.
 Over chunks of element rows, the coefficient samples at the quadrature
 points, reshaped to (E, Q*dim*dim), multiply one reference tensor of
 weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving the element
 matrices, which are added by shifted slices into the 3^dim-point stencil of
-every node; the CSR matrix then takes its values from the stencil through
-the int32 pattern the grid computes once, so the peak memory is the matrix,
-its stencil and one chunk.  Load vectors are the same kind of product with
+every node, so the peak memory is the stencil and one chunk.  Load vectors are the same kind of product with
 weighted basis values or gradients, scattered by ``bincount``, and the
 values or gradients of a nodal field at the quadrature points are its
 element values (E, C) times the basis values or gradients, which each rule
@@ -52,7 +50,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import CellGrid, MacroGrid, corner_offsets, lattice_corners
+from .grids import CellGrid, MacroGrid, corner_offsets, lattice_corners, stencil_pattern
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,9 @@ def default_quadrature(dim: int, n_points: int | None = None) -> QuadratureRule:
     return gauss_rule(n_points, dim)
 
 
+@functools.cache
 def gauss_rule(n_points: int, dim: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n_points`` per direction, mapped to [0,1]."""
+    """Gauss-Legendre rule with ``n_points`` per direction, mapped to [0,1]; shared, read-only."""
     if n_points < 1:
         raise ValueError("need at least one quadrature point per direction")
     x, w = np.polynomial.legendre.leggauss(n_points)
@@ -118,7 +117,7 @@ def gauss_rule(n_points: int, dim: int) -> QuadratureRule:
     else:
         pts = np.array([(a, b) for a in x for b in x])
         wts = np.array([wa * wb for wa in w for wb in w])
-    return QuadratureRule(points=pts, weights=wts, degree=2 * n_points - 1)
+    return QuadratureRule(points=_read_only(pts), weights=_read_only(wts), degree=2 * n_points - 1)
 
 
 def q1_values(xi: np.ndarray) -> np.ndarray:
@@ -227,19 +226,18 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _stencil_operator(grid, ref: np.ndarray, samples):
-    """(CSR matrix, 3^dim-point stencil) of the operator whose element
-    matrices are ``samples(elements) @ ref``: rows (E, K) for a slice of the
-    element order, against the reference tensor ``ref`` (K, C*C).
+def _stencil_operator(grid, ref: np.ndarray, samples) -> np.ndarray:
+    """3^dim-point stencil, (3,)*dim + (m + 1,)*dim, of the operator whose
+    element matrices are ``samples(elements) @ ref``: rows (E, K) for a
+    slice of the element order, against the reference tensor ``ref`` (K, C*C).
 
     Over chunks of whole element rows, the element matrices are added into
     the stencil of every node of the element corner lattice (see
-    :func:`~twoscale.grids._stencil_pattern`) by shifted-slice adds.  The
+    :func:`~twoscale.grids.stencil_pattern`) by shifted-slice adds.  The
     elements of a node, in increasing order, are those at which it is
     corner b for b decreasing, so every entry sums its element terms in
     element order, as a scatter would.  A cell grid then folds its far
-    faces onto the near ones (the periodic identification), and the CSR
-    matrix reads the stencil through the grid's cached pattern.
+    faces onto the near ones (the periodic identification).
     """
     dim, m = grid.dim, grid.cells_per_side
     offs = corner_offsets(dim)
@@ -261,18 +259,19 @@ def _stencil_operator(grid, ref: np.ndarray, samples):
             nodes = tuple(map(slice, lo + offs[b], hi + offs[b]))
             for c in range(n_loc):
                 stencil[tuple(1 + offs[c] - offs[b]) + nodes] += local[b, c]
-    periodic = isinstance(grid, CellGrid)
-    if periodic:
+    if isinstance(grid, CellGrid):
         for d in range(dim):
             stencil[(slice(None),) * (dim + d) + (0,)] += stencil[(slice(None),) * (dim + d) + (m,)]
-    indptr, indices, keep = grid.stencil_pattern()
+    return stencil
+
+
+def _csr(stencil: np.ndarray, periodic: bool = False) -> sp.csr_matrix:
+    """CSR matrix of a stencil (3,)*dim + (n,)*dim through its lattice's cached
+    :func:`~twoscale.grids.stencil_pattern`; a box drops couplings leaving it."""
+    dim = stencil.ndim // 2
+    indptr, indices, keep = stencil_pattern(dim, stencil.shape[-1] - 1, periodic)
     data = np.moveaxis(stencil, tuple(range(dim)), tuple(range(dim, 2 * dim)))[keep]
-    if periodic:  # wrapped columns come out of order, and may repeat
-        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.ndof, grid.ndof))
-        mat.sum_duplicates()
-    else:
-        mat = sp.csr_matrix((data, indices, indptr), shape=(grid.ndof, grid.ndof))
-    return mat, stencil
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 def _check_finite(samples: np.ndarray, first: int, what: str) -> None:
@@ -281,8 +280,8 @@ def _check_finite(samples: np.ndarray, first: int, what: str) -> None:
         raise AssemblyError(f"non-finite {what} at element {first + int(np.argmin(finite))}")
 
 
-def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
-    """Assemble the variable-coefficient stiffness matrix.
+def assemble_stiffness(grid, coeff, quad: QuadratureRule):
+    """Assemble the variable-coefficient stiffness operator.
 
     ``coeff`` is either an evaluator ``coeff(points)`` mapping physical
     points (K, dim) to symmetric matrices (K, dim, dim), called once per
@@ -290,7 +289,8 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
     (P,)*dim + (Q, dim, dim) with P dividing the cells per side.  The kernel
     (:func:`_stencil_operator`) evaluates or tiles it chunk by chunk, against
     :func:`_stiffness_reference`; under ``__debug__`` the stencil must be
-    symmetric.
+    symmetric.  A box grid's operator is its stencil, (3,)*dim + (m + 1,)*dim,
+    which :func:`solve_dirichlet` reads; a cell grid's is its CSR matrix.
     """
     dim = grid.dim
     tail = (dim, dim)
@@ -301,7 +301,7 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
         _check_finite(a, elements.start, "coefficient")
         return a.reshape(len(a), -1)
 
-    mat, stencil = _stencil_operator(grid, _stiffness_reference(grid, quad), samples)
+    stencil = _stencil_operator(grid, _stiffness_reference(grid, quad), samples)
     if __debug__:
         # entry [o, x] against [-o, x + o], wrapped, in blocks of node rows;
         # off the box grid both are zero
@@ -315,9 +315,13 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule) -> sp.csr_matrix:
                 diff = np.roll(diff, tuple(-o[1:]), tuple(range(1, dim)))
                 diff -= nodes[tuple(1 + o)][rows]
                 asym = max(asym, float(np.abs(diff).max()))
-        scale = max(float(mat.data.max()), -float(mat.data.min()), 1.0)
+        scale = max(float(nodes.max()), -float(nodes.min()), 1.0)
         if asym > 1e-12 * scale:
             raise AssemblyError(f"assembled matrix asymmetry {asym:.3e}")
+    if isinstance(grid, MacroGrid):
+        return stencil
+    mat = _csr(stencil, periodic=True).copy()
+    mat.sum_duplicates()  # wrapped columns come out of order, and may repeat
     return mat
 
 
@@ -353,7 +357,7 @@ def linearize(grid, quad: QuadratureRule, state, coeff, coeff_du, source, source
         np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
         np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
     ])
-    return _stencil_operator(grid, ref, lambda elements: rows[elements])[0], residual
+    return _stencil_operator(grid, ref, lambda elements: rows[elements]), residual
 
 
 def assemble_load_from_samples(
@@ -483,13 +487,6 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
     )
 
 
-def _inverse_diagonal(mat) -> np.ndarray:
-    diag = mat.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
-    return 1.0 / diag
-
-
 def _lu(mat):
     """Sparse LU of a symmetric positive definite matrix (every matrix factored
     here is one, or a Newton Jacobian's coarsest multigrid level, which
@@ -506,27 +503,6 @@ _MG_OMEGA = 0.8
 _MG_SWEEPS = 2
 
 
-@functools.lru_cache(maxsize=16)
-def _interior_prolongation(cells: int) -> sp.csr_matrix:
-    """Bilinear interpolation from the interior nodes of the ``cells // 2``
-    box grid to those of the ``cells`` box grid, both in the "ij" order of
-    :meth:`MacroGrid.interior_dofs` (first index slowest).  Cached, as building
-    it costs more than a small grid's whole solve, so shared and read-only."""
-    coarse = np.arange(cells // 2 - 1)
-    fine = 2 * coarse + 1  # fine interior index of each coarse node
-    p1 = sp.csr_matrix(
-        (
-            np.tile([0.5, 1.0, 0.5], len(coarse)),
-            (np.stack([fine - 1, fine, fine + 1], axis=1).reshape(-1), np.repeat(coarse, 3)),
-        ),
-        shape=(cells - 1, len(coarse)),
-    )
-    prol = sp.kron(p1, p1, format="csr")
-    for arr in (prol.data, prol.indices, prol.indptr):
-        arr.flags.writeable = False  # the cached matrix is shared
-    return prol
-
-
 def _smoother_weights(mat) -> np.ndarray:
     """omega / diag(A) for one level's damped-Jacobi smoother.
 
@@ -537,71 +513,121 @@ def _smoother_weights(mat) -> np.ndarray:
     omega = 0.8; anisotropic or full tensors, whose stencils carry positive
     off-diagonals, get a smaller weight instead of an amplifying smoother.
     """
-    inv_diag = _inverse_diagonal(mat)
-    bound = float(np.max(inv_diag * np.asarray(abs(mat).sum(axis=1)).ravel()))
+    diag = mat.diagonal()
+    if np.any(diag <= 0.0):
+        raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
+    inv_diag = 1.0 / diag
+    # absolute row sums as abs(mat).sum(axis=1) adds them, without its copy of the matrix
+    bound = float(np.max(inv_diag * np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])))
     return _MG_OMEGA * min(1.0, 2.0 / bound) * inv_diag
 
 
-def _multigrid(mat, cells: int):
-    """V-cycle preconditioner for the reduced Dirichlet matrix of a 2-D box
-    grid with ``cells`` cells per side.
+def _coarsen(stencil: np.ndarray) -> np.ndarray:
+    """Galerkin stencil P^T A P, (3, 3, n // 2, n // 2), of an interior
+    stencil (3, 3, n, n), n odd, under bilinear prolongation P.
+
+    P is a product of one-axis interpolations (coarse node I at fine node
+    c = 2I + 1, weights 1/2, 1, 1/2), taken one axis at a time.  If fine row
+    i couples to i - 1, i, i + 1 by l_i, d_i, u_i, coarse row I couples by
+    (l_c + l_{c-1}) / 2 + d_{c-1} / 4, d_c + (l_c + u_c + u_{c-1} + l_{c+1}) / 2
+    + (d_{c-1} + d_{c+1}) / 4 and (u_c + u_{c+1}) / 2 + d_{c+1} / 4.  A
+    coupling that leaves the box reaches only the zeroed first l' or last u'.
+    """
+    for _ in range(2):
+        # rows c - 1, c and c + 1 of each band, (3, n // 2, n'): the other axis's offset first
+        (lm, lc, lp), (dm, dc, dp), (um, uc, up) = (
+            (band[:, :-1:2], band[:, 1::2], band[:, 2::2]) for band in stencil)
+        coarse = np.empty((3,) + dc.shape)
+        coarse[0] = 0.5 * (lc + lm) + 0.25 * dm
+        coarse[1] = dc + 0.5 * (lc + uc + um + lp) + 0.25 * (dm + dp)
+        coarse[2] = 0.5 * (uc + up) + 0.25 * dp
+        coarse[0, :, 0] = coarse[2, :, -1] = 0.0
+        stencil = coarse.transpose(1, 0, 3, 2)  # the other axis next
+    return np.ascontiguousarray(stencil)
+
+
+def _restrict(r: np.ndarray, n: int) -> np.ndarray:
+    """P^T r over a level's n * n interior nodes: each coarse node takes its
+    fine node and half of each neighbour, one axis at a time."""
+    r = r.reshape(n, n)
+    r = r[1::2] + 0.5 * (r[:-1:2] + r[2::2])
+    return (r[:, 1::2] + 0.5 * (r[:, :-1:2] + r[:, 2::2])).reshape(-1)
+
+
+def _prolong(x: np.ndarray, n: int) -> np.ndarray:
+    """P x to a level's n * n interior nodes: bilinear interpolation on the
+    (n + 2)^2 lattice, whose even nodes are the coarse ones and the boundary."""
+    full = np.zeros((n + 2, n + 2))
+    full[2:-1:2, 2:-1:2] = x.reshape(n // 2, n // 2)
+    full[1::2] = 0.5 * (full[:-1:2] + full[2::2])
+    full[:, 1::2] = 0.5 * (full[:, :-1:2] + full[:, 2::2])
+    return full[1:-1, 1:-1].reshape(-1)
+
+
+def _multigrid(matrix: np.ndarray):
+    """(A, V-cycle) of the interior equations of a 2-D box stencil ``matrix``
+    (3, 3, m + 1, m + 1): A is their CSR matrix, the V-cycle its preconditioner.
 
     Levels halve the cell count while it is even and at least 8; coarse
-    operators are Galerkin products P^T A P, which stay robust under
-    oscillating coefficients.  The smoother is damped Jacobi with a weight
-    that contracts on each level (:func:`_smoother_weights`) and as many
-    sweeps after the coarse correction as before, and the coarsest level is
-    factored once, so the V-cycle of an SPD matrix is SPD.  A grid
-    that cannot coarsen is solved exactly.
+    stencils are Galerkin products P^T A P (:func:`_coarsen`), which stay
+    robust under oscillating coefficients, and each level's CSR matrix, read
+    once from its stencil, serves its matvecs and smoother weights
+    (:func:`_smoother_weights`).  Damped Jacobi takes as many sweeps after
+    the coarse correction as before, and the coarsest level is factored
+    once, so the V-cycle of an SPD matrix is SPD.  A grid that cannot
+    coarsen is solved exactly.
     """
-    levels = []  # (operator, weighted inverse diagonal, prolongation)
+    stencil = matrix[:, :, 1:-1, 1:-1]  # a view: no level reads its couplings to the boundary
+    levels = []  # (operator, weighted inverse diagonal, interior nodes per side)
+    cells = len(matrix[0, 0]) - 1
     while cells % 2 == 0 and cells >= 8:
-        prol = _interior_prolongation(cells)
-        levels.append((mat, _smoother_weights(mat), prol))
-        mat = (prol.T @ mat @ prol).tocsr()
+        mat = _csr(stencil)
+        levels.append((mat, _smoother_weights(mat), cells - 1))
+        stencil = _coarsen(stencil)
         cells //= 2
-    coarsest = _lu(mat)
+    coarsest = _csr(stencil)
+    lu = _lu(coarsest)
 
     # a loop, not a recursive closure: a closure that calls itself is a
-    # reference cycle, which would keep the hierarchy (and the fine
-    # operator) alive after the solve until the cyclic collector runs
+    # reference cycle, which would keep the hierarchy alive after the solve
+    # until the cyclic collector runs
     def vcycle(r):
         down = []
-        for a, w_inv_diag, prol in levels:
+        for a, w_inv_diag, n in levels:
             x = w_inv_diag * r
             for _ in range(_MG_SWEEPS - 1):
                 x += w_inv_diag * (r - a @ x)
             down.append((x, r))
-            r = prol.T @ (r - a @ x)
-        x_coarse = coarsest.solve(r)
-        for (a, w_inv_diag, prol), (x, r) in zip(reversed(levels), reversed(down)):
-            x += prol @ x_coarse
+            r = _restrict(r - a @ x, n)
+        x_coarse = lu.solve(r)
+        for (a, w_inv_diag, n), (x, r) in zip(reversed(levels), reversed(down)):
+            x += _prolong(x_coarse, n)
             for _ in range(_MG_SWEEPS):
                 x += w_inv_diag * (r - a @ x)
             x_coarse = x
         return x_coarse
 
-    return vcycle
+    return (levels[0][0] if levels else coarsest), vcycle
 
 
 def solve_dirichlet(
     matrix, rhs: np.ndarray, grid: MacroGrid, opts: SolverOptions = SolverOptions(),
     symmetric: bool = True,
 ) -> np.ndarray:
-    """Solve ``matrix x = rhs`` with homogeneous Dirichlet data eliminated
-    exactly.
+    """Solve ``matrix x = rhs``, ``matrix`` a box stencil, with homogeneous
+    Dirichlet data eliminated exactly.
 
     Only the interior equations are solved; the returned full nodal vector
-    is exactly zero on the boundary.  A 1-D grid's reduced system is
-    tridiagonal and solved directly: a ``symmetric`` one from two bands,
-    raising :class:`NonConvergenceError` unless it is positive definite,
-    any other (a Newton Jacobian) from three, with partial pivoting.  A 2-D
-    one is solved by CG (GMRES unless ``symmetric``) preconditioned with a
-    multigrid V-cycle of the same matrix.
+    is exactly zero on the boundary.  A 1-D grid's are tridiagonal and
+    solved directly from the stencil's rows: a ``symmetric`` system from two
+    bands, raising :class:`NonConvergenceError` unless it is positive
+    definite, any other (a Newton Jacobian) from three, with partial
+    pivoting.  A 2-D grid's are solved by CG (GMRES unless ``symmetric``),
+    preconditioned with their multigrid V-cycle (:func:`_multigrid`).
     """
     out = np.zeros(grid.ndof)
     if grid.dim == 1:  # the interior sub-, main and super-diagonal
-        lower, diag, upper = (matrix.diagonal(k)[1:-1] for k in (-1, 0, 1))
+        lower, diag, upper = matrix[0, 2:-1], matrix[1, 1:-1], matrix[2, 1:-2]
         if symmetric:  # LDL^T
             _, _, out[1:-1], info = lapack.dptsv(diag, upper, rhs[1:-1])
         else:
@@ -613,9 +639,8 @@ def solve_dirichlet(
             )
         return out
     free = grid.interior_dofs()
-    reduced = matrix[free][:, free].tocsr()
+    reduced, precond = _multigrid(matrix)
     max_iter = opts.max_iter or 10 * max(len(free), 1)
-    precond = _multigrid(reduced, grid.cells_per_side)
     if symmetric:
         out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)
         return out

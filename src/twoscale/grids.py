@@ -13,8 +13,9 @@ Grids are uniform, so finite-difference derivative recovery reduces to
 index arithmetic, and every multilinear read off a lattice -- a grid's
 nodes or the parameter lattice of the cell tables -- goes through one
 kernel, :func:`lattice_corners`; everything here is pure and immutable.
-The element connectivity and the sparsity pattern of the grid's Q1
-operators are computed once per grid object and handed out read-only.
+The element connectivity is computed once per grid object, and the
+sparsity pattern of the Q1 operators once per lattice size; both are handed
+out read-only.
 """
 
 from __future__ import annotations
@@ -39,24 +40,23 @@ def corner_offsets(dim: int) -> np.ndarray:
 
 
 def _once_per_grid(method):
-    """Cache a grid method that returns an array, or a tuple of arrays, on
-    the instance, read-only; grids are frozen, so the result never goes
-    stale and dies with its grid."""
+    """Cache a grid method that returns an array on the instance, read-only;
+    grids are frozen, so the result never goes stale and dies with its grid."""
     key = f"_{method.__name__}"
 
     @functools.wraps(method)
     def cached(self):
         if key not in self.__dict__:
             out = method(self)
-            for arr in out if isinstance(out, tuple) else (out,):
-                arr.flags.writeable = False
+            out.flags.writeable = False
             self.__dict__[key] = out  # frozen dataclass: bypass __setattr__
         return self.__dict__[key]
 
     return cached
 
 
-def _stencil_pattern(dim: int, m: int, periodic: bool) -> tuple:
+@functools.lru_cache(maxsize=16)
+def stencil_pattern(dim: int, m: int, periodic: bool) -> tuple:
     """CSR pattern of the Q1 operators on a grid of ``m`` cells per side.
 
     The nodes of an operator's stencil are the (m + 1)^dim element corners:
@@ -67,7 +67,7 @@ def _stencil_pattern(dim: int, m: int, periodic: bool) -> tuple:
     already in column order.  A periodic grid keeps the corners below the
     far faces, which are their copies, with every offset wrapped; its
     wrapped columns are out of order, and with 2 cells per side offsets -1
-    and 1 name one column, listed twice.
+    and 1 name one column, listed twice.  Cached, so shared and read-only.
     """
     n = m if periodic else m + 1  # nodes per side
     corner = np.arange(m + 1)[:, None]
@@ -84,7 +84,10 @@ def _stencil_pattern(dim: int, m: int, periodic: bool) -> tuple:
     counts = keep.sum(axis=tuple(range(dim, 2 * dim)))[(slice(0, n),) * dim]
     indptr = np.zeros(n**dim + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, cols[keep], keep
+    out = indptr, cols[keep], keep
+    for arr in out:
+        arr.flags.writeable = False  # cached, so shared by every operator of this size
+    return out
 
 
 def _check_dim(dim):
@@ -143,12 +146,6 @@ class CellGrid:
         offs = corner_offsets(self.dim)
         idx = origins[:, None, :] + offs[None, :, :]
         return self.wrap_multi_index(idx.reshape(-1, self.dim)).reshape(len(origins), -1)
-
-    @_once_per_grid
-    def stencil_pattern(self) -> tuple:
-        """(indptr, indices, keep) of this grid's Q1 operators: every node
-        couples to its 3^dim wrapped neighbours (see :func:`_stencil_pattern`)."""
-        return _stencil_pattern(self.dim, self.cells_per_side, periodic=True)
 
 
 @dataclass(frozen=True)
@@ -209,13 +206,6 @@ class MacroGrid:
         offs = corner_offsets(self.dim)
         idx = origins[:, None, :] + offs[None, :, :]
         return _ravel(idx.reshape(-1, self.dim), (k,) * self.dim).reshape(len(origins), -1)
-
-    @_once_per_grid
-    def stencil_pattern(self) -> tuple:
-        """(indptr, indices, keep) of this grid's Q1 operators: every node
-        couples to those of its 3^dim neighbours that lie on the grid (see
-        :func:`_stencil_pattern`)."""
-        return _stencil_pattern(self.dim, self.cells_per_side, periodic=False)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from twoscale.expansion import (
 )
 from twoscale.fem import (
     SolverOptions,
+    _csr,
     assemble_load,
     assemble_stiffness,
     element_quad_points,
@@ -321,9 +322,9 @@ def test_u_dependent_2d_fine_solve_matches_point_location_reference():
         def u_at(pts):
             return interpolate_values(fine, u_values, pts)
 
-        mat = assemble_stiffness(
+        mat = _csr(assemble_stiffness(
             fine, lambda pts: model.eval_a(u_at(pts), pts, np.mod(pts / eps, 1.0)), quad
-        )
+        ))
         rhs = assemble_load(
             fine, quad,
             scalar_fn=lambda pts: model.eval_f(u_at(pts), pts, np.mod(pts / eps, 1.0)),
