@@ -55,7 +55,6 @@ from .errors import (
 )
 from .expansion import (
     ExpansionField,
-    RemainderField,
     fast_coordinates,
     fine_grid_for,
     reconstruct,

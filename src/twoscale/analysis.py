@@ -63,23 +63,23 @@ def norm_linf(fld: ScalarField, box=None) -> float:
     return float(np.max(np.abs(values)))
 
 
-def norm_l2(fld: ScalarField, quad=None) -> float:
-    quad = quad or gauss_rule(2, fld.grid.dim)
+def norm_l2(fld: ScalarField) -> float:
+    quad = gauss_rule(2, fld.grid.dim)
     vals = field_values_at_quad(fld.grid, fld.values, quad)
     measure = fld.grid.spacing**fld.grid.dim
     return float(np.sqrt(np.einsum("eq,q->", vals**2, quad.weights) * measure))
 
 
-def seminorm_h1(fld: ScalarField, quad=None) -> float:
-    quad = quad or gauss_rule(2, fld.grid.dim)
+def seminorm_h1(fld: ScalarField) -> float:
+    quad = gauss_rule(2, fld.grid.dim)
     grads = field_gradients_at_quad(fld.grid, fld.values, quad)
     measure = fld.grid.spacing**fld.grid.dim
     sq = np.einsum("eqd,eqd->eq", grads, grads)
     return float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
 
 
-def norm_h1(fld: ScalarField, quad=None) -> float:
-    return float(np.hypot(norm_l2(fld, quad), seminorm_h1(fld, quad)))
+def norm_h1(fld: ScalarField) -> float:
+    return float(np.hypot(norm_l2(fld), seminorm_h1(fld)))
 
 
 def energy_difference(
@@ -89,7 +89,6 @@ def energy_difference(
     tensor_table,
     u0: ScalarField,
     fine_quad=None,
-    macro_quad=None,
 ) -> float:
     """|resolved energy - homogenized energy|.
 
@@ -103,7 +102,7 @@ def energy_difference(
     """
     fine_grid, macro_grid = u_eps.grid, u0.grid
     fine_quad = fine_quad or default_quadrature(fine_grid.dim)
-    macro_quad = macro_quad or gauss_rule(2, macro_grid.dim)
+    macro_quad = gauss_rule(2, macro_grid.dim)
     dim = fine_grid.dim
     grads = field_gradients_at_quad(fine_grid, u_eps.values, fine_quad)  # (E, Q, dim)
     a_q = period_samples(model, eps, fine_grid, fine_quad, model.eval_a)
@@ -155,17 +154,15 @@ def interior_element_centers(grid: MacroGrid, box) -> np.ndarray:
 def interior_gradient_sup(
     fld: ScalarField,
     box,
-    flux_mode: bool = False,
     model=None,
     eps: float | None = None,
-    state: ScalarField | None = None,
     base_gradient=None,
 ) -> float:
     """Max elementwise gradient magnitude over elements inside the box.
 
-    The gradient is the Q1 gradient at the element center.  In flux mode it
-    is premultiplied by the oscillating coefficient evaluated at the center
-    with the supplied state field (the resolved solution).
+    The gradient is the Q1 gradient at the element center.  Given a
+    ``model`` and ``eps`` it is the flux instead, premultiplied by the
+    coefficient a(u, x, x / eps) at the center, u the field's value there.
 
     ``base_gradient``, an array (K, dim) of values at
     :func:`interior_element_centers`, is subtracted there.  Remainders
@@ -186,30 +183,27 @@ def interior_gradient_sup(
                 f"{grads.shape}"
             )
         grads = grads - base_at
-    if flux_mode:
-        if model is None or eps is None or state is None:
-            raise ValueError("flux mode needs model, eps, and the state field")
+    if model is not None:
+        if eps is None:
+            raise ValueError("the flux needs eps as well as the model")
         centers = interior_element_centers(grid, box)
-        u_at = field_values_at_quad(grid, state.values, center)[mask, 0]
+        u_at = field_values_at_quad(grid, fld.values, center)[mask, 0]
         a_q = model.eval_a(u_at, centers, np.mod(centers / eps, 1.0))
         grads = np.einsum("kij,kj->ki", a_q, grads)
     return float(np.max(np.linalg.norm(grads, axis=1)))
 
 
-def holder_seminorm(
-    fld: ScalarField,
-    box,
-    beta: float,
-    seed: int = 0,
-    n_random: int = 100_000,
-    near_radius: int = 4,
-) -> float:
+_HOLDER_PAIRS = 100_000
+_HOLDER_NEAR = 4
+
+
+def holder_seminorm(fld: ScalarField, box, beta: float, seed: int = 0) -> float:
     """sup |u(p) - u(q)| / |p - q|^beta over node pairs in the box.
 
-    1-D uses all pairs, one offset at a time.  2-D samples ``n_random``
-    seeded random pairs and adds every pair within ``near_radius`` grid
-    steps: the near field dominates the seminorm for the oscillatory
-    remainders measured here.
+    1-D uses all pairs, one offset at a time.  2-D samples ``_HOLDER_PAIRS``
+    (100,000) seeded random pairs and adds every pair within
+    ``_HOLDER_NEAR`` (4) grid steps: the near field dominates the seminorm
+    for the oscillatory remainders measured here.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -229,9 +223,9 @@ def holder_seminorm(
 
     h = grid.spacing
     best = 0.0
-    for di in range(0, near_radius + 1):
-        for dj in range(-near_radius, near_radius + 1):
-            if (di == 0 and dj <= 0) or di * di + dj * dj > near_radius * near_radius:
+    for di in range(0, _HOLDER_NEAR + 1):
+        for dj in range(-_HOLDER_NEAR, _HOLDER_NEAR + 1):
+            if (di == 0 and dj <= 0) or di * di + dj * dj > _HOLDER_NEAR * _HOLDER_NEAR:
                 continue
             (ra, rb), (ca, cb) = _shifted_pairs(len(rect), di), _shifted_pairs(len(rect[0]), dj)
             a, b = rect[ra, ca], rect[rb, cb]
@@ -240,8 +234,8 @@ def holder_seminorm(
                 best = max(best, float(np.max(np.abs(a - b)) / dist**beta))
 
     rng = np.random.default_rng(seed)
-    ia = rng.integers(0, rect.size, size=n_random)
-    ib = rng.integers(0, rect.size, size=n_random)
+    ia = rng.integers(0, rect.size, size=_HOLDER_PAIRS)
+    ib = rng.integers(0, rect.size, size=_HOLDER_PAIRS)
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
     # node k of the rectangle is (x[k // n_y], y[k % n_y]), read from contiguous

@@ -59,7 +59,7 @@ from .errors import (
     NonConvergenceError,
     PropertyViolationError,
 )
-from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, remainder, solve_fine
+from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, solve_fine
 from .fem import (
     SolverOptions, assemble_load_from_samples, assemble_stiffness,
     default_quadrature, gauss_rule, solve_dirichlet,
@@ -105,9 +105,7 @@ def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
         cell_quad=cell_quad,
         solve_quad=gauss_rule(solve_points, cfg.dim),
         cg_opts=SolverOptions(),
-        picard_opts=PicardOptions(
-            tol=nl["tol"], max_iter=nl["max_iter"], damping=nl["damping"]
-        ),
+        picard_opts=PicardOptions(tol=nl["tol"], max_iter=nl["max_iter"]),
     )
 
 
@@ -385,7 +383,7 @@ def run_study(
         for eps in cfg.eps_list:
             stage = f"fine_solve eps=1/{round(1 / eps)}"
             fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
-            exp = reconstruct(u0, table, eps, fine_grid, order=2)
+            exp = reconstruct(u0, table, eps, fine_grid)
             u_eps, pic = solve_fine(
                 setup.model,
                 eps,
@@ -400,10 +398,8 @@ def run_study(
             done(stage)
 
             stage = f"errors eps=1/{round(1 / eps)}"
-            rem2 = remainder(u_eps, exp)
-            z0 = ScalarField(fine_grid, u_eps.values - exp.truncated(0))
-            z1 = ScalarField(fine_grid, u_eps.values - exp.truncated(1))
-            z2 = ScalarField(fine_grid, rem2.values)
+            layers = [exp.truncated(order) for order in range(3)]
+            z0, z1, z2 = (ScalarField(fine_grid, u_eps.values - layer) for layer in layers)
 
             # one chain-rule gradient of the first-order reconstruction
             # serves both gradient-level columns
@@ -424,8 +420,7 @@ def run_study(
                     u_eps, box, base_gradient=recon_grad1
                 ),
                 "flux_sup_order1": interior_gradient_sup(
-                    u_eps, box, flux_mode=True, model=setup.model, eps=eps,
-                    state=u_eps, base_gradient=recon_grad1,
+                    u_eps, box, model=setup.model, eps=eps, base_gradient=recon_grad1,
                 ),
                 "holder_order2": holder_seminorm(z2, box, beta, seed=seed),
             }
@@ -436,8 +431,8 @@ def run_study(
                 names = [f"u_eps_{tag}.csv"]
                 names += [f"reconstruction_order{order}_{tag}.csv" for order in orders]
                 names.append(f"remainder_{tag}.csv")
-                fields = [u_eps.values] + [exp.truncated(order) for order in orders]
-                fields.append(rem2.values)
+                fields = [u_eps.values] + [layers[order] for order in orders]
+                fields.append(z2.values)
                 emit(
                     write_field_csv, [out_dir / name for name in names], fine_grid, fields,
                     [()] * len(names),

@@ -38,6 +38,7 @@ DEFAULT_CONFIG = {
     "nonlinear": {
         "tol": 1e-10,
         "max_iter": 100,
+        # accepted and range-checked for older configs; Newton reads no damping
         "damping": 1.0,
     },
     "study": {
@@ -245,13 +246,11 @@ def load_config(path=None, overrides=(), base: dict | None = None) -> Experiment
             raise ConfigurationError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}")
-    unknown = _check_unknown_keys(base, DEFAULT_CONFIG)
     merged = _merge(DEFAULT_CONFIG, base)
     for spec in overrides:
         apply_override(merged, spec)
-    unknown += [
-        key for key in _check_unknown_keys(merged, DEFAULT_CONFIG) if key not in unknown
-    ]
+    # _merge carries unknown keys along: one pass finds the file's and the overrides'
+    unknown = _check_unknown_keys(merged, DEFAULT_CONFIG)
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(set(unknown))}")
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(raw=merged)

@@ -2,7 +2,8 @@
 
 The reconstruction evaluates, at every fine node x, the slow fields (macro
 solution and its finite-difference derivatives) and the fast corrector
-fields at y = x / eps mod 1, and stacks them into
+fields at y = x / eps mod 1, and stacks them into the second-order
+expansion, whose truncations after orders 0 and 1 read the same layers:
 
     u0(x)  +  eps * N_l(y) d_l u0  +  eps^2 * (M_kl d2_kl u0 + Q_k d_k u0 + R)
 
@@ -72,42 +73,27 @@ def period_samples(model, eps: float, fine_grid: MacroGrid, quad, *evaluators):
 
 @dataclass
 class ExpansionField:
-    """Layered two-scale reconstruction on a fine grid."""
+    """The layers u0, u1 and u2 of the two-scale expansion at the fine nodes."""
 
     eps: float
     fine_grid: MacroGrid
-    order: int
     u0: np.ndarray = field(repr=False)
     u1: np.ndarray = field(repr=False)
     u2: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise ValueError("truncation order must be 0, 1, or 2")
         cells_per_period(self.fine_grid, self.eps)
 
-    def truncated(self, order: int | None = None) -> np.ndarray:
-        order = self.order if order is None else order
+    def truncated(self, order: int) -> np.ndarray:
+        """u0 + eps u1 + eps^2 u2 cut after the term of ``order``, 0, 1 or 2."""
+        if order not in (0, 1, 2):
+            raise ValueError("truncation order must be 0, 1, or 2")
         out = self.u0.copy()
         if order >= 1:
             out += self.eps * self.u1
         if order >= 2:
             out += self.eps**2 * self.u2
         return out
-
-    @property
-    def tilde(self) -> np.ndarray:
-        return self.truncated()
-
-
-@dataclass
-class RemainderField:
-    """Difference between the resolved solution and a reconstruction."""
-
-    values: np.ndarray = field(repr=False)
-    u_eps: ScalarField = field(repr=False)
-    expansion: ExpansionField = field(repr=False)
-    boundary_trace_max: float = 0.0
 
 
 def _macro_fields_at(u0_field: ScalarField, points: np.ndarray):
@@ -137,9 +123,8 @@ def reconstruct(
     table: CorrectorTable,
     eps: float,
     fine_grid: MacroGrid,
-    order: int = 2,
 ) -> ExpansionField:
-    """Evaluate the two-scale layers at every fine node.
+    """Evaluate the two-scale layers, up to the second, at every fine node.
 
     Slow quantities come from interpolating the macro solution and its
     finite-difference gradient/Hessian; fast quantities from the corrector
@@ -170,7 +155,7 @@ def reconstruct(
             slow_k += vals[f"slowg_{k}{m}"] * grad_f[:, m]
         u2 += slow_k * grad_f[:, k]
 
-    return ExpansionField(eps=eps, fine_grid=fine_grid, order=order, u0=u0_f, u1=u1, u2=u2)
+    return ExpansionField(eps=eps, fine_grid=fine_grid, u0=u0_f, u1=u1, u2=u2)
 
 
 def reconstruction_gradient(
@@ -237,9 +222,10 @@ def solve_fine(
     quad = quad or default_quadrature(fine_grid.dim)
     samples = period_samples(model, eps, fine_grid, quad, model.eval_a, model.eval_f)
     if samples is not None:  # one linear solve
-        mat = assemble_stiffness(fine_grid, samples[0], quad)
-        rhs = assemble_load_from_samples(fine_grid, quad, samples[1])
-        values = solve_dirichlet(mat, rhs, fine_grid, cg_opts)
+        # no local holds the stencil, so the solve frees it once read
+        values = solve_dirichlet(assemble_stiffness(fine_grid, samples[0], quad),
+                                 assemble_load_from_samples(fine_grid, quad, samples[1]),
+                                 fine_grid, cg_opts)
         return ScalarField(fine_grid, values), PicardResult(1, [0.0], converged=True)
 
     def fast(evaluator):
@@ -253,18 +239,12 @@ def solve_fine(
     return ScalarField(fine_grid, values), result
 
 
-def remainder(u_eps: ScalarField, expansion: ExpansionField) -> RemainderField:
-    """Nodal difference u_eps - tilde(u), with its boundary trace recorded.
+def remainder(u_eps: ScalarField, expansion: ExpansionField) -> ScalarField:
+    """The nodal remainder u_eps - (u0 + eps u1 + eps^2 u2) on the fine grid.
 
-    On the boundary the resolved solution vanishes, so the trace is exactly
-    minus the reconstruction's boundary values -- an O(eps) quantity by
-    construction.
+    On the boundary the resolved solution vanishes, so there the remainder
+    is minus the reconstruction -- an O(eps) trace by construction.
     """
     if u_eps.grid != expansion.fine_grid:
         raise ValueError("remainder requires matching fine grids")
-    values = u_eps.values - expansion.tilde
-    bnd = u_eps.grid.boundary_dofs()
-    trace = float(np.max(np.abs(values[bnd]))) if len(bnd) else 0.0
-    return RemainderField(
-        values=values, u_eps=u_eps, expansion=expansion, boundary_trace_max=trace
-    )
+    return ScalarField(u_eps.grid, u_eps.values - expansion.truncated(2))

@@ -63,7 +63,6 @@ class QuadratureRule:
 
     points: np.ndarray  # (Q, dim)
     weights: np.ndarray  # (Q,)
-    degree: int  # polynomial exactness per direction
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -87,8 +86,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def default_quadrature(dim: int, n_points: int | None = None) -> QuadratureRule:
-    """Default assembly rule: one midpoint per direction in 1-D, 2x2 in 2-D.
+def default_quadrature(dim: int) -> QuadratureRule:
+    """Default assembly rule: :func:`gauss_rule` of one point per direction in 1-D, two in 2-D.
 
     Midpoint sampling is the right default in 1-D: piecewise-linear basis
     gradients are constant, so only the coefficient is integrated, and
@@ -98,9 +97,7 @@ def default_quadrature(dim: int, n_points: int | None = None) -> QuadratureRule:
     element would leave the bilinear hourglass mode without stiffness, so
     the tensor two-point rule is the floor there.
     """
-    if n_points is None:
-        n_points = 1 if dim == 1 else 2
-    return gauss_rule(n_points, dim)
+    return gauss_rule(1 if dim == 1 else 2, dim)
 
 
 @functools.cache
@@ -117,7 +114,7 @@ def gauss_rule(n_points: int, dim: int) -> QuadratureRule:
     else:
         pts = np.array([(a, b) for a in x for b in x])
         wts = np.array([wa * wb for wa in w for wb in w])
-    return QuadratureRule(points=_read_only(pts), weights=_read_only(wts), degree=2 * n_points - 1)
+    return QuadratureRule(points=_read_only(pts), weights=_read_only(wts))
 
 
 def q1_values(xi: np.ndarray) -> np.ndarray:
@@ -131,16 +128,8 @@ def q1_gradients(xi: np.ndarray) -> np.ndarray:
     """Reference gradients of the Q1 basis, (Q, dim) -> (Q, 2^dim, dim)."""
     xi = np.atleast_2d(xi)
     dim = xi.shape[1]
-    offs = corner_offsets(dim)
-    grads = np.ones((xi.shape[0], offs.shape[0], dim))
-    for c, off in enumerate(offs):
-        for d in range(dim):
-            for e, bit in enumerate(off):
-                if e == d:
-                    grads[:, c, d] *= 1.0 if bit else -1.0
-                else:
-                    grads[:, c, d] *= xi[:, e] if bit else 1.0 - xi[:, e]
-    return grads
+    return np.stack([lattice_corners([np.array([0.0, 1.0])] * dim, xi, derivative=d)[1]
+                     for d in range(dim)], axis=-1)
 
 
 def element_quad_points(grid, quad: QuadratureRule, elements=slice(None)) -> np.ndarray:
@@ -640,6 +629,7 @@ def solve_dirichlet(
         return out
     free = grid.interior_dofs()
     reduced, precond = _multigrid(matrix)
+    del matrix  # the iteration reads only the CSR levels: free the stencil if unshared
     max_iter = opts.max_iter or 10 * max(len(free), 1)
     if symmetric:
         out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)

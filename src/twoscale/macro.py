@@ -35,20 +35,16 @@ _MIN_STEP = 2.0**-10
 
 @dataclass(frozen=True)
 class PicardOptions:
-    """Nonlinear-solve controls: sup-norm increment tolerance and step budget.
-    ``damping`` is validated but has no effect (the Newton steps are undamped)."""
+    """Nonlinear-solve controls: sup-norm increment tolerance and step budget."""
 
     tol: float = 1e-10
     max_iter: int = 100
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -78,9 +74,11 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, sourc
     dependent = model.u_dependent or model.source.u_dependent
     if initial is None or not dependent:
         u_mid = 0.5 * (model.u_lo + model.u_hi)
-        mat = assemble_stiffness(grid, lambda pts: coeff(np.full(len(pts), u_mid), pts), quad)
-        rhs = assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts))
-        u = solve_dirichlet(mat, rhs, grid, cg_opts)
+        # no local holds the stencil, so the solve frees it once read
+        u = solve_dirichlet(
+            assemble_stiffness(grid, lambda pts: coeff(np.full(len(pts), u_mid), pts), quad),
+            assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts)),
+            grid, cg_opts)
         if not dependent:
             return u, PicardResult(iterations=1, increments=[0.0], converged=True)
     else:

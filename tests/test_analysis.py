@@ -149,12 +149,10 @@ def test_interior_gradient_sup_cases():
 def test_interior_gradient_sup_flux_mode():
     model = ConstantCoefficient(1, matrix=[[2.0]])
     fld = field_1d(8, lambda x: x)
-    val = interior_gradient_sup(
-        fld, [0.25, 0.75], flux_mode=True, model=model, eps=0.25, state=fld
-    )
+    val = interior_gradient_sup(fld, [0.25, 0.75], model=model, eps=0.25)
     assert val == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):
-        interior_gradient_sup(fld, [0.25, 0.75], flux_mode=True)
+        interior_gradient_sup(fld, [0.25, 0.75], model=model)  # the flux needs eps
 
 
 def test_interior_gradient_sup_with_baseline():
@@ -177,7 +175,7 @@ def energy(grid, quad, coeff, grads):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_own_grid_reads_match_point_location_reference(dim):
-    # energy_difference and flux mode read the state at their own grid's
+    # energy_difference and the flux read the state at their own grid's
     # quadrature points by gather; locating those points gives the same
     eps, box = 0.25, [0.25, 0.75]
     k_matrix = [[2.0]] if dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
@@ -212,13 +210,13 @@ def test_own_grid_reads_match_point_location_reference(dim):
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     centers = interior_element_centers(fine, box)
-    a_c = model.eval_a(interpolate_values(fine, u_eps.values, centers), centers,
+    fld = bump(fine, -0.3)  # the coefficient reads the measured field's own values
+    a_c = model.eval_a(interpolate_values(fine, fld.values, centers), centers,
                        np.mod(centers / eps, 1.0))
-    fld = bump(fine, -0.3)  # the measured field need not be the state
     grads_c = field_gradients_at_quad(fine, fld.values, gauss_rule(1, dim))
     flux = np.einsum("kij,kj->ki", a_c, grads_c[_interior_elements(fine, box), 0])
     ref = np.max(np.linalg.norm(flux, axis=1))
-    got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=u_eps)
+    got = interior_gradient_sup(fld, box, model=model, eps=eps)
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -338,13 +336,13 @@ def test_flux_mode_gradient_sup_on_a_box_of_one_element():
     grid = MacroGrid(1, 16)
     model = RosselandCoefficient(1, b=1.0)
     fld = field_1d(16, lambda x: np.sin(np.pi * x))
-    state = field_1d(16, lambda x: 0.5 * x)
     box, eps = [0.45, 0.57], 0.5
     assert np.count_nonzero(_interior_elements(grid, box)) == 1
     center = 0.53125
-    a_c = model.eval_a(0.5 * center, [center], [np.mod(center / eps, 1.0)])[0, 0]
+    u_c = 0.5 * (np.sin(np.pi * 0.5) + np.sin(np.pi * 0.5625))  # the field at the center
+    a_c = model.eval_a(u_c, [center], [np.mod(center / eps, 1.0)])[0, 0]
     slope = (np.sin(np.pi * 0.5625) - np.sin(np.pi * 0.5)) * 16
-    got = interior_gradient_sup(fld, box, flux_mode=True, model=model, eps=eps, state=state)
+    got = interior_gradient_sup(fld, box, model=model, eps=eps)
     assert got == pytest.approx(abs(a_c * slope), rel=1e-14)
 
 
@@ -495,8 +493,8 @@ def test_holder_seminorm_equals_the_masked_reference_bitwise(dim, cells):
         fld = ScalarField(grid, rng.standard_normal(grid.ndof))
         for box in boxes:
             for beta in (0.3, 0.9):
-                want = masked_holder_seminorm(fld, box, beta, seed=trial, n_random=5000)
-                assert holder_seminorm(fld, box, beta, seed=trial, n_random=5000) == want
+                want = masked_holder_seminorm(fld, box, beta, seed=trial)
+                assert holder_seminorm(fld, box, beta, seed=trial) == want
 
 
 def test_fit_rate_exact_lines():

@@ -181,8 +181,10 @@ def test_reconstruction_gradient_matches_per_stack_reference():
 def test_truncation_order_validation():
     fine = fine_grid_for(0.25, 8, 1)
     z = np.zeros(fine.ndof)
-    with pytest.raises(ValueError):
-        ExpansionField(eps=0.25, fine_grid=fine, order=3, u0=z, u1=z, u2=z)
+    exp = ExpansionField(eps=0.25, fine_grid=fine, u0=z, u1=z, u2=z)
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            exp.truncated(order)
 
 
 def test_solve_fine_constant_coefficient_closed_form():
@@ -246,20 +248,22 @@ def test_remainder_identities():
     u_eps, _ = solve_fine(model, eps, fine)
     exp = reconstruct(u0, table, eps, fine)
     rem = remainder(u_eps, exp)
+    assert isinstance(rem, ScalarField) and rem.grid == fine
 
-    # remainder plus reconstruction reproduces the resolved solution bitwise
-    assert np.array_equal(rem.values + exp.tilde, u_eps.values)
+    # remainder plus the second-order reconstruction reproduces the resolved
+    # solution bitwise
+    assert np.array_equal(rem.values + exp.truncated(2), u_eps.values)
 
     # trivial remainder when the expansion is the solution itself
     self_exp = ExpansionField(
-        eps=eps, fine_grid=fine, order=0,
+        eps=eps, fine_grid=fine,
         u0=u_eps.values.copy(), u1=np.zeros(fine.ndof), u2=np.zeros(fine.ndof),
     )
     assert np.max(np.abs(remainder(u_eps, self_exp).values)) == 0.0
 
     # boundary trace bounded by the reconstruction layers
     bound = eps * np.max(np.abs(exp.u1)) + eps**2 * np.max(np.abs(exp.u2))
-    assert rem.boundary_trace_max <= bound + 1e-15
+    assert np.max(np.abs(rem.values[fine.boundary_dofs()])) <= bound + 1e-15
 
 
 def test_order_monotonicity_at_small_eps():

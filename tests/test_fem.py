@@ -26,7 +26,7 @@ from twoscale.fem import (
     solve_dirichlet,
     solve_periodic_zero_mean,
 )
-from twoscale.grids import CellGrid, MacroGrid, interpolate_values, stencil_pattern
+from twoscale.grids import CellGrid, MacroGrid, corner_offsets, interpolate_values, stencil_pattern
 
 
 def const_coeff(value, dim):
@@ -44,9 +44,36 @@ def test_gauss_rule_invariants():
             rule = gauss_rule(n, dim)
             assert np.all(rule.weights > 0)
             assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
-    # exactness up to the stated degree: integral of x^3 over [0,1] is 1/4
+    # exact up to degree 2n - 1: the integral of x^3 over [0,1] is 1/4
     rule = gauss_rule(2, 1)
     assert rule.points[:, 0] ** 3 @ rule.weights == pytest.approx(0.25, abs=1e-14)
+
+
+def looped_q1_gradients(xi):
+    """Q1 reference gradients, corner by corner and axis by axis: the product
+    of -1 or 1 along the derivative's axis and 1 - xi or xi along the others."""
+    xi = np.atleast_2d(xi)
+    dim = xi.shape[1]
+    offs = corner_offsets(dim)
+    grads = np.ones((xi.shape[0], offs.shape[0], dim))
+    for c, off in enumerate(offs):
+        for d in range(dim):
+            for e, bit in enumerate(off):
+                if e == d:
+                    grads[:, c, d] *= 1.0 if bit else -1.0
+                else:
+                    grads[:, c, d] *= xi[:, e] if bit else 1.0 - xi[:, e]
+    return grads
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_q1_gradients_equal_the_corner_loop_bitwise(dim):
+    # Gauss rules of 1-4 points, random points and the element's corners
+    rng = np.random.default_rng(dim)
+    point_sets = [gauss_rule(n, dim).points for n in (1, 2, 3, 4)]
+    point_sets += [rng.uniform(0.0, 1.0, size=(50, dim)), corner_offsets(dim).astype(float)]
+    for xi in point_sets:
+        assert np.array_equal(q1_gradients(xi), looped_q1_gradients(xi))
 
 
 def test_1d_stiffness_matches_hand_assembly():

@@ -74,9 +74,7 @@ def test_rosseland_nonlinear_picard_converges():
     table, tensors = build_corrector_tables(
         model, default_parameter_grid(model), cell
     )
-    u0, result = solve_homogenized(
-        tensors, model, macro, PicardOptions(damping=0.5)
-    )
+    u0, result = solve_homogenized(tensors, model, macro)
     assert result.converged
     assert result.final_increment <= 1e-10
     # discrete maximum principle sanity: positive source, zero boundary
@@ -84,9 +82,6 @@ def test_rosseland_nonlinear_picard_converges():
     # monotone decreasing increments after the first step
     tail = result.increments[1:]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
-    # damping is accepted but has no effect on the Newton steps
-    undamped, _ = solve_homogenized(tensors, model, macro)
-    assert np.array_equal(undamped.values, u0.values)
 
 
 def test_picard_budget_exhaustion_raises_with_history():
@@ -157,7 +152,7 @@ def test_range_warning_when_solution_leaves_admissible_interval():
         solve_homogenized(table, model, grid)
 
 
-def strong_rosseland_setup():
+def strong_rosseland_setup(damping=1.0):
     from twoscale.cli import build_setup
     from twoscale.config import load_config
 
@@ -172,6 +167,7 @@ def strong_rosseland_setup():
         "discretization": {"m_x": 64, "m_c": 128, "cells_per_period": 16,
                            "table_u_samples": 9},
         "study": {"eps": ["1/8", "1/16", "1/32"]},
+        "nonlinear": {"damping": damping},
     }))
 
 
@@ -190,7 +186,8 @@ def test_newton_converges_quadratically_on_strong_rosseland():
     from twoscale.expansion import fine_grid_for, solve_fine
 
     setup = strong_rosseland_setup()
-    assert setup.picard_opts.damping == 1.0
+    # nonlinear.damping still loads, range-checked, and no solve reads it
+    assert strong_rosseland_setup(damping=0.5).picard_opts == setup.picard_opts
     _, _, u0, macro_result = tables_and_macro_solution(setup)
     eps = 0.125
     fine = fine_grid_for(eps, 16, 1)
