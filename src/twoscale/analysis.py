@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .expansion import period_samples
@@ -23,7 +24,7 @@ from .fem import (
     field_values_at_quad,
     gauss_rule,
 )
-from .grids import MacroGrid, ScalarField, fd_gradient
+from .grids import MacroGrid, ScalarField, fd_gradient, lattice_points
 
 
 def resolve_box(box, dim) -> np.ndarray:
@@ -129,30 +130,65 @@ def energy_difference(
     return float(abs(e_fine - e_macro))
 
 
-def _interior_elements(grid: MacroGrid, box) -> np.ndarray:
+def _interior_axes(grid: MacroGrid, box) -> list:
+    """Per axis, the mask of the elements whose extent along it lies inside the box."""
     b = resolve_box(box, grid.dim)
     if np.any(b[:, 0] <= 0.0) or np.any(b[:, 1] >= 1.0):
         raise ValueError("interior subdomain must not touch the boundary")
     h = grid.spacing
     origins = np.arange(grid.cells_per_side) * h  # of the elements along an axis
     tol = 1e-12
-    mask = np.ones((), dtype=bool)  # elements in lattice order, first axis slowest
-    for lo, hi in b:
-        mask = np.logical_and.outer(mask, (origins >= lo - tol) & (origins + h <= hi + tol))
-    mask = mask.reshape(-1)
-    if not np.any(mask):
+    masks = [(origins >= lo - tol) & (origins + h <= hi + tol) for lo, hi in b]
+    if not all(mask.any() for mask in masks):
         raise ValueError("subdomain contains no whole elements")
-    return mask
+    return masks
 
 
-def interior_element_centers(grid: MacroGrid, box) -> np.ndarray:
-    """Centers of the elements inside the box, (K, dim), in element order."""
-    center = gauss_rule(1, grid.dim)  # single midpoint
-    return element_quad_points(grid, center)[_interior_elements(grid, box), 0, :]
+def _interior_elements(grid: MacroGrid, box) -> np.ndarray:
+    mask = np.ones((), dtype=bool)  # elements in lattice order, first axis slowest
+    for along in _interior_axes(grid, box):
+        mask = np.logical_and.outer(mask, along)
+    return mask.reshape(-1)
+
+
+def interior_element_centers(grid: MacroGrid, box) -> list:
+    """Per-axis coordinates of the centers of the elements inside the box;
+    the centers are their tensor product, first axis slowest, in element order."""
+    h, center = grid.spacing, gauss_rule(1, grid.dim).points[0]  # single midpoint
+    return [(np.arange(grid.cells_per_side) * h + c * h)[along]
+            for c, along in zip(center, _interior_axes(grid, box))]
+
+
+@dataclass(frozen=True)
+class InteriorSamples:
+    """A nodal field's Q1 ``values`` (K,) and ``gradients`` (K, dim) at the
+    centers of the elements inside ``box``, whose per-axis coordinates are
+    ``axes`` (:func:`interior_element_centers`)."""
+
+    box: np.ndarray
+    axes: list
+    values: np.ndarray
+    gradients: np.ndarray
+
+
+def interior_samples(fld: ScalarField, box) -> InteriorSamples:
+    """:class:`InteriorSamples` of ``fld`` from one pass over the elements
+    inside the box: their corner values times the Q1 basis values and
+    gradients at the center, the products that :func:`field_values_at_quad`
+    and :func:`field_gradients_at_quad` form for every element."""
+    grid = fld.grid
+    center = gauss_rule(1, grid.dim)
+    rows = np.asarray(fld.values)[grid.element_dofs()[_interior_elements(grid, box)]]  # (K, C)
+    return InteriorSamples(
+        box=resolve_box(box, grid.dim),
+        axes=interior_element_centers(grid, box),
+        values=(rows @ center.basis.T)[:, 0],
+        gradients=rows @ (center.basis_gradients[0] / grid.spacing),
+    )
 
 
 def interior_gradient_sup(
-    fld: ScalarField,
+    fld,
     box,
     model=None,
     eps: float | None = None,
@@ -163,6 +199,8 @@ def interior_gradient_sup(
     The gradient is the Q1 gradient at the element center.  Given a
     ``model`` and ``eps`` it is the flux instead, premultiplied by the
     coefficient a(u, x, x / eps) at the center, u the field's value there.
+    ``fld`` is a field, or its :func:`interior_samples` on ``box``, which
+    several measurements of one field share.
 
     ``base_gradient``, an array (K, dim) of values at
     :func:`interior_element_centers`, is subtracted there.  Remainders
@@ -171,10 +209,10 @@ def interior_gradient_sup(
     consistency errors into the measurement, whereas recovered/chain-rule
     gradients are pointwise second-order accurate.
     """
-    grid = fld.grid
-    mask = _interior_elements(grid, box)
-    center = gauss_rule(1, grid.dim)  # single midpoint
-    grads = field_gradients_at_quad(grid, fld.values, center)[mask, 0, :]
+    samples = fld if isinstance(fld, InteriorSamples) else interior_samples(fld, box)
+    if not np.array_equal(samples.box, resolve_box(box, len(samples.axes))):
+        raise ValueError("the interior samples were read on another box")
+    grads = samples.gradients
     if base_gradient is not None:
         base_at = np.asarray(base_gradient, dtype=float)
         if base_at.shape != grads.shape:
@@ -186,21 +224,21 @@ def interior_gradient_sup(
     if model is not None:
         if eps is None:
             raise ValueError("the flux needs eps as well as the model")
-        centers = interior_element_centers(grid, box)
-        u_at = field_values_at_quad(grid, fld.values, center)[mask, 0]
-        a_q = model.eval_a(u_at, centers, np.mod(centers / eps, 1.0))
+        centers = lattice_points(samples.axes)
+        a_q = model.eval_a(samples.values, centers, np.mod(centers / eps, 1.0))
         grads = np.einsum("kij,kj->ki", a_q, grads)
     return float(np.max(np.linalg.norm(grads, axis=1)))
 
 
 _HOLDER_PAIRS = 100_000
 _HOLDER_NEAR = 4
+_HOLDER_BLOCK = 1 << 14  # 1-D pair quotients formed at once
 
 
 def holder_seminorm(fld: ScalarField, box, beta: float, seed: int = 0) -> float:
     """sup |u(p) - u(q)| / |p - q|^beta over node pairs in the box.
 
-    1-D uses all pairs, one offset at a time.  2-D samples ``_HOLDER_PAIRS``
+    1-D uses all pairs, a block of offsets at a time.  2-D samples ``_HOLDER_PAIRS``
     (100,000) seeded random pairs and adds every pair within
     ``_HOLDER_NEAR`` (4) grid steps: the near field dominates the seminorm
     for the oscillatory remainders measured here.
@@ -213,11 +251,21 @@ def holder_seminorm(fld: ScalarField, box, beta: float, seed: int = 0) -> float:
         raise ValueError("need at least two nodes in the subdomain")
 
     if grid.dim == 1:
-        # running max over pair offsets d: O(n) memory instead of n x n
-        x = axes[0]
+        # running max over blocks of ``width`` pair offsets d0 <= d < d0 + width:
+        # row d holds the pairs (i, i + d) of the nodes i < n - d0, which
+        # have a pair at offset d0, read through windows of the values and
+        # coordinates padded with zeros and +inf, whose quotients are 0;
+        # O(_HOLDER_BLOCK) memory
+        x, n = axes[0], len(rect)
+        width = min(n - 1, max(1, _HOLDER_BLOCK // n))
+        pad = n + width  # window d, d < n + width, starts inside the padded row
+        far_x = sliding_window_view(np.concatenate([x, np.full(pad, np.inf)]), n - 1)
+        far_v = sliding_window_view(np.concatenate([rect, np.zeros(pad)]), n - 1)
         best = 0.0
-        for d in range(1, len(x)):
-            quot = np.abs(rect[d:] - rect[:-d]) / np.abs(x[d:] - x[:-d]) ** beta
+        for d0 in range(1, n, width):
+            near, offsets = n - d0, slice(d0, d0 + width)
+            quot = (np.abs(far_v[offsets, :near] - rect[:near])
+                    / np.abs(far_x[offsets, :near] - x[:near]) ** beta)
             best = max(best, float(np.max(quot)))
         return best
 

@@ -69,10 +69,11 @@ from .fem import (
 )
 from .grids import (
     CellGrid,
-    grid_corners,
     interpolate_values,
     lattice_corners,
+    lattice_points,
     periodic_fd_gradient,
+    tensor_corners,
 )
 
 
@@ -237,22 +238,35 @@ class CorrectorTable:
             self._gradients[name] = np.broadcast_to(grads, stack.shape + (self.dim,))
         return self._gradients[name]
 
-    def interp_stacks(self, stacks, u, x, y) -> list:
-        """Interpolate (n_samples, ndof) stacks at many (u, x, y) triples.
+    def interp_stacks(self, stacks, u, axes, fast_axes) -> list:
+        """Interpolate (n_samples, ndof) stacks on a tensor lattice of K
+        points: x the product of the per-axis coordinates ``axes``, first
+        axis slowest, y = x / eps mod 1 that of ``fast_axes``, and u (K,)
+        one value per point.
 
-        The cell and parameter corners are computed once and shared by every
-        stack; returns one (K,) array per stack.
+        Each cell axis is bracketed once (:func:`tensor_corners`); the cell
+        corners with a nonzero weight, and the parameter corners of every
+        point, are shared by every stack.  A one-sample parameter lattice
+        reads its one row, which its blend would add once, with weight 1,
+        to 0.  Returns one (K,) array per stack.
         """
-        ids, wts = grid_corners(self.cell_grid, y)
-        live = [c for c in range(ids.shape[1]) if wts[:, c].any()]  # on the lattice: one corner
-        pids, pwts = self.param_grid.corners(u, x)
-        out = [np.zeros(len(ids)) for _ in stacks]
+        ids, wts = tensor_corners(self.cell_grid, fast_axes)
+        live = [(i.reshape(-1), w.reshape(-1)) for i, w in zip(ids, wts) if w.any()]
+        n_points = ids[0].size
+
+        def cell_read(stack, rows):  # the live cell corners of the sample rows, from 0.0
+            acc = np.zeros(n_points)
+            for i, w in live:
+                acc += w * stack[rows, i]
+            return acc
+
+        if self.param_grid.size == 1:
+            return [cell_read(stack, 0) for stack in stacks]
+        pids, pwts = self.param_grid.corners(u, lattice_points(axes))
+        out = [np.zeros(n_points) for _ in stacks]
         for p in range(pids.shape[1]):
             for total, stack in zip(out, stacks):
-                acc = np.zeros(len(ids))
-                for c in live:
-                    acc += wts[:, c] * stack[pids[:, p], ids[:, c]]
-                total += pwts[:, p] * acc
+                total += pwts[:, p] * cell_read(stack, pids[:, p])
         return out
 
 
@@ -413,6 +427,14 @@ class CellSample:
                 out[p, m] = np.einsum("eqij,eqj->eqi", coefficients[p], corrected)
         return out
 
+    @property
+    def _reads_derivatives(self) -> bool:
+        """Whether the tangent and slow loads read ``da_q``: not for a
+        separable model, whose d_p a is d_p mu / mu times a, nor for a
+        coefficient of y alone, whose d_p a is zero."""
+        model = self.model
+        return not model.separable and (model.u_dependent or model.x_dependent)
+
     @cached_property
     def flux(self) -> np.ndarray:
         """F[m] = A (e_m + grad N_m) at the quadrature points, (dim, E, Q,
@@ -507,14 +529,15 @@ class CellSample:
         axis p gives K(a) d_pN_m = L(-d_pa (e_m + grad N_m)), solved with
         this sample's own factor.  An axis along which the coefficient does
         not vary at this sample, or any axis of a separable model (whose load
-        is d_p mu / mu times L(-a (e_m + grad N_m)) = 0), gets exact zeros
-        and no solve.  A sample with a base reads the base's.
+        is d_p mu / mu times L(-a (e_m + grad N_m)) = 0) or of a coefficient
+        of y alone, gets exact zeros and no solve; those two evaluate no
+        derivative of a.  A sample with a base reads the base's.
         """
         if self.base is not None:
             return self.base.tangents
         grid = self.grid
         out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
-        for p, da in enumerate([] if self.model.separable else self.da_q):
+        for p, da in enumerate(self.da_q if self._reads_derivatives else []):
             if np.any(da):
                 for m in range(grid.dim):
                     out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
@@ -557,6 +580,9 @@ class CellSample:
         so with its solves' division by mu / mu(base) its loads make
         slow0_k = sum_i r_{x_i} W_ik and slowg_km = r_u V_mk from the base's
         ``slow_pieces``, solving nothing and evaluating no derivative of a.
+        A coefficient of y alone has zero loads, so its slow correctors are
+        the exact zeros that the zero-load floor of a solve would return,
+        with no load formed, no solve and no derivative evaluated.
         """
         grid, dim = self.grid, self.grid.dim
         if self.model.separable:
@@ -570,6 +596,9 @@ class CellSample:
             means = [abs(float(f.mean())) for f in fields.values()]
             self.diagnostics.max_corrector_mean = max(self.diagnostics.max_corrector_mean, *means)
             return fields
+        if not self._reads_derivatives:  # a of y alone: every load is zero
+            return {name: np.zeros(grid.ndof) for name in corrector_field_names(dim)
+                    if name.startswith("slow")}
         quad, a_q, dflux = self.quad, self.a_q, self.flux_derivatives
         n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in self.first]
         # (1 + dim) axes of per-direction values and gradients of the tangents

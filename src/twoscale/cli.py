@@ -39,8 +39,8 @@ from .analysis import (
     energy_difference,
     fit_rate,
     holder_seminorm,
-    interior_element_centers,
     interior_gradient_sup,
+    interior_samples,
     norm_h1,
     norm_linf,
 )
@@ -227,29 +227,36 @@ def _coordinate_prefixes(grid) -> np.ndarray:
     return prefixes
 
 
-def _csv_rows(grid, stack):
-    """Yield ``(i, lines)`` for each row i of ``stack`` (one row of nodal
-    values per file): the ``x0,...,value`` CSV lines of the grid's nodes as
-    bytes.  The values are formatted in passes of about ``_floatfmt.CHUNK``
-    over the stack, and a row bitwise equal to an earlier row reuses its
-    bytes."""
-    prefix = _coordinate_prefixes(grid)
-    ndof = stack.shape[1]
-    if ndof != len(prefix):
-        raise ValueError(f"{ndof} values for a grid of {len(prefix)} nodes")
+def _equal_rows(rows) -> list:
+    """The indices of ``rows`` grouped by bitwise equality, each group and
+    the groups in order of first appearance; the row bytes it keys on die
+    on return, before any row is formatted."""
     equal = {}
-    for i, row in enumerate(stack):
+    for i, row in enumerate(rows):
         equal.setdefault(row.tobytes(), []).append(i)
-    groups = list(equal.values())  # rows bitwise equal to each other
+    return list(equal.values())
+
+
+def _csv_rows(grid, rows):
+    """Yield ``(i, chunks)`` for each of the ``rows`` of nodal values (one
+    per file): the ``x0,...,value`` CSV lines of the grid's nodes as a list
+    of bytes, one per pass.  The values are formatted in passes of about
+    ``_floatfmt.CHUNK`` over the rows, and a row bitwise equal to an
+    earlier row shares its chunks."""
+    prefix = _coordinate_prefixes(grid)
+    ndof = len(prefix)
+    for row in rows:
+        if len(row) != ndof:
+            raise ValueError(f"{len(row)} values for a grid of {ndof} nodes")
+    groups = _equal_rows(rows)
     rows_per_pass = max(1, _floatfmt.CHUNK // ndof)
     nodes_per_pass = min(ndof, _floatfmt.CHUNK)
     width = prefix.shape[1]
     for start in range(0, len(groups), rows_per_pass):
         batch = groups[start : start + rows_per_pass]
-        rows = [group[0] for group in batch]
-        parts = [[] for _ in rows]
+        parts = [[] for _ in batch]
         for lo in range(0, ndof, nodes_per_pass):
-            block = stack[rows, lo : lo + nodes_per_pass]
+            block = np.stack([rows[group[0]][lo : lo + nodes_per_pass] for group in batch])
             # [coordinate prefix | value slots | newline], NUL where unused
             lines = np.empty(block.shape + (width + _floatfmt.WIDTH + 1,), dtype=np.uint8)
             lines[..., :width] = prefix[lo : lo + block.shape[1]]
@@ -258,27 +265,50 @@ def _csv_rows(grid, stack):
             for part, row_lines in zip(parts, lines):
                 part.append(row_lines.tobytes().translate(None, b"\0"))
         for group, part in zip(batch, parts):
-            text = b"".join(part)
             for i in group:
-                yield i, text
+                yield i, part
+
+
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))  # buffers per writev; POSIX guarantees 16
+
+
+def _write_chunks(path, chunks):
+    """Write the bytes ``chunks`` to ``path`` by ``os.writev``, with no joined
+    copy: one call, or more after a short write or beyond the system's
+    limit on buffers per call."""
+    views = [memoryview(chunk) for chunk in chunks if chunk]
+    first = 0  # the first view not yet written in full
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while first < len(views):
+            written = os.writev(fd, views[first : first + _IOV_MAX])
+            while first < len(views) and written >= len(views[first]):
+                written -= len(views[first])
+                first += 1
+            if written:
+                views[first] = views[first][written:]
+    finally:
+        os.close(fd)
+
 
 
 def write_field_csv(path, grid, values, header_lines=()):
     """Write nodal ``values``, one ``x0,...,value`` row per node, each
     number as its shortest round-trip ``repr``.  Given a list of paths
-    instead, ``values`` is a stack with one row of nodal values per path and
-    ``header_lines`` one list of lines per path; the stack is formatted
-    together.  Returns ``path``."""
+    instead, ``values`` is a stack, or a list, with one row of nodal values
+    per path and ``header_lines`` one list of lines per path; the rows are
+    formatted together, and not copied into one array.  Returns ``path``."""
     single = isinstance(path, (str, os.PathLike))
     paths = [path] if single else list(path)
     headers = [header_lines] if single else list(header_lines)
-    if len(headers) != len(paths):
-        raise ValueError(f"{len(headers)} header lists for {len(paths)} files")
-    stack = np.asarray(values, dtype=float).reshape(len(paths), -1)
+    rows = [np.asarray(row, dtype=float).reshape(-1) for row in ([values] if single else values)]
+    if not len(headers) == len(rows) == len(paths):
+        raise ValueError(f"{len(rows)} rows and {len(headers)} header lists "
+                         f"for {len(paths)} files")
     cols = ",".join([f"x{d}" for d in range(grid.dim)] + ["value"])
-    for i, body in _csv_rows(grid, stack):
+    for i, chunks in _csv_rows(grid, rows):
         head = "".join(f"# {line}\n" for line in headers[i]) + cols + "\n"
-        Path(paths[i]).write_bytes(head.encode() + body)
+        _write_chunks(paths[i], [head.encode()] + chunks)
     return path
 
 
@@ -401,11 +431,11 @@ def run_study(
             layers = [exp.truncated(order) for order in range(3)]
             z0, z1, z2 = (ScalarField(fine_grid, u_eps.values - layer) for layer in layers)
 
-            # one chain-rule gradient of the first-order reconstruction
-            # serves both gradient-level columns
-            recon_grad1 = reconstruction_gradient(
-                u0, table, eps, interior_element_centers(fine_grid, box)
-            )
+            # one pass over the interior elements, and one chain-rule
+            # gradient of the first-order reconstruction at their centers,
+            # serve both gradient-level columns
+            interior = interior_samples(u_eps, box)
+            recon_grad1 = reconstruction_gradient(u0, table, eps, interior.axes)
             row = {
                 "eps": eps,
                 "linf_order0": norm_linf(z0),
@@ -417,10 +447,10 @@ def run_study(
                 ),
                 "h1_order1": norm_h1(z1),
                 "grad_sup_order1": interior_gradient_sup(
-                    u_eps, box, base_gradient=recon_grad1
+                    interior, box, base_gradient=recon_grad1
                 ),
                 "flux_sup_order1": interior_gradient_sup(
-                    u_eps, box, model=setup.model, eps=eps, base_gradient=recon_grad1,
+                    interior, box, model=setup.model, eps=eps, base_gradient=recon_grad1,
                 ),
                 "holder_order2": holder_seminorm(z2, box, beta, seed=seed),
             }

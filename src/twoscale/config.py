@@ -100,7 +100,23 @@ def _merge(defaults, cfg, path=()):
 
 
 def _is_power_of_two(n) -> bool:
-    return isinstance(n, int) and n > 0 and (n & (n - 1)) == 0
+    return _is_int(n) and n > 0 and (n & (n - 1)) == 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(section: dict, path: str, key: str, test, kind: str):
+    """``section[key]`` if ``test`` accepts it, else a configuration error."""
+    value = section[key]
+    if not test(value):
+        raise ConfigurationError(f"{path}.{key} must be {kind}, got {value!r}")
+    return value
 
 
 def parse_eps_list(raw) -> list:
@@ -157,10 +173,18 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     def _validate(self):
         cfg = self.raw
-        dim = cfg["problem"]["dim"]
+        for name in DEFAULT_CONFIG:
+            if not isinstance(cfg[name], dict):
+                raise ConfigurationError(f"{name} must be a section, got {cfg[name]!r}")
+        prob = cfg["problem"]
+        for name in ("coefficient", "source"):
+            _checked(prob, "problem", name, lambda v: isinstance(v, dict), "a section")
+        dim = _checked(prob, "problem", "dim", _is_int, "an integer")
         if dim not in (1, 2):
             raise ConfigurationError("problem.dim must be 1 or 2")
-        u_range = cfg["problem"]["u_range"]
+        u_range = _checked(prob, "problem", "u_range",
+                           lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                           "a list of numbers")
         if len(u_range) != 2 or not float(u_range[0]) < float(u_range[1]):
             raise ConfigurationError("problem.u_range must be [lo, hi] with lo < hi")
 
@@ -170,11 +194,16 @@ class ExperimentConfig:
                 raise ConfigurationError(f"discretization.{key} must be a power of two")
         if disc["cells_per_period"] < 8:
             raise ConfigurationError("cells_per_period must be at least 8")
-        if disc["quad_points"] is not None and disc["quad_points"] < 1:
+        quad_points = _checked(disc, "discretization", "quad_points",
+                               lambda v: v is None or _is_int(v), "null or an integer")
+        if quad_points is not None and quad_points < 1:
             raise ConfigurationError("quad_points must be >= 1")
 
         nl = cfg["nonlinear"]
-        if nl["tol"] <= 0 or nl["max_iter"] < 1 or not 0 < nl["damping"] <= 1:
+        tol = _checked(nl, "nonlinear", "tol", _is_number, "a number")
+        max_iter = _checked(nl, "nonlinear", "max_iter", _is_int, "an integer")
+        damping = _checked(nl, "nonlinear", "damping", _is_number, "a number")
+        if tol <= 0 or max_iter < 1 or not 0 < damping <= 1:
             raise ConfigurationError("bad nonlinear section")
 
         cfg["study"]["eps"] = parse_eps_list(cfg["study"]["eps"])
@@ -190,9 +219,11 @@ class ExperimentConfig:
         lo, hi = np.broadcast_to(box, (dim, 2)).T
         if not np.all((0.0 < lo) & (lo < hi) & (hi < 1.0)):
             raise ConfigurationError("interior_box must satisfy 0 < lo < hi < 1 on every axis")
-        if not 0.0 < cfg["study"]["beta"] < 1.0:
+        if not 0.0 < _checked(cfg["study"], "study", "beta", _is_number, "a number") < 1.0:
             raise ConfigurationError("beta must lie in (0, 1)")
-        if any(o not in (0, 1, 2) for o in cfg["study"]["orders"]):
+        orders = _checked(cfg["study"], "study", "orders",
+                          lambda v: isinstance(v, (list, tuple)), "a list")
+        if any(not _is_int(o) or o not in (0, 1, 2) for o in orders):
             raise ConfigurationError("orders must be a subset of {0, 1, 2}")
 
         eps_min = min(cfg["study"]["eps"])
@@ -204,8 +235,9 @@ class ExperimentConfig:
                 "not mask the eps signal"
             )
 
-        fmts = set(cfg["output"]["formats"])
-        if not fmts <= {"csv", "json"}:
+        fmts = _checked(cfg["output"], "output", "formats",
+                        lambda v: isinstance(v, (list, tuple)), "a list")
+        if not set(map(str, fmts)) <= {"csv", "json"}:
             raise ConfigurationError("output.formats must be a subset of [csv, json]")
 
     # ------------------------------------------------------------------
@@ -246,11 +278,15 @@ def load_config(path=None, overrides=(), base: dict | None = None) -> Experiment
             raise ConfigurationError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}")
+    if not isinstance(base, dict):
+        raise ConfigurationError("a config must be a JSON object")
     merged = _merge(DEFAULT_CONFIG, base)
+    # _merge carries unknown keys along; the file's are found before an
+    # override can replace their section by a value, then the overrides'
+    unknown = set(_check_unknown_keys(merged, DEFAULT_CONFIG))
     for spec in overrides:
         apply_override(merged, spec)
-    # _merge carries unknown keys along: one pass finds the file's and the overrides'
-    unknown = _check_unknown_keys(merged, DEFAULT_CONFIG)
+    unknown.update(_check_unknown_keys(merged, DEFAULT_CONFIG))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(raw=merged)

@@ -11,6 +11,8 @@ The fine grid always resolves the period: its spacing is eps / P, P >= 8 an
 integer, so the fast coordinates of its nodes, (i mod P) / P, and of the
 solve's quadrature points, ((i mod P) + xi_q) / P, come from indices, not
 floating division: exact, and bias-free on lattices shared with the cell grid.
+The fine nodes, like the element centers at which the reconstruction's
+gradient is read, are a tensor lattice, so every read brackets each axis once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
 from .fem import (SolverOptions, assemble_load_from_samples, assemble_stiffness,
                   default_quadrature, element_quad_points, solve_dirichlet)
-from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, grid_corners
+from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, tensor_corners
 from .macro import PicardOptions, PicardResult, solve_nonlinear
 
 
@@ -51,14 +53,11 @@ def fine_grid_for(eps: float, periods: int, dim: int) -> MacroGrid:
     return grid
 
 
-def fast_coordinates(fine_grid: MacroGrid, eps: float) -> np.ndarray:
-    """y = x / eps mod 1 at every fine node, exact on the node lattice."""
+def fast_coordinates(fine_grid: MacroGrid, eps: float) -> list:
+    """y = x / eps mod 1 along each axis of the fine nodes, exact on the node
+    lattice; the nodes' fast coordinates are their product, first axis slowest."""
     p = cells_per_period(fine_grid, eps)
-    k = fine_grid.nodes_per_side
-    idx_axes = [np.arange(k)] * fine_grid.dim
-    grids = np.meshgrid(*idx_axes, indexing="ij")
-    cols = [(g.reshape(-1) % p) / p for g in grids]
-    return np.stack(cols, axis=-1)
+    return [(np.arange(fine_grid.nodes_per_side) % p) / p] * fine_grid.dim
 
 
 def period_samples(model, eps: float, fine_grid: MacroGrid, quad, *evaluators):
@@ -96,21 +95,25 @@ class ExpansionField:
         return out
 
 
-def _macro_fields_at(u0_field: ScalarField, points: np.ndarray):
-    """u0, its recovered gradient (K, dim) and Hessian (K, dim, dim) at the
-    points, each interpolated multilinearly from the macro nodes, with one
-    point location shared by every column."""
+def _macro_fields_on(u0_field: ScalarField, axes):
+    """u0, its recovered gradient (K, dim) and Hessian (K, dim, dim) on the
+    tensor lattice of the per-axis coordinates ``axes``, each interpolated
+    multilinearly from the macro nodes, with one bracket of each axis shared
+    by every column."""
     dim = u0_field.grid.dim
-    ids, wts = grid_corners(u0_field.grid, points)
+    ids, wts = tensor_corners(u0_field.grid, axes)
 
-    def at(nodal):
-        return np.sum(nodal[ids] * wts, axis=1)
+    def at(nodal):  # the corner terms summed from 0.0 in corner order, as np.sum adds them
+        out = np.zeros(wts[0].shape)
+        for i, w in zip(ids, wts):
+            out += nodal[i] * w
+        return out.reshape(-1)
 
     u0 = at(u0_field.values)
     grad_nodal = fd_gradient(u0_field)  # (macro ndof, dim)
     grad = np.stack([at(grad_nodal[:, d]) for d in range(dim)], axis=-1)
     hess_nodal = fd_hessian(u0_field)  # (macro ndof, dim, dim), symmetric
-    hess = np.zeros((len(points), dim, dim))
+    hess = np.zeros((len(u0), dim, dim))
     for k in range(dim):
         for l in range(k, dim):
             hess[:, k, l] = at(hess_nodal[:, k, l])
@@ -129,16 +132,18 @@ def reconstruct(
     Slow quantities come from interpolating the macro solution and its
     finite-difference gradient/Hessian; fast quantities from the corrector
     table interpolated in (u, x) and within the cell at y = x/eps mod 1.
+    The fine nodes are a tensor lattice, so both reads bracket each axis once.
     """
     if not isinstance(u0_field.grid, MacroGrid):
         raise TypeError("u0 must live on a macro grid")
-    x = fine_grid.node_coords()
-    y = fast_coordinates(fine_grid, eps)
+    axes = fine_grid.axes()
     dim = fine_grid.dim
-    u0_f, grad_f, hess_f = _macro_fields_at(u0_field, x)
+    u0_f, grad_f, hess_f = _macro_fields_on(u0_field, axes)
 
     names = corrector_field_names(dim)
-    vals = dict(zip(names, table.interp_stacks([table.fields[n] for n in names], u0_f, x, y)))
+    stacks = [table.fields[n] for n in names]
+    fast_axes = fast_coordinates(fine_grid, eps)
+    vals = dict(zip(names, table.interp_stacks(stacks, u0_f, axes, fast_axes)))
 
     u1 = np.zeros_like(u0_f)
     for m in range(dim):
@@ -162,9 +167,11 @@ def reconstruction_gradient(
     u0_field: ScalarField,
     table: CorrectorTable,
     eps: float,
-    points: np.ndarray,
+    axes,
 ) -> np.ndarray:
-    """Pointwise gradient of the first-order reconstruction u0 + eps*u1.
+    """Pointwise gradient of the first-order reconstruction u0 + eps*u1 on the
+    tensor lattice of the per-axis coordinates ``axes``, first axis slowest
+    (such as :func:`~twoscale.analysis.interior_element_centers`), (K, dim).
 
     Evaluated from the chain rule rather than by differencing nodal values:
     the fast derivative of the correctors is recovered on the periodic cell,
@@ -176,10 +183,10 @@ def reconstruction_gradient(
         grad_k = d_k u0 + dN_l/dy_k d_l u0
                + eps * [ (dN_l/du d_k u0 + dN_l/dx_k) d_l u0 + N_l d2_kl u0 ]
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    axes = [np.asarray(a, dtype=float) for a in axes]
     dim = u0_field.grid.dim
-    y = np.mod(points / eps, 1.0)
-    u0_at, g, h = _macro_fields_at(u0_field, points)
+    fast_axes = [np.mod(a / eps, 1.0) for a in axes]
+    u0_at, g, h = _macro_fields_on(u0_field, axes)
 
     out = g.copy()
     for l in range(dim):
@@ -188,7 +195,7 @@ def reconstruction_gradient(
         stacks = [table.fields[name], tangents[0]]
         stacks += [dn_dy[:, :, k] for k in range(dim)]
         stacks += [tangents[1 + k] for k in range(dim)]
-        n_l, dn_du, *rest = table.interp_stacks(stacks, u0_at, points, y)
+        n_l, dn_du, *rest = table.interp_stacks(stacks, u0_at, axes, fast_axes)
         dy, dx = rest[:dim], rest[dim:]
         for k in range(dim):
             out[:, k] += dy[k] * g[:, l]

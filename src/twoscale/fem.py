@@ -22,8 +22,10 @@ Over chunks of element rows, the coefficient samples at the quadrature
 points, reshaped to (E, Q*dim*dim), multiply one reference tensor of
 weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving the element
 matrices, which are added by shifted slices into the 3^dim-point stencil of
-every node, so the peak memory is the stencil and one chunk.  Load vectors are the same kind of product with
-weighted basis values or gradients, scattered by ``bincount``, and the
+every node, so the peak memory is the stencil and one chunk.  Load vectors
+are the same kind of product with weighted basis values or gradients, added
+into the nodes the same way on a box and scattered by ``bincount`` on a
+cell, and the
 values or gradients of a nodal field at the quadrature points are its
 element values (E, C) times the basis values or gradients, which each rule
 tabulates once.  Precomputed samples are one period, (P,)*dim + (Q, ...)
@@ -360,24 +362,55 @@ def assemble_load_from_samples(
     ``scalar_samples`` (P,)*dim + (Q,) contributes ``\\int s \\phi_p``;
     ``flux_samples`` (P,)*dim + (Q, dim) ``\\int B . grad(phi_p)``.  Each
     form is one matrix product of the samples, tiled over the grid, with a
-    (Q, C) or (Q*dim, C) reference matrix of weighted basis values or gradients.
+    (Q, C) or (Q*dim, C) reference matrix of weighted basis values or
+    gradients, giving the element vectors (E, C).  A box grid tiles and
+    multiplies one chunk of whole element rows at a time and adds its
+    element vectors into the nodes by shifted slices, corner C - 1 down to
+    0, so every node sums its element terms from 0 in element order, as a
+    scatter does, and the peak memory is the nodes and one chunk; a cell
+    grid scatters them by ``bincount``.
     """
-    dofs = grid.element_dofs()
-    n_el, n_loc = dofs.shape
-    h = grid.spacing
-    weights = quad.weights * h**grid.dim
-
-    local = np.zeros((n_el, n_loc))
+    dim, m, h = grid.dim, grid.cells_per_side, grid.spacing
+    weights = quad.weights * h**dim
+    forms = []  # (samples, tail, reference matrix, what) of each form given
     if scalar_samples is not None:
-        s = _tile(grid, quad, scalar_samples, (), "scalar source")
-        _check_finite(s, 0, "scalar source")
-        local += s @ (weights[:, None] * quad.basis)
+        forms.append((scalar_samples, (), weights[:, None] * quad.basis, "scalar source"))
     if flux_samples is not None:
-        b = _tile(grid, quad, flux_samples, (grid.dim,), "flux source")
-        _check_finite(b, 0, "flux source")
         ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
-        local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)  # (Q*dim, C)
-    return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
+        forms.append((flux_samples, (dim,), ref.reshape(-1, ref.shape[-1]), "flux source"))
+    if not forms:
+        return np.zeros(grid.ndof)
+
+    def element_vectors(elements):  # (E, C) of a slice of the element order
+        local = None
+        for samples, tail, ref, what in forms:
+            rows = _tile(grid, quad, samples, tail, what, elements)
+            _check_finite(rows, elements.start, what)
+            product = rows.reshape(len(rows), -1) @ ref
+            if local is None:
+                local = product
+            else:
+                local += product
+        return local
+
+    # a node's sum starts from +0, so the sign of a zero term never shows
+    if isinstance(grid, CellGrid):
+        local = element_vectors(slice(0, grid.n_elements))
+        dofs = grid.element_dofs()
+        return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
+    offs = corner_offsets(dim).tolist()
+    nodes = np.zeros((m + 1,) * dim)
+    row = m ** (dim - 1)  # elements per element row
+    n_chunks = -(-m // max(1, _CHUNK_ELEMENTS // row))  # balanced, as in _stencil_operator
+    for i in range(n_chunks):
+        r0, r1 = m * i // n_chunks, m * (i + 1) // n_chunks
+        local = element_vectors(slice(r0 * row, r1 * row))
+        local = local.reshape((r1 - r0,) + (m,) * (dim - 1) + (len(offs),))
+        ranges = [(r0, r1)] + [(0, m)] * (dim - 1)  # the chunk's elements along each axis
+        for b in reversed(range(len(offs))):
+            corner = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(ranges, offs[b]))
+            nodes[corner] += local[..., b]
+    return nodes.reshape(-1)
 
 
 def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> np.ndarray:
@@ -506,8 +539,14 @@ def _smoother_weights(mat) -> np.ndarray:
     if np.any(diag <= 0.0):
         raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
     inv_diag = 1.0 / diag
-    # absolute row sums as abs(mat).sum(axis=1) adds them, without its copy of the matrix
-    bound = float(np.max(inv_diag * np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])))
+    # absolute row sums as abs(mat).sum(axis=1) adds them, a block of rows at
+    # a time, without a copy of the matrix's entries
+    sums = np.empty(len(diag))
+    for r0 in range(0, len(diag), _CHUNK_ELEMENTS):
+        rows = mat.indptr[r0 : r0 + _CHUNK_ELEMENTS + 1]
+        block = np.abs(mat.data[rows[0] : rows[-1]])
+        sums[r0 : r0 + len(rows) - 1] = np.add.reduceat(block, rows[:-1] - rows[0])
+    bound = float(np.max(inv_diag * sums))
     return _MG_OMEGA * min(1.0, 2.0 / bound) * inv_diag
 
 
@@ -570,10 +609,11 @@ def _multigrid(matrix: np.ndarray):
     levels = []  # (operator, weighted inverse diagonal, interior nodes per side)
     cells = len(matrix[0, 0]) - 1
     while cells % 2 == 0 and cells >= 8:
+        # the coarse stencil first: its temporaries are gone before the CSR matrix is built
+        coarse = _coarsen(stencil)
         mat = _csr(stencil)
         levels.append((mat, _smoother_weights(mat), cells - 1))
-        stencil = _coarsen(stencil)
-        cells //= 2
+        stencil, cells = coarse, cells // 2
     coarsest = _csr(stencil)
     lu = _lu(coarsest)
 

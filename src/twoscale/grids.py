@@ -12,7 +12,9 @@ Two mesh types cover everything the solvers need:
 Grids are uniform, so finite-difference derivative recovery reduces to
 index arithmetic, and every multilinear read off a lattice -- a grid's
 nodes or the parameter lattice of the cell tables -- goes through one
-kernel, :func:`lattice_corners`; everything here is pure and immutable.
+kernel, :func:`lattice_corners`; a read at a tensor lattice of points
+brackets each axis once (:func:`tensor_corners`).  Everything here is pure
+and immutable.
 The element connectivity is computed once per grid object, and the
 sparsity pattern of the Q1 operators once per lattice size; both are handed
 out read-only.
@@ -126,7 +128,7 @@ class CellGrid:
 
     def dof_coords(self) -> np.ndarray:
         """Coordinates of the representative nodes, shape (ndof, dim)."""
-        return _lattice_coords(self.axes())
+        return lattice_points(self.axes())
 
     def wrap_multi_index(self, multi: np.ndarray) -> np.ndarray:
         """Map lattice multi-indices to representative DOF ids (faces folded)."""
@@ -182,7 +184,7 @@ class MacroGrid:
         return [np.linspace(0.0, 1.0, self.nodes_per_side)] * self.dim
 
     def node_coords(self) -> np.ndarray:
-        return _lattice_coords(self.axes())
+        return lattice_points(self.axes())
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask over nodes: True where any coordinate index is 0 or m."""
@@ -226,14 +228,16 @@ class ScalarField:
             raise ValueError("field contains non-finite values")
 
 
-def _lattice_coords(axes) -> np.ndarray:
+def lattice_points(axes) -> np.ndarray:
+    """The points (K, dim) of the tensor lattice of the per-axis coordinates
+    ``axes``, first axis slowest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 def _element_multi_indices(dim, m) -> np.ndarray:
     axes = [np.arange(m)] * dim
-    return _lattice_coords(axes).astype(int)
+    return lattice_points(axes).astype(int)
 
 
 def _ravel(multi: np.ndarray, shape) -> np.ndarray:
@@ -311,6 +315,40 @@ def grid_corners(grid, points):
             bad = pts[outside.any(axis=1)][0]
             raise OutOfDomainError(f"point {bad} outside [0,1]^{grid.dim}")
     return lattice_corners(grid.axes(), pts, periodic)
+
+
+def tensor_corners(grid, axes):
+    """:func:`grid_corners` of the tensor lattice of the per-axis coordinates
+    ``axes``, first axis slowest, bracketing each axis once.
+
+    Returns (ids, weights), two lists over the corners in
+    :func:`corner_offsets` order, each entry shaped (len(axes[0]), ...,
+    len(axes[-1])) by broadcasting: the same ids, and weights multiplied in
+    the same axis order, as the point form gives each lattice point.
+    """
+    if len(axes) != grid.dim:
+        raise ValueError(f"{len(axes)} axes, grid dim {grid.dim}")
+    periodic = isinstance(grid, CellGrid)
+    brackets = []  # (ids, weights), each (n_d, 2) and shaped to broadcast along axis d
+    for d, (samples, coords) in enumerate(zip(grid.axes(), axes)):
+        coords = np.asarray(coords, dtype=float)
+        outside = (coords < -1e-12) | (coords > 1.0 + 1e-12)
+        if not periodic and outside.any():
+            raise OutOfDomainError(f"coordinate {coords[outside][0]} outside [0,1] on axis {d}")
+        shape = [1] * grid.dim + [2]
+        shape[d] = len(coords)
+        brackets.append(tuple(a.reshape(shape) for a in
+                              lattice_corners([samples], coords[:, None], periodic)))
+    n = len(grid.axes()[0])
+    ids, wts = [], []
+    for off in corner_offsets(grid.dim):
+        idx, w = 0, 1.0
+        for (b_ids, b_wts), bit in zip(brackets, off):
+            idx = idx * n + b_ids[..., bit]
+            w = w * b_wts[..., bit]
+        ids.append(idx)
+        wts.append(w)
+    return ids, wts
 
 
 def interpolate_values(grid, values: np.ndarray, points) -> np.ndarray:

@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
+from twoscale import analysis
 from twoscale.analysis import (
     ErrorReport,
     _interior_elements,
@@ -14,6 +16,7 @@ from twoscale.analysis import (
     holder_seminorm,
     interior_element_centers,
     interior_gradient_sup,
+    interior_samples,
     norm_l2,
     norm_linf,
     resolve_box,
@@ -44,7 +47,13 @@ from twoscale.fem import (
     solve_dirichlet,
 )
 from twoscale.macro import PicardOptions, solve_nonlinear
-from twoscale.grids import MacroGrid, ScalarField, fd_gradient, interpolate_values
+from twoscale.grids import (
+    MacroGrid,
+    ScalarField,
+    fd_gradient,
+    interpolate_values,
+    lattice_points,
+)
 
 
 def field_1d(m, fn):
@@ -159,7 +168,7 @@ def test_interior_gradient_sup_with_baseline():
     # subtracting the exact gradient of a quadratic at the interior element
     # centers cancels the measurement to rounding
     fld = field_1d(16, lambda x: x * (1.0 - x))
-    centers = interior_element_centers(fld.grid, [0.25, 0.75])
+    centers = lattice_points(interior_element_centers(fld.grid, [0.25, 0.75]))
     at_centers = 1.0 - 2.0 * centers
     assert interior_gradient_sup(fld, [0.25, 0.75], base_gradient=at_centers) < 1e-12
     with pytest.raises(ValueError, match="base gradient has shape"):
@@ -209,7 +218,7 @@ def test_own_grid_reads_match_point_location_reference(dim):
     got = energy_difference(model, u_eps, eps, table, u0)
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    centers = interior_element_centers(fine, box)
+    centers = lattice_points(interior_element_centers(fine, box))
     fld = bump(fine, -0.3)  # the coefficient reads the measured field's own values
     a_c = model.eval_a(interpolate_values(fine, fld.values, centers), centers,
                        np.mod(centers / eps, 1.0))
@@ -605,3 +614,87 @@ def test_error_report_invariants_and_serialization():
             ("eps", "linf_order0", "linf_order1", "linf_order2", "energy_diff",
              "h1_order1", "grad_sup_order1", "flux_sup_order1", "holder_order2"),
             (0.25, -1.0, 0, 0, 0, 0, 0, 0, 0)))], fits={})
+
+
+def masked_interior_gradient_sup(fld, box, model=None, eps=None, base_gradient=None):
+    """interior_gradient_sup as one full-grid pass per call, masked to the
+    interior elements, with the centers located from the element points."""
+    grid = fld.grid
+    mask = _interior_elements(grid, box)
+    center = gauss_rule(1, grid.dim)
+    grads = field_gradients_at_quad(grid, fld.values, center)[mask, 0, :]
+    if base_gradient is not None:
+        grads = grads - base_gradient
+    if model is not None:
+        centers = element_quad_points(grid, center)[mask, 0, :]
+        u_at = field_values_at_quad(grid, fld.values, center)[mask, 0]
+        a_q = model.eval_a(u_at, centers, np.mod(centers / eps, 1.0))
+        grads = np.einsum("kij,kj->ki", a_q, grads)
+    return float(np.max(np.linalg.norm(grads, axis=1)))
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 64), (1, 1000), (2, 16), (2, 100), (2, 256)])
+def test_interior_samples_are_the_masked_full_pass_bitwise(dim, cells):
+    # one pass over the interior elements alone reads the values, gradients
+    # and centers that the masked full-grid pass reads, bit for bit, and both
+    # gradient-level measurements of the study read it
+    rng = np.random.default_rng(cells + dim)
+    grid = MacroGrid(dim, cells)
+    model = RosselandCoefficient(dim, k_matrix=np.eye(dim) * 2.0, b=0.5)
+    center = gauss_rule(1, dim)
+    for box in ([0.25, 0.75], [0.1, 0.63], [[0.3, 0.9], [0.05, 0.5]][:dim]):
+        box = np.tile(box, (dim, 1)) if np.ndim(box) == 1 else np.asarray(box)
+        scale = 10.0 ** rng.integers(-4, 4, grid.ndof)
+        fld = ScalarField(grid, rng.standard_normal(grid.ndof) * scale)
+        mask = _interior_elements(grid, box)
+        samples = interior_samples(fld, box)
+        want = field_gradients_at_quad(grid, fld.values, center)[mask, 0, :]
+        assert samples.gradients.tobytes() == want.tobytes()
+        values = field_values_at_quad(grid, fld.values, center)[mask, 0]
+        assert samples.values.tobytes() == values.tobytes()
+        points = element_quad_points(grid, center)[mask, 0, :]
+        assert lattice_points(samples.axes).tobytes() == points.tobytes()
+        base = rng.standard_normal(want.shape)
+        for kwargs in ({}, {"base_gradient": base}, {"model": model, "eps": 0.125},
+                       {"model": model, "eps": 0.125, "base_gradient": base}):
+            want = masked_interior_gradient_sup(fld, box, **kwargs)
+            assert interior_gradient_sup(samples, box, **kwargs) == want
+            assert interior_gradient_sup(fld, box, **kwargs) == want
+    with pytest.raises(ValueError, match="another box"):
+        interior_gradient_sup(samples, [0.2, 0.7])
+
+
+def holder_offset_loop(fld, box, beta):
+    """The 1-D Holder seminorm one pair offset at a time."""
+    x = fld.grid.node_coords()[:, 0]
+    inside = (x >= box[0] - 1e-12) & (x <= box[1] + 1e-12)
+    rect, x = fld.values[inside], x[inside]
+    best = 0.0
+    for d in range(1, len(x)):
+        quot = np.abs(rect[d:] - rect[:-d]) / np.abs(x[d:] - x[:-d]) ** beta
+        best = max(best, float(np.max(quot)))
+    return best
+
+
+@pytest.mark.parametrize("cells, box, block", [
+    (4, [0.5, 0.75], None), (8, [0.25, 0.75], None), (128, [0.25, 0.75], None),
+    (256, [0.25, 0.75], None), (512, [0.25, 0.75], None), (1024, [0.25, 0.75], None),
+    (1000, [0.1, 0.9], None), (4096, [0.25, 0.75], None),
+    (600, [0.04, 0.96], 300), (600, [0.04, 0.96], 1200),  # blocks of 1 and of 2 offsets
+])
+def test_holder_seminorm_1d_blocks_equal_the_offset_loop(monkeypatch, cells, box, block):
+    # blocks of offsets over the valid pairs, padded with +inf coordinates,
+    # form the quotients of the loop and no 0/0: the same maximum, bit for bit
+    if block is not None:
+        monkeypatch.setattr(analysis, "_HOLDER_BLOCK", block)
+    rng = np.random.default_rng(cells)
+    grid = MacroGrid(1, cells)
+    x = grid.node_coords()[:, 0]
+    for values in (np.sin(40.0 * x) + 0.1 * np.cos(317.0 * x**2),
+                   rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-6, 6, grid.ndof)):
+        fld = ScalarField(grid, values)
+        for beta in (0.3, 0.5, 0.9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = holder_seminorm(fld, box, beta)
+            assert got == holder_offset_loop(fld, box, beta)

@@ -12,6 +12,7 @@ from twoscale.cell_problems import (
     ParameterGrid,
     build_corrector_tables,
     check_translation_invariance,
+    corrector_field_names,
     default_parameter_grid,
     effective_tensor,
     solve_first_correctors,
@@ -446,6 +447,39 @@ def test_tangents_are_exact_zeros_without_parameter_dependence(monkeypatch):
     assert len(calls) == 3  # the first-corrector factors, nothing for the tangents
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cells_of_y_alone_do_no_slow_work(monkeypatch, dim):
+    # a coefficient of neither u nor x: no d_pa evaluated, no tangent or slow
+    # load formed, no slow solve, and slow fields that are the exact zeros
+    # the solves of the zero loads return
+    source = SourceModel(base=1.0, u_coeff=0.5, amplitude=0.5)
+    model = SmoothPeriodicCoefficient(dim, base=2.0, amplitude=1.0, source=source)
+    grid, x = CellGrid(dim, 16), [0.5] * dim
+    calls, solves = [], []
+    for name in ("eval_da_du", "eval_da_dx"):
+        original = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, _f=original: calls.append(1) or _f(*args))
+    original_solve = cell_problems.solve_periodic_zero_mean
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean",
+                        lambda *args: solves.append(1) or original_solve(*args))
+    sample = CellSample(model, 0.3, x, grid)
+    sample.first, sample.hessian, sample.source
+    n_solves = len(solves)
+    slow, tangents = sample.slow, sample.tangents
+    assert calls == [] and len(solves) == n_solves
+    assert not np.any(tangents) and sample.diagnostics.max_corrector_mean <= 1e-14
+    zero = np.zeros(grid.ndof).tobytes()
+    assert sorted(slow) == sorted(n for n in corrector_field_names(dim) if n.startswith("slow"))
+    assert all(field.tobytes() == zero for field in slow.values())
+
+    # the loads the derivative path forms are zero, and so are their solves
+    monkeypatch.setattr(CellSample, "_reads_derivatives", property(lambda self: True))
+    general = CellSample(model, 0.3, x, grid)
+    general.first, general.hessian, general.source
+    assert {n: f.tobytes() for n, f in general.slow.items()} == {n: zero for n in slow}
+    assert calls and sample.diagnostics.as_dict() == general.diagnostics.as_dict()
+
+
 def test_effective_tensor_and_hessian_read_no_coefficient_derivative(monkeypatch):
     model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
     grid = CellGrid(2, 8)
@@ -726,8 +760,9 @@ def test_lookup_at_sample_and_midpoint():
     nodes = grid.dof_coords()
     x = np.full((len(nodes), 1), 0.5)
 
-    def first_at(u):
-        return table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u), x, nodes)[0]
+    def first_at(u):  # 1-D: the lattice of one axis is its points
+        return table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u),
+                                   [x[:, 0]], [nodes[:, 0]])[0]
 
     assert np.array_equal(first_at(u0), table.fields["first_0"][0])
 
@@ -747,7 +782,8 @@ def test_lookup_u_independent_table_ignores_u():
     nodes = grid.dof_coords()
     x = np.full((len(nodes), 1), 0.5)
     lo, hi = (
-        table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u), x, nodes)[0]
+        table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u),
+                            [x[:, 0]], [nodes[:, 0]])[0]
         for u in (0.0, 1.0)
     )
     assert np.array_equal(lo, hi)

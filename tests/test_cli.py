@@ -403,6 +403,29 @@ def test_bad_eps_and_interior_box_rejected_at_load(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("study=5", "study must be a section"),
+    ('nonlinear.damping="x"', "nonlinear.damping must be a number"),
+])
+def test_wrongly_typed_overrides_are_configuration_errors(tmp_path, capsys, override, message):
+    # a section replaced by a value, or a checked value of the wrong type, is
+    # exit 2 with its name, not a traceback
+    path = write_config(tmp_path, BASE_1D)
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(path, overrides=[override])
+    assert main(["study", "--config", path, "--out", str(tmp_path / "bad"),
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+def test_unknown_keys_of_a_section_replaced_by_a_value_are_reported(tmp_path):
+    payload = json.loads(json.dumps(BASE_1D))
+    payload["study"]["epss"] = [0.5]
+    with pytest.raises(ConfigurationError, match=r"unknown config keys: \['study.epss'\]"):
+        load_config(write_config(tmp_path, payload), overrides=["study=5"])
+
+
 def test_study_manifest_records_stage_telemetry(tmp_path):
     out = tmp_path / "out"
     assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out)]) == 0
@@ -472,3 +495,41 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
         write_field_csv(paths, grid, stack)
     with pytest.raises(ValueError):
         write_field_csv(tmp_path / "short.csv", cell, np.zeros(cell.ndof - 1))
+
+
+def test_field_files_are_written_from_shared_row_chunks(tmp_path, monkeypatch):
+    # a file of more than one formatting pass is its list of chunks, shared by
+    # bitwise-equal rows, written by writev; short writes and a small limit on
+    # buffers per call only split the calls, never the bytes
+    import os
+
+    from twoscale import cli
+
+    grid = MacroGrid(2, 100)  # 10,201 nodes: two passes of 8,192
+    x = grid.node_coords()
+    values = np.sin(7.0 * x[:, 0]) * np.exp(x[:, 1]) - 0.0
+    values[::97] = -0.0
+    stack = np.stack([values, 2.0 * values, values.copy()])
+    rows = dict(cli._csv_rows(grid, stack))
+    assert len(rows[0]) == 2 and rows[0] is rows[2] and rows[1] is not rows[0]
+    assert all(isinstance(chunk, bytes) for chunk in rows[1])
+
+    calls = []
+    writev = os.writev
+
+    def short_writev(fd, buffers):  # at most 1,000 bytes of at most 2 buffers
+        calls.append(len(buffers))
+        assert len(buffers) <= 2
+        return writev(fd, [memoryview(b"".join(bytes(b) for b in buffers))[:1000]])
+
+    monkeypatch.setattr(cli, "_IOV_MAX", 2)
+    monkeypatch.setattr(cli.os, "writev", short_writev)
+    header = ["field=u", "eps=1/8"]
+    paths = [tmp_path / f"f{i}.csv" for i in range(3)]
+    write_field_csv(paths, grid, stack, [header, (), header])
+    for path, row, lines in zip(paths, stack, [header, (), header]):
+        assert path.read_text() == column_stack_csv(grid, row, lines)
+    assert len(calls) == sum(-(-path.stat().st_size // 1000) for path in paths)
+    monkeypatch.undo()
+    write_field_csv(tmp_path / "once.csv", grid, values)
+    assert (tmp_path / "once.csv").read_bytes() == paths[0].read_bytes().split(b"\n", 2)[2]

@@ -41,6 +41,7 @@ from twoscale.grids import (
     fd_hessian,
     grid_corners,
     interpolate_values,
+    lattice_points,
 )
 from twoscale.macro import PicardOptions, solve_homogenized
 
@@ -55,7 +56,7 @@ def test_fine_grid_construction_and_fast_coordinates():
     assert grid.cells_per_side == 128
     y = fast_coordinates(grid, 0.125)
     idx = np.arange(grid.nodes_per_side)
-    assert np.array_equal(y[:, 0], (idx % 16) / 16.0)
+    assert np.array_equal(y[0], (idx % 16) / 16.0)
 
 
 def test_fine_grid_rejects_bad_eps():
@@ -121,7 +122,8 @@ def test_reconstruct_linear_in_macro_gradient():
 
 
 def per_stack_reconstruction_gradient(u0_field, table, eps, points):
-    """reconstruction_gradient with every table stack interpolated alone."""
+    """reconstruction_gradient with every value located point by point and
+    every table stack interpolated alone."""
     grid, dim = u0_field.grid, u0_field.grid.dim
     y = np.mod(points / eps, 1.0)
 
@@ -133,7 +135,7 @@ def per_stack_reconstruction_gradient(u0_field, table, eps, points):
     g = np.stack([at(grad_nodal[:, d]) for d in range(dim)], axis=-1)
 
     def stack_at(stack):
-        return table.interp_stacks([stack], u0_at, points, y)[0]
+        return four_corner_blend(table, [stack], u0_at, points, y)[0]
 
     out = g.copy()
     for l in range(dim):
@@ -150,11 +152,15 @@ def per_stack_reconstruction_gradient(u0_field, table, eps, points):
     return out
 
 
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
 def test_reconstruction_gradient_matches_per_stack_reference():
     # seeded random first correctors and tangent stacks on a 3x3x3 (u, x1, x2)
     # lattice, so every parameter-derivative stack is far from zero (the
     # correctors of the shipped x-dependent family, SEPARATED, do not depend
-    # on u or x)
+    # on u or x), read on the tensor product of random per-axis points
     rng = np.random.default_rng(5)
     cell = CellGrid(2, 8)
     axis = np.linspace(0.0, 1.0, 3)
@@ -173,9 +179,10 @@ def test_reconstruction_gradient_matches_per_stack_reference():
     macro = MacroGrid(2, 8)
     x = macro.node_coords()
     u0 = ScalarField(macro, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]) + 0.1 * x[:, 0])
-    points = rng.uniform(0.05, 0.95, size=(40, 2))
-    got = reconstruction_gradient(u0, table, 0.25, points)
-    assert np.array_equal(got, per_stack_reconstruction_gradient(u0, table, 0.25, points))
+    axes = [np.sort(rng.uniform(0.05, 0.95, size=n)) for n in (7, 6)]
+    got = reconstruction_gradient(u0, table, 0.25, axes)
+    want = per_stack_reconstruction_gradient(u0, table, 0.25, lattice_points(axes))
+    assert bits(got) == bits(want)
 
 
 def test_truncation_order_validation():
@@ -353,7 +360,7 @@ def test_u_dependent_2d_fine_solve_matches_point_location_reference():
 
 
 def four_corner_blend(table, stacks, u, x, y):
-    """The table read over every cell corner, zero weights included."""
+    """The table read point by point over every cell corner, zero weights included."""
     ids, wts = grid_corners(table.cell_grid, y)
     pids, pwts = table.param_grid.corners(u, x)
     out = [np.zeros(len(ids)) for _ in stacks]
@@ -366,31 +373,104 @@ def four_corner_blend(table, stacks, u, x, y):
     return out
 
 
+def per_point_reconstruct(u0_field, table, eps, fine):
+    """reconstruct with every fine node located alone on the macro grid, the
+    cell grid and the parameter lattice."""
+    dim = fine.dim
+    x, y = fine.node_coords(), lattice_points(fast_coordinates(fine, eps))
+    ids, wts = grid_corners(u0_field.grid, x)
+
+    def at(nodal):
+        return np.sum(nodal[ids] * wts, axis=1)
+
+    u0 = at(u0_field.values)
+    grad_nodal, hess_nodal = fd_gradient(u0_field), fd_hessian(u0_field)
+    grad = np.stack([at(grad_nodal[:, d]) for d in range(dim)], axis=-1)
+    names = corrector_field_names(dim)
+    vals = dict(zip(names, four_corner_blend(table, [table.fields[n] for n in names], u0, x, y)))
+    u1 = np.zeros_like(u0)
+    for m in range(dim):
+        u1 += vals[f"first_{m}"] * grad[:, m]
+    u2 = vals["source"].copy()
+    for k in range(dim):
+        for l in range(k, dim):
+            u2 += (1.0 if k == l else 2.0) * vals[f"hess_{k}{l}"] * at(hess_nodal[:, k, l])
+    for k in range(dim):
+        slow_k = vals[f"slow0_{k}"].copy()
+        for m in range(dim):
+            slow_k += vals[f"slowg_{k}{m}"] * grad[:, m]
+        u2 += slow_k * grad[:, k]
+    return u0, u1, u2
+
+
 @pytest.fixture(scope="module")
 def rosseland_table_2d():
     model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
     return build_corrector_tables(model, default_parameter_grid(model, n_u=3), CellGrid(2, 16))[0]
 
 
-@pytest.mark.parametrize("periods, at, on_lattice", [
+@pytest.fixture(scope="module")
+def one_sample_table_2d():
+    model = SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0,
+                                      source=SourceModel(base=1.0, amplitude=0.5, frequency=2))
+    return build_corrector_tables(model, default_parameter_grid(model), CellGrid(2, 16))[0]
+
+
+LATTICE_CASES = [
     (8, "nodes", True), (16, "nodes", True), (8, "centers", True),
     (32, "nodes", False), (16, "centers", False),
-])
-def test_on_lattice_corrector_reads_are_the_four_corner_blend(rosseland_table_2d, periods, at,
-                                                              on_lattice):
-    # fine nodes with cells_per_period <= m_c = 16, and element centers with
-    # 2 cells_per_period <= m_c, fall on the cell lattice and read one corner
-    table, eps = rosseland_table_2d, 0.25
+]
+
+
+def lattice_case(periods, at, eps=0.25):
+    """The fine grid, and the per-axis coordinates x and y = x / eps mod 1 of
+    its nodes or element centers."""
     fine = fine_grid_for(eps, periods, 2)
     if at == "nodes":
-        x, y = fine.node_coords(), fast_coordinates(fine, eps)
-    else:
-        x = element_quad_points(fine, gauss_rule(1, 2))[:, 0]
-        y = np.mod(x / eps, 1.0)
+        return fine, fine.axes(), fast_coordinates(fine, eps)
+    axis = np.arange(fine.cells_per_side) * fine.spacing + 0.5 * fine.spacing
+    return fine, [axis, axis], [np.mod(axis / eps, 1.0)] * 2
+
+
+@pytest.mark.parametrize("which", ["rosseland_table_2d", "one_sample_table_2d"])
+@pytest.mark.parametrize("periods, at, on_lattice", LATTICE_CASES)
+def test_on_lattice_corrector_reads_are_the_four_corner_blend(request, which, periods, at,
+                                                              on_lattice):
+    # fine nodes with cells_per_period <= m_c = 16, and element centers with
+    # 2 cells_per_period <= m_c, fall on the cell lattice and read one corner;
+    # the lattice read is the point-by-point read of every point, bit for bit
+    table, eps = request.getfixturevalue(which), 0.25
+    fine, axes, fast_axes = lattice_case(periods, at, eps)
+    x, y = lattice_points(axes), lattice_points(fast_axes)
+    if at == "centers":
+        assert bits(x) == bits(element_quad_points(fine, gauss_rule(1, 2))[:, 0])
+        assert bits(y) == bits(np.mod(x / eps, 1.0))
     u = 0.5 + 0.3 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     live = np.any(grid_corners(table.cell_grid, y)[1] != 0.0, axis=0)
     assert np.count_nonzero(live) == (1 if on_lattice else 4)
     stacks = [table.fields[name] for name in corrector_field_names(2)]
-    got = table.interp_stacks(stacks, u, x, y)
+    got = table.interp_stacks(stacks, u, axes, fast_axes)
     for g, want in zip(got, four_corner_blend(table, stacks, u, x, y)):
-        assert np.array_equal(g, want)
+        assert bits(g) == bits(want)
+
+
+@pytest.mark.parametrize("which", ["rosseland_table_2d", "one_sample_table_2d"])
+@pytest.mark.parametrize("periods", [8, 16, 32])
+@pytest.mark.parametrize("bump", [0.6, -0.0])
+def test_lattice_reconstruction_is_the_per_point_reconstruction(request, which, periods, bump):
+    # reconstruct at the fine nodes and the chain-rule gradient at the element
+    # centers bracket each axis once; every value is the per-point read's
+    # bits, the sign of a zero included (a field of -0.0 reads +0.0)
+    table, eps = request.getfixturevalue(which), 0.25
+    macro = MacroGrid(2, 16)
+    xm = macro.node_coords()
+    values = bump * np.sin(np.pi * xm[:, 0]) * np.sin(np.pi * xm[:, 1])
+    u0 = ScalarField(macro, values if bump == 0.0 else 0.2 + values - 0.1 * xm[:, 1])
+    fine, _, _ = lattice_case(periods, "nodes", eps)
+    exp = reconstruct(u0, table, eps, fine)
+    for got, want in zip((exp.u0, exp.u1, exp.u2), per_point_reconstruct(u0, table, eps, fine)):
+        assert bits(got) == bits(want)
+    _, axes, _ = lattice_case(periods, "centers", eps)
+    got = reconstruction_gradient(u0, table, eps, axes)
+    want = per_stack_reconstruction_gradient(u0, table, eps, lattice_points(axes))
+    assert bits(got) == bits(want)

@@ -901,3 +901,69 @@ def test_nonsymmetric_1d_dirichlet_solve_rejects_a_singular_system():
     mat = np.zeros((3, grid.ndof))
     with pytest.raises(NonConvergenceError, match="not nonsingular"):
         solve_dirichlet(mat, np.ones(grid.ndof), grid, symmetric=False)
+
+
+def bincount_load(grid, quad, scalar=None, flux=None):
+    """The load as one scatter of every element vector by ``bincount``."""
+    dofs = grid.element_dofs()
+    n_el, n_loc = dofs.shape
+    h = grid.spacing
+    weights = quad.weights * h**grid.dim
+    local = np.zeros((n_el, n_loc))
+    if scalar is not None:
+        s = fem._tile(grid, quad, scalar, (), "scalar source")
+        local += s @ (weights[:, None] * quad.basis)
+    if flux is not None:
+        b = fem._tile(grid, quad, flux, (grid.dim,), "flux source")
+        ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
+        local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)
+    return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
+
+
+@pytest.mark.parametrize("dim, cells, period, chunk", [
+    (1, 40, 8, None), (1, 1024, 64, None), (1, 1000, 8, 100), (1, 64, 64, 7),
+    (2, 64, 8, None), (2, 256, 16, None), (2, 48, 16, 100), (2, 40, 40, 90),
+])
+def test_chunked_load_is_the_bincount_scatter_bitwise(monkeypatch, dim, cells, period, chunk):
+    # element-row chunks added by shifted slices, corner C - 1 down to 0, sum
+    # every node's element terms from 0 in element order, as bincount does
+    # (256 cells per side in 2-D, and every patched chunk size, make several
+    # chunks)
+    if chunk is not None:
+        monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(cells + dim)
+    grid = MacroGrid(dim, cells)
+    for quad in (gauss_rule(1 if dim == 1 else 2, dim), gauss_rule(3, dim)):
+        shape = (period,) * dim + (len(quad.weights),)
+        scalar = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        flux = rng.standard_normal(shape + (dim,)) * 10.0 ** rng.integers(-8, 8, shape + (dim,))
+        scalar.reshape(-1)[::7] = -0.0
+        flux.reshape(-1)[::5] = -0.0
+        for s, b in ((scalar, None), (None, flux), (scalar, flux), (-0.0 * scalar, None)):
+            got = assemble_load_from_samples(grid, quad, s, b)
+            assert got.tobytes() == bincount_load(grid, quad, s, b).tobytes()
+
+
+def test_chunked_load_names_the_first_bad_element(monkeypatch):
+    monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", 16)
+    grid, quad = MacroGrid(2, 8), gauss_rule(2, 2)
+    scalar = np.ones((8, 8, 4))
+    scalar[5, 3, 1] = np.nan
+    with pytest.raises(AssemblyError, match="element 43"):
+        assemble_load_from_samples(grid, quad, scalar)
+
+
+def test_smoother_weights_read_row_blocks_bitwise(monkeypatch):
+    # the absolute row sums, a block of rows at a time, are the sums of one
+    # reduceat over the whole matrix, on rows that cross the block seams
+    rng = np.random.default_rng(9)
+    stencil = rng.standard_normal((3, 3, 21, 21))
+    stencil[1, 1] = 1.0 + rng.random((21, 21))  # a positive diagonal
+    mat = _csr(stencil)
+    whole = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+    inv_diag = 1.0 / mat.diagonal()
+    assert np.max(inv_diag * whole) > 2.0  # the sums set the weight
+    want = fem._MG_OMEGA * min(1.0, 2.0 / float(np.max(inv_diag * whole))) * inv_diag
+    for chunk in (7, 64, 1 << 15):
+        monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
+        assert fem._smoother_weights(mat).tobytes() == want.tobytes()

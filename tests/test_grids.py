@@ -11,8 +11,11 @@ from twoscale.grids import (
     corner_offsets,
     fd_gradient,
     fd_hessian,
+    grid_corners,
     interpolate_values,
     lattice_corners,
+    lattice_points,
+    tensor_corners,
 )
 
 
@@ -254,3 +257,23 @@ def test_q1_values_are_the_kernel_weights_on_the_unit_element(dim):
             for d, bit in enumerate(off):
                 reference[:, c] *= xi[:, d] if bit else 1.0 - xi[:, d]
         assert np.array_equal(wts, reference)
+
+
+@pytest.mark.parametrize("grid", [MacroGrid(1, 9), MacroGrid(2, 8), CellGrid(1, 7),
+                                  CellGrid(2, 16)])
+def test_tensor_corners_are_the_point_corners_of_the_lattice(grid):
+    # each axis bracketed once and broadcast: the ids and the bits of the
+    # weights that the point form gives every point of the tensor lattice
+    rng = np.random.default_rng(grid.cells_per_side + grid.dim)
+    lo, hi = (0.0, 1.0) if isinstance(grid, MacroGrid) else (-1.5, 2.5)
+    axes = [np.concatenate([rng.uniform(lo, hi, 9), grid.axes()[0][::3], [lo, hi]])
+            for _ in range(grid.dim)]
+    ids, wts = tensor_corners(grid, axes)
+    want_ids, want_wts = grid_corners(grid, lattice_points(axes))
+    assert len(ids) == len(wts) == want_ids.shape[1]
+    for c, (i, w) in enumerate(zip(ids, wts)):
+        assert np.array_equal(i.reshape(-1), want_ids[:, c])
+        assert w.reshape(-1).tobytes() == np.ascontiguousarray(want_wts[:, c]).tobytes()
+    if isinstance(grid, MacroGrid):
+        with pytest.raises(OutOfDomainError):
+            tensor_corners(grid, [np.array([0.5, 1.1])] * grid.dim)
