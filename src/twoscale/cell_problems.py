@@ -15,7 +15,9 @@ families of zero-mean periodic fields on the unit cell:
 * a source corrector      -- driven by the mean-free part of the source.
 
 Because the macro state is continuous, all of them are tabulated over a
-small (u, x) parameter lattice and interpolated multilinearly.  The slow
+small (u, x) parameter lattice: Chebyshev-Lobatto points over the whole
+admissible u range, read by the barycentric polynomial through every u
+sample, times uniform x axes read multilinearly.  The slow
 correctors are affine in the macro gradient; the table stores the constant
 piece and one field per gradient component so any macro gradient can be
 recombined exactly at evaluation time.
@@ -129,36 +131,61 @@ class ParameterGrid:
         return u, x
 
     def corners(self, u, x, derivative=None):
-        """:func:`lattice_corners` of the queries u (K,), x (K, dim) on the
-        lattice, clamped to it on every axis."""
+        """(ids, weights), each (K, C), of the queries u (K,), x (K, dim): the
+        :func:`barycentric_weights` of u times the :func:`lattice_corners` of
+        x, ids flattened with u slowest, each axis clamped to its ends; with
+        ``derivative`` = d, differentiated along lattice axis d (0 is u)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return lattice_corners(self.axes, np.column_stack((u, x)), derivative=derivative)
+        x_ids, x_wts = lattice_corners(self.x_axes, x, derivative=derivative - 1 if derivative else None)
+        u_wts = barycentric_weights(self.u_samples, u, derivative == 0)
+        n_u = len(self.u_samples)
+        # built (u sample, x corner, query), so each returned column is contiguous
+        ids = np.arange(n_u)[:, None, None] * (self.size // n_u) + x_ids.T
+        wts = u_wts.T[:, None, :] * x_wts.T
+        return ids.reshape(-1, len(u)).T, wts.reshape(-1, len(u)).T
 
 
-def default_parameter_grid(
-    model: CoefficientModel,
-    n_u: int = 5,
-    n_x: int = 5,
-    u_span=None,
-) -> ParameterGrid:
-    """Parameter lattice sized by what the model actually depends on.
+def barycentric_weights(samples, u, derivative=False) -> np.ndarray:
+    """(K, n) weights of the polynomial through the n ``samples`` at the
+    queries u (K,), clamped to the samples' range: the second barycentric
+    form, w_j = 1 / prod_{k != j} (u_j - u_k) (Berrut & Trefethen, SIAM Rev.
+    46 (2004) 501-517); a query on a sample reads that sample alone.  With
+    ``derivative``, those weights times D_ij = (w_j / w_i) / (u_i - u_j),
+    D_ii = -sum_{j != i} D_ij, which differentiate the polynomial; they are
+    0 beyond the range, where the read is flat, and on one sample."""
+    u = np.asarray(u, dtype=float)
+    if len(samples) == 1:
+        return np.full((len(u), 1), 0.0 if derivative else 1.0)
+    gaps = samples[:, None] - samples
+    np.fill_diagonal(gaps, 1.0)
+    w = 1.0 / np.prod(gaps, axis=1)
+    offsets = np.clip(u, samples[0], samples[-1])[:, None] - samples
+    on = offsets == 0.0
+    c = w / np.where(on, 1.0, offsets)
+    wts = np.where(on.any(axis=1, keepdims=True), on, c / c.sum(axis=1, keepdims=True))
+    if derivative:
+        diff = w / w[:, None] / gaps
+        np.fill_diagonal(diff, 0.0)
+        np.fill_diagonal(diff, -diff.sum(axis=1))
+        wts = np.einsum("kj,ji->ki", wts, diff)
+        wts[(u < samples[0]) | (u > samples[-1])] = 0.0
+    return wts
 
-    ``u_span`` restricts the u samples to the subrange the macro solution is
-    expected to visit (still inside the admissible range); sampling only the
-    visited range keeps the interpolation error in the effective tensor far
-    below the scales being measured.
-    """
-    u_dep = model.u_dependent or model.source.u_dependent
-    if u_span is None:
-        lo, hi = model.u_lo, model.u_hi
-    else:
-        lo = max(model.u_lo, float(u_span[0]))
-        hi = min(model.u_hi, float(u_span[1]))
-        if not lo < hi:
-            lo, hi = model.u_lo, model.u_hi
-    if u_dep:
-        u_samples = np.linspace(lo, hi, n_u)
+
+def default_parameter_grid(model: CoefficientModel, n_u: int = 5, n_x: int = 5) -> ParameterGrid:
+    """Parameter lattice sized by what the model actually depends on: n_x
+    uniform points per x axis, and n_u Chebyshev-Lobatto points over the
+    whole admissible u range, where the barycentric read converges
+    geometrically for data analytic in u (Trefethen, *Approximation Theory
+    and Approximation Practice*, 2013, ch. 8).  Their sine form is odd about
+    the middle, so an odd n_u hits the midpoint exactly (1 - cos misses it by
+    an ulp) and 3 points are ``np.linspace(lo, hi, 3)``."""
+    lo, hi = model.u_lo, model.u_hi
+    if model.u_dependent or model.source.u_dependent:
+        k = np.arange(1 - n_u, n_u, 2)
+        u_samples = lo + (hi - lo) * (0.5 + 0.5 * np.sin(0.5 * np.pi * k / max(n_u - 1, 1)))
+        u_samples[-1:] = hi  # a slice, so n_u = 0 leaves no samples for _check_lattice to refuse
     else:
         u_samples = np.array([0.5 * (lo + hi)])
     if model.x_dependent:
@@ -169,9 +196,9 @@ def default_parameter_grid(
 
 
 def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x, derivative=None) -> np.ndarray:
-    """Multilinear blend of per-sample data ``stack`` (n_samples, ...) at the
-    queries (u, x) over the parameter lattice, shape (K, ...), or its
-    derivative along a lattice axis (0 is u)."""
+    """Blend of per-sample data ``stack`` (n_samples, ...) at the queries
+    (u, x) over the parameter lattice (:meth:`ParameterGrid.corners`), shape
+    (K, ...), or its derivative along a lattice axis (0 is u)."""
     ids, wts = pgrid.corners(u, x, derivative)
     out = np.zeros((len(ids),) + stack.shape[1:])
     for c in range(ids.shape[1]):
@@ -291,7 +318,7 @@ class EffectiveTensorTable:
     def interp_source(self, u, x) -> np.ndarray:
         return _blend(self.param_grid, self.source_means, u, x)
 
-    def interp_du(self, u, x) -> np.ndarray:  # zero where the blend clamps
+    def interp_du(self, u, x) -> np.ndarray:  # zero where the read clamps
         return _blend(self.param_grid, self.values, u, x, derivative=0)
 
     def interp_source_du(self, u, x) -> np.ndarray:
@@ -652,8 +679,8 @@ def _voigt_reuss_directions(dim):
 
 def _check_lattice(model, pgrid: ParameterGrid, grid: CellGrid):
     """The lattice must sample exactly the slow arguments the model has, each
-    at 3 or more points: the tables are blended linearly between samples,
-    and 2 points would reduce the blend to one chord of the cell data."""
+    at 3 or more points: 2 points would reduce the read along that axis to
+    one chord of the cell data."""
     u_dep = model.u_dependent or model.source.u_dependent
     if u_dep and len(pgrid.u_samples) < 3:
         raise ConfigurationError(

@@ -25,7 +25,6 @@ import resource
 import sys
 import time
 import traceback
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +44,6 @@ from .analysis import (
     norm_linf,
 )
 from .cell_problems import (
-    CellSample,
     CorrectorTable,
     build_corrector_tables,
     check_translation_invariance,
@@ -60,10 +58,7 @@ from .errors import (
     PropertyViolationError,
 )
 from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, solve_fine
-from .fem import (
-    SolverOptions, assemble_load_from_samples, assemble_stiffness,
-    default_quadrature, gauss_rule, solve_dirichlet,
-)
+from .fem import SolverOptions, default_quadrature, gauss_rule
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
 from .macro import PicardOptions, solve_homogenized
 
@@ -110,44 +105,18 @@ def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
 
 
 def estimate_u_span(setup: ProblemSetup):
-    """Range the macro solution will visit, from frozen linear solves.
-
-    One solve each with the tensor frozen at the bottom, middle, and top of
-    the admissible range; the hull of the three solutions (padded) brackets
-    the nonlinear solution for the monotone-in-u families shipped here.
-    Tables sampled only over the visited range keep the tensor interpolation
-    error orders of magnitude below the eps signal being measured.
-    """
+    """The u range the tables span: the model's whole admissible range, or
+    None for data that do not depend on u.  It solves nothing; the name is
+    kept only because ``benchmarks/tracing.py`` hooks it by name."""
     model = setup.model
-    if not (model.u_dependent or model.source.u_dependent):
-        return None
-    x_c = np.full(model.dim, 0.5)
-    quad = gauss_rule(2, setup.macro_grid.dim)
-    shape = (1,) * model.dim + (len(quad.weights),)  # one period of one element: P = 1
-    lo, hi = np.inf, -np.inf
-    base = None  # a separable model's first frozen sample serves the other two
-    for u_frozen in (model.u_lo, 0.5 * (model.u_lo + model.u_hi), model.u_hi):
-        cell = CellSample(model, u_frozen, x_c, setup.cell_grid, setup.cell_quad,
-                          setup.cg_opts, base=base)
-        if model.separable and base is None:
-            base = cell
-        a0, fbar = cell.a0, cell.source_mean
-        mat = assemble_stiffness(setup.macro_grid, np.broadcast_to(a0, shape + a0.shape), quad)
-        rhs = assemble_load_from_samples(setup.macro_grid, quad, np.broadcast_to(fbar, shape))
-        provisional = solve_dirichlet(mat, rhs, setup.macro_grid, setup.cg_opts)
-        lo = min(lo, float(provisional.min()))
-        hi = max(hi, float(provisional.max()))
-    pad = 0.25 * max(hi - lo, 1e-6)
-    return (max(model.u_lo, lo - pad), min(model.u_hi, hi + pad))
+    return (model.u_lo, model.u_hi) if model.u_dependent or model.source.u_dependent else None
 
 
-def build_tables(setup: ProblemSetup, threads: int = 1, u_span=None):
+def build_tables(setup: ProblemSetup, threads: int = 1):
     disc = setup.cfg.raw["discretization"]
+    estimate_u_span(setup)  # kept for the benchmark tracer; the tables span all of u_range
     pgrid = default_parameter_grid(
-        setup.model,
-        n_u=disc["table_u_samples"],
-        n_x=disc["table_x_samples"],
-        u_span=u_span if u_span is not None else estimate_u_span(setup),
+        setup.model, n_u=disc["table_u_samples"], n_x=disc["table_x_samples"]
     )
     return build_corrector_tables(
         setup.model, pgrid, setup.cell_grid, setup.cell_quad, setup.cg_opts, threads
@@ -155,45 +124,14 @@ def build_tables(setup: ProblemSetup, threads: int = 1, u_span=None):
 
 
 def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
-    """Corrector tables plus the homogenized solve, span-checked.
-
-    If the converged macro solution escapes the u range the tables sampled
-    (possible when the tensor varies strongly in u and the frozen estimates
-    bracket poorly), the tables are rebuilt once over the visited range and
-    the solve repeated; clamped lookups would otherwise bias the tensor and
-    leave a non-decaying error against the resolved solution.
-    """
-
-    def tables_and_solve(u_span=None):
-        table, tensors = build_tables(setup, threads, u_span)
-        u0, pic = solve_homogenized(
-            tensors, setup.model, setup.macro_grid, setup.picard_opts, setup.solve_quad,
-            setup.cg_opts,
-        )
-        return table, tensors, u0, pic
-
-    table, tensors, u0, pic = tables_and_solve()
-    u_samples = table.param_grid.u_samples
-    if len(u_samples) > 1:
-        span_lo, span_hi = float(u_samples[0]), float(u_samples[-1])
-        width = span_hi - span_lo
-        vals_lo, vals_hi = float(u0.values.min()), float(u0.values.max())
-        if vals_lo < span_lo - 0.02 * width or vals_hi > span_hi + 0.02 * width:
-            pad = 0.25 * max(vals_hi - vals_lo, 1e-6)
-            span = (
-                max(setup.model.u_lo, min(vals_lo, span_lo) - pad),
-                min(setup.model.u_hi, max(vals_hi, span_hi) + pad),
-            )
-            table, tensors, u0, pic = tables_and_solve(span)
-            u_samples = table.param_grid.u_samples
-            if (
-                u0.values.min() < u_samples[0] - 0.02 * width
-                or u0.values.max() > u_samples[-1] + 0.02 * width
-            ):
-                warnings.warn(
-                    "macro solution still escapes the sampled u range after "
-                    "rebuilding the tables; tensor lookups are clamped"
-                )
+    """Corrector tables plus the homogenized solve.  The tables span the
+    whole admissible u range, to which every read clamps, so one build
+    serves any macro solution."""
+    table, tensors = build_tables(setup, threads)
+    u0, pic = solve_homogenized(
+        tensors, setup.model, setup.macro_grid, setup.picard_opts, setup.solve_quad,
+        setup.cg_opts,
+    )
     return table, tensors, u0, pic
 
 

@@ -144,7 +144,9 @@ def parse_eps_list(raw) -> list:
 
 
 def apply_override(cfg: dict, spec: str):
-    """Apply one ``dotted.path=json_value`` override in place."""
+    """Apply one ``dotted.path=json_value`` override in place.  An object
+    value merges into the section at its path as a config file's does, so a
+    family section (coefficient, source) is replaced wholesale."""
     if "=" not in spec:
         raise ConfigurationError(f"override must look like key.path=value, got {spec!r}")
     path, raw = spec.split("=", 1)
@@ -158,7 +160,10 @@ def apply_override(cfg: dict, spec: str):
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigurationError(f"override path {path!r} crosses a non-section")
-    node[parts[-1]] = value
+    key, here = parts[-1], tuple(parts)
+    if isinstance(value, dict) and isinstance(node.get(key), dict) and here not in _FREE_SECTIONS:
+        value = _merge(node[key], value, here)
+    node[key] = value
 
 
 @dataclass
@@ -198,6 +203,8 @@ class ExperimentConfig:
                                lambda v: v is None or _is_int(v), "null or an integer")
         if quad_points is not None and quad_points < 1:
             raise ConfigurationError("quad_points must be >= 1")
+        for key in ("table_u_samples", "table_x_samples"):
+            _checked(disc, "discretization", key, _is_int, "an integer")
 
         nl = cfg["nonlinear"]
         tol = _checked(nl, "nonlinear", "tol", _is_number, "a number")
@@ -235,6 +242,7 @@ class ExperimentConfig:
                 "not mask the eps signal"
             )
 
+        _checked(cfg["output"], "output", "seed", _is_int, "an integer")
         fmts = _checked(cfg["output"], "output", "formats",
                         lambda v: isinstance(v, (list, tuple)), "a list")
         if not set(map(str, fmts)) <= {"csv", "json"}:

@@ -743,6 +743,9 @@ def test_parameter_grid_validation():
         build_corrector_tables(
             model, ParameterGrid(np.array([0.2, 0.8]), (np.array([0.5]),)), grid
         )
+    for n_u in (0, 1, 2):
+        with pytest.raises(ConfigurationError, match=f"got {n_u}"):
+            build_corrector_tables(model, default_parameter_grid(model, n_u=n_u), grid)
     lin = SmoothPeriodicCoefficient(1)
     with pytest.raises(ConfigurationError):
         build_corrector_tables(
@@ -751,28 +754,68 @@ def test_parameter_grid_validation():
 
 
 def test_lookup_at_sample_and_midpoint():
+    # a sample reads its own row; between samples the read is the polynomial
+    # through every u sample, so it is exact for data quadratic in u
     model = RosselandCoefficient(1, k_base=2.0, k_amplitude=1.0, b=1.0)
     grid = CellGrid(1, 32)
     pgrid = default_parameter_grid(model)
     table, tensors = build_corrector_tables(model, pgrid, grid)
-    u0, u1 = pgrid.u_samples[0], pgrid.u_samples[1]
+    u_s = pgrid.u_samples
+    mid = 0.5 * (u_s[0] + u_s[1])
 
     nodes = grid.dof_coords()
     x = np.full((len(nodes), 1), 0.5)
 
-    def first_at(u):  # 1-D: the lattice of one axis is its points
-        return table.interp_stacks([table.fields["first_0"]], np.full(len(nodes), u),
-                                   [x[:, 0]], [nodes[:, 0]])[0]
+    def read_at(stack, u):  # 1-D: the lattice of one axis is its points
+        return table.interp_stacks([stack], np.full(len(nodes), u), [x[:, 0]], [nodes[:, 0]])[0]
 
-    assert np.array_equal(first_at(u0), table.fields["first_0"][0])
+    first = table.fields["first_0"]
+    assert np.array_equal(read_at(first, u_s[0]), first[0])
 
-    expected = 0.5 * (table.fields["first_0"][0] + table.fields["first_0"][1])
-    assert np.max(np.abs(first_at(0.5 * (u0 + u1)) - expected)) < 1e-14
+    rows = first[:3]
+    quadratic = rows[0] + u_s[:, None] * rows[1] + u_s[:, None] ** 2 * rows[2]
+    expected = rows[0] + mid * rows[1] + mid**2 * rows[2]
+    assert np.max(np.abs(read_at(quadratic, mid) - expected)) < 1e-14
 
-    a_mid = tensors.interp(np.array([0.5 * (u0 + u1)]), np.array([[0.5]]))[0]
-    assert a_mid[0, 0] == pytest.approx(
-        0.5 * (tensors.values[0][0, 0] + tensors.values[1][0, 0]), abs=1e-14
-    )
+    a_mid = tensors.interp(np.array([mid]), np.array([[0.5]]))[0]
+    through = np.polynomial.Polynomial.fit(u_s, tensors.values[:, 0, 0], len(u_s) - 1)
+    assert a_mid[0, 0] == pytest.approx(through(mid), rel=1e-12)
+
+
+def test_u_samples_are_chebyshev_lobatto_points():
+    for u_range in ((0.0, 2.0), (0.1, 0.7), (0.3, 5.0)):
+        lo, hi = u_range
+        model = RosselandCoefficient(1, b=1.0, u_range=u_range)
+        for n_u in (3, 4, 5, 9, 17):
+            u = default_parameter_grid(model, n_u=n_u).u_samples
+            assert len(u) == n_u and u[0] == lo and u[-1] == hi
+            assert np.allclose(u - lo, (hi - u)[::-1], rtol=0, atol=4e-16 * (hi - lo)), n_u
+            t = np.arange(n_u) / (n_u - 1)
+            assert np.allclose(u, lo + (hi - lo) * 0.5 * (1 - np.cos(np.pi * t)),
+                               rtol=0, atol=4e-16 * (hi - lo))
+            if n_u % 2:
+                assert u[n_u // 2] == lo + 0.5 * (hi - lo)
+        assert np.array_equal(default_parameter_grid(model, n_u=3).u_samples,
+                              np.linspace(lo, hi, 3))
+
+
+def test_rosseland_a0_oracle_over_the_whole_u_range():
+    # 1-D a0 is the harmonic mean of c(u) + sin(2 pi y), c = 2 + 4 u^3, that
+    # is sqrt(c^2 - 1): analytic in u, so the Chebyshev table converges
+    # geometrically in the number of u samples over all of u_range
+    model = RosselandCoefficient(1, k_base=2.0, k_amplitude=1.0, b=1.0, u_range=(0.0, 2.0))
+    u = np.linspace(0.0, 2.0, 401)
+    x = np.full((len(u), 1), 0.5)
+    c = 2.0 + 4.0 * u**3
+    a0 = np.sqrt(c * c - 1.0)
+    da0 = c / a0 * 12.0 * u**2
+    for n_u, value_tol in ((9, 1e-3), (17, 1e-5)):
+        _, tensors = build_corrector_tables(model, default_parameter_grid(model, n_u=n_u),
+                                            CellGrid(1, 128))
+        assert np.max(np.abs(tensors.interp(u, x)[:, 0, 0] / a0 - 1.0)) < value_tol, n_u
+        if n_u == 9:
+            slope_error = np.max(np.abs(tensors.interp_du(u, x)[:, 0, 0] - da0))
+            assert slope_error < 1e-3 * np.max(np.abs(da0))
 
 
 def test_lookup_u_independent_table_ignores_u():

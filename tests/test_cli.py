@@ -73,6 +73,26 @@ def test_override_parsing():
         apply_override(cfg, "no_equals_sign")
 
 
+def test_object_overrides_merge_like_config_files(tmp_path):
+    # an object merges into its section, keeping the keys it does not name;
+    # a family section (coefficient, source) is still replaced wholesale
+    path = write_config(tmp_path, BASE_1D)
+    cfg = load_config(path, overrides=['study={"eps":["1/8","1/16","1/32"]}'])
+    assert cfg.eps_list == [0.125, 0.0625, 0.03125]
+    assert cfg.raw["study"]["interior_box"] == DEFAULT_CONFIG["study"]["interior_box"]
+    constant = {"family": "CONSTANT", "matrix": [[3.0]]}
+    for spec in ("problem.coefficient=" + json.dumps(constant),
+                 "problem=" + json.dumps({"coefficient": constant})):
+        cfg = load_config(path, overrides=[spec])
+        assert cfg.raw["problem"]["coefficient"] == constant
+        assert cfg.raw["problem"]["dim"] == 1
+    out = tmp_path / "merged"
+    assert main(["homogenize", "--config", path, "--out", str(out),
+                 "--override", 'discretization={"m_x":16}']) == 0
+    assert json.loads((out / "homogenize.json").read_text())["iterations"] == 1
+    assert load_config(path).raw["discretization"]["m_c"] == 32
+
+
 def test_study_cli_end_to_end(tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -202,9 +222,11 @@ def test_study_with_x_dependent_coefficient(tmp_path):
 
 
 def test_study_strong_nonlinearity_rebuilds_table_span(tmp_path):
-    # with an order-one unknown the tensor varies strongly in u; a span
-    # estimated from one frozen solve once clamped the lookups and left a
-    # non-decaying O(1) error against the resolved solution
+    # with an order-one unknown the tensor varies strongly in u; tables over
+    # too narrow a u span once clamped the lookups and left a non-decaying
+    # O(1) error against the resolved solution.  The tables now span the
+    # whole u_range at Chebyshev points; the name stays because the
+    # benchmark's rosseland_1d_strong workload cites this config by it
     payload = {
         "problem": {
             "dim": 1,
@@ -406,6 +428,10 @@ def test_bad_eps_and_interior_box_rejected_at_load(tmp_path, capsys, override):
 @pytest.mark.parametrize("override, message", [
     ("study=5", "study must be a section"),
     ('nonlinear.damping="x"', "nonlinear.damping must be a number"),
+    ('discretization.table_u_samples="5"', "discretization.table_u_samples must be an integer"),
+    ("discretization.table_u_samples=5.0", "discretization.table_u_samples must be an integer"),
+    ("discretization.table_x_samples=3.0", "discretization.table_x_samples must be an integer"),
+    ("output.seed=1.7", "output.seed must be an integer"),
 ])
 def test_wrongly_typed_overrides_are_configuration_errors(tmp_path, capsys, override, message):
     # a section replaced by a value, or a checked value of the wrong type, is

@@ -238,17 +238,31 @@ def test_newton_solution_is_the_discrete_fixed_point():
 
 
 def test_table_u_derivative_is_exact_and_zero_where_the_blend_clamps():
+    # the read is the polynomial through every u sample: a quadratic through
+    # 3 samples comes back exactly, and so does its derivative inside the range
     u_samples = np.array([0.0, 0.5, 2.0])
     pgrid = ParameterGrid(u_samples, (np.array([0.5]),))
-    values = np.array([1.0, 2.0, 5.0]).reshape(3, 1, 1)
-    table = EffectiveTensorTable(pgrid, values, source_means=np.array([3.0, 1.0, 0.0]))
-    u = np.array([-0.1, 0.0, 0.25, 0.5, 1.0, 2.0, 2.5])
+
+    def tensor(u):
+        return 1.0 + u + u**2
+
+    def source(u):
+        return 3.0 - 29 / 6 * u + 5 / 3 * u**2
+
+    table = EffectiveTensorTable(pgrid, tensor(u_samples).reshape(3, 1, 1),
+                                 source_means=source(u_samples))
+    assert np.allclose(table.source_means, [3.0, 1.0, 0.0], rtol=0, atol=1e-15)
+    u = np.array([-0.1, 0.0, 0.25, 0.5, 1.0, 1.7, 2.0, 2.5])
     x = np.full((len(u), 1), 0.5)
-    assert np.allclose(table.interp_du(u, x)[:, 0, 0], [0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0],
-                       rtol=0, atol=1e-14)
-    assert np.allclose(table.interp_source_du(u, x), [0.0, -4.0, -4.0, -2 / 3, -2 / 3, -2 / 3, 0.0],
-                       rtol=0, atol=1e-14)
-    # central differences inside each bracket
+    inside = (u >= 0.0) & (u <= 2.0)
+    clamped = np.clip(u, 0.0, 2.0)
+    assert np.allclose(table.interp(u, x)[:, 0, 0], tensor(clamped), rtol=0, atol=1e-14)
+    assert np.allclose(table.interp_source(u, x), source(clamped), rtol=0, atol=1e-14)
+    assert np.allclose(table.interp_du(u, x)[:, 0, 0], np.where(inside, 1.0 + 2.0 * u, 0.0),
+                       rtol=0, atol=1e-13)
+    assert np.allclose(table.interp_source_du(u, x),
+                       np.where(inside, -29 / 6 + 10 / 3 * u, 0.0), rtol=0, atol=1e-13)
+    # central differences inside the range
     h = 1e-6
     for uu in (0.1, 0.3, 1.2):
         fd = (table.interp(uu + h, [0.5]) - table.interp(uu - h, [0.5])) / (2 * h)
