@@ -54,14 +54,9 @@ def _shifted_pairs(n: int, shift: int) -> tuple:
     return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
-def norm_linf(fld: ScalarField, box=None) -> float:
-    """Max nodal magnitude, optionally over a sub-box."""
-    if box is None:
-        return float(np.max(np.abs(fld.values)))
-    values = _nodes_in_box(fld, box)[0]
-    if not values.size:
-        raise ValueError("subdomain contains no nodes")
-    return float(np.max(np.abs(values)))
+def norm_linf(fld: ScalarField) -> float:
+    """Max nodal magnitude."""
+    return float(np.max(np.abs(fld.values)))
 
 
 def norm_l2(fld: ScalarField) -> float:
@@ -162,10 +157,9 @@ def interior_element_centers(grid: MacroGrid, box) -> list:
 @dataclass(frozen=True)
 class InteriorSamples:
     """A nodal field's Q1 ``values`` (K,) and ``gradients`` (K, dim) at the
-    centers of the elements inside ``box``, whose per-axis coordinates are
+    centers of the elements inside a box, whose per-axis coordinates are
     ``axes`` (:func:`interior_element_centers`)."""
 
-    box: np.ndarray
     axes: list
     values: np.ndarray
     gradients: np.ndarray
@@ -180,7 +174,6 @@ def interior_samples(fld: ScalarField, box) -> InteriorSamples:
     center = gauss_rule(1, grid.dim)
     rows = np.asarray(fld.values)[grid.element_dofs()[_interior_elements(grid, box)]]  # (K, C)
     return InteriorSamples(
-        box=resolve_box(box, grid.dim),
         axes=interior_element_centers(grid, box),
         values=(rows @ center.basis.T)[:, 0],
         gradients=rows @ (center.basis_gradients[0] / grid.spacing),
@@ -188,19 +181,17 @@ def interior_samples(fld: ScalarField, box) -> InteriorSamples:
 
 
 def interior_gradient_sup(
-    fld,
-    box,
+    samples: InteriorSamples,
     model=None,
     eps: float | None = None,
     base_gradient=None,
 ) -> float:
-    """Max elementwise gradient magnitude over elements inside the box.
+    """Max elementwise gradient magnitude over the elements of ``samples``
+    (:func:`interior_samples`), which several measurements of one field share.
 
     The gradient is the Q1 gradient at the element center.  Given a
     ``model`` and ``eps`` it is the flux instead, premultiplied by the
     coefficient a(u, x, x / eps) at the center, u the field's value there.
-    ``fld`` is a field, or its :func:`interior_samples` on ``box``, which
-    several measurements of one field share.
 
     ``base_gradient``, an array (K, dim) of values at
     :func:`interior_element_centers`, is subtracted there.  Remainders
@@ -209,9 +200,6 @@ def interior_gradient_sup(
     consistency errors into the measurement, whereas recovered/chain-rule
     gradients are pointwise second-order accurate.
     """
-    samples = fld if isinstance(fld, InteriorSamples) else interior_samples(fld, box)
-    if not np.array_equal(samples.box, resolve_box(box, len(samples.axes))):
-        raise ValueError("the interior samples were read on another box")
     grads = samples.gradients
     if base_gradient is not None:
         base_at = np.asarray(base_gradient, dtype=float)

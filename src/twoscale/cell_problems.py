@@ -309,9 +309,6 @@ class EffectiveTensorTable:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    def at(self, multi) -> np.ndarray:
-        return self.values[self.param_grid.ravel(multi)]
-
     def interp(self, u, x) -> np.ndarray:
         return _blend(self.param_grid, self.values, u, x)
 

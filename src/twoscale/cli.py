@@ -38,6 +38,7 @@ from .analysis import (
     energy_difference,
     fit_rate,
     holder_seminorm,
+    interior_element_centers,
     interior_gradient_sup,
     interior_samples,
     norm_h1,
@@ -51,7 +52,7 @@ from .cell_problems import (
     default_parameter_grid,
 )
 from .coefficients import RosselandCoefficient
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _checked, _is_int, _is_number, load_config, parse_eps_list
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -79,25 +80,17 @@ def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
     model = cfg.build_model()
     disc = cfg.raw["discretization"]
     nl = cfg.raw["nonlinear"]
-    explicit = disc["quad_points"]
-    if explicit is not None:
-        solve_points = int(explicit)
-        cell_quad = gauss_rule(int(explicit), cfg.dim)
+    if cfg.dim == 1:
+        solve_points = 1  # periodic midpoint superconvergence
     else:
-        cell_quad = default_quadrature(cfg.dim)
-        if cfg.dim == 1:
-            solve_points = 1  # periodic midpoint superconvergence
-        else:
-            # cubic-in-u coefficients composed with the iterate earn a point
-            solve_points = (
-                3 if isinstance(model, RosselandCoefficient) and model.u_dependent else 2
-            )
+        # cubic-in-u coefficients composed with the iterate earn a point
+        solve_points = 3 if isinstance(model, RosselandCoefficient) and model.u_dependent else 2
     return ProblemSetup(
         cfg=cfg,
         model=model,
         cell_grid=CellGrid(cfg.dim, disc["m_c"]),
         macro_grid=MacroGrid(cfg.dim, disc["m_x"]),
-        cell_quad=cell_quad,
+        cell_quad=default_quadrature(cfg.dim),
         solve_quad=gauss_rule(solve_points, cfg.dim),
         cg_opts=SolverOptions(),
         picard_opts=PicardOptions(tol=nl["tol"], max_iter=nl["max_iter"]),
@@ -229,17 +222,13 @@ def _write_chunks(path, chunks):
         os.close(fd)
 
 
-
-def write_field_csv(path, grid, values, header_lines=()):
-    """Write nodal ``values``, one ``x0,...,value`` row per node, each
-    number as its shortest round-trip ``repr``.  Given a list of paths
-    instead, ``values`` is a stack, or a list, with one row of nodal values
-    per path and ``header_lines`` one list of lines per path; the rows are
-    formatted together, and not copied into one array.  Returns ``path``."""
-    single = isinstance(path, (str, os.PathLike))
-    paths = [path] if single else list(path)
-    headers = [header_lines] if single else list(header_lines)
-    rows = [np.asarray(row, dtype=float).reshape(-1) for row in ([values] if single else values)]
+def write_field_csv(paths, grid, rows, headers):
+    """Write one file per path: its row of nodal values in ``rows`` (a stack,
+    or a list), one ``x0,...,value`` line per node, each number as its
+    shortest round-trip ``repr``, after its list of ``headers`` lines.  The
+    rows are formatted together, and not copied into one array.  Returns
+    ``paths``."""
+    rows = [np.asarray(row, dtype=float).reshape(-1) for row in rows]
     if not len(headers) == len(rows) == len(paths):
         raise ValueError(f"{len(rows)} rows and {len(headers)} header lists "
                          f"for {len(paths)} files")
@@ -247,7 +236,7 @@ def write_field_csv(path, grid, values, header_lines=()):
     for i, chunks in _csv_rows(grid, rows):
         head = "".join(f"# {line}\n" for line in headers[i]) + cols + "\n"
         _write_chunks(paths[i], [head.encode()] + chunks)
-    return path
+    return paths
 
 
 def _peak_rss_mb() -> float:
@@ -335,6 +324,12 @@ def run_study(
         beta = float(study["beta"])
         orders = sorted(set(study["orders"]))
         disc = cfg.raw["discretization"]
+        for eps in cfg.eps_list:  # the gradient columns read whole fine elements
+            try:
+                interior_element_centers(fine_grid_for(eps, disc["cells_per_period"], cfg.dim), box)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"study.interior_box at eps=1/{round(1 / eps)}: {exc}") from None
         done(stage)
 
         stage = "cell_tables_and_macro_solve"
@@ -344,7 +339,7 @@ def run_study(
         done(stage)
 
         if out_dir is not None:
-            emit(write_field_csv, out_dir / "u0.csv", u0.grid, u0.values)
+            emit(write_field_csv, [out_dir / "u0.csv"], u0.grid, [u0.values], [()])
 
         rows = []
         picard_iters = {}
@@ -384,11 +379,9 @@ def run_study(
                     fine_quad=setup.solve_quad,
                 ),
                 "h1_order1": norm_h1(z1),
-                "grad_sup_order1": interior_gradient_sup(
-                    interior, box, base_gradient=recon_grad1
-                ),
+                "grad_sup_order1": interior_gradient_sup(interior, base_gradient=recon_grad1),
                 "flux_sup_order1": interior_gradient_sup(
-                    interior, box, model=setup.model, eps=eps, base_gradient=recon_grad1,
+                    interior, model=setup.model, eps=eps, base_gradient=recon_grad1,
                 ),
                 "holder_order2": holder_seminorm(z2, box, beta, seed=seed),
             }
@@ -513,7 +506,7 @@ def run_cell(cfg: ExperimentConfig, threads: int, out_dir: Path):
 def run_homogenize(cfg: ExperimentConfig, threads: int, out_dir: Path):
     setup = build_setup(cfg)
     table, tensors, u0, pic = tables_and_macro_solution(setup, threads)
-    write_field_csv(out_dir / "u0.csv", u0.grid, u0.values)
+    write_field_csv([out_dir / "u0.csv"], u0.grid, [u0.values], [()])
     write_json(out_dir / "homogenize.json", {
         "iterations": pic.iterations,
         "final_increment": pic.final_increment,
@@ -533,7 +526,7 @@ def run_reference(cfg: ExperimentConfig, threads: int, out_dir: Path):
         disc["max_fine_dofs"],
     )
     tag = f"1over{round(1 / eps)}"
-    write_field_csv(out_dir / f"u_eps_{tag}.csv", fine_grid, u_eps.values)
+    write_field_csv([out_dir / f"u_eps_{tag}.csv"], fine_grid, [u_eps.values], [()])
     write_json(out_dir / "reference.json", {
         "eps": eps,
         "iterations": pic.iterations,
@@ -546,7 +539,13 @@ def run_lemma(cfg: ExperimentConfig, out_dir: Path):
     lem = cfg.raw["lemma"]
     if cfg.dim != 1:
         raise ConfigurationError("the antiderivative check is 1-D only")
-    amp, freq = float(lem["amplitude"]), int(lem["frequency"])
+    amp = float(_checked(lem, "lemma", "amplitude", _is_number, "a number"))
+    freq = _checked(lem, "lemma", "frequency", _is_int, "an integer")
+    cells = _checked(lem, "lemma", "cells_per_period", lambda v: _is_int(v) and v >= 1,
+                     "an integer >= 1")
+    p = _checked(lem, "lemma", "p", lambda v: v in ("inf", None) or _is_number(v) and v > 0,
+                 '"inf", null or a number > 0')
+    p = np.inf if p in ("inf", None) else float(p)
     factor = lem["x_factor"]
     if factor == "one":
         def g(x, y):
@@ -556,16 +555,13 @@ def run_lemma(cfg: ExperimentConfig, out_dir: Path):
             return amp * (1.0 + x * (1.0 - x)) * np.sin(2.0 * np.pi * freq * y)
     else:
         raise ConfigurationError(f"unknown lemma.x_factor {factor!r}")
-    p = np.inf if lem["p"] in ("inf", None) else float(lem["p"])
-    from .config import parse_eps_list
-
     eps_values = parse_eps_list(lem["eps"])
-    result = antiderivative_lemma_1d(g, eps_values, p=p, cells_per_period=lem["cells_per_period"])
+    result = antiderivative_lemma_1d(g, eps_values, p=p, cells_per_period=cells)
     payload = {
         "eps": result.eps,
         "norms": result.norms,
         "p": "inf" if np.isinf(p) else p,
-        "fit": result.fit.as_dict(),
+        "fit": None if result.fit is None else result.fit.as_dict(),
     }
     write_json(out_dir / "lemma.json", payload)
     return result
@@ -574,12 +570,17 @@ def run_lemma(cfg: ExperimentConfig, out_dir: Path):
 def run_invariance(cfg: ExperimentConfig, out_dir: Path):
     setup = build_setup(cfg)
     inv = cfg.raw["invariance"]
-    shift = np.asarray(inv["shift"], dtype=float)
-    if shift.shape != (cfg.dim,):
-        raise ConfigurationError("invariance.shift needs one entry per dimension")
-    x = np.asarray(inv["x"], dtype=float)
+
+    def point(key):
+        value = _checked(inv, "invariance", key, lambda v: isinstance(v, (list, tuple))
+                         and len(v) == cfg.dim and all(map(_is_number, v)),
+                         "one number per dimension")
+        return np.asarray(value, dtype=float)
+
+    shift, x = point("shift"), point("x")
+    u = float(_checked(inv, "invariance", "u", _is_number, "a number"))
     report = check_translation_invariance(
-        setup.model, float(inv["u"]), x, shift, setup.cell_grid, setup.cell_quad, setup.cg_opts
+        setup.model, u, x, shift, setup.cell_grid, setup.cell_quad, setup.cg_opts
     )
     payload = {
         "shift": list(report.shift),
@@ -656,7 +657,9 @@ def main(argv=None) -> int:
             run_reference(cfg, threads, out_dir)
         elif args.command == "lemma":
             result = run_lemma(cfg, out_dir)
-            print(f"antiderivative decay slope: {result.fit.slope:.4f}")
+            fit = result.fit
+            slope = "none (the primitive vanishes)" if fit is None else f"{fit.slope:.4f}"
+            print(f"antiderivative decay slope: {slope}")
         elif args.command == "invariance":
             report = run_invariance(cfg, out_dir)
             print(

@@ -69,12 +69,11 @@ def _sym2_eigs(mats):
 
 @dataclass(frozen=True)
 class PeriodicScalar:
-    """base + amplitude * prod_d sin(2 pi f_d y_d + phase_d) over axes with f_d != 0."""
+    """base + amplitude * prod_d sin(2 pi f_d y_d) over axes with f_d != 0."""
 
     base: float = 1.0
     amplitude: float = 0.0
     frequency: tuple = (1,)
-    phase: tuple = ()
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         out = np.full(y.shape[0], float(self.base))
@@ -84,8 +83,7 @@ class PeriodicScalar:
         for d, f in enumerate(self.frequency):
             if f == 0:
                 continue
-            ph = self.phase[d] if d < len(self.phase) else 0.0
-            osc = osc * np.sin(2.0 * np.pi * f * y[:, d] + ph)
+            osc = osc * np.sin(2.0 * np.pi * f * y[:, d])
         return out + self.amplitude * osc
 
 

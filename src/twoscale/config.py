@@ -28,9 +28,6 @@ DEFAULT_CONFIG = {
         "m_x": 64,
         "m_c": 256,
         "cells_per_period": 16,
-        # None -> 1 (midpoint) in 1-D; in 2-D 2, or 3 for the macro and fine
-        # assemblies of a u-dependent Rosseland coefficient
-        "quad_points": None,
         "max_fine_dofs": 2_000_000,
         "table_u_samples": 5,
         "table_x_samples": 5,
@@ -199,10 +196,6 @@ class ExperimentConfig:
                 raise ConfigurationError(f"discretization.{key} must be a power of two")
         if disc["cells_per_period"] < 8:
             raise ConfigurationError("cells_per_period must be at least 8")
-        quad_points = _checked(disc, "discretization", "quad_points",
-                               lambda v: v is None or _is_int(v), "null or an integer")
-        if quad_points is not None and quad_points < 1:
-            raise ConfigurationError("quad_points must be >= 1")
         for key in ("table_u_samples", "table_x_samples"):
             _checked(disc, "discretization", key, _is_int, "an integer")
 

@@ -233,7 +233,7 @@ def solve_fine(
         values = solve_dirichlet(assemble_stiffness(fine_grid, samples[0], quad),
                                  assemble_load_from_samples(fine_grid, quad, samples[1]),
                                  fine_grid, cg_opts)
-        return ScalarField(fine_grid, values), PicardResult(1, [0.0], converged=True)
+        return ScalarField(fine_grid, values), PicardResult(1, [0.0])
 
     def fast(evaluator):
         return lambda u, pts: evaluator(u, pts, np.mod(pts / eps, 1.0))

@@ -49,9 +49,10 @@ class PicardOptions:
 
 @dataclass
 class PicardResult:
+    """Steps and step sizes of a converged solve (non-convergence raises)."""
+
     iterations: int
     increments: list = field(default_factory=list)
-    converged: bool = False
 
     @property
     def final_increment(self) -> float:
@@ -80,7 +81,7 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, sourc
             assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts)),
             grid, cg_opts)
         if not dependent:
-            return u, PicardResult(iterations=1, increments=[0.0], converged=True)
+            return u, PicardResult(iterations=1, increments=[0.0])
     else:
         u = np.array(initial, dtype=float)
         u[grid.boundary_dofs()] = 0.0
@@ -107,7 +108,6 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, sourc
         u = u + frac * step
         result.increments.append(frac * inc)
         if inc <= opts.tol:
-            result.converged = True
             return u, result
         norm = trial_norm
     raise NonConvergenceError(

@@ -285,9 +285,8 @@ def test_cell_subcommand_csv_bytes_match_direct_writer(tmp_path):
         for flat in (0, 1, 13, 26):
             path = out / f"{name}_s{flat:03d}.csv"
             header = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
-            direct = write_field_csv(
-                tmp_path / "direct.csv", table.cell_grid, table.fields[name][flat], header
-            )
+            direct = tmp_path / "direct.csv"
+            write_field_csv([direct], table.cell_grid, [table.fields[name][flat]], [header])
             assert path.read_bytes() == direct.read_bytes(), path.name
 
 
@@ -322,6 +321,56 @@ def test_invariance_subcommand(tmp_path):
     result = json.loads((out / "invariance.json").read_text())
     assert result["discrepancy"] == 0.0
     assert result["grid_aligned"] is True
+
+
+@pytest.mark.parametrize("command, dim, override, message", [
+    # a 2-D shift leaves invariance.x at its 1-D default
+    ("invariance", 2, "invariance.shift=[0.5,0.25]",
+     "invariance.x must be one number per dimension"),
+    ("invariance", 1, 'invariance.u="a"', "invariance.u must be a number"),
+    ("invariance", 1, "invariance.shift=0.5", "invariance.shift must be one number per dimension"),
+    ("lemma", 1, "lemma.p=0", "lemma.p must be"),
+    ("lemma", 1, 'lemma.cells_per_period="x"', "lemma.cells_per_period must be an integer >= 1"),
+    ("lemma", 1, "lemma.cells_per_period=0", "lemma.cells_per_period must be an integer >= 1"),
+    ("lemma", 1, 'lemma.amplitude="x"', "lemma.amplitude must be a number"),
+    ("lemma", 1, "lemma.frequency=1.5", "lemma.frequency must be an integer"),
+])
+def test_bad_lemma_and_invariance_inputs_are_configuration_errors(
+        tmp_path, capsys, command, dim, override, message):
+    payload = json.loads(json.dumps(BASE_1D))
+    payload["problem"]["dim"] = dim
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path, "--out", str(tmp_path / "bad"),
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+def test_lemma_with_a_vanishing_primitive_reports_no_rate(tmp_path, capsys):
+    # one cell per period samples g at y = 0 alone, where it vanishes
+    out = tmp_path / "lemma"
+    assert main(["lemma", "--config", write_config(tmp_path, BASE_1D), "--out", str(out),
+                 "--override", "lemma.cells_per_period=1"]) == 0
+    result = json.loads((out / "lemma.json").read_text())
+    assert result["norms"] == [0.0] * 4 and result["fit"] is None
+    assert "slope: none" in capsys.readouterr().out
+
+
+def test_study_box_without_a_whole_fine_element_fails_at_setup(tmp_path, capsys, monkeypatch):
+    # [0.5, 0.505] holds no whole element of the eps 1/4 fine grid (h = 1/32)
+    from twoscale import cli
+
+    def no_tables(*args):
+        raise AssertionError("the tables were built")
+
+    monkeypatch.setattr(cli, "build_tables", no_tables)
+    out = tmp_path / "study"
+    assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out),
+                 "--override", "study.interior_box=[0.5,0.505]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: study.interior_box at eps=1/4:")
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["failed_stage"] == "setup" and manifest["stages"] == []
 
 
 def test_output_formats_honored(tmp_path):
@@ -509,7 +558,8 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
         values[-len(special) :] = special
         if grid.ndof > 8200:  # either side of the seam between two passes
             values[8188:8196] = special + [9999999999999998.0]
-        path = write_field_csv(tmp_path / "field.csv", grid, values, header_lines=lines)
+        path = tmp_path / "field.csv"
+        write_field_csv([path], grid, [values], [lines])
         assert path.read_text() == column_stack_csv(grid, values, lines)
     # a stack of files on one grid, rows 0 and 2 bitwise equal
     stack = np.stack([values, 2.0 * values, values])
@@ -518,9 +568,9 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
     for path, row, lines in zip(paths, stack, [header, (), header]):
         assert path.read_text() == column_stack_csv(grid, row, lines)
     with pytest.raises(ValueError):
-        write_field_csv(paths, grid, stack)
+        write_field_csv(paths, grid, stack, [header])
     with pytest.raises(ValueError):
-        write_field_csv(tmp_path / "short.csv", cell, np.zeros(cell.ndof - 1))
+        write_field_csv([tmp_path / "short.csv"], cell, [np.zeros(cell.ndof - 1)], [()])
 
 
 def test_field_files_are_written_from_shared_row_chunks(tmp_path, monkeypatch):
@@ -557,5 +607,5 @@ def test_field_files_are_written_from_shared_row_chunks(tmp_path, monkeypatch):
         assert path.read_text() == column_stack_csv(grid, row, lines)
     assert len(calls) == sum(-(-path.stat().st_size // 1000) for path in paths)
     monkeypatch.undo()
-    write_field_csv(tmp_path / "once.csv", grid, values)
+    write_field_csv([tmp_path / "once.csv"], grid, [values], [()])
     assert (tmp_path / "once.csv").read_bytes() == paths[0].read_bytes().split(b"\n", 2)[2]
