@@ -78,10 +78,6 @@ from .grids import (
     fd_hessian,
     interpolate_values,
 )
-from .macro import (
-    PicardOptions,
-    PicardResult,
-    solve_homogenized,
-)
+from .macro import PicardResult, solve_homogenized
 
 __version__ = "0.1.0"

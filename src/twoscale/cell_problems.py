@@ -789,10 +789,6 @@ def build_corrector_tables(
         source_means[flat] = fbar
         diagnostics.absorb(diag)
 
-    for name, stack in fields.items():
-        mean = float(np.max(np.abs(stack.mean(axis=1))))
-        diagnostics.max_corrector_mean = max(diagnostics.max_corrector_mean, mean)
-
     table = CorrectorTable(
         cell_grid=grid, param_grid=pgrid, fields=fields, tangents=tangents,
         diagnostics=diagnostics,

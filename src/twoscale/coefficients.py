@@ -163,6 +163,12 @@ class CoefficientModel:
         return False
 
     @property
+    def solve_points(self) -> int:
+        """Gauss points per direction of the macro and fine solves' rule; by
+        default those of :func:`~twoscale.fem.default_quadrature`."""
+        return 1 if self.dim == 1 else 2
+
+    @property
     def separable(self) -> bool:
         """a = mu(u, x) g(y) with scalar mu > 0: mu cancels from the first and
         hessian cell problems, so their correctors do not depend on (u, x)."""
@@ -318,6 +324,11 @@ class RosselandCoefficient(CoefficientModel):
     @property
     def u_dependent(self) -> bool:
         return bool(np.any(self.b_matrix != 0.0))
+
+    @property
+    def solve_points(self) -> int:
+        # in 2-D the cubic in u composed with the bilinear iterate earns a point
+        return 3 if self.dim == 2 and self.u_dependent else super().solve_points
 
     def _matrix(self, u, x, y):
         sig = self.k_scalar(y)

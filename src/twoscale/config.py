@@ -33,8 +33,6 @@ DEFAULT_CONFIG = {
         "table_x_samples": 5,
     },
     "nonlinear": {
-        "tol": 1e-10,
-        "max_iter": 100,
         # accepted and range-checked for older configs; Newton reads no damping
         "damping": 1.0,
     },
@@ -199,11 +197,8 @@ class ExperimentConfig:
         for key in ("table_u_samples", "table_x_samples"):
             _checked(disc, "discretization", key, _is_int, "an integer")
 
-        nl = cfg["nonlinear"]
-        tol = _checked(nl, "nonlinear", "tol", _is_number, "a number")
-        max_iter = _checked(nl, "nonlinear", "max_iter", _is_int, "an integer")
-        damping = _checked(nl, "nonlinear", "damping", _is_number, "a number")
-        if tol <= 0 or max_iter < 1 or not 0 < damping <= 1:
+        damping = _checked(cfg["nonlinear"], "nonlinear", "damping", _is_number, "a number")
+        if not 0 < damping <= 1:
             raise ConfigurationError("bad nonlinear section")
 
         cfg["study"]["eps"] = parse_eps_list(cfg["study"]["eps"])

@@ -24,9 +24,9 @@ import numpy as np
 from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
 from .fem import (SolverOptions, assemble_load_from_samples, assemble_stiffness,
-                  default_quadrature, element_quad_points, solve_dirichlet)
+                  element_quad_points, gauss_rule, solve_dirichlet)
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, tensor_corners
-from .macro import PicardOptions, PicardResult, solve_nonlinear
+from .macro import PicardResult, solve_nonlinear
 
 
 def cells_per_period(fine_grid: MacroGrid, eps: float) -> int:
@@ -207,8 +207,6 @@ def solve_fine(
     model,
     eps: float,
     fine_grid: MacroGrid,
-    opts: PicardOptions = PicardOptions(),
-    quad=None,
     cg_opts: SolverOptions = SolverOptions(),
     max_dofs: int = 2_000_000,
     initial=None,
@@ -216,8 +214,9 @@ def solve_fine(
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
     One solve from :func:`period_samples` for data of y alone, else Newton as in
-    the homogenized solve, from the nodal ``initial`` values when given; refuses
-    fine grids beyond ``max_dofs`` (refine eps or lower the period resolution).
+    the homogenized solve, from the nodal ``initial`` values when given; both
+    use the model's rule, as the study does.  Refuses fine grids beyond
+    ``max_dofs`` (refine eps or lower the period resolution).
     """
     cells_per_period(fine_grid, eps)
     if fine_grid.ndof > max_dofs:
@@ -226,7 +225,7 @@ def solve_fine(
             "reduce cells_per_period or use larger eps"
         )
 
-    quad = quad or default_quadrature(fine_grid.dim)
+    quad = gauss_rule(model.solve_points, fine_grid.dim)
     samples = period_samples(model, eps, fine_grid, quad, model.eval_a, model.eval_f)
     if samples is not None:  # one linear solve
         # no local holds the stencil, so the solve frees it once read
@@ -239,9 +238,9 @@ def solve_fine(
         return lambda u, pts: evaluator(u, pts, np.mod(pts / eps, 1.0))
 
     values, result = solve_nonlinear(
-        model, fine_grid, quad,
+        model, fine_grid,
         fast(model.eval_a), fast(model.eval_da_du), fast(model.eval_f), fast(model.eval_df_du),
-        opts, cg_opts, initial,
+        cg_opts, initial,
     )
     return ScalarField(fine_grid, values), result
 

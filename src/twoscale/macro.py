@@ -5,9 +5,12 @@ R(u)_i = int a(u) grad u . grad phi_i - f(u) phi_i by undamped Newton steps
 J(u) du = -R(u) (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357-397), a
 step that does not decrease the residual norm being halved until it does
 (backtracking; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004),
-so no damping is tuned by hand.  The default start is one linear solve with
-the data frozen at the midpoint of the admissible range, which is already
-the solution when neither the coefficient nor the source depends on u.
+so no damping is tuned by hand.  The quadrature rule is the model's
+(:attr:`~twoscale.coefficients.CoefficientModel.solve_points`), and the
+stopping controls are the constants below.  The default start is one
+linear solve with the data frozen at the midpoint of the admissible range,
+which is already the solution when neither the coefficient nor the source
+depends on u.
 """
 
 from __future__ import annotations
@@ -23,28 +26,17 @@ from .fem import (
     SolverOptions,
     assemble_load,
     assemble_stiffness,
-    default_quadrature,
+    gauss_rule,
     linearize,
     solve_dirichlet,
 )
 from .grids import MacroGrid, ScalarField
 
+# the sup norm of a Newton step at which the iteration stops, and the step budget
+_TOL = 1e-10
+_MAX_STEPS = 100
 # smallest step fraction the backtracking tries before it gives up
 _MIN_STEP = 2.0**-10
-
-
-@dataclass(frozen=True)
-class PicardOptions:
-    """Nonlinear-solve controls: sup-norm increment tolerance and step budget."""
-
-    tol: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
 
 
 @dataclass
@@ -59,20 +51,22 @@ class PicardResult:
         return self.increments[-1] if self.increments else 0.0
 
 
-def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, source_du,
-                    opts: PicardOptions, cg_opts: SolverOptions, initial=None):
+def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du,
+                    cg_opts: SolverOptions, initial=None):
     """Newton solve of -div(a(u) grad u) = f(u), u = 0 on the boundary of
     ``grid``, for the macro and fine solves; the evaluators give a, da/du, f
-    and df/du to :func:`~twoscale.fem.linearize`.
+    and df/du to :func:`~twoscale.fem.linearize` at the points of the model's
+    rule.
 
     The start is the nodal ``initial`` (boundary zeroed) or the frozen-
     midpoint solve, returned as converged in one iteration with increment 0
     when nothing depends on u.  The iteration stops once a step's sup norm
-    is at most ``opts.tol``, returning the stepped state; a longer step is
+    is at most ``_TOL``, returning the stepped state; a longer step is
     halved until the interior residual norm falls by the Armijo fraction
     1e-4, and the increment recorded is that of the step taken.
     """
     dependent = model.u_dependent or model.source.u_dependent
+    quad = gauss_rule(model.solve_points, grid.dim)
     if initial is None or not dependent:
         u_mid = 0.5 * (model.u_lo + model.u_hi)
         # no local holds the stencil, so the solve frees it once read
@@ -90,12 +84,12 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, sourc
     jac, res = linearize(grid, quad, u, *evaluators)
     norm = np.linalg.norm(res[free])
     result = PicardResult(iterations=0)
-    while result.iterations < opts.max_iter:
+    while result.iterations < _MAX_STEPS:
         step = solve_dirichlet(jac, -res, grid, cg_opts, symmetric=False)
         inc = float(np.max(np.abs(step)))
         result.iterations += 1
         frac = 1.0
-        while inc > opts.tol:  # backtracking
+        while inc > _TOL:  # backtracking
             jac, res = linearize(grid, quad, u + frac * step, *evaluators)
             trial_norm = np.linalg.norm(res[free])
             if trial_norm <= (1.0 - 1e-4 * frac) * norm:
@@ -107,11 +101,11 @@ def solve_nonlinear(model, grid: MacroGrid, quad, coeff, coeff_du, source, sourc
                                           history=result.increments)
         u = u + frac * step
         result.increments.append(frac * inc)
-        if inc <= opts.tol:
+        if inc <= _TOL:
             return u, result
         norm = trial_norm
     raise NonConvergenceError(
-        f"Newton iteration did not converge in {opts.max_iter} steps (last increment "
+        f"Newton iteration did not converge in {_MAX_STEPS} steps (last increment "
         f"{result.final_increment:.3e})", residual=result.final_increment,
         iterations=result.iterations, history=result.increments)
 
@@ -120,21 +114,18 @@ def solve_homogenized(
     tensor_table: EffectiveTensorTable,
     model,
     macro_grid: MacroGrid,
-    opts: PicardOptions = PicardOptions(),
-    quad=None,
     cg_opts: SolverOptions = SolverOptions(),
 ):
     """Solve the homogenized problem with homogeneous Dirichlet data.
 
     The effective tensor and the cell-averaged source, and their exact
     u-derivatives for the Newton Jacobian, are interpolated from their
-    parameter tables at every quadrature point of the current iterate.
-    Emits a warning when the converged solution leaves the admissible range.
+    parameter tables at every point of the model's rule, at the current
+    iterate.  Emits a warning when the converged solution leaves the admissible range.
     """
     values, result = solve_nonlinear(
-        model, macro_grid, quad or default_quadrature(macro_grid.dim),
-        tensor_table.interp, tensor_table.interp_du,
-        tensor_table.interp_source, tensor_table.interp_source_du, opts, cg_opts,
+        model, macro_grid, tensor_table.interp, tensor_table.interp_du,
+        tensor_table.interp_source, tensor_table.interp_source_du, cg_opts,
     )
 
     interior = values[macro_grid.interior_dofs()]

@@ -39,14 +39,13 @@ from twoscale.fem import (
     assemble_load,
     assemble_load_from_samples,
     assemble_stiffness,
-    default_quadrature,
     element_quad_points,
     field_gradients_at_quad,
     field_values_at_quad,
     gauss_rule,
     solve_dirichlet,
 )
-from twoscale.macro import PicardOptions, solve_nonlinear
+from twoscale.macro import solve_nonlinear
 from twoscale.grids import (
     MacroGrid,
     ScalarField,
@@ -202,7 +201,7 @@ def test_own_grid_reads_match_point_location_reference(dim):
         source_means=np.ones(len(u_axis)),
     )
 
-    fine_quad, macro_quad = default_quadrature(dim), gauss_rule(2, dim)
+    fine_quad, macro_quad = gauss_rule(model.solve_points, dim), gauss_rule(2, dim)
     pts = element_quad_points(fine, fine_quad).reshape(-1, dim)
     a_q = model.eval_a(interpolate_values(fine, u_eps.values, pts), pts, np.mod(pts / eps, 1.0))
     grads = field_gradients_at_quad(fine, u_eps.values, fine_quad).reshape(-1, dim)
@@ -255,7 +254,7 @@ def test_one_period_of_samples_equals_every_point(dim, family):
     # point at y = mod(x / eps, 1) gives the same numbers
     eps, periods = 0.25, 8
     model = y_only_model(dim, family)
-    fine, quad = fine_grid_for(eps, periods, dim), default_quadrature(dim)
+    fine, quad = fine_grid_for(eps, periods, dim), gauss_rule(model.solve_points, dim)
     a, f = period_samples(model, eps, fine, quad, model.eval_a, model.eval_f)
     assert a.shape == (periods,) * dim + (len(quad.weights), dim, dim)
     assert f.shape == a.shape[:-2]
@@ -275,7 +274,7 @@ def test_one_period_of_samples_equals_every_point(dim, family):
     whole_rhs = assemble_load_from_samples(fine, quad, np.tile(f, reps + (1,)))
     assert np.max(np.abs(whole_rhs - rhs)) <= 1e-15 * np.max(np.abs(rhs))
 
-    u_eps, result = solve_fine(model, eps, fine, quad=quad)
+    u_eps, result = solve_fine(model, eps, fine)
     ref = solve_dirichlet(ref_mat, ref_rhs, fine)
     assert result.iterations == 1
     assert np.max(np.abs(u_eps.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -283,7 +282,7 @@ def test_one_period_of_samples_equals_every_point(dim, family):
     pts = element_quad_points(fine, quad).reshape(-1, dim)
     grads = field_gradients_at_quad(fine, u_eps.values, quad).reshape(-1, dim)
     want = energy(fine, quad, at_points(model.eval_a)(pts), grads)
-    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim), fine_quad=quad)
+    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -301,7 +300,7 @@ def test_dependent_models_keep_point_evaluation(dim, family):
         model = SeparatedCoefficient(dim, mu_u2=0.0, mu_x=0.5)
     else:
         model = y_only_model(dim, family)
-    fine, quad = fine_grid_for(eps, periods, dim), default_quadrature(dim)
+    fine, quad = fine_grid_for(eps, periods, dim), gauss_rule(model.solve_points, dim)
     n_q = len(quad.weights)
     original, sizes = model.eval_a, []
 
@@ -310,9 +309,9 @@ def test_dependent_models_keep_point_evaluation(dim, family):
         return original(u, x, y)
 
     model.eval_a = counting
-    u_eps, result = solve_fine(model, eps, fine, PicardOptions(), quad, SolverOptions())
+    u_eps, result = solve_fine(model, eps, fine)
     solve_sizes, sizes[:] = list(sizes), []
-    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim), fine_quad=quad)
+    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim))
     if family == "SMOOTH_PERIODIC":
         assert solve_sizes == sizes == [periods**dim * n_q]
         return
@@ -324,8 +323,8 @@ def test_dependent_models_keep_point_evaluation(dim, family):
         return lambda u, pts: fn(u, pts, np.mod(pts / eps, 1.0))
 
     ref, ref_result = solve_nonlinear(
-        model, fine, quad, fast(original), fast(model.eval_da_du), fast(model.eval_f),
-        fast(model.eval_df_du), PicardOptions(), SolverOptions())
+        model, fine, fast(original), fast(model.eval_da_du), fast(model.eval_f),
+        fast(model.eval_df_du), SolverOptions())
     assert np.array_equal(u_eps.values, ref)
     assert result.increments == ref_result.increments
 

@@ -28,7 +28,7 @@ def write_config(tmp_path, payload) -> str:
 
 def test_defaults_fill_and_validate(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE_1D))
-    assert cfg.raw["nonlinear"]["tol"] == DEFAULT_CONFIG["nonlinear"]["tol"]
+    assert cfg.raw["nonlinear"] == DEFAULT_CONFIG["nonlinear"]
     assert cfg.eps_list == [0.25, 0.125, 0.0625]
 
 
@@ -346,14 +346,20 @@ def test_bad_lemma_and_invariance_inputs_are_configuration_errors(
     assert err.startswith("configuration error:") and message in err
 
 
-def test_lemma_with_a_vanishing_primitive_reports_no_rate(tmp_path, capsys):
-    # one cell per period samples g at y = 0 alone, where it vanishes
+@pytest.mark.parametrize("override, bound", [
+    ("lemma.cells_per_period=1", 0.0),  # g sampled at y = 0 alone, where it vanishes
+    ("lemma.cells_per_period=2", 1e-16),  # at y = 0 and 1/2: rounding, 3.06e-17
+    ("lemma.frequency=64", 1e-14),  # g aliased to zero at every node: rounding, 4.4e-15
+])
+def test_lemma_with_a_vanishing_primitive_reports_no_rate(tmp_path, capsys, override, bound):
+    # a primitive at the rounding level has no rate to fit
     out = tmp_path / "lemma"
     assert main(["lemma", "--config", write_config(tmp_path, BASE_1D), "--out", str(out),
-                 "--override", "lemma.cells_per_period=1"]) == 0
+                 "--override", override]) == 0
     result = json.loads((out / "lemma.json").read_text())
-    assert result["norms"] == [0.0] * 4 and result["fit"] is None
-    assert "slope: none" in capsys.readouterr().out
+    assert len(result["norms"]) == 4 and max(result["norms"]) <= bound
+    assert result["fit"] is None
+    assert capsys.readouterr().out.count("slope: none") == 1
 
 
 def test_study_box_without_a_whole_fine_element_fails_at_setup(tmp_path, capsys, monkeypatch):
@@ -518,18 +524,54 @@ def test_study_manifest_records_stage_telemetry(tmp_path):
     assert "seconds" not in (out / "report.json").read_text()
 
 
-def test_nonconvergence_exit_code_and_manifest(tmp_path):
+def test_nonconvergence_exit_code_and_manifest(tmp_path, monkeypatch):
+    import twoscale.macro as macro
+
     payload = json.loads(json.dumps(BASE_1D))
     payload["problem"]["coefficient"] = {
         "family": "ROSSELAND", "k_base": 2.0, "k_amplitude": 1.0, "b": 0.1,
     }
-    payload["nonlinear"] = {"max_iter": 1, "tol": 1e-14}
+    monkeypatch.setattr(macro, "_MAX_STEPS", 1)
     out = tmp_path / "fail"
     code = main(["study", "--config", write_config(tmp_path, payload), "--out", str(out)])
     assert code == 3
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "failed"
     assert "failed_stage" in manifest
+
+
+@pytest.mark.parametrize("key, value", [("tol", 1e-14), ("max_iter", 1)])
+def test_retired_newton_keys_are_unknown(tmp_path, capsys, key, value):
+    # the Newton tolerance and step budget are constants of the solve
+    payload = json.loads(json.dumps(BASE_1D))
+    payload["nonlinear"] = {key: value}
+    assert main(["study", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown config keys") and f"nonlinear.{key}" in err
+
+
+def test_library_fine_solve_is_the_reference_subcommand_bit_for_bit(tmp_path):
+    # the 2-D Rosseland reference of CI: called with no rule, solve_fine
+    # solves with the model's rule, the one the subcommand solves with
+    from twoscale.expansion import fine_grid_for, solve_fine
+
+    payload = {
+        "problem": {
+            "dim": 2,
+            "coefficient": {"family": "ROSSELAND", "k_base": 2.0, "k_amplitude": 1.0, "b": 1.0},
+            "source": {"family": "CONSTANT", "value": 20.0},
+            "u_range": [0.0, 2.0],
+        },
+        "discretization": {"m_x": 32, "m_c": 64, "cells_per_period": 16},
+        "study": {"eps": ["1/8"]},
+    }
+    path, out = write_config(tmp_path, payload), tmp_path / "ref"
+    assert main(["reference", "--config", path, "--out", str(out)]) == 0
+    fine = fine_grid_for(1 / 8, 16, 2)
+    u_eps, _ = solve_fine(load_config(path).build_model(), 1 / 8, fine)
+    lib = write_field_csv([tmp_path / "lib.csv"], fine, [u_eps.values], [()])[0]
+    assert lib.read_bytes() == (out / "u_eps_1over8.csv").read_bytes()
 
 
 def column_stack_csv(grid, values, header_lines=()):

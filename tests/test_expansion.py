@@ -43,7 +43,7 @@ from twoscale.grids import (
     interpolate_values,
     lattice_points,
 )
-from twoscale.macro import PicardOptions, solve_homogenized
+from twoscale.macro import solve_homogenized
 
 
 def tables_for(model, m_c=64):
@@ -323,8 +323,9 @@ def test_u_dependent_2d_fine_solve_matches_point_location_reference():
         2, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=0.5)
     )
     fine = fine_grid_for(eps, 8, 2)
-    quad = gauss_rule(3, 2)
-    u_eps, result = solve_fine(model, eps, fine, PicardOptions(), quad, SolverOptions())
+    quad = gauss_rule(model.solve_points, 2)
+    assert len(quad.weights) == 9  # the study's rule for a u-dependent 2-D Rosseland model
+    u_eps, result = solve_fine(model, eps, fine)
     assert 1 < result.iterations <= 8
 
     free = fine.interior_dofs()

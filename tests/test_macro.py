@@ -16,9 +16,9 @@ from twoscale.coefficients import (
 )
 from twoscale.errors import NonConvergenceError
 from twoscale.fem import (_csr, assemble_load, assemble_stiffness, default_quadrature,
-                          solve_dirichlet)
+                          gauss_rule, solve_dirichlet)
 from twoscale.grids import CellGrid, MacroGrid, interpolate_values
-from twoscale.macro import PicardOptions, solve_homogenized
+from twoscale.macro import solve_homogenized
 
 
 def constant_tensor_table(value, source_mean=1.0, dim=1):
@@ -82,15 +82,18 @@ def test_rosseland_nonlinear_picard_converges():
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
 
 
-def test_picard_budget_exhaustion_raises_with_history():
+def test_picard_budget_exhaustion_raises_with_history(monkeypatch):
+    import twoscale.macro as macro
+
     # a u-dependent model: a u-independent one is solved by the frozen start
+    monkeypatch.setattr(macro, "_MAX_STEPS", 1)
     model = RosselandCoefficient(1, k_base=2.0, k_amplitude=1.0, b=0.1)
     _, tensors = build_corrector_tables(
         model, default_parameter_grid(model), CellGrid(1, 32)
     )
     grid = MacroGrid(1, 16)
     with pytest.raises(NonConvergenceError) as err:
-        solve_homogenized(tensors, model, grid, PicardOptions(max_iter=1))
+        solve_homogenized(tensors, model, grid)
     assert len(err.value.history) == 1
 
 
@@ -184,12 +187,14 @@ def test_newton_converges_quadratically_on_strong_rosseland():
     from twoscale.expansion import fine_grid_for, solve_fine
 
     setup = strong_rosseland_setup()
-    # nonlinear.damping still loads, range-checked, and no solve reads it
-    assert strong_rosseland_setup(damping=0.5).picard_opts == setup.picard_opts
     _, _, u0, macro_result = tables_and_macro_solution(setup)
+    # nonlinear.damping still loads, range-checked, and no solve reads it
+    _, _, damped, damped_result = tables_and_macro_solution(strong_rosseland_setup(damping=0.5))
+    assert np.array_equal(damped.values, u0.values)
+    assert damped_result.increments == macro_result.increments
     eps = 0.125
     fine = fine_grid_for(eps, 16, 1)
-    args = (setup.model, eps, fine, setup.picard_opts, setup.solve_quad, setup.cg_opts)
+    args = (setup.model, eps, fine, setup.cg_opts)
     _, fine_result = solve_fine(*args)
     for result in (macro_result, fine_result):
         assert result.iterations <= 8
@@ -208,7 +213,7 @@ def test_newton_solution_is_the_discrete_fixed_point():
 
     setup = strong_rosseland_setup()
     _, tensors, u0, _ = tables_and_macro_solution(setup)
-    grid, quad = setup.macro_grid, setup.solve_quad
+    grid, quad = setup.macro_grid, gauss_rule(setup.model.solve_points, 1)
     free = grid.interior_dofs()
 
     def frozen_system(values):
@@ -272,7 +277,7 @@ def test_table_u_derivative_is_exact_and_zero_where_the_blend_clamps():
 def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeypatch):
     import twoscale.macro as macro
     from twoscale.cli import tables_and_macro_solution
-    from twoscale.fem import SolverOptions, gauss_rule
+    from twoscale.fem import SolverOptions
     from twoscale.macro import solve_nonlinear
 
     # the strong macro solve halves some steps: more linearizations than the
@@ -296,6 +301,6 @@ def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeyp
         return lambda u, pts: scale * fn(u, pts, np.mod(8.0 * pts, 1.0))
 
     with pytest.raises(NonConvergenceError, match="no residual decrease"):
-        solve_nonlinear(model, MacroGrid(1, 32), gauss_rule(1, 1), fast(model.eval_a),
+        solve_nonlinear(model, MacroGrid(1, 32), fast(model.eval_a),
                         fast(model.eval_da_du, -1.0), fast(model.eval_f), fast(model.eval_df_du),
-                        PicardOptions(), SolverOptions())
+                        SolverOptions())
