@@ -58,7 +58,7 @@ from .errors import (
     PropertyViolationError,
 )
 from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, solve_fine
-from .fem import SolverOptions, default_quadrature
+from .fem import KRYLOV_TOL, SolverOptions, default_quadrature
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
 from .macro import solve_homogenized
 
@@ -75,7 +75,7 @@ class ProblemSetup:
 
 def build_setup(cfg: ExperimentConfig) -> ProblemSetup:
     """The model and grids of ``cfg``; the macro and fine solves take their
-    rule from the model, and their Newton controls are constants."""
+    rule from the model, and their Newton and Krylov controls are constants."""
     disc = cfg.raw["discretization"]
     return ProblemSetup(
         cfg=cfg,
@@ -111,7 +111,7 @@ def tables_and_macro_solution(setup: ProblemSetup, threads: int = 1):
     whole admissible u range, to which every read clamps, so one build
     serves any macro solution."""
     table, tensors = build_tables(setup, threads)
-    u0, pic = solve_homogenized(tensors, setup.model, setup.macro_grid, setup.cg_opts)
+    u0, pic = solve_homogenized(tensors, setup.model, setup.macro_grid)
     return table, tensors, u0, pic
 
 
@@ -304,12 +304,9 @@ def run_study(
     try:
         setup = build_setup(cfg)
         study = cfg.raw["study"]
-        out_cfg = cfg.raw["output"]
-        seed = int(out_cfg["seed"])
-        formats = set(out_cfg["formats"])
+        seed = int(cfg.raw["output"]["seed"])
         box = study["interior_box"]
         beta = float(study["beta"])
-        orders = sorted(set(study["orders"]))
         disc = cfg.raw["discretization"]
         for eps in cfg.eps_list:  # the gradient columns read whole fine elements
             try:
@@ -335,7 +332,7 @@ def run_study(
             fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
             exp = reconstruct(u0, table, eps, fine_grid)
             u_eps, pic = solve_fine(
-                setup.model, eps, fine_grid, setup.cg_opts, disc["max_fine_dofs"],
+                setup.model, eps, fine_grid, disc["max_fine_dofs"],
                 initial=exp.u0,  # the macro solution at the fine nodes
             )
             picard_iters[f"1/{round(1 / eps)}"] = pic.iterations
@@ -368,10 +365,9 @@ def run_study(
                 # the files on one fine grid are formatted as one stack
                 tag = f"1over{round(1 / eps)}"
                 names = [f"u_eps_{tag}.csv"]
-                names += [f"reconstruction_order{order}_{tag}.csv" for order in orders]
+                names += [f"reconstruction_order{order}_{tag}.csv" for order in range(3)]
                 names.append(f"remainder_{tag}.csv")
-                fields = [u_eps.values] + [layers[order] for order in orders]
-                fields.append(z2.values)
+                fields = [u_eps.values, *layers, z2.values]
                 emit(
                     write_field_csv, [out_dir / name for name in names], fine_grid, fields,
                     [()] * len(names),
@@ -384,14 +380,14 @@ def run_study(
         # evaluator avoids that floor (recovered macro gradient), so its
         # threshold is solver noise at the energy scale
         value_floor = max(
-            10.0 * setup.cg_opts.tol * max(1.0, norm_linf(u0)),
+            10.0 * KRYLOV_TOL * max(1.0, norm_linf(u0)),
             0.5 * setup.macro_grid.spacing**2 * hess0_max,
         )
         energy_scale = tensors.ellipticity()[1] * max(
             float(np.max(np.abs(grad0_nodal))) ** 2, 1e-12
         )
         floors = {col: value_floor for col in REPORT_COLUMNS[1:]}
-        floors["energy_diff"] = 1e3 * setup.cg_opts.tol * max(energy_scale, 1e-9)
+        floors["energy_diff"] = 1e3 * KRYLOV_TOL * max(energy_scale, 1e-9)
         fits = {}
         for col in REPORT_COLUMNS[1:]:
             pairs = [(row["eps"], row[col]) for row in rows if row[col] > floors[col]]
@@ -416,12 +412,8 @@ def run_study(
 
         stage = "write_report"
         if out_dir is not None:
-            if "csv" in formats:
-                path = out_dir / "report.csv"
-                path.write_text(report.to_csv_text())
-                outputs.append(path)
-            if "json" in formats:
-                emit(write_json, out_dir / "report.json", report.to_json_dict())
+            emit(Path.write_text, out_dir / "report.csv", report.to_csv_text())
+            emit(write_json, out_dir / "report.json", report.to_json_dict())
         done(stage)
 
         if check:
@@ -498,7 +490,7 @@ def run_reference(cfg: ExperimentConfig, threads: int, out_dir: Path):
     eps = cfg.eps_list[0]
     disc = cfg.raw["discretization"]
     fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
-    u_eps, pic = solve_fine(setup.model, eps, fine_grid, setup.cg_opts, disc["max_fine_dofs"])
+    u_eps, pic = solve_fine(setup.model, eps, fine_grid, disc["max_fine_dofs"])
     tag = f"1over{round(1 / eps)}"
     write_field_csv([out_dir / f"u_eps_{tag}.csv"], fine_grid, [u_eps.values], [()])
     write_json(out_dir / "reference.json", {

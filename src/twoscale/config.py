@@ -40,7 +40,6 @@ DEFAULT_CONFIG = {
         "eps": [0.125, 0.0625, 0.03125, 0.015625],
         "interior_box": [0.25, 0.75],
         "beta": 0.5,
-        "orders": [0, 1, 2],
     },
     "lemma": {
         "amplitude": 1.0,
@@ -57,7 +56,6 @@ DEFAULT_CONFIG = {
     },
     "output": {
         "directory": "out",
-        "formats": ["csv", "json"],
         "seed": 0,
     },
 }
@@ -115,7 +113,8 @@ def _checked(section: dict, path: str, key: str, test, kind: str):
 
 
 def parse_eps_list(raw) -> list:
-    """Accept numbers or "1/k" strings; values must be reciprocals of integers."""
+    """Accept numbers or "1/k" strings; values must be reciprocals of integers,
+    strictly decreasing."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigurationError(f"eps must be a nonempty list, got {raw!r}")
     out = []
@@ -133,8 +132,8 @@ def parse_eps_list(raw) -> list:
         if not valid:
             raise ConfigurationError(f"eps values must be 1/k for integer k, got {item}")
         out.append(1.0 / round(k))
-    if sorted(out, reverse=True) != out:
-        raise ConfigurationError("eps list must be sorted in decreasing order")
+    if any(a <= b for a, b in zip(out, out[1:])):
+        raise ConfigurationError(f"eps list must be strictly decreasing, got {raw!r}")
     return out
 
 
@@ -190,12 +189,15 @@ class ExperimentConfig:
 
         disc = cfg["discretization"]
         for key in ("m_x", "m_c", "cells_per_period"):
-            if not _is_power_of_two(disc[key]):
-                raise ConfigurationError(f"discretization.{key} must be a power of two")
+            if not _is_power_of_two(disc[key]) or disc[key] < 2:  # grids need 2 cells a side
+                raise ConfigurationError(f"discretization.{key} must be a power of two >= 2")
         if disc["cells_per_period"] < 8:
             raise ConfigurationError("cells_per_period must be at least 8")
         for key in ("table_u_samples", "table_x_samples"):
-            _checked(disc, "discretization", key, _is_int, "an integer")
+            _checked(disc, "discretization", key, lambda v: _is_int(v) and v >= 3,
+                     "an integer >= 3")
+        _checked(disc, "discretization", "max_fine_dofs", lambda v: _is_int(v) and v >= 1,
+                 "an integer >= 1")
 
         damping = _checked(cfg["nonlinear"], "nonlinear", "damping", _is_number, "a number")
         if not 0 < damping <= 1:
@@ -216,10 +218,6 @@ class ExperimentConfig:
             raise ConfigurationError("interior_box must satisfy 0 < lo < hi < 1 on every axis")
         if not 0.0 < _checked(cfg["study"], "study", "beta", _is_number, "a number") < 1.0:
             raise ConfigurationError("beta must lie in (0, 1)")
-        orders = _checked(cfg["study"], "study", "orders",
-                          lambda v: isinstance(v, (list, tuple)), "a list")
-        if any(not _is_int(o) or o not in (0, 1, 2) for o in orders):
-            raise ConfigurationError("orders must be a subset of {0, 1, 2}")
 
         eps_min = min(cfg["study"]["eps"])
         h_x = 1.0 / disc["m_x"]
@@ -231,10 +229,6 @@ class ExperimentConfig:
             )
 
         _checked(cfg["output"], "output", "seed", _is_int, "an integer")
-        fmts = _checked(cfg["output"], "output", "formats",
-                        lambda v: isinstance(v, (list, tuple)), "a list")
-        if not set(map(str, fmts)) <= {"csv", "json"}:
-            raise ConfigurationError("output.formats must be a subset of [csv, json]")
 
     # ------------------------------------------------------------------
     @property

@@ -23,8 +23,8 @@ import numpy as np
 
 from .cell_problems import CorrectorTable, corrector_field_names
 from .errors import ConfigurationError
-from .fem import (SolverOptions, assemble_load_from_samples, assemble_stiffness,
-                  element_quad_points, gauss_rule, solve_dirichlet)
+from .fem import (assemble_load_from_samples, assemble_stiffness, element_quad_points,
+                  gauss_rule, solve_dirichlet)
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, tensor_corners
 from .macro import PicardResult, solve_nonlinear
 
@@ -203,14 +203,7 @@ def reconstruction_gradient(
     return out
 
 
-def solve_fine(
-    model,
-    eps: float,
-    fine_grid: MacroGrid,
-    cg_opts: SolverOptions = SolverOptions(),
-    max_dofs: int = 2_000_000,
-    initial=None,
-):
+def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = 2_000_000, initial=None):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
     One solve from :func:`period_samples` for data of y alone, else Newton as in
@@ -231,7 +224,7 @@ def solve_fine(
         # no local holds the stencil, so the solve frees it once read
         values = solve_dirichlet(assemble_stiffness(fine_grid, samples[0], quad),
                                  assemble_load_from_samples(fine_grid, quad, samples[1]),
-                                 fine_grid, cg_opts)
+                                 fine_grid)
         return ScalarField(fine_grid, values), PicardResult(1, [0.0])
 
     def fast(evaluator):
@@ -240,7 +233,7 @@ def solve_fine(
     values, result = solve_nonlinear(
         model, fine_grid,
         fast(model.eval_a), fast(model.eval_da_du), fast(model.eval_f), fast(model.eval_df_du),
-        cg_opts, initial,
+        initial,
     )
     return ScalarField(fine_grid, values), result
 

@@ -426,19 +426,19 @@ def assemble_load(grid, quad: QuadratureRule, scalar_fn=None, flux_fn=None) -> n
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Linear-solver controls.
+    """Periodic-solve control: ``compat_tol`` is the relative bound on the
+    rhs functional applied to constants before a periodic solve."""
 
-    ``tol`` (relative residual) and ``max_iter`` (default 10x the DOF
-    count) steer only the multigrid-preconditioned conjugate gradient and
-    GMRES of the 2-D box solves; the direct solves (every periodic cell and
-    every 1-D box) ignore them.  ``compat_tol`` is the relative
-    bound on the rhs functional applied to constants before a periodic
-    solve.
-    """
-
-    tol: float = 1e-10
-    max_iter: int | None = None
     compat_tol: float = 1e-8
+
+
+# relative residual at which the 2-D box iterations (CG, GMRES) stop
+KRYLOV_TOL = 1e-10
+
+
+def _krylov_budget(n_free: int) -> int:
+    """Iterations a 2-D box solve may take: 10 per interior unknown."""
+    return 10 * n_free
 
 
 def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
@@ -639,10 +639,7 @@ def _multigrid(matrix: np.ndarray):
     return (levels[0][0] if levels else coarsest), vcycle
 
 
-def solve_dirichlet(
-    matrix, rhs: np.ndarray, grid: MacroGrid, opts: SolverOptions = SolverOptions(),
-    symmetric: bool = True,
-) -> np.ndarray:
+def solve_dirichlet(matrix, rhs: np.ndarray, grid: MacroGrid, symmetric: bool = True) -> np.ndarray:
     """Solve ``matrix x = rhs``, ``matrix`` a box stencil, with homogeneous
     Dirichlet data eliminated exactly.
 
@@ -652,7 +649,8 @@ def solve_dirichlet(
     bands, raising :class:`NonConvergenceError` unless it is positive
     definite, any other (a Newton Jacobian) from three, with partial
     pivoting.  A 2-D grid's are solved by CG (GMRES unless ``symmetric``),
-    preconditioned with their multigrid V-cycle (:func:`_multigrid`).
+    preconditioned with their multigrid V-cycle (:func:`_multigrid`), to the
+    relative residual ``KRYLOV_TOL`` within :func:`_krylov_budget`.
     """
     out = np.zeros(grid.ndof)
     if grid.dim == 1:  # the interior sub-, main and super-diagonal
@@ -670,14 +668,14 @@ def solve_dirichlet(
     free = grid.interior_dofs()
     reduced, precond = _multigrid(matrix)
     del matrix  # the iteration reads only the CSR levels: free the stencil if unshared
-    max_iter = opts.max_iter or 10 * max(len(free), 1)
+    max_iter = _krylov_budget(len(free))
     if symmetric:
-        out[free], _, _ = _jacobi_pcg(reduced, rhs[free], opts.tol, max_iter, precond)
+        out[free], _, _ = _jacobi_pcg(reduced, rhs[free], KRYLOV_TOL, max_iter, precond)
         return out
-    out[free], info = spla.gmres(reduced, rhs[free], rtol=opts.tol, maxiter=max_iter,
+    out[free], info = spla.gmres(reduced, rhs[free], rtol=KRYLOV_TOL, maxiter=max_iter,
                                  M=spla.LinearOperator(reduced.shape, precond))
     if info != 0:
-        raise NonConvergenceError(f"GMRES did not reach tol={opts.tol:g}", iterations=info)
+        raise NonConvergenceError(f"GMRES did not reach tol={KRYLOV_TOL:g}", iterations=info)
     return out
 
 
@@ -725,10 +723,9 @@ def solve_periodic_zero_mean(
 
     The rhs must annihilate constants (solvability) and is projected.  Node
     0 is pinned to zero and the nonsingular remainder is solved directly,
-    in 1-D and 2-D alike, so ``opts.tol`` and ``opts.max_iter`` play no
-    part; the result is projected to zero discrete mean (uniform lumped
-    masses make that the plain average).  Passing the same ``factor`` to
-    every solve against its matrix factors that matrix once.
+    in 1-D and 2-D alike; the result is projected to zero discrete mean
+    (uniform lumped masses make that the plain average).  Passing the same
+    ``factor`` to every solve against its matrix factors that matrix once.
     """
     ndof = len(rhs)
     if np.linalg.norm(rhs) <= _zero_load_floor(ndof, factor.scale):

@@ -22,14 +22,7 @@ import numpy as np
 
 from .cell_problems import EffectiveTensorTable
 from .errors import NonConvergenceError
-from .fem import (
-    SolverOptions,
-    assemble_load,
-    assemble_stiffness,
-    gauss_rule,
-    linearize,
-    solve_dirichlet,
-)
+from .fem import assemble_load, assemble_stiffness, gauss_rule, linearize, solve_dirichlet
 from .grids import MacroGrid, ScalarField
 
 # the sup norm of a Newton step at which the iteration stops, and the step budget
@@ -51,8 +44,7 @@ class PicardResult:
         return self.increments[-1] if self.increments else 0.0
 
 
-def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du,
-                    cg_opts: SolverOptions, initial=None):
+def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du, initial=None):
     """Newton solve of -div(a(u) grad u) = f(u), u = 0 on the boundary of
     ``grid``, for the macro and fine solves; the evaluators give a, da/du, f
     and df/du to :func:`~twoscale.fem.linearize` at the points of the model's
@@ -73,7 +65,7 @@ def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du,
         u = solve_dirichlet(
             assemble_stiffness(grid, lambda pts: coeff(np.full(len(pts), u_mid), pts), quad),
             assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts)),
-            grid, cg_opts)
+            grid)
         if not dependent:
             return u, PicardResult(iterations=1, increments=[0.0])
     else:
@@ -85,7 +77,7 @@ def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du,
     norm = np.linalg.norm(res[free])
     result = PicardResult(iterations=0)
     while result.iterations < _MAX_STEPS:
-        step = solve_dirichlet(jac, -res, grid, cg_opts, symmetric=False)
+        step = solve_dirichlet(jac, -res, grid, symmetric=False)
         inc = float(np.max(np.abs(step)))
         result.iterations += 1
         frac = 1.0
@@ -110,12 +102,7 @@ def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du,
         iterations=result.iterations, history=result.increments)
 
 
-def solve_homogenized(
-    tensor_table: EffectiveTensorTable,
-    model,
-    macro_grid: MacroGrid,
-    cg_opts: SolverOptions = SolverOptions(),
-):
+def solve_homogenized(tensor_table: EffectiveTensorTable, model, macro_grid: MacroGrid):
     """Solve the homogenized problem with homogeneous Dirichlet data.
 
     The effective tensor and the cell-averaged source, and their exact
@@ -125,7 +112,7 @@ def solve_homogenized(
     """
     values, result = solve_nonlinear(
         model, macro_grid, tensor_table.interp, tensor_table.interp_du,
-        tensor_table.interp_source, tensor_table.interp_source_du, cg_opts,
+        tensor_table.interp_source, tensor_table.interp_source_du,
     )
 
     interior = values[macro_grid.interior_dofs()]

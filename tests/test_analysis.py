@@ -35,7 +35,6 @@ from twoscale.coefficients import (
 from twoscale.errors import ConfigurationError
 from twoscale.expansion import fine_grid_for, period_samples, solve_fine
 from twoscale.fem import (
-    SolverOptions,
     assemble_load,
     assemble_load_from_samples,
     assemble_stiffness,
@@ -324,7 +323,7 @@ def test_dependent_models_keep_point_evaluation(dim, family):
 
     ref, ref_result = solve_nonlinear(
         model, fine, fast(original), fast(model.eval_da_du), fast(model.eval_f),
-        fast(model.eval_df_du), SolverOptions())
+        fast(model.eval_df_du))
     assert np.array_equal(u_eps.values, ref)
     assert result.increments == ref_result.increments
 

@@ -27,7 +27,6 @@ from twoscale.coefficients import (
 )
 from twoscale.errors import CompatibilityError, ConfigurationError
 from twoscale.fem import (
-    SolverOptions,
     as_period,
     assemble_load,
     assemble_load_from_samples,

@@ -48,6 +48,8 @@ def test_eps_parsing_and_validation():
         parse_eps_list([0.3])
     with pytest.raises(ConfigurationError):
         parse_eps_list([0.0625, 0.125])  # must decrease
+    with pytest.raises(ConfigurationError, match="strictly decreasing"):
+        parse_eps_list(["1/8", "1/8", "1/16", "1/32"])  # a repeat solves and writes eps twice
 
 
 def test_power_of_two_and_resolution_guards(tmp_path):
@@ -334,6 +336,7 @@ def test_invariance_subcommand(tmp_path):
     ("lemma", 1, "lemma.cells_per_period=0", "lemma.cells_per_period must be an integer >= 1"),
     ("lemma", 1, 'lemma.amplitude="x"', "lemma.amplitude must be a number"),
     ("lemma", 1, "lemma.frequency=1.5", "lemma.frequency must be an integer"),
+    ("lemma", 1, "lemma.eps=[0.25,0.25,0.125]", "eps list must be strictly decreasing"),
 ])
 def test_bad_lemma_and_invariance_inputs_are_configuration_errors(
         tmp_path, capsys, command, dim, override, message):
@@ -379,14 +382,16 @@ def test_study_box_without_a_whole_fine_element_fails_at_setup(tmp_path, capsys,
     assert manifest["failed_stage"] == "setup" and manifest["stages"] == []
 
 
-def test_output_formats_honored(tmp_path):
-    payload = json.loads(json.dumps(BASE_1D))
-    payload["output"] = {"formats": ["json"]}
-    out = tmp_path / "jsononly"
-    code = main(["study", "--config", write_config(tmp_path, payload), "--out", str(out)])
-    assert code == 0
-    assert (out / "report.json").exists()
-    assert not (out / "report.csv").exists()
+def test_study_writes_both_reports_and_every_truncation(tmp_path):
+    out = tmp_path / "out"
+    assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out)]) == 0
+    per_eps = ["u_eps", "reconstruction_order0", "reconstruction_order1",
+               "reconstruction_order2", "remainder"]
+    want = {"MANIFEST.json", "report.csv", "report.json", "u0.csv"}
+    want |= {f"{name}_1over{k}.csv" for name in per_eps for k in (4, 8, 16)}
+    assert {p.name for p in out.iterdir()} == want
+    assert sorted(json.loads((out / "MANIFEST.json").read_text())["outputs"]) == sorted(
+        want - {"MANIFEST.json"})
 
 
 def test_override_flag_end_to_end(tmp_path):
@@ -462,6 +467,7 @@ def test_config_error_exit_code(tmp_path):
     'study.eps=["abc"]',
     "study.eps=[]",
     "study.eps=5",
+    'study.eps=["1/8","1/8","1/16","1/32"]',
     "study.interior_box=[[0.25,0.75],[0.5,1.0]]",  # touches the boundary
     "study.interior_box=[[0.75,0.25],[0.25,0.75]]",  # reversed
     "study.interior_box=[0.0,0.5]",
@@ -486,6 +492,9 @@ def test_bad_eps_and_interior_box_rejected_at_load(tmp_path, capsys, override):
     ('discretization.table_u_samples="5"', "discretization.table_u_samples must be an integer"),
     ("discretization.table_u_samples=5.0", "discretization.table_u_samples must be an integer"),
     ("discretization.table_x_samples=3.0", "discretization.table_x_samples must be an integer"),
+    ("discretization.table_x_samples=-1", "discretization.table_x_samples must be an integer >= 3"),
+    ("discretization.m_c=1", "discretization.m_c must be a power of two >= 2"),
+    ('discretization.max_fine_dofs="x"', "discretization.max_fine_dofs must be an integer >= 1"),
     ("output.seed=1.7", "output.seed must be an integer"),
 ])
 def test_wrongly_typed_overrides_are_configuration_errors(tmp_path, capsys, override, message):
@@ -540,15 +549,21 @@ def test_nonconvergence_exit_code_and_manifest(tmp_path, monkeypatch):
     assert "failed_stage" in manifest
 
 
-@pytest.mark.parametrize("key, value", [("tol", 1e-14), ("max_iter", 1)])
-def test_retired_newton_keys_are_unknown(tmp_path, capsys, key, value):
-    # the Newton tolerance and step budget are constants of the solve
+@pytest.mark.parametrize("section, key, value", [
+    ("nonlinear", "tol", 1e-14),
+    ("nonlinear", "max_iter", 1),
+    ("output", "formats", ["json"]),
+    ("study", "orders", [0, 1, 2]),
+])
+def test_retired_newton_keys_are_unknown(tmp_path, capsys, section, key, value):
+    # the Newton tolerance and step budget are constants of the solve, and a
+    # study writes every report and truncation
     payload = json.loads(json.dumps(BASE_1D))
-    payload["nonlinear"] = {key: value}
+    payload.setdefault(section, {})[key] = value
     assert main(["study", "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: unknown config keys") and f"nonlinear.{key}" in err
+    assert err.startswith("configuration error: unknown config keys") and f"{section}.{key}" in err
 
 
 def test_library_fine_solve_is_the_reference_subcommand_bit_for_bit(tmp_path):

@@ -25,7 +25,6 @@ from twoscale.expansion import (
     solve_fine,
 )
 from twoscale.fem import (
-    SolverOptions,
     _csr,
     assemble_load,
     assemble_stiffness,

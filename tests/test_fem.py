@@ -7,7 +7,6 @@ from twoscale.coefficients import RosselandCoefficient, SourceModel
 from twoscale.errors import AssemblyError, CompatibilityError, NonConvergenceError
 from twoscale.fem import (
     PeriodicFactor,
-    SolverOptions,
     _csr,
     _coarsen,
     _jacobi_pcg,
@@ -200,14 +199,15 @@ def test_pcg_stops_when_the_true_residual_stagnates():
     assert len(err.value.history) == err.value.iterations
 
 
-def test_pcg_iteration_cap():
+def test_pcg_iteration_cap(monkeypatch):
     # 1-D systems are solved directly; the CG budget applies in 2-D
     grid = MacroGrid(dim=2, cells_per_side=16)
     quad = gauss_rule(2, 2)
     mat = assemble_stiffness(grid, const_coeff(1.0, 2), quad)
     rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
+    monkeypatch.setattr(fem, "_krylov_budget", lambda n_free: 2)
     with pytest.raises(NonConvergenceError) as err:
-        solve_dirichlet(mat, rhs, grid, SolverOptions(max_iter=2))
+        solve_dirichlet(mat, rhs, grid)
     assert err.value.residual is not None
 
 
@@ -684,12 +684,13 @@ def test_multigrid_preconditioner_symmetric_positive(coeff):
     [(checkerboard_coeff, 12), (DIAGONAL_10_1, 40), (FULL_TENSOR, 40)],
     ids=COEFF_IDS,
 )
-def test_dirichlet_2d_solve_uses_multigrid_iterations(coeff, max_iter):
+def test_dirichlet_2d_solve_uses_multigrid_iterations(monkeypatch, coeff, max_iter):
     grid = MacroGrid(dim=2, cells_per_side=64)
     quad = gauss_rule(2, 2)
     mat = assemble_stiffness(grid, coeff, quad)
     rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
-    sol = solve_dirichlet(mat, rhs, grid, SolverOptions(max_iter=max_iter))
+    monkeypatch.setattr(fem, "_krylov_budget", lambda n_free: max_iter)
+    sol = solve_dirichlet(mat, rhs, grid)
     free = grid.interior_dofs()
     residual = _csr(mat)[free] @ sol - rhs[free]
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs[free])

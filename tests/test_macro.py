@@ -194,7 +194,7 @@ def test_newton_converges_quadratically_on_strong_rosseland():
     assert damped_result.increments == macro_result.increments
     eps = 0.125
     fine = fine_grid_for(eps, 16, 1)
-    args = (setup.model, eps, fine, setup.cg_opts)
+    args = (setup.model, eps, fine)
     _, fine_result = solve_fine(*args)
     for result in (macro_result, fine_result):
         assert result.iterations <= 8
@@ -277,7 +277,6 @@ def test_table_u_derivative_is_exact_and_zero_where_the_blend_clamps():
 def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeypatch):
     import twoscale.macro as macro
     from twoscale.cli import tables_and_macro_solution
-    from twoscale.fem import SolverOptions
     from twoscale.macro import solve_nonlinear
 
     # the strong macro solve halves some steps: more linearizations than the
@@ -302,5 +301,4 @@ def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeyp
 
     with pytest.raises(NonConvergenceError, match="no residual decrease"):
         solve_nonlinear(model, MacroGrid(1, 32), fast(model.eval_a),
-                        fast(model.eval_da_du, -1.0), fast(model.eval_f), fast(model.eval_df_du),
-                        SolverOptions())
+                        fast(model.eval_da_du, -1.0), fast(model.eval_f), fast(model.eval_df_du))
