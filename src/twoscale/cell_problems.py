@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -153,13 +153,16 @@ def barycentric_weights(samples, u, derivative=False) -> np.ndarray:
     46 (2004) 501-517); a query on a sample reads that sample alone.  With
     ``derivative``, those weights times D_ij = (w_j / w_i) / (u_i - u_j),
     D_ii = -sum_{j != i} D_ij, which differentiate the polynomial; they are
-    0 beyond the range, where the read is flat, and on one sample."""
+    0 beyond the range, where the read is flat, and on one sample.  Only the
+    ratios of the w_j matter, so their gaps are scaled by the power of two
+    that takes the range to [2, 4): exact, and finite for up to 857 samples
+    on any range."""
     u = np.asarray(u, dtype=float)
     if len(samples) == 1:
         return np.full((len(u), 1), 0.0 if derivative else 1.0)
     gaps = samples[:, None] - samples
     np.fill_diagonal(gaps, 1.0)
-    w = 1.0 / np.prod(gaps, axis=1)
+    w = 1.0 / np.prod(np.ldexp(gaps, 2 - np.frexp(samples[-1] - samples[0])[1]), axis=1)
     offsets = np.clip(u, samples[0], samples[-1])[:, None] - samples
     on = offsets == 0.0
     c = w / np.where(on, 1.0, offsets)
@@ -331,6 +334,15 @@ class EffectiveTensorTable:
 # ---------------------------------------------------------------------------
 
 
+def _shared(compute):
+    """A cached attribute that a sample with a ``base`` reads from the base,
+    on first read, and any other sample computes with ``compute``."""
+    @wraps(compute)
+    def read(self):
+        return compute(self) if self.base is None else getattr(self.base, compute.__name__)
+    return cached_property(read)
+
+
 class CellSample:
     """The cell data at one parameter sample (u, x), each piece computed once.
 
@@ -349,10 +361,11 @@ class CellSample:
     ``base`` is another sample of the same separable model
     (``model.separable``: a = mu(u, x) g(y)) on the same cell grid.  This
     sample's operator is then c = mu(u, x) / mu(base) times the base's, so
-    it assembles nothing: it shares the base's factor and divides each load
-    by c before it solves, and, mu cancelling from the first, hessian and
-    tangent problems, it reads the base's correctors, and its slow ones are
-    the base's ``slow_pieces`` scaled by its d mu / mu.  Its own corrected
+    it assembles nothing: it divides each load by c before it solves, and,
+    mu cancelling from the first, hessian and tangent problems, it reads
+    every :func:`_shared` attribute (``factor``, ``first``, ``first_q``,
+    ``hessian``, ``tangents``, ``slow_pieces``) from the base; its slow
+    correctors are those pieces scaled by its d mu / mu.  Its own corrected
     flux still drives the effective tensor, and its own f the source.
     """
 
@@ -394,18 +407,15 @@ class CellSample:
     @cached_property
     def f_q(self) -> np.ndarray:
         """Source at the quadrature points, (E, Q)."""
-        f = self.model.eval_f(self.u, self.x, self.points)
-        return np.asarray(f, dtype=float).reshape(self.quad_shape)
+        return self.model.eval_f(self.u, self.x, self.points).reshape(self.quad_shape)
 
     @cached_property
     def source_mean(self) -> float:
         """Cell mean of the source: the homogenized right-hand side here."""
         return self.mean(self.f_q)
 
-    @cached_property
+    @_shared
     def factor(self) -> PeriodicFactor:
-        if self.base is not None:
-            return self.base.factor
         return PeriodicFactor(assemble_stiffness(self.grid, as_period(self.grid, self.a_q), self.quad))
 
     def solve(self, rhs) -> np.ndarray:
@@ -424,31 +434,37 @@ class CellSample:
         return assemble_load_from_samples(self.grid, self.quad, as_period(self.grid, scalar),
                                           as_period(self.grid, flux))
 
-    @cached_property
+    @_shared
     def first(self) -> list:
         """First-order correctors, one zero-mean periodic field per direction.
 
         Direction m solves the periodic problem whose flux load is minus the
         m-th coefficient column, so that the corrected gradient
-        e_m + grad(N_m) carries a divergence-free flux.  A sample with a
-        base reads the base's.
+        e_m + grad(N_m) carries a divergence-free flux.
         """
-        if self.base is not None:
-            return self.base.first
         return [self.solve(self._load(flux=-self.a_q[:, :, m, :])) for m in range(self.grid.dim)]
+
+    @_shared
+    def first_q(self) -> tuple:
+        """The first correctors at the quadrature points: their values
+        N_m, (dim, E, Q, 1), and corrected gradients e_m + grad N_m, (dim,
+        E, Q, dim), which every flux and corrector load reads."""
+        grid, quad = self.grid, self.quad
+        values = np.stack([field_values_at_quad(grid, f, quad) for f in self.first])[..., None]
+        corrected = np.stack([field_gradients_at_quad(grid, f, quad) for f in self.first])
+        for m in range(grid.dim):
+            corrected[m, :, :, m] += 1.0
+        return values, corrected
 
     def _corrected(self, coefficients) -> np.ndarray:
         """c (e_m + grad N_m) at the quadrature points for each c of
         ``coefficients`` (n, E, Q, dim, dim), as (n, dim, E, Q, dim).  An
         identically zero c gets zeros and no product."""
-        grid = self.grid
-        out = np.zeros((len(coefficients), grid.dim) + self.quad_shape + (grid.dim,))
-        rows = [p for p, c in enumerate(coefficients) if np.any(c)]
-        for m in range(grid.dim if rows else 0):
-            corrected = field_gradients_at_quad(grid, self.first[m], self.quad)  # (E,Q,n)
-            corrected[:, :, m] += 1.0
-            for p in rows:
-                out[p, m] = np.einsum("eqij,eqj->eqi", coefficients[p], corrected)
+        corrected = self.first_q[1]
+        out = np.zeros((len(coefficients),) + corrected.shape)
+        for p, c in enumerate(coefficients):
+            for m, grad in enumerate(corrected if np.any(c) else []):
+                out[p, m] = np.einsum("eqij,eqj->eqi", c, grad)
         return out
 
     @property
@@ -515,7 +531,7 @@ class CellSample:
             )
         return a0
 
-    @cached_property
+    @_shared
     def hessian(self) -> dict:
         """Second-order correctors contracted against the macro Hessian.
 
@@ -523,16 +539,13 @@ class CellSample:
         (A (e_l + grad N_l))_k and the flux part -N_l A_k.  It is not
         symmetric in its two indices, but the pair only ever multiplies the
         symmetric Hessian, so the symmetrized load is solved once per
-        unordered pair.  A sample with a base reads the base's.
+        unordered pair.
         """
-        if self.base is not None:
-            return self.base.hessian
-        grid, quad, a_q, flux = self.grid, self.quad, self.a_q, self.flux
-        n_at_q = [field_values_at_quad(grid, f, quad) for f in self.first]
+        grid, a_q, flux, n_at_q = self.grid, self.a_q, self.flux, self.first_q[0]
 
         def load(k, l):
             scal = flux[l, :, :, k] - self.mean(flux[l, :, :, k])
-            return self._load(scal, -n_at_q[l][:, :, None] * a_q[:, :, k, :])
+            return self._load(scal, -n_at_q[l] * a_q[:, :, k, :])
 
         return {
             (k, l): self.solve(load(k, l) if k == l else 0.5 * (load(k, l) + load(l, k)))
@@ -544,7 +557,7 @@ class CellSample:
         """Zero-mean periodic field driven by the mean-free part of the source."""
         return self.solve(self._load(self.f_q - self.source_mean))
 
-    @cached_property
+    @_shared
     def tangents(self) -> np.ndarray:
         """Derivatives of the first correctors along the parameter axes,
         (1 + dim, dim, ndof): d/du, then d/dx_d for every axis d.
@@ -555,10 +568,8 @@ class CellSample:
         not vary at this sample, or any axis of a separable model (whose load
         is d_p mu / mu times L(-a (e_m + grad N_m)) = 0) or of a coefficient
         of y alone, gets exact zeros and no solve; those two evaluate no
-        derivative of a.  A sample with a base reads the base's.
+        derivative of a.
         """
-        if self.base is not None:
-            return self.base.tangents
         grid = self.grid
         out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
         for p, da in enumerate(self.da_q if self._reads_derivatives else []):
@@ -567,16 +578,13 @@ class CellSample:
                     out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
         return out
 
-    @cached_property
+    @_shared
     def slow_pieces(self) -> np.ndarray:
         """A separable model's slow pieces [W, V], (2, dim, dim, ndof), solved
         once on the base from its corrected flux F and first correctors N:
         W_ik for the scalar F[k]_i less its mean if a varies in x, V_mk for
         that scalar (i = m) and the flux -N_m F[k] if a varies in u."""
-        if self.base is not None:
-            return self.base.slow_pieces
-        grid, flux, dim = self.grid, self.flux, self.grid.dim
-        n_at_q = [field_values_at_quad(grid, f, self.quad)[:, :, None] for f in self.first]
+        grid, flux, dim, n_at_q = self.grid, self.flux, self.grid.dim, self.first_q[0]
         pieces = np.zeros((2, dim, dim, grid.ndof))
         for i, k in itertools.product(range(dim), repeat=2):
             scalar = flux[k, :, :, i] - self.mean(flux[k, :, :, i])
@@ -623,8 +631,7 @@ class CellSample:
         if not self._reads_derivatives:  # a of y alone: every load is zero
             return {name: np.zeros(grid.ndof) for name in corrector_field_names(dim)
                     if name.startswith("slow")}
-        quad, a_q, dflux = self.quad, self.a_q, self.flux_derivatives
-        n_at_q = [field_values_at_quad(grid, f, quad)[:, :, None] for f in self.first]
+        quad, a_q, dflux, n_at_q = self.quad, self.a_q, self.flux_derivatives, self.first_q[0]
         # (1 + dim) axes of per-direction values and gradients of the tangents
         t_at_q = [[field_values_at_quad(grid, t, quad)[:, :, None] for t in axis]
                   for axis in self.tangents]
@@ -702,6 +709,14 @@ def _map_samples(fn, multis, threads):
     return [fn(multi) for multi in multis]
 
 
+def _stack(rows) -> np.ndarray:
+    """The per-sample ``rows`` stacked along a new first axis; rows that are
+    all one object, a base's, are stored once and broadcast read-only."""
+    if all(row is rows[0] for row in rows):
+        return np.broadcast_to(rows[0], (len(rows),) + np.shape(rows[0]))
+    return np.stack(rows)
+
+
 def build_corrector_tables(
     model: CoefficientModel,
     pgrid: ParameterGrid,
@@ -722,79 +737,51 @@ def build_corrector_tables(
     once, and then one source load per sample.
     Otherwise each sample assembles and factors its own operator once and
     is dropped when it is done, so no operator is kept across samples.
-    Sample solves are independent and written to disjoint slots, so the
-    result is bitwise identical for any thread count.  Returns the
-    corrector table (with the tangent stacks of the first correctors) and
-    the effective-tensor table (which also carries the cell mean of the
-    source per sample).
+    Every per-sample quantity is stacked by :func:`_stack`, which stores
+    what the samples share with a base once.  Sample solves are
+    independent, so the result is bitwise identical for any thread count.
+    Returns the corrector table (with the tangent stacks of the first
+    correctors) and the effective-tensor table (which also carries the cell
+    mean of the source per sample).
     """
     dim = grid.dim
     quad = quad or default_quadrature(dim)
     _check_lattice(model, pgrid, grid)
-    n_samples = pgrid.size
     multis = list(pgrid.indices())
-    base = None
-    if model.separable:
-        base = CellSample(model, *pgrid.coords(multis[0]), grid, quad, opts)
+    base = (CellSample(model, *pgrid.coords(multis[0]), grid, quad, opts)
+            if model.separable else None)
 
     def sample_pass(multi):
         u, x = pgrid.coords(multi)
         try:
-            if base is not None and multi == multis[0]:
-                sample = base
-            else:
-                sample = CellSample(model, u, x, grid, quad, opts, base=base)
-            first, hess, a0, source, slow = (
-                sample.first, sample.hessian, sample.a0, sample.source, sample.slow
-            )
+            sample = (base if base is not None and multi == multis[0]
+                      else CellSample(model, u, x, grid, quad, opts, base=base))
+            held = {f"first_{m}": field for m, field in enumerate(sample.first)}
+            held.update({f"hess_{k}{l}": v for (k, l), v in sample.hessian.items()})
+            held.update(a0=sample.a0, source=sample.source)
+            held.update(sample.slow, tangents=sample.tangents, source_mean=sample.source_mean)
         except Exception as exc:  # annotate with the failing sample
             raise type(exc)(f"sample (u={u:.6g}, x={x}) failed: {exc}") from exc
-        fields = {f"first_{m}": first[m] for m in range(dim)}
-        fields.update({f"hess_{k}{l}": v for (k, l), v in hess.items()})
-        fields.update(slow, source=source)
-        return fields, sample.tangents, a0, sample.source_mean, sample.diagnostics
+        return held, sample.diagnostics
 
     # the first sample runs alone, so a base has its correctors, slow pieces
     # and factor before the samples based on it read them from other threads
     results = [sample_pass(multis[0])]
     results += _map_samples(sample_pass, multis[1:], threads)
-
-    # a separable table's first, hessian and tangent stacks are its base's
-    # rows, stored once and broadcast, read-only, over the samples
-    base_fields, base_tangents = results[0][:2]
-    shared = set() if base is None else {
-        name for name in base_fields if name.startswith(("first_", "hess_"))
-    }
-    fields = {
-        name: np.broadcast_to(base_fields[name], (n_samples, grid.ndof)) if name in shared
-        else np.zeros((n_samples, grid.ndof))
-        for name in corrector_field_names(dim)
-    }
-    tangents = {
-        f"first_{m}": np.zeros((1 + dim, n_samples, grid.ndof)) if base is None
-        else np.broadcast_to(base_tangents[:, m, None], (1 + dim, n_samples, grid.ndof))
-        for m in range(dim)
-    }
-    tensor_vals = np.zeros((n_samples, dim, dim))
-    source_means = np.zeros(n_samples)
+    stacks = {name: _stack([held[name] for held, _ in results]) for name in results[0][0]}
     diagnostics = BuildDiagnostics()
-    for flat, (sample_fields, sample_tangents, a0, fbar, diag) in enumerate(results):
-        for name, v in sample_fields.items():
-            if name not in shared:
-                fields[name][flat] = v
-        if base is None:
-            for m in range(dim):
-                tangents[f"first_{m}"][:, flat] = sample_tangents[:, m]
-        tensor_vals[flat] = a0
-        source_means[flat] = fbar
+    for _, diag in results:
         diagnostics.absorb(diag)
 
     table = CorrectorTable(
-        cell_grid=grid, param_grid=pgrid, fields=fields, tangents=tangents,
+        cell_grid=grid, param_grid=pgrid,
+        fields={name: stacks[name] for name in corrector_field_names(dim)},
+        tangents={f"first_{m}": np.moveaxis(stacks["tangents"][:, :, m], 0, 1)
+                  for m in range(dim)},
         diagnostics=diagnostics,
     )
     tensors = EffectiveTensorTable(
-        param_grid=pgrid, values=tensor_vals, source_means=source_means
+        param_grid=pgrid, values=stacks["a0"], source_means=stacks["source_mean"]
     )
     return table, tensors
 

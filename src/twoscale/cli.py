@@ -57,7 +57,13 @@ from .errors import (
     NonConvergenceError,
     PropertyViolationError,
 )
-from .expansion import fine_grid_for, reconstruct, reconstruction_gradient, solve_fine
+from .expansion import (
+    check_fine_dofs,
+    fine_grid_for,
+    reconstruct,
+    reconstruction_gradient,
+    solve_fine,
+)
 from .fem import KRYLOV_TOL, SolverOptions, default_quadrature
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian
 from .macro import solve_homogenized
@@ -233,7 +239,7 @@ def _peak_rss_mb() -> float:
 
 
 def write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -308,9 +314,11 @@ def run_study(
         box = study["interior_box"]
         beta = float(study["beta"])
         disc = cfg.raw["discretization"]
-        for eps in cfg.eps_list:  # the gradient columns read whole fine elements
-            try:
-                interior_element_centers(fine_grid_for(eps, disc["cells_per_period"], cfg.dim), box)
+        for eps in cfg.eps_list:  # every fine grid fits, before any solve or write
+            fine_grid = fine_grid_for(eps, disc["cells_per_period"], cfg.dim)
+            check_fine_dofs(fine_grid, disc["max_fine_dofs"])
+            try:  # the gradient columns read whole fine elements
+                interior_element_centers(fine_grid, box)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"study.interior_box at eps=1/{round(1 / eps)}: {exc}") from None
@@ -485,7 +493,7 @@ def run_homogenize(cfg: ExperimentConfig, threads: int, out_dir: Path):
     return u0
 
 
-def run_reference(cfg: ExperimentConfig, threads: int, out_dir: Path):
+def run_reference(cfg: ExperimentConfig, out_dir: Path):
     setup = build_setup(cfg)
     eps = cfg.eps_list[0]
     disc = cfg.raw["discretization"]
@@ -570,36 +578,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-scale homogenization studies for oscillating-coefficient problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
+    commands = {name: sub.add_parser(name, help=doc) for name, doc in [
         ("cell", "solve cell problems and emit corrector tables"),
         ("homogenize", "solve the homogenized macro problem"),
         ("reference", "resolved fine-scale solve for the first eps"),
         ("study", "full convergence study"),
         ("lemma", "1-D antiderivative decay check"),
         ("invariance", "shifted-cell invariance check"),
-    ]:
-        cmd = sub.add_parser(name, help=doc)
+    ]}
+    for cmd in commands.values():
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory (default from config)")
         cmd.add_argument(
             "--override", action="append", default=[], metavar="KEY.PATH=VALUE",
             help="override a config entry (JSON-parsed value); repeatable",
         )
-        cmd.add_argument(
+    for name in ("cell", "homogenize", "study"):  # the subcommands that read a thread count
+        commands[name].add_argument(
             "--threads", type=int, default=None,
             help="worker threads (default: TWOSCALE_THREADS or 1); results are thread-count independent",
         )
-        cmd.add_argument(
-            "--check", action="store_true",
-            help="verify acceptance properties after the run (exit 4 on violation)",
-        )
+    commands["study"].add_argument(
+        "--check", action="store_true",
+        help="verify acceptance properties after the run (exit 4 on violation)",
+    )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = os.environ.get("TWOSCALE_THREADS", "1") if args.threads is None else args.threads
+        flag = getattr(args, "threads", 1)  # 1 where the subcommand reads no thread count
+        raw = os.environ.get("TWOSCALE_THREADS", "1") if flag is None else flag
         try:
             threads = int(raw)
         except ValueError:
@@ -620,7 +630,7 @@ def main(argv=None) -> int:
         elif args.command == "homogenize":
             run_homogenize(cfg, threads, out_dir)
         elif args.command == "reference":
-            run_reference(cfg, threads, out_dir)
+            run_reference(cfg, out_dir)
         elif args.command == "lemma":
             result = run_lemma(cfg, out_dir)
             fit = result.fit

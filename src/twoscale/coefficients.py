@@ -37,10 +37,8 @@ def _as_points(p, dim):
 
 
 def _normalize_args(u, x, y, dim):
-    """Broadcast (u, x, y) to (K,), (K, dim), (K, dim); report scalar calls,
-    those that pass both points as single vectors (a one-row (1, dim) array
-    is a batch of one)."""
-    scalar = max(np.ndim(u), np.ndim(x), np.ndim(y)) <= 1 and np.size(u) == 1
+    """Broadcast (u, x, y) to (K,), (K, dim), (K, dim); a single point, a
+    vector, is a batch of one."""
     x = _as_points(x, dim)
     y = _as_points(y, dim)
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -55,7 +53,7 @@ def _normalize_args(u, x, y, dim):
         raise ValueError("u, x, y lengths are incompatible")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input to coefficient evaluator")
-    return u, x, y, scalar
+    return u, x, y
 
 
 def _sym2_eigs(mats):
@@ -103,18 +101,17 @@ class SourceModel:
         return self.u_coeff != 0.0
 
     def eval(self, u, x, y, dim):
-        u, x, y, scalar = _normalize_args(u, x, y, dim)
+        u, x, y = _normalize_args(u, x, y, dim)
         out = self.base + self.u_coeff * u
         if self.amplitude != 0.0:
             out = out + self.amplitude * np.sin(
                 2.0 * np.pi * self.frequency * y[:, self.axis] + self.phase
             )
-        return float(out[0]) if scalar else out
+        return out
 
     def eval_du(self, u, x, y, dim):
-        u, x, y, scalar = _normalize_args(u, x, y, dim)
-        out = np.full(len(u), self.u_coeff)
-        return float(out[0]) if scalar else out
+        u, x, y = _normalize_args(u, x, y, dim)
+        return np.full(len(u), self.u_coeff)
 
 
 class CoefficientModel:
@@ -176,30 +173,26 @@ class CoefficientModel:
 
     # -- public evaluators -------------------------------------------------
     def eval_a(self, u, x, y):
-        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
-        out = self._matrix(np.clip(u, self.u_lo, self.u_hi), x, y)
-        return out[0] if scalar else out
+        u, x, y = _normalize_args(u, x, y, self.dim)
+        return self._matrix(np.clip(u, self.u_lo, self.u_hi), x, y)
 
     def eval_da_du(self, u, x, y):
-        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
+        u, x, y = _normalize_args(u, x, y, self.dim)
         inside = (u >= self.u_lo) & (u <= self.u_hi)  # beyond, the clamped a is flat
-        out = self._matrix_du(np.clip(u, self.u_lo, self.u_hi), x, y) * inside[:, None, None]
-        return out[0] if scalar else out
+        return self._matrix_du(np.clip(u, self.u_lo, self.u_hi), x, y) * inside[:, None, None]
 
     def eval_da_dx(self, u, x, y):
         """x-derivative of the coefficient, (K, dim_x, dim, dim): entry d is da/dx_d."""
-        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
-        out = self._matrix_dx(np.clip(u, self.u_lo, self.u_hi), x, y)
-        return out[0] if scalar else out
+        u, x, y = _normalize_args(u, x, y, self.dim)
+        return self._matrix_dx(np.clip(u, self.u_lo, self.u_hi), x, y)
 
     def eval_f(self, u, x, y):
         return self.source.eval(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim)
 
     def eval_df_du(self, u, x, y):
-        u, x, y, scalar = _normalize_args(u, x, y, self.dim)
+        u, x, y = _normalize_args(u, x, y, self.dim)
         inside = (u >= self.u_lo) & (u <= self.u_hi)
-        out = self.source.eval_du(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim) * inside
-        return float(out[0]) if scalar else out
+        return self.source.eval_du(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim) * inside
 
     # -- construction-time validation ---------------------------------------
     def _validate(self):

@@ -60,6 +60,8 @@ DEFAULT_CONFIG = {
     },
 }
 
+MAX_U_SAMPLES = 512  # the barycentric u weights of up to 857 samples are finite on any range
+
 # coefficient/source sections hold family-specific keys, so they are
 # validated by their factories instead of against the defaults
 _FREE_SECTIONS = {("problem", "coefficient"), ("problem", "source")}
@@ -193,9 +195,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"discretization.{key} must be a power of two >= 2")
         if disc["cells_per_period"] < 8:
             raise ConfigurationError("cells_per_period must be at least 8")
-        for key in ("table_u_samples", "table_x_samples"):
-            _checked(disc, "discretization", key, lambda v: _is_int(v) and v >= 3,
-                     "an integer >= 3")
+        _checked(disc, "discretization", "table_u_samples",
+                 lambda v: _is_int(v) and 3 <= v <= MAX_U_SAMPLES,
+                 f"an integer from 3 to {MAX_U_SAMPLES}")
+        _checked(disc, "discretization", "table_x_samples", lambda v: _is_int(v) and v >= 3,
+                 "an integer >= 3")
         _checked(disc, "discretization", "max_fine_dofs", lambda v: _is_int(v) and v >= 1,
                  "an integer >= 1")
 

@@ -203,20 +203,25 @@ def reconstruction_gradient(
     return out
 
 
+def check_fine_dofs(fine_grid: MacroGrid, max_dofs: int):
+    """Refuse a fine grid of more than ``max_dofs`` nodes."""
+    if fine_grid.ndof > max_dofs:
+        raise ConfigurationError(
+            f"fine grid has {fine_grid.ndof} DOFs > cap {max_dofs}; "
+            "reduce cells_per_period or use larger eps"
+        )
+
+
 def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = 2_000_000, initial=None):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
     One solve from :func:`period_samples` for data of y alone, else Newton as in
     the homogenized solve, from the nodal ``initial`` values when given; both
     use the model's rule, as the study does.  Refuses fine grids beyond
-    ``max_dofs`` (refine eps or lower the period resolution).
+    ``max_dofs`` (:func:`check_fine_dofs`).
     """
     cells_per_period(fine_grid, eps)
-    if fine_grid.ndof > max_dofs:
-        raise ConfigurationError(
-            f"fine grid has {fine_grid.ndof} DOFs > cap {max_dofs}; "
-            "reduce cells_per_period or use larger eps"
-        )
+    check_fine_dofs(fine_grid, max_dofs)
 
     quad = gauss_rule(model.solve_points, fine_grid.dim)
     samples = period_samples(model, eps, fine_grid, quad, model.eval_a, model.eval_f)

@@ -345,7 +345,7 @@ def test_flux_mode_gradient_sup_on_a_box_of_one_element():
     assert np.count_nonzero(_interior_elements(grid, box)) == 1
     center = 0.53125
     u_c = 0.5 * (np.sin(np.pi * 0.5) + np.sin(np.pi * 0.5625))  # the field at the center
-    a_c = model.eval_a(u_c, [center], [np.mod(center / eps, 1.0)])[0, 0]
+    a_c = model.eval_a(u_c, [center], [np.mod(center / eps, 1.0)])[0, 0, 0]
     slope = (np.sin(np.pi * 0.5625) - np.sin(np.pi * 0.5)) * 16
     got = interior_gradient_sup(interior_samples(fld, box), model=model, eps=eps)
     assert got == pytest.approx(abs(a_c * slope), rel=1e-14)

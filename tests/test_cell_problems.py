@@ -17,6 +17,7 @@ from twoscale.cell_problems import (
     effective_tensor,
     solve_first_correctors,
 )
+from twoscale.config import MAX_U_SAMPLES
 from twoscale.coefficients import (
     ConstantCoefficient,
     RosselandCoefficient,
@@ -359,11 +360,12 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
             assert all(np.array_equal(row, stack[0]) for row in stack), name
             # the base row, stored once and broadcast read-only
             assert stack.strides[0] == 0 and not stack.flags.writeable, name
-        else:
+        else:  # the slow and source stacks are each sample's own
             assert stack.strides[0] != 0, name
     for name, stack in table.tangents.items():
         assert stack.shape == (3, pgrid.size, grid.ndof)
         assert stack.strides[1] == 0 and not stack.flags.writeable, name
+    assert tensors.values.strides[0] != 0 and tensors.source_means.strides[0] != 0
     gradients = table.gradient_stack("first_0")
     assert gradients.shape == (pgrid.size, grid.ndof, 2) and gradients.strides[0] == 0
 
@@ -381,6 +383,41 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
         mu = model.mu0 + model.mu_u * u + model.mu_u2 * u**2 + model.mu_x * x.mean()
         ratios.append(tensors.values[flat] / mu)
     assert np.max(np.abs(np.array(ratios) - ratios[0])) <= 1e-13 * np.max(np.abs(ratios[0]))
+
+
+def test_rosseland_table_stores_every_sample_on_its_own_row():
+    # no sample shares a base, so no stack is broadcast
+    model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
+    table, tensors = build_corrector_tables(model, default_parameter_grid(model, n_u=3),
+                                            CellGrid(2, 8))
+    stacks = [*table.fields.values(), tensors.values, tensors.source_means]
+    stacks += [stack.swapaxes(0, 1) for stack in table.tangents.values()]
+    assert len(stacks) == len(corrector_field_names(2)) + 4
+    for stack in stacks:
+        assert stack.shape[0] == 3 and stack.strides[0] != 0 and stack.flags.writeable
+    assert not np.array_equal(table.fields["first_0"][0], table.fields["first_0"][2])
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_first_corrector_gradients_are_formed_once_per_operator(monkeypatch, separable):
+    # the corrected gradients at the quadrature points are formed dim times
+    # per factored operator: once for a separable table, once per sample else
+    params = dict(mu0=1.0, mu_u=0.5, mu_u2=1.0, mu_x=0.5,
+                  source=SourceModel(base=1.0, amplitude=0.5))
+    model = (SeparatedCoefficient if separable else GeneralSeparated)(2, **params)
+    fields = []
+    original = cell_problems.field_gradients_at_quad
+
+    def counting(grid, values, quad):
+        fields.append(values)
+        return original(grid, values, quad)
+
+    monkeypatch.setattr(cell_problems, "field_gradients_at_quad", counting)
+    pgrid = default_parameter_grid(model, n_u=3, n_x=3)
+    table, _ = build_corrector_tables(model, pgrid, CellGrid(2, 8))
+    firsts = [table.fields[f"first_{m}"][flat] for flat in range(pgrid.size) for m in range(2)]
+    on_first = [f for f in fields if any(np.array_equal(f, first) for first in firsts)]
+    assert len(on_first) == 2 * (1 if separable else pgrid.size)
 
 
 def test_separable_table_solves_its_slow_pieces_once(monkeypatch):
@@ -836,6 +873,49 @@ def test_u_samples_are_chebyshev_lobatto_points():
                 assert u[n_u // 2] == lo + 0.5 * (hi - lo)
         assert np.array_equal(default_parameter_grid(model, n_u=3).u_samples,
                               np.linspace(lo, hi, 3))
+
+
+def unscaled_barycentric_weights(samples, u):
+    """The second barycentric form with w_j = 1 / prod_{k != j} (u_j - u_k)
+    taken as it stands, the reference for the scaled products."""
+    gaps = samples[:, None] - samples
+    np.fill_diagonal(gaps, 1.0)
+    c = (1.0 / np.prod(gaps, axis=1)) / (np.clip(u, samples[0], samples[-1])[:, None] - samples)
+    return c / c.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("u_range", [(0.0, 0.01), (0.0, 0.1), (0.0, 1.0), (0.0, 2.0),
+                                     (0.2, 1.0), (0.0, 1000.0)])
+def test_barycentric_weights_are_finite_on_every_u_range(u_range):
+    # the unscaled products of 129 samples under- or overflow on the narrow
+    # and the wide range; scaled by a power of two they are the same weights
+    model = RosselandCoefficient(1, b=1.0, u_range=u_range)
+    lo, hi = u_range
+    queries = np.linspace(lo, hi, 257)[1::2]  # on no sample
+    for n_u in (5, 9, 33, 129):
+        samples = default_parameter_grid(model, n_u=n_u).u_samples
+        wts = cell_problems.barycentric_weights(samples, queries)
+        dwts = cell_problems.barycentric_weights(samples, queries, derivative=True)
+        assert np.all(np.isfinite(wts)) and np.all(np.isfinite(dwts)), n_u
+        t = (queries - lo) / (hi - lo)
+        cubic = ((samples - lo) / (hi - lo)) ** 3
+        assert np.max(np.abs(wts @ cubic - t**3)) < 1e-9, n_u
+        assert np.max(np.abs(dwts @ cubic * (hi - lo) - 3.0 * t**2)) < 1e-6, n_u
+        if n_u <= 33:
+            assert np.array_equal(wts, unscaled_barycentric_weights(samples, queries)), n_u
+
+
+def test_the_most_u_samples_have_finite_weights_on_every_range():
+    # the scaled range is 2 to 4 whatever the range: sweep its mantissa
+    n_u = MAX_U_SAMPLES
+    for scale in (2.0**-7, 1.0, 2.0**5):
+        for mantissa in np.linspace(1.0, 2.0, 9)[:-1]:
+            model = RosselandCoefficient(1, b=1.0, u_range=(0.0, scale * mantissa))
+            samples = default_parameter_grid(model, n_u=n_u).u_samples
+            queries = np.linspace(0.0, scale * mantissa, 7)[1:-1] + 1e-3 * scale
+            for derivative in (False, True):
+                wts = cell_problems.barycentric_weights(samples, queries, derivative)
+                assert np.all(np.isfinite(wts)), (scale, mantissa, derivative)
 
 
 def test_rosseland_a0_oracle_over_the_whole_u_range():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twoscale.cli import main, run_cell, run_study, write_field_csv
+from twoscale.cli import main, run_cell, run_study, write_field_csv, write_json
 from twoscale.config import DEFAULT_CONFIG, apply_override, load_config, parse_eps_list
 from twoscale.errors import ConfigurationError
 from twoscale.grids import CellGrid, MacroGrid
@@ -365,8 +365,13 @@ def test_lemma_with_a_vanishing_primitive_reports_no_rate(tmp_path, capsys, over
     assert capsys.readouterr().out.count("slope: none") == 1
 
 
-def test_study_box_without_a_whole_fine_element_fails_at_setup(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("override, message", [
     # [0.5, 0.505] holds no whole element of the eps 1/4 fine grid (h = 1/32)
+    ("study.interior_box=[0.5,0.505]", "study.interior_box at eps=1/4:"),
+    # the eps 1/16 fine grid has 129 nodes; the first two fit
+    ("discretization.max_fine_dofs=100", "fine grid has 129 DOFs > cap 100"),
+], ids=["box", "dofs"])
+def test_study_fine_grid_checks_fail_at_setup(tmp_path, capsys, monkeypatch, override, message):
     from twoscale import cli
 
     def no_tables(*args):
@@ -375,11 +380,12 @@ def test_study_box_without_a_whole_fine_element_fails_at_setup(tmp_path, capsys,
     monkeypatch.setattr(cli, "build_tables", no_tables)
     out = tmp_path / "study"
     assert main(["study", "--config", write_config(tmp_path, BASE_1D), "--out", str(out),
-                 "--override", "study.interior_box=[0.5,0.505]"]) == 2
+                 "--override", override]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: study.interior_box at eps=1/4:")
+    assert err.startswith(f"configuration error: {message}")
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["failed_stage"] == "setup" and manifest["stages"] == []
+    assert [p.name for p in out.iterdir()] == ["MANIFEST.json"]  # no field file
 
 
 def test_study_writes_both_reports_and_every_truncation(tmp_path):
@@ -425,6 +431,55 @@ def test_bad_thread_count_is_a_configuration_error(tmp_path, monkeypatch, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error: thread count")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("cell", ["--check"]),
+    ("homogenize", ["--check"]),
+    ("reference", ["--threads", "2"]),
+    ("lemma", ["--threads", "4", "--check"]),
+    ("invariance", ["--threads", "1"]),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", write_config(tmp_path, BASE_1D), "--out", str(out), *flags])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thread_variable_is_read_only_by_subcommands_with_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("TWOSCALE_THREADS", "abc")
+    path = write_config(tmp_path, BASE_1D)
+    assert main(["lemma", "--config", path, "--out", str(tmp_path / "lemma")]) == 0
+    assert main(["cell", "--config", path, "--out", str(tmp_path / "cell")]) == 2
+
+
+def test_json_outputs_refuse_non_finite_values(tmp_path):
+    path = tmp_path / "out.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"value": value})
+        assert not path.exists()
+    write_json(path, {"value": 1.5})
+    assert json.loads(path.read_text()) == {"value": 1.5}
+
+
+def test_homogenize_reads_many_u_samples_on_a_narrow_range(tmp_path):
+    # 129 u samples on [0, 0.01]: the unscaled barycentric weights underflow
+    # and the read turned NaN (an assembly error, exit 1)
+    payload = json.loads(json.dumps(BASE_1D))
+    payload["problem"]["coefficient"] = {"family": "ROSSELAND", "k_base": 2.0,
+                                         "k_amplitude": 1.0, "b": 0.1}
+    payload["problem"]["u_range"] = [0.0, 0.01]
+    payload["discretization"]["table_u_samples"] = 129
+    out = tmp_path / "homog"
+    with pytest.warns(UserWarning, match="leaves the admissible range"):
+        assert main(["homogenize", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+    lo, hi = json.loads((out / "homogenize.json").read_text())["range"]
+    assert lo == 0.0 < hi < 1.0  # the Dirichlet boundary and a finite interior
 
 
 def test_layered_config_defaults_to_smoothed_width(tmp_path):
@@ -492,6 +547,8 @@ def test_bad_eps_and_interior_box_rejected_at_load(tmp_path, capsys, override):
     ('discretization.table_u_samples="5"', "discretization.table_u_samples must be an integer"),
     ("discretization.table_u_samples=5.0", "discretization.table_u_samples must be an integer"),
     ("discretization.table_x_samples=3.0", "discretization.table_x_samples must be an integer"),
+    ("discretization.table_u_samples=513",
+     "discretization.table_u_samples must be an integer from 3 to 512"),
     ("discretization.table_x_samples=-1", "discretization.table_x_samples must be an integer >= 3"),
     ("discretization.m_c=1", "discretization.m_c must be a power of two >= 2"),
     ('discretization.max_fine_dofs="x"', "discretization.max_fine_dofs must be an integer >= 1"),

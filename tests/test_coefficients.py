@@ -32,7 +32,7 @@ def all_models():
 def test_constant_identity():
     model = ConstantCoefficient(2, matrix=np.eye(2))
     a = model.eval_a(0.3, [0.1, 0.2], [0.7, 0.9])
-    assert np.allclose(a, np.eye(2))
+    assert a.shape == (1, 2, 2) and np.allclose(a[0], np.eye(2))
 
 
 def test_rosseland_paper_formula():
@@ -46,18 +46,18 @@ def test_rosseland_paper_formula():
 
 def test_smooth_periodic_point_value():
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
-    assert model.eval_a(0.0, [0.0], [0.25])[0, 0] == pytest.approx(3.0, abs=1e-14)
+    assert model.eval_a(0.0, [0.0], [0.25])[0, 0, 0] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_da_du_closed_forms():
     ros = RosselandCoefficient(1, k_base=1.0, k_amplitude=0.0, b=1.0, u_range=(0.0, 2.0))
-    assert ros.eval_da_du(1.0, [0.0], [0.0])[0, 0] == pytest.approx(12.0, abs=1e-12)
+    assert ros.eval_da_du(1.0, [0.0], [0.0])[0, 0, 0] == pytest.approx(12.0, abs=1e-12)
     const = ConstantCoefficient(1, matrix=[[2.0]])
     assert np.all(const.eval_da_du(0.5, [0.0], [0.0]) == 0.0)
     sep = SeparatedCoefficient(1, mu0=1.0, mu_u=0.0, mu_u2=1.0)
     u, y = 0.37, 0.21
     g = sep.g_scalar(np.array([[y]]))[0]
-    assert sep.eval_da_du(u, [0.0], [y])[0, 0] == pytest.approx(2.0 * u * g, abs=1e-12)
+    assert sep.eval_da_du(u, [0.0], [y])[0, 0, 0] == pytest.approx(2.0 * u * g, abs=1e-12)
 
 
 def test_da_du_matches_finite_difference():
@@ -84,11 +84,11 @@ def test_da_dx_matches_finite_difference():
             x = rng.uniform(0.1, 0.9, n)
             y = rng.random(n)
             an = model.eval_da_dx(u, x, y)
-            assert an.shape == (n, n, n)
+            assert an.shape == (1, n, n, n)
             for d in range(n):
                 step = 1e-6 * np.eye(n)[d]
                 fd = (model.eval_a(u, x + step, y) - model.eval_a(u, x - step, y)) / 2e-6
-                assert np.max(np.abs(an[d] - fd)) <= 1e-8 * max(1.0, np.abs(fd).max())
+                assert np.max(np.abs(an[:, d] - fd)) <= 1e-8 * max(1.0, np.abs(fd).max())
     sep = SeparatedCoefficient(2, mu_x=0.5)
     assert np.abs(sep.eval_da_dx(0.3, [0.2, 0.7], [0.1, 0.4])).max() > 0.1  # not vacuous
 
@@ -112,21 +112,17 @@ def test_u_dependent_family_must_define_its_u_derivative():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_point_batch_keeps_its_batch_axis(dim):
-    # a point passed as a (1, dim) array is a batch of one; only single
-    # vectors make a scalar call
+    # a point passed as a single vector or as a (1, dim) array is a batch of
+    # one: every evaluator returns its batch axis
     model = RosselandCoefficient(dim, b=1.0)
     vec, row = [0.3] * dim, [[0.3] * dim]
-    assert model.eval_a(0.7, [0.5] * dim, row).shape == (1, dim, dim)
-    assert model.eval_a(0.7, row, vec).shape == (1, dim, dim)
-    assert model.eval_a([0.7], row, row).shape == (1, dim, dim)
-    assert model.eval_da_du(0.7, [0.5] * dim, row).shape == (1, dim, dim)
-    assert model.eval_da_dx(0.7, [0.5] * dim, row).shape == (1, dim, dim, dim)
-    assert model.eval_f(0.7, [0.5] * dim, row).shape == (1,)
-    assert model.eval_a(0.7, [0.5] * dim, vec).shape == (dim, dim)
-    assert model.eval_a([0.7], [0.5] * dim, vec).shape == (dim, dim)
-    assert isinstance(model.eval_f(0.7, [0.5] * dim, vec), float)
-    assert np.array_equal(model.eval_a(0.7, [0.5] * dim, row)[0],
-                          model.eval_a(0.7, [0.5] * dim, vec))
+    for u, x, y in [(0.7, vec, row), (0.7, row, vec), ([0.7], row, row), (0.7, vec, vec),
+                    ([0.7], vec, vec)]:
+        assert model.eval_a(u, x, y).shape == (1, dim, dim)
+        assert model.eval_da_du(u, x, y).shape == (1, dim, dim)
+        assert model.eval_da_dx(u, x, y).shape == (1, dim, dim, dim)
+        assert model.eval_f(u, x, y).shape == model.eval_df_du(u, x, y).shape == (1,)
+        assert np.array_equal(model.eval_a(u, x, y), model.eval_a(0.7, row, row))
 
 
 def test_symmetry_and_periodicity_properties():
@@ -175,11 +171,10 @@ def test_u_derivatives_are_those_of_the_clamped_evaluators(u):
     fd_a = (model.eval_a(u + h, x, y) - model.eval_a(u - h, x, y)) / (2 * h)
     fd_f = (model.eval_f(u + h, x, y) - model.eval_f(u - h, x, y)) / (2 * h)
     assert np.allclose(model.eval_da_du(u, x, y), fd_a, rtol=1e-6, atol=1e-9)
-    assert model.eval_df_du(u, x, y) == pytest.approx(fd_f, rel=1e-6, abs=1e-9)
-    assert isinstance(model.eval_df_du(u, x, y), float)
+    assert model.eval_df_du(u, x, y)[0] == pytest.approx(fd_f[0], rel=1e-6, abs=1e-9)
     inside = 0.0 <= u <= 1.0
-    assert (model.eval_da_du(u, x, y)[0, 0] != 0.0) == inside
-    assert (model.eval_df_du(u, x, y) != 0.0) == inside
+    assert (model.eval_da_du(u, x, y)[0, 0, 0] != 0.0) == inside
+    assert (model.eval_df_du(u, x, y)[0] != 0.0) == inside
 
 
 def test_u_derivatives_keep_their_one_sided_value_at_the_range_ends():
@@ -200,9 +195,9 @@ def test_mu_gradient_is_the_log_derivative_of_the_evaluators(dim, u):
     model = SeparatedCoefficient(dim, mu0=1.0, mu_u=0.5, mu_u2=1.0, mu_x=0.5,
                                  u_range=(0.2, 1.0))
     x, y = np.linspace(0.1, 0.7, dim), np.full(dim, 0.3)
-    a = model.eval_a(u, x, y)[0, 0]
-    want = np.array([model.eval_da_du(u, x, y)[0, 0] / a]
-                    + [model.eval_da_dx(u, x, y)[d, 0, 0] / a for d in range(dim)])
+    a = model.eval_a(u, x, y)[0, 0, 0]
+    want = np.array([model.eval_da_du(u, x, y)[0, 0, 0] / a]
+                    + [model.eval_da_dx(u, x, y)[0, d, 0, 0] / a for d in range(dim)])
     got = model.mu_gradient(u, x) / model.mu(u, x)
     assert got.shape == (1 + dim,)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -219,35 +214,35 @@ def test_non_finite_inputs_rejected():
 
 def test_layered_profile_sharp_and_smooth():
     sharp = LayeredCoefficient(1, low=1.0, high=4.0, width=0.0)
-    assert sharp.eval_a(0.0, [0.0], [0.25])[0, 0] == 1.0
-    assert sharp.eval_a(0.0, [0.0], [0.75])[0, 0] == 4.0
+    assert sharp.eval_a(0.0, [0.0], [0.25])[0, 0, 0] == 1.0
+    assert sharp.eval_a(0.0, [0.0], [0.75])[0, 0, 0] == 4.0
     smooth = LayeredCoefficient(1, low=1.0, high=4.0, width=0.1)
     # transition midpoints hit the average, plateaus keep the layer values
-    assert smooth.eval_a(0.0, [0.0], [0.5])[0, 0] == pytest.approx(2.5, abs=1e-12)
-    assert smooth.eval_a(0.0, [0.0], [0.25])[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert smooth.eval_a(0.0, [0.0], [0.8])[0, 0] == pytest.approx(4.0, abs=1e-12)
+    assert smooth.eval_a(0.0, [0.0], [0.5])[0, 0, 0] == pytest.approx(2.5, abs=1e-12)
+    assert smooth.eval_a(0.0, [0.0], [0.25])[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert smooth.eval_a(0.0, [0.0], [0.8])[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_layered_smooth_profile_is_c1_at_patch_joints():
     smooth = LayeredCoefficient(1, low=1.0, high=4.0, width=0.1)
     for edge in (0.45, 0.55, 0.95, 0.05):
         h = 1e-7
-        left = smooth.eval_a(0.0, [0.0], [edge - h])[0, 0]
-        right = smooth.eval_a(0.0, [0.0], [edge + h])[0, 0]
+        left = smooth.eval_a(0.0, [0.0], [edge - h])[0, 0, 0]
+        right = smooth.eval_a(0.0, [0.0], [edge + h])[0, 0, 0]
         assert abs(left - right) < 1e-6  # continuous with bounded slope
 
 
 def test_source_models():
     const = source_from_config({"family": "CONSTANT", "value": 1.0})
-    assert const.eval(0.0, [0.0], [0.3], 1) == pytest.approx(1.0)
+    assert const.eval(0.0, [0.0], [0.3], 1)[0] == pytest.approx(1.0)
 
     osc = SourceModel(amplitude=1.0, frequency=1)
-    assert osc.eval(0.0, [0.0], [0.5], 1) == pytest.approx(0.0, abs=1e-15)
+    assert osc.eval(0.0, [0.0], [0.5], 1)[0] == pytest.approx(0.0, abs=1e-15)
 
     mixed = SourceModel(u_coeff=1.0, amplitude=1.0, frequency=1, phase=np.pi / 2)
     # f(u, x, y) = u + cos(2 pi y) at u = 2, y = 0
-    assert mixed.eval(2.0, [0.0], [0.0], 1) == pytest.approx(3.0, abs=1e-14)
-    assert mixed.eval_du(2.0, [0.0], [0.0], 1) == pytest.approx(1.0)
+    assert mixed.eval(2.0, [0.0], [0.0], 1)[0] == pytest.approx(3.0, abs=1e-14)
+    assert mixed.eval_du(2.0, [0.0], [0.0], 1)[0] == pytest.approx(1.0)
 
 
 def test_config_factory_round_trip():
