@@ -122,9 +122,6 @@ class ParameterGrid:
     def indices(self):
         return itertools.product(*[range(s) for s in self.shape])
 
-    def ravel(self, multi) -> int:
-        return int(np.ravel_multi_index(multi, self.shape))
-
     def coords(self, multi):
         u = float(self.u_samples[multi[0]])
         x = np.array([ax[i] for ax, i in zip(self.x_axes, multi[1:])])
@@ -198,11 +195,10 @@ def default_parameter_grid(model: CoefficientModel, n_u: int = 5, n_x: int = 5) 
     return ParameterGrid(u_samples=u_samples, x_axes=x_axes)
 
 
-def _blend(pgrid: ParameterGrid, stack: np.ndarray, u, x, derivative=None) -> np.ndarray:
-    """Blend of per-sample data ``stack`` (n_samples, ...) at the queries
-    (u, x) over the parameter lattice (:meth:`ParameterGrid.corners`), shape
-    (K, ...), or its derivative along a lattice axis (0 is u)."""
-    ids, wts = pgrid.corners(u, x, derivative)
+def _blend(corners, stack: np.ndarray) -> np.ndarray:
+    """Blend of per-sample data ``stack`` (n_samples, ...) by the (ids,
+    weights) of :meth:`ParameterGrid.corners`, shape (K, ...)."""
+    ids, wts = corners
     out = np.zeros((len(ids),) + stack.shape[1:])
     for c in range(ids.shape[1]):
         out += wts[:, c].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ids[:, c]]
@@ -313,16 +309,15 @@ class EffectiveTensorTable:
         return self.values.shape[-1]
 
     def interp(self, u, x) -> np.ndarray:
-        return _blend(self.param_grid, self.values, u, x)
+        return _blend(self.param_grid.corners(u, x), self.values)
 
-    def interp_source(self, u, x) -> np.ndarray:
-        return _blend(self.param_grid, self.source_means, u, x)
-
-    def interp_du(self, u, x) -> np.ndarray:  # zero where the read clamps
-        return _blend(self.param_grid, self.values, u, x, derivative=0)
-
-    def interp_source_du(self, u, x) -> np.ndarray:
-        return _blend(self.param_grid, self.source_means, u, x, derivative=0)
+    def newton_data(self, u, x) -> tuple:
+        """(a0, da0/du, f, df/du) at the queries (u, x), the tensor and source
+        stacks blended by one set of weights per derivative order; the
+        u-derivatives are zero where the read clamps."""
+        value, slope = self.param_grid.corners(u, x), self.param_grid.corners(u, x, derivative=0)
+        return (_blend(value, self.values), _blend(slope, self.values),
+                _blend(value, self.source_means), _blend(slope, self.source_means))
 
     def ellipticity(self) -> tuple:
         eigs = _sym2_eigs(self.values)

@@ -189,8 +189,8 @@ class CoefficientModel:
     def eval_f(self, u, x, y):
         return self.source.eval(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim)
 
-    def eval_df_du(self, u, x, y):
-        u, x, y = _normalize_args(u, x, y, self.dim)
+    def eval_df_du(self, u, x, y):  # the source normalizes the arguments, once
+        u = np.atleast_1d(np.asarray(u, dtype=float))
         inside = (u >= self.u_lo) & (u <= self.u_hi)
         return self.source.eval_du(np.clip(u, self.u_lo, self.u_hi), x, y, self.dim) * inside
 

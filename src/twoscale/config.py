@@ -17,6 +17,9 @@ import numpy as np
 from .coefficients import coefficient_from_config, source_from_config
 from .errors import ConfigurationError
 
+MAX_U_SAMPLES = 512  # the barycentric u weights of up to 857 samples are finite on any range
+MAX_FINE_DOFS = 2_000_000  # the default cap on the nodes of a resolved fine grid
+
 DEFAULT_CONFIG = {
     "problem": {
         "dim": 1,
@@ -28,7 +31,7 @@ DEFAULT_CONFIG = {
         "m_x": 64,
         "m_c": 256,
         "cells_per_period": 16,
-        "max_fine_dofs": 2_000_000,
+        "max_fine_dofs": MAX_FINE_DOFS,
         "table_u_samples": 5,
         "table_x_samples": 5,
     },
@@ -59,8 +62,6 @@ DEFAULT_CONFIG = {
         "seed": 0,
     },
 }
-
-MAX_U_SAMPLES = 512  # the barycentric u weights of up to 857 samples are finite on any range
 
 # coefficient/source sections hold family-specific keys, so they are
 # validated by their factories instead of against the defaults

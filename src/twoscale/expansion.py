@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_problems import CorrectorTable, corrector_field_names
+from .config import MAX_FINE_DOFS
 from .errors import ConfigurationError
 from .fem import (assemble_load_from_samples, assemble_stiffness, element_quad_points,
                   gauss_rule, solve_dirichlet)
@@ -212,7 +213,7 @@ def check_fine_dofs(fine_grid: MacroGrid, max_dofs: int):
         )
 
 
-def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = 2_000_000, initial=None):
+def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = MAX_FINE_DOFS, initial=None):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
     One solve from :func:`period_samples` for data of y alone, else Newton as in
@@ -232,14 +233,12 @@ def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = 2_000_00
                                  fine_grid)
         return ScalarField(fine_grid, values), PicardResult(1, [0.0])
 
-    def fast(evaluator):
-        return lambda u, pts: evaluator(u, pts, np.mod(pts / eps, 1.0))
+    def data(u, pts):  # y formed once per read
+        y = np.mod(pts / eps, 1.0)
+        return (model.eval_a(u, pts, y), model.eval_da_du(u, pts, y),
+                model.eval_f(u, pts, y), model.eval_df_du(u, pts, y))
 
-    values, result = solve_nonlinear(
-        model, fine_grid,
-        fast(model.eval_a), fast(model.eval_da_du), fast(model.eval_f), fast(model.eval_df_du),
-        initial,
-    )
+    values, result = solve_nonlinear(model, fine_grid, data, initial)
     return ScalarField(fine_grid, values), result
 
 

@@ -30,13 +30,14 @@ values or gradients of a nodal field at the quadrature points are its
 element values (E, C) times the basis values or gradients, which each rule
 tabulates once.  Precomputed samples are one period, (P,)*dim + (Q, ...)
 with P dividing the cells per side, tiled a chunk at a time.  Coefficient
-evaluators are called once per quadrature point, with one point per element;
-the Newton linearization also passes them its nodal state read at those
-points through the element connectivity (a gather, since the element of
-every quadrature point is known), so no point location runs on a grid's own
-quadrature points.  Element contributions are accumulated in a fixed element
-order so repeated runs are bitwise reproducible regardless of how callers
-parallelize around this module.
+evaluators are called once per quadrature point, with one point per element.
+The Newton linearization reads all of its data, a, da/du, f and df/du, from
+one reader called once per quadrature point, passing it the nodal state read
+at those points through the element connectivity (a gather, since the
+element of every quadrature point is known), so no point location runs on a
+grid's own quadrature points.  Element contributions are accumulated in a
+fixed element order so repeated runs are bitwise reproducible regardless of
+how callers parallelize around this module.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule):
     return mat
 
 
-def linearize(grid, quad: QuadratureRule, state, coeff, coeff_du, source, source_du):
+def linearize(grid, quad: QuadratureRule, state, data):
     """Residual R and Jacobian J of -div(a(u) grad u) = f(u) at nodal
     ``state`` u on a box grid, returned as (J, R):
 
@@ -324,16 +325,17 @@ def linearize(grid, quad: QuadratureRule, state, coeff, coeff_du, source, source
         J_ij = int a grad phi_j . grad phi_i + (da/du grad u) . grad phi_i phi_j
                - df/du phi_i phi_j.
 
-    The evaluators map (u (K,), points (K, dim)) to a and da/du (K, dim,
-    dim), f and df/du (K,), once per quadrature point, u being the state
-    gathered there.  R is one load vector; J is one stencil-kernel pass of
-    the rows a, -df/du and da/du grad u against the stiffness, mass and
-    advection reference tensors, with no symmetry check.
+    The reader ``data`` maps (u (K,), points (K, dim)) to (a, da/du, f,
+    df/du), the matrices (K, dim, dim) and the scalars (K,), once per
+    quadrature point, u being the state gathered there.  R is one load
+    vector; J is one stencil-kernel pass of the rows a, -df/du and da/du
+    grad u against the stiffness, mass and advection reference tensors,
+    with no symmetry check.
     """
     pts = element_quad_points(grid, quad)
     u_q = field_values_at_quad(grid, state, quad)
-    a, da, f, df = (np.stack([fn(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])], axis=1)
-                    for fn in (coeff, coeff_du, source, source_du))
+    reads = [data(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])]
+    a, da, f, df = (np.stack(column, axis=1) for column in zip(*reads))
     grad = field_gradients_at_quad(grid, state, quad)  # (E, Q, dim)
     residual = assemble_load_from_samples(
         grid, quad, as_period(grid, -f), as_period(grid, np.einsum("eqij,eqj->eqi", a, grad)))

@@ -183,9 +183,6 @@ class MacroGrid:
         first axis slowest."""
         return [np.linspace(0.0, 1.0, self.nodes_per_side)] * self.dim
 
-    def node_coords(self) -> np.ndarray:
-        return lattice_points(self.axes())
-
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask over nodes: True where any coordinate index is 0 or m."""
         k = self.nodes_per_side

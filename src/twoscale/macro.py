@@ -44,36 +44,40 @@ class PicardResult:
         return self.increments[-1] if self.increments else 0.0
 
 
-def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du, initial=None):
+def solve_nonlinear(model, grid: MacroGrid, data, initial=None):
     """Newton solve of -div(a(u) grad u) = f(u), u = 0 on the boundary of
-    ``grid``, for the macro and fine solves; the evaluators give a, da/du, f
-    and df/du to :func:`~twoscale.fem.linearize` at the points of the model's
-    rule.
+    ``grid``, for the macro and fine solves; the reader ``data(u, points)
+    -> (a, da/du, f, df/du)`` gives :func:`~twoscale.fem.linearize` its data
+    at the points of the model's rule, one call per quadrature point.
 
     The start is the nodal ``initial`` (boundary zeroed) or the frozen-
     midpoint solve, returned as converged in one iteration with increment 0
-    when nothing depends on u.  The iteration stops once a step's sup norm
-    is at most ``_TOL``, returning the stepped state; a longer step is
-    halved until the interior residual norm falls by the Armijo fraction
-    1e-4, and the increment recorded is that of the step taken.
+    when nothing depends on u.  That solve assembles chunk by chunk, as a
+    linear solve does, reading a and f from the reader.  The iteration stops
+    once a step's sup norm is at most ``_TOL``, returning the stepped state;
+    a longer step is halved until the interior residual norm falls by the
+    Armijo fraction 1e-4, and the increment recorded is that of the step
+    taken.
     """
     dependent = model.u_dependent or model.source.u_dependent
     quad = gauss_rule(model.solve_points, grid.dim)
     if initial is None or not dependent:
         u_mid = 0.5 * (model.u_lo + model.u_hi)
+
+        def frozen(item):  # item 0 (a) or 2 (f) of the reader at the midpoint
+            return lambda pts: data(np.full(len(pts), u_mid), pts)[item]
+
         # no local holds the stencil, so the solve frees it once read
-        u = solve_dirichlet(
-            assemble_stiffness(grid, lambda pts: coeff(np.full(len(pts), u_mid), pts), quad),
-            assemble_load(grid, quad, scalar_fn=lambda pts: source(np.full(len(pts), u_mid), pts)),
-            grid)
+        u = solve_dirichlet(assemble_stiffness(grid, frozen(0), quad),
+                            assemble_load(grid, quad, scalar_fn=frozen(2)), grid)
         if not dependent:
             return u, PicardResult(iterations=1, increments=[0.0])
     else:
         u = np.array(initial, dtype=float)
         u[grid.boundary_dofs()] = 0.0
 
-    free, evaluators = grid.interior_dofs(), (coeff, coeff_du, source, source_du)
-    jac, res = linearize(grid, quad, u, *evaluators)
+    free = grid.interior_dofs()
+    jac, res = linearize(grid, quad, u, data)
     norm = np.linalg.norm(res[free])
     result = PicardResult(iterations=0)
     while result.iterations < _MAX_STEPS:
@@ -82,7 +86,7 @@ def solve_nonlinear(model, grid: MacroGrid, coeff, coeff_du, source, source_du, 
         result.iterations += 1
         frac = 1.0
         while inc > _TOL:  # backtracking
-            jac, res = linearize(grid, quad, u + frac * step, *evaluators)
+            jac, res = linearize(grid, quad, u + frac * step, data)
             trial_norm = np.linalg.norm(res[free])
             if trial_norm <= (1.0 - 1e-4 * frac) * norm:
                 break
@@ -106,14 +110,13 @@ def solve_homogenized(tensor_table: EffectiveTensorTable, model, macro_grid: Mac
     """Solve the homogenized problem with homogeneous Dirichlet data.
 
     The effective tensor and the cell-averaged source, and their exact
-    u-derivatives for the Newton Jacobian, are interpolated from their
-    parameter tables at every point of the model's rule, at the current
-    iterate.  Emits a warning when the converged solution leaves the admissible range.
+    u-derivatives for the Newton Jacobian, are blended from their parameter
+    tables at every point of the model's rule, at the current iterate, in one
+    read (:meth:`~twoscale.cell_problems.EffectiveTensorTable.newton_data`)
+    that forms the table's weights once per derivative order.  Emits a
+    warning when the converged solution leaves the admissible range.
     """
-    values, result = solve_nonlinear(
-        model, macro_grid, tensor_table.interp, tensor_table.interp_du,
-        tensor_table.interp_source, tensor_table.interp_source_du,
-    )
+    values, result = solve_nonlinear(model, macro_grid, tensor_table.newton_data)
 
     interior = values[macro_grid.interior_dofs()]
     eps_range = 1e-12 * (model.u_hi - model.u_lo)

@@ -56,7 +56,7 @@ from twoscale.grids import (
 
 def field_1d(m, fn):
     grid = MacroGrid(1, m)
-    return ScalarField(grid, fn(grid.node_coords()[:, 0]))
+    return ScalarField(grid, fn(lattice_points(grid.axes())[:, 0]))
 
 
 def test_zero_field_all_norms():
@@ -188,7 +188,7 @@ def test_own_grid_reads_match_point_location_reference(dim):
     fine, macro = fine_grid_for(eps, 8, dim), MacroGrid(dim, 8)
 
     def bump(grid, scale):
-        x = grid.node_coords()
+        x = lattice_points(grid.axes())
         return ScalarField(grid, scale * np.prod(np.sin(np.pi * x), axis=1) + 0.1 * x[:, 0])
 
     u_eps, u0 = bump(fine, 0.8), bump(macro, 0.7)
@@ -318,12 +318,12 @@ def test_dependent_models_keep_point_evaluation(dim, family):
     assert set(solve_sizes) == {fine.n_elements} and len(solve_sizes) % n_q == 0
     assert sizes == [fine.n_elements * n_q]
 
-    def fast(fn):
-        return lambda u, pts: fn(u, pts, np.mod(pts / eps, 1.0))
+    def data(u, pts):
+        y = np.mod(pts / eps, 1.0)
+        return (original(u, pts, y), model.eval_da_du(u, pts, y),
+                model.eval_f(u, pts, y), model.eval_df_du(u, pts, y))
 
-    ref, ref_result = solve_nonlinear(
-        model, fine, fast(original), fast(model.eval_da_du), fast(model.eval_f),
-        fast(model.eval_df_du))
+    ref, ref_result = solve_nonlinear(model, fine, data)
     assert np.array_equal(u_eps.values, ref)
     assert result.increments == ref_result.increments
 
@@ -397,7 +397,7 @@ def test_holder_seminorm_1d_equals_all_pairs_reference():
     # offset-by-offset running max forms the same quotients, so the
     # result is bitwise equal
     grid = MacroGrid(1, 128)
-    x = grid.node_coords()[:, 0]
+    x = lattice_points(grid.axes())[:, 0]
     fld = ScalarField(grid, np.sin(40.0 * x) + 0.1 * np.cos(317.0 * x**2))
     box = [0.2, 0.7]
     inside = (x >= 0.2 - 1e-12) & (x <= 0.7 + 1e-12)
@@ -419,7 +419,7 @@ def test_holder_seminorm_beta_near_one_vs_lipschitz():
 
 def test_holder_seminorm_2d_sampled():
     grid = MacroGrid(2, 32)
-    coords = grid.node_coords()
+    coords = lattice_points(grid.axes())
     fld = ScalarField(grid, coords[:, 0])
     val = holder_seminorm(fld, [0.25, 0.75], 0.5, seed=11)
     assert val <= np.sqrt(0.5) + 1e-12
@@ -434,12 +434,12 @@ def masked_holder_seminorm(fld, box, beta, seed=0, n_random=100_000, near_radius
     gather of node coordinates, kept verbatim as the reference."""
     grid = fld.grid
     b = resolve_box(box, grid.dim)
-    node_coords = grid.node_coords()
+    node_coords = lattice_points(grid.axes())
     mask = np.ones(grid.ndof, dtype=bool)
     for d in range(grid.dim):
         mask &= (node_coords[:, d] >= b[d, 0] - 1e-12) & (node_coords[:, d] <= b[d, 1] + 1e-12)
     idx = np.nonzero(mask)[0]
-    coords = grid.node_coords()[idx]
+    coords = lattice_points(grid.axes())[idx]
     vals = fld.values[idx]
 
     if grid.dim == 1:
@@ -659,7 +659,7 @@ def test_interior_samples_are_the_masked_full_pass_bitwise(dim, cells):
 
 def holder_offset_loop(fld, box, beta):
     """The 1-D Holder seminorm one pair offset at a time."""
-    x = fld.grid.node_coords()[:, 0]
+    x = lattice_points(fld.grid.axes())[:, 0]
     inside = (x >= box[0] - 1e-12) & (x <= box[1] + 1e-12)
     rect, x = fld.values[inside], x[inside]
     best = 0.0
@@ -682,7 +682,7 @@ def test_holder_seminorm_1d_blocks_equal_the_offset_loop(monkeypatch, cells, box
         monkeypatch.setattr(analysis, "_HOLDER_BLOCK", block)
     rng = np.random.default_rng(cells)
     grid = MacroGrid(1, cells)
-    x = grid.node_coords()[:, 0]
+    x = lattice_points(grid.axes())[:, 0]
     for values in (np.sin(40.0 * x) + 0.1 * np.cos(317.0 * x**2),
                    rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-6, 6, grid.ndof)):
         fld = ScalarField(grid, values)

@@ -373,7 +373,7 @@ def test_separated_table_solves_first_and_hessian_correctors_once():
     far = tuple(n - 1 for n in pgrid.shape)
     fresh = CellSample(model, *pgrid.coords(far), grid).first
     for m, field in enumerate(fresh):
-        stored = table.fields[f"first_{m}"][pgrid.ravel(far)]
+        stored = table.fields[f"first_{m}"][np.ravel_multi_index(far, pgrid.shape)]
         assert np.max(np.abs(stored - field)) <= 1e-12 * np.max(np.abs(field))
 
     # a0 = mu(u, x) A_g at every sample
@@ -606,7 +606,7 @@ def slow_at(table, u, x, grad):
     recombined from the stored affine pieces at the lattice sample (u, x)."""
     pgrid = table.param_grid
     multi = [int(np.flatnonzero(ax == c)[0]) for ax, c in zip(pgrid.axes, [u, *x])]
-    flat = pgrid.ravel(multi)
+    flat = np.ravel_multi_index(multi, pgrid.shape)
     out = []
     for k in range(table.dim):
         q = table.fields[f"slow0_{k}"][flat].copy()
@@ -933,8 +933,42 @@ def test_rosseland_a0_oracle_over_the_whole_u_range():
                                             CellGrid(1, 128))
         assert np.max(np.abs(tensors.interp(u, x)[:, 0, 0] / a0 - 1.0)) < value_tol, n_u
         if n_u == 9:
-            slope_error = np.max(np.abs(tensors.interp_du(u, x)[:, 0, 0] - da0))
+            slope_error = np.max(np.abs(tensors.newton_data(u, x)[1][:, 0, 0] - da0))
             assert slope_error < 1e-3 * np.max(np.abs(da0))
+
+
+def blend_read(table, stack, u, x, derivative=None):
+    """One read of ``stack`` at (u, x) with its own corners: the table's
+    reads before the Newton data shared their weights."""
+    ids, wts = table.param_grid.corners(u, x, derivative)
+    out = np.zeros((len(ids),) + stack.shape[1:])
+    for c in range(ids.shape[1]):
+        out += wts[:, c].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ids[:, c]]
+    return out
+
+
+def test_newton_data_is_the_four_blend_reads_bit_for_bit():
+    ross = RosselandCoefficient(1, b=1.0, u_range=(0.0, 2.0),
+                                source=SourceModel(base=1.0, u_coeff=-0.5, amplitude=0.3))
+    sep = SeparatedCoefficient(2, mu_u2=1.0, mu_x=0.5,
+                               source=SourceModel(base=1.0, u_coeff=0.5, amplitude=0.3))
+    cases = [(ross, default_parameter_grid(ross, n_u=9), CellGrid(1, 32)),
+             (sep, default_parameter_grid(sep, n_u=3, n_x=3), CellGrid(2, 8))]
+    for model, pgrid, grid in cases:
+        _, table = build_corrector_tables(model, pgrid, grid)
+        lo, hi = model.u_lo, model.u_hi
+        # inside the range, on every sample and its ends, and beyond both ends
+        u = np.concatenate([np.linspace(lo, hi, 13)[1:-1] + 1e-3, pgrid.u_samples,
+                            [lo - 0.3, hi + 0.3]])
+        x = np.random.default_rng(3).uniform(-0.2, 1.2, (len(u), model.dim))
+        x[: model.dim + 1] = 0.5  # on a lattice point
+        got = table.newton_data(u, x)
+        want = (blend_read(table, table.values, u, x), blend_read(table, table.values, u, x, 0),
+                blend_read(table, table.source_means, u, x),
+                blend_read(table, table.source_means, u, x, 0))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), model.family
+        assert np.any(got[3] != 0.0) and np.all(got[1][-2:] == 0.0), model.family
 
 
 def test_lookup_u_independent_table_ignores_u():
@@ -1074,7 +1108,7 @@ def test_slow_corrector_x_dependent_scaling():
     assert np.max(np.abs(q_b - q_a * mu(x_a) / mu(x_b))) < 1e-8
 
     # the effective tensor inherits the same multiplicative structure
-    flat_a, flat_b = pgrid.ravel(multi_a), pgrid.ravel(multi_b)
+    flat_a, flat_b = (np.ravel_multi_index(m, pgrid.shape) for m in (multi_a, multi_b))
     a_a, a_b = tensors.values[flat_a][0, 0], tensors.values[flat_b][0, 0]
     assert a_b / a_a == pytest.approx(mu(x_b) / mu(x_a), rel=1e-10)
 

@@ -6,7 +6,7 @@ import pytest
 from twoscale.cli import main, run_cell, run_study, write_field_csv, write_json
 from twoscale.config import DEFAULT_CONFIG, apply_override, load_config, parse_eps_list
 from twoscale.errors import ConfigurationError
-from twoscale.grids import CellGrid, MacroGrid
+from twoscale.grids import CellGrid, MacroGrid, lattice_points
 
 
 BASE_1D = {
@@ -648,7 +648,7 @@ def test_library_fine_solve_is_the_reference_subcommand_bit_for_bit(tmp_path):
 
 def column_stack_csv(grid, values, header_lines=()):
     """The writer's former formatting: every row of column_stack through repr."""
-    coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+    coords = grid.dof_coords() if isinstance(grid, CellGrid) else lattice_points(grid.axes())
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join([f"x{d}" for d in range(grid.dim)] + ["value"]))
     table = np.column_stack([coords, np.asarray(values, dtype=float)]).tolist()
@@ -696,7 +696,7 @@ def test_field_files_are_written_from_shared_row_chunks(tmp_path, monkeypatch):
     from twoscale import cli
 
     grid = MacroGrid(2, 100)  # 10,201 nodes: two passes of 8,192
-    x = grid.node_coords()
+    x = lattice_points(grid.axes())
     values = np.sin(7.0 * x[:, 0]) * np.exp(x[:, 1]) - 0.0
     values[::97] = -0.0
     stack = np.stack([values, 2.0 * values, values.copy()])

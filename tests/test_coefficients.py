@@ -258,3 +258,21 @@ def test_config_factory_round_trip():
         coefficient_from_config(1, {"family": "NOPE"})
     with pytest.raises(TypeError):
         coefficient_from_config(1, {"family": "CONSTANT", "bogus": 1})
+
+
+def test_source_derivative_normalizes_its_arguments_once(monkeypatch):
+    # the source normalizes and checks the points; the model only clamps u
+    import twoscale.coefficients as coefficients
+
+    normalize, calls = coefficients._normalize_args, []
+    monkeypatch.setattr(coefficients, "_normalize_args",
+                        lambda *args: calls.append(1) or normalize(*args))
+    model = RosselandCoefficient(2, b=0.1, u_range=(0.0, 1.0), source=SourceModel(u_coeff=-2.0))
+    u = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
+    x = np.full((len(u), 2), 0.25)
+    df = model.eval_df_du(u, x, x)
+    assert len(calls) == 1
+    assert np.array_equal(df, [0.0, -2.0, -2.0, -2.0, 0.0])
+    assert np.array_equal(model.eval_df_du(0.5, [0.25, 0.25], x), np.full(len(u), -2.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        model.eval_df_du(np.nan, x, x)

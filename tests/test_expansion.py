@@ -98,7 +98,7 @@ def test_reconstruct_first_layer_against_closed_forms():
     )
     n_dense -= np.trapezoid(n_dense, y_dense)
 
-    x = fine.node_coords()[:, 0]
+    x = lattice_points(fine.axes())[:, 0]
     u1_exact = np.interp(np.mod(x / eps, 1.0), y_dense, n_dense) * (1.0 - 2.0 * x) / (
         2.0 * np.sqrt(3.0)
     )
@@ -114,7 +114,7 @@ def test_reconstruct_linear_in_macro_gradient():
     table, _ = tables_for(model, m_c=32)
     macro = MacroGrid(1, 16)
     fine = fine_grid_for(0.25, 8, 1)
-    x = macro.node_coords()[:, 0]
+    x = lattice_points(macro.axes())[:, 0]
     one = reconstruct(ScalarField(macro, 0.3 * x), table, 0.25, fine)
     two = reconstruct(ScalarField(macro, 0.6 * x), table, 0.25, fine)
     assert np.max(np.abs(two.u1 - 2.0 * one.u1)) < 1e-12
@@ -176,7 +176,7 @@ def test_reconstruction_gradient_matches_per_stack_reference():
             assert np.abs(table.tangents[f"first_{l}"][ax]).max() > 0.1
 
     macro = MacroGrid(2, 8)
-    x = macro.node_coords()
+    x = lattice_points(macro.axes())
     u0 = ScalarField(macro, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]) + 0.1 * x[:, 0])
     axes = [np.sort(rng.uniform(0.05, 0.95, size=n)) for n in (7, 6)]
     got = reconstruction_gradient(u0, table, 0.25, axes)
@@ -198,7 +198,7 @@ def test_solve_fine_constant_coefficient_closed_form():
     fine = fine_grid_for(0.125, 8, 1)
     u_eps, result = solve_fine(model, 0.125, fine)
     assert result.iterations == 1  # u-independent model
-    x = fine.node_coords()[:, 0]
+    x = lattice_points(fine.axes())[:, 0]
     assert np.max(np.abs(u_eps.values - x * (1.0 - x) / 4.0)) < 1e-9
 
 
@@ -231,7 +231,7 @@ def test_solve_fine_oscillating_against_quadrature_oracle():
     for periods in (16, 32):
         fine = fine_grid_for(eps, periods, 1)
         u_eps, _ = solve_fine(model, eps, fine)
-        x = fine.node_coords()[:, 0]
+        x = lattice_points(fine.axes())[:, 0]
         errs[periods] = np.max(np.abs(u_eps.values - np.interp(x, t, u_dense)))
     assert errs[16] < 4e-4
     assert errs[32] < 0.3 * errs[16]  # second-order nodal convergence
@@ -377,7 +377,7 @@ def per_point_reconstruct(u0_field, table, eps, fine):
     """reconstruct with every fine node located alone on the macro grid, the
     cell grid and the parameter lattice."""
     dim = fine.dim
-    x, y = fine.node_coords(), lattice_points(fast_coordinates(fine, eps))
+    x, y = lattice_points(fine.axes()), lattice_points(fast_coordinates(fine, eps))
     ids, wts = grid_corners(u0_field.grid, x)
 
     def at(nodal):
@@ -463,7 +463,7 @@ def test_lattice_reconstruction_is_the_per_point_reconstruction(request, which, 
     # bits, the sign of a zero included (a field of -0.0 reads +0.0)
     table, eps = request.getfixturevalue(which), 0.25
     macro = MacroGrid(2, 16)
-    xm = macro.node_coords()
+    xm = lattice_points(macro.axes())
     values = bump * np.sin(np.pi * xm[:, 0]) * np.sin(np.pi * xm[:, 1])
     u0 = ScalarField(macro, values if bump == 0.0 else 0.2 + values - 0.1 * xm[:, 1])
     fine, _, _ = lattice_case(periods, "nodes", eps)

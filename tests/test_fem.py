@@ -25,7 +25,8 @@ from twoscale.fem import (
     solve_dirichlet,
     solve_periodic_zero_mean,
 )
-from twoscale.grids import CellGrid, MacroGrid, corner_offsets, interpolate_values, stencil_pattern
+from twoscale.grids import (CellGrid, MacroGrid, corner_offsets, interpolate_values, lattice_points,
+                            stencil_pattern)
 
 
 def const_coeff(value, dim):
@@ -152,7 +153,7 @@ def test_dirichlet_1d_poisson_nodally_exact():
     mat = assemble_stiffness(grid, const_coeff(1.0, 1), quad)
     rhs = assemble_load(grid, quad, scalar_fn=lambda pts: np.ones(len(pts)))
     sol = solve_dirichlet(mat, rhs, grid)
-    x = grid.node_coords()[:, 0]
+    x = lattice_points(grid.axes())[:, 0]
     assert np.max(np.abs(sol - 0.5 * x * (1.0 - x))) < 1e-9
 
 
@@ -442,7 +443,7 @@ def test_matrix_product_kernels_match_einsum_reference(grid, n_points):
 @pytest.mark.parametrize("n_points", [1, 2, 3])
 def test_quadrature_gradients_match_einsum_reference(grid, n_points):
     quad = gauss_rule(n_points, grid.dim)
-    coords = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+    coords = grid.dof_coords() if isinstance(grid, CellGrid) else lattice_points(grid.axes())
     values = np.sin(2.0 * np.pi * coords[:, 0]) * np.cos(2.0 * np.pi * coords[:, -1]) + coords[:, 0]
     ref = np.einsum(
         "ec,qcd->eqd", values[grid.element_dofs()], q1_gradients(quad.points) / grid.spacing
@@ -484,7 +485,7 @@ def test_state_assembly_matches_point_location_reference(grid, n_points):
     model = RosselandCoefficient(
         grid.dim, k_matrix=k_matrix, b=0.3, source=SourceModel(base=1.0, u_coeff=0.5)
     )
-    x = grid.node_coords()
+    x = lattice_points(grid.axes())
     state = 0.5 + 0.4 * np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, -1])
     quad = gauss_rule(n_points, grid.dim)
     calls = []
@@ -496,9 +497,11 @@ def test_state_assembly_matches_point_location_reference(grid, n_points):
     def source(u, pts):
         return model.eval_f(u, pts, np.mod(4.0 * pts, 1.0))
 
-    jac, res = linearize(grid, quad, state, coeff,
-                         lambda u, pts: np.zeros((len(pts), grid.dim, grid.dim)),
-                         source, lambda u, pts: np.zeros(len(pts)))
+    def data(u, pts):  # the u-derivatives zeroed
+        return (coeff(u, pts), np.zeros((len(pts), grid.dim, grid.dim)),
+                source(u, pts), np.zeros(len(pts)))
+
+    jac, res = linearize(grid, quad, state, data)
     assert calls == [grid.n_elements] * len(quad.weights)
 
     def located(fn):
@@ -629,9 +632,9 @@ def interior_prolongation(cells):
 
 def newton_jacobian(cells):
     grid = MacroGrid(2, cells)
-    x = grid.node_coords()
+    x = lattice_points(grid.axes())
     state = 0.5 + 0.4 * np.prod(np.sin(np.pi * x), axis=1)
-    return linearize(grid, gauss_rule(2, 2), state, *newton_data(2))[0]
+    return linearize(grid, gauss_rule(2, 2), state, newton_data(2))[0]
 
 
 @pytest.mark.parametrize("cells", [16, 24, 40, 64])
@@ -854,10 +857,12 @@ def newton_data(dim):
         dim, b=1.0, u_range=(0.0, 1.0), source=SourceModel(base=1.0, u_coeff=-2.0)
     )
 
-    def fast(evaluator):
-        return lambda u, pts: evaluator(u, pts, np.mod(4.0 * pts, 1.0))
+    def data(u, pts):
+        y = np.mod(4.0 * pts, 1.0)
+        return (model.eval_a(u, pts, y), model.eval_da_du(u, pts, y),
+                model.eval_f(u, pts, y), model.eval_df_du(u, pts, y))
 
-    return [fast(f) for f in (model.eval_a, model.eval_da_du, model.eval_f, model.eval_df_du)]
+    return data
 
 
 @pytest.mark.parametrize("grid, n_points", [(MacroGrid(1, 12), 1), (MacroGrid(1, 12), 2),
@@ -865,17 +870,17 @@ def newton_data(dim):
 def test_linearize_jacobian_matches_residual_differences(grid, n_points):
     # each Jacobian column against central differences of the residual
     quad = gauss_rule(n_points, grid.dim)
-    coeff, coeff_du, source, source_du = newton_data(grid.dim)
-    x = grid.node_coords()
+    data = newton_data(grid.dim)
+    x = lattice_points(grid.axes())
     state = 0.5 + 0.3 * np.prod(np.sin(np.pi * x), axis=1) + 0.05 * np.cos(7.0 * x[:, 0])
-    jac, res = linearize(grid, quad, state, coeff, coeff_du, source, source_du)
+    jac, res = linearize(grid, quad, state, data)
     h = 1e-6
     dense = _csr(jac).toarray()
     for j in range(grid.ndof):
         bump = np.zeros(grid.ndof)
         bump[j] = h
-        up = linearize(grid, quad, state + bump, coeff, coeff_du, source, source_du)[1]
-        down = linearize(grid, quad, state - bump, coeff, coeff_du, source, source_du)[1]
+        up = linearize(grid, quad, state + bump, data)[1]
+        down = linearize(grid, quad, state - bump, data)[1]
         assert np.allclose(dense[:, j], (up - down) / (2 * h), rtol=0, atol=1e-6)
     assert np.max(np.abs(dense - dense.T)) > 1e-3  # the u-derivative terms are not symmetric
 
@@ -886,9 +891,9 @@ def test_nonsymmetric_dirichlet_solve_matches_sparse_lu(monkeypatch, grid):
     gmres, calls = fem.spla.gmres, []
     monkeypatch.setattr(fem.spla, "gmres", lambda *args, **kw: calls.append(1) or gmres(*args, **kw))
     quad = gauss_rule(2, grid.dim)
-    x = grid.node_coords()
+    x = lattice_points(grid.axes())
     state = 0.5 + 0.4 * np.prod(np.sin(np.pi * x), axis=1)
-    jac, res = linearize(grid, quad, state, *newton_data(grid.dim))
+    jac, res = linearize(grid, quad, state, newton_data(grid.dim))
     free = grid.interior_dofs()
     ref = sp.linalg.spsolve(_csr(jac)[free][:, free].tocsc(), res[free])
     sol = solve_dirichlet(jac, res, grid, symmetric=False)

@@ -39,7 +39,7 @@ def test_periodic_map_identifies_opposite_faces():
 def test_macro_boundary_dofs():
     grid = MacroGrid(dim=2, cells_per_side=4)
     mask = grid.boundary_mask()
-    coords = grid.node_coords()
+    coords = lattice_points(grid.axes())
     on_bnd = np.any((coords == 0.0) | (coords == 1.0), axis=1)
     assert np.array_equal(mask, on_bnd)
     assert len(grid.interior_dofs()) == (4 - 1) ** 2
@@ -62,7 +62,7 @@ def test_interpolate_reproduces_constants():
 
 def test_interpolate_linear_reproduction_1d():
     grid = MacroGrid(dim=1, cells_per_side=2)
-    fld = ScalarField(grid, grid.node_coords()[:, 0])
+    fld = ScalarField(grid, lattice_points(grid.axes())[:, 0])
     assert interpolate_values(fld.grid, fld.values, [[0.25]])[0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -77,7 +77,7 @@ def test_interpolate_periodic_reduction():
 def test_interpolate_exact_for_multilinear_fields():
     # x1*x2 is bilinear on every element, so interpolation reproduces it
     grid = MacroGrid(dim=2, cells_per_side=4)
-    coords = grid.node_coords()
+    coords = lattice_points(grid.axes())
     fld = ScalarField(grid, 1.0 + 2.0 * coords[:, 0] * coords[:, 1] - coords[:, 1])
     rng = np.random.default_rng(23)
     pts = rng.random((40, 2))
@@ -91,7 +91,7 @@ def test_interpolate_node_round_trip():
     for grid in (CellGrid(2, 5), MacroGrid(2, 5)):
         vals = rng.standard_normal(grid.ndof)
         fld = ScalarField(grid, vals)
-        pts = grid.dof_coords() if isinstance(grid, CellGrid) else grid.node_coords()
+        pts = grid.dof_coords() if isinstance(grid, CellGrid) else lattice_points(grid.axes())
         out = interpolate_values(grid, vals, pts)
         assert np.max(np.abs(out - vals)) < 1e-13
 
@@ -115,7 +115,7 @@ def test_macro_out_of_domain():
 
 def test_fd_gradient_constant_and_affine():
     grid = MacroGrid(dim=2, cells_per_side=4)
-    coords = grid.node_coords()
+    coords = lattice_points(grid.axes())
     g_const = fd_gradient(ScalarField(grid, np.full(grid.ndof, 2.0)))
     assert np.max(np.abs(g_const)) < 1e-14
     g_lin = fd_gradient(ScalarField(grid, coords[:, 0]))
@@ -126,7 +126,7 @@ def test_fd_gradient_constant_and_affine():
 def test_fd_gradient_quadratic_interior_value():
     # central difference is exact for quadratics: ((x+h)^2 - (x-h)^2)/2h = 2x
     grid = MacroGrid(dim=1, cells_per_side=4)
-    coords = grid.node_coords()[:, 0]
+    coords = lattice_points(grid.axes())[:, 0]
     g = fd_gradient(ScalarField(grid, coords**2))
     node = np.nonzero(coords == 0.5)[0][0]
     assert g[node, 0] == pytest.approx(1.0, abs=1e-13)
@@ -134,7 +134,7 @@ def test_fd_gradient_quadratic_interior_value():
 
 def test_fd_hessian_quadratics():
     grid = MacroGrid(dim=2, cells_per_side=8)
-    coords = grid.node_coords()
+    coords = lattice_points(grid.axes())
     h_aff = fd_hessian(ScalarField(grid, 1.0 + 2.0 * coords[:, 0] - coords[:, 1]))
     assert np.max(np.abs(h_aff)) < 1e-12
 
@@ -150,7 +150,7 @@ def test_fd_hessian_quadratics():
 
 def test_fd_hessian_boundary_copied_from_interior():
     grid = MacroGrid(dim=1, cells_per_side=5)
-    coords = grid.node_coords()[:, 0]
+    coords = lattice_points(grid.axes())[:, 0]
     hess = fd_hessian(ScalarField(grid, coords**3))
     assert hess[0, 0, 0] == pytest.approx(hess[1, 0, 0])
     assert hess[-1, 0, 0] == pytest.approx(hess[-2, 0, 0])
@@ -161,7 +161,7 @@ def test_fd_exact_on_random_quadratic():
     a, bvec, cmat = rng.standard_normal(), rng.standard_normal(2), rng.standard_normal((2, 2))
     cmat = 0.5 * (cmat + cmat.T)
     grid = MacroGrid(dim=2, cells_per_side=8)
-    x = grid.node_coords()
+    x = lattice_points(grid.axes())
     vals = a + x @ bvec + np.einsum("ki,ij,kj->k", x, cmat, x)
     grad = fd_gradient(ScalarField(grid, vals))
     exact = bvec[None, :] + 2.0 * x @ cmat

@@ -17,7 +17,7 @@ from twoscale.coefficients import (
 from twoscale.errors import NonConvergenceError
 from twoscale.fem import (_csr, assemble_load, assemble_stiffness, default_quadrature,
                           gauss_rule, solve_dirichlet)
-from twoscale.grids import CellGrid, MacroGrid, interpolate_values
+from twoscale.grids import CellGrid, MacroGrid, interpolate_values, lattice_points
 from twoscale.macro import solve_homogenized
 
 
@@ -46,7 +46,7 @@ def test_homogenized_1d_closed_form():
     model = ConstantCoefficient(1, matrix=[[root3]], source=SourceModel(base=1.0))
     grid = MacroGrid(1, 64)
     u0, _ = solve_homogenized(table, model, grid)
-    x = grid.node_coords()[:, 0]
+    x = lattice_points(grid.axes())[:, 0]
     exact = x * (1.0 - x) / (2.0 * root3)
     assert np.max(np.abs(u0.values - exact)) < 1e-9
 
@@ -133,7 +133,7 @@ def test_manufactured_residual_behaviour():
 
         mat = assemble_stiffness(grid, lambda pts: table.interp(u_at(pts), pts), quad)
         rhs = assemble_load(
-            grid, quad, scalar_fn=lambda pts: table.interp_source(u_at(pts), pts)
+            grid, quad, scalar_fn=lambda pts: table.newton_data(u_at(pts), pts)[2]
         )
         return float(np.linalg.norm((_csr(mat) @ values - rhs)[grid.interior_dofs()]))
 
@@ -200,7 +200,7 @@ def test_newton_converges_quadratically_on_strong_rosseland():
         assert result.iterations <= 8
         assert_quadratic(result.increments)
     # the macro solution at the fine nodes is a closer start
-    start = interpolate_values(u0.grid, u0.values, fine.node_coords())
+    start = interpolate_values(u0.grid, u0.values, lattice_points(fine.axes()))
     _, warm_result = solve_fine(*args, initial=start)
     assert warm_result.iterations <= 6
 
@@ -221,7 +221,7 @@ def test_newton_solution_is_the_discrete_fixed_point():
             return interpolate_values(grid, values, pts)
 
         mat = assemble_stiffness(grid, lambda pts: tensors.interp(u_at(pts), pts), quad)
-        rhs = assemble_load(grid, quad, scalar_fn=lambda pts: tensors.interp_source(u_at(pts), pts))
+        rhs = assemble_load(grid, quad, scalar_fn=lambda pts: tensors.newton_data(u_at(pts), pts)[2])
         return mat, rhs
 
     mat, rhs = frozen_system(u0.values)
@@ -259,19 +259,19 @@ def test_table_u_derivative_is_exact_and_zero_where_the_blend_clamps():
     x = np.full((len(u), 1), 0.5)
     inside = (u >= 0.0) & (u <= 2.0)
     clamped = np.clip(u, 0.0, 2.0)
+    a, da_du, f, df_du = table.newton_data(u, x)
     assert np.allclose(table.interp(u, x)[:, 0, 0], tensor(clamped), rtol=0, atol=1e-14)
-    assert np.allclose(table.interp_source(u, x), source(clamped), rtol=0, atol=1e-14)
-    assert np.allclose(table.interp_du(u, x)[:, 0, 0], np.where(inside, 1.0 + 2.0 * u, 0.0),
-                       rtol=0, atol=1e-13)
-    assert np.allclose(table.interp_source_du(u, x),
-                       np.where(inside, -29 / 6 + 10 / 3 * u, 0.0), rtol=0, atol=1e-13)
+    assert np.array_equal(a, table.interp(u, x))
+    assert np.allclose(f, source(clamped), rtol=0, atol=1e-14)
+    assert np.allclose(da_du[:, 0, 0], np.where(inside, 1.0 + 2.0 * u, 0.0), rtol=0, atol=1e-13)
+    assert np.allclose(df_du, np.where(inside, -29 / 6 + 10 / 3 * u, 0.0), rtol=0, atol=1e-13)
     # central differences inside the range
     h = 1e-6
     for uu in (0.1, 0.3, 1.2):
         fd = (table.interp(uu + h, [0.5]) - table.interp(uu - h, [0.5])) / (2 * h)
-        assert np.allclose(table.interp_du(uu, [0.5]), fd, rtol=1e-8)
+        assert np.allclose(table.newton_data(uu, [0.5])[1], fd, rtol=1e-8)
     one = constant_tensor_table(2.0)
-    assert np.array_equal(one.interp_du(u, x), np.zeros((len(u), 1, 1)))
+    assert np.array_equal(one.newton_data(u, x)[1], np.zeros((len(u), 1, 1)))
 
 
 def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeypatch):
@@ -296,9 +296,10 @@ def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeyp
     # which the residual does not fall
     model = RosselandCoefficient(1, b=1.0, u_range=(0.0, 2.0), source=SourceModel(base=20.0))
 
-    def fast(fn, scale=1.0):
-        return lambda u, pts: scale * fn(u, pts, np.mod(8.0 * pts, 1.0))
+    def flipped(u, pts):  # da/du negated
+        y = np.mod(8.0 * pts, 1.0)
+        return (model.eval_a(u, pts, y), -model.eval_da_du(u, pts, y),
+                model.eval_f(u, pts, y), model.eval_df_du(u, pts, y))
 
     with pytest.raises(NonConvergenceError, match="no residual decrease"):
-        solve_nonlinear(model, MacroGrid(1, 32), fast(model.eval_a),
-                        fast(model.eval_da_du, -1.0), fast(model.eval_f), fast(model.eval_df_du))
+        solve_nonlinear(model, MacroGrid(1, 32), flipped)
