@@ -10,27 +10,30 @@ box operator is its 3^dim-point stencil, off which a box solve reads its
 interior equations, so no full-grid matrix is built.  In 1-D they are
 tridiagonal and go to LAPACK's ``dptsv`` (LDL^T, O(n)), or to ``dgtsv`` for
 a Newton Jacobian.  In 2-D conjugate gradients (GMRES for a Newton
-Jacobian) solve them on their CSR matrix, preconditioned with a geometric
-multigrid V-cycle built from the stencil once per solve: Galerkin coarse
-stencils P^T A P under bilinear prolongation, formed by strided slices,
-damped-Jacobi smoothing weighted to contract on every level and a
-sparse-LU coarsest level, which keeps the iteration count flat as the grid
-is refined.
+Jacobian) solve them, preconditioned with a geometric multigrid V-cycle
+built from the stencil once per solve: Galerkin coarse stencils P^T A P
+under bilinear prolongation, formed by strided slices, damped-Jacobi
+smoothing weighted to contract on every level and a sparse-LU coarsest
+level, which keeps the iteration count flat as the grid is refined.  Every
+level but the coarsest is its stencil's nine diagonals, whose products are
+bitwise those of its CSR matrix, so no CSR copy or pattern is built for it.
 
 Every stiffness operator and Newton Jacobian comes from one stencil kernel.
-Over chunks of element rows, the coefficient samples at the quadrature
-points, reshaped to (E, Q*dim*dim), multiply one reference tensor of
-weighted Q1 gradient products, shape (Q*dim*dim, C*C), giving the element
-matrices, which are added by shifted slices into the 3^dim-point stencil of
-every node, so the peak memory is the stencil and one chunk.  Load vectors
-are the same kind of product with weighted basis values or gradients, added
-into the nodes the same way on a box and scattered by ``bincount`` on a
-cell, and the
-values or gradients of a nodal field at the quadrature points are its
-element values (E, C) times the basis values or gradients, which each rule
-tabulates once.  Precomputed samples are one period, (P,)*dim + (Q, ...)
-with P dividing the cells per side, tiled a chunk at a time.  Coefficient
-evaluators are called once per quadrature point, with one point per element.
+The coefficient samples at the quadrature points, reshaped to (E,
+Q*dim*dim), multiply one reference tensor of weighted Q1 gradient products,
+shape (Q*dim*dim, C*C), giving the element matrices, which are added by
+shifted slices into the 3^dim-point stencil of every node.  Precomputed
+samples are one period, (P,)*dim + (Q, ...) with P dividing the cells per
+side: a period that repeats is multiplied once and added over its copies by
+broadcasting; one that is the whole grid, and an evaluator's samples, are
+taken a chunk of element rows at a time, so the peak memory is the stencil
+and one chunk.  Load vectors are the same kind of product with weighted
+basis values or gradients, added into the nodes the same way on a box and
+scattered by ``bincount`` on a cell, and the values or gradients of a nodal
+field at the quadrature points are its element values (E, C) times the
+basis values or gradients, which each rule tabulates once.  Coefficient
+evaluators are called once per quadrature point, with one point per
+element, in element order.
 The Newton linearization reads all of its data, a, da/du, f and df/du, from
 one reader called once per quadrature point, passing it the nodal state read
 at those points through the element connectivity (a gather, since the
@@ -187,17 +190,15 @@ def as_period(grid, s):
     return None if s is None else s.reshape((grid.cells_per_side,) * grid.dim + s.shape[1:])
 
 
-def _tile(grid, quad: QuadratureRule, samples, tail: tuple, what: str, elements=slice(None)):
-    """Samples (E, Q) + ``tail`` of ``elements`` (element rows): element i reads class i mod P."""
-    dim, m, samples = grid.dim, grid.cells_per_side, np.atleast_1d(np.asarray(samples, float))
-    p, row = len(samples), m ** (dim - 1)  # row: elements per element row
-    if not p or m % p or samples.shape != (p,) * dim + (len(quad.weights),) + tail:
+def _period(grid, quad: QuadratureRule, samples, tail: tuple, what: str):
+    """(samples, P) of one period, (P,)*dim + (Q,) + ``tail`` with P dividing
+    the cells per side: element (i, j, ...) reads class (i mod P, j mod P, ...)."""
+    samples = np.atleast_1d(np.asarray(samples, float))
+    p = len(samples)
+    shape = (p,) * grid.dim + (len(quad.weights),) + tail
+    if not p or grid.cells_per_side % p or samples.shape != shape:
         raise AssemblyError(f"{what} samples have shape {samples.shape}, not one period")
-    lo, hi = (i // row for i in elements.indices(m * row)[:2])
-    if p == m:  # every element: a view
-        return samples[lo:hi].reshape((-1, len(quad.weights)) + tail)
-    rows = samples.take(np.arange(lo, hi), axis=0, mode="wrap").reshape(hi - lo, 1, -1)
-    return np.tile(rows, (1, (m // p) ** (dim - 1), 1)).reshape((-1, len(quad.weights)) + tail)
+    return samples, p
 
 
 def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
@@ -213,19 +214,53 @@ def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     return ref.reshape(n_q * dim * dim, n_loc * n_loc)
 
 
-# elements per pass of the stiffness kernel: bounds the coefficient samples
-# and element matrices alive at once
+# elements per pass of the kernels over a period that is the whole grid:
+# bounds the coefficient samples and element matrices alive at once
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _stencil_operator(grid, ref: np.ndarray, samples) -> np.ndarray:
+def _tile(period: np.ndarray, copies: int, dim: int) -> np.ndarray:
+    """``period`` (P,)*dim + ..., repeated ``copies`` times along each of its
+    first ``dim`` axes; itself, uncopied, if once."""
+    if copies == 1:
+        return period
+    return np.tile(period, (copies,) * dim + (1,) * (period.ndim - dim))
+
+
+def _passes(grid, p: int) -> list:
+    """Element-row ranges (r0, r1) of a period of ``p`` cells per side that
+    the kernels multiply at once: the whole of a period that repeats, which
+    has at most 2^-dim of the grid's elements, or balanced chunks of whole
+    element rows of one that is the grid.  A repeating period goes in one
+    pass because, in chunks, a node on the seam of two copies would take
+    its later elements, in the next copy's first rows, before its earlier
+    ones."""
+    if p < grid.cells_per_side:
+        return [(0, p)]
+    n = -(-p // max(1, _CHUNK_ELEMENTS // p ** (grid.dim - 1)))
+    return [(p * i // n, p * (i + 1) // n) for i in range(n)]
+
+
+def _copies(nodes: np.ndarray, corner, r0: int, r1: int, p: int) -> np.ndarray:
+    """The nodes, of ``nodes`` (m + 1,)*dim, at ``corner`` of the elements of
+    rows r0 to r1 of every copy of a period of ``p`` cells per side: a view
+    (m // p, r1 - r0, m // p, p, ...), to which the elements' data, shaped
+    (1, r1 - r0, 1, p, ...), adds by broadcasting."""
+    m = len(nodes) - 1
+    view = nodes[tuple(slice(o, o + m) for o in corner)]
+    return view.reshape(tuple(n for _ in corner for n in (m // p, p)))[:, r0:r1]
+
+
+def _stencil_operator(grid, ref: np.ndarray, samples, p: int) -> np.ndarray:
     """3^dim-point stencil, (3,)*dim + (m + 1,)*dim, of the operator whose
     element matrices are ``samples(elements) @ ref``: rows (E, K) for a
-    slice of the element order, against the reference tensor ``ref`` (K, C*C).
+    slice of the element order of a period of ``p`` cells per side, against
+    the reference tensor ``ref`` (K, C*C).
 
-    Over chunks of whole element rows, the element matrices are added into
-    the stencil of every node of the element corner lattice (see
-    :func:`~twoscale.grids.stencil_pattern`) by shifted-slice adds.  The
+    Pass by pass (:func:`_passes`), the element matrices are added into the
+    stencil of every node of the element corner lattice (see
+    :func:`~twoscale.grids.stencil_pattern`) by shifted-slice adds,
+    broadcast over the copies of the period (:func:`_copies`).  The
     elements of a node, in increasing order, are those at which it is
     corner b for b decreasing, so every entry sums its element terms in
     element order, as a scatter would.  A cell grid then folds its far
@@ -236,21 +271,16 @@ def _stencil_operator(grid, ref: np.ndarray, samples) -> np.ndarray:
     n_loc = len(offs)
     # offsets first, so that every shifted-slice add runs over contiguous rows
     stencil = np.zeros((3,) * dim + (m + 1,) * dim)
-    row = m ** (dim - 1)  # elements per element row
-    # balanced chunks of whole element rows
-    n_chunks = -(-m // max(1, _CHUNK_ELEMENTS // row))
-    lo, hi = np.zeros(dim, dtype=int), np.full(dim, m)  # a chunk's element range per axis
-    for i in range(n_chunks):
-        r0, r1 = m * i // n_chunks, m * (i + 1) // n_chunks
-        lo[0], hi[0] = r0, r1
+    row = p ** (dim - 1)  # elements per element row of the period
+    for r0, r1 in _passes(grid, p):
         rows = samples(slice(r0 * row, r1 * row))
         local = np.empty((n_loc * n_loc, len(rows)))  # one row per element-matrix entry
         np.matmul(rows, ref, out=local.T)
-        local = local.reshape((n_loc, n_loc, r1 - r0) + (m,) * (dim - 1))
+        local = local.reshape((n_loc, n_loc, 1, r1 - r0) + (1, p) * (dim - 1))
         for b in reversed(range(n_loc)):
-            nodes = tuple(map(slice, lo + offs[b], hi + offs[b]))
             for c in range(n_loc):
-                stencil[tuple(1 + offs[c] - offs[b]) + nodes] += local[b, c]
+                target = _copies(stencil[tuple(1 + offs[c] - offs[b])], offs[b], r0, r1, p)
+                target += local[b, c]
     if isinstance(grid, CellGrid):
         for d in range(dim):
             stencil[(slice(None),) * (dim + d) + (0,)] += stencil[(slice(None),) * (dim + d) + (m,)]
@@ -266,10 +296,15 @@ def _csr(stencil: np.ndarray, periodic: bool = False) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
-def _check_finite(samples: np.ndarray, first: int, what: str) -> None:
-    if not np.isfinite(samples).all():  # then find the first bad element
-        finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
-        raise AssemblyError(f"non-finite {what} at element {first + int(np.argmin(finite))}")
+def _check_finite(grid, rows: np.ndarray, first: int, p: int, what: str) -> None:
+    """Refuse non-finite ``rows``, the samples of elements ``first``,
+    ``first`` + 1, ... of a period of ``p`` cells per side, naming the first
+    grid element that reads one: the element of the first bad class."""
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+        cls = np.unravel_index(first + int(np.argmin(finite)), (p,) * grid.dim)
+        element = np.ravel_multi_index(cls, (grid.cells_per_side,) * grid.dim)
+        raise AssemblyError(f"non-finite {what} at element {element}")
 
 
 def assemble_stiffness(grid, coeff, quad: QuadratureRule):
@@ -279,21 +314,27 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule):
     points (K, dim) to symmetric matrices (K, dim, dim), called once per
     quadrature point with one point per element, or one period of samples,
     (P,)*dim + (Q, dim, dim) with P dividing the cells per side.  The kernel
-    (:func:`_stencil_operator`) evaluates or tiles it chunk by chunk, against
-    :func:`_stiffness_reference`; under ``__debug__`` the stencil must be
-    symmetric.  A box grid's operator is its stencil, (3,)*dim + (m + 1,)*dim,
-    which :func:`solve_dirichlet` reads; a cell grid's is its CSR matrix.
+    (:func:`_stencil_operator`) evaluates it chunk by chunk, or multiplies
+    the period's samples once, against :func:`_stiffness_reference`; under
+    ``__debug__`` the stencil must be symmetric.  A box grid's operator is
+    its stencil, (3,)*dim + (m + 1,)*dim, which :func:`solve_dirichlet`
+    reads; a cell grid's is its CSR matrix.
     """
     dim = grid.dim
     tail = (dim, dim)
+    if callable(coeff):
+        p = grid.cells_per_side
+    else:
+        period, p = _period(grid, quad, coeff, tail, "coefficient")
+        period = period.reshape((p**dim,) + period.shape[dim:])
 
-    def samples(elements):
+    def samples(elements):  # a slice of the period's element order
         a = (_eval_at_quad(grid, quad, coeff, tail, elements) if callable(coeff)
-             else _tile(grid, quad, coeff, tail, "coefficient", elements))
-        _check_finite(a, elements.start, "coefficient")
+             else period[elements])
+        _check_finite(grid, a, elements.start, p, "coefficient")
         return a.reshape(len(a), -1)
 
-    stencil = _stencil_operator(grid, _stiffness_reference(grid, quad), samples)
+    stencil = _stencil_operator(grid, _stiffness_reference(grid, quad), samples, p)
     if __debug__:
         # entry [o, x] against [-o, x + o], wrapped, in blocks of node rows;
         # off the box grid both are zero
@@ -341,7 +382,7 @@ def linearize(grid, quad: QuadratureRule, state, data):
         grid, quad, as_period(grid, -f), as_period(grid, np.einsum("eqij,eqj->eqi", a, grad)))
     rows = np.concatenate([x.reshape(len(a), -1)
                            for x in (a, -df, np.einsum("eqij,eqj->eqi", da, grad))], axis=1)
-    _check_finite(rows, 0, "Jacobian sample")
+    _check_finite(grid, rows, 0, grid.cells_per_side, "Jacobian sample")
     weights = quad.weights * grid.spacing**grid.dim
     grads = quad.basis_gradients / grid.spacing  # (Q, C, dim)
     n_q, _, dim = grads.shape
@@ -350,7 +391,7 @@ def linearize(grid, quad: QuadratureRule, state, data):
         np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
         np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
     ])
-    return _stencil_operator(grid, ref, lambda elements: rows[elements]), residual
+    return _stencil_operator(grid, ref, rows.__getitem__, grid.cells_per_side), residual
 
 
 def assemble_load_from_samples(
@@ -362,33 +403,38 @@ def assemble_load_from_samples(
     """Load vector from precomputed quad-point data, one period each.
 
     ``scalar_samples`` (P,)*dim + (Q,) contributes ``\\int s \\phi_p``;
-    ``flux_samples`` (P,)*dim + (Q, dim) ``\\int B . grad(phi_p)``.  Each
-    form is one matrix product of the samples, tiled over the grid, with a
-    (Q, C) or (Q*dim, C) reference matrix of weighted basis values or
-    gradients, giving the element vectors (E, C).  A box grid tiles and
-    multiplies one chunk of whole element rows at a time and adds its
-    element vectors into the nodes by shifted slices, corner C - 1 down to
-    0, so every node sums its element terms from 0 in element order, as a
-    scatter does, and the peak memory is the nodes and one chunk; a cell
-    grid scatters them by ``bincount``.
+    ``flux_samples`` (P,)*dim + (Q, dim) ``\\int B . grad(phi_p)``; a form of
+    a shorter period than the other's is tiled to it.  Each form is one
+    matrix product of the samples with a (Q, C) or (Q*dim, C) reference
+    matrix of weighted basis values or gradients, giving the element vectors
+    (E, C), pass by pass as the stencil kernel multiplies
+    (:func:`_passes`).  A box grid adds them into the nodes by shifted
+    slices broadcast over the period's copies, corner C - 1 down to 0, so
+    every node sums its element terms from 0 in element order, as a scatter
+    does, and the peak memory is the nodes and one pass; a cell grid
+    scatters them, tiled over the grid, by ``bincount``.
     """
     dim, m, h = grid.dim, grid.cells_per_side, grid.spacing
     weights = quad.weights * h**dim
-    forms = []  # (samples, tail, reference matrix, what) of each form given
+    forms = []  # (samples, period, reference matrix, what) of each form given
     if scalar_samples is not None:
-        forms.append((scalar_samples, (), weights[:, None] * quad.basis, "scalar source"))
+        forms.append((*_period(grid, quad, scalar_samples, (), "scalar source"),
+                      weights[:, None] * quad.basis, "scalar source"))
     if flux_samples is not None:
         ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
-        forms.append((flux_samples, (dim,), ref.reshape(-1, ref.shape[-1]), "flux source"))
+        forms.append((*_period(grid, quad, flux_samples, (dim,), "flux source"),
+                      ref.reshape(-1, ref.shape[-1]), "flux source"))
     if not forms:
         return np.zeros(grid.ndof)
+    p = math.lcm(*(q for _, q, _, _ in forms))
+    forms = [(_tile(s, p // q, dim).reshape(p**dim, -1), ref, what) for s, q, ref, what in forms]
 
-    def element_vectors(elements):  # (E, C) of a slice of the element order
+    def element_vectors(elements):  # (E, C) of a slice of the period's element order
         local = None
-        for samples, tail, ref, what in forms:
-            rows = _tile(grid, quad, samples, tail, what, elements)
-            _check_finite(rows, elements.start, what)
-            product = rows.reshape(len(rows), -1) @ ref
+        for samples, ref, what in forms:
+            rows = samples[elements]
+            _check_finite(grid, rows, elements.start, p, what)
+            product = rows @ ref
             if local is None:
                 local = product
             else:
@@ -396,22 +442,20 @@ def assemble_load_from_samples(
         return local
 
     # a node's sum starts from +0, so the sign of a zero term never shows
+    n_loc = 2**dim
     if isinstance(grid, CellGrid):
-        local = element_vectors(slice(0, grid.n_elements))
+        local = _tile(element_vectors(slice(0, p**dim)).reshape((p,) * dim + (n_loc,)), m // p, dim)
         dofs = grid.element_dofs()
         return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
-    offs = corner_offsets(dim).tolist()
+    offs = corner_offsets(dim)
     nodes = np.zeros((m + 1,) * dim)
-    row = m ** (dim - 1)  # elements per element row
-    n_chunks = -(-m // max(1, _CHUNK_ELEMENTS // row))  # balanced, as in _stencil_operator
-    for i in range(n_chunks):
-        r0, r1 = m * i // n_chunks, m * (i + 1) // n_chunks
+    row = p ** (dim - 1)  # elements per element row of the period
+    for r0, r1 in _passes(grid, p):
         local = element_vectors(slice(r0 * row, r1 * row))
-        local = local.reshape((r1 - r0,) + (m,) * (dim - 1) + (len(offs),))
-        ranges = [(r0, r1)] + [(0, m)] * (dim - 1)  # the chunk's elements along each axis
-        for b in reversed(range(len(offs))):
-            corner = tuple(slice(lo + o, hi + o) for (lo, hi), o in zip(ranges, offs[b]))
-            nodes[corner] += local[..., b]
+        local = local.reshape((1, r1 - r0) + (1, p) * (dim - 1) + (n_loc,))
+        for b in reversed(range(n_loc)):
+            target = _copies(nodes, offs[b], r0, r1, p)
+            target += local[..., b]
     return nodes.reshape(-1)
 
 
@@ -527,29 +571,81 @@ _MG_OMEGA = 0.8
 _MG_SWEEPS = 2
 
 
-def _smoother_weights(mat) -> np.ndarray:
-    """omega / diag(A) for one level's damped-Jacobi smoother.
+# the nine couplings (di, dj) of a 2-D stencil, in the column order of its rows
+_BANDS = list(itertools.product((-1, 0, 1), repeat=2))
+
+
+def _diagonals(stencil: np.ndarray) -> sp.dia_matrix:
+    """The interior operator A of a level's stencil (3, 3, n, n) as its nine
+    diagonals: offsets di * n + dj ascending, each row's column order, with
+    column-indexed data, data[k, j] = A[j - offset_k, j], and the couplings
+    that leave the box stored as zeros.  ``dia_matvec`` then sums every row
+    in the order, and from the same 0.0, as ``csr_matvec`` sums the row of
+    the CSR matrix :func:`_csr` reads off the stencil, so the products are
+    bitwise the same.
+    """
+    n = stencil.shape[-1]
+    data = np.zeros((len(_BANDS), n * n))
+    for k, (di, dj) in enumerate(_BANDS):
+        data[k].reshape(n, n)[max(0, di) : n + min(0, di), max(0, dj) : n + min(0, dj)] = (
+            stencil[1 + di, 1 + dj, max(0, -di) : n - max(0, di), max(0, -dj) : n - max(0, dj)])
+    return sp.dia_matrix((data, [di * n + dj for di, dj in _BANDS]), shape=(n * n,) * 2)
+
+
+def _row_sum(t: list) -> np.ndarray:
+    """Sum of ``t``, the entries of rows of a CSR matrix in column order, as
+    ``np.add.reduceat`` adds a row: the first entry to the pairwise sum of
+    the other eight on a row of nine, to their sum from left to right on a
+    shorter one."""
+    if len(t) == 9:
+        return t[0] + (((t[1] + t[2]) + (t[3] + t[4])) + ((t[5] + t[6]) + (t[7] + t[8])))
+    rest = t[1]
+    for x in t[2:]:
+        rest = rest + x
+    return t[0] + rest
+
+
+def _abs_row_sums(stencil: np.ndarray) -> np.ndarray:
+    """Absolute row sums, (n * n,), of the interior operator of a level's
+    stencil (3, 3, n, n): bitwise the ``np.add.reduceat`` sums of the rows
+    of its CSR matrix (:func:`_row_sum`), read off the stencil's bands a
+    block of lattice rows at a time."""
+    n = stencil.shape[-1]
+    sums = np.empty((n, n))
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        # the block's first lattice row, inner rows and last row, by the
+        # first column, inner columns and last column: each keeps its couplings
+        for rows in (slice(r0, 1), slice(max(r0, 1), min(r1, n - 1)), slice(max(r0, n - 1), r1)):
+            for cols in (slice(0, 1), slice(1, n - 1), slice(n - 1, n)):
+                if rows.start < rows.stop:
+                    sums[rows, cols] = _row_sum([
+                        np.abs(stencil[1 + di, 1 + dj, rows, cols]) for di, dj in _BANDS
+                        if 0 <= rows.start + di and rows.stop + di <= n
+                        and 0 <= cols.start + dj and cols.stop + dj <= n])
+    return sums.reshape(-1)
+
+
+def _smoother_weights(stencil: np.ndarray) -> np.ndarray:
+    """omega / diag(A) for one level's damped-Jacobi smoother, A the interior
+    operator of its stencil (3, 3, n, n).
 
     A sweep contracts the error in the A-norm only while omega times
     lambda_max(D^-1 A) stays below 2.  Gershgorin bounds lambda_max by the
-    largest absolute row sum of D^-1 A, so omega is capped at
-    2 * ``_MG_OMEGA`` over that bound.  Q1 stencils of a scalar coefficient have bound 2 and keep
-    omega = 0.8; anisotropic or full tensors, whose stencils carry positive
-    off-diagonals, get a smaller weight instead of an amplifying smoother.
+    largest absolute row sum of D^-1 A (:func:`_abs_row_sums`), so omega is
+    capped at 2 * ``_MG_OMEGA`` over that bound.  Q1 stencils of a scalar
+    coefficient have bound 2 and keep omega = 0.8; anisotropic or full
+    tensors, whose stencils carry positive off-diagonals, get a smaller
+    weight instead of an amplifying smoother.
     """
-    diag = mat.diagonal()
-    if np.any(diag <= 0.0):
+    if np.any(stencil[1, 1] <= 0.0):
         raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
-    inv_diag = 1.0 / diag
-    # absolute row sums as abs(mat).sum(axis=1) adds them, a block of rows at
-    # a time, without a copy of the matrix's entries
-    sums = np.empty(len(diag))
-    for r0 in range(0, len(diag), _CHUNK_ELEMENTS):
-        rows = mat.indptr[r0 : r0 + _CHUNK_ELEMENTS + 1]
-        block = np.abs(mat.data[rows[0] : rows[-1]])
-        sums[r0 : r0 + len(rows) - 1] = np.add.reduceat(block, rows[:-1] - rows[0])
-    bound = float(np.max(inv_diag * sums))
-    return _MG_OMEGA * min(1.0, 2.0 / bound) * inv_diag
+    inv_diag = (1.0 / stencil[1, 1]).reshape(-1)
+    sums = _abs_row_sums(stencil)
+    sums *= inv_diag
+    inv_diag *= _MG_OMEGA * min(1.0, 2.0 / float(np.max(sums)))
+    return inv_diag
 
 
 def _coarsen(stencil: np.ndarray) -> np.ndarray:
@@ -596,25 +692,27 @@ def _prolong(x: np.ndarray, n: int) -> np.ndarray:
 
 def _multigrid(matrix: np.ndarray):
     """(A, V-cycle) of the interior equations of a 2-D box stencil ``matrix``
-    (3, 3, m + 1, m + 1): A is their CSR matrix, the V-cycle its preconditioner.
+    (3, 3, m + 1, m + 1): A is their operator, the V-cycle its preconditioner.
 
     Levels halve the cell count while it is even and at least 8; coarse
     stencils are Galerkin products P^T A P (:func:`_coarsen`), which stay
-    robust under oscillating coefficients, and each level's CSR matrix, read
-    once from its stencil, serves its matvecs and smoother weights
-    (:func:`_smoother_weights`).  Damped Jacobi takes as many sweeps after
-    the coarse correction as before, and the coarsest level is factored
-    once, so the V-cycle of an SPD matrix is SPD.  A grid that cannot
-    coarsen is solved exactly.
+    robust under oscillating coefficients.  Every level but the coarsest
+    applies its stencil as nine diagonals (:func:`_diagonals`), bitwise the
+    products of its CSR matrix, and reads its smoother weights off the
+    stencil's bands (:func:`_smoother_weights`), so it builds no CSR copy.
+    Damped Jacobi takes as many sweeps after the coarse correction as
+    before, and the coarsest level is factored once (:func:`_csr`,
+    :func:`_lu`), so the V-cycle of an SPD matrix is SPD.  A grid that
+    cannot coarsen is solved exactly, and A is then that level's CSR matrix.
     """
     stencil = matrix[:, :, 1:-1, 1:-1]  # a view: no level reads its couplings to the boundary
     levels = []  # (operator, weighted inverse diagonal, interior nodes per side)
     cells = len(matrix[0, 0]) - 1
     while cells % 2 == 0 and cells >= 8:
-        # the coarse stencil first: its temporaries are gone before the CSR matrix is built
-        coarse = _coarsen(stencil)
-        mat = _csr(stencil)
-        levels.append((mat, _smoother_weights(mat), cells - 1))
+        # the coarse stencil and the weights first: their temporaries are
+        # gone before the diagonals are built
+        coarse, weights = _coarsen(stencil), _smoother_weights(stencil)
+        levels.append((_diagonals(stencil), weights, cells - 1))
         stencil, cells = coarse, cells // 2
     coarsest = _csr(stencil)
     lu = _lu(coarsest)
@@ -669,7 +767,7 @@ def solve_dirichlet(matrix, rhs: np.ndarray, grid: MacroGrid, symmetric: bool = 
         return out
     free = grid.interior_dofs()
     reduced, precond = _multigrid(matrix)
-    del matrix  # the iteration reads only the CSR levels: free the stencil if unshared
+    del matrix  # the iteration reads only the levels: free the stencil if unshared
     max_iter = _krylov_budget(len(free))
     if symmetric:
         out[free], _, _ = _jacobi_pcg(reduced, rhs[free], KRYLOV_TOL, max_iter, precond)

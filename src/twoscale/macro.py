@@ -22,7 +22,8 @@ import numpy as np
 
 from .cell_problems import EffectiveTensorTable
 from .errors import NonConvergenceError
-from .fem import assemble_load, assemble_stiffness, gauss_rule, linearize, solve_dirichlet
+from .fem import (as_period, assemble_load_from_samples, assemble_stiffness, gauss_rule,
+                  linearize, solve_dirichlet)
 from .grids import MacroGrid, ScalarField
 
 # the sup norm of a Newton step at which the iteration stops, and the step budget
@@ -52,8 +53,9 @@ def solve_nonlinear(model, grid: MacroGrid, data, initial=None):
 
     The start is the nodal ``initial`` (boundary zeroed) or the frozen-
     midpoint solve, returned as converged in one iteration with increment 0
-    when nothing depends on u.  That solve assembles chunk by chunk, as a
-    linear solve does, reading a and f from the reader.  The iteration stops
+    when nothing depends on u.  That solve assembles the stiffness chunk by
+    chunk, as a linear solve does, calling the reader once per quadrature
+    point, and the load from the f of those same calls.  The iteration stops
     once a step's sup norm is at most ``_TOL``, returning the stepped state;
     a longer step is halved until the interior residual norm falls by the
     Armijo fraction 1e-4, and the increment recorded is that of the step
@@ -63,13 +65,27 @@ def solve_nonlinear(model, grid: MacroGrid, data, initial=None):
     quad = gauss_rule(model.solve_points, grid.dim)
     if initial is None or not dependent:
         u_mid = 0.5 * (model.u_lo + model.u_hi)
+        n_q = len(quad.weights)
+        f = np.full((grid.n_elements, n_q), np.nan)  # a read missed is refused as non-finite
+        # the stiffness kernel reads an evaluator in element order, chunk by
+        # chunk, once per quadrature point: the element and point of the next read
+        cursor = [0, 0]
 
-        def frozen(item):  # item 0 (a) or 2 (f) of the reader at the midpoint
-            return lambda pts: data(np.full(len(pts), u_mid), pts)[item]
+        def frozen(pts):  # a at the midpoint, keeping f for the load
+            a, _, f_q, _ = data(np.full(len(pts), u_mid), pts)
+            e0, q = cursor
+            f[e0 : e0 + len(pts), q] = f_q
+            cursor[:] = (e0, q + 1) if q + 1 < n_q else (e0 + len(pts), 0)
+            return a
 
-        # no local holds the stencil, so the solve frees it once read
-        u = solve_dirichlet(assemble_stiffness(grid, frozen(0), quad),
-                            assemble_load(grid, quad, scalar_fn=frozen(2)), grid)
+        def load():  # from the f of every read, which it frees
+            nonlocal f
+            samples, f = f, None
+            return assemble_load_from_samples(grid, quad, as_period(grid, samples))
+
+        # no local holds the stencil, so the solve frees it once read; the
+        # arguments are evaluated in order, so the load follows every read
+        u = solve_dirichlet(assemble_stiffness(grid, frozen, quad), load(), grid)
         if not dependent:
             return u, PicardResult(iterations=1, increments=[0.0])
     else:

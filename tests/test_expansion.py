@@ -1,3 +1,7 @@
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,12 @@ from twoscale.cell_problems import (
 from twoscale.coefficients import (
     ConstantCoefficient,
     RosselandCoefficient,
+    SeparatedCoefficient,
     SmoothPeriodicCoefficient,
     SourceModel,
 )
+from twoscale.cli import build_setup
+from twoscale.config import load_config
 from twoscale.errors import ConfigurationError
 from twoscale.expansion import (
     ExpansionField,
@@ -308,6 +315,54 @@ def test_u_independent_fine_solve_assembles_once(monkeypatch):
     assert len(calls) == 1
     assert result.iterations == 1
     assert result.increments == [0.0]
+
+
+def test_frozen_fine_start_reads_the_data_once_per_point(monkeypatch):
+    # an x-dependent, u-independent fine solve is the frozen-midpoint start
+    # alone: its stiffness pass reads each quadrature point once, and its
+    # load takes f from those reads, the field unchanged bit for bit
+    model = SeparatedCoefficient(2, mu_u2=0.0, mu_x=0.5)
+    eps = 0.25
+    fine = fine_grid_for(eps, 8, 2)
+    quad = gauss_rule(model.solve_points, 2)
+    u_mid = np.full(1, 0.5 * (model.u_lo + model.u_hi))
+
+    def frozen(method):
+        return lambda pts: method(np.repeat(u_mid, len(pts)), pts, np.mod(pts / eps, 1.0))
+
+    ref = solve_dirichlet(assemble_stiffness(fine, frozen(model.eval_a), quad),
+                          assemble_load(fine, quad, scalar_fn=frozen(model.eval_f)), fine)
+    points = Counter()
+    for name in ("eval_a", "eval_da_du", "eval_f", "eval_df_du"):
+        def counting(u, x, y, name=name, method=getattr(model, name)):
+            points[name] += len(x)
+            return method(u, x, y)
+
+        monkeypatch.setattr(model, name, counting)
+    u_eps, result = solve_fine(model, eps, fine)
+    n_reads = fine.n_elements * len(quad.weights)
+    assert points == dict.fromkeys(("eval_a", "eval_da_du", "eval_f", "eval_df_du"), n_reads)
+    assert result.iterations == 1
+    assert u_eps.values.tobytes() == ref.tobytes()
+
+
+def test_fine_solve_working_set_stays_under_its_bound():
+    # smooth 2-D at eps 1/16, 16 cells per period: 66,049 DOFs.  The
+    # tracemalloc peak read 14.2 MiB with diagonal multigrid levels and
+    # one-period kernels, against 20.6 MiB with CSR levels and tiled
+    # element-row chunks; the bound leaves 1.8 MiB (12%) of margin
+    config = Path(__file__).resolve().parents[1] / "docs" / "examples" / "smooth_periodic_2d.json"
+    model = build_setup(load_config(str(config))).model
+    eps = 1.0 / 16
+    fine = fine_grid_for(eps, 16, 2)
+    assert fine.ndof == 66_049
+    tracemalloc.start()
+    try:
+        solve_fine(model, eps, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_u_dependent_2d_fine_solve_matches_point_location_reference():

@@ -9,6 +9,7 @@ from twoscale.fem import (
     PeriodicFactor,
     _csr,
     _coarsen,
+    _diagonals,
     _jacobi_pcg,
     _multigrid,
     _stiffness_reference,
@@ -590,32 +591,22 @@ def test_multigrid_pcg_iterations_flat_and_match_lu(cells):
     assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
-def test_cached_box_patterns_are_read_only_and_keep_solve_bytes():
+def test_box_levels_read_no_stencil_pattern_and_keep_solve_bytes():
+    # 32 cells coarsen to 16 and 8; only the coarsest level, 4 cells, is a
+    # CSR matrix, whose 3 x 3 interior nodes are the nodes of a 2-cell box
     stencil_pattern.cache_clear()
     stencil, rhs = dirichlet_system(32)
     reduced, precond = _multigrid(stencil)
+    assert isinstance(reduced, sp.dia_matrix)
+    stencil_pattern(2, 2, False)
+    assert stencil_pattern.cache_info().currsize == 1
     fresh = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)[0]
-    # the 31 x 31 interior nodes are the nodes of a 30-cell box
-    pattern = stencil_pattern(2, 30, False)
-    assert stencil_pattern(2, 30, False) is pattern  # one per lattice size
+    # a second hierarchy, and CG on the interior's CSR matrix, give the same bytes
     reduced, precond = _multigrid(stencil)
-    assert np.shares_memory(reduced.indices, pattern[1])  # the level reads it, uncopied
-    for arr in pattern:
-        with pytest.raises(ValueError):
-            arr[0] = 2  # shared by every later hierarchy
-    cached = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)[0]
-    assert np.array_equal(fresh, cached)
-
-
-@pytest.mark.parametrize("cells", [16, 24, 40, 64])
-@pytest.mark.parametrize("coeff", [checkerboard_coeff, DIAGONAL_10_1, FULL_TENSOR], ids=COEFF_IDS)
-def test_interior_csr_is_the_reduced_box_matrix_bit_for_bit(cells, coeff):
-    stencil, _ = dirichlet_system(cells, coeff)
-    free = MacroGrid(2, cells).interior_dofs()
-    ref = _csr(stencil)[free][:, free].tocsr()
-    reduced = _multigrid(stencil)[0]
-    assert same_pattern(reduced, ref)
-    assert np.array_equal(reduced.data, ref.data)
+    assert _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)[0].tobytes() == fresh.tobytes()
+    free = MacroGrid(2, 32).interior_dofs()
+    csr = _csr(stencil)[free][:, free].tocsr()
+    assert _jacobi_pcg(csr, rhs, 1e-10, 100, precond)[0].tobytes() == fresh.tobytes()
 
 
 def interior_prolongation(cells):
@@ -655,6 +646,52 @@ def test_stencil_galerkin_levels_match_sparse_products(cells, coeff):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         levels += 1
     assert levels == {16: 2, 24: 2, 40: 3, 64: 4}[fine_cells]
+
+
+@pytest.mark.parametrize("cells", [16, 24, 40, 64])
+@pytest.mark.parametrize("coeff", [checkerboard_coeff, DIAGONAL_10_1, FULL_TENSOR, None],
+                         ids=COEFF_IDS + ["newton_jacobian"])
+def test_diagonal_levels_are_the_reduced_box_matrix_bit_for_bit(cells, coeff):
+    # the finest level against the interior rows and columns of the box's
+    # CSR matrix, every coarser one that is not the coarsest against its
+    # stencil's: entries, and products on random vectors
+    stencil = newton_jacobian(cells) if coeff is None else dirichlet_system(cells, coeff)[0]
+    free = MacroGrid(2, cells).interior_dofs()
+    levels = [(_multigrid(stencil)[0], _csr(stencil)[free][:, free].tocsr())]
+    interior, fine_cells = stencil[:, :, 1:-1, 1:-1], cells
+    while True:
+        interior, cells = _coarsen(interior), cells // 2
+        if cells % 2 or cells < 8:
+            break
+        levels.append((_diagonals(interior), _csr(interior)))
+    rng = np.random.default_rng(cells)
+    for level, ref in levels:
+        assert isinstance(level, sp.dia_matrix)
+        assert np.array_equal(level.toarray(), ref.toarray())
+        for _ in range(3):
+            x = rng.standard_normal(ref.shape[0]) * 10.0 ** rng.integers(-4, 4, ref.shape[0])
+            assert (level @ x).tobytes() == (ref @ x).tobytes()
+    assert len(levels) == {16: 2, 24: 2, 40: 3, 64: 4}[fine_cells]
+
+
+def reduceat_weights(mat):
+    """The smoother weights as a level's CSR matrix gave them: its absolute
+    row sums by one ``np.add.reduceat`` over its entries."""
+    sums = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+    inv_diag = 1.0 / mat.diagonal()
+    return fem._MG_OMEGA * min(1.0, 2.0 / float(np.max(inv_diag * sums))) * inv_diag
+
+
+@pytest.mark.parametrize("cells", [16, 40, 64])
+@pytest.mark.parametrize("coeff", [checkerboard_coeff, DIAGONAL_10_1, FULL_TENSOR], ids=COEFF_IDS)
+def test_level_row_sums_and_weights_are_the_reduceat_ones_bitwise(cells, coeff):
+    interior = dirichlet_system(cells, coeff)[0][:, :, 1:-1, 1:-1]
+    while cells % 2 == 0 and cells >= 8:
+        mat = _csr(interior)
+        sums = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+        assert fem._abs_row_sums(interior).tobytes() == sums.tobytes()
+        assert fem._smoother_weights(interior).tobytes() == reduceat_weights(mat).tobytes()
+        interior, cells = _coarsen(interior), cells // 2
 
 
 @pytest.mark.parametrize("cells", [24, 40, 15])
@@ -807,6 +844,53 @@ def test_stencil_kernel_matches_coo_scatter_on_cell_grids(grid, n_points):
     assert np.max(np.abs(mat.data - ref.data)) <= 2 * np.spacing(np.max(np.abs(ref.data)))
 
 
+def spd_period(rng, period, dim, n_q):
+    """Random symmetric positive definite samples of one period, (P,)*dim + (Q, dim, dim)."""
+    g = rng.standard_normal((period,) * dim + (n_q, dim, dim))
+    a = g @ np.swapaxes(g, -1, -2) + np.eye(dim)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+@pytest.mark.parametrize("grid, period, chunk", [
+    (MacroGrid(1, 96), 8, None), (MacroGrid(1, 96), 48, 20), (MacroGrid(1, 96), 96, 20),
+    (MacroGrid(2, 48), 8, None), (MacroGrid(2, 48), 24, 100), (MacroGrid(2, 48), 48, 100),
+    (CellGrid(2, 24), 8, None), (CellGrid(2, 24), 24, 50),
+], ids=repr)
+def test_period_kernel_is_the_element_row_path_bitwise(monkeypatch, grid, period, chunk):
+    # one period multiplied once and added over its copies, against its
+    # samples tiled to every element, which the kernel multiplies chunk by
+    # chunk of element rows (several chunks where one is patched), and on a
+    # box against the scatter of the element matrices
+    if chunk is not None:
+        monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
+    quad = gauss_rule(2, grid.dim)
+    rng = np.random.default_rng(period + grid.dim)
+    samples = spd_period(rng, period, grid.dim, len(quad.weights))
+    tiled = as_period(grid, every_element(grid, samples))
+    got, ref = assemble_stiffness(grid, samples, quad), assemble_stiffness(grid, tiled, quad)
+    if isinstance(grid, CellGrid):
+        assert same_pattern(got, ref) and np.array_equal(got.data, ref.data)
+        return
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(_csr(got).data, coo_stiffness(grid, tiled, quad).data)
+
+
+@pytest.mark.parametrize("grid", [MacroGrid(2, 8), CellGrid(2, 8)], ids=repr)
+def test_period_samples_name_the_first_element_that_reads_a_bad_class(grid):
+    # a period of 4 on 8 cells: class (2, 3) is read first by element
+    # 2 * 8 + 3 = 19, class (3, 0) by element 24
+    quad = gauss_rule(2, 2)
+    a = np.broadcast_to(np.eye(2), (4, 4, 4, 2, 2)).copy()
+    a[3, 0, 2] = np.nan
+    a[2, 3, 1, 0, 1] = a[2, 3, 1, 1, 0] = np.inf  # off the diagonal
+    with pytest.raises(AssemblyError, match="coefficient at element 19$"):
+        assemble_stiffness(grid, a, quad)
+    with pytest.raises(AssemblyError, match="scalar source at element 24$"):
+        assemble_load_from_samples(grid, quad, a[..., 0, 0])
+    with pytest.raises(AssemblyError, match="flux source at element 19$"):
+        assemble_load_from_samples(grid, quad, flux_samples=a[..., 1])
+
+
 def test_stencil_pattern_is_cached_per_lattice_and_read_only():
     for periodic in (True, False):
         pattern = stencil_pattern(2, 4, periodic=periodic)
@@ -909,6 +993,12 @@ def test_nonsymmetric_1d_dirichlet_solve_rejects_a_singular_system():
         solve_dirichlet(mat, np.ones(grid.ndof), grid, symmetric=False)
 
 
+def every_element(grid, period):
+    """Samples of one period, (P,)*dim + ..., tiled to every element, (E, ...)."""
+    reps = (grid.cells_per_side // len(period),) * grid.dim + (1,) * (period.ndim - grid.dim)
+    return np.tile(period, reps).reshape((grid.n_elements,) + period.shape[grid.dim:])
+
+
 def bincount_load(grid, quad, scalar=None, flux=None):
     """The load as one scatter of every element vector by ``bincount``."""
     dofs = grid.element_dofs()
@@ -917,10 +1007,10 @@ def bincount_load(grid, quad, scalar=None, flux=None):
     weights = quad.weights * h**grid.dim
     local = np.zeros((n_el, n_loc))
     if scalar is not None:
-        s = fem._tile(grid, quad, scalar, (), "scalar source")
+        s = every_element(grid, scalar)
         local += s @ (weights[:, None] * quad.basis)
     if flux is not None:
-        b = fem._tile(grid, quad, flux, (grid.dim,), "flux source")
+        b = every_element(grid, flux)
         ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
         local += b.reshape(n_el, -1) @ ref.reshape(-1, n_loc)
     return np.bincount(dofs.reshape(-1), weights=local.reshape(-1), minlength=grid.ndof)
@@ -959,17 +1049,17 @@ def test_chunked_load_names_the_first_bad_element(monkeypatch):
         assemble_load_from_samples(grid, quad, scalar)
 
 
-def test_smoother_weights_read_row_blocks_bitwise(monkeypatch):
-    # the absolute row sums, a block of rows at a time, are the sums of one
-    # reduceat over the whole matrix, on rows that cross the block seams
+def test_band_row_sums_are_the_reduceat_sums_bitwise(monkeypatch):
+    # the band sums, a block of lattice rows at a time, are the sums of one
+    # reduceat over the whole CSR matrix: blocks of one row, of three and of
+    # all 21, on entries spread over twelve decades
     rng = np.random.default_rng(9)
-    stencil = rng.standard_normal((3, 3, 21, 21))
+    stencil = rng.standard_normal((3, 3, 21, 21)) * 10.0 ** rng.integers(-6, 6, (3, 3, 21, 21))
     stencil[1, 1] = 1.0 + rng.random((21, 21))  # a positive diagonal
     mat = _csr(stencil)
     whole = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
-    inv_diag = 1.0 / mat.diagonal()
-    assert np.max(inv_diag * whole) > 2.0  # the sums set the weight
-    want = fem._MG_OMEGA * min(1.0, 2.0 / float(np.max(inv_diag * whole))) * inv_diag
+    assert np.max(whole / mat.diagonal()) > 2.0  # the sums set the weight
     for chunk in (7, 64, 1 << 15):
         monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
-        assert fem._smoother_weights(mat).tobytes() == want.tobytes()
+        assert fem._abs_row_sums(stencil).tobytes() == whole.tobytes()
+        assert fem._smoother_weights(stencil).tobytes() == reduceat_weights(mat).tobytes()
