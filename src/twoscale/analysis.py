@@ -8,6 +8,7 @@ concern the gradient itself and smoothing would flatter the rates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -103,7 +104,16 @@ def energy_difference(
             (fine_grid.cells_per_side,) * dim + grads.shape[1:] + (dim,))]  # P = cells per side
     p = len(a_q[0])  # element (a p + A, b p + B) reads class (A, B)
     g = grads.reshape((fine_grid.cells_per_side // p, p) * dim + grads.shape[1:])
-    dens = np.einsum(["Aqij,aAqi,aAqj->aAq", "ABqij,aAbBqi,aAbBqj->aAbBq"][dim - 1], a_q[0], g, g)
+    a = a_q[0].reshape((1, p) * dim + a_q[0].shape[dim:])[0]  # a row of copies' classes
+    # the sum over (i, j) in order of (a_ij g_i) g_j, as the einsum it
+    # replaced adds it, one row of period copies at a time
+    dens, term = np.empty(g.shape[:-1]), np.empty(g.shape[1:-1])
+    for rows, out in zip(g, dens):
+        for k, (i, j) in enumerate(itertools.product(range(dim), repeat=2)):
+            product = np.multiply(a[..., i, j], rows[..., i], out=term if k else out)
+            product *= rows[..., j]
+            if k:
+                out += term
     e_fine = np.einsum("eq,q->", dens.reshape(grads.shape[:2]), fine_quad.weights)
     e_fine *= fine_grid.spacing**dim
 

@@ -380,6 +380,9 @@ def run_study(
                     write_field_csv, [out_dir / name for name in names], fine_grid, fields,
                     [()] * len(names),
                 )
+                del fields
+            # this eps's fields go before the next eps's are made
+            del exp, u_eps, layers, z0, z1, z2, interior, recon_grad1
             done(stage)
 
         stage = "rate_fit"

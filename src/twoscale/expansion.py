@@ -24,8 +24,8 @@ import numpy as np
 from .cell_problems import CorrectorTable, corrector_field_names
 from .config import MAX_FINE_DOFS
 from .errors import ConfigurationError
-from .fem import (assemble_load_from_samples, assemble_stiffness, element_quad_points,
-                  gauss_rule, solve_dirichlet)
+from .fem import (assemble_load_from_samples, element_quad_points, gauss_rule,
+                  period_stiffness, solve_dirichlet)
 from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, tensor_corners
 from .macro import PicardResult, solve_nonlinear
 
@@ -216,8 +216,10 @@ def check_fine_dofs(fine_grid: MacroGrid, max_dofs: int):
 def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = MAX_FINE_DOFS, initial=None):
     """Resolved reference solve with oscillating data a(u, x, x/eps).
 
-    One solve from :func:`period_samples` for data of y alone, else Newton as in
-    the homogenized solve, from the nodal ``initial`` values when given; both
+    One solve from :func:`period_samples` for data of y alone, against one
+    period of the stencil (:func:`~twoscale.fem.period_stiffness`), from
+    which every multigrid level is built; else Newton as in the homogenized
+    solve, from the nodal ``initial`` values when given; both
     use the model's rule, as the study does.  Refuses fine grids beyond
     ``max_dofs`` (:func:`check_fine_dofs`).
     """
@@ -226,9 +228,8 @@ def solve_fine(model, eps: float, fine_grid: MacroGrid, max_dofs: int = MAX_FINE
 
     quad = gauss_rule(model.solve_points, fine_grid.dim)
     samples = period_samples(model, eps, fine_grid, quad, model.eval_a, model.eval_f)
-    if samples is not None:  # one linear solve
-        # no local holds the stencil, so the solve frees it once read
-        values = solve_dirichlet(assemble_stiffness(fine_grid, samples[0], quad),
+    if samples is not None:  # one linear solve, from one period of the stencil
+        values = solve_dirichlet(period_stiffness(fine_grid, samples[0], quad),
                                  assemble_load_from_samples(fine_grid, quad, samples[1]),
                                  fine_grid)
         return ScalarField(fine_grid, values), PicardResult(1, [0.0])

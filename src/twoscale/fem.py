@@ -17,6 +17,11 @@ smoothing weighted to contract on every level and a sparse-LU coarsest
 level, which keeps the iteration count flat as the grid is refined.  Every
 level but the coarsest is its stencil's nine diagonals, whose products are
 bitwise those of its CSR matrix, so no CSR copy or pattern is built for it.
+A box solve may read one period of the stencil in place of the whole
+(:func:`period_stiffness`, for coefficients of the fast variable alone):
+every level is then built from a period of its own, coarsened with the
+period's rows wrapped, and its diagonals and smoother weights are tiled
+from it, byte for byte those of the whole stencil's level.
 
 Every stiffness operator and Newton Jacobian comes from one stencil kernel.
 The coefficient samples at the quadrature points, reshaped to (E,
@@ -358,6 +363,33 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule):
     return mat
 
 
+def period_stiffness(grid, samples, quad: QuadratureRule) -> np.ndarray:
+    """One period, (3,)*dim + (P,)*dim, of the stencil of the box ``grid``
+    for one period of coefficient samples (P,)*dim + (Q, dim, dim): class c
+    is the stencil of every interior node i = c mod P, as
+    :func:`solve_dirichlet` reads it.  Nodes P to 2P - 1 of a box of 2P
+    cells of ``grid``'s spacing (:func:`assemble_stiffness`) sum the same
+    element terms in the same order, so they are bitwise those classes; a
+    non-finite sample is named by the first element of ``grid`` reading it.
+    """
+    dim = grid.dim
+    period, p = _period(grid, quad, samples, (dim, dim), "coefficient")
+    _check_finite(grid, period.reshape(p**dim, -1), 0, p, "coefficient")
+    stencil = assemble_stiffness(_Window(dim, 2 * p, grid.cells_per_side), period, quad)
+    return stencil[(Ellipsis,) + (slice(p, 2 * p),) * dim]
+
+
+@dataclass(frozen=True)
+class _Window(MacroGrid):
+    """A box of ``cells_per_side`` cells of the spacing of a box of ``of``."""
+
+    of: int
+
+    @property
+    def spacing(self) -> float:
+        return 1.0 / self.of
+
+
 def linearize(grid, quad: QuadratureRule, state, data):
     """Residual R and Jacobian J of -div(a(u) grad u) = f(u) at nodal
     ``state`` u on a box grid, returned as (J, R):
@@ -575,20 +607,33 @@ _MG_SWEEPS = 2
 _BANDS = list(itertools.product((-1, 0, 1), repeat=2))
 
 
-def _diagonals(stencil: np.ndarray) -> sp.dia_matrix:
-    """The interior operator A of a level's stencil (3, 3, n, n) as its nine
-    diagonals: offsets di * n + dj ascending, each row's column order, with
-    column-indexed data, data[k, j] = A[j - offset_k, j], and the couplings
-    that leave the box stored as zeros.  ``dia_matvec`` then sums every row
-    in the order, and from the same 0.0, as ``csr_matvec`` sums the row of
-    the CSR matrix :func:`_csr` reads off the stencil, so the products are
-    bitwise the same.
+def _tile_level(period: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, n) of a level of n interior nodes per side whose node (i, j)
+    reads ``period`` (..., P, P) at (i mod P, j mod P): the period tiled, or
+    a view of its first n classes if P >= n (the period is the level)."""
+    p = period.shape[-1]
+    if p >= n:
+        return period[..., :n, :n]
+    reps = -(-n // p)
+    return np.tile(period, (1,) * (period.ndim - 2) + (reps, reps))[..., :n, :n]
+
+
+def _diagonals(period: np.ndarray, n: int | None = None) -> sp.dia_matrix:
+    """The interior operator A of a level of ``n`` interior nodes per side,
+    whose stencil is ``period`` (3, 3, P, P) tiled (:func:`_tile_level`; n =
+    P by default), as its nine diagonals: offsets di * n + dj ascending,
+    each row's column order, with column-indexed data, data[k, j] = A[j -
+    offset_k, j], and the couplings that leave the box stored as zeros.
+    ``dia_matvec`` then sums every row in the order, and from the same 0.0,
+    as ``csr_matvec`` sums the row of the CSR matrix :func:`_csr` reads off
+    the tiled stencil, so the products are bitwise the same.
     """
-    n = stencil.shape[-1]
+    n = period.shape[-1] if n is None else n
     data = np.zeros((len(_BANDS), n * n))
     for k, (di, dj) in enumerate(_BANDS):
+        band = _tile_level(period[1 + di, 1 + dj], n)  # one band at a time
         data[k].reshape(n, n)[max(0, di) : n + min(0, di), max(0, dj) : n + min(0, dj)] = (
-            stencil[1 + di, 1 + dj, max(0, -di) : n - max(0, di), max(0, -dj) : n - max(0, dj)])
+            band[max(0, -di) : n - max(0, di), max(0, -dj) : n - max(0, dj)])
     return sp.dia_matrix((data, [di * n + dj for di, dj in _BANDS]), shape=(n * n,) * 2)
 
 
@@ -627,9 +672,10 @@ def _abs_row_sums(stencil: np.ndarray) -> np.ndarray:
     return sums.reshape(-1)
 
 
-def _smoother_weights(stencil: np.ndarray) -> np.ndarray:
-    """omega / diag(A) for one level's damped-Jacobi smoother, A the interior
-    operator of its stencil (3, 3, n, n).
+def _smoother_weights(period: np.ndarray, n: int | None = None) -> np.ndarray:
+    """omega / diag(A) for the damped-Jacobi smoother of a level of ``n``
+    interior nodes per side (n = P by default), A the interior operator of
+    its stencil, ``period`` (3, 3, P, P) tiled (:func:`_tile_level`).
 
     A sweep contracts the error in the A-norm only while omega times
     lambda_max(D^-1 A) stays below 2.  Gershgorin bounds lambda_max by the
@@ -637,29 +683,47 @@ def _smoother_weights(stencil: np.ndarray) -> np.ndarray:
     capped at 2 * ``_MG_OMEGA`` over that bound.  Q1 stencils of a scalar
     coefficient have bound 2 and keep omega = 0.8; anisotropic or full
     tensors, whose stencils carry positive off-diagonals, get a smaller
-    weight instead of an amplifying smoother.
+    weight instead of an amplifying smoother.  The sums are read on a tiled
+    box of n_s nodes per side, the least n_s >= P + 2 with n_s = n mod P
+    (or n), whose first, inner and last rows and columns hold the level's
+    classes, so its largest sum is the level's: an edge row may hold it,
+    as it adds its terms in another order.
     """
-    if np.any(stencil[1, 1] <= 0.0):
+    p = period.shape[-1]
+    n = p if n is None else n
+    if np.any(period[1, 1] <= 0.0):
         raise ValueError("matrix diagonal must be positive for the damped-Jacobi smoother")
-    inv_diag = (1.0 / stencil[1, 1]).reshape(-1)
-    sums = _abs_row_sums(stencil)
-    sums *= inv_diag
+    small = _tile_level(period, min(n, p + 2 + (n - p - 2) % p))
+    sums = _abs_row_sums(small)
+    sums *= (1.0 / small[1, 1]).reshape(-1)
+    inv_diag = 1.0 / period[1, 1]
     inv_diag *= _MG_OMEGA * min(1.0, 2.0 / float(np.max(sums)))
-    return inv_diag
+    return _tile_level(inv_diag, n).reshape(-1)
 
 
-def _coarsen(stencil: np.ndarray) -> np.ndarray:
-    """Galerkin stencil P^T A P, (3, 3, n // 2, n // 2), of an interior
-    stencil (3, 3, n, n), n odd, under bilinear prolongation P.
+def _coarsen(period: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Galerkin stencil P^T A P under bilinear prolongation P of a level of
+    ``n`` interior nodes per side, n odd, whose node j reads ``period`` (3,
+    3, P, P) at j mod P (n = P by default): the coarse level's period, of
+    its n // 2 nodes per side if P = n, else of P / 2 classes (an odd P
+    tiled to 2P first).
 
     P is a product of one-axis interpolations (coarse node I at fine node
     c = 2I + 1, weights 1/2, 1, 1/2), taken one axis at a time.  If fine row
     i couples to i - 1, i, i + 1 by l_i, d_i, u_i, coarse row I couples by
     (l_c + l_{c-1}) / 2 + d_{c-1} / 4, d_c + (l_c + u_c + u_{c-1} + l_{c+1}) / 2
     + (d_{c-1} + d_{c+1}) / 4 and (u_c + u_{c+1}) / 2 + d_{c+1} / 4.  A
-    coupling that leaves the box reaches only the zeroed first l' or last u'.
+    period shorter than the level wraps: its first row follows its last, so
+    coarse class I reads fine classes 2I, 2I + 1 and 2I + 2 mod P.  A
+    coupling that leaves the box reaches only couplings that leave the
+    coarse box, which no level reads.
     """
+    p = period.shape[-1]
+    n = p if n is None else n
+    stencil = _tile_level(period, 2 * p) if p < n and p % 2 else period[:, :, :n, :n]
     for _ in range(2):
+        if p < n:
+            stencil = np.concatenate([stencil, stencil[:, :, :1]], axis=2)
         # rows c - 1, c and c + 1 of each band, (3, n // 2, n'): the other axis's offset first
         (lm, lc, lp), (dm, dc, dp), (um, uc, up) = (
             (band[:, :-1:2], band[:, 1::2], band[:, 2::2]) for band in stencil)
@@ -667,9 +731,8 @@ def _coarsen(stencil: np.ndarray) -> np.ndarray:
         coarse[0] = 0.5 * (lc + lm) + 0.25 * dm
         coarse[1] = dc + 0.5 * (lc + uc + um + lp) + 0.25 * (dm + dp)
         coarse[2] = 0.5 * (uc + up) + 0.25 * dp
-        coarse[0, :, 0] = coarse[2, :, -1] = 0.0
         stencil = coarse.transpose(1, 0, 3, 2)  # the other axis next
-    return np.ascontiguousarray(stencil)
+    return np.ascontiguousarray(stencil[:, :, : n // 2, : n // 2])
 
 
 def _restrict(r: np.ndarray, n: int) -> np.ndarray:
@@ -690,31 +753,49 @@ def _prolong(x: np.ndarray, n: int) -> np.ndarray:
     return full[1:-1, 1:-1].reshape(-1)
 
 
-def _multigrid(matrix: np.ndarray):
-    """(A, V-cycle) of the interior equations of a 2-D box stencil ``matrix``
-    (3, 3, m + 1, m + 1): A is their operator, the V-cycle its preconditioner.
+def _levels(handed: list, cells: int):
+    """(levels, coarsest CSR matrix) of the V-cycle of a 2-D box of ``cells``
+    cells per side, each level but the coarsest as (nine diagonals, smoother
+    weights, interior nodes per side).  ``handed`` holds the box's stencil
+    or one period of it (:func:`solve_dirichlet`), taken out, so that a box
+    stencil no caller holds is freed once the finest level is built.
 
-    Levels halve the cell count while it is even and at least 8; coarse
-    stencils are Galerkin products P^T A P (:func:`_coarsen`), which stay
-    robust under oscillating coefficients.  Every level but the coarsest
-    applies its stencil as nine diagonals (:func:`_diagonals`), bitwise the
-    products of its CSR matrix, and reads its smoother weights off the
-    stencil's bands (:func:`_smoother_weights`), so it builds no CSR copy.
-    Damped Jacobi takes as many sweeps after the coarse correction as
-    before, and the coarsest level is factored once (:func:`_csr`,
-    :func:`_lu`), so the V-cycle of an SPD matrix is SPD.  A grid that
-    cannot coarsen is solved exactly, and A is then that level's CSR matrix.
+    Levels halve the cell count while it is even and at least 8.  Each is a
+    period indexed by interior node mod P: the whole interior of a box
+    stencil, a view whose boundary couplings no level reads, or P classes,
+    which :func:`_coarsen` halves; its weights and diagonals, and the
+    coarsest matrix, are tiled from it (:func:`_tile_level`).  Its coarse
+    stencil and weights are formed before its diagonals, so their
+    temporaries are gone first.
     """
-    stencil = matrix[:, :, 1:-1, 1:-1]  # a view: no level reads its couplings to the boundary
+    matrix = handed.pop()
+    stencil = (matrix[:, :, 1:cells, 1:cells] if len(matrix[0, 0]) >= cells
+               else np.roll(matrix, (-1, -1), (2, 3)))  # interior node j is grid node j + 1
+    del matrix
     levels = []  # (operator, weighted inverse diagonal, interior nodes per side)
-    cells = len(matrix[0, 0]) - 1
     while cells % 2 == 0 and cells >= 8:
-        # the coarse stencil and the weights first: their temporaries are
-        # gone before the diagonals are built
-        coarse, weights = _coarsen(stencil), _smoother_weights(stencil)
-        levels.append((_diagonals(stencil), weights, cells - 1))
+        coarse, weights = _coarsen(stencil, cells - 1), _smoother_weights(stencil, cells - 1)
+        levels.append((_diagonals(stencil, cells - 1), weights, cells - 1))
         stencil, cells = coarse, cells // 2
-    coarsest = _csr(stencil)
+    return levels, _csr(_tile_level(stencil, cells - 1))
+
+
+def _multigrid(handed: list, cells: int):
+    """(A, V-cycle) of the interior equations of a 2-D box of ``cells``
+    cells per side, whose stencil ``handed`` holds (:func:`_levels`): A is
+    their operator, the V-cycle its preconditioner.
+
+    Coarse stencils are Galerkin products P^T A P (:func:`_coarsen`), which
+    stay robust under oscillating coefficients.  Every level but the
+    coarsest applies its stencil as nine diagonals (:func:`_diagonals`),
+    bitwise the products of its CSR matrix, and reads its smoother weights
+    off the stencil's bands (:func:`_smoother_weights`), so it builds no CSR
+    copy.  Damped Jacobi takes as many sweeps after the coarse correction
+    as before, and the coarsest level is factored once (:func:`_lu`), so
+    the V-cycle of an SPD matrix is SPD.  A grid that cannot coarsen is
+    solved exactly, and A is then that level's CSR matrix.
+    """
+    levels, coarsest = _levels(handed, cells)
     lu = _lu(coarsest)
 
     # a loop, not a recursive closure: a closure that calls itself is a
@@ -743,17 +824,23 @@ def solve_dirichlet(matrix, rhs: np.ndarray, grid: MacroGrid, symmetric: bool = 
     """Solve ``matrix x = rhs``, ``matrix`` a box stencil, with homogeneous
     Dirichlet data eliminated exactly.
 
+    ``matrix`` is the box's stencil, (3,)*dim + (m + 1,)*dim, or one period
+    of it (:func:`period_stiffness`), (3,)*dim + (P,)*dim with P dividing
+    m, whose class c is the stencil of every interior node i = c mod P.
     Only the interior equations are solved; the returned full nodal vector
     is exactly zero on the boundary.  A 1-D grid's are tridiagonal and
-    solved directly from the stencil's rows: a ``symmetric`` system from two
-    bands, raising :class:`NonConvergenceError` unless it is positive
-    definite, any other (a Newton Jacobian) from three, with partial
-    pivoting.  A 2-D grid's are solved by CG (GMRES unless ``symmetric``),
-    preconditioned with their multigrid V-cycle (:func:`_multigrid`), to the
-    relative residual ``KRYLOV_TOL`` within :func:`_krylov_budget`.
+    solved directly from the stencil's rows, a period tiled: a
+    ``symmetric`` system from two bands, raising
+    :class:`NonConvergenceError` unless it is positive definite, any other
+    (a Newton Jacobian) from three, with partial pivoting.  A 2-D grid's
+    are solved by CG (GMRES unless ``symmetric``), preconditioned with their
+    multigrid V-cycle (:func:`_multigrid`), to the relative residual
+    ``KRYLOV_TOL`` within :func:`_krylov_budget`.
     """
     out = np.zeros(grid.ndof)
     if grid.dim == 1:  # the interior sub-, main and super-diagonal
+        if matrix.shape[-1] != grid.ndof:  # a period, tiled
+            matrix = matrix[:, np.arange(grid.ndof) % matrix.shape[-1]]
         lower, diag, upper = matrix[0, 2:-1], matrix[1, 1:-1], matrix[2, 1:-2]
         if symmetric:  # LDL^T
             _, _, out[1:-1], info = lapack.dptsv(diag, upper, rhs[1:-1])
@@ -766,8 +853,9 @@ def solve_dirichlet(matrix, rhs: np.ndarray, grid: MacroGrid, symmetric: bool = 
             )
         return out
     free = grid.interior_dofs()
-    reduced, precond = _multigrid(matrix)
-    del matrix  # the iteration reads only the levels: free the stencil if unshared
+    handed = [matrix]
+    del matrix  # the hierarchy holds the only reference: it frees a box stencil once read
+    reduced, precond = _multigrid(handed, grid.cells_per_side)
     max_iter = _krylov_budget(len(free))
     if symmetric:
         out[free], _, _ = _jacobi_pcg(reduced, rhs[free], KRYLOV_TOL, max_iter, precond)

@@ -225,6 +225,36 @@ def test_own_grid_reads_match_point_location_reference(dim):
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["ROSSELAND", "CONSTANT"])
+def test_energy_density_is_the_einsum_bitwise(dim, family):
+    # the fine energy density as explicit band products, (a_ij g_i) g_j added
+    # over (i, j) in order, against the three-operand einsum it replaced, on
+    # a full tensor: read at every element (ROSSELAND, u-dependent) or on
+    # one period (CONSTANT, of y alone)
+    eps = 0.25
+    k_matrix = [[2.0]] if dim == 1 else [[2.0, 0.6], [0.6, 1.5]]
+    model = (RosselandCoefficient(dim, k_matrix=k_matrix, b=0.5) if family == "ROSSELAND"
+             else ConstantCoefficient(dim, k_matrix))
+    fine = fine_grid_for(eps, 8, dim)
+    x = lattice_points(fine.axes())
+    u_eps = ScalarField(fine, 0.8 * np.prod(np.sin(np.pi * x), axis=1) + 0.1 * x[:, 0])
+    quad = gauss_rule(model.solve_points, dim)
+    grads = field_gradients_at_quad(fine, u_eps.values, quad)
+    a_q = period_samples(model, eps, fine, quad, model.eval_a)
+    if a_q is None:
+        pts = element_quad_points(fine, quad).reshape(-1, dim)
+        u_at = field_values_at_quad(fine, u_eps.values, quad).reshape(-1)
+        a_q = [model.eval_a(u_at, pts, np.mod(pts / eps, 1.0)).reshape(
+            (fine.cells_per_side,) * dim + grads.shape[1:] + (dim,))]
+    p = len(a_q[0])
+    assert p == (fine.cells_per_side if family == "ROSSELAND" else 8)
+    g = grads.reshape((fine.cells_per_side // p, p) * dim + grads.shape[1:])
+    dens = np.einsum(["Aqij,aAqi,aAqj->aAq", "ABqij,aAbBqi,aAbBqj->aAbBq"][dim - 1], a_q[0], g, g)
+    want = np.einsum("eq,q->", dens.reshape(grads.shape[:2]), quad.weights) * fine.spacing**dim
+    assert energy_difference(model, u_eps, eps, *zero_macro_side(dim)) == abs(float(want))
+
+
 def y_only_model(dim, family):
     source = SourceModel(base=1.0, amplitude=0.5, frequency=2, axis=dim - 1)
     if family == "SMOOTH_PERIODIC":

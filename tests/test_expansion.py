@@ -26,6 +26,7 @@ from twoscale.expansion import (
     ExpansionField,
     fast_coordinates,
     fine_grid_for,
+    period_samples,
     reconstruct,
     reconstruction_gradient,
     remainder,
@@ -34,6 +35,7 @@ from twoscale.expansion import (
 from twoscale.fem import (
     _csr,
     assemble_load,
+    assemble_load_from_samples,
     assemble_stiffness,
     element_quad_points,
     gauss_rule,
@@ -298,7 +300,7 @@ def test_order_monotonicity_at_small_eps():
 
 
 def test_u_independent_fine_solve_assembles_once(monkeypatch):
-    import twoscale.expansion as expansion
+    import twoscale.fem as fem
     import twoscale.macro as macro
 
     calls = []
@@ -308,7 +310,8 @@ def test_u_independent_fine_solve_assembles_once(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (macro, expansion):  # the Newton start, the one-period solve
+    # the Newton start, and the one-period solve through fem.period_stiffness
+    for module in (macro, fem):
         monkeypatch.setattr(module, "assemble_stiffness", counting)
     model = SmoothPeriodicCoefficient(1, base=2.0, amplitude=1.0)
     u_eps, result = solve_fine(model, 0.125, fine_grid_for(0.125, 16, 1))
@@ -348,9 +351,10 @@ def test_frozen_fine_start_reads_the_data_once_per_point(monkeypatch):
 
 def test_fine_solve_working_set_stays_under_its_bound():
     # smooth 2-D at eps 1/16, 16 cells per period: 66,049 DOFs.  The
-    # tracemalloc peak read 14.2 MiB with diagonal multigrid levels and
-    # one-period kernels, against 20.6 MiB with CSR levels and tiled
-    # element-row chunks; the bound leaves 1.8 MiB (12%) of margin
+    # tracemalloc peak read 12.97 MiB with the stencil assembled and every
+    # multigrid level built from one period, against 14.2 MiB with the box
+    # stencil and its levels, and 20.6 MiB with CSR levels and tiled
+    # element-row chunks; the bound leaves 1.5 MiB (12%) of margin
     config = Path(__file__).resolve().parents[1] / "docs" / "examples" / "smooth_periodic_2d.json"
     model = build_setup(load_config(str(config))).model
     eps = 1.0 / 16
@@ -362,7 +366,25 @@ def test_fine_solve_working_set_stays_under_its_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak / 2**20
+    assert peak < 14.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("dim, eps, periods", [
+    (2, 1 / 4, 16), (2, 1 / 8, 16), (2, 1 / 16, 16), (2, 1 / 3, 10), (2, 1 / 67, 8), (1, 1 / 8, 16)])
+def test_one_period_fine_solve_is_the_box_stencil_solve_bitwise(dim, eps, periods):
+    # the fine solve of data of y alone, from one period of the stencil,
+    # against the solve of the box stencil assembled from the same samples:
+    # the benchmark's three grids, odd coarse periods (10 halves to 5), the
+    # odd 67-cell coarsest level, and 1-D
+    model = build_setup(load_config(str(
+        Path(__file__).resolve().parents[1] / "docs" / "examples"
+        / f"smooth_periodic_{dim}d.json"))).model
+    fine = fine_grid_for(eps, periods, dim)
+    quad = gauss_rule(model.solve_points, dim)
+    a, f = period_samples(model, eps, fine, quad, model.eval_a, model.eval_f)
+    want = solve_dirichlet(assemble_stiffness(fine, a, quad),
+                           assemble_load_from_samples(fine, quad, f), fine)
+    assert solve_fine(model, eps, fine)[0].values.tobytes() == want.tobytes()
 
 
 def test_u_dependent_2d_fine_solve_matches_point_location_reference():

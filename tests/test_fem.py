@@ -11,6 +11,7 @@ from twoscale.fem import (
     _coarsen,
     _diagonals,
     _jacobi_pcg,
+    _levels,
     _multigrid,
     _stiffness_reference,
     as_period,
@@ -21,6 +22,7 @@ from twoscale.fem import (
     field_gradients_at_quad,
     gauss_rule,
     linearize,
+    period_stiffness,
     q1_gradients,
     q1_values,
     solve_dirichlet,
@@ -583,7 +585,7 @@ def dirichlet_system(cells, coeff=checkerboard_coeff):
 @pytest.mark.parametrize("cells", [32, 64, 128, 256])
 def test_multigrid_pcg_iterations_flat_and_match_lu(cells):
     stencil, rhs = dirichlet_system(cells)
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], cells)
     x, rel, its = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)
     assert rel <= 1e-10
     assert its <= 12
@@ -596,13 +598,13 @@ def test_box_levels_read_no_stencil_pattern_and_keep_solve_bytes():
     # CSR matrix, whose 3 x 3 interior nodes are the nodes of a 2-cell box
     stencil_pattern.cache_clear()
     stencil, rhs = dirichlet_system(32)
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], 32)
     assert isinstance(reduced, sp.dia_matrix)
     stencil_pattern(2, 2, False)
     assert stencil_pattern.cache_info().currsize == 1
     fresh = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)[0]
     # a second hierarchy, and CG on the interior's CSR matrix, give the same bytes
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], 32)
     assert _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)[0].tobytes() == fresh.tobytes()
     free = MacroGrid(2, 32).interior_dofs()
     csr = _csr(stencil)[free][:, free].tocsr()
@@ -657,7 +659,7 @@ def test_diagonal_levels_are_the_reduced_box_matrix_bit_for_bit(cells, coeff):
     # stencil's: entries, and products on random vectors
     stencil = newton_jacobian(cells) if coeff is None else dirichlet_system(cells, coeff)[0]
     free = MacroGrid(2, cells).interior_dofs()
-    levels = [(_multigrid(stencil)[0], _csr(stencil)[free][:, free].tocsr())]
+    levels = [(_multigrid([stencil], cells)[0], _csr(stencil)[free][:, free].tocsr())]
     interior, fine_cells = stencil[:, :, 1:-1, 1:-1], cells
     while True:
         interior, cells = _coarsen(interior), cells // 2
@@ -700,7 +702,7 @@ def test_multigrid_on_grids_that_stop_coarsening_early(cells):
     # an odd 5-cell one; 15 cells never coarsen, so the preconditioner is
     # the exact solve and CG stops after one step
     stencil, rhs = dirichlet_system(cells)
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], cells)
     x, rel, its = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)
     assert its <= (1 if cells == 15 else 12)
     exact = sp.linalg.spsolve(reduced.tocsc(), rhs)
@@ -712,7 +714,7 @@ def test_multigrid_on_grids_that_stop_coarsening_early(cells):
 )
 def test_multigrid_preconditioner_symmetric_positive(coeff):
     # 16 cells coarsen twice; the preconditioner as a dense 225 x 225 matrix
-    reduced, precond = _multigrid(dirichlet_system(16, coeff)[0])
+    reduced, precond = _multigrid([dirichlet_system(16, coeff)[0]], 16)
     dense = np.column_stack([precond(e) for e in np.eye(reduced.shape[0])])
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
     assert np.linalg.eigvalsh(dense).min() > 0.0
@@ -740,18 +742,123 @@ def test_multigrid_factors_the_coarsest_level_of_an_odd_grid():
     # 67 cells cannot coarsen, so the preconditioner is the exact inverse of
     # the 66 x 66 interior operator and CG stops after one step
     stencil, rhs = dirichlet_system(67)
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], 67)
     x, rel, its = _jacobi_pcg(reduced, rhs, 1e-10, 100, precond)
     assert its == 1 and rel <= 1e-10
     # 536 = 8 * 67 cells coarsen three times to the same 67-cell level;
     # measured 8 steps
     stencil, rhs = dirichlet_system(536)
-    reduced, precond = _multigrid(stencil)
+    reduced, precond = _multigrid([stencil], 536)
     x, rel, _ = _jacobi_pcg(reduced, rhs, 1e-10, 10, precond)
     assert rel <= 1e-10
     # minimum degree ordering factors this grid in half the time of COLAMD
     exact = sp.linalg.spsolve(reduced.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def periodic_samples(p, quad, tensor):
+    """Coefficient samples of one period of ``p`` cells per side, (p, p, Q,
+    2, 2): an oscillation of contrast 3 times ``tensor``."""
+    y = element_quad_points(CellGrid(2, p), quad)
+    sig = 2.0 + np.sin(2.0 * np.pi * y[..., 0]) * np.cos(2.0 * np.pi * y[..., 1])
+    return (sig[..., None, None] * np.asarray(tensor)).reshape((p, p, len(quad.weights), 2, 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p, periods", [(8, 3), (16, 2), (16, 5), (32, 4)])
+def test_period_stiffness_is_every_class_of_the_box_stencil_bitwise(dim, p, periods):
+    # a box of 2P cells of the grid's spacing sums every class as the grid
+    # does; 3 and 5 periods make the spacing no power-of-two multiple of 1/2P
+    grid, quad = MacroGrid(dim, p * periods), gauss_rule(2, dim)
+    samples = (periodic_samples(p, quad, [[3.0, 1.4], [1.4, 1.0]]) if dim == 2
+               else np.linspace(1.0, 2.0, p * 2).reshape(p, 2, 1, 1))
+    full, period = assemble_stiffness(grid, samples, quad), period_stiffness(grid, samples, quad)
+    assert period.shape == (3,) * dim + (p,) * dim
+    classes = np.arange(1, grid.cells_per_side) % p  # of the interior nodes
+    interior = full[(Ellipsis,) + (slice(1, -1),) * dim]
+    tiled = period[..., classes] if dim == 1 else period[:, :, classes[:, None], classes]
+    assert tiled.tobytes() == interior.tobytes()
+    # a non-finite sample is named by the grid's element, as the box names it
+    bad = samples.copy()
+    bad[(p - 1,) * dim + (0, 0, 0)] = np.nan
+    with pytest.raises(AssemblyError) as box_error:
+        assemble_stiffness(grid, bad, quad)
+    with pytest.raises(AssemblyError, match=f"{box_error.value}$"):
+        period_stiffness(grid, bad, quad)
+
+
+# (P, cells): 8 to 32 classes on grids up to 256 cells; 536 = 8 x 67 cells
+# stop at an odd 67-cell coarsest level, and periods of 12 and 10 turn odd
+# (3 and 5) on coarse levels, 10 reaching a 5-cell coarsest level of P = 5
+PERIOD_GRIDS = [(8, 64), (8, 128), (8, 256), (16, 64), (16, 256), (32, 64), (32, 128), (32, 256),
+                (8, 536), (12, 48), (10, 40)]
+TENSORS = {"isotropic": np.eye(2), "full_tensor": [[3.0, 1.4], [1.4, 1.0]]}
+
+
+@pytest.mark.parametrize("tensor", TENSORS.values(), ids=TENSORS.keys())
+@pytest.mark.parametrize("p, cells", PERIOD_GRIDS)
+def test_period_levels_are_the_box_stencils_levels_bitwise(p, cells, tensor):
+    # the hierarchy built from one period against the one built from the
+    # box stencil: every level's diagonals, smoother weights and size, the
+    # coarsest CSR matrix, and a V-cycle, byte for byte
+    grid, quad = MacroGrid(2, cells), gauss_rule(2, 2)
+    samples = periodic_samples(p, quad, tensor)
+    full = assemble_stiffness(grid, samples, quad)
+    want, want_coarsest = _levels([full], cells)
+    got, got_coarsest = _levels([period_stiffness(grid, samples, quad)], cells)
+    assert len(got) == len(want) > 0
+    for (a, w, n), (ref_a, ref_w, ref_n) in zip(got, want):
+        assert n == ref_n
+        assert a.offsets.tobytes() == ref_a.offsets.tobytes()
+        assert a.data.tobytes() == ref_a.data.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got_coarsest, attr).tobytes() == getattr(want_coarsest, attr).tobytes()
+    r = np.random.default_rng(cells).standard_normal((cells - 1) ** 2)
+    precond = _multigrid([period_stiffness(grid, samples, quad)], cells)[1]
+    assert precond(r).tobytes() == _multigrid([full], cells)[1](r).tobytes()
+
+
+# (class, band, seed): the first row of the 128-cell level is class 0, the
+# last class 126 mod 32 = 30; the seeds put the maximum on that edge
+@pytest.mark.parametrize("cls, band, seed", [(0, 0, 4), (30, 2, 10)], ids=["first_row", "last_row"])
+def test_period_weights_read_the_maximum_on_an_edge_row_bitwise(cls, band, seed):
+    # the largest absolute row sum can lie on an edge row of the box: a row
+    # of a class that couples to nothing across that edge sums its terms from
+    # left to right there, one ulp above the pairwise sum of the same class
+    # inside.  The weights of the tiled box see it, as the whole level's CSR
+    # matrix does
+    rng = np.random.default_rng(seed)
+    period = rng.random((3, 3, 32, 32)) * 10.0 ** rng.integers(-3, 1, (3, 3, 32, 32))
+    period[1, 1] = 1.0 + rng.random((32, 32))
+    period[:, :, cls] *= 4.0  # this class's rows have the largest sums
+    period[1, 1, cls] /= 4.0
+    period[band, :, cls] = 0.0
+    level = fem._tile_level(period, 127)  # 127 interior nodes per side
+    sums = (fem._abs_row_sums(level) / level[1, 1].reshape(-1)).reshape(127, 127)
+    inner = sums[1:-1, 1:-1].max()
+    assert 2.0 / sums.max() < 2.0 / inner < 1.0  # the edge sets the weight
+    want = reduceat_weights(_csr(level))
+    assert fem._smoother_weights(period, 127).tobytes() == want.tobytes()
+
+
+def test_box_stencil_is_freed_once_the_finest_level_is_built(monkeypatch):
+    # a stencil that only the hierarchy holds is alive while the finest
+    # level is coarsened, and gone before the next level is
+    import weakref
+
+    stencil = dirichlet_system(32)[0]
+    alive, original = [], fem._coarsen
+
+    def coarsen(*args):
+        alive.append(box() is not None)
+        return original(*args)
+
+    monkeypatch.setattr(fem, "_coarsen", coarsen)
+    box, handed = weakref.ref(stencil), [stencil]
+    del stencil
+    levels, _ = _levels(handed, 32)
+    assert len(levels) == 3 and alive == [True, False, False]
 
 
 def coo_stiffness(grid, samples, quad):
