@@ -133,20 +133,22 @@ def _fmt(value: float) -> str:
 @functools.lru_cache(maxsize=1)
 def _coordinate_prefixes(grid) -> np.ndarray:
     """The ``x0,x1,`` prefix of every node's CSV row, in the grid's node
-    order, as a (ndof, width) uint8 matrix padded with NUL; each axis value
-    is formatted once.  Only the last grid is cached: the writers emit runs
-    of field files on one grid."""
+    order, as a (ndof, words) uint64 matrix of whole words padded with NUL;
+    each axis value is formatted once.  Only the last grid is cached: the
+    writers emit runs of field files on one grid."""
     axes = grid.axes()
     shape = tuple(len(axis) for axis in axes)
-    blocks = []
-    for d, axis in enumerate(axes):
-        text = np.array([t + b"," for t in _floatfmt.texts(axis)], dtype=bytes)
-        block = text.view(np.uint8).reshape(len(axis), -1)
+    texts = [np.array([t + b"," for t in _floatfmt.texts(axis)], dtype=bytes) for axis in axes]
+    width = sum(text.itemsize for text in texts)
+    prefixes = np.zeros(shape + (-(-width // 8) * 8,), dtype=np.uint8)
+    start = 0
+    for d, text in enumerate(texts):
         along = [1] * grid.dim
-        along[d] = len(axis)
-        blocks.append(np.broadcast_to(block.reshape(*along, -1), shape + block.shape[-1:]))
-    prefixes = np.concatenate(blocks, axis=-1)
-    prefixes = prefixes.reshape(-1, prefixes.shape[-1])
+        along[d] = len(text)
+        block = text.view(np.uint8).reshape(*along, -1)
+        prefixes[..., start : start + block.shape[-1]] = block
+        start += block.shape[-1]
+    prefixes = prefixes.reshape(-1, prefixes.shape[-1]).view("<u8")
     prefixes.flags.writeable = False
     return prefixes
 
@@ -175,17 +177,16 @@ def _csv_rows(grid, rows):
     groups = _equal_rows(rows)
     rows_per_pass = max(1, _floatfmt.CHUNK // ndof)
     nodes_per_pass = min(ndof, _floatfmt.CHUNK)
-    width = prefix.shape[1]
+    words = prefix.shape[1]
     for start in range(0, len(groups), rows_per_pass):
         batch = groups[start : start + rows_per_pass]
         parts = [[] for _ in batch]
         for lo in range(0, ndof, nodes_per_pass):
             block = np.stack([rows[group[0]][lo : lo + nodes_per_pass] for group in batch])
-            # [coordinate prefix | value slots | newline], NUL where unused
-            lines = np.empty(block.shape + (width + _floatfmt.WIDTH + 1,), dtype=np.uint8)
-            lines[..., :width] = prefix[lo : lo + block.shape[1]]
-            _floatfmt.format_into(block.reshape(-1), lines.reshape(block.size, -1)[:, width:-1])
-            lines[..., -1] = ord("\n")
+            # [coordinate prefix | value line], NUL where unused
+            lines = np.empty(block.shape + (words + _floatfmt.WORDS,), dtype=np.uint64)
+            lines[..., :words] = prefix[lo : lo + block.shape[1]]
+            _floatfmt.format_lines(block.reshape(-1), lines.reshape(block.size, -1)[:, words:])
             for part, row_lines in zip(parts, lines):
                 part.append(row_lines.tobytes().translate(None, b"\0"))
         for group, part in zip(batch, parts):

@@ -540,9 +540,8 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = precond(r).copy()  # the search direction, updated in place
+    rz = float(r @ p)
     history = []
     best_true = math.inf  # smallest true residual of the restarts so far
     for it in range(1, max_iter + 1):
@@ -556,8 +555,11 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
                 history=history,
             )
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        # alpha Ap, then alpha p, in Ap's buffer, which is gone before the
+        # next preconditioner call, as z is
+        r -= np.multiply(ap, alpha, out=ap)
+        x += np.multiply(p, alpha, out=ap)
+        del ap
         rel = math.sqrt(r @ r) / norm_b  # np.linalg.norm, without its call overhead
         restart = rel <= tol
         if restart:  # the updated residual drifts from b - A x: stop on the true one
@@ -577,7 +579,12 @@ def _jacobi_pcg(mat, rhs, tol, max_iter, precond):
             best_true = rel
         z = precond(r)
         rz_new = float(r @ z)
-        p = z if restart else z + (rz_new / rz) * p
+        if restart:
+            p[:] = z
+        else:  # z + beta p, bitwise
+            p *= rz_new / rz
+            p += z
+        del z
         rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations",
@@ -780,6 +787,20 @@ def _levels(handed: list, cells: int):
     return levels, _csr(_tile_level(stencil, cells - 1))
 
 
+def _residual(a, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r - a x, formed in the buffer of the product a x."""
+    ax = a @ x
+    return np.subtract(r, ax, out=ax)
+
+
+def _sweep(a, w_inv_diag: np.ndarray, x: np.ndarray, r: np.ndarray):
+    """One damped-Jacobi sweep x += w (r - a x) in place, through one
+    temporary."""
+    d = _residual(a, x, r)
+    d *= w_inv_diag
+    x += d
+
+
 def _multigrid(handed: list, cells: int):
     """(A, V-cycle) of the interior equations of a 2-D box of ``cells``
     cells per side, whose stencil ``handed`` holds (:func:`_levels`): A is
@@ -806,14 +827,14 @@ def _multigrid(handed: list, cells: int):
         for a, w_inv_diag, n in levels:
             x = w_inv_diag * r
             for _ in range(_MG_SWEEPS - 1):
-                x += w_inv_diag * (r - a @ x)
+                _sweep(a, w_inv_diag, x, r)
             down.append((x, r))
-            r = _restrict(r - a @ x, n)
+            r = _restrict(_residual(a, x, r), n)
         x_coarse = lu.solve(r)
         for (a, w_inv_diag, n), (x, r) in zip(reversed(levels), reversed(down)):
             x += _prolong(x_coarse, n)
             for _ in range(_MG_SWEEPS):
-                x += w_inv_diag * (r - a @ x)
+                _sweep(a, w_inv_diag, x, r)
             x_coarse = x
         return x_coarse
 

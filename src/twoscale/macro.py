@@ -97,7 +97,10 @@ def solve_nonlinear(model, grid: MacroGrid, data, initial=None):
     norm = np.linalg.norm(res[free])
     result = PicardResult(iterations=0)
     while result.iterations < _MAX_STEPS:
-        step = solve_dirichlet(jac, -res, grid, symmetric=False)
+        # the solve holds the only reference to the Jacobian, as the frozen
+        # start's does to its stencil, so the Jacobian is freed once read
+        jac = [jac]
+        step = solve_dirichlet(jac.pop(), -res, grid, symmetric=False)
         inc = float(np.max(np.abs(step)))
         result.iterations += 1
         frac = 1.0

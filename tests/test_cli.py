@@ -687,6 +687,38 @@ def test_write_field_csv_bytes_match_column_stack_formatting(tmp_path):
         write_field_csv([tmp_path / "short.csv"], cell, [np.zeros(cell.ndof - 1)], [()])
 
 
+def test_write_field_csv_is_a_repr_join(tmp_path):
+    # rows of whole words: a coordinate prefix of 42 bytes, not a multiple of
+    # 8, padded with NUL; a pass that crosses the CHUNK seam; bitwise-equal
+    # rows that share their chunks
+    from twoscale import _floatfmt, cli
+
+    grid = MacroGrid(2, 96)
+    axes = grid.axes()
+    assert sum(max(len(repr(x)) for x in axis.tolist()) + 1 for axis in axes) == 42
+    assert grid.ndof > _floatfmt.CHUNK
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-320, 300, grid.ndof)
+    special = [
+        0.0, -0.0, 1e-05, -1e-05, 0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+        -1.2345e-123, 2.5e200, 1e-100, 5e-324, -1e-310, 2.2250738585072014e-308,
+        np.nan, np.inf, -np.inf,
+    ]
+    values[: len(special)] = special
+    seam = _floatfmt.CHUNK - 8
+    values[seam : seam + len(special)] = special
+    stack = [values, -values, values.copy()]
+    chunks = dict(cli._csv_rows(grid, stack))
+    assert len(chunks[0]) == 2 and chunks[2] is chunks[0] and chunks[1] is not chunks[0]
+
+    paths = [tmp_path / f"field{i}.csv" for i in range(3)]
+    write_field_csv(paths, grid, stack, [["field=u"], (), ["field=u"]])
+    nodes = lattice_points(axes).tolist()
+    for path, row, head in zip(paths, stack, ["# field=u\n", "", "# field=u\n"]):
+        lines = [f"{x0!r},{x1!r},{v!r}\n" for (x0, x1), v in zip(nodes, row.tolist())]
+        assert path.read_bytes() == (head + "x0,x1,value\n" + "".join(lines)).encode()
+
+
 def test_field_files_are_written_from_shared_row_chunks(tmp_path, monkeypatch):
     # a file of more than one formatting pass is its list of chunks, shared by
     # bitwise-equal rows, written by writev; short writes and a small limit on

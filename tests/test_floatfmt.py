@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from twoscale._floatfmt import (
     CHUNK,
-    WIDTH,
+    WORDS,
     _K_MAX,
     _K_MIN,
     flog2pow10,
     flog10_three_quarters_pow2,
     flog10pow2,
-    format_into,
+    format_lines,
     g_entry,
     texts,
 )
@@ -23,10 +23,9 @@ from twoscale._floatfmt import (
 
 def assert_repr_bytes(values):
     values = np.asarray(values, dtype=np.float64)
-    lines = np.empty((len(values), WIDTH + 1), dtype=np.uint8)
+    lines = np.empty((len(values), WORDS), dtype=np.uint64)
     for start in range(0, len(values), CHUNK):
-        format_into(values[start : start + CHUNK], lines[start : start + CHUNK, :-1])
-    lines[:, -1] = ord("\n")
+        format_lines(values[start : start + CHUNK], lines[start : start + CHUNK])
     got = lines.tobytes().translate(None, b"\0").decode()
     want = "".join(repr(v) + "\n" for v in values.tolist())
     if got != want:
@@ -56,6 +55,15 @@ def test_powers_of_two_and_ten_and_their_neighbours():
         assert_repr_bytes(np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]))
 
 
+def test_integers_whose_interval_ends_tie():
+    # from 2^50 up, the ends of a rounding interval fall on or just off whole
+    # numbers, where their top fraction bits tie with the gap's, and the digit
+    # kernel forms the exact end products
+    rng = np.random.default_rng(32)
+    scale = 2.0 ** rng.integers(0, 3, 200_000)
+    assert_repr_bytes(rng.integers(2**50, 2**62, 200_000).astype(float) * scale)
+
+
 def test_short_decimals():
     rng = np.random.default_rng(11)
     mantissa = rng.integers(1, 10**6, 60_000)
@@ -79,13 +87,15 @@ def test_any_floats(values):
     assert_repr_bytes(values)
 
 
-def test_format_into_fills_a_strided_view_and_pads_with_nul():
-    values = np.array([-1.5e-7, 2.0, 0.001, -0.0])
-    lines = np.full((len(values), 3 + WIDTH), 0x55, dtype=np.uint8)
-    format_into(values, lines[:, 2:-1])
-    assert (lines[:, :2] == 0x55).all() and (lines[:, -1] == 0x55).all()
+def test_format_lines_fills_a_column_slice_and_pads_with_nul():
+    # six words per value beside other words of the same rows: the text and
+    # its newline, NUL in every unused slot, the neighbouring words untouched
+    values = np.array([-1.5e-7, 2.0, 0.001, -0.0, 1e22, math.inf])
+    lines = np.full((len(values), 3 + WORDS), 0x5555555555555555, dtype=np.uint64)
+    format_lines(values, lines[:, 2:-1])
+    assert (lines[:, :2] == 0x5555555555555555).all() and (lines[:, -1] == 0x5555555555555555).all()
     assert [row.tobytes().translate(None, b"\0") for row in lines[:, 2:-1]] == [
-        b"-1.5e-07", b"2.0", b"0.001", b"-0.0",
+        b"-1.5e-07\n", b"2.0\n", b"0.001\n", b"-0.0\n", b"1e+22\n", b"inf\n",
     ]
 
 

@@ -303,3 +303,36 @@ def test_backtracking_shortens_steps_and_refuses_a_non_descent_direction(monkeyp
 
     with pytest.raises(NonConvergenceError, match="no residual decrease"):
         solve_nonlinear(model, MacroGrid(1, 32), flipped)
+
+
+def test_newton_jacobian_is_freed_once_the_finest_level_is_built(monkeypatch):
+    # a u-dependent 2-D fine solve of 256 cells per side: the box stencil of
+    # each Newton Jacobian is alive while its finest multigrid level is
+    # coarsened, and gone before the next level is, as the frozen start's is
+    import weakref
+
+    from twoscale import fem, macro
+    from twoscale.expansion import fine_grid_for, solve_fine
+
+    jacobians, alive = [], []
+    linearize, coarsen = macro.linearize, fem._coarsen
+
+    def tracked_linearize(*args):
+        jac, res = linearize(*args)
+        jacobians.append(weakref.ref(jac))
+        return jac, res
+
+    def tracked_coarsen(*args):
+        alive.append(jacobians[-1]() is not None if jacobians else None)
+        return coarsen(*args)
+
+    monkeypatch.setattr(macro, "linearize", tracked_linearize)
+    monkeypatch.setattr(fem, "_coarsen", tracked_coarsen)
+    model = RosselandCoefficient(2, k_matrix=[[1.0, 0.3], [0.3, 0.8]], b=1.0)
+    fine = fine_grid_for(1 / 16, 16, 2)
+    assert fine.cells_per_side == 256
+    _, result = solve_fine(model, 1 / 16, fine)
+    # six levels coarsened per solve: the frozen start, then each Newton step
+    assert result.iterations >= 2 and len(alive) == 6 * (1 + result.iterations)
+    assert alive[:6] == [None] * 6
+    assert alive[6:] == [True, False, False, False, False, False] * result.iterations
