@@ -14,6 +14,7 @@ from .analysis import (
     energy_difference,
     fit_rate,
     holder_seminorm,
+    homogenized_energy,
     interior_gradient_sup,
     norm_h1,
     norm_l2,

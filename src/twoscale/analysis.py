@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .expansion import period_samples
-from .fem import element_quad_points, field_gradients_at_quad, field_values_at_quad, gauss_rule
+from .fem import (element_blocks, element_quad_points, field_gradients_at_quad,
+                  field_values_at_quad, gauss_rule)
 from .grids import MacroGrid, ScalarField, fd_gradient, lattice_points
 
 
@@ -54,18 +55,34 @@ def norm_linf(fld: ScalarField) -> float:
     return float(np.max(np.abs(fld.values)))
 
 
+def _integrand(grid, quad, fill) -> np.ndarray:
+    """(E, Q) quadrature samples that ``fill(elements, out)`` writes into
+    ``out``, the rows of a block of element rows, a block at a time
+    (:func:`~twoscale.fem.element_blocks`), so that only one block of its
+    quadrature values and gradients is alive."""
+    out = np.empty((grid.n_elements, len(quad.weights)))
+    for elements in element_blocks(grid):
+        fill(elements, out[elements])
+    return out
+
+
 def norm_l2(fld: ScalarField) -> float:
-    quad = gauss_rule(2, fld.grid.dim)
-    vals = field_values_at_quad(fld.grid, fld.values, quad)
-    measure = fld.grid.spacing**fld.grid.dim
-    return float(np.sqrt(np.einsum("eq,q->", vals**2, quad.weights) * measure))
+    grid, quad = fld.grid, gauss_rule(2, fld.grid.dim)
+    sq = _integrand(grid, quad, lambda elements, out: np.square(
+        field_values_at_quad(grid, fld.values, quad, elements), out=out))
+    measure = grid.spacing**grid.dim
+    return float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
 
 
 def seminorm_h1(fld: ScalarField) -> float:
-    quad = gauss_rule(2, fld.grid.dim)
-    grads = field_gradients_at_quad(fld.grid, fld.values, quad)
-    measure = fld.grid.spacing**fld.grid.dim
-    sq = np.einsum("eqd,eqd->eq", grads, grads)
+    grid, quad = fld.grid, gauss_rule(2, fld.grid.dim)
+
+    def squared(elements, out):
+        grads = field_gradients_at_quad(grid, fld.values, quad, elements)
+        np.einsum("eqd,eqd->eq", grads, grads, out=out)
+
+    sq = _integrand(grid, quad, squared)
+    measure = grid.spacing**grid.dim
     return float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
 
 
@@ -73,60 +90,68 @@ def norm_h1(fld: ScalarField) -> float:
     return float(np.hypot(norm_l2(fld), seminorm_h1(fld)))
 
 
-def energy_difference(
-    model,
-    u_eps: ScalarField,
-    eps: float,
-    tensor_table,
-    u0: ScalarField,
-) -> float:
-    """|resolved energy - homogenized energy|.
+def homogenized_energy(tensor_table, u0: ScalarField) -> float:
+    """The homogenized energy int a0(u0) grad u0 . grad u0, the macro side
+    of :func:`energy_difference`, which one study forms once for all of its
+    eps.  It uses the recovered nodal gradient of the smooth solution:
+    second-order accurate pointwise, it avoids the O(h^2) interpolant-kink
+    energy deficit that would sit as a constant floor under the eps signal.
+    """
+    grid = u0.grid
+    quad = gauss_rule(2, grid.dim)
+    pts = element_quad_points(grid, quad).reshape(-1, grid.dim)
+    grad_nodal = fd_gradient(u0)
+    grads = np.stack([field_values_at_quad(grid, grad_nodal[:, d], quad)
+                      for d in range(grid.dim)], axis=-1)  # (E, Q, dim)
+    u0_at = field_values_at_quad(grid, u0.values, quad).reshape(-1)
+    a0_q = tensor_table.interp(u0_at, pts).reshape(grads.shape + (grid.dim,))
+    dens = np.einsum("eqij,eqi,eqj->eq", a0_q, grads, grads)
+    return float(np.einsum("eq,q->", dens, quad.weights) * grid.spacing**grid.dim)
+
+
+def energy_difference(model, u_eps: ScalarField, eps: float, homogenized: float) -> float:
+    """|resolved energy - ``homogenized``|, the latter the homogenized
+    energy of the macro solution (:func:`homogenized_energy`).
 
     The fine side sums the positive quadrature terms w a grad u . grad u at
     the points of the model's solve rule, over the solve's samples
     (:func:`period_samples` for data of y alone), not u . K u, which
     cancels, K u being the small load (at eps 1/64 it moved the 1-D
-    energy difference by 2.3e-13, 1.8e-7 relative).  The macro side uses the
-    recovered nodal gradient of the smooth solution: second-order accurate
-    pointwise, it avoids the O(h^2) interpolant-kink energy deficit that
-    would sit as a constant floor under the eps signal.
+    energy difference by 2.3e-13, 1.8e-7 relative).  The gradients, and for
+    data of u or x the coefficient at the state read there, are formed a
+    block of element rows at a time into the (E, Q) density it sums.
     """
-    fine_grid, macro_grid = u_eps.grid, u0.grid
-    fine_quad = gauss_rule(model.solve_points, fine_grid.dim)
-    macro_quad = gauss_rule(2, macro_grid.dim)
-    dim = fine_grid.dim
-    grads = field_gradients_at_quad(fine_grid, u_eps.values, fine_quad)  # (E, Q, dim)
-    a_q = period_samples(model, eps, fine_grid, fine_quad, model.eval_a)
-    if a_q is None:  # data of u or x: every element, at the state read there
-        pts = element_quad_points(fine_grid, fine_quad).reshape(-1, dim)
-        u_at = field_values_at_quad(fine_grid, u_eps.values, fine_quad).reshape(-1)
-        a_q = [model.eval_a(u_at, pts, np.mod(pts / eps, 1.0)).reshape(
-            (fine_grid.cells_per_side,) * dim + grads.shape[1:] + (dim,))]  # P = cells per side
-    p = len(a_q[0])  # element (a p + A, b p + B) reads class (A, B)
-    g = grads.reshape((fine_grid.cells_per_side // p, p) * dim + grads.shape[1:])
-    a = a_q[0].reshape((1, p) * dim + a_q[0].shape[dim:])[0]  # a row of copies' classes
-    # the sum over (i, j) in order of (a_ij g_i) g_j, as the einsum it
-    # replaced adds it, one row of period copies at a time
-    dens, term = np.empty(g.shape[:-1]), np.empty(g.shape[1:-1])
-    for rows, out in zip(g, dens):
+    grid = u_eps.grid
+    quad = gauss_rule(model.solve_points, grid.dim)
+    m, dim, n_q = grid.cells_per_side, grid.dim, len(quad.weights)
+    period = period_samples(model, eps, grid, quad, model.eval_a)
+    p = m if period is None else len(period[0])  # element (a p + A, b p + B) reads class (A, B)
+    row = m ** (dim - 1)  # elements per element row
+
+    def density(elements, out):
+        g = field_gradients_at_quad(grid, u_eps.values, quad, elements)  # (B, Q, dim)
+        r0, r1 = elements.start // row, elements.stop // row
+        if period is None:  # data of u or x: the coefficient at the state read at every point
+            pts = element_quad_points(grid, quad, elements).reshape(-1, dim)
+            u_at = field_values_at_quad(grid, u_eps.values, quad, elements).reshape(-1)
+            a = model.eval_a(u_at, pts, np.mod(pts / eps, 1.0))
+        else:  # the class rows of the block's element rows
+            a = period[0][np.arange(r0, r1) % p]
+        # element rows by copies and classes of the period along the other axes
+        g = g.reshape((r1 - r0,) + (m // p, p) * (dim - 1) + (n_q, dim))
+        a = a.reshape((r1 - r0,) + (1, p) * (dim - 1) + (n_q, dim, dim))
+        # the sum over (i, j) in order of (a_ij g_i) g_j, as the einsum it
+        # replaced adds it
+        out, term = out.reshape(g.shape[:-1]), np.empty(g.shape[:-1])
         for k, (i, j) in enumerate(itertools.product(range(dim), repeat=2)):
-            product = np.multiply(a[..., i, j], rows[..., i], out=term if k else out)
-            product *= rows[..., j]
+            product = np.multiply(a[..., i, j], g[..., i], out=term if k else out)
+            product *= g[..., j]
             if k:
                 out += term
-    e_fine = np.einsum("eq,q->", dens.reshape(grads.shape[:2]), fine_quad.weights)
-    e_fine *= fine_grid.spacing**dim
 
-    pts0 = element_quad_points(macro_grid, macro_quad).reshape(-1, macro_grid.dim)
-    grad_nodal = fd_gradient(u0)
-    grads0 = np.stack([field_values_at_quad(macro_grid, grad_nodal[:, d], macro_quad)
-                       for d in range(macro_grid.dim)], axis=-1)  # (E, Q, dim)
-    u0_at = field_values_at_quad(macro_grid, u0.values, macro_quad).reshape(-1)
-    a0_q = tensor_table.interp(u0_at, pts0).reshape(grads0.shape + (macro_grid.dim,))
-    dens0 = np.einsum("eqij,eqi,eqj->eq", a0_q, grads0, grads0)
-    e_macro = np.einsum("eq,q->", dens0, macro_quad.weights) * macro_grid.spacing**macro_grid.dim
-
-    return float(abs(e_fine - e_macro))
+    dens = _integrand(grid, quad, density)
+    e_fine = np.einsum("eq,q->", dens, quad.weights) * grid.spacing**dim
+    return float(abs(e_fine - homogenized))
 
 
 def _interior_axes(grid: MacroGrid, box) -> list:

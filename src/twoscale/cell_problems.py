@@ -127,6 +127,17 @@ class ParameterGrid:
         x = np.array([ax[i] for ax, i in zip(self.x_axes, multi[1:])])
         return u, x
 
+    @property
+    def n_corners(self) -> int:
+        """Corners of a read: every u sample times the corners of the x axes
+        that have two samples or more."""
+        return len(self.u_samples) * 2 ** sum(len(ax) > 1 for ax in self.x_axes)
+
+    @cached_property
+    def u_rule(self) -> tuple:
+        """The u axis's :func:`barycentric_rule`, formed once per grid."""
+        return barycentric_rule(self.u_samples)
+
     def corners(self, u, x, derivative=None):
         """(ids, weights), each (K, C), of the queries u (K,), x (K, dim): the
         :func:`barycentric_weights` of u times the :func:`lattice_corners` of
@@ -135,7 +146,7 @@ class ParameterGrid:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         x_ids, x_wts = lattice_corners(self.x_axes, x, derivative=derivative - 1 if derivative else None)
-        u_wts = barycentric_weights(self.u_samples, u, derivative == 0)
+        u_wts = barycentric_weights(self.u_rule, u, derivative == 0)
         n_u = len(self.u_samples)
         # built (u sample, x corner, query), so each returned column is contiguous
         ids = np.arange(n_u)[:, None, None] * (self.size // n_u) + x_ids.T
@@ -143,31 +154,44 @@ class ParameterGrid:
         return ids.reshape(-1, len(u)).T, wts.reshape(-1, len(u)).T
 
 
-def barycentric_weights(samples, u, derivative=False) -> np.ndarray:
-    """(K, n) weights of the polynomial through the n ``samples`` at the
-    queries u (K,), clamped to the samples' range: the second barycentric
-    form, w_j = 1 / prod_{k != j} (u_j - u_k) (Berrut & Trefethen, SIAM Rev.
-    46 (2004) 501-517); a query on a sample reads that sample alone.  With
-    ``derivative``, those weights times D_ij = (w_j / w_i) / (u_i - u_j),
-    D_ii = -sum_{j != i} D_ij, which differentiate the polynomial; they are
-    0 beyond the range, where the read is flat, and on one sample.  Only the
-    ratios of the w_j matter, so their gaps are scaled by the power of two
-    that takes the range to [2, 4): exact, and finite for up to 857 samples
-    on any range."""
-    u = np.asarray(u, dtype=float)
+def barycentric_rule(samples) -> tuple:
+    """(samples, w, D) of the polynomial through the n increasing
+    ``samples``, which :func:`barycentric_weights` reads: the barycentric
+    weights w_j = 1 / prod_{k != j} (u_j - u_k) and the differentiation
+    matrix D_ij = (w_j / w_i) / (u_i - u_j), D_ii = -sum_{j != i} D_ij;
+    (samples, None, None) for one sample.  Only the ratios of the w_j
+    matter, so their gaps are scaled by the power of two that takes the
+    range to [2, 4): exact, and finite for up to 857 samples on any range.
+    A :class:`ParameterGrid` forms its u axis's rule once."""
+    samples = np.asarray(samples, dtype=float)
     if len(samples) == 1:
-        return np.full((len(u), 1), 0.0 if derivative else 1.0)
+        return samples, None, None
     gaps = samples[:, None] - samples
     np.fill_diagonal(gaps, 1.0)
     w = 1.0 / np.prod(np.ldexp(gaps, 2 - np.frexp(samples[-1] - samples[0])[1]), axis=1)
+    diff = w / w[:, None] / gaps
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    return samples, w, diff
+
+
+def barycentric_weights(rule, u, derivative=False) -> np.ndarray:
+    """(K, n) weights of the polynomial through the n samples of ``rule``
+    (:func:`barycentric_rule`) at the queries u (K,), clamped to the
+    samples' range: the second barycentric form (Berrut & Trefethen, SIAM
+    Rev. 46 (2004) 501-517); a query on a sample reads that sample alone.
+    With ``derivative``, those weights times D, which differentiate the
+    polynomial; they are 0 beyond the range, where the read is flat, and on
+    one sample."""
+    samples, w, diff = rule
+    u = np.asarray(u, dtype=float)
+    if len(samples) == 1:
+        return np.full((len(u), 1), 0.0 if derivative else 1.0)
     offsets = np.clip(u, samples[0], samples[-1])[:, None] - samples
     on = offsets == 0.0
     c = w / np.where(on, 1.0, offsets)
     wts = np.where(on.any(axis=1, keepdims=True), on, c / c.sum(axis=1, keepdims=True))
     if derivative:
-        diff = w / w[:, None] / gaps
-        np.fill_diagonal(diff, 0.0)
-        np.fill_diagonal(diff, -diff.sum(axis=1))
         wts = np.einsum("kj,ji->ki", wts, diff)
         wts[(u < samples[0]) | (u > samples[-1])] = 0.0
     return wts
@@ -272,28 +296,67 @@ class CorrectorTable:
 
         Each cell axis is bracketed once (:func:`tensor_corners`); the cell
         corners with a nonzero weight, and the parameter corners of every
-        point, are shared by every stack.  A one-sample parameter lattice
-        reads its one row, which its blend would add once, with weight 1,
-        to 0.  Returns one (K,) array per stack.
+        point, are shared by every stack.  Per stack and cell corner, one
+        (C, K) gather reads the C parameter corners of every point, K taken
+        in chunks of at most ``_GATHER_VALUES`` // C points; each corner's
+        read sums its cell corners from 0.0 and the point's parameter
+        corners then add in order, from 0.0.  A one-sample parameter lattice
+        reads its one row, which its blend would add once, with weight 1, to
+        0, and a point's read then depends on its fast coordinates alone:
+        each bitwise-distinct one along each axis is read once, and the reads
+        are spread over the lattice.  Returns one (K,) array per stack.
         """
-        ids, wts = tensor_corners(self.cell_grid, fast_axes)
-        live = [(i.reshape(-1), w.reshape(-1)) for i, w in zip(ids, wts) if w.any()]
-        n_points = ids[0].size
-
-        def cell_read(stack, rows):  # the live cell corners of the sample rows, from 0.0
-            acc = np.zeros(n_points)
-            for i, w in live:
-                acc += w * stack[rows, i]
-            return acc
-
         if self.param_grid.size == 1:
-            return [cell_read(stack, 0) for stack in stacks]
-        pids, pwts = self.param_grid.corners(u, lattice_points(axes))
-        out = [np.zeros(n_points) for _ in stacks]
-        for p in range(pids.shape[1]):
+            distinct, spread = [], []
+            for coords in fast_axes:
+                bits, inverse = np.unique(np.asarray(coords, dtype=float).view(np.uint64),
+                                          return_inverse=True)
+                distinct.append(bits.view(float))
+                spread.append(inverse.reshape(-1))
+            live = self._live_corners(distinct)
+            return [_corner_sum(live, lambda ids: stack[0, ids])
+                    .reshape([len(d) for d in distinct])[np.ix_(*spread)].reshape(-1)
+                    for stack in stacks]
+        x = lattice_points(axes)
+        u = np.asarray(u, dtype=float)
+        live = self._live_corners(fast_axes)
+        out = [np.empty(len(x)) for _ in stacks]
+        step = max(1, _GATHER_VALUES // self.param_grid.n_corners)
+        for k0 in range(0, len(x), step):
+            points = slice(k0, k0 + step)
+            pids, pwts = self.param_grid.corners(u[points], x[points])
+            rows = pids.T  # (C, K): every parameter corner of every point
+            chunk = [(i[points], w[points]) for i, w in live]
             for total, stack in zip(out, stacks):
-                total += pwts[:, p] * cell_read(stack, pids[:, p])
+                reads = _corner_sum(chunk, lambda ids: stack[rows, ids])  # (C, K)
+                acc = np.zeros(len(pids))
+                for p, read in enumerate(reads):
+                    acc += pwts[:, p] * read
+                total[points] = acc
         return out
+
+    def _live_corners(self, fast_axes) -> list:
+        """(ids, weights), each (K,), of the cell corners of the tensor lattice
+        of ``fast_axes`` (:func:`tensor_corners`) with a nonzero weight at
+        some point."""
+        ids, wts = tensor_corners(self.cell_grid, fast_axes)
+        return [(i.reshape(-1), w.reshape(-1)) for i, w in zip(ids, wts) if w.any()]
+
+
+def _corner_sum(corners, gather) -> np.ndarray:
+    """The sum from 0.0, in corner order, of weight times ``gather(ids)``
+    over the (ids, weights) of ``corners``."""
+    acc = None
+    for ids, w in corners:
+        term = w * gather(ids)
+        if acc is None:
+            acc = np.zeros(term.shape)
+        acc += term
+    return acc
+
+
+# parameter-corner values that a chunk of a table read gathers at once
+_GATHER_VALUES = 1 << 20
 
 
 @dataclass
@@ -348,8 +411,11 @@ class CellSample:
     :func:`assemble_stiffness`; its scale and sparse LU are made on the
     first nonzero solve), the correctors ``first``, ``hessian``, ``source``,
     ``tangents`` and ``slow``, the corrected ``flux`` and its
-    ``flux_derivatives``, and the effective tensor ``a0``.  Every solve uses
-    ``opts`` and records its health in the sample's own ``diagnostics``.
+    ``flux_derivatives``, the effective tensor ``a0`` and the parameter
+    axes it moves along, ``moving_axes``.  Every solve uses ``opts`` and
+    records its health in the sample's own ``diagnostics``; a corrector
+    whose load is identically zero forms no load and runs no solve, and is
+    the zeros, with the diagnostics, that the zero-load floor gives.
     ``shift`` translates the cell data periodically (translation-invariance
     checks).
 
@@ -462,13 +528,19 @@ class CellSample:
                 out[p, m] = np.einsum("eqij,eqj->eqi", c, grad)
         return out
 
-    @property
-    def _reads_derivatives(self) -> bool:
-        """Whether the tangent and slow loads read ``da_q``: not for a
-        separable model, whose d_p a is d_p mu / mu times a, nor for a
-        coefficient of y alone, whose d_p a is zero."""
+    @cached_property
+    def moving_axes(self) -> list:
+        """Per parameter axis, u and then x_d for every axis d, whether the
+        coefficient varies along it at this sample, d_p a being nonzero at
+        some quadrature point: the loads of the tangents and the slow
+        correctors along any other axis are identically zero.  A separable
+        model (whose d_p a is d_p mu / mu times a, read from ``slow_pieces``)
+        and a coefficient of y alone evaluate no derivative and move along
+        no axis here."""
         model = self.model
-        return not model.separable and (model.u_dependent or model.x_dependent)
+        if model.separable or not (model.u_dependent or model.x_dependent):
+            return [False] * (1 + self.grid.dim)
+        return [bool(np.any(da)) for da in self.da_q]
 
     @cached_property
     def flux(self) -> np.ndarray:
@@ -549,7 +621,14 @@ class CellSample:
 
     @cached_property
     def source(self) -> np.ndarray:
-        """Zero-mean periodic field driven by the mean-free part of the source."""
+        """Zero-mean periodic field driven by the mean-free part of the source.
+
+        A source that is constant in y at this sample (the same at every
+        quadrature point) has a zero mean-free load: its corrector is the
+        exact zeros that the zero-load floor of a solve would return, with no
+        load formed and no solve."""
+        if np.all(self.f_q == self.f_q.flat[0]):
+            return np.zeros(self.grid.ndof)
         return self.solve(self._load(self.f_q - self.source_mean))
 
     @_shared
@@ -560,17 +639,16 @@ class CellSample:
         Differentiating the discrete problem K(a) N_m = L(-a e_m) along an
         axis p gives K(a) d_pN_m = L(-d_pa (e_m + grad N_m)), solved with
         this sample's own factor.  An axis along which the coefficient does
-        not vary at this sample, or any axis of a separable model (whose load
-        is d_p mu / mu times L(-a (e_m + grad N_m)) = 0) or of a coefficient
-        of y alone, gets exact zeros and no solve; those two evaluate no
-        derivative of a.
+        not vary at this sample (:attr:`moving_axes`), including any axis of
+        a separable model (whose load is d_p mu / mu times L(-a (e_m + grad
+        N_m)) = 0) or of a coefficient of y alone, gets exact zeros and no
+        solve.
         """
         grid = self.grid
         out = np.zeros((1 + grid.dim, grid.dim, grid.ndof))
-        for p, da in enumerate(self.da_q if self._reads_derivatives else []):
-            if np.any(da):
-                for m in range(grid.dim):
-                    out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
+        for p, moves in enumerate(self.moving_axes):
+            for m in range(grid.dim if moves else 0):
+                out[p, m] = self.solve(self._load(flux=-self.flux_derivatives[p, m]))
         return out
 
     @_shared
@@ -607,9 +685,11 @@ class CellSample:
         so with its solves' division by mu / mu(base) its loads make
         slow0_k = sum_i r_{x_i} W_ik and slowg_km = r_u V_mk from the base's
         ``slow_pieces``, solving nothing and evaluating no derivative of a.
-        A coefficient of y alone has zero loads, so its slow correctors are
-        the exact zeros that the zero-load floor of a solve would return,
-        with no load formed, no solve and no derivative evaluated.
+        The loads of slow0_k are zero unless the coefficient moves along
+        some x axis at this sample (:attr:`moving_axes`), and those of
+        slowg_km unless it moves along u, as for every axis of a coefficient
+        of y alone: such a corrector is the exact zeros that the zero-load
+        floor of a solve would return, with no load formed and no solve.
         """
         grid, dim = self.grid, self.grid.dim
         if self.model.separable:
@@ -623,18 +703,18 @@ class CellSample:
             means = [abs(float(f.mean())) for f in fields.values()]
             self.diagnostics.max_corrector_mean = max(self.diagnostics.max_corrector_mean, *means)
             return fields
-        if not self._reads_derivatives:  # a of y alone: every load is zero
-            return {name: np.zeros(grid.ndof) for name in corrector_field_names(dim)
-                    if name.startswith("slow")}
-        quad, a_q, dflux, n_at_q = self.quad, self.a_q, self.flux_derivatives, self.first_q[0]
-        # (1 + dim) axes of per-direction values and gradients of the tangents
-        t_at_q = [[field_values_at_quad(grid, t, quad)[:, :, None] for t in axis]
-                  for axis in self.tangents]
-        dt_at_q = [[field_gradients_at_quad(grid, t, quad) for t in axis]
-                   for axis in self.tangents]
+        along_u, along_x = self.moving_axes[0], any(self.moving_axes[1:])
+        quad, a_q = self.quad, self.a_q
+        # per parameter axis, the values and gradients of the tangents of
+        # every direction at the quadrature points, of the axes some load reads
+        t_at_q, dt_at_q = {}, {}
+        for p in ([0] if along_u else []) + (list(range(1, 1 + dim)) if along_x else []):
+            t_at_q[p] = [field_values_at_quad(grid, t, quad)[:, :, None] for t in self.tangents[p]]
+            dt_at_q[p] = [field_gradients_at_quad(grid, t, quad) for t in self.tangents[p]]
 
         def dh(p, i, k):
-            v = dflux[p, k, :, :, i] + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dt_at_q[p][k])
+            v = (self.flux_derivatives[p, k, :, :, i]
+                 + np.einsum("eqm,eqm->eq", a_q[:, :, i, :], dt_at_q[p][k]))
             return v - self.mean(v)
 
         fields = {}
@@ -642,11 +722,12 @@ class CellSample:
             fields[f"slow0_{k}"] = self.solve(self._load(
                 sum(dh(1 + i, i, k) for i in range(dim)),
                 -sum(a_q[:, :, :, l] * t_at_q[1 + l][k] for l in range(dim)),
-            ))
+            )) if along_x else np.zeros(grid.ndof)
             for m in range(dim):
                 fields[f"slowg_{k}{m}"] = self.solve(self._load(
-                    dh(0, m, k), -(a_q[:, :, :, m] * t_at_q[0][k] + n_at_q[m] * dflux[0, k])
-                ))
+                    dh(0, m, k), -(a_q[:, :, :, m] * t_at_q[0][k]
+                                   + self.first_q[0][m] * self.flux_derivatives[0, k])
+                )) if along_u else np.zeros(grid.ndof)
         return fields
 
 

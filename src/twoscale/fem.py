@@ -36,16 +36,19 @@ and one chunk.  Load vectors are the same kind of product with weighted
 basis values or gradients, added into the nodes the same way on a box and
 scattered by ``bincount`` on a cell, and the values or gradients of a nodal
 field at the quadrature points are its element values (E, C) times the
-basis values or gradients, which each rule tabulates once.  Coefficient
-evaluators are called once per quadrature point, with one point per
-element, in element order.
+basis values or gradients, which each rule tabulates once.  The reference
+tensors of the stiffness, Jacobian, load and gradient products are formed
+once per grid object and rule and kept on the grid, read-only
+(:func:`_once_per_rule`).  Coefficient evaluators are called once per
+quadrature point, with one point per element, in element order.
 The Newton linearization reads all of its data, a, da/du, f and df/du, from
 one reader called once per quadrature point, passing it the nodal state read
 at those points through the element connectivity (a gather, since the
 element of every quadrature point is known), so no point location runs on a
-grid's own quadrature points.  Element contributions are accumulated in a
-fixed element order so repeated runs are bitwise reproducible regardless of
-how callers parallelize around this module.
+grid's own quadrature points; each read goes straight into the residual's
+samples and the Jacobian's rows and is dropped.  Element contributions are
+accumulated in a fixed element order so repeated runs are bitwise
+reproducible regardless of how callers parallelize around this module.
 """
 
 from __future__ import annotations
@@ -153,18 +156,55 @@ def element_quad_points(grid, quad: QuadratureRule, elements=slice(None)) -> np.
     return origins[:, None, :] + quad.points[None, :, :] * grid.spacing
 
 
-def field_values_at_quad(grid, values: np.ndarray, quad: QuadratureRule) -> np.ndarray:
-    """Q1 interpolant of nodal ``values`` at the quadrature points, (E, Q)."""
-    return np.asarray(values)[grid.element_dofs()] @ quad.basis.T
+def _once_per_rule(build):
+    """Cache ``build(grid, quad)``, a reference array of the rule's size, on
+    the grid object, read-only, one per rule object: formed once per grid
+    and rule, as the grid's :meth:`element_dofs` is once per grid.  The
+    entry holds its rule, so the rule's id names no other rule while it is
+    kept."""
+    @functools.wraps(build)
+    def cached(grid, quad: QuadratureRule) -> np.ndarray:
+        tables = grid.__dict__.setdefault("_per_rule", {})  # frozen dataclass: no __setattr__
+        key = (build.__name__, id(quad))
+        if key not in tables:
+            tables[key] = (quad, _read_only(build(grid, quad)))
+        return tables[key][1]
+
+    return cached
 
 
-def field_gradients_at_quad(grid, values: np.ndarray, quad: QuadratureRule) -> np.ndarray:
-    """Q1 gradient of nodal ``values`` at the quadrature points, (E, Q, dim):
-    one matrix product of the element values (E, C) with the physical basis
-    gradients laid out as (C, Q*dim)."""
+def element_blocks(grid) -> list:
+    """The element order as slices of balanced chunks of whole element rows,
+    at most ``_CHUNK_ELEMENTS`` elements each (one row, if a row holds more):
+    the blocks in which a measurement forms its quadrature data, so that
+    only one block of it is alive at a time."""
+    row = grid.cells_per_side ** (grid.dim - 1)  # elements per element row
+    return [slice(r0 * row, r1 * row) for r0, r1 in _passes(grid, grid.cells_per_side)]
+
+
+def field_values_at_quad(grid, values: np.ndarray, quad: QuadratureRule,
+                         elements=slice(None)) -> np.ndarray:
+    """Q1 interpolant of nodal ``values`` at the quadrature points of
+    ``elements`` (a slice of the element order, all by default), (E, Q)."""
+    return np.asarray(values)[grid.element_dofs()[elements]] @ quad.basis.T
+
+
+@_once_per_rule
+def _gradient_reference(grid, quad: QuadratureRule) -> np.ndarray:
+    """The physical basis gradients at the points laid out as (C, Q*dim)."""
     n_q, n_loc, dim = quad.basis_gradients.shape
-    ref = np.swapaxes(quad.basis_gradients, 0, 1).reshape(n_loc, n_q * dim) / grid.spacing
-    return (np.asarray(values)[grid.element_dofs()] @ ref).reshape(-1, n_q, dim)
+    return np.swapaxes(quad.basis_gradients, 0, 1).reshape(n_loc, n_q * dim) / grid.spacing
+
+
+def field_gradients_at_quad(grid, values: np.ndarray, quad: QuadratureRule,
+                            elements=slice(None)) -> np.ndarray:
+    """Q1 gradient of nodal ``values`` at the quadrature points of
+    ``elements`` (a slice of the element order, all by default), (E, Q,
+    dim): one matrix product of the element values (E, C) with the physical
+    basis gradients laid out as (C, Q*dim)."""
+    n_q, _, dim = quad.basis_gradients.shape
+    rows = np.asarray(values)[grid.element_dofs()[elements]]
+    return (rows @ _gradient_reference(grid, quad)).reshape(-1, n_q, dim)
 
 
 def integrate(grid, quad: QuadratureRule, samples: np.ndarray) -> float:
@@ -206,6 +246,7 @@ def _period(grid, quad: QuadratureRule, samples, tail: tuple, what: str):
     return samples, p
 
 
+@_once_per_rule
 def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """Reference tensor R, shape (Q*dim*dim, C*C), of the stiffness kernel.
 
@@ -390,6 +431,21 @@ class _Window(MacroGrid):
         return 1.0 / self.of
 
 
+@_once_per_rule
+def _jacobian_reference(grid, quad: QuadratureRule) -> np.ndarray:
+    """Reference tensor (Q*(dim*dim + 1 + dim), C*C) of the Newton Jacobian
+    against its rows a | -df/du | da/du grad u: the stiffness, mass and
+    advection reference tensors stacked."""
+    weights = quad.weights * grid.spacing**grid.dim
+    grads = quad.basis_gradients / grid.spacing  # (Q, C, dim)
+    n_q, _, dim = grads.shape
+    return np.concatenate([
+        _stiffness_reference(grid, quad),
+        np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
+        np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
+    ])
+
+
 def linearize(grid, quad: QuadratureRule, state, data):
     """Residual R and Jacobian J of -div(a(u) grad u) = f(u) at nodal
     ``state`` u on a box grid, returned as (J, R):
@@ -400,30 +456,51 @@ def linearize(grid, quad: QuadratureRule, state, data):
 
     The reader ``data`` maps (u (K,), points (K, dim)) to (a, da/du, f,
     df/du), the matrices (K, dim, dim) and the scalars (K,), once per
-    quadrature point, u being the state gathered there.  R is one load
-    vector; J is one stencil-kernel pass of the rows a, -df/du and da/du
-    grad u against the stiffness, mass and advection reference tensors,
-    with no symmetry check.
+    quadrature point, u being the state gathered there.  Each read goes
+    straight into the residual's samples -f and a grad u and into the
+    Jacobian's rows a | -df/du | da/du grad u, and is then dropped, so no
+    read is held twice.  R is one load vector; J is one stencil-kernel pass
+    of those rows against :func:`_jacobian_reference`, with no symmetry
+    check.
     """
     pts = element_quad_points(grid, quad)
     u_q = field_values_at_quad(grid, state, quad)
-    reads = [data(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])]
-    a, da, f, df = (np.stack(column, axis=1) for column in zip(*reads))
     grad = field_gradients_at_quad(grid, state, quad)  # (E, Q, dim)
+    n_el, n_q, dim = grad.shape
+    scalar, flux = np.empty((n_el, n_q)), np.empty((n_el, n_q, dim))
+    # columns: a by (point, i, j), then -df/du by point, then da/du grad u by (point, i)
+    rows = np.empty((n_el, n_q * (dim * dim + 1 + dim)))
+    mass, advection = n_q * dim * dim, n_q * (dim * dim + 1)
+    for q in range(n_q):
+        a, da, f, df = data(u_q[:, q], pts[:, q])
+        rows[:, q * dim * dim : (q + 1) * dim * dim] = np.reshape(a, (n_el, -1))
+        np.negative(f, out=scalar[:, q])
+        np.negative(df, out=rows[:, mass + q])
+        flux[:, q] = np.einsum("eij,ej->ei", a, grad[:, q])
+        rows[:, advection + q * dim : advection + (q + 1) * dim] = np.einsum(
+            "eij,ej->ei", da, grad[:, q])
+        del a, da, f, df  # the last read goes before the load and the stencil
+    del pts, u_q, grad
     residual = assemble_load_from_samples(
-        grid, quad, as_period(grid, -f), as_period(grid, np.einsum("eqij,eqj->eqi", a, grad)))
-    rows = np.concatenate([x.reshape(len(a), -1)
-                           for x in (a, -df, np.einsum("eqij,eqj->eqi", da, grad))], axis=1)
+        grid, quad, as_period(grid, scalar), as_period(grid, flux))
+    del scalar, flux
     _check_finite(grid, rows, 0, grid.cells_per_side, "Jacobian sample")
+    return (_stencil_operator(grid, _jacobian_reference(grid, quad), rows.__getitem__,
+                              grid.cells_per_side), residual)
+
+
+@_once_per_rule
+def _scalar_load_reference(grid, quad: QuadratureRule) -> np.ndarray:
+    """(Q, C): the weighted basis values, w_q |K| phi_c(x_q)."""
+    return (quad.weights * grid.spacing**grid.dim)[:, None] * quad.basis
+
+
+@_once_per_rule
+def _flux_load_reference(grid, quad: QuadratureRule) -> np.ndarray:
+    """(Q*dim, C): the weighted physical basis gradients, w_q |K| d_i phi_c(x_q)."""
     weights = quad.weights * grid.spacing**grid.dim
-    grads = quad.basis_gradients / grid.spacing  # (Q, C, dim)
-    n_q, _, dim = grads.shape
-    ref = np.concatenate([
-        _stiffness_reference(grid, quad),
-        np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
-        np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
-    ])
-    return _stencil_operator(grid, ref, rows.__getitem__, grid.cells_per_side), residual
+    ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / grid.spacing, 1, 2)
+    return ref.reshape(-1, ref.shape[-1])
 
 
 def assemble_load_from_samples(
@@ -446,16 +523,14 @@ def assemble_load_from_samples(
     does, and the peak memory is the nodes and one pass; a cell grid
     scatters them, tiled over the grid, by ``bincount``.
     """
-    dim, m, h = grid.dim, grid.cells_per_side, grid.spacing
-    weights = quad.weights * h**dim
+    dim, m = grid.dim, grid.cells_per_side
     forms = []  # (samples, period, reference matrix, what) of each form given
     if scalar_samples is not None:
         forms.append((*_period(grid, quad, scalar_samples, (), "scalar source"),
-                      weights[:, None] * quad.basis, "scalar source"))
+                      _scalar_load_reference(grid, quad), "scalar source"))
     if flux_samples is not None:
-        ref = weights[:, None, None] * np.swapaxes(quad.basis_gradients / h, 1, 2)
         forms.append((*_period(grid, quad, flux_samples, (dim,), "flux source"),
-                      ref.reshape(-1, ref.shape[-1]), "flux source"))
+                      _flux_load_reference(grid, quad), "flux source"))
     if not forms:
         return np.zeros(grid.ndof)
     p = math.lcm(*(q for _, q, _, _ in forms))

@@ -15,9 +15,10 @@ nodes or the parameter lattice of the cell tables -- goes through one
 kernel, :func:`lattice_corners`; a read at a tensor lattice of points
 brackets each axis once (:func:`tensor_corners`).  Everything here is pure
 and immutable.
-The element connectivity is computed once per grid object, and the
-sparsity pattern of the Q1 operators once per lattice size; both are handed
-out read-only.
+The node axes and the element connectivity are computed once per grid
+object, a field's recovered gradient and Hessian once per field object, and
+the sparsity pattern of the Q1 operators once per lattice size; all are
+handed out read-only.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ def corner_offsets(dim: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
 
 
-def _once_per_grid(method):
-    """Cache a grid method that returns an array on the instance, read-only;
-    grids are frozen, so the result never goes stale and dies with its grid."""
+def _once_per_object(method):
+    """Cache an array-valued function of one frozen grid or field on that
+    object, read-only; the object never changes, so the result never goes
+    stale, and it dies with the object.  An equal but distinct object
+    computes its own."""
     key = f"_{method.__name__}"
 
     @functools.wraps(method)
@@ -55,6 +58,22 @@ def _once_per_grid(method):
         return self.__dict__[key]
 
     return cached
+
+
+def _element_dofs(dim: int, m: int, n: int, periodic: bool) -> np.ndarray:
+    """Node ids (m^dim, 2^dim) of the corners of the m^dim elements of a
+    lattice of ``n`` nodes per side, elements and corners in lattice order
+    (:func:`corner_offsets`), built axis by axis by broadcasting; a
+    ``periodic`` lattice (n = m) wraps the far corners to the near ones."""
+    along = np.arange(m)[:, None] + np.arange(2)  # (element, corner bit) along one axis
+    if periodic:
+        along %= n
+    ids = np.zeros((1,) * (2 * dim), dtype=along.dtype)
+    for d in range(dim):
+        shape = [1] * (2 * dim)
+        shape[d], shape[dim + d] = m, 2
+        ids = ids * n + along.reshape(shape)
+    return ids.reshape(m**dim, 2**dim)
 
 
 @functools.lru_cache(maxsize=16)
@@ -122,21 +141,19 @@ class CellGrid:
         return self.cells_per_side**self.dim
 
     def axes(self) -> list:
-        """The node coordinates along each axis; the nodes are their product,
-        first axis slowest."""
-        return [np.arange(self.cells_per_side) * self.spacing] * self.dim
+        """The node coordinates along each axis, one read-only array made
+        once per grid; the nodes are their product, first axis slowest."""
+        return [self._axis()] * self.dim
+
+    @_once_per_object
+    def _axis(self) -> np.ndarray:
+        return np.arange(self.cells_per_side) * self.spacing
 
     def dof_coords(self) -> np.ndarray:
         """Coordinates of the representative nodes, shape (ndof, dim)."""
         return lattice_points(self.axes())
 
-    def wrap_multi_index(self, multi: np.ndarray) -> np.ndarray:
-        """Map lattice multi-indices to representative DOF ids (faces folded)."""
-        m = self.cells_per_side
-        wrapped = np.mod(multi, m)
-        return _ravel(wrapped, (m,) * self.dim)
-
-    @_once_per_grid
+    @_once_per_object
     def element_dofs(self) -> np.ndarray:
         """Global DOF ids of each element's corners, shape (E, 2^dim).
 
@@ -144,10 +161,7 @@ class CellGrid:
         faces wrap around, which is exactly the periodic identification.
         """
         m = self.cells_per_side
-        origins = _element_multi_indices(self.dim, m)
-        offs = corner_offsets(self.dim)
-        idx = origins[:, None, :] + offs[None, :, :]
-        return self.wrap_multi_index(idx.reshape(-1, self.dim)).reshape(len(origins), -1)
+        return _element_dofs(self.dim, m, m, periodic=True)
 
 
 @dataclass(frozen=True)
@@ -179,9 +193,13 @@ class MacroGrid:
         return self.cells_per_side**self.dim
 
     def axes(self) -> list:
-        """The node coordinates along each axis; the nodes are their product,
-        first axis slowest."""
-        return [np.linspace(0.0, 1.0, self.nodes_per_side)] * self.dim
+        """The node coordinates along each axis, one read-only array made
+        once per grid; the nodes are their product, first axis slowest."""
+        return [self._axis()] * self.dim
+
+    @_once_per_object
+    def _axis(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.nodes_per_side)
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask over nodes: True where any coordinate index is 0 or m."""
@@ -198,18 +216,19 @@ class MacroGrid:
     def interior_dofs(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask())[0]
 
-    @_once_per_grid
+    @_once_per_object
     def element_dofs(self) -> np.ndarray:
-        k = self.nodes_per_side
-        origins = _element_multi_indices(self.dim, self.cells_per_side)
-        offs = corner_offsets(self.dim)
-        idx = origins[:, None, :] + offs[None, :, :]
-        return _ravel(idx.reshape(-1, self.dim), (k,) * self.dim).reshape(len(origins), -1)
+        """Global DOF ids of each element's corners, shape (E, 2^dim), corner
+        columns in :func:`corner_offsets` order."""
+        return _element_dofs(self.dim, self.cells_per_side, self.nodes_per_side, periodic=False)
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal values attached to a grid (one value per representative DOF)."""
+    """Nodal values attached to a grid (one value per representative DOF).
+    A field is immutable: its recovered derivatives (:func:`fd_gradient`,
+    :func:`fd_hessian`) are kept on it once read, so its values must not
+    change in place."""
 
     grid: CellGrid | MacroGrid
     values: np.ndarray = field(repr=False)
@@ -230,18 +249,6 @@ def lattice_points(axes) -> np.ndarray:
     ``axes``, first axis slowest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
-def _element_multi_indices(dim, m) -> np.ndarray:
-    axes = [np.arange(m)] * dim
-    return lattice_points(axes).astype(int)
-
-
-def _ravel(multi: np.ndarray, shape) -> np.ndarray:
-    flat = multi[..., 0]
-    for d in range(1, len(shape)):
-        flat = flat * shape[d] + multi[..., d]
-    return flat
 
 
 def lattice_corners(axes, queries, periodic=False, derivative=None):
@@ -372,8 +379,10 @@ def periodic_fd_gradient(grid: CellGrid, values: np.ndarray) -> np.ndarray:
     return np.stack([c.reshape(-1) for c in comps], axis=-1)
 
 
+@_once_per_object
 def fd_gradient(fld: ScalarField) -> np.ndarray:
-    """Nodal gradient of a macro-grid field, shape (ndof, dim).
+    """Nodal gradient of a macro-grid field, shape (ndof, dim), computed
+    once per field object and read-only.
 
     Second-order central differences at interior nodes, second-order
     one-sided stencils on the boundary (exact for quadratics inside).
@@ -391,8 +400,10 @@ def fd_gradient(fld: ScalarField) -> np.ndarray:
     return np.stack([c.reshape(-1) for c in comps], axis=-1)
 
 
+@_once_per_object
 def fd_hessian(fld: ScalarField) -> np.ndarray:
-    """Nodal Hessian of a macro-grid field, shape (ndof, dim, dim).
+    """Nodal Hessian of a macro-grid field, shape (ndof, dim, dim), computed
+    once per field object and read-only.
 
     Interior nodes use the 3-point second-difference (diagonal) and 4-point
     cross (mixed) stencils; boundary nodes copy the nearest interior value,

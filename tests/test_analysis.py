@@ -13,6 +13,7 @@ from twoscale.analysis import (
     antiderivative_lemma_1d,
     energy_difference,
     fit_rate,
+    homogenized_energy,
     holder_seminorm,
     interior_element_centers,
     interior_gradient_sup,
@@ -106,7 +107,7 @@ def test_energy_difference_zero_fields():
     zero_f = ScalarField(fine, np.zeros(fine.ndof))
     zero_m = ScalarField(macro, np.zeros(macro.ndof))
     table = constant_tensor_table(2.0)
-    assert energy_difference(model, zero_f, 0.25, table, zero_m) == 0.0
+    assert energy_difference(model, zero_f, 0.25, homogenized_energy(table, zero_m)) == 0.0
 
 
 def test_energy_difference_constant_coefficients_small():
@@ -124,7 +125,7 @@ def test_energy_difference_constant_coefficients_small():
     for periods in (8, 16):
         fine = fine_grid_for(eps, periods, 1)
         u_eps, _ = solve_fine(model, eps, fine)
-        diffs[periods] = energy_difference(model, u_eps, eps, table, u0)
+        diffs[periods] = energy_difference(model, u_eps, eps, homogenized_energy(table, u0))
     assert diffs[8] < 2e-4
     assert diffs[16] < 0.3 * diffs[8]
 
@@ -211,7 +212,7 @@ def test_own_grid_reads_match_point_location_reference(dim):
         [interpolate_values(macro, grad_nodal[:, d], pts0) for d in range(dim)], axis=-1
     )
     ref = abs(energy(fine, fine_quad, a_q, grads) - energy(macro, macro_quad, a0_q, grads0))
-    got = energy_difference(model, u_eps, eps, table, u0)
+    got = energy_difference(model, u_eps, eps, homogenized_energy(table, u0))
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     centers = lattice_points(interior_element_centers(fine, box))
@@ -252,7 +253,7 @@ def test_energy_density_is_the_einsum_bitwise(dim, family):
     g = grads.reshape((fine.cells_per_side // p, p) * dim + grads.shape[1:])
     dens = np.einsum(["Aqij,aAqi,aAqj->aAq", "ABqij,aAbBqi,aAbBqj->aAbBq"][dim - 1], a_q[0], g, g)
     want = np.einsum("eq,q->", dens.reshape(grads.shape[:2]), quad.weights) * fine.spacing**dim
-    assert energy_difference(model, u_eps, eps, *zero_macro_side(dim)) == abs(float(want))
+    assert energy_difference(model, u_eps, eps, zero_macro_side(dim)) == abs(float(want))
 
 
 def y_only_model(dim, family):
@@ -272,7 +273,7 @@ def zero_macro_side(dim):
         param_grid=ParameterGrid(u_axis, tuple(np.array([0.5]) for _ in range(dim))),
         values=np.eye(dim)[None], source_means=np.ones(1),
     )
-    return table, ScalarField(MacroGrid(dim, 8), np.zeros(9**dim))
+    return homogenized_energy(table, ScalarField(MacroGrid(dim, 8), np.zeros(9**dim)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -311,7 +312,7 @@ def test_one_period_of_samples_equals_every_point(dim, family):
     pts = element_quad_points(fine, quad).reshape(-1, dim)
     grads = field_gradients_at_quad(fine, u_eps.values, quad).reshape(-1, dim)
     want = energy(fine, quad, at_points(model.eval_a)(pts), grads)
-    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim))
+    got = energy_difference(model, u_eps, eps, zero_macro_side(dim))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -340,7 +341,7 @@ def test_dependent_models_keep_point_evaluation(dim, family):
     model.eval_a = counting
     u_eps, result = solve_fine(model, eps, fine)
     solve_sizes, sizes[:] = list(sizes), []
-    got = energy_difference(model, u_eps, eps, *zero_macro_side(dim))
+    got = energy_difference(model, u_eps, eps, zero_macro_side(dim))
     if family == "SMOOTH_PERIODIC":
         assert solve_sizes == sizes == [periods**dim * n_q]
         return
@@ -721,3 +722,56 @@ def test_holder_seminorm_1d_blocks_equal_the_offset_loop(monkeypatch, cells, box
                 warnings.simplefilter("error")
                 got = holder_seminorm(fld, box, beta)
             assert got == holder_offset_loop(fld, box, beta)
+
+
+def whole_grid_measures(model, u_eps, eps):
+    """norm_l2, seminorm_h1 and the fine energy with every element's
+    quadrature values and gradients formed at once: the reference for the
+    measures formed a block of element rows at a time."""
+    grid = u_eps.grid
+    quad = gauss_rule(2, grid.dim)
+    measure = grid.spacing**grid.dim
+    vals = field_values_at_quad(grid, u_eps.values, quad)
+    l2 = float(np.sqrt(np.einsum("eq,q->", vals**2, quad.weights) * measure))
+    grads = field_gradients_at_quad(grid, u_eps.values, quad)
+    sq = np.einsum("eqd,eqd->eq", grads, grads)
+    h1 = float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
+    fine_quad = gauss_rule(model.solve_points, grid.dim)
+    dim, m = grid.dim, grid.cells_per_side
+    grads = field_gradients_at_quad(grid, u_eps.values, fine_quad)
+    a_q = period_samples(model, eps, grid, fine_quad, model.eval_a)
+    if a_q is None:
+        pts = element_quad_points(grid, fine_quad).reshape(-1, dim)
+        u_at = field_values_at_quad(grid, u_eps.values, fine_quad).reshape(-1)
+        a_q = [model.eval_a(u_at, pts, np.mod(pts / eps, 1.0)).reshape(
+            (m,) * dim + grads.shape[1:] + (dim,))]
+    p = len(a_q[0])
+    g = grads.reshape((m // p, p) * dim + grads.shape[1:])
+    a = a_q[0].reshape((1, p) * dim + a_q[0].shape[dim:])[0]
+    dens = np.empty(g.shape[:-1])
+    for rows, out in zip(g, dens):
+        for k, (i, j) in enumerate(np.ndindex(dim, dim)):
+            term = a[..., i, j] * rows[..., i]
+            term *= rows[..., j]
+            out[...] = term if k == 0 else out + term
+    energy = np.einsum("eq,q->", dens.reshape(grads.shape[:2]), fine_quad.weights) * grid.spacing**dim
+    return l2, h1, float(abs(energy))
+
+
+@pytest.mark.parametrize("dim, family", [(2, "ROSSELAND"), (2, "SMOOTH_PERIODIC"),
+                                         (1, "ROSSELAND"), (1, "SMOOTH_PERIODIC")])
+def test_block_measures_are_the_whole_grid_measures_bitwise(dim, family):
+    # grids of more elements than one block holds (two or more blocks of
+    # element rows in 2-D), data of u (read at every point) and of y alone
+    # (one period)
+    eps = 1.0 / 16
+    model = (RosselandCoefficient(dim, b=0.5) if family == "ROSSELAND"
+             else SmoothPeriodicCoefficient(dim, base=2.0, amplitude=1.0))
+    fine = fine_grid_for(eps, 16 if dim == 2 else 8192, dim)
+    x = lattice_points(fine.axes())
+    u_eps = ScalarField(fine, 0.8 * np.prod(np.sin(np.pi * x), axis=1) + 0.1 * np.cos(9 * x[:, 0]))
+    n_blocks = len(analysis.element_blocks(fine))
+    assert n_blocks > 1
+    l2, h1, energy = whole_grid_measures(model, u_eps, eps)
+    assert norm_l2(u_eps) == l2 and seminorm_h1(u_eps) == h1
+    assert energy_difference(model, u_eps, eps, 0.0) == energy

@@ -549,7 +549,7 @@ def test_cells_of_y_alone_do_no_slow_work(monkeypatch, dim):
     assert all(field.tobytes() == zero for field in slow.values())
 
     # the loads the derivative path forms are zero, and so are their solves
-    monkeypatch.setattr(CellSample, "_reads_derivatives", property(lambda self: True))
+    monkeypatch.setattr(CellSample, "moving_axes", property(lambda self: [True] * (1 + dim)))
     general = CellSample(model, 0.3, x, grid)
     general.first, general.hessian, general.source
     assert {n: f.tobytes() for n, f in general.slow.items()} == {n: zero for n in slow}
@@ -894,8 +894,9 @@ def test_barycentric_weights_are_finite_on_every_u_range(u_range):
     queries = np.linspace(lo, hi, 257)[1::2]  # on no sample
     for n_u in (5, 9, 33, 129):
         samples = default_parameter_grid(model, n_u=n_u).u_samples
-        wts = cell_problems.barycentric_weights(samples, queries)
-        dwts = cell_problems.barycentric_weights(samples, queries, derivative=True)
+        wts = cell_problems.barycentric_weights(cell_problems.barycentric_rule(samples), queries)
+        dwts = cell_problems.barycentric_weights(cell_problems.barycentric_rule(samples), queries,
+                                                  derivative=True)
         assert np.all(np.isfinite(wts)) and np.all(np.isfinite(dwts)), n_u
         t = (queries - lo) / (hi - lo)
         cubic = ((samples - lo) / (hi - lo)) ** 3
@@ -914,7 +915,8 @@ def test_the_most_u_samples_have_finite_weights_on_every_range():
             samples = default_parameter_grid(model, n_u=n_u).u_samples
             queries = np.linspace(0.0, scale * mantissa, 7)[1:-1] + 1e-3 * scale
             for derivative in (False, True):
-                wts = cell_problems.barycentric_weights(samples, queries, derivative)
+                wts = cell_problems.barycentric_weights(cell_problems.barycentric_rule(samples),
+                                                        queries, derivative)
                 assert np.all(np.isfinite(wts)), (scale, mantissa, derivative)
 
 
@@ -1169,3 +1171,189 @@ def test_translation_invariance_unaligned_reports_spacing_tolerance():
     assert not rep.grid_aligned
     assert rep.tolerance_hint == pytest.approx(grid.spacing)
     assert rep.discrepancy <= grid.spacing
+
+
+def stacked_interp(table, stacks, u, axes, fast_axes):
+    """The table read as one gather per parameter corner and cell corner over
+    every point, each corner's cell read from 0.0: the reference for the
+    batched and the one-sample reads."""
+    from twoscale.grids import lattice_points, tensor_corners
+
+    ids, wts = tensor_corners(table.cell_grid, fast_axes)
+    live = [(i.reshape(-1), w.reshape(-1)) for i, w in zip(ids, wts) if w.any()]
+    n_points = ids[0].size
+
+    def cell_read(stack, rows):
+        acc = np.zeros(n_points)
+        for i, w in live:
+            acc += w * stack[rows, i]
+        return acc
+
+    if table.param_grid.size == 1:
+        return [cell_read(stack, 0) for stack in stacks]
+    pids, pwts = table.param_grid.corners(u, lattice_points(axes))
+    out = [np.zeros(n_points) for _ in stacks]
+    for p in range(pids.shape[1]):
+        for total, stack in zip(out, stacks):
+            total += pwts[:, p] * cell_read(stack, pids[:, p])
+    return out
+
+
+def random_table(pgrid, grid, n_stacks=3, seed=0):
+    """A corrector table of random stacks, the last stored once for every
+    sample, as a base's stacks are."""
+    rng = np.random.default_rng(seed)
+    stacks = [rng.standard_normal((pgrid.size, grid.ndof)) for _ in range(n_stacks - 1)]
+    stacks.append(np.broadcast_to(rng.standard_normal(grid.ndof), (pgrid.size, grid.ndof)))
+    table = cell_problems.CorrectorTable(cell_grid=grid, param_grid=pgrid,
+                                         fields={f"s{i}": s for i, s in enumerate(stacks)})
+    return table, stacks
+
+
+@pytest.mark.parametrize("dim, x_dependent", [(1, False), (2, False), (2, True)])
+def test_batched_corner_reads_are_the_per_corner_reads_bitwise(monkeypatch, dim, x_dependent):
+    # u-only and x-dependent tables, the points' u inside, on and beyond the
+    # samples, chunks of a few points so that seams fall inside K
+    model = (SeparatedCoefficient(dim, mu_u2=1.0, mu_x=0.5, u_range=(0.0, 2.0)) if x_dependent
+             else RosselandCoefficient(dim, b=1.0, u_range=(0.0, 2.0)))
+    pgrid = default_parameter_grid(model, n_u=5, n_x=3)
+    grid = CellGrid(dim, 16)
+    table, stacks = random_table(pgrid, grid)
+    axes = [np.linspace(0.0, 1.0, 11 if dim == 1 else 7)] * dim
+    n_points = len(axes[0]) ** dim
+    u = np.random.default_rng(1).uniform(-0.3, 2.3, n_points)
+    u[:5] = pgrid.u_samples
+    fast = [np.mod(a / 0.3, 1.0) for a in axes]
+    want = stacked_interp(table, stacks, u, axes, fast)
+    n_corners = pgrid.n_corners
+    assert n_corners == 5 * (2**dim if x_dependent else 1)
+    for points_per_chunk in (n_points, 7, 3, 1):
+        monkeypatch.setattr(cell_problems, "_GATHER_VALUES", points_per_chunk * n_corners)
+        got = table.interp_stacks(stacks, u, axes, fast)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], points_per_chunk
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m_c, periods", [(16, 16), (16, 8), (12, 8), (20, 12)])
+def test_one_sample_reads_each_fast_coordinate_once_bitwise(monkeypatch, dim, m_c, periods):
+    # a one-sample table at the fine nodes and at element centers, the fast
+    # coordinates on the cell lattice and off it (m_c not a multiple of the
+    # period): each distinct one read once, spread over the points
+    from twoscale.analysis import interior_element_centers
+    from twoscale.expansion import fast_coordinates, fine_grid_for
+
+    pgrid = default_parameter_grid(SmoothPeriodicCoefficient(dim))
+    assert pgrid.size == 1
+    table, stacks = random_table(pgrid, CellGrid(dim, m_c))
+    eps = 0.25
+    fine = fine_grid_for(eps, periods, dim)
+    centers = interior_element_centers(fine, [0.1, 0.9])
+    reads = []
+    monkeypatch.setattr(cell_problems, "tensor_corners",
+                        lambda grid, axes, _f=cell_problems.tensor_corners:
+                        reads.append([len(a) for a in axes]) or _f(grid, axes))
+    for axes, fast in [(fine.axes(), fast_coordinates(fine, eps)),
+                       (centers, [np.mod(a / eps, 1.0) for a in centers])]:
+        u = np.zeros(int(np.prod([len(a) for a in axes])))
+        want = stacked_interp(table, stacks, u, axes, fast)
+        reads.clear()
+        got = table.interp_stacks(stacks, u, axes, fast)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert reads == [[len(np.unique(f)) for f in fast]]
+        assert reads[0][0] < len(axes[0])
+    assert len(np.unique(fast_coordinates(fine, eps)[0])) == periods
+
+
+def test_parameter_grid_forms_its_u_rule_once(monkeypatch):
+    model = RosselandCoefficient(1, b=1.0, u_range=(0.0, 2.0))
+    pgrid = default_parameter_grid(model, n_u=9)
+    u = np.linspace(-0.5, 2.5, 41)
+    x = np.full((len(u), 1), 0.5)
+    want = [cell_problems.barycentric_weights(cell_problems.barycentric_rule(pgrid.u_samples),
+                                              u, d) for d in (False, True)]
+    rules = []
+    monkeypatch.setattr(cell_problems, "barycentric_rule",
+                        lambda s, _f=cell_problems.barycentric_rule: rules.append(1) or _f(s))
+    for derivative, w in zip((None, 0), want):
+        for _ in range(3):
+            ids, wts = pgrid.corners(u, x, derivative)
+            assert wts.tobytes() == w.tobytes()
+    assert len(rules) == 1
+    assert len(default_parameter_grid(model, n_u=9).corners(u, x)) and len(rules) == 2
+
+
+FAMILIES = {
+    "CONSTANT": lambda dim, source: ConstantCoefficient(
+        dim, [[2.0]] if dim == 1 else [[2.0, 0.5], [0.5, 1.5]], source=source),
+    "SMOOTH_PERIODIC": lambda dim, source: SmoothPeriodicCoefficient(dim, source=source),
+    "LAYERED": lambda dim, source: LayeredCoefficient(dim, width=0.2, source=source),
+    "ROSSELAND": lambda dim, source: RosselandCoefficient(
+        dim, b=1.0, k_matrix=None if dim == 1 else [[1.0, 0.3], [0.3, 0.8]],
+        u_range=(0.0, 2.0), source=source),
+    "SEPARATED": lambda dim, source: SeparatedCoefficient(dim, mu_u2=1.0, mu_x=0.5,
+                                                          source=source),
+}
+SOURCES = {
+    "constant": SourceModel(base=1.0),
+    "u_coeff": SourceModel(base=1.0, u_coeff=0.5),
+    "amplitude": SourceModel(base=1.0, amplitude=0.5, frequency=2),
+    "both": SourceModel(base=1.0, u_coeff=0.5, amplitude=0.5),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_skipped_zero_pieces_are_their_solved_zeros(monkeypatch, dim, family, source):
+    # every piece whose load is identically zero, left unsolved, against the
+    # same sample with every tangent and slow load formed and solved and the
+    # source load solved: the same fields and diagnostics, fewer solves
+    model = FAMILIES[family](dim, SOURCES[source])
+    grid, x = CellGrid(dim, 8), [0.5] * dim
+    solves = []
+    original_solve = cell_problems.solve_periodic_zero_mean
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean",
+                        lambda *args: solves.append(1) or original_solve(*args))
+
+    def everything(sample):
+        held = {f"first_{m}": f for m, f in enumerate(sample.first)}
+        held.update({f"hess_{k}{l}": v for (k, l), v in sample.hessian.items()})
+        held.update(sample.slow, source=sample.source, tangents=sample.tangents)
+        return {name: f.tobytes() for name, f in held.items()}, sample.diagnostics.as_dict()
+
+    for u in (0.0, 0.6):  # d a / d u vanishes at u = 0 for ROSSELAND
+        skipped = CellSample(model, u, x, grid)
+        got, got_diag = everything(skipped)
+        n_skipped, solves[:] = len(solves), []
+        with monkeypatch.context() as forced:
+            forced.setattr(CellSample, "moving_axes", property(
+                lambda self: [True] * (1 + dim) if not self.model.separable
+                else [False] * (1 + dim)))
+            forced.setattr(CellSample, "source", property(
+                lambda self: self.solve(self._load(self.f_q - self.source_mean))))
+            want, want_diag = everything(CellSample(model, u, x, grid))
+        n_forced, solves[:] = len(solves), []
+        assert got == want and got_diag == want_diag, (family, source, u)
+        zero_source = source in ("constant", "u_coeff")
+        assert n_forced - n_skipped >= zero_source, (family, source, u)
+        assert (got["source"] == np.zeros(grid.ndof).tobytes()) or not zero_source
+        if family == "ROSSELAND":
+            # unsolved: the dim^2 x-tangents and dim slow0 always, and at u = 0
+            # the dim u-tangents and dim^2 slowg as well
+            assert skipped.moving_axes == [u != 0.0] + [False] * dim
+            assert n_forced - n_skipped == zero_source + (dim * dim + dim) * (1 + (u == 0.0))
+
+
+def test_rosseland_table_skips_its_zero_solves(monkeypatch):
+    # the benchmark's nonlinear table (9 u samples, 128 cells): the slow0
+    # and source loads vanish at every sample and the u-tangent and slowg
+    # loads at u = 0, leaving the first and hessian correctors at every
+    # sample and the u-tangent and slowg at the 8 others: 34 of 53 solves
+    model = RosselandCoefficient(1, k_base=2.0, k_amplitude=1.0, b=1.0, u_range=(0.0, 2.0),
+                                 source=SourceModel(base=20.0))
+    solves = []
+    original_solve = cell_problems.solve_periodic_zero_mean
+    monkeypatch.setattr(cell_problems, "solve_periodic_zero_mean",
+                        lambda *args: solves.append(1) or original_solve(*args))
+    build_corrector_tables(model, default_parameter_grid(model, n_u=9), CellGrid(1, 128))
+    assert len(solves) == 9 * 2 + 8 * 2

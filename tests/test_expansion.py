@@ -551,3 +551,58 @@ def test_lattice_reconstruction_is_the_per_point_reconstruction(request, which, 
     got = reconstruction_gradient(u0, table, eps, axes)
     want = per_stack_reconstruction_gradient(u0, table, eps, lattice_points(axes))
     assert bits(got) == bits(want)
+
+
+def test_rosseland_newton_linearize_working_set_stays_under_its_bound(monkeypatch):
+    # a u-dependent 2-D ROSSELAND fine solve (the CI Rosseland overrides) at
+    # eps 1/8, 16 cells per period: 16,641 DOFs, six Newton steps with the
+    # 3-point rule.  Each read written straight into the Jacobian rows and
+    # the residual samples, the tracemalloc peak of every linearize call read
+    # 19.5-19.9 MiB, against 40.3-40.7 MiB with every read held in a list,
+    # stacked and concatenated; the bound leaves 2.4 MiB (12%) of margin
+    config = Path(__file__).resolve().parents[1] / "docs" / "examples" / "smooth_periodic_2d.json"
+    model = build_setup(load_config(str(config), overrides=[
+        'problem.coefficient={"family":"ROSSELAND","k_base":2.0,"k_amplitude":1.0,"b":1.0}',
+        'problem.source={"family":"CONSTANT","value":20.0}',
+        'problem.u_range=[0.0,2.0]'])).model
+    eps = 1.0 / 8
+    fine = fine_grid_for(eps, 16, 2)
+    assert fine.ndof == 16_641 and model.solve_points == 3
+    from twoscale import macro
+
+    peaks, linearize = [], macro.linearize
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        out = linearize(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(macro, "linearize", traced)
+    tracemalloc.start()
+    try:
+        _, result = solve_fine(model, eps, fine)
+    finally:
+        tracemalloc.stop()
+    assert result.iterations > 1 and len(peaks) >= result.iterations
+    assert max(peaks) < 22.3 * 2**20, max(peaks) / 2**20
+
+
+def test_u0_derivatives_are_formed_once_per_study(monkeypatch):
+    # every eps's reconstruction and chain-rule gradient reads u0's one
+    # recovered gradient and Hessian
+    from twoscale import grids
+
+    model = RosselandCoefficient(1, b=1.0, u_range=(0.0, 2.0), source=SourceModel(base=4.0))
+    table, tensors = build_corrector_tables(model, default_parameter_grid(model, n_u=5),
+                                            CellGrid(1, 16))
+    u0, _ = solve_homogenized(tensors, model, MacroGrid(1, 16))
+    calls = []
+    original = grids.np.gradient
+    monkeypatch.setattr(grids.np, "gradient", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for eps in (1 / 4, 1 / 8, 1 / 16):
+        fine = fine_grid_for(eps, 8, 1)
+        reconstruct(u0, table, eps, fine)
+        reconstruction_gradient(u0, table, eps, fine.axes())
+    assert len(calls) == 1  # one axis, once
+    assert fd_gradient(u0) is fd_gradient(u0) and not fd_hessian(u0).flags.writeable

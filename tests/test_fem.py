@@ -1170,3 +1170,65 @@ def test_band_row_sums_are_the_reduceat_sums_bitwise(monkeypatch):
         monkeypatch.setattr(fem, "_CHUNK_ELEMENTS", chunk)
         assert fem._abs_row_sums(stencil).tobytes() == whole.tobytes()
         assert fem._smoother_weights(stencil).tobytes() == reduceat_weights(mat).tobytes()
+
+
+def stacked_linearize(grid, quad, state, data):
+    """The linearization with every read kept, stacked and concatenated into
+    the Jacobian rows: the reference for the rows written read by read."""
+    pts = element_quad_points(grid, quad)
+    u_q = fem.field_values_at_quad(grid, state, quad)
+    reads = [data(u_q[:, q], pts[:, q]) for q in range(pts.shape[1])]
+    a, da, f, df = (np.stack(column, axis=1) for column in zip(*reads))
+    grad = field_gradients_at_quad(grid, state, quad)
+    residual = assemble_load_from_samples(
+        grid, quad, as_period(grid, -f), as_period(grid, np.einsum("eqij,eqj->eqi", a, grad)))
+    rows = np.concatenate([x.reshape(len(a), -1)
+                           for x in (a, -df, np.einsum("eqij,eqj->eqi", da, grad))], axis=1)
+    weights = quad.weights * grid.spacing**grid.dim
+    grads = quad.basis_gradients / grid.spacing
+    n_q, _, dim = grads.shape
+    ref = np.concatenate([
+        _stiffness_reference(grid, quad),
+        np.einsum("q,qb,qc->qbc", weights, quad.basis, quad.basis).reshape(n_q, -1),
+        np.einsum("q,qbi,qc->qibc", weights, grads, quad.basis).reshape(n_q * dim, -1),
+    ])
+    return fem._stencil_operator(grid, ref, rows.__getitem__, grid.cells_per_side), residual
+
+
+@pytest.mark.parametrize("grid, n_points", [(MacroGrid(1, 12), 1), (MacroGrid(1, 33), 2),
+                                             (MacroGrid(2, 6), 2), (MacroGrid(2, 16), 3),
+                                             (MacroGrid(2, 300), 3)], ids=repr)
+def test_newton_rows_are_the_stacked_reads_bitwise(grid, n_points):
+    # 1-D, and 2-D with the 3-point rule of a u-dependent Rosseland model,
+    # on a grid whose rows the stencil kernel takes in several chunks
+    quad = gauss_rule(n_points, grid.dim)
+    data = newton_data(grid.dim)
+    x = lattice_points(grid.axes())
+    state = 0.5 + 0.6 * np.prod(np.sin(np.pi * x), axis=1) - 0.3 * np.cos(7.0 * x[:, 0])
+    jac, res = linearize(grid, quad, state, data)
+    want_jac, want_res = stacked_linearize(grid, quad, state, data)
+    assert jac.tobytes() == want_jac.tobytes() and res.tobytes() == want_res.tobytes()
+    if grid.cells_per_side == 300:
+        assert len(fem._passes(grid, grid.cells_per_side)) > 1
+
+
+def test_reference_arrays_are_formed_once_per_grid_and_rule():
+    # the stiffness, Jacobian, load and gradient reference tensors and the
+    # node axes: one read-only array per grid object and rule, formed anew
+    # for an equal grid object, equal to a fresh build
+    quad, other = gauss_rule(2, 2), gauss_rule(3, 2)
+    builders = [fem._stiffness_reference, fem._jacobian_reference, fem._scalar_load_reference,
+                fem._flux_load_reference, fem._gradient_reference]
+    for cls in (CellGrid, MacroGrid):
+        grid, twin = cls(2, 8), cls(2, 8)
+        for build in builders:
+            ref = build(grid, quad)
+            assert build(grid, quad) is ref and not ref.flags.writeable
+            assert build(grid, other) is not ref and build(grid, other).shape != ref.shape
+            fresh = build(twin, quad)
+            assert fresh is not ref and fresh.tobytes() == build.__wrapped__(grid, quad).tobytes()
+            assert ref.tobytes() == fresh.tobytes()
+        axis = grid.axes()[0]
+        assert grid.axes()[0] is axis and not axis.flags.writeable
+        assert twin.axes()[0] is not axis and np.array_equal(twin.axes()[0], axis)
+        assert grid == twin  # the caches take no part in equality

@@ -30,10 +30,12 @@ def test_cell_grid_dof_count_and_spacing():
 
 def test_periodic_map_identifies_opposite_faces():
     grid = CellGrid(dim=2, cells_per_side=4)
-    # node at y0 = 1 maps to node at y0 = 0 with identical remaining coords
-    assert grid.wrap_multi_index(np.array([[4, 2]]))[0] == grid.wrap_multi_index(
-        np.array([[0, 2]])
-    )[0]
+    dofs = grid.element_dofs()  # corners (0, 0), (0, 1), (1, 0), (1, 1)
+    # the far corner (4, 2) of element (3, 2) is node (0, 2), the near corner
+    # of element (0, 2), with identical remaining coords; likewise (2, 4)
+    assert dofs[3 * 4 + 2, 2] == dofs[0 * 4 + 2, 0] == 0 * 4 + 2
+    assert dofs[2 * 4 + 3, 1] == dofs[2 * 4 + 0, 0] == 2 * 4 + 0
+    assert dofs[3 * 4 + 3, 3] == dofs[0, 0] == 0
 
 
 def test_macro_boundary_dofs():
@@ -277,3 +279,31 @@ def test_tensor_corners_are_the_point_corners_of_the_lattice(grid):
     if isinstance(grid, MacroGrid):
         with pytest.raises(OutOfDomainError):
             tensor_corners(grid, [np.array([0.5, 1.1])] * grid.dim)
+
+
+def multi_index_element_dofs(grid):
+    """Element corner ids from the element multi-indices plus each corner
+    offset, wrapped on a cell grid and raveled: the reference for the ids
+    built by broadcasting."""
+    m, dim = grid.cells_per_side, grid.dim
+    origins = lattice_points([np.arange(m)] * dim).astype(int)
+    idx = origins[:, None, :] + corner_offsets(dim)[None, :, :]
+    n = m if isinstance(grid, CellGrid) else m + 1
+    if isinstance(grid, CellGrid):
+        idx = np.mod(idx, m)
+    flat = idx[..., 0]
+    for d in range(1, dim):
+        flat = flat * n + idx[..., d]
+    return flat
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 8, 67])
+@pytest.mark.parametrize("cls", [CellGrid, MacroGrid])
+def test_element_dofs_by_broadcasting_are_the_multi_index_ids(cls, dim, m):
+    grid = cls(dim, m)
+    dofs, want = grid.element_dofs(), multi_index_element_dofs(grid)
+    assert dofs.dtype == want.dtype and dofs.shape == want.shape == (m**dim, 2**dim)
+    assert np.array_equal(dofs, want) and dofs.flags.c_contiguous
+    twin = cls(dim, m)
+    assert twin.element_dofs() is not dofs and np.array_equal(twin.element_dofs(), dofs)
