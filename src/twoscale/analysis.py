@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError
 from .expansion import period_samples
 from .fem import (element_blocks, element_quad_points, field_gradients_at_quad,
-                  field_values_at_quad, gauss_rule)
+                  field_values_at_quad, gauss_rule, integrate)
 from .grids import MacroGrid, ScalarField, fd_gradient, lattice_points
 
 
@@ -70,8 +70,7 @@ def norm_l2(fld: ScalarField) -> float:
     grid, quad = fld.grid, gauss_rule(2, fld.grid.dim)
     sq = _integrand(grid, quad, lambda elements, out: np.square(
         field_values_at_quad(grid, fld.values, quad, elements), out=out))
-    measure = grid.spacing**grid.dim
-    return float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
+    return float(np.sqrt(integrate(grid, quad, sq)))
 
 
 def seminorm_h1(fld: ScalarField) -> float:
@@ -81,9 +80,7 @@ def seminorm_h1(fld: ScalarField) -> float:
         grads = field_gradients_at_quad(grid, fld.values, quad, elements)
         np.einsum("eqd,eqd->eq", grads, grads, out=out)
 
-    sq = _integrand(grid, quad, squared)
-    measure = grid.spacing**grid.dim
-    return float(np.sqrt(np.einsum("eq,q->", sq, quad.weights) * measure))
+    return float(np.sqrt(integrate(grid, quad, _integrand(grid, quad, squared))))
 
 
 def norm_h1(fld: ScalarField) -> float:
@@ -106,7 +103,7 @@ def homogenized_energy(tensor_table, u0: ScalarField) -> float:
     u0_at = field_values_at_quad(grid, u0.values, quad).reshape(-1)
     a0_q = tensor_table.interp(u0_at, pts).reshape(grads.shape + (grid.dim,))
     dens = np.einsum("eqij,eqi,eqj->eq", a0_q, grads, grads)
-    return float(np.einsum("eq,q->", dens, quad.weights) * grid.spacing**grid.dim)
+    return integrate(grid, quad, dens)
 
 
 def energy_difference(model, u_eps: ScalarField, eps: float, homogenized: float) -> float:
@@ -149,9 +146,7 @@ def energy_difference(model, u_eps: ScalarField, eps: float, homogenized: float)
             if k:
                 out += term
 
-    dens = _integrand(grid, quad, density)
-    e_fine = np.einsum("eq,q->", dens, quad.weights) * grid.spacing**dim
-    return float(abs(e_fine - homogenized))
+    return float(abs(integrate(grid, quad, _integrand(grid, quad, density)) - homogenized))
 
 
 def _interior_axes(grid: MacroGrid, box) -> list:
@@ -195,17 +190,15 @@ class InteriorSamples:
 
 
 def interior_samples(fld: ScalarField, box) -> InteriorSamples:
-    """:class:`InteriorSamples` of ``fld`` from one pass over the elements
-    inside the box: their corner values times the Q1 basis values and
-    gradients at the center, the products that :func:`field_values_at_quad`
-    and :func:`field_gradients_at_quad` form for every element."""
-    grid = fld.grid
-    center = gauss_rule(1, grid.dim)
-    rows = np.asarray(fld.values)[grid.element_dofs()[_interior_elements(grid, box)]]  # (K, C)
+    """:class:`InteriorSamples` of ``fld``: its Q1 values and gradients at the
+    one-point rule's point of the elements inside the box, read by
+    :func:`field_values_at_quad` and :func:`field_gradients_at_quad`."""
+    grid, center = fld.grid, gauss_rule(1, fld.grid.dim)
+    inside = np.flatnonzero(_interior_elements(grid, box))  # ids: a take, not a mask pass, per read
     return InteriorSamples(
         axes=interior_element_centers(grid, box),
-        values=(rows @ center.basis.T)[:, 0],
-        gradients=rows @ (center.basis_gradients[0] / grid.spacing),
+        values=field_values_at_quad(grid, fld.values, center, inside)[:, 0],
+        gradients=field_gradients_at_quad(grid, fld.values, center, inside)[:, 0],
     )
 
 

@@ -71,6 +71,7 @@ from .fem import (
 )
 from .grids import (
     CellGrid,
+    corner_sum,
     interpolate_values,
     lattice_corners,
     lattice_points,
@@ -223,10 +224,8 @@ def _blend(corners, stack: np.ndarray) -> np.ndarray:
     """Blend of per-sample data ``stack`` (n_samples, ...) by the (ids,
     weights) of :meth:`ParameterGrid.corners`, shape (K, ...)."""
     ids, wts = corners
-    out = np.zeros((len(ids),) + stack.shape[1:])
-    for c in range(ids.shape[1]):
-        out += wts[:, c].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ids[:, c]]
-    return out
+    wts = wts.T.reshape(wts.shape[::-1] + (1,) * (stack.ndim - 1))  # (C, K, 1, ...)
+    return corner_sum(ids.T, wts, stack.__getitem__)
 
 
 @dataclass
@@ -313,46 +312,32 @@ class CorrectorTable:
                                           return_inverse=True)
                 distinct.append(bits.view(float))
                 spread.append(inverse.reshape(-1))
-            live = self._live_corners(distinct)
-            return [_corner_sum(live, lambda ids: stack[0, ids])
+            live_ids, live_wts = self._live_corners(distinct)
+            return [corner_sum(live_ids, live_wts, lambda ids: stack[0, ids])
                     .reshape([len(d) for d in distinct])[np.ix_(*spread)].reshape(-1)
                     for stack in stacks]
         x = lattice_points(axes)
         u = np.asarray(u, dtype=float)
-        live = self._live_corners(fast_axes)
+        live_ids, live_wts = self._live_corners(fast_axes)
         out = [np.empty(len(x)) for _ in stacks]
         step = max(1, _GATHER_VALUES // self.param_grid.n_corners)
         for k0 in range(0, len(x), step):
             points = slice(k0, k0 + step)
             pids, pwts = self.param_grid.corners(u[points], x[points])
             rows = pids.T  # (C, K): every parameter corner of every point
-            chunk = [(i[points], w[points]) for i, w in live]
+            chunk_ids, chunk_wts = [i[points] for i in live_ids], [w[points] for w in live_wts]
             for total, stack in zip(out, stacks):
-                reads = _corner_sum(chunk, lambda ids: stack[rows, ids])  # (C, K)
-                acc = np.zeros(len(pids))
-                for p, read in enumerate(reads):
-                    acc += pwts[:, p] * read
-                total[points] = acc
+                reads = corner_sum(chunk_ids, chunk_wts, lambda ids: stack[rows, ids])  # (C, K)
+                total[points] = corner_sum(reads, pwts.T, lambda read: read)
         return out
 
-    def _live_corners(self, fast_axes) -> list:
-        """(ids, weights), each (K,), of the cell corners of the tensor lattice
-        of ``fast_axes`` (:func:`tensor_corners`) with a nonzero weight at
-        some point."""
+    def _live_corners(self, fast_axes) -> tuple:
+        """(ids, weights), two lists of (K,) arrays, of the cell corners of the
+        tensor lattice of ``fast_axes`` (:func:`tensor_corners`) with a
+        nonzero weight at some point."""
         ids, wts = tensor_corners(self.cell_grid, fast_axes)
-        return [(i.reshape(-1), w.reshape(-1)) for i, w in zip(ids, wts) if w.any()]
-
-
-def _corner_sum(corners, gather) -> np.ndarray:
-    """The sum from 0.0, in corner order, of weight times ``gather(ids)``
-    over the (ids, weights) of ``corners``."""
-    acc = None
-    for ids, w in corners:
-        term = w * gather(ids)
-        if acc is None:
-            acc = np.zeros(term.shape)
-        acc += term
-    return acc
+        live = [c for c, w in enumerate(wts) if w.any()]
+        return [ids[c].reshape(-1) for c in live], [wts[c].reshape(-1) for c in live]
 
 
 # parameter-corner values that a chunk of a table read gathers at once

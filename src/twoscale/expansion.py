@@ -26,7 +26,8 @@ from .config import MAX_FINE_DOFS
 from .errors import ConfigurationError
 from .fem import (assemble_load_from_samples, element_quad_points, gauss_rule,
                   period_stiffness, solve_dirichlet)
-from .grids import CellGrid, MacroGrid, ScalarField, fd_gradient, fd_hessian, tensor_corners
+from .grids import (CellGrid, MacroGrid, ScalarField, corner_sum, fd_gradient, fd_hessian,
+                    tensor_corners)
 from .macro import PicardResult, solve_nonlinear
 
 
@@ -104,11 +105,8 @@ def _macro_fields_on(u0_field: ScalarField, axes):
     dim = u0_field.grid.dim
     ids, wts = tensor_corners(u0_field.grid, axes)
 
-    def at(nodal):  # the corner terms summed from 0.0 in corner order, as np.sum adds them
-        out = np.zeros(wts[0].shape)
-        for i, w in zip(ids, wts):
-            out += nodal[i] * w
-        return out.reshape(-1)
+    def at(nodal):
+        return corner_sum(ids, wts, nodal.__getitem__).reshape(-1)
 
     u0 = at(u0_field.values)
     grad_nodal = fd_gradient(u0_field)  # (macro ndof, dim)

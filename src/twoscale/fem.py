@@ -39,8 +39,9 @@ field at the quadrature points are its element values (E, C) times the
 basis values or gradients, which each rule tabulates once.  The reference
 tensors of the stiffness, Jacobian, load and gradient products are formed
 once per grid object and rule and kept on the grid, read-only
-(:func:`_once_per_rule`).  Coefficient evaluators are called once per
-quadrature point, with one point per element, in element order.
+(:func:`~twoscale.grids.once_per_object`).  Coefficient evaluators are
+called once per quadrature point, with one point per element, in element
+order.
 The Newton linearization reads all of its data, a, da/du, f and df/du, from
 one reader called once per quadrature point, passing it the nodal state read
 at those points through the element connectivity (a gather, since the
@@ -64,7 +65,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, CompatibilityError, NonConvergenceError
-from .grids import CellGrid, MacroGrid, corner_offsets, lattice_corners, stencil_pattern
+from .grids import (CellGrid, MacroGrid, corner_offsets, lattice_corners, once_per_object,
+                    stencil_pattern)
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,6 @@ def element_quad_points(grid, quad: QuadratureRule, elements=slice(None)) -> np.
     return origins[:, None, :] + quad.points[None, :, :] * grid.spacing
 
 
-def _once_per_rule(build):
-    """Cache ``build(grid, quad)``, a reference array of the rule's size, on
-    the grid object, read-only, one per rule object: formed once per grid
-    and rule, as the grid's :meth:`element_dofs` is once per grid.  The
-    entry holds its rule, so the rule's id names no other rule while it is
-    kept."""
-    @functools.wraps(build)
-    def cached(grid, quad: QuadratureRule) -> np.ndarray:
-        tables = grid.__dict__.setdefault("_per_rule", {})  # frozen dataclass: no __setattr__
-        key = (build.__name__, id(quad))
-        if key not in tables:
-            tables[key] = (quad, _read_only(build(grid, quad)))
-        return tables[key][1]
-
-    return cached
-
-
 def element_blocks(grid) -> list:
     """The element order as slices of balanced chunks of whole element rows,
     at most ``_CHUNK_ELEMENTS`` elements each (one row, if a row holds more):
@@ -185,11 +170,12 @@ def element_blocks(grid) -> list:
 def field_values_at_quad(grid, values: np.ndarray, quad: QuadratureRule,
                          elements=slice(None)) -> np.ndarray:
     """Q1 interpolant of nodal ``values`` at the quadrature points of
-    ``elements`` (a slice of the element order, all by default), (E, Q)."""
+    ``elements`` (a slice of the element order or their ids, all by
+    default), (E, Q)."""
     return np.asarray(values)[grid.element_dofs()[elements]] @ quad.basis.T
 
 
-@_once_per_rule
+@once_per_object
 def _gradient_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """The physical basis gradients at the points laid out as (C, Q*dim)."""
     n_q, n_loc, dim = quad.basis_gradients.shape
@@ -199,9 +185,9 @@ def _gradient_reference(grid, quad: QuadratureRule) -> np.ndarray:
 def field_gradients_at_quad(grid, values: np.ndarray, quad: QuadratureRule,
                             elements=slice(None)) -> np.ndarray:
     """Q1 gradient of nodal ``values`` at the quadrature points of
-    ``elements`` (a slice of the element order, all by default), (E, Q,
-    dim): one matrix product of the element values (E, C) with the physical
-    basis gradients laid out as (C, Q*dim)."""
+    ``elements`` (a slice of the element order or their ids, all by
+    default), (E, Q, dim): one matrix product of the element values (E, C)
+    with the physical basis gradients laid out as (C, Q*dim)."""
     n_q, _, dim = quad.basis_gradients.shape
     rows = np.asarray(values)[grid.element_dofs()[elements]]
     return (rows @ _gradient_reference(grid, quad)).reshape(-1, n_q, dim)
@@ -246,7 +232,7 @@ def _period(grid, quad: QuadratureRule, samples, tail: tuple, what: str):
     return samples, p
 
 
-@_once_per_rule
+@once_per_object
 def _stiffness_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """Reference tensor R, shape (Q*dim*dim, C*C), of the stiffness kernel.
 
@@ -384,7 +370,7 @@ def assemble_stiffness(grid, coeff, quad: QuadratureRule):
     if __debug__:
         # entry [o, x] against [-o, x + o], wrapped, in blocks of node rows;
         # off the box grid both are zero
-        n = grid.cells_per_side if isinstance(grid, CellGrid) else grid.cells_per_side + 1
+        n = grid.nodes_per_side
         nodes = stencil[(Ellipsis,) + (slice(0, n),) * dim]
         asym = 0.0
         for o in np.array(list(itertools.product((-1, 0, 1), repeat=dim))):
@@ -431,7 +417,7 @@ class _Window(MacroGrid):
         return 1.0 / self.of
 
 
-@_once_per_rule
+@once_per_object
 def _jacobian_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """Reference tensor (Q*(dim*dim + 1 + dim), C*C) of the Newton Jacobian
     against its rows a | -df/du | da/du grad u: the stiffness, mass and
@@ -489,13 +475,13 @@ def linearize(grid, quad: QuadratureRule, state, data):
                               grid.cells_per_side), residual)
 
 
-@_once_per_rule
+@once_per_object
 def _scalar_load_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """(Q, C): the weighted basis values, w_q |K| phi_c(x_q)."""
     return (quad.weights * grid.spacing**grid.dim)[:, None] * quad.basis
 
 
-@_once_per_rule
+@once_per_object
 def _flux_load_reference(grid, quad: QuadratureRule) -> np.ndarray:
     """(Q*dim, C): the weighted physical basis gradients, w_q |K| d_i phi_c(x_q)."""
     weights = quad.weights * grid.spacing**grid.dim
@@ -1012,9 +998,10 @@ def solve_periodic_zero_mean(
     ``factor`` to every solve against its matrix factors that matrix once.
     """
     ndof = len(rhs)
-    if np.linalg.norm(rhs) <= _zero_load_floor(ndof, factor.scale):
+    norm, total = float(np.linalg.norm(rhs)), rhs.sum()  # read by the floor, check and projection
+    if norm <= _zero_load_floor(ndof, factor.scale):
         return np.zeros(ndof)
-    defect = rhs_constant_defect(rhs, factor.scale)
+    defect = float(abs(total)) / norm  # rhs_constant_defect of a load above the floor
     if defect > opts.compat_tol:
         raise CompatibilityError(
             f"rhs does not annihilate constants: relative defect {defect:.3e} "
@@ -1022,5 +1009,5 @@ def solve_periodic_zero_mean(
         )
 
     x = np.zeros(ndof)
-    x[1:] = factor.lu.solve(rhs[1:] - rhs.sum() / ndof)
+    x[1:] = factor.lu.solve(rhs[1:] - total / ndof)
     return x - x.sum() / ndof  # x.mean(), without its call overhead

@@ -9,16 +9,19 @@ Two mesh types cover everything the solvers need:
   marked on the boundary.  Both the homogenized solve and the resolved
   fine-scale solve use this type (the fine grid is just a finer instance).
 
+Both are one frozen :class:`Grid`, which says once what a uniform lattice
+holds; each type adds only where its nodes are and its own sets of nodes.
 Grids are uniform, so finite-difference derivative recovery reduces to
 index arithmetic, and every multilinear read off a lattice -- a grid's
 nodes or the parameter lattice of the cell tables -- goes through one
-kernel, :func:`lattice_corners`; a read at a tensor lattice of points
-brackets each axis once (:func:`tensor_corners`).  Everything here is pure
-and immutable.
-The node axes and the element connectivity are computed once per grid
-object, a field's recovered gradient and Hessian once per field object, and
-the sparsity pattern of the Q1 operators once per lattice size; all are
-handed out read-only.
+kernel, :func:`lattice_corners`, and ends in one sum, :func:`corner_sum`;
+a read at a tensor lattice of points brackets each axis once
+(:func:`tensor_corners`).  Everything here is pure and immutable.
+One rule, :func:`once_per_object`, keeps an array made from a frozen
+object (and any other arguments) on that object, read-only: a grid's node
+axes and element connectivity, a field's recovered gradient and Hessian,
+and the quadrature reference tables of the finite-element kernels.  The
+sparsity pattern of the Q1 operators is kept once per lattice size.
 """
 
 from __future__ import annotations
@@ -42,32 +45,32 @@ def corner_offsets(dim: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=dim)), dtype=int)
 
 
-def _once_per_object(method):
-    """Cache an array-valued function of one frozen grid or field on that
-    object, read-only; the object never changes, so the result never goes
-    stale, and it dies with the object.  An equal but distinct object
-    computes its own."""
-    key = f"_{method.__name__}"
-
-    @functools.wraps(method)
-    def cached(self):
-        if key not in self.__dict__:
-            out = method(self)
+def once_per_object(build):
+    """Cache ``build(obj, *args)``, an array, on the frozen object ``obj``,
+    read-only, one per distinct argument objects: ``obj`` never changes, so
+    the result never goes stale, and it dies with ``obj``.  An equal but
+    distinct object computes its own.  The entry holds the other arguments,
+    so their ids name no other objects while it is kept."""
+    @functools.wraps(build)
+    def cached(obj, *args):
+        entries = obj.__dict__.setdefault("_once", {})  # frozen dataclass: bypass __setattr__
+        key = (build, *map(id, args))
+        if key not in entries:
+            out = build(obj, *args)
             out.flags.writeable = False
-            self.__dict__[key] = out  # frozen dataclass: bypass __setattr__
-        return self.__dict__[key]
+            entries[key] = (args, out)
+        return entries[key][1]
 
     return cached
 
 
-def _element_dofs(dim: int, m: int, n: int, periodic: bool) -> np.ndarray:
+def _element_dofs(dim: int, m: int, n: int) -> np.ndarray:
     """Node ids (m^dim, 2^dim) of the corners of the m^dim elements of a
     lattice of ``n`` nodes per side, elements and corners in lattice order
     (:func:`corner_offsets`), built axis by axis by broadcasting; a
-    ``periodic`` lattice (n = m) wraps the far corners to the near ones."""
+    periodic lattice (n = m) wraps the far corners to the near ones."""
     along = np.arange(m)[:, None] + np.arange(2)  # (element, corner bit) along one axis
-    if periodic:
-        along %= n
+    along %= n  # on a box (n = m + 1) every id is below n already
     ids = np.zeros((1,) * (2 * dim), dtype=along.dtype)
     for d in range(dim):
         shape = [1] * (2 * dim)
@@ -111,78 +114,27 @@ def stencil_pattern(dim: int, m: int, periodic: bool) -> tuple:
     return out
 
 
-def _check_dim(dim):
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-
-
 @dataclass(frozen=True)
-class CellGrid:
-    """Periodic uniform lattice on Y = [0,1]^n with opposite faces identified."""
+class Grid:
+    """Uniform lattice of ``cells_per_side`` cells per side on [0,1]^dim.
+
+    A subclass says where its nodes are: ``nodes_per_side`` and the node
+    coordinates along one axis, ``_axis``.  Its nodes are numbered in lattice
+    order, first axis slowest, and the corners of its elements too.
+    """
 
     dim: int
     cells_per_side: int
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.cells_per_side < 2:
-            raise ValueError("cell grid needs at least 2 cells per side")
+            raise ValueError(f"{type(self).__name__} needs at least 2 cells per side")
 
     @property
     def spacing(self) -> float:
         return 1.0 / self.cells_per_side
-
-    @property
-    def ndof(self) -> int:
-        return self.cells_per_side**self.dim
-
-    @property
-    def n_elements(self) -> int:
-        return self.cells_per_side**self.dim
-
-    def axes(self) -> list:
-        """The node coordinates along each axis, one read-only array made
-        once per grid; the nodes are their product, first axis slowest."""
-        return [self._axis()] * self.dim
-
-    @_once_per_object
-    def _axis(self) -> np.ndarray:
-        return np.arange(self.cells_per_side) * self.spacing
-
-    def dof_coords(self) -> np.ndarray:
-        """Coordinates of the representative nodes, shape (ndof, dim)."""
-        return lattice_points(self.axes())
-
-    @_once_per_object
-    def element_dofs(self) -> np.ndarray:
-        """Global DOF ids of each element's corners, shape (E, 2^dim).
-
-        Corner columns follow :func:`corner_offsets`; indices on the far
-        faces wrap around, which is exactly the periodic identification.
-        """
-        m = self.cells_per_side
-        return _element_dofs(self.dim, m, m, periodic=True)
-
-
-@dataclass(frozen=True)
-class MacroGrid:
-    """Uniform lattice on [0,1]^n with Dirichlet nodes on the boundary."""
-
-    dim: int
-    cells_per_side: int
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        if self.cells_per_side < 2:
-            raise ValueError("macro grid needs at least 2 cells per side")
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.cells_per_side
-
-    @property
-    def nodes_per_side(self) -> int:
-        return self.cells_per_side + 1
 
     @property
     def ndof(self) -> int:
@@ -197,7 +149,39 @@ class MacroGrid:
         once per grid; the nodes are their product, first axis slowest."""
         return [self._axis()] * self.dim
 
-    @_once_per_object
+    @once_per_object
+    def element_dofs(self) -> np.ndarray:
+        """Global DOF ids of each element's corners, shape (E, 2^dim), corner
+        columns in :func:`corner_offsets` order."""
+        return _element_dofs(self.dim, self.cells_per_side, self.nodes_per_side)
+
+
+class CellGrid(Grid):
+    """Periodic uniform lattice on Y = [0,1]^n with opposite faces identified:
+    the far face's nodes are the near face's, so the far corners of an
+    element wrap around."""
+
+    @property
+    def nodes_per_side(self) -> int:
+        return self.cells_per_side
+
+    @once_per_object
+    def _axis(self) -> np.ndarray:
+        return np.arange(self.cells_per_side) * self.spacing
+
+    def dof_coords(self) -> np.ndarray:
+        """Coordinates of the representative nodes, shape (ndof, dim)."""
+        return lattice_points(self.axes())
+
+
+class MacroGrid(Grid):
+    """Uniform lattice on [0,1]^n with Dirichlet nodes on the boundary."""
+
+    @property
+    def nodes_per_side(self) -> int:
+        return self.cells_per_side + 1
+
+    @once_per_object
     def _axis(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes_per_side)
 
@@ -216,12 +200,6 @@ class MacroGrid:
     def interior_dofs(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask())[0]
 
-    @_once_per_object
-    def element_dofs(self) -> np.ndarray:
-        """Global DOF ids of each element's corners, shape (E, 2^dim), corner
-        columns in :func:`corner_offsets` order."""
-        return _element_dofs(self.dim, self.cells_per_side, self.nodes_per_side, periodic=False)
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -230,7 +208,7 @@ class ScalarField:
     :func:`fd_hessian`) are kept on it once read, so its values must not
     change in place."""
 
-    grid: CellGrid | MacroGrid
+    grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -355,10 +333,25 @@ def tensor_corners(grid, axes):
     return ids, wts
 
 
+def corner_sum(ids, weights, gather) -> np.ndarray:
+    """The sum from 0.0, in corner order, of each corner's ``weights`` times
+    ``gather`` of its ``ids``: the one sum that finishes every multilinear
+    read.  ``ids`` and ``weights`` list the corners (the rows of an array
+    whose first axis is the corner do), and each weight multiplies its read
+    by broadcasting."""
+    acc = None
+    for i, w in zip(ids, weights):
+        term = w * gather(i)
+        if acc is None:
+            acc = np.zeros(term.shape)
+        acc += term
+    return acc
+
+
 def interpolate_values(grid, values: np.ndarray, points) -> np.ndarray:
     """Multilinear interpolation of nodal ``values`` at ``points`` (K, dim)."""
     ids, wts = grid_corners(grid, points)
-    return np.sum(np.asarray(values)[ids] * wts, axis=1)
+    return corner_sum(ids.T, wts.T, np.asarray(values).__getitem__)
 
 
 def periodic_fd_gradient(grid: CellGrid, values: np.ndarray) -> np.ndarray:
@@ -379,7 +372,7 @@ def periodic_fd_gradient(grid: CellGrid, values: np.ndarray) -> np.ndarray:
     return np.stack([c.reshape(-1) for c in comps], axis=-1)
 
 
-@_once_per_object
+@once_per_object
 def fd_gradient(fld: ScalarField) -> np.ndarray:
     """Nodal gradient of a macro-grid field, shape (ndof, dim), computed
     once per field object and read-only.
@@ -400,7 +393,7 @@ def fd_gradient(fld: ScalarField) -> np.ndarray:
     return np.stack([c.reshape(-1) for c in comps], axis=-1)
 
 
-@_once_per_object
+@once_per_object
 def fd_hessian(fld: ScalarField) -> np.ndarray:
     """Nodal Hessian of a macro-grid field, shape (ndof, dim, dim), computed
     once per field object and read-only.

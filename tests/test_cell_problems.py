@@ -1357,3 +1357,85 @@ def test_rosseland_table_skips_its_zero_solves(monkeypatch):
                         lambda *args: solves.append(1) or original_solve(*args))
     build_corrector_tables(model, default_parameter_grid(model, n_u=9), CellGrid(1, 128))
     assert len(solves) == 9 * 2 + 8 * 2
+
+
+def test_a_cell_solve_measures_its_load_twice(monkeypatch):
+    # CellSample.solve takes the load's norm once for its diagnostics, and
+    # solve_periodic_zero_mean once for its zero-load floor, compatibility
+    # defect and projection, which read one norm and one sum
+    grid = CellGrid(2, 8)
+    sample = CellSample(SmoothPeriodicCoefficient(2, base=2.0, amplitude=1.0), 0.5, [0.5, 0.5], grid)
+    factor = sample.factor
+    rhs = assemble_load(grid, sample.quad, flux_fn=lambda pts: np.cos(2.0 * np.pi * pts))
+    incompatible = rhs + 1e-3
+    want_defect = fem.rhs_constant_defect(incompatible, factor.scale)
+    x = np.zeros(grid.ndof)  # the projected solve, written out
+    x[1:] = factor.lu.solve(rhs[1:] - rhs.sum() / grid.ndof)
+    want = x - x.sum() / grid.ndof
+
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    for load in (rhs, np.zeros(grid.ndof)):
+        calls.clear()
+        got = sample.solve(load)
+        assert len(calls) == 2
+        assert got.tobytes() == (want if load is rhs else np.zeros(grid.ndof)).tobytes()
+    assert sample.diagnostics.max_rhs_defect == fem.rhs_constant_defect(rhs, factor.scale)
+    with pytest.raises(CompatibilityError, match=f"relative defect {want_defect:.3e} "):
+        sample.solve(incompatible)
+    assert want_defect > sample.opts.compat_tol
+    assert sample.diagnostics.max_rhs_defect == want_defect
+
+
+def kirchhoff_table(dim, m_c, n_u, **mu):
+    """A SEPARATED table, a = mu(u) g(y) I with g = 2 + prod_d sin 2 pi y_d,
+    mu of u alone, and the ratio d mu/du / mu at each of its u samples."""
+    model = SeparatedCoefficient(dim, g_base=2.0, g_amplitude=1.0, **mu)
+    pgrid = default_parameter_grid(model, n_u=n_u)
+    table, _ = build_corrector_tables(model, pgrid, CellGrid(dim, m_c))
+    x = np.full(dim, 0.5)
+    ratios = [model.mu_gradient(u, x)[0] / model.mu(u, x) for u in pgrid.u_samples]
+    return table.fields, ratios
+
+
+def test_separable_1d_slow_corrector_is_the_kirchhoff_identity():
+    # with w = M(u) = int_0^u mu, -(mu(u) g u')' = f is the linear
+    # -(g w')' = f, so the u-chain of the second-order term is algebraic:
+    # slowg_00 = (mu'/mu) (hess_00 - (N^2 - <N^2>) / 2), the mean removed as
+    # every corrector's is; in 1-D the cell discretization keeps it exactly
+    fields, ratios = kirchhoff_table(1, 256, 9, mu0=1.0, mu_u2=1.0)
+    assert np.max(np.abs(fields["slowg_00"])) > 1e-2  # not vacuous
+    for j, r in enumerate(ratios):
+        n_sq = fields["first_0"][j] ** 2
+        want = r * (fields["hess_00"][j] - (n_sq - n_sq.mean()) / 2.0)
+        got = fields["slowg_00"][j]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), j
+        assert np.all(fields["slow0_0"][j] == 0.0)
+
+
+def test_separable_2d_slow_corrector_meets_the_kirchhoff_identity_at_second_order():
+    # sum_km slowg_km g_k g_m + sum_k slow0_k g_k against
+    # (mu'/mu) (sum_kl hess_kl g_k g_l - ((N.g)^2 - <(N.g)^2>) / 2) for random
+    # macro gradients g: in 2-D the identity holds up to the cell
+    # discretization, so the miss falls as h_c^2
+    gs = np.random.default_rng(3).standard_normal((8, 2))
+    misses = []
+    for m_c in (16, 32, 64):
+        fields, ratios = kirchhoff_table(2, m_c, 5, mu0=1.0, mu_u=0.5, mu_u2=1.0)
+        miss = scale = 0.0
+        for j, r in enumerate(ratios):
+            at = {name: stack[j] for name, stack in fields.items()}
+            for g in gs:
+                got = sum(at[f"slowg_{k}{m}"] * g[k] * g[m] for k in range(2) for m in range(2))
+                got = got + sum(at[f"slow0_{k}"] * g[k] for k in range(2))
+                hess = sum(at[f"hess_{min(k, l)}{max(k, l)}"] * g[k] * g[l]
+                           for k in range(2) for l in range(2))
+                n_g_sq = sum(at[f"first_{k}"] * g[k] for k in range(2)) ** 2
+                want = r * (hess - (n_g_sq - n_g_sq.mean()) / 2.0)
+                miss = max(miss, float(np.max(np.abs(got - want))))
+                scale = max(scale, float(np.max(np.abs(got))))
+        misses.append(miss)
+    slope = -np.polyfit(np.log([16, 32, 64]), np.log(misses), 1)[0]
+    assert slope >= 1.9, (misses, slope)
+    assert scale > 1e-2 and misses[-1] <= 1e-3 * scale, (misses, scale)

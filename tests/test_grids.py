@@ -6,6 +6,7 @@ from twoscale.errors import OutOfDomainError
 from twoscale.fem import gauss_rule, q1_values
 from twoscale.grids import (
     CellGrid,
+    Grid,
     MacroGrid,
     ScalarField,
     corner_offsets,
@@ -307,3 +308,34 @@ def test_element_dofs_by_broadcasting_are_the_multi_index_ids(cls, dim, m):
     assert np.array_equal(dofs, want) and dofs.flags.c_contiguous
     twin = cls(dim, m)
     assert twin.element_dofs() is not dofs and np.array_equal(twin.element_dofs(), dofs)
+
+
+@pytest.mark.parametrize("grid", [CellGrid(1, 7), CellGrid(2, 6), MacroGrid(1, 9), MacroGrid(2, 8)])
+def test_interpolate_values_is_the_old_corner_sum_bitwise(grid):
+    # the formula interpolate_values had before it read through corner_sum:
+    # np.sum along the corner axis adds the terms in corner order, as
+    # corner_sum does from 0.0, so only the sign of an all-zero sum may move
+    def old(values, points):
+        ids, wts = grid_corners(grid, points)
+        return np.sum(values[ids] * wts, axis=1)
+
+    rng = np.random.default_rng(grid.ndof)
+    values = rng.standard_normal(grid.ndof) * 10.0 ** rng.integers(-8, 8, grid.ndof)
+    values[: grid.ndof // 3] = -0.0  # all-zero corner sets
+    lo, hi = (-1.5, 2.5) if isinstance(grid, CellGrid) else (0.0, 1.0)
+    points = np.concatenate([rng.uniform(lo, hi, (4000, grid.dim)), lattice_points(grid.axes())])
+    got, want = interpolate_values(grid, values, points), old(values, points)
+    assert (want == 0.0).any()  # the all-zero sums are there
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("cls", [CellGrid, MacroGrid])
+def test_cell_and_macro_grids_are_one_lattice_type(cls):
+    for dim, cells in [(3, 4), (0, 4), (1, 1)]:
+        with pytest.raises(ValueError):
+            cls(dim, cells)
+    grid = cls(2, 4)
+    assert isinstance(grid, Grid) and grid.spacing == 0.25 and grid.n_elements == 16
+    assert grid.ndof == grid.nodes_per_side**2 == len(grid.axes()[0]) ** 2
+    other = MacroGrid if cls is CellGrid else CellGrid
+    assert grid == cls(2, 4) and grid != other(2, 4)
